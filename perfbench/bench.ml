@@ -90,42 +90,24 @@ let drop_store st =
 
 let file_size p = (Unix.stat p).Unix.st_size
 
-(* -- sample arrays and order statistics -- *)
-
-type samples = { mutable a : int array; mutable n : int }
-
-let samples () = { a = Array.make 4096 0; n = 0 }
-
-let push s v =
-  if s.n = Array.length s.a then begin
-    let b = Array.make (2 * s.n) 0 in
-    Array.blit s.a 0 b 0 s.n;
-    s.a <- b
-  end;
-  s.a.(s.n) <- v;
-  s.n <- s.n + 1
-
-(* nearest-rank percentile, p in (0, 1] *)
-let pct s p =
-  if s.n = 0 then nan
-  else begin
-    let d = Array.sub s.a 0 s.n in
-    Array.sort compare d;
-    float_of_int d.(max 0 (int_of_float (ceil (p *. float_of_int s.n)) - 1))
-  end
-
 (* -- output -- *)
 
 let metrics : (string * float * string) list ref = ref []
 let metric name unit v = metrics := (name, v, unit) :: !metrics
 
-let json_num v =
-  if Float.is_finite v then Printf.sprintf "%.17g" v else "0"
-
+(* A metric with no value (no samples, or a division by zero) fails the
+   run rather than print a number that was not measured. *)
 let print_result ~correct =
+  List.iter
+    (fun (n, v, _) ->
+      if not (Float.is_finite v) then begin
+        Printf.eprintf "FAILED: metric %s has no value (%g)\n%!" n v;
+        exit 1
+      end)
+    !metrics;
   let ms =
     List.rev_map
-      (fun (n, v, u) -> Printf.sprintf "%S: {\"value\": %s, \"unit\": %S}" n (json_num v) u)
+      (fun (n, v, u) -> Printf.sprintf "%S: {\"value\": %.17g, \"unit\": %S}" n v u)
       !metrics
   in
   Printf.printf "{\"correct\": %b, \"attempted\": %d, \"failed\": %d, \"metrics\": {%s}}\n%!"
@@ -173,6 +155,9 @@ let send s m (reqs : P.request array) =
 let mutations reqs =
   Array.fold_left (fun n r -> if is_mutation r then n + 1 else n) 0 reqs
 
+let log_page_bytes st =
+  Repro_storage.Wal.log_page_size ~data_page_size:(PS.page_size (SS.store st.sst 0))
+
 (* Counters over the fixed-work prefix: exact at a fixed seed. *)
 type counts = {
   c_wal_records : int;
@@ -203,35 +188,37 @@ let count_phase s g m =
     c_vrec_pages = mv.mvcc_disk_pages;
   }
 
-let log_page_bytes st =
-  Repro_storage.Wal.log_page_size ~data_page_size:(PS.page_size (SS.store st.sst 0))
-
 let heap_mb () =
   float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8)) /. 1e6
 
-let median l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+(* Host CPU steal: the "cpu" line of /proc/stat gives (steal, total)
+   ticks summed over all CPUs; None where it cannot be read. *)
+let cpu_ticks () =
+  match open_in "/proc/stat" with
+  | exception Sys_error _ -> None
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      close_in ic;
+      match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+      | "cpu" :: fields when List.length fields >= 8 ->
+          let v = List.filteri (fun i _ -> i < 8) (List.map int_of_string fields) in
+          Some (List.nth v 7, List.fold_left ( + ) 0 v)
+      | _ -> None)
 
-(* Interquartile mean: the mean of the middle half of the values (all of
-   them when there are fewer than four). *)
-let iq_mean l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  let n = Array.length a in
-  let lo, hi = if n < 4 then (0, n) else (n / 4, n - (n / 4)) in
-  let sum = ref 0. in
-  for i = lo to hi - 1 do
-    sum := !sum +. a.(i)
-  done;
-  !sum /. float_of_int (hi - lo)
+(* share of the CPU time between two readings that the host stole *)
+let steal_share a b =
+  match (a, b) with
+  | Some (s0, t0), Some (s1, t1) when t1 > t0 -> float_of_int (s1 - s0) /. float_of_int (t1 - t0)
+  | _ -> 0.
 
 (* -- end-to-end run -- *)
 
 let setup_reps = 3
-let windows = 20
+
+(* Short windows, a fifth of a second at the reference rate: a window the
+   host stole from is then a small slice of the run, and the windows left
+   out are spread over it. *)
+let windows = 100
 
 (* The timed phase is a fixed amount of work, [batch_rate * seconds]
    batches: the store's state at every point of it (versions, log length,
@@ -241,15 +228,21 @@ let windows = 20
 let timed_batches spec ~seconds =
   max windows (int_of_float (float_of_int spec.batch_rate *. seconds))
 
+(* A window whose host steal share exceeds this is left out of the timed
+   metrics, as long as half of the windows remain. At a fifth of a second
+   on two CPUs one stolen tick is 2.5%, so a kept window had none. *)
+let steal_max = 0.01
+
 let e2e spec ~seed ~seconds ~dir =
   let keys = initial_keys spec ~seed in
   let pairs = Array.to_list (Array.map (fun k -> (k, initial_value k)) keys) in
-  let setups = ref [] in
+  let setups = Samples.create () in
   let first = ref None and count_bytes = ref None in
   let total = timed_batches spec ~seconds in
-  let lat = Array.init windows (fun _ -> [| samples (); samples (); samples () |]) in
+  let lat = Array.init windows (fun _ -> [| Samples.create (); Samples.create (); Samples.create () |]) in
   let kidx = function Read -> 0 | Write -> 1 | Scan -> 2 in
   let ops = Array.make windows 0 and elapsed = Array.make windows 0. in
+  let steal = Array.make windows 0. in
   let heap = ref nan and data_bytes_per_key = ref nan and wal_bytes_per_write = ref nan in
   let done_windows = ref 0 in
   for rep = 1 to setup_reps do
@@ -257,7 +250,7 @@ let e2e spec ~seed ~seconds ~dir =
     Gc.full_major ();
     let t0 = now () in
     let s = serve spec ~dir ~tag:"e2e" pairs in
-    setups := (float_of_int (now () - t0) /. 1e9) :: !setups;
+    Samples.push setups (now () - t0);
     let m = model spec keys in
     let g = generator spec ~seed in
     let c = count_phase s g m in
@@ -280,36 +273,37 @@ let e2e spec ~seed ~seconds ~dir =
     end
     else begin
       (* timed phase: the closed loop continues the same stream, in
-         [windows] windows of equal batch counts *)
+         [windows] windows of equal batch counts. A run several times
+         slower than its reference rate stops early, on a window boundary,
+         to stay within its time limit, and then fails: every run that
+         reports has done the same work, so its byte counts are exact. *)
+      let give_up = now () + int_of_float (4. *. seconds *. 1e9) in
       let io0 = SS.io_stats s.st.sst in
       let muts = ref 0 in
-      (* a run several times slower than its reference rate stops early,
-         on a window boundary, to stay within its time limit *)
-      let give_up = now () + int_of_float (4. *. seconds *. 1e9) in
       for w = 0 to windows - 1 do
         let n =
           if now () > give_up then 0 else (total * (w + 1) / windows) - (total * w / windows)
         in
+        let ticks0 = cpu_ticks () in
         let t_start = now () in
-        let t = ref t_start in
         for _ = 1 to n do
           let kind, reqs = next_batch g in
-          let b0 = !t in
-          let resps = Client.pipeline s.cl (Array.to_list reqs) in
-          let b1 = now () in
-          push lat.(w).(kidx kind) (b1 - b0);
+          let batch = Array.to_list reqs in
+          let b0 = now () in
+          let resps = Client.pipeline s.cl batch in
+          Samples.push lat.(w).(kidx kind) (now () - b0);
           ops.(w) <- ops.(w) + depth;
           muts := !muts + mutations reqs;
-          List.iteri (fun i r -> check m reqs.(i) r) resps;
-          t := now ()
+          List.iteri (fun i r -> check m reqs.(i) r) resps
         done;
-        elapsed.(w) <- float_of_int (!t - t_start) /. 1e9;
+        elapsed.(w) <- float_of_int (now () - t_start) /. 1e9;
+        steal.(w) <- steal_share ticks0 (cpu_ticks ());
         if n > 0 then incr done_windows
       done;
       let io1 = SS.io_stats s.st.sst in
       wal_bytes_per_write :=
         float_of_int ((io1.wal_records - io0.wal_records) * log_page_bytes s.st)
-        /. float_of_int (max 1 !muts);
+        /. float_of_int !muts;
       (* before the shutdown checkpoint, which seals the whole log pass
          into a retained in-memory segment *)
       heap := heap_mb ();
@@ -324,37 +318,49 @@ let e2e spec ~seed ~seconds ~dir =
      vrec_pages=%d\n"
     spec.count_batches setup_reps c.c_wal_records c.c_wal_fsyncs
     c.c_commit_groups c.c_faults c.c_mutations c.c_versions c.c_vrec_pages;
-  (* each timed metric: the interquartile mean over windows of its
-     per-window value. Dropping the outer quarters keeps a burst of host
-     CPU steal from moving it; averaging the middle half, rather than
-     taking its median, keeps a tail that alternates between two levels
-     from window to window (write-cold's scans) from flipping between
-     them from run to run. *)
   let nw = !done_windows in
-  if nw < windows then
-    Printf.printf "warning: timed phase stopped after %d of %d windows (over 4x --seconds)\n"
+  if nw < windows then begin
+    Printf.eprintf "FAILED: timed phase stopped after %d of %d windows (over 4x --seconds)\n%!"
       nw windows;
-  let over_windows f = iq_mean (List.init nw f) in
-  let rate w = float_of_int ops.(w) /. elapsed.(w) in
+    exit 1
+  end;
+  (* Windows the host stole more than [steal_max] of the CPU from are
+     left out. When fewer than half of the windows are that clean, the
+     least stolen half is kept, with every window tied with the last of
+     it, so that ties do not favour one end of the run. *)
+  let sorted = Array.copy steal in
+  Array.sort compare sorted;
+  let cut = Float.max steal_max sorted.((windows / 2) - 1) in
+  let kept = List.filter (fun w -> steal.(w) <= cut) (List.init windows Fun.id) in
+  let total_of f = List.fold_left (fun a w -> a +. f w) 0. kept in
+  let by_window f = String.concat " " (List.init windows f) in
+  Printf.printf "steal %% by window: %s\n" (by_window (fun w -> Printf.sprintf "%.1f" (100. *. steal.(w))));
+  Printf.printf "steal: %.2f%% of CPU over the timed phase; %d of %d windows kept (steal <= %.1f%%)\n"
+    (100. *. Array.fold_left ( +. ) 0. (Array.mapi (fun w x -> x *. elapsed.(w)) steal)
+    /. Array.fold_left ( +. ) 0. elapsed)
+    (List.length kept) windows (100. *. cut);
+  (* Each timed metric pools the kept windows: acked requests over their
+     time, and the percentiles of every batch in them. *)
   Printf.printf "ops_per_s by window: %s\n"
-    (String.concat " " (List.init nw (fun w -> Printf.sprintf "%.0f" (rate w))));
-  metric "ops_per_s" "1/s" (over_windows rate);
+    (by_window (fun w -> Printf.sprintf "%.0f" (float_of_int ops.(w) /. elapsed.(w))));
+  metric "ops_per_s" "1/s" (total_of (fun w -> float_of_int ops.(w)) /. total_of (fun w -> elapsed.(w)));
   List.iter
     (fun k ->
       let i = kidx k in
-      metric (kind_name k ^ "_p50_us") "us" (over_windows (fun w -> pct lat.(w).(i) 0.50 /. 1e3));
-      metric (kind_name k ^ "_p95_us") "us" (over_windows (fun w -> pct lat.(w).(i) 0.95 /. 1e3));
-      Printf.printf "%s batches by window: %s; p95 us: %s\n" (kind_name k)
-        (String.concat " " (List.init nw (fun w -> string_of_int lat.(w).(i).n)))
-        (String.concat " "
-           (List.init nw (fun w -> Printf.sprintf "%.0f" (pct lat.(w).(i) 0.95 /. 1e3)))))
+      let pooled = Samples.create () in
+      List.iter (fun w -> Samples.append pooled lat.(w).(i)) kept;
+      metric (kind_name k ^ "_p50_us") "us" (Samples.percentile pooled 0.50 /. 1e3);
+      metric (kind_name k ^ "_p95_us") "us" (Samples.percentile pooled 0.95 /. 1e3);
+      Printf.printf "%s: %d batches in the kept windows; p95 us by window: %s\n" (kind_name k)
+        (Samples.count pooled)
+        (by_window (fun w -> Printf.sprintf "%.0f" (Samples.percentile lat.(w).(i) 0.95 /. 1e3))))
     [ Read; Write; Scan ];
-  metric "setup_s" "s" (median !setups);
+  metric "setup_s" "s" (Samples.percentile setups 0.5 /. 1e9);
   metric "data_bytes_per_key" "B" !data_bytes_per_key;
   metric "wal_bytes_per_write" "B" !wal_bytes_per_write;
   metric "peak_heap_mb" "MB" !heap;
   Printf.printf "timed phase: %d batches, %d ops in %.3f s (%d windows); setups: %d\n" total
-    (Array.fold_left ( + ) 0 ops) (Array.fold_left ( +. ) 0. elapsed) nw setup_reps
+    (Array.fold_left ( + ) 0 ops) (Array.fold_left ( +. ) 0. elapsed) windows setup_reps
 
 (* -- traced ladder run -- *)
 

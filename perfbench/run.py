@@ -103,7 +103,7 @@ def run_once(workload, seed, seconds, trace, echo=True):
 
 
 def report(args):
-    seeds = list(range(args.first_seed, args.first_seed + args.runs))
+    seeds = list(range(1, args.runs + 1))
     values = {}
     for s in seeds:
         code, res, _ = run_once(args.workload, s, args.seconds, args.trace, echo=False)
@@ -139,9 +139,8 @@ def main():
     ap.add_argument("--seconds", type=float, default=20,
                     help="size of the timed phase: the workload's reference batch rate times this")
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--report", action="store_true", help="steadiness report over --runs seeds")
+    ap.add_argument("--report", action="store_true", help="steadiness report over seeds 1..--runs")
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
     args = ap.parse_args()
     build()
     if args.report:

@@ -2,18 +2,16 @@
 
    A span is one timed call into a layer: name, start, end, the span
    that encloses it, and the batch it belongs to. Per-name aggregates
-   (count, total, self time, every duration) cover the whole run; the
-   raw span records are kept for the first [cap] spans and written out
-   when the run ends, so memory stays bounded on long runs. *)
+   (total, self time, every duration) cover the whole run; the raw span
+   records are kept for the first [cap] spans and written out when the
+   run ends, so memory stays bounded on long runs. *)
 
 let now () = Int64.to_int (Monotonic_clock.now ())
 
-type agg = {
-  mutable count : int;
-  mutable total : int;
-  mutable self : int;
-  mutable durs : int array;
-}
+(* raw span records kept per recorder *)
+let cap = 20_000
+
+type agg = { mutable total : int; mutable self : int; durs : Samples.t }
 
 type t = {
   names : (string, int) Hashtbl.t;
@@ -28,7 +26,6 @@ type t = {
   mutable next_id : int;
   mutable batch : int;
   (* raw records, indexed by span id while id < cap *)
-  cap : int;
   r_name : int array;
   r_start : int array;
   r_end : int array;
@@ -36,7 +33,7 @@ type t = {
   r_batch : int array;
 }
 
-let create ?(cap = 20_000) () =
+let create () =
   {
     names = Hashtbl.create 32;
     by_id = [||];
@@ -48,7 +45,6 @@ let create ?(cap = 20_000) () =
     depth = 0;
     next_id = 0;
     batch = -1;
-    cap;
     r_name = Array.make cap 0;
     r_start = Array.make cap 0;
     r_end = Array.make cap 0;
@@ -66,7 +62,7 @@ let name t s =
       t.by_id <- Array.append t.by_id [| s |];
       t.aggs <-
         Array.append t.aggs
-          [| { count = 0; total = 0; self = 0; durs = Array.make 1024 0 } |];
+          [| { total = 0; self = 0; durs = Samples.create () } |];
       i
 
 let set_batch t b = t.batch <- b
@@ -86,18 +82,12 @@ let leave t =
   t.depth <- d;
   let dur = stop - t.st_start.(d) in
   let a = t.aggs.(t.st_name.(d)) in
-  if a.count = Array.length a.durs then begin
-    let b = Array.make (2 * a.count) 0 in
-    Array.blit a.durs 0 b 0 a.count;
-    a.durs <- b
-  end;
-  a.durs.(a.count) <- dur;
-  a.count <- a.count + 1;
+  Samples.push a.durs dur;
   a.total <- a.total + dur;
   a.self <- a.self + dur - t.st_child.(d);
   if d > 0 then t.st_child.(d - 1) <- t.st_child.(d - 1) + dur;
   let id = t.st_id.(d) in
-  if id < t.cap then begin
+  if id < cap then begin
     t.r_name.(id) <- t.st_name.(d);
     t.r_start.(id) <- t.st_start.(d);
     t.r_end.(id) <- stop;
@@ -110,28 +100,24 @@ let agg t s =
   | Some i -> Some t.aggs.(i)
   | None -> None
 
-let count t s = match agg t s with Some a -> a.count | None -> 0
+let count t s = match agg t s with Some a -> Samples.count a.durs | None -> 0
 let total t s = match agg t s with Some a -> a.total | None -> 0
 let self t s = match agg t s with Some a -> a.self | None -> 0
 
 let mean t s =
   match agg t s with
-  | Some a when a.count > 0 -> float_of_int a.total /. float_of_int a.count
+  | Some a when Samples.count a.durs > 0 ->
+      float_of_int a.total /. float_of_int (Samples.count a.durs)
   | _ -> 0.
 
 let percentile t s p =
-  match agg t s with
-  | Some a when a.count > 0 ->
-      let d = Array.sub a.durs 0 a.count in
-      Array.sort compare d;
-      float_of_int d.(min (a.count - 1) (int_of_float (p *. float_of_int a.count)))
-  | _ -> 0.
+  match agg t s with Some a -> Samples.percentile a.durs p | None -> nan
 
 let csv_header = "rung,id,name,start_ns,end_ns,parent,batch\n"
 
 (* One CSV row per recorded span, tagged with the ladder rung. *)
 let write t oc ~rung =
-  for id = 0 to min t.next_id t.cap - 1 do
+  for id = 0 to min t.next_id cap - 1 do
     Printf.fprintf oc "%s,%d,%s,%d,%d,%d,%d\n" rung id t.by_id.(t.r_name.(id))
       t.r_start.(id) t.r_end.(id) t.r_parent.(id) t.r_batch.(id)
   done
