@@ -45,6 +45,12 @@ let frame_bytes = 10 (* magic + version + body_len + checksum *)
 
 exception Corrupt of string
 
+let frame_length page =
+  if Bytes.length page < frame_bytes || Bytes.get_uint8 page 0 <> magic then None
+  else
+    let len = frame_bytes + (Int32.to_int (Bytes.get_int32_le page 2) land 0xFFFFFFFF) in
+    if len <= Bytes.length page then Some len else None
+
 (* LEB128 with zigzag mapping so small negatives (-1 = nil ptr) stay
    1 byte. *)
 let add_varint buf v =

@@ -18,6 +18,11 @@ val frame_bytes : int
 
 exception Corrupt of string
 
+val frame_length : Bytes.t -> int option
+(** Bytes the frame at the start of [page] spans (framing plus body), read
+    from its header alone, without verifying the checksum. [None] when
+    [page] does not start with a frame header that fits in it. *)
+
 module Make (K : Key.S) : sig
   val encode : Buffer.t -> K.t Node.t -> unit
 

@@ -1020,10 +1020,10 @@ module Make (K : Key.S) = struct
   (* ---------- group commit (WAL durability mode) ---------- *)
 
   (* Snapshot the bytes a committed page image must hold: the cached
-     node, the pending victim, or the on-disk page — whichever is
-     newest. [None] for pages that were freed (or never materialised)
-     since they were dirtied. Under the page's stripe lock; the encode
-     of a node snapshot happens outside it. *)
+     node, the pending victim, or the on-disk page (trimmed to its codec
+     frame) — whichever is newest. [None] for pages that were freed (or
+     never materialised) since they were dirtied. Under the page's
+     stripe lock; the encode of a node snapshot happens outside it. *)
   let commit_image t ptr =
     match slot_opt t ptr with
     | None -> None
@@ -1042,9 +1042,23 @@ module Make (K : Key.S) = struct
                         Some
                           (`Raw
                             (with_file t (fun () ->
-                                 Buffer_pool.read_page t.pool (ptr + header_slots))))
+                                 let dpage = ptr + header_slots in
+                                 let frame = Buffer_pool.pin t.pool dpage in
+                                 (* past its codec frame the page is the zero
+                                    tail {!write_node_striped} left, which
+                                    {!Wal.Apply} pads back *)
+                                 let len =
+                                   Option.value (Page_codec.frame_length frame)
+                                     ~default:t.page_size
+                                 in
+                                 let b = Bytes.sub frame 0 len in
+                                 Buffer_pool.unpin t.pool dpage ~dirty:false;
+                                 b)))
                       else None))
 
+  (* The logged image is the node's codec frame alone — {!Wal.append}
+     blits it into its log scratch, so no page-sized buffer is allocated
+     per record. *)
   let encode_image t = function
     | `Raw bytes -> bytes
     | `Node n ->
@@ -1053,9 +1067,7 @@ module Make (K : Key.S) = struct
           failwith
             (Printf.sprintf "Paged_store: node needs %d bytes, page is %d"
                (Bytes.length b) t.page_size);
-        let page = Bytes.make t.page_size '\000' in
-        Bytes.blit b 0 page 0 (Bytes.length b);
-        page
+        b
 
   (* Lead batch [target]: optionally linger for followers, seal the
      dirty set by swapping it out, then — outside [w_mu] — snapshot and

@@ -6,9 +6,19 @@
 
     {b Log device}: a {!Paged_file} whose page size is the data store's
     page size plus {!header_bytes} — one log page per record, so a torn
-    record is exactly a torn device page and the whole-record checksum
-    (FNV-1a-32, the same framing idiom as {!Page_codec}) detects any
-    tear. Use {!log_page_size} to size the device.
+    record is exactly a torn device page. Use {!log_page_size} to size
+    the device.
+
+    {b Checksum range}: FNV-1a-32 (the same framing idiom as
+    {!Page_codec}) over the header plus the [body_len] bytes the record
+    carries — not the zero padding after them, which is most of the page
+    for a PAGE record (its body is the node's codec frame) and all of it
+    for COMMIT / CHECKPOINT. A tear inside header + body breaks the
+    checksum; a tear wholly past [body_len] touches only bytes no reader
+    ever looks at, so the record is exactly as written and stays valid.
+    Logs written before this range existed checksummed the whole log
+    page; {!decode} falls back to that range when the short one does not
+    match, so they still replay.
 
     {b Record format} (one log page):
 
@@ -18,11 +28,16 @@
     off 8   u64  lsn          strictly increasing across the log's life
     off 16  u64  generation   store generation the record applies on top of
     off 24  u64  ptr          tree pointer (PAGE records; -1 otherwise)
-    off 32  u32  body_len     bytes of body (page image / meta blob)
-    off 40  u32  checksum     FNV-1a-32 over the whole log page, own field zeroed
+    off 32  u32  body_len     bytes of body (≤ one data page)
+    off 40  u32  checksum     FNV-1a-32 over header + body, own field zeroed
     off 44  u32  incarnation  append-pass counter, bumped at every resume
-    off 64  ...  body
+    off 64  ...  body         page image (codec frame) / meta blob
+    ...          zero padding to the log page size (not checksummed)
     v}
+
+    A PAGE body shorter than one data page stands for that page with
+    its tail zeroed: {!Apply} pads it back, so replay and followers see
+    full data-page images.
 
     {b Incarnation stamping}: every record additionally carries the
     log's {e incarnation} — a counter bumped each time the log is
@@ -99,7 +114,9 @@ let fp_replay = Failpoint.site "wal.replay"
 let log_page_size ~data_page_size = data_page_size + header_bytes
 
 type record =
-  | Page of { ptr : int; image : Bytes.t }  (** full physical page image *)
+  | Page of { ptr : int; image : Bytes.t }
+      (** physical page image, at most one data page; a short one stands
+          for the page with its tail zeroed *)
   | Meta of Bytes.t  (** client metadata blob (committed with its batch) *)
   | Commit  (** promotes every record staged since the previous commit *)
   | Checkpoint  (** pass boundary marker appended by a store checkpoint *)
@@ -169,6 +186,7 @@ let with_mu t f =
 (* ---------- record encode / decode ---------- *)
 
 let encode_into page ~page_size ~kind ~lsn ~gen ~inc ~ptr ~body =
+  let len = header_bytes + Bytes.length body in
   Bytes.fill page 0 page_size '\000';
   Bytes.set_int32_le page 0 (Int32.of_int magic);
   Bytes.set_uint8 page 4 kind;
@@ -179,7 +197,7 @@ let encode_into page ~page_size ~kind ~lsn ~gen ~inc ~ptr ~body =
   Bytes.set_int32_le page inc_off (Int32.of_int inc);
   Bytes.blit body 0 page header_bytes (Bytes.length body);
   Bytes.set_int32_le page cksum_off
-    (Int32.of_int (Repro_util.Checksum.fnv32 page ~pos:0 ~len:page_size))
+    (Int32.of_int (Repro_util.Checksum.fnv32 page ~pos:0 ~len))
 
 type parsed = {
   p_kind : int;
@@ -190,18 +208,24 @@ type parsed = {
   p_body : Bytes.t;
 }
 
-(* [None] when the page is not a valid record (torn, zeroed, foreign). *)
+(* [None] when the page is not a valid record (torn, zeroed, foreign).
+   [body_len] is bounds-checked before anything is hashed; the checksum
+   covers header + body, or — for logs written before that range — the
+   whole log page. Writes the checksum field in place (and restores it),
+   so [page] must not be shared with a concurrent reader. *)
 let decode page ~page_size =
   if Int32.to_int (Bytes.get_int32_le page 0) land 0xFFFFFFFF <> magic then None
   else
-    let stored = Int32.to_int (Bytes.get_int32_le page cksum_off) land 0xFFFFFFFF in
-    Bytes.set_int32_le page cksum_off 0l;
-    let computed = Repro_util.Checksum.fnv32 page ~pos:0 ~len:page_size in
-    Bytes.set_int32_le page cksum_off (Int32.of_int stored);
-    if stored <> computed then None
+    let body_len = Int32.to_int (Bytes.get_int32_le page 32) land 0xFFFFFFFF in
+    if body_len > page_size - header_bytes then None
     else
-      let body_len = Int32.to_int (Bytes.get_int32_le page 32) land 0xFFFFFFFF in
-      if body_len < 0 || body_len > page_size - header_bytes then None
+      let stored = Int32.to_int (Bytes.get_int32_le page cksum_off) land 0xFFFFFFFF in
+      Bytes.set_int32_le page cksum_off 0l;
+      let sum len = Repro_util.Checksum.fnv32 page ~pos:0 ~len in
+      let len = header_bytes + body_len in
+      let valid = sum len = stored || (len < page_size && sum page_size = stored) in
+      Bytes.set_int32_le page cksum_off (Int32.of_int stored);
+      if not valid then None
       else
         Some
           {
@@ -226,8 +250,8 @@ let append t ~gen record =
       let kind, ptr, body =
         match record with
         | Page { ptr; image } ->
-            if Bytes.length image <> t.data_page_size then
-              invalid_arg "Wal.append: image must be exactly one data page";
+            if Bytes.length image > t.data_page_size then
+              invalid_arg "Wal.append: image larger than one data page";
             (kind_page, ptr, image)
         | Meta blob ->
             if Bytes.length blob > page_size - header_bytes then
@@ -270,7 +294,7 @@ let truncate t =
   with_mu t (fun () ->
       if t.pos > 0 && t.retain > 0 then begin
         let pages =
-          Array.init t.pos (fun i -> Bytes.copy (Paged_file.read t.file i))
+          Array.init t.pos (fun i -> Paged_file.read t.file i)
         in
         let seg = { seg_base_lsn = t.base_lsn; seg_pages = pages } in
         let rec keep n = function
@@ -328,8 +352,7 @@ let fetch_from t ~lsn ~max_pages =
         let lo = lsn - t.base_lsn in
         let hi = min (durable - t.base_lsn) (lo + max_pages - 1) in
         let pages =
-          List.init (hi - lo + 1) (fun i ->
-              Bytes.copy (Paged_file.read t.file (lo + i)))
+          List.init (hi - lo + 1) (fun i -> Paged_file.read t.file (lo + i))
         in
         Pages { pages; next = t.base_lsn + hi + 1 }
       end
@@ -429,6 +452,16 @@ module Apply = struct
       a_batches = 0;
     }
 
+  (* A PAGE body shorter than one data page stands for that page with
+     its tail zeroed. *)
+  let pad_page a body =
+    if Bytes.length body = a.a_data_page_size then body
+    else begin
+      let page = Bytes.make a.a_data_page_size '\000' in
+      Bytes.blit body 0 page 0 (Bytes.length body);
+      page
+    end
+
   let next_lsn a = if a.a_next_lsn < 0 then 0 else a.a_next_lsn
   let horizon a = a.a_horizon
   let records a = a.a_records
@@ -467,9 +500,8 @@ module Apply = struct
             a.a_inc <- r.p_inc;
             a.a_records <- a.a_records + 1;
             if r.p_kind = kind_page then
-              if Bytes.length r.p_body = a.a_data_page_size && r.p_ptr >= 0
-              then begin
-                Hashtbl.replace a.staged r.p_ptr r.p_body;
+              if r.p_ptr >= 0 then begin
+                Hashtbl.replace a.staged r.p_ptr (pad_page a r.p_body);
                 Progress
               end
               else raise (Corrupt "Wal: malformed PAGE record")

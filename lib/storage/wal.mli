@@ -3,18 +3,20 @@
     redo log behind {!Paged_store}'s group-commit durability mode, and
     the stream behind WAL-shipping replication.
 
-    One record per log page ({!log_page_size} sizes the device); each
-    record carries an FNV-1a-32 whole-page checksum (the {!Page_codec}
-    v2 framing idiom), a strictly increasing LSN, the store generation
-    it applies on top of, and the log's {e incarnation} — a counter
-    bumped at every post-crash {!resume}, which is what makes the
-    recovered tail unambiguous (the phantom-tail fix; see
-    doc/RECOVERY.md). A checkpoint {e logically truncates} the log by
-    rewinding the cursor — but first {!truncate} seals the pass's pages
-    into a retained in-memory segment so the LSN-contiguous history
-    stays fetchable for replication catch-up and point-in-time recovery;
-    on the device, old records are invalidated by their generation
-    stamp, not erased, so the file never outgrows the busiest
+    One record per log page ({!log_page_size} sizes the device). Each
+    record's FNV-1a-32 checksum (the {!Page_codec} v2 framing idiom)
+    covers its header and the [body_len] bytes of its body, not the zero
+    padding after them; logs checksummed over the whole log page still
+    replay. Each record also carries a strictly increasing LSN, the
+    store generation it applies on top of, and the log's
+    {e incarnation} — a counter bumped at every post-crash {!resume},
+    which is what makes the recovered tail unambiguous (the phantom-tail
+    fix; see doc/RECOVERY.md). A checkpoint {e logically truncates} the
+    log by rewinding the cursor — but first {!truncate} seals the pass's
+    pages into a retained in-memory segment so the LSN-contiguous
+    history stays fetchable for replication catch-up and point-in-time
+    recovery; on the device, old records are invalidated by their
+    generation stamp, not erased, so the file never outgrows the busiest
     inter-checkpoint window.
 
     {!replay} scans from page 0, promotes staged page images at each
@@ -34,7 +36,7 @@
     doc/RECOVERY.md for the commit-point argument. *)
 
 exception Corrupt of string
-(** A structurally impossible record (bad kind, oversized body) {e after}
+(** A structurally impossible record (bad kind, negative PAGE pointer) {e after}
     its checksum validated — device damage outside the torn-tail model. *)
 
 val header_bytes : int
@@ -48,8 +50,10 @@ val default_retain : int
 
 type record =
   | Page of { ptr : int; image : Bytes.t }
-      (** Full physical image (exactly one data page) of tree pointer
-          [ptr]. Staged until the next [Commit]. *)
+      (** Physical image of tree pointer [ptr], at most one data page: a
+          shorter image (a node's codec frame) stands for the page with
+          its tail zeroed, and replay and {!Apply} hand it back padded to
+          one data page. Staged until the next [Commit]. *)
   | Meta of Bytes.t
       (** Client metadata blob; committed atomically with its batch. *)
   | Commit

@@ -61,6 +61,20 @@ let test_corruption_detected () =
   | exception Page_codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "bad version accepted"
 
+(* The frame's extent is read from its header: a node written into a
+   zero-padded page spans exactly its encoding; anything that does not
+   start with a fitting frame header has no extent. *)
+let test_frame_length () =
+  let b = C.to_bytes (mk ~link:3 [ 1; 2; 3 ] [ 10; 20; 30 ]) in
+  let page = Bytes.make 512 '\000' in
+  Bytes.blit b 0 page 0 (Bytes.length b);
+  Alcotest.(check (option int)) "padded page" (Some (Bytes.length b))
+    (Page_codec.frame_length page);
+  Alcotest.(check (option int)) "zero page" None
+    (Page_codec.frame_length (Bytes.make 512 '\000'));
+  Alcotest.(check (option int)) "body past the page" None
+    (Page_codec.frame_length (Bytes.sub b 0 (Bytes.length b - 1)))
+
 let test_string_keys () =
   let n =
     {
@@ -154,6 +168,7 @@ let suite =
     Alcotest.test_case "roundtrip root/tombstone" `Quick test_roundtrip_root_and_deleted;
     Alcotest.test_case "roundtrip empty" `Quick test_roundtrip_empty;
     Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
+    Alcotest.test_case "frame length from the header" `Quick test_frame_length;
     Alcotest.test_case "string keys" `Quick test_string_keys;
     Alcotest.test_case "multiple nodes in one buffer" `Quick test_multiple_in_buffer;
     QCheck_alcotest.to_alcotest prop_roundtrip;

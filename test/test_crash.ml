@@ -392,6 +392,120 @@ let test_resume_incarnation_floor () =
   Alcotest.(check int) "floor wins over the (empty) observation" 5
     (Wal.incarnation w)
 
+(* ---------- WAL record checksum range: header + body_len bytes ---------- *)
+
+(* A codec-frame-sized body, well short of one data page. *)
+let short_body = Bytes.init 37 (fun i -> Char.chr (0x41 + i))
+
+let zero_padded body =
+  let page = Bytes.make data_ps '\000' in
+  Bytes.blit body 0 page 0 (Bytes.length body);
+  page
+
+let log_short_page_batch () =
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let w = Wal.create ~data_page_size:data_ps f in
+  Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = short_body });
+  Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
+  (f, w)
+
+let test_short_page_record_padded () =
+  Failpoint.reset ();
+  let f, w = log_short_page_batch () in
+  let rec0 = Paged_file.read f 0 in
+  let stored = Int32.to_int (Bytes.get_int32_le rec0 40) land 0xFFFFFFFF in
+  Bytes.set_int32_le rec0 40 0l;
+  Alcotest.(check int) "checksum covers header + body only"
+    (Repro_util.Checksum.fnv32 rec0 ~pos:0
+       ~len:(Wal.header_bytes + Bytes.length short_body))
+    stored;
+  let r = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "one batch" 1 r.Wal.batches;
+  Alcotest.(check bool) "replay pads the body to one data page" true
+    (Hashtbl.find_opt r.Wal.committed 3 = Some (zero_padded short_body));
+  (* the replica path: shipped raw log pages through Wal.Apply *)
+  let pages =
+    match Wal.fetch_from w ~lsn:0 ~max_pages:8 with
+    | Wal.Pages { pages; next } ->
+        Alcotest.(check int) "both records shipped" 2 next;
+        pages
+    | Wal.At_end | Wal.Stale -> Alcotest.fail "durable records not fetchable"
+  in
+  List.iter
+    (fun p -> Alcotest.(check int) "shipped as whole log pages" log_ps (Bytes.length p))
+    pages;
+  let a = Wal.Apply.create ~data_page_size:data_ps () in
+  match List.map (Wal.Apply.step a) pages with
+  | [ Wal.Apply.Progress; Wal.Apply.Batch b ] ->
+      Alcotest.(check bool) "Apply pads the body to one data page" true
+        (b.Wal.Apply.b_images = [ (3, zero_padded short_body) ])
+  | _ -> Alcotest.fail "want PAGE staged, then COMMIT promoting it"
+
+let tear_from f idx off =
+  let page = Paged_file.read f idx in
+  Bytes.fill page off (log_ps - off) '\xFF';
+  Paged_file.write f idx page
+
+let test_tear_past_body_keeps_record () =
+  Failpoint.reset ();
+  let f, _ = log_short_page_batch () in
+  tear_from f 0 (Wal.header_bytes + Bytes.length short_body);
+  tear_from f 1 Wal.header_bytes;
+  let r = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "both records valid" 2 r.Wal.records;
+  Alcotest.(check int) "the batch survives" 1 r.Wal.batches;
+  Alcotest.(check bool) "bytes past body_len never read" true
+    (Hashtbl.find_opt r.Wal.committed 3 = Some (zero_padded short_body))
+
+let test_tear_inside_record_stops_scan () =
+  List.iter
+    (fun (what, off) ->
+      Failpoint.reset ();
+      let f, _ = log_short_page_batch () in
+      tear_from f 0 off;
+      let r = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+      Alcotest.(check int) (what ^ ": no record accepted") 0 r.Wal.records;
+      Alcotest.(check int) (what ^ ": resume at the tear") 0 r.Wal.next_pos)
+    [
+      ("tear over body_len", 32);
+      ("tear in the header", 44);
+      ("tear in the body", Wal.header_bytes + Bytes.length short_body - 1);
+    ]
+
+(* A record as logs before the header + body range wrote it: checksum
+   over the whole log page, own field zeroed (layout in wal.ml). *)
+let legacy_record ~kind ~lsn ~ptr body =
+  let page = Bytes.make log_ps '\000' in
+  Bytes.set_int32_le page 0 0x53_47_57_4Cl;
+  Bytes.set_uint8 page 4 kind;
+  Bytes.set_int64_le page 8 (Int64.of_int lsn);
+  Bytes.set_int64_le page 16 1L;
+  Bytes.set_int64_le page 24 (Int64.of_int ptr);
+  Bytes.set_int32_le page 32 (Int32.of_int (Bytes.length body));
+  Bytes.blit body 0 page Wal.header_bytes (Bytes.length body);
+  Bytes.set_int32_le page 40
+    (Int32.of_int (Repro_util.Checksum.fnv32 page ~pos:0 ~len:log_ps));
+  page
+
+let test_legacy_whole_page_checksum () =
+  Failpoint.reset ();
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let meta = Bytes.of_string "legacy meta" in
+  List.iter
+    (fun page -> ignore (Paged_file.append f page))
+    [
+      legacy_record ~kind:1 ~lsn:0 ~ptr:3 (img 'a');
+      legacy_record ~kind:4 ~lsn:1 ~ptr:(-1) meta;
+      legacy_record ~kind:2 ~lsn:2 ~ptr:(-1) Bytes.empty;
+    ];
+  let r = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "every legacy record accepted" 3 r.Wal.records;
+  Alcotest.(check int) "legacy batch promoted" 1 r.Wal.batches;
+  Alcotest.(check bool) "legacy image intact" true
+    (Hashtbl.find_opt r.Wal.committed 3 = Some (img 'a'));
+  Alcotest.(check bool) "legacy meta intact" true (r.Wal.committed_meta = Some meta)
+
 (* A page freed in the checkpointed generation, recycled and re-committed
    through the log only: recovery must take it off the free list, keep
    the allocator accounting consistent, and never hand it out again. *)
@@ -488,6 +602,14 @@ let suite =
       test_resume_empty_log_roundtrip;
     Alcotest.test_case "resume: header incarnation floor" `Quick
       test_resume_incarnation_floor;
+    Alcotest.test_case "replay: short PAGE body zero-padded (replay + Apply)"
+      `Quick test_short_page_record_padded;
+    Alcotest.test_case "replay: tear past body_len keeps the record" `Quick
+      test_tear_past_body_keeps_record;
+    Alcotest.test_case "replay: tear inside header + body stops the scan"
+      `Quick test_tear_inside_record_stops_scan;
+    Alcotest.test_case "replay: legacy whole-page checksum still accepted"
+      `Quick test_legacy_whole_page_checksum;
     Alcotest.test_case "concurrent group commit loses no acked key" `Quick
       test_wal_commit_race;
     Alcotest.test_case "durable mvcc crash battery (targeted)" `Quick

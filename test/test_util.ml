@@ -214,6 +214,17 @@ let test_backoff_grows () =
   Backoff.reset b;
   Alcotest.(check int) "reset" 0 (Backoff.stage b)
 
+(* Known answers for FNV-1a-32 (the published test vectors): this hash
+   stamps the page codec, WAL records, header slots and the wire format,
+   so a change to its output breaks every store and log on disk. *)
+let test_fnv32_known_answers () =
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check int) (Printf.sprintf "fnv32 %S" s) want (Checksum.fnv32_string s))
+    [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
+  Alcotest.(check int) "a sub-range hashes like the substring" 0xbf9cf968
+    (Checksum.fnv32 (Bytes.of_string "xxfoobarxx") ~pos:2 ~len:6)
+
 let suite =
   [
     Alcotest.test_case "splitmix deterministic" `Quick test_splitmix_deterministic;
@@ -234,4 +245,5 @@ let suite =
     Alcotest.test_case "rwlock try_write" `Quick test_rwlock_try_write;
     Alcotest.test_case "striped counters" `Quick test_counters;
     Alcotest.test_case "backoff stages" `Quick test_backoff_grows;
+    Alcotest.test_case "fnv32 known answers" `Quick test_fnv32_known_answers;
   ]
