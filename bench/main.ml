@@ -574,7 +574,7 @@ let e9 () =
   Report.table ~header:[ "read dist"; "pool frames"; "hit ratio"; "searches/s" ] rows;
   Report.note
     "Same hierarchy under the concurrent tree: Sagiv over the in-memory \
-     Store vs over Paged_store (codec + pool + eviction), 4 domains, \
+     Store vs over Paged_store (codec + node cache + eviction), 4 domains, \
      50/50 search/insert, node cache swept.";
   let domains = 4 in
   let ops_per_domain = scale 40_000 in
@@ -606,8 +606,8 @@ let e9 () =
               ("tree", J.Str "sagiv-disk");
               ("cache_pages", J.Int cache_pages);
               ("ops_per_s", J.Float tput);
-              ("pool_misses", J.Int s.Buffer_pool.misses);
-              ("pool_writebacks", J.Int s.Buffer_pool.writebacks);
+              ("page_reads", J.Int s.Buffer_pool.misses);
+              ("page_writes", J.Int s.Buffer_pool.writebacks);
             ]
           :: !jtrees;
         [
@@ -620,7 +620,7 @@ let e9 () =
       [ 64; 512; 4096 ]
   in
   Report.table
-    ~header:[ "tree"; "node cache"; "ops/s"; "faults"; "writebacks" ]
+    ~header:[ "tree"; "node cache"; "ops/s"; "page reads"; "page writes" ]
     (mem_row :: disk_rows);
   record_json "E9"
     (J.Obj

@@ -827,7 +827,7 @@ let backend_arg =
   Arg.(value & opt string "mem"
        & info [ "backend"; "b" ] ~docv:"BACKEND"
            ~doc:"Page store backend: mem (in-memory store) or disk \
-                 (buffer-pooled paged store; sagiv trees only).")
+                 (paged store; sagiv trees only).")
 
 let mix_arg =
   Arg.(value & opt string "balanced"

@@ -439,7 +439,7 @@ let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
       (Array.map disk_sub_handle trees) )
 
 (** Memory-backed sharded disk tree: [shards] fully independent
-    {!Paged_int} stores (own buffer pool, WAL, group-commit leader),
+    {!Paged_int} stores (own node cache, WAL, group-commit leader),
     one Sagiv tree each, routed by {!Repro_storage.Shard_router}. Hands
     back the sharded store (per-shard io stats, writers) and the raw
     trees alongside the handle. *)

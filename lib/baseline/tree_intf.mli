@@ -184,7 +184,7 @@ val sagiv_disk :
   unit ->
   impl
 (** {!sagiv} over {!Repro_storage.Paged_store} (memory-backed paged
-    file: codec + buffer pool + eviction, no filesystem). [stripes]
+    file: codec + node cache + eviction, no filesystem). [stripes]
     selects the store's IO stripe count; [wal] attaches a write-ahead
     log so the handle's [commit] group-commits ([commit_interval] /
     [commit_batch] tune it) instead of degrading to a full sync. *)
@@ -230,7 +230,7 @@ val sagiv_disk_sharded_raw :
   unit ->
   Sharded_int.t * (int, Paged_int.t) Handle.t array * handle
 (** Memory-backed sharded disk tree: [shards] fully independent
-    {!Paged_int} stores (own buffer pool, WAL, group-commit leader), one
+    {!Paged_int} stores (own node cache, WAL, group-commit leader), one
     Sagiv tree each, routed by the {!Repro_storage.Shard_router}. Every
     per-store knob applies per shard. *)
 

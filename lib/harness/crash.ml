@@ -1445,7 +1445,6 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       "paged_file.pwrite";
       "paged_file.pread";
       "paged_file.fsync";
-      "buffer_pool.flush_frame";
       "paged_store.fault";
       "paged_store.evict";
       "paged_store.writer";

@@ -3,9 +3,10 @@
     the component that turns "each node corresponds to a page or block of
     secondary storage" (§2.2) into a runnable memory hierarchy.
 
-    Single-owner (no internal locking): the disk-resident tree using it is
-    the sequential baseline; the concurrent trees run on {!Store} (see
-    DESIGN.md §2 on that substitution). *)
+    Single-owner (no internal locking): its one user is the sequential
+    [Disk_btree] baseline. The concurrent trees run on {!Store} or on
+    {!Paged_store}, whose decoded-node cache does its own IO on the
+    {!Paged_file} with no raw-frame pool beneath it. *)
 
 type frame = {
   mutable page : int;  (** disk page held, or -1 *)
@@ -25,8 +26,6 @@ type t = {
   mutable evictions : int;
   mutable writebacks : int;
 }
-
-let fp_flush = Failpoint.site "buffer_pool.flush_frame"
 
 let create ~frames file =
   if frames < 1 then invalid_arg "Buffer_pool.create: need at least one frame";
@@ -49,12 +48,9 @@ let create ~frames file =
     writebacks = 0;
   }
 
-let file t = t.file
-
 let flush_frame t fi =
   let f = t.frames.(fi) in
   if f.dirty && f.page >= 0 then begin
-    Failpoint.hit fp_flush;
     Paged_file.write t.file f.page f.data;
     t.writebacks <- t.writebacks + 1;
     f.dirty <- false
@@ -115,14 +111,6 @@ let unpin t page ~dirty =
       f.pins <- f.pins - 1;
       if dirty then f.dirty <- true
 
-(** Copy a page's bytes out through the pool (pin, copy, unpin): for
-    callers that decode outside the pool owner's critical section. *)
-let read_page t page =
-  let data = pin t page in
-  let b = Bytes.sub data 0 (Bytes.length data) in
-  unpin t page ~dirty:false;
-  b
-
 (** Allocate a fresh disk page (zero-filled, pinned). *)
 let alloc t =
   (* materialise the page on disk so Paged_file's contiguity holds *)
@@ -130,15 +118,8 @@ let alloc t =
   ignore (pin t page);
   page
 
-(** Write every dirty frame back without forcing the device: callers that
-    sequence their own durability barrier (e.g. {!Paged_store}'s
-    crash-atomic [sync], which must order the header write {e between}
-    the data write-out and the commit fsync) use this and call
-    {!Paged_file.sync} themselves. *)
-let flush_writes t = Array.iteri (fun fi _ -> flush_frame t fi) t.frames
-
 let flush_all t =
-  flush_writes t;
+  Array.iteri (fun fi _ -> flush_frame t fi) t.frames;
   Paged_file.sync t.file
 
 type stats = { hits : int; misses : int; evictions : int; writebacks : int }

@@ -1,11 +1,11 @@
 (** Buffer pool over a {!Paged_file}: pin/unpin, dirty tracking, clock
-    eviction. Single-owner (the disk-resident sequential tree); the
-    concurrent trees use {!Store}. *)
+    eviction. Single-owner: the pool of the sequential [Disk_btree]
+    baseline. The concurrent trees use {!Store}, or {!Paged_store}, whose
+    decoded-node cache reads and writes the {!Paged_file} directly. *)
 
 type t
 
 val create : frames:int -> Paged_file.t -> t
-val file : t -> Paged_file.t
 
 val pin : t -> int -> Bytes.t
 (** Bring the disk page into a frame (evicting if needed) and pin it; the
@@ -15,17 +15,8 @@ val pin : t -> int -> Bytes.t
 
 val unpin : t -> int -> dirty:bool -> unit
 
-val read_page : t -> int -> Bytes.t
-(** Copy a page's bytes out (pin, copy, unpin clean): lets a caller hold
-    the pool's lock only for the copy and decode outside it. *)
-
 val alloc : t -> int
 (** Fresh zero-filled disk page, returned pinned. *)
-
-val flush_writes : t -> unit
-(** Write back every dirty frame {e without} syncing the file — for
-    callers sequencing their own durability barrier (fault-injection
-    point: [buffer_pool.flush_frame]). *)
 
 val flush_all : t -> unit
 (** Write back every dirty frame and sync the file. *)

@@ -1,7 +1,7 @@
 (** Named fault-injection sites threaded through the storage stack.
 
     A {e site} is a fixed point in the IO path (a [Paged_file] write, a
-    buffer-pool frame flush, a sync phase) registered once at module load
+    node-cache fault, a sync phase) registered once at module load
     under a stable name. Production policy is [Off], which costs one
     mutable read per hit; tests arm a site with {!set} and the next hits
     fire the policy:

@@ -1,5 +1,5 @@
 (** Named fault-injection sites threaded through the storage IO paths
-    ([Paged_file], [Buffer_pool], [Paged_store]). Sites are registered at
+    ([Paged_file], [Paged_store], [Wal]). Sites are registered at
     module load and cost one mutable read per hit when [Off]; the crash
     harness arms them to inject IO errors, short writes, torn writes and
     simulated process death at exact points. See doc/RECOVERY.md for the

@@ -6,8 +6,9 @@
     allocator that recycles released pages. Two implementations satisfy
     it: {!Store} (in-memory slots behind atomics — the reference
     substrate every test battery runs on) and {!Paged_store} (a durable
-    backend over {!Buffer_pool}/{!Paged_file}/{!Page_codec} with a
-    per-page latch table and write-back on eviction). The concurrent
+    backend whose decoded-node cache reads and writes a {!Paged_file}
+    directly through {!Page_codec}, with a per-page latch table and
+    write-back on eviction). The concurrent
     tree in [Repro_core] is functorized over this signature, so the full
     Sagiv algorithm — one-lock insertions, compression, epoch
     reclamation — runs unchanged on either. *)

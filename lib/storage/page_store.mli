@@ -1,7 +1,7 @@
 (** The PAGE_STORE signature: the paper's secondary-storage model (§2.2)
     as a first-class interface, with indivisible [get]/[put], per-page
     writer latches that never block readers, and a recycling allocator.
-    {!Store} (in-memory) and {!Paged_store} (durable, buffer-pooled)
+    {!Store} (in-memory) and {!Paged_store} (durable, its node cache over a paged file)
     both satisfy it; the concurrent tree is functorized over it. *)
 
 exception Freed_page of int

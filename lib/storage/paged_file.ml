@@ -222,7 +222,7 @@ let append t page =
   idx
 
 (** Read page [idx] into [buf] (a full-page buffer supplied by the
-    caller) without allocating — the buffer-pool miss path. *)
+    caller) without allocating — the page-store fault path. *)
 let read_into t idx buf =
   if idx < 0 || idx >= t.pages then invalid_arg "Paged_file.read: out of range";
   if Bytes.length buf <> t.page_size then

@@ -51,7 +51,7 @@ val read : t -> int -> Bytes.t
 
 val read_into : t -> int -> Bytes.t -> unit
 (** Like {!read} but into a caller-supplied full-page buffer, allocation
-    free — the buffer-pool miss path. @raise Io_error on EOF mid-page. *)
+    free — the page-store fault path. @raise Io_error on EOF mid-page. *)
 
 val sync : t -> unit
 (** [fsync]. On a shadow file, commits every write so far to the durable

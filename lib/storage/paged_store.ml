@@ -1,5 +1,5 @@
-(** Durable concurrent page store: {!Page_store.S} over a {!Buffer_pool} /
-    {!Paged_file} / {!Page_codec} stack, so the full Sagiv algorithm —
+(** Durable concurrent page store: {!Page_store.S} over a {!Paged_file} /
+    {!Page_codec} stack, so the full Sagiv algorithm —
     1-lock insertions, lock-free searches, compaction, epoch reclamation —
     runs disk-resident and survives close + reopen.
 
@@ -10,13 +10,19 @@
       a cached page and every [lock]/[unlock] are lock-free/latch-only and
       the paper's indivisible get/put model is preserved. Slots live in
       fixed chunks that never move.
-    - {b IO layer}: the pages are hashed across N {e stripes} (page [p]
-      belongs to stripe [p land (N-1)]); each stripe has its own mutex,
-      clock hand, resident counter and pending-write-back table, so
-      faults, evictions and releases touching {e distinct} stripes
-      proceed in parallel. One small [file_lock] serialises the
-      single-owner {!Buffer_pool} / {!Paged_file} tail; it is held only
-      for the byte copy of a read or write, never across decode/encode.
+    - {b IO layer}: the decoded-node cache is the only cache; data pages
+      move between it and the {!Paged_file} with positional reads and
+      writes and no raw-frame pool in between. The pages are hashed
+      across N {e stripes} (page [p] belongs to stripe [p land (N-1)]);
+      each stripe has its own mutex, clock hand, resident counter,
+      pending-write-back table and one page-sized IO buffer, so faults,
+      evictions and releases touching {e distinct} stripes proceed in
+      parallel. A fault reads the page into its stripe's buffer and
+      decodes it from there; a write-back encodes the node, copies the
+      frame into the buffer over a zero tail and writes the page once —
+      never reading it first. One small [file_lock] serialises the
+      {!Paged_file} calls; it is held only for the read or write itself,
+      never across decode/encode.
     - {b Background writer}: eviction does not write a dirty victim back
       inline when a writer domain is running — the victim moves into its
       stripe's pending table and its id onto a bounded write queue the
@@ -206,6 +212,7 @@ module Make (K : Key.S) = struct
 
   type stripe = {
     s_lock : Mutex.t;  (** serialises fault/evict/release/write-back for this stripe's pages *)
+    io_buf : Bytes.t;  (** one page: the stripe's read/write buffer (under [s_lock]) *)
     pending : (int, K.t Node.t) Hashtbl.t;
         (** dirty victims withdrawn from the cache, awaiting background
             write-back; consulted by faults before the disk (under [s_lock]) *)
@@ -236,10 +243,12 @@ module Make (K : Key.S) = struct
     stripe_cap : int;  (** max resident decoded nodes per stripe *)
     sync_mu : Mutex.t;
         (** serialises [commit]'s sync-degradation path (WAL-less stores) *)
-    file_lock : Mutex.t;  (** guards [pool], the file and [zero] *)
-    pool : Buffer_pool.t;
+    file_lock : Mutex.t;  (** guards [file], [zero] and the page counters *)
+    file : Paged_file.t;
     page_size : int;
     zero : Bytes.t;  (** scratch page (under [file_lock]) *)
+    mutable page_reads : int;  (** data-page reads (under [file_lock]) *)
+    mutable page_writes : int;  (** data-page writes (under [file_lock]) *)
     (* background-writer queue *)
     mutable wal : wal_state option;
         (** durability mode: [Some] = WAL group commit; set once during
@@ -302,43 +311,50 @@ module Make (K : Key.S) = struct
 
   (* ---------- IO layer ---------- *)
 
-  let file t = Buffer_pool.file t.pool
-
-  (* Append zero pages until disk page [dpage] exists, so the pool's
-     write-back never violates Paged_file's no-hole rule. Under
-     [file_lock]. *)
+  (* Append zero pages until disk page [dpage] exists, so a write-back
+     never violates Paged_file's no-hole rule. Under [file_lock]. *)
   let ensure_materialized_flocked t dpage =
-    let f = file t in
-    Bytes.fill t.zero 0 t.page_size '\000';
-    while Paged_file.pages f <= dpage do
-      ignore (Paged_file.append f t.zero)
-    done
+    if Paged_file.pages t.file <= dpage then begin
+      Bytes.fill t.zero 0 t.page_size '\000';
+      while Paged_file.pages t.file <= dpage do
+        ignore (Paged_file.append t.file t.zero)
+      done
+    end
 
-  (* Write node [n] to [ptr]'s disk page. Caller holds [ptr]'s stripe
-     lock (or is single-threaded construction); encoding happens outside
-     [file_lock] so concurrent write-backs on other stripes only
-     serialise for the byte copy. *)
-  let write_node_striped t ptr n =
+  (* Write node [n] to [ptr]'s disk page through [st.io_buf]. Caller
+     holds [ptr]'s stripe lock [st]; the encode and the copy into the
+     buffer happen outside [file_lock], so concurrent write-backs on
+     other stripes only serialise for the write itself. The page is
+     overwritten whole — the frame, then a zero tail — so nothing on disk
+     needs reading first. *)
+  let write_node_striped t (st : stripe) ptr n =
     let b = Codec.to_bytes n in
-    if Bytes.length b > t.page_size then
+    let len = Bytes.length b in
+    if len > t.page_size then
       failwith
-        (Printf.sprintf "Paged_store: node needs %d bytes, page is %d"
-           (Bytes.length b) t.page_size);
+        (Printf.sprintf "Paged_store: node needs %d bytes, page is %d" len
+           t.page_size);
+    Bytes.blit b 0 st.io_buf 0 len;
+    Bytes.fill st.io_buf len (t.page_size - len) '\000';
     let dpage = ptr + header_slots in
     with_file t (fun () ->
         ensure_materialized_flocked t dpage;
-        let frame = Buffer_pool.pin t.pool dpage in
-        Bytes.fill frame 0 t.page_size '\000';
-        Bytes.blit b 0 frame 0 (Bytes.length b);
-        Buffer_pool.unpin t.pool dpage ~dirty:true);
+        Paged_file.write t.file dpage st.io_buf;
+        t.page_writes <- t.page_writes + 1);
     Atomic.set (slot t ptr).on_disk true
 
-  (* Read and decode [ptr]'s disk page. Caller holds [ptr]'s stripe lock;
-     the byte copy happens under [file_lock], the decode outside it. *)
-  let read_node_striped t ptr =
-    let dpage = ptr + header_slots in
-    let bytes = with_file t (fun () -> Buffer_pool.read_page t.pool dpage) in
-    try Codec.of_bytes bytes
+  (* Read [ptr]'s disk page into [st.io_buf]. Caller holds [ptr]'s stripe
+     lock [st]; only the read itself runs under [file_lock]. *)
+  let read_page_striped t (st : stripe) ptr =
+    with_file t (fun () ->
+        Paged_file.read_into t.file (ptr + header_slots) st.io_buf;
+        t.page_reads <- t.page_reads + 1)
+
+  (* Read and decode [ptr]'s disk page; the decode copies everything out
+     of [st.io_buf], so the buffer is free again on return. *)
+  let read_node_striped t st ptr =
+    read_page_striped t st ptr;
+    try Codec.of_bytes st.io_buf
     with Page_codec.Corrupt msg ->
       raise (Corrupt (Printf.sprintf "page %d: %s" ptr msg))
 
@@ -381,7 +397,7 @@ module Make (K : Key.S) = struct
      {e other} slot — the one holding the last committed generation — is
      never touched, so a crash or tear here cannot lose the old state. *)
   let write_header_flocked t ~gen =
-    Paged_file.write (file t) (gen land 1) (encode_header t ~gen)
+    Paged_file.write t.file (gen land 1) (encode_header t ~gen)
 
   (* Validate one header slot; [Some (gen, page)] if it parses clean. *)
   let read_header_slot pfile ~page_size slot =
@@ -401,11 +417,10 @@ module Make (K : Key.S) = struct
 
   (* Thread the free list through the free pages themselves: each free
      page holds a checksummed [chain_magic, generation, next] entry (-1
-     ends the chain). Written directly (not via the pool) after the data
-     flush, so the chain always wins over any stale pool frame for a
-     freed page. Called only when the free list changed since the last
-     sync ([free_dirty]) — rewriting the whole chain on every sync made
-     reopen-heavy workloads O(free list) per sync for nothing. *)
+     ends the chain). Written after the data flush. Called only when the
+     free list changed since the last sync ([free_dirty]) — rewriting the
+     whole chain on every sync made reopen-heavy workloads O(free list)
+     per sync for nothing. *)
   let write_free_chain_flocked t ~gen =
     let rec go = function
       | [] -> ()
@@ -418,7 +433,7 @@ module Make (K : Key.S) = struct
           seti 16 (match rest with [] -> -1 | q :: _ -> q);
           Bytes.set_int32_le t.zero chain_cksum_off
             (Int32.of_int (Repro_util.Checksum.fnv32 t.zero ~pos:0 ~len:chain_cksum_off));
-          Paged_file.write (file t) (p + header_slots) t.zero;
+          Paged_file.write t.file (p + header_slots) t.zero;
           go rest
     in
     go (Atomic.get t.free_list)
@@ -465,7 +480,7 @@ module Make (K : Key.S) = struct
          real one would — victim parked, never dropped. *)
       (try
          Failpoint.hit fp_evict;
-         write_node_striped t p n
+         write_node_striped t st p n
        with e ->
          (* The victim is already out of the cache: losing it here would
             silently drop a committed update. Park it in the pending
@@ -545,10 +560,6 @@ module Make (K : Key.S) = struct
       let rec pow2 n = if 2 * n <= want then pow2 (2 * n) else n in
       pow2 1
     in
-    (* Frame count needs headroom over one page so eviction write-back and
-       header IO never starve; the node cache, not the pool, is the
-       capacity knob. *)
-    let frames = max 8 (min cache_pages 1024) in
     {
       shard;
       chunks = Array.init max_chunks (fun _ -> Atomic.make None);
@@ -564,6 +575,7 @@ module Make (K : Key.S) = struct
         Array.init nstripes (fun _ ->
             {
               s_lock = Mutex.create ();
+              io_buf = Bytes.create page_size;
               pending = Hashtbl.create 16;
               resident = Atomic.make 0;
               hand = 0;
@@ -576,9 +588,11 @@ module Make (K : Key.S) = struct
       stripe_cap = max 1 (cache_pages / nstripes);
       sync_mu = Mutex.create ();
       file_lock = Mutex.create ();
-      pool = Buffer_pool.create ~frames pfile;
+      file = pfile;
       page_size;
       zero = Bytes.create page_size;
+      page_reads = 0;
+      page_writes = 0;
       wal = None;
       wq = Queue.create ();
       wq_lock = Mutex.create ();
@@ -760,61 +774,75 @@ module Make (K : Key.S) = struct
      withdraws it itself, exactly as it would withdraw one installed by
      [put]. Returning the node to a caller whose reference outlived the
      release is the same stale-read the in-memory {!Store} permits; epoch
-     reclamation makes it safe. *)
+     reclamation makes it safe. Caller holds the stripe lock. *)
+  let fault_locked t ptr s si (st : stripe) =
+    match Atomic.get s.cached with
+    | Some e -> e.node
+    | None -> (
+        if Atomic.get s.freed then raise (Page_store.Freed_page ptr);
+        match Hashtbl.find_opt st.pending ptr with
+        | Some n ->
+            (* An evicted victim the writer has not drained yet: adopt
+               it and cancel the queued write (the re-installed entry
+               is dirty and will be re-written on its next eviction or
+               on [sync]; the writer skips ids with no pending entry). *)
+            Hashtbl.remove st.pending ptr;
+            Atomic.set s.referenced true;
+            let e = { node = n; e_dirty = Atomic.make true } in
+            if Atomic.compare_and_set s.cached None (Some e) then begin
+              Atomic.incr st.resident;
+              n
+            end
+            else (
+              match Atomic.get s.cached with
+              | Some e' -> e'.node
+              | None -> n)
+        | None ->
+            if not (Atomic.get s.on_disk) then
+              raise (Page_store.Freed_page ptr);
+            Failpoint.hit fp_fault;
+            st.faults <- st.faults + 1;
+            let c = 1 + Atomic.fetch_and_add t.faulting 1 in
+            update_max t.max_faulting c;
+            let n =
+              match read_node_striped t st ptr with
+              | n ->
+                  Atomic.decr t.faulting;
+                  n
+              | exception e ->
+                  Atomic.decr t.faulting;
+                  raise e
+            in
+            Atomic.set s.referenced true;
+            (* Fresh from disk: the entry is born clean. *)
+            let e = { node = n; e_dirty = Atomic.make false } in
+            if Atomic.compare_and_set s.cached None (Some e) then begin
+              Atomic.incr st.resident;
+              maybe_evict_stripe t si st;
+              n
+            end
+            else (
+              match Atomic.get s.cached with
+              | Some e' -> e'.node
+              | None -> n))
+
+  (* Only a contended stripe lock reads the clock, so [stall_s] still
+     counts every real wait while an uncontended fault pays for none. *)
   let fault t ptr s =
     let si = stripe_index t ptr in
     let st = t.stripes.(si) in
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock st.s_lock;
-    st.stall_s <- st.stall_s +. (Unix.gettimeofday () -. t0);
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock st.s_lock)
-      (fun () ->
-        match Atomic.get s.cached with
-        | Some e -> e.node
-        | None -> (
-            if Atomic.get s.freed then raise (Page_store.Freed_page ptr);
-            match Hashtbl.find_opt st.pending ptr with
-            | Some n ->
-                (* An evicted victim the writer has not drained yet: adopt
-                   it and cancel the queued write (the re-installed entry
-                   is dirty and will be re-written on its next eviction or
-                   on [sync]; the writer skips ids with no pending entry). *)
-                Hashtbl.remove st.pending ptr;
-                Atomic.set s.referenced true;
-                let e = { node = n; e_dirty = Atomic.make true } in
-                if Atomic.compare_and_set s.cached None (Some e) then begin
-                  Atomic.incr st.resident;
-                  n
-                end
-                else (
-                  match Atomic.get s.cached with
-                  | Some e' -> e'.node
-                  | None -> n)
-            | None ->
-                if not (Atomic.get s.on_disk) then
-                  raise (Page_store.Freed_page ptr);
-                Failpoint.hit fp_fault;
-                st.faults <- st.faults + 1;
-                let c = 1 + Atomic.fetch_and_add t.faulting 1 in
-                update_max t.max_faulting c;
-                let n =
-                  Fun.protect
-                    ~finally:(fun () -> Atomic.decr t.faulting)
-                    (fun () -> read_node_striped t ptr)
-                in
-                Atomic.set s.referenced true;
-                (* Fresh from disk: the entry is born clean. *)
-                let e = { node = n; e_dirty = Atomic.make false } in
-                if Atomic.compare_and_set s.cached None (Some e) then begin
-                  Atomic.incr st.resident;
-                  maybe_evict_stripe t si st;
-                  n
-                end
-                else (
-                  match Atomic.get s.cached with
-                  | Some e' -> e'.node
-                  | None -> n)))
+    if not (Mutex.try_lock st.s_lock) then begin
+      let t0 = Unix.gettimeofday () in
+      Mutex.lock st.s_lock;
+      st.stall_s <- st.stall_s +. (Unix.gettimeofday () -. t0)
+    end;
+    match fault_locked t ptr s si st with
+    | n ->
+        Mutex.unlock st.s_lock;
+        n
+    | exception e ->
+        Mutex.unlock st.s_lock;
+        raise e
 
   let get t ptr =
     let s = slot t ptr in
@@ -884,7 +912,7 @@ module Make (K : Key.S) = struct
                           | Some n -> Some n
                           | None ->
                               if Atomic.get s.on_disk then
-                                Some (read_node_striped t p)
+                                Some (read_node_striped t st p)
                               else None))
                 in
                 match n with Some n -> f p n | None -> ()))
@@ -938,7 +966,7 @@ module Make (K : Key.S) = struct
         | None -> ()
         | Some n ->
             Failpoint.hit fp_writer;
-            write_node_striped t p n;
+            write_node_striped t st p n;
             Hashtbl.remove st.pending p)
 
   (* A failed background write-back is not fatal: count it and leave the
@@ -1038,22 +1066,17 @@ module Make (K : Key.S) = struct
                   match Hashtbl.find_opt st.pending ptr with
                   | Some n -> Some (`Node n)
                   | None ->
-                      if Atomic.get s.on_disk then
-                        Some
-                          (`Raw
-                            (with_file t (fun () ->
-                                 let dpage = ptr + header_slots in
-                                 let frame = Buffer_pool.pin t.pool dpage in
-                                 (* past its codec frame the page is the zero
-                                    tail {!write_node_striped} left, which
-                                    {!Wal.Apply} pads back *)
-                                 let len =
-                                   Option.value (Page_codec.frame_length frame)
-                                     ~default:t.page_size
-                                 in
-                                 let b = Bytes.sub frame 0 len in
-                                 Buffer_pool.unpin t.pool dpage ~dirty:false;
-                                 b)))
+                      if Atomic.get s.on_disk then begin
+                        read_page_striped t st ptr;
+                        (* past its codec frame the page is the zero tail
+                           {!write_node_striped} left, which {!Wal.Apply}
+                           pads back *)
+                        let len =
+                          Option.value (Page_codec.frame_length st.io_buf)
+                            ~default:t.page_size
+                        in
+                        Some (`Raw (Bytes.sub st.io_buf 0 len))
+                      end
                       else None))
 
   (* The logged image is the node's codec frame alone — {!Wal.append}
@@ -1155,21 +1178,21 @@ module Make (K : Key.S) = struct
         so the state this checkpoint is about to make official has
         transited the log first (replication / PITR coverage)
      1. per stripe: queued victims (older than any dirty cached version
-        of the same page), then dirty cached nodes  [paged_store.sync.data]
-     2. the buffer pool's dirty frames to the file
-     3. the free chain, if the free list changed    [paged_store.sync.chain]
-     4. generation [g+1]'s header into slot [(g+1) land 1] — the slot
+        of the same page), then dirty cached nodes, each written straight
+        to the file                                 [paged_store.sync.data]
+     2. the free chain, if the free list changed    [paged_store.sync.chain]
+     3. generation [g+1]'s header into slot [(g+1) land 1] — the slot
         holding committed generation [g] is not touched
                                                     [paged_store.sync.header]
-     5. fsync: the {e commit point}. Under the crash model (un-fsynced
+     4. fsync: the {e commit point}. Under the crash model (un-fsynced
         writes are lost) this single fsync atomically flips the durable
         state from generation [g] to [g+1]; a crash any earlier leaves
         slot [g land 1] — and every page generation [g] describes —
         exactly as the previous sync committed them.
-     6. the same header slot again, plus a second fsync: defence in depth
+     5. the same header slot again, plus a second fsync: defence in depth
         for real devices that may persist the header out of order inside
-        fsync 5                                     [paged_store.sync.commit]
-     7. only now does the in-memory generation advance.
+        fsync 4                                     [paged_store.sync.commit]
+     6. only now does the in-memory generation advance.
 
      Error resilience: every mutation of book-keeping happens {e after}
      the write it describes succeeds (pending entries, [e_dirty] flags,
@@ -1203,7 +1226,7 @@ module Make (K : Key.S) = struct
             let pend = Hashtbl.fold (fun p n acc -> (p, n) :: acc) st.pending [] in
             List.iter
               (fun (p, n) ->
-                write_node_striped t p n;
+                write_node_striped t st p n;
                 Hashtbl.remove st.pending p)
               pend;
             let frontier = Atomic.get t.next in
@@ -1222,7 +1245,7 @@ module Make (K : Key.S) = struct
                            on failure — this entry is still newer than the
                            disk and a retried sync must re-write it. *)
                         Atomic.set e.e_dirty false;
-                        (try write_node_striped t !p e.node
+                        (try write_node_striped t st !p e.node
                          with ex ->
                            Atomic.set e.e_dirty true;
                            raise ex)
@@ -1231,7 +1254,6 @@ module Make (K : Key.S) = struct
             done))
       t.stripes;
     with_file t (fun () ->
-        Buffer_pool.flush_writes t.pool;
         let gen = Atomic.get t.generation + 1 in
         if Atomic.get t.free_dirty then begin
           Failpoint.hit fp_sync_chain;
@@ -1249,11 +1271,11 @@ module Make (K : Key.S) = struct
         | None -> ());
         Failpoint.hit fp_sync_header;
         write_header_flocked t ~gen;
-        Paged_file.sync (file t);
+        Paged_file.sync t.file;
         (* committed: a crash from here on recovers generation [gen] *)
         Failpoint.hit fp_sync_commit;
         write_header_flocked t ~gen;
-        Paged_file.sync (file t);
+        Paged_file.sync t.file;
         Atomic.set t.generation gen);
     (* Checkpoint complete: every logged batch is now also in the data
        file, so the log's contents are dead weight. Truncation is
@@ -1310,7 +1332,7 @@ module Make (K : Key.S) = struct
     stop_writer t;
     sync t;
     (match t.wal with Some w -> Wal.close w.log | None -> ());
-    Paged_file.close (file t)
+    Paged_file.close t.file
 
   (* Open a store from an already-open paged file (the crash harness
      hands in a {!Paged_file.crash_image}). Recovery policy:
@@ -1465,7 +1487,7 @@ module Make (K : Key.S) = struct
         Atomic.set t.free_len 0;
         Atomic.set t.free_dirty true);
     (* Install the replayed images — full physical pages, written
-       straight through the pool's file — and reattach the log with its
+       straight to the file — and reattach the log with its
        cursor on the valid tail. *)
     (match (rep, wal) with
     | Some r, Some log_file ->
@@ -1473,7 +1495,7 @@ module Make (K : Key.S) = struct
             Hashtbl.iter
               (fun p img ->
                 ensure_materialized_flocked t (p + header_slots);
-                Paged_file.write (file t) (p + header_slots) img;
+                Paged_file.write t.file (p + header_slots) img;
                 let s = slot t p in
                 Atomic.set s.freed false;
                 Atomic.set s.on_disk true)
@@ -1512,7 +1534,10 @@ module Make (K : Key.S) = struct
 
   (* ---------- introspection ---------- *)
 
-  let pool_stats t = Buffer_pool.stats t.pool
+  (* Read without [file_lock], racy by a few events like [io_stats]. *)
+  let pool_stats t =
+    let misses = t.page_reads and writebacks = t.page_writes in
+    { Buffer_pool.hits = 0; misses; evictions = 0; writebacks }
 
   let cached_nodes t =
     Array.fold_left (fun acc (st : stripe) -> acc + Atomic.get st.resident) 0 t.stripes
@@ -1605,13 +1630,7 @@ module Make (K : Key.S) = struct
             | None -> ());
             with_file t (fun () ->
                 ensure_materialized_flocked t (p + header_slots);
-                Paged_file.write (file t) (p + header_slots) img;
-                (* the pool may hold this page in a frame from an earlier
-                   read — refresh it, or the next fault revives the old
-                   image *)
-                let frame = Buffer_pool.pin t.pool (p + header_slots) in
-                Bytes.blit img 0 frame 0 t.page_size;
-                Buffer_pool.unpin t.pool (p + header_slots) ~dirty:false);
+                Paged_file.write t.file (p + header_slots) img);
             Atomic.set s.freed false;
             Atomic.set s.on_disk true))
       images;

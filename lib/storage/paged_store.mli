@@ -1,11 +1,15 @@
-(** Durable concurrent page store: {!Page_store.S} over a {!Buffer_pool} /
-    {!Paged_file} / {!Page_codec} stack. Cached pages are read lock-free
-    and latched exactly like {!Store}; cache misses, eviction write-back
-    and [release] serialise on the page's {e IO stripe} (pages are hashed
-    across a power-of-two number of striped mutexes, so IO on distinct
-    stripes proceeds in parallel), with one small file lock around the
-    shared buffer-pool/file tail. A recycled page raises [Freed_page]
-    until its first [put] — the same contract as {!Store}.
+(** Durable concurrent page store: {!Page_store.S} over a {!Paged_file} /
+    {!Page_codec} stack. The decoded-node cache is the only page cache:
+    a miss reads the page straight from the {!Paged_file} and decodes
+    it, a write-back encodes the node and writes the page once, with no
+    raw-frame pool in between. Cached pages are read lock-free and
+    latched exactly like {!Store}; cache misses, eviction write-back and
+    [release] serialise on the page's {e IO stripe} (pages are hashed
+    across a power-of-two number of striped mutexes, each with its own
+    page-sized IO buffer, so IO on distinct stripes proceeds in
+    parallel), with one small file lock around each {!Paged_file} call.
+    A recycled page raises [Freed_page] until its first [put] — the same
+    contract as {!Store}.
 
     Dirty eviction victims are handed to a background writer when one is
     running ({!Make.writer_loop} / {!Make.start_writer}); otherwise (or
@@ -82,7 +86,7 @@ module Make (K : Key.S) : sig
     ?wal:bool ->
     unit ->
     t
-  (** Memory-backed paged file: the full pager stack (codec, pool,
+  (** Memory-backed paged file: the full pager stack (codec, node cache,
       eviction) without filesystem durability — tests and benches.
       [cache_pages] bounds the decoded-node cache (default
       {!default_cache_pages}); [stripes] the IO stripe count (default
@@ -182,6 +186,11 @@ module Make (K : Key.S) : sig
   (** {2 Introspection} *)
 
   val pool_stats : t -> Buffer_pool.stats
+  (** Data-page IO in the pool's record: [misses] counts data-page reads
+      (faults, and on-disk images a commit logs), [writebacks] counts
+      data-page writes (eviction, writer and [sync] write-backs). [hits]
+      and [evictions] are always 0 — there is no raw-frame pool. Header,
+      free-chain and replay-install IO is not counted. *)
 
   val cached_nodes : t -> int
   (** Currently resident decoded nodes (bounded by [cache_pages]). *)

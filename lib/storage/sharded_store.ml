@@ -1,5 +1,5 @@
 (** Keyspace partition layer: N fully independent {!Paged_store}
-    instances — each with its own buffer pool, free list, IO stripes,
+    instances — each with its own node cache, free list, IO stripes,
     commit mutex, group-commit leader, background writer, checkpoint and
     recovery replay — managed as one unit. Nothing is shared between
     shards, so group commits on different shards fsync different log

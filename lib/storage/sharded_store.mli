@@ -1,5 +1,5 @@
 (** Keyspace partition layer: N fully independent {!Paged_store}
-    instances (own buffer pool, free list, commit mutex, group-commit
+    instances (own node cache, free list, commit mutex, group-commit
     leader, background writer, checkpoint, recovery) managed as one
     unit. Shard identity [(i, N)] is recorded in each shard's headers
     and validated on reopen; reopen recovers all shards in parallel.

@@ -342,9 +342,11 @@ let test_free_list_survives_reopen () =
    every fault returns the right contents, that the misses spread over
    all IO stripes, and that faults on distinct stripes actually
    overlapped in time (the max_concurrent_faults gauge — with a global
-   IO lock it could never exceed 1). *)
+   IO lock it could never exceed 1). The gauge samples short in-flight
+   windows (one page read and one decode), so the storm runs enough
+   rounds for an overlap to show on a two-core machine. *)
 let test_fault_storm () =
-  let npages = 2048 and nd = 4 and rounds = 4 in
+  let npages = 2048 and nd = 4 and rounds = 16 in
   let s = Paged_int.create_memory ~cache_pages:16 ~stripes:8 () in
   let pages = Array.init npages (fun i -> Paged_int.alloc s (mk_leaf [ i * 7 ])) in
   Paged_int.sync s;
@@ -468,6 +470,67 @@ let test_corrupt_rejected () =
       | exception Paged_store.Corrupt _ -> ()
       | _ -> Alcotest.fail "garbage file must be rejected")
 
+(* A cold fault reads into its stripe's IO buffer and decodes from
+   there: N faults must allocate fewer than N pages' worth of bytes,
+   which one page-sized copy per fault would already exceed. *)
+let test_fault_allocates_no_page () =
+  let s = Paged_int.create_memory ~cache_pages:8 () in
+  let npages = 512 in
+  let pages = Array.init npages (fun i -> Paged_int.alloc s (mk_leaf [ i ])) in
+  Paged_int.sync s;
+  let f0 = (Paged_int.io_stats s).Stats.faults in
+  let wrong = ref 0 in
+  let a0 = Gc.allocated_bytes () in
+  Array.iteri
+    (fun i p -> if (Paged_int.get s p).Node.keys.(0) <> i then incr wrong)
+    pages;
+  let allocated = Gc.allocated_bytes () -. a0 in
+  let faults = (Paged_int.io_stats s).Stats.faults - f0 in
+  Alcotest.(check int) "every fault decoded the right page" 0 !wrong;
+  Alcotest.(check bool) "nearly every get faulted" true (faults > npages - 16);
+  if allocated >= float_of_int (faults * Paged_int.page_size s) then
+    Alcotest.failf "%d faults allocated %.0f bytes (>= %d per fault)" faults
+      allocated (Paged_int.page_size s)
+
+(* A write-back overwrites its page whole: writing pages that were never
+   read (fresh allocations pushed out by eviction, then [sync]) must not
+   read anything from the data file first. *)
+let test_writeback_reads_nothing () =
+  let s = Paged_int.create_memory ~cache_pages:8 () in
+  for i = 0 to 255 do
+    ignore (Paged_int.alloc s (mk_leaf [ i ]))
+  done;
+  Paged_int.sync s;
+  let st = Paged_int.pool_stats s in
+  Alcotest.(check bool) "pages were written" true (st.Buffer_pool.writebacks >= 256);
+  Alcotest.(check int) "no data-page reads" 0 st.Buffer_pool.misses
+
+(* A shipped image must win over every earlier read of its page: fault
+   the page, evict it, fault it again, then install a replicated image
+   and read it back. A second page cache holding the old bytes would
+   serve them here. *)
+let test_replicated_image_after_refault () =
+  let module Codec = Page_codec.Make (Key.Int) in
+  let s = Paged_int.create_memory ~cache_pages:8 ~stripes:1 () in
+  let pages = Array.init 64 (fun i -> Paged_int.alloc s (mk_leaf [ i ])) in
+  Paged_int.sync s;
+  let p = pages.(0) in
+  let faults () = (Paged_int.io_stats s).Stats.faults in
+  let touch_others () =
+    Array.iteri (fun i q -> if i > 0 then ignore (Paged_int.get s q)) pages
+  in
+  ignore (Paged_int.get s p);
+  touch_others ();
+  let f0 = faults () in
+  Alcotest.(check int) "page read back" 0 (Paged_int.get s p).Node.keys.(0);
+  Alcotest.(check int) "evicted, then faulted again" (f0 + 1) (faults ());
+  let frame = Codec.to_bytes (mk_leaf [ 999 ]) in
+  let img = Bytes.make (Paged_int.page_size s) '\000' in
+  Bytes.blit frame 0 img 0 (Bytes.length frame);
+  Paged_int.apply_replicated s ~images:[ (p, img) ] ~meta:None;
+  touch_others ();
+  Alcotest.(check int) "shipped image served" 999 (Paged_int.get s p).Node.keys.(0)
+
 let suite =
   Mem.suite @ Disk.suite
   @ [
@@ -485,4 +548,10 @@ let suite =
       Alcotest.test_case "disk: durability behind background writer" `Quick
         test_writer_durability;
       Alcotest.test_case "disk: corrupt file rejected" `Quick test_corrupt_rejected;
+      Alcotest.test_case "disk: cold faults allocate no page each" `Quick
+        test_fault_allocates_no_page;
+      Alcotest.test_case "disk: write-back reads nothing first" `Quick
+        test_writeback_reads_nothing;
+      Alcotest.test_case "disk: replicated image wins after re-fault" `Quick
+        test_replicated_image_after_refault;
     ]
