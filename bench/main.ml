@@ -630,18 +630,18 @@ let e9 () =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* E11: disk-resident concurrency — IO stripes + background writer     *)
+(* E11: disk-resident concurrency — IO stripes                         *)
 (* ------------------------------------------------------------------ *)
 
 let e11 () =
-  Report.heading "E11: disk-resident concurrency — IO stripes and the background writer";
+  Report.heading "E11: disk-resident concurrency — IO stripes";
   Report.note
     "sagiv-disk under a mixed workload with a node cache far smaller than \
      the working set, sweeping the store's IO stripe count (1 stripe = the \
-     old single-global-IO-lock regime) and the background writer. On this \
-     single-core substrate the gain comes from shorter critical sections \
-     (less convoying on one hot mutex) and write-back taken off the fault \
-     path — not from parallel disk IO.";
+     old single-global-IO-lock regime). Eviction writes dirty victims back \
+     inline. On this single-core substrate the gain comes from shorter \
+     critical sections (less convoying on one hot mutex) — not from \
+     parallel disk IO.";
   let space = scale 60_000 in
   let cache_pages = 128 in
   let total_ops = scale 120_000 in
@@ -649,14 +649,7 @@ let e11 () =
     Workload.spec ~op_mix:Workload.mixed_sid ~key_space:space
       ~preload:(space / 2) ()
   in
-  (* Stripe sweep without the writer isolates lock granularity against
-     the true PR-1 regime (one global IO lock, inline write-back); the
-     writer rows then show what offloading write-back buys on top —
-     on one core that is a shorter fault path (stall, wb_inline), not
-     throughput, since the extra domain timeshares the same core. *)
-  let configs =
-    [ (1, false); (4, false); (16, false); (1, true); (4, true); (16, true) ]
-  in
+  let stripe_counts = [ 1; 4; 16 ] in
   let domain_counts = [ 1; 2; 4 ] in
   (* Throughput under a thrashing cache is noisy run-to-run (allocator /
      scheduler luck); measure each config several times on a fresh store
@@ -664,24 +657,14 @@ let e11 () =
      one trial's garbage can't tax the next. Quick mode keeps the CI
      smoke run cheap. *)
   let trials = if !quick then 3 else 5 in
-  let run_once stripes writer domains =
+  let run_once stripes domains =
     Gc.compact ();
     let raw, h = Tree_intf.sagiv_disk_raw ~cache_pages ~stripes ~order:16 () in
     let store = raw.Handle.store in
     ignore (Driver.preload h ~seed:42 spec);
     let r =
-      if writer then
-        fst
-          (Driver.run_ops_with_aux h ~domains
-             ~aux:
-               [|
-                 (fun ~stop _ctx ->
-                   Tree_intf.Paged_int.writer_loop store ~stop);
-               |]
-             ~ops_per_domain:(total_ops / domains) ~seed:42 spec)
-      else
-        Driver.run_ops h ~domains ~ops_per_domain:(total_ops / domains)
-          ~seed:42 spec
+      Driver.run_ops h ~domains ~ops_per_domain:(total_ops / domains) ~seed:42
+        spec
     in
     ( r.Driver.throughput,
       Tree_intf.Paged_int.io_stats store,
@@ -691,51 +674,44 @@ let e11 () =
   let jrows = ref [] in
   let rows =
     List.concat_map
-      (fun (stripes, writer) ->
+      (fun stripes ->
         List.map
           (fun domains ->
-            let runs =
-              List.init trials (fun _ -> run_once stripes writer domains)
-            in
+            let runs = List.init trials (fun _ -> run_once stripes domains) in
             let sorted =
               List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) runs
             in
             let tput, io, nstripes = List.nth sorted (trials / 2) in
-            Hashtbl.replace tputs (stripes, writer, domains) tput;
+            Hashtbl.replace tputs (stripes, domains) tput;
             jrows :=
               J.Obj
                 [
                   ("stripes", J.Int nstripes);
-                  ("writer", J.Bool writer);
                   ("domains", J.Int domains);
                   ("ops_per_s", J.Float tput);
                   ("faults", J.Int io.Stats.faults);
                   ("fault_stall_ms", J.Float (1e3 *. io.Stats.fault_stall_s));
                   ("wb_inline", J.Int io.Stats.inline_writebacks);
-                  ("wb_queued", J.Int io.Stats.queued_writebacks);
-                  ("max_queue_depth", J.Int io.Stats.max_queue_depth);
                   ("max_concurrent_faults", J.Int io.Stats.max_concurrent_faults);
                 ]
               :: !jrows;
             [
               string_of_int stripes;
-              (if writer then "yes" else "no");
               string_of_int domains;
               Report.fmt_si tput ^ "/s";
               string_of_int io.Stats.faults;
               Report.fmt_f (1e3 *. io.Stats.fault_stall_s) ^ "ms";
               string_of_int io.Stats.inline_writebacks;
-              string_of_int io.Stats.queued_writebacks;
               string_of_int io.Stats.max_concurrent_faults;
             ])
           domain_counts)
-      configs
+      stripe_counts
   in
   Report.table
     ~header:
       [
-        "stripes"; "writer"; "domains"; "tput"; "faults"; "fault stall";
-        "wb inline"; "wb queued"; "max conc faults";
+        "stripes"; "domains"; "tput"; "faults"; "fault stall"; "wb inline";
+        "max conc faults";
       ]
     rows;
   record_json "E11"
@@ -747,17 +723,16 @@ let e11 () =
          ("rows", J.List (List.rev !jrows));
        ]);
   match
-    ( Hashtbl.find_opt tputs (1, false, 4),
-      Hashtbl.find_opt tputs (4, false, 4),
-      Hashtbl.find_opt tputs (16, false, 4),
-      Hashtbl.find_opt tputs (4, true, 4) )
+    ( Hashtbl.find_opt tputs (1, 4),
+      Hashtbl.find_opt tputs (4, 4),
+      Hashtbl.find_opt tputs (16, 4) )
   with
-  | Some base, Some s4, Some s16, Some s4w ->
+  | Some base, Some s4, Some s16 ->
       Report.note
         (Printf.sprintf
            "verdict @ 4 domains: 4 stripes = %.2fx the 1-stripe (global-lock) \
-            control, 16 stripes = %.2fx; 4 stripes + writer = %.2fx"
-           (s4 /. base) (s16 /. base) (s4w /. base))
+            control, 16 stripes = %.2fx"
+           (s4 /. base) (s16 /. base))
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)

@@ -435,11 +435,16 @@ let serve_cmd tree_name backend order durability commit_batch workers port
   in
   let wal = cfg.Repro_server.Serve_config.wal in
   let commit_batch = if commit_batch > 1 then Some commit_batch else None in
-  let enqueue_on_delete_of_tree () =
-    match tree_name with
-    | "sagiv" -> false
-    | "sagiv-compact" -> true
-    | s -> failwith (Printf.sprintf "tree %S has no disk backend" s)
+  (* No compactor runs under [serve], so a sagiv-compact tree would
+     queue every sparse leaf for a drain that never comes. Refused before
+     any store or file is created. *)
+  if tree_name = "sagiv-compact" then
+    failwith
+      "serve --tree sagiv-compact: compaction under serve waits for the \
+       maintenance loop; use --tree sagiv";
+  let check_disk_tree () =
+    if tree_name <> "sagiv" then
+      failwith (Printf.sprintf "tree %S has no disk backend" tree_name)
   in
   (* File-backed disk serves open-or-create through the partition layer
      (an unsharded store is one partition); a reopen recovers every
@@ -464,11 +469,11 @@ let serve_cmd tree_name backend order durability commit_batch workers port
          stores as the tree (one WAL, one group commit per shard), so
          SNAPSHOT sessions and consistent scans survive kill -9 and a
          reopen picks every chain back up *)
+      check_disk_tree ();
       let sst = mk_sst () in
-      let enqueue_on_delete = enqueue_on_delete_of_tree () in
       let _trees, h =
-        if reopening then Tree_intf.sagiv_mvcc_disk_open ~enqueue_on_delete sst
-        else Tree_intf.sagiv_mvcc_disk_on ~enqueue_on_delete ~order sst
+        if reopening then Tree_intf.sagiv_mvcc_disk_open sst
+        else Tree_intf.sagiv_mvcc_disk_on ~order sst
       in
       (Some sst, None, h)
     end
@@ -485,11 +490,11 @@ let serve_cmd tree_name backend order durability commit_batch workers port
     else if backend = "disk" && path <> None then begin
       (* file-backed plain serve: partition layer over the on-disk
          store(s), open-or-create *)
+      check_disk_tree ();
       let sst = mk_sst () in
-      let enqueue_on_delete = enqueue_on_delete_of_tree () in
       let _trees, h =
-        if reopening then Tree_intf.sagiv_disk_sharded_open ~enqueue_on_delete sst
-        else Tree_intf.sagiv_disk_sharded_on ~enqueue_on_delete ~order sst
+        if reopening then Tree_intf.sagiv_disk_sharded_open sst
+        else Tree_intf.sagiv_disk_sharded_on ~order sst
       in
       (Some sst, None, h)
     end
@@ -497,21 +502,17 @@ let serve_cmd tree_name backend order durability commit_batch workers port
       (* sharded serve: N independent store+WAL partitions behind one
          routed handle; the server folds each batch's acks into only the
          shards it touched *)
+      check_disk_tree ();
       let sst, _trees, h =
-        Tree_intf.sagiv_disk_sharded_raw
-          ~enqueue_on_delete:(enqueue_on_delete_of_tree ()) ~wal ?commit_batch
-          ~shards ~order ()
+        Tree_intf.sagiv_disk_sharded_raw ~wal ?commit_batch ~shards ~order ()
       in
       (Some sst, None, h)
     end
     else if backend = "disk" then begin
       (* the raw constructor keeps the store at hand for the WAL
          subscription source below *)
-      let raw, h =
-        Tree_intf.sagiv_disk_raw
-          ~enqueue_on_delete:(enqueue_on_delete_of_tree ()) ~wal ?commit_batch
-          ~order ()
-      in
+      check_disk_tree ();
+      let raw, h = Tree_intf.sagiv_disk_raw ~wal ?commit_batch ~order () in
       (None, Some raw.Handle.store, h)
     end
     else

@@ -385,8 +385,8 @@ let sagiv_disk ?(enqueue_on_delete = false) ?cache_pages ?stripes
   }
 
 (** Like {!sagiv_raw} for the disk backend: hands back the raw tree for
-    compaction workers, writer loops (the store is [raw.Handle.store])
-    and validation. *)
+    compaction workers, store statistics (the store is
+    [raw.Handle.store]) and validation. *)
 let sagiv_disk_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
     ?commit_interval ?commit_batch ?wal ~order () =
   let store =
@@ -441,7 +441,7 @@ let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
 (** Memory-backed sharded disk tree: [shards] fully independent
     {!Paged_int} stores (own node cache, WAL, group-commit leader),
     one Sagiv tree each, routed by {!Repro_storage.Shard_router}. Hands
-    back the sharded store (per-shard io stats, writers) and the raw
+    back the sharded store (per-shard io stats) and the raw
     trees alongside the handle. *)
 let sagiv_disk_sharded_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
     ?commit_interval ?commit_batch ?wal ~shards ~order () =

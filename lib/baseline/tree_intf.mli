@@ -199,8 +199,8 @@ val sagiv_disk_raw :
   order:int ->
   unit ->
   (int, Paged_int.t) Handle.t * handle
-(** {!sagiv_raw} for the disk backend; the store (for writer loops,
-    [io_stats], [flush]) is the raw handle's [store] field. *)
+(** {!sagiv_raw} for the disk backend; the store (for [io_stats],
+    [flush]) is the raw handle's [store] field. *)
 
 val sagiv_disk_sharded_on :
   ?enqueue_on_delete:bool ->

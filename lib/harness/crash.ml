@@ -16,16 +16,15 @@
       in-flight one. Acknowledged data is never lost, and no value is
       ever torn or half-applied.
 
-    The oracle is a sequential model: the workload runs single-domain
-    (the background writer may run concurrently — it only moves bytes,
-    never changes contents), so the key set at each sync is known
-    exactly. In WAL durability mode ({!run_wal_tree} and friends) the
-    same oracle tightens to the {e group-commit} point: the store runs
-    on a shadow data device {e and} a shadow log device, recovery
-    replays the log's crash image, and the recovered contents must be
-    exactly the last acknowledged commit (or the in-flight one when the
-    crash landed past its log fsync). See doc/RECOVERY.md for the crash
-    model and its assumptions. *)
+    The oracle is a sequential model: the workload runs single-domain,
+    so the key set at each sync is known exactly. In WAL durability
+    mode ({!run_wal_tree} and friends) the same oracle tightens to the
+    {e group-commit} point: the store runs on a shadow data device
+    {e and} a shadow log device, recovery replays the log's crash image,
+    and the recovered contents must be exactly the last acknowledged
+    commit (or the in-flight one when the crash landed past its log
+    fsync). See doc/RECOVERY.md for the crash model and its
+    assumptions. *)
 
 open Repro_storage
 
@@ -34,7 +33,6 @@ module Sg = Repro_core.Sagiv.Make_on_store (Key.Int) (PS)
 module V = Repro_core.Validate.Make_on_store (Key.Int) (PS)
 
 type config = {
-  writer : bool;  (** run the store's background writer domain *)
   cache_pages : int;  (** decoded-node cache size (small → eviction traffic) *)
 }
 
@@ -50,8 +48,8 @@ type outcome = {
 }
 
 let pp_outcome o =
-  Printf.sprintf "%-28s %-14s writer=%b cache=%-3d %s ops=%-4d syncs=%-2d -> %d keys @gen %d"
-    o.site o.policy o.config.writer o.config.cache_pages
+  Printf.sprintf "%-28s %-14s cache=%-3d %s ops=%-4d syncs=%-2d -> %d keys @gen %d"
+    o.site o.policy o.config.cache_pages
     (if o.crashed then "CRASH" else "clean")
     o.ops o.acked_syncs o.recovered_keys o.recovered_gen
 
@@ -129,7 +127,6 @@ let run_tree ?(ops = 400) ?(seed = 42) ?(dist = Repro_util.Distribution.Uniform)
     end
   done;
   Sg.flush tree;
-  if config.writer then PS.start_writer store;
   (* [committed]: model at the last sync that returned. [inflight]: model
      at a sync call still in progress — a crash inside a sync may land
      either side of its commit fsync, so both states are legal. *)
@@ -162,9 +159,6 @@ let run_tree ?(ops = 400) ?(seed = 42) ?(dist = Repro_util.Distribution.Uniform)
        end
      done
    with Failpoint.Crash _ -> crashed := true);
-  (* The writer domain may be the one that died (its exception re-raises
-     at the join), or may have observed the latched crash. *)
-  (try PS.stop_writer store with Failpoint.Crash _ -> ());
   let crashed = !crashed || Failpoint.is_crashed () in
   if not crashed then begin
     (* Policy never fired: finish cleanly so the run still checks the
@@ -306,7 +300,7 @@ let run_torn_chain () =
   {
     site = "paged_file.pwrite";
     policy = "torn(chain)";
-    config = { writer = false; cache_pages = 8 };
+    config = { cache_pages = 8 };
     crashed = true;
     ops = 0;
     acked_syncs = 2;
@@ -324,7 +318,6 @@ let run_short_writes (config : config) =
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
   let model = Hashtbl.create 256 in
-  if config.writer then PS.start_writer store;
   Failpoint.set "paged_file.pwrite" (Failpoint.Short_write { every = 2 });
   let rng = Repro_util.Splitmix.create 7 in
   for i = 1 to 300 do
@@ -338,7 +331,6 @@ let run_short_writes (config : config) =
        | `Duplicate -> ());
     if i mod 50 = 0 then Sg.flush tree
   done;
-  PS.stop_writer store;
   Sg.flush tree;
   let store2, tree2 = recover ~cache_pages:config.cache_pages pfile in
   check_valid tree2 ~what:"short writes";
@@ -363,8 +355,8 @@ let expect_injected what f =
 (** Injected-error battery at the store level: every remaining site
     raises once, the store survives, a disarmed retry succeeds, and the
     final image is complete — no page is silently dropped on the error
-    path (the eviction victim parks in the pending table, the failed
-    background write-back stays pending, [sync] stays retryable). *)
+    path (the eviction victim goes back into its cache slot, [sync]
+    stays retryable). *)
 let run_error_paths () =
   Failpoint.reset ();
   let pfile = Paged_file.create_shadow ~page_size:512 () in
@@ -395,19 +387,35 @@ let run_error_paths () =
   miss_one "paged_store.fault";
   miss_one "paged_file.pread";
 
-  (* evict: the inline write-back error surfaces, but the victim is
-     parked in the pending table — the next sync persists it, so the
-     final image check below proves nothing was dropped *)
+  (* evict: the inline write-back error surfaces, but the victim goes
+     back into its cache slot — the next sync persists it. Every page
+     put before the error must hold its new leaf in a crash image taken
+     right after that sync. *)
   Failpoint.set "paged_store.evict" (Failpoint.Error { every = 1 });
-  let evict_error_seen = ref false in
-  (try
-     for i = 0 to n - 1 do
-       PS.put store ptrs.(i) (leaf (i + 100))
-     done
-   with Failpoint.Injected _ -> evict_error_seen := true);
-  if not !evict_error_seen then
-    fail "paged_store.evict: injected eviction error never surfaced";
+  let evicted_up_to =
+    let rec put_from i =
+      if i >= n then
+        fail "paged_store.evict: injected eviction error never surfaced"
+      else
+        match PS.put store ptrs.(i) (leaf (i + 100)) with
+        | () -> put_from (i + 1)
+        | exception Failpoint.Injected _ -> i
+    in
+    put_from 0
+  in
   Failpoint.set "paged_store.evict" Failpoint.Off;
+  PS.sync store;
+  (* last leaf put to page [i] by the stages above *)
+  let expect i = if i <= evicted_up_to then i + 100 else i in
+  let check_image ~what ~from =
+    let image = PS.open_from ~cache_pages:8 (Paged_file.crash_image pfile) in
+    for i = from to n - 1 do
+      let node = PS.get image ptrs.(i) in
+      if node.Node.keys <> [| expect i |] then
+        fail "error paths: page %d lost its last update (%s)" i what
+    done
+  in
+  check_image ~what:"failed eviction write-back" ~from:0;
 
   (* fsync and each sync phase: sync raises once, then a retry commits *)
   let sync_once site =
@@ -423,32 +431,9 @@ let run_error_paths () =
   PS.release store ptrs.(0);
   sync_once "paged_store.sync.chain";
 
-  (* writer: failed background write-backs are counted and stay pending *)
-  PS.start_writer store;
-  Failpoint.set "paged_store.writer" (Failpoint.Error { every = 1 });
-  for i = 1 to n - 1 do
-    PS.put store ptrs.(i) (leaf (i + 200))
-  done;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  while PS.writer_errors store = 0 && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.005
-  done;
-  if PS.writer_errors store = 0 then
-    fail "paged_store.writer: injected write-back error never observed";
-  Failpoint.set "paged_store.writer" Failpoint.Off;
-  PS.sync store;
-  PS.stop_writer store;
-  PS.sync store;
-
   (* everything must have survived the error storm *)
-  let image = Paged_file.crash_image pfile in
   Failpoint.reset ();
-  let store2 = PS.open_from ~cache_pages:8 image in
-  for i = 1 to n - 1 do
-    let node = PS.get store2 ptrs.(i) in
-    if node.Node.keys <> [| i + 200 |] then
-      fail "error paths: page %d lost its last update across the error storm" i
-  done
+  check_image ~what:"across the error storm" ~from:1
 
 (* ---------- WAL durability mode ---------- *)
 
@@ -490,7 +475,6 @@ let run_wal_tree ?(ops = 400) ?(seed = 1042)
   done;
   Sg.flush tree;
   (* a committed checkpoint generation exists before the faults arm *)
-  if config.writer then PS.start_writer store;
   let committed = ref (Hashtbl.copy model) in
   let inflight = ref None in
   let acked = ref 0 in
@@ -522,7 +506,6 @@ let run_wal_tree ?(ops = 400) ?(seed = 1042)
        end
      done
    with Failpoint.Crash _ -> crashed := true);
-  (try PS.stop_writer store with Failpoint.Crash _ -> ());
   let crashed = !crashed || Failpoint.is_crashed () in
   if not crashed then begin
     Failpoint.reset ();
@@ -594,7 +577,6 @@ let run_sharded_wal ?(ops = 400) ?(seed = 2042) ?(shards = 4) ~site ~policy
   done;
   Array.iter Sg.flush trees;
   (* every shard holds a committed checkpoint before the faults arm *)
-  if config.writer then Array.iter PS.start_writer stores;
   let committed = Array.map (fun m -> ref (Hashtbl.copy m)) models in
   let inflight : (int, int) Hashtbl.t option array = Array.make shards None in
   let touched = Array.make shards false in
@@ -636,9 +618,6 @@ let run_sharded_wal ?(ops = 400) ?(seed = 2042) ?(shards = 4) ~site ~policy
          done
      done
    with Failpoint.Crash _ -> crashed := true);
-  Array.iter
-    (fun st -> try PS.stop_writer st with Failpoint.Crash _ -> ())
-    stores;
   let crashed = !crashed || Failpoint.is_crashed () in
   if not crashed then begin
     Failpoint.reset ();
@@ -738,7 +717,7 @@ let run_wal_torn_append () =
   {
     site = "paged_file.pwrite";
     policy = "torn(wal)";
-    config = { writer = false; cache_pages = 256 };
+    config = { cache_pages = 256 };
     crashed = true;
     ops = 80;
     acked_syncs = 2;
@@ -783,7 +762,7 @@ let run_wal_commit_crash () =
   {
     site = "wal.commit";
     policy = "crash@1(fsync)";
-    config = { writer = false; cache_pages = 32 };
+    config = { cache_pages = 32 };
     crashed = true;
     ops = 70;
     acked_syncs = 2;
@@ -838,7 +817,7 @@ let run_wal_replay_crash () =
   {
     site = "wal.replay";
     policy = "crash@2(replay)";
-    config = { writer = false; cache_pages = 16 };
+    config = { cache_pages = 16 };
     crashed = true;
     ops = 70;
     acked_syncs = 2;
@@ -918,7 +897,6 @@ let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
     let c0 = Sg.ctx ~slot:0 in
     ignore (Sg.insert tree c0 (-1) (payload (-1)));
     Sg.flush tree;
-    PS.start_writer store;
     let worker d =
       let c = Sg.ctx ~slot:d in
       for i = 0 to batch - 1 do
@@ -932,7 +910,6 @@ let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
       List.init domains (fun d -> Domain.spawn (fun () -> worker (d + 1)))
     in
     List.iter Domain.join ds;
-    PS.stop_writer store;
     (* power cut: nothing past the last acked commit reaches the image *)
     let _store2, tree2 = recover_wal ~cache_pages:64 pfile lfile in
     check_valid tree2 ~what:"wal commit race";
@@ -1050,7 +1027,6 @@ let run_replication ?(ops = 300) ?(seed = 2042) ~site ~policy
   if f.f_next <> live_base then
     fail "%s: follower drained to LSN %d, live pass starts at %d" site f.f_next
       live_base;
-  if config.writer then PS.start_writer store;
   let committed = ref (Hashtbl.copy model) in
   let inflight = ref None in
   let acked = ref 0 in
@@ -1081,7 +1057,6 @@ let run_replication ?(ops = 300) ?(seed = 2042) ~site ~policy
        end
      done
    with Failpoint.Crash _ -> crashed := true);
-  (try PS.stop_writer store with Failpoint.Crash _ -> ());
   let crashed = !crashed || Failpoint.is_crashed () in
   if not crashed then begin
     Failpoint.reset ();
@@ -1204,7 +1179,7 @@ let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
   {
     site = "wal.pitr";
     policy = "replay-to-lsn";
-    config = { writer = false; cache_pages = 32 };
+    config = { cache_pages = 32 };
     crashed = false;
     ops;
     acked_syncs = Array.length snaps;
@@ -1267,7 +1242,6 @@ let run_mvcc_wal ?(ops = 400) ?(seed = 4042) ~site ~policy (config : config) =
     end
   done;
   MV.flush mv;
-  if config.writer then PS.start_writer store;
   let committed = ref (Hashtbl.copy model) in
   let inflight = ref None in
   (* the pruned-version ledger: identities vacuum dropped, pending until
@@ -1346,7 +1320,6 @@ let run_mvcc_wal ?(ops = 400) ?(seed = 4042) ~site ~policy (config : config) =
        end
      done
    with Failpoint.Crash _ -> crashed := true);
-  (try PS.stop_writer store with Failpoint.Crash _ -> ());
   let crashed = !crashed || Failpoint.is_crashed () in
   if not crashed then begin
     Failpoint.reset ();
@@ -1419,7 +1392,7 @@ let run_mvcc_wal ?(ops = 400) ?(seed = 4042) ~site ~policy (config : config) =
     recovered_gen = PS.generation store2;
   }
 
-(** The whole battery: tree-level crash runs for every site × config in
+(** The whole battery: tree-level crash runs for every site × cache size in
     both durability modes (sync-everything, then WAL group commit
     against the commit-point oracle), then the targeted torn /
     short-write / commit-fsync / mid-replay / injected-error runs and
@@ -1428,17 +1401,8 @@ let run_mvcc_wal ?(ops = 400) ?(seed = 4042) ~site ~policy (config : config) =
     battery, {!Repro_storage.Failpoint.unexercised} must be empty — the
     CLI and CI enforce it. *)
 let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
-  let configs =
-    if quick then
-      [ { writer = false; cache_pages = 8 }; { writer = true; cache_pages = 8 } ]
-    else
-      [
-        { writer = false; cache_pages = 8 };
-        { writer = true; cache_pages = 8 };
-        { writer = false; cache_pages = 64 };
-        { writer = true; cache_pages = 64 };
-      ]
-  in
+  let small = { cache_pages = 8 } in
+  let configs = if quick then [ small ] else [ small; { cache_pages = 64 } ] in
   let crash_ordinals = if quick then [ 1 ] else [ 1; 3; 7 ] in
   let sites =
     [
@@ -1447,7 +1411,6 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       "paged_file.fsync";
       "paged_store.fault";
       "paged_store.evict";
-      "paged_store.writer";
       "paged_store.sync.data";
       "paged_store.sync.header";
       "paged_store.sync.commit";
@@ -1462,13 +1425,11 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
     (fun config ->
       List.iter
         (fun site ->
-          if site = "paged_store.writer" && not config.writer then ()
-          else
-            List.iter
-              (fun ordinal ->
-                record
-                  (run_tree ~site ~policy:(Failpoint.Crash_after ordinal) config))
-              crash_ordinals)
+          List.iter
+            (fun ordinal ->
+              record
+                (run_tree ~site ~policy:(Failpoint.Crash_after ordinal) config))
+            crash_ordinals)
         sites)
     configs;
   (* the same sweep in WAL durability mode, against the commit-point
@@ -1510,12 +1471,7 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
                      ~policy:(Failpoint.Crash_after ordinal) config))
               crash_ordinals)
           wal_sites)
-      (if quick then [ { writer = false; cache_pages = 8 } ]
-       else
-         [
-           { writer = false; cache_pages = 8 };
-           { writer = true; cache_pages = 8 };
-         ]);
+      [ small ];
   (* the same commit-point oracle under hot-key traffic: a Zipfian key
      stream hammers a handful of leaves, so crashes land amid repeated
      same-key updates — the regime the combining layer batches *)
@@ -1527,17 +1483,16 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
           record
             (run_wal_tree ~dist:zipf ~seed:3042 ~site
                ~policy:(Failpoint.Crash_after ordinal)
-               { writer = false; cache_pages = 8 }))
+               small))
         crash_ordinals)
     [ "wal.append"; "wal.commit" ];
   record
     (run_tree ~dist:zipf ~seed:3042 ~site:"paged_file.pwrite"
        ~policy:(Failpoint.Crash_after 3)
-       { writer = false; cache_pages = 8 });
-  record (run_torn_header { writer = false; cache_pages = 8 });
+       small);
+  record (run_torn_header small);
   record (run_torn_chain ());
-  record (run_short_writes { writer = false; cache_pages = 8 });
-  if not quick then record (run_short_writes { writer = true; cache_pages = 8 });
+  record (run_short_writes small);
   record (run_wal_torn_append ());
   record (run_wal_commit_crash ());
   record (run_wal_replay_crash ());
@@ -1556,12 +1511,7 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
                    config))
             crash_ordinals)
         [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ])
-    (if quick then [ { writer = false; cache_pages = 8 } ]
-     else
-       [
-         { writer = false; cache_pages = 8 };
-         { writer = true; cache_pages = 32 };
-       ]);
+    (if quick then [ small ] else [ small; { cache_pages = 32 } ]);
   (* durable MVCC over the WAL: version chains in the same log, pins
      held across group commits, vacuum churn mid-run; every log-path
      site, held to the newest-acked / deterministic-replay /
@@ -1577,12 +1527,7 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
                    config))
             crash_ordinals)
         wal_sites)
-    (if quick then [ { writer = false; cache_pages = 8 } ]
-     else
-       [
-         { writer = false; cache_pages = 8 };
-         { writer = true; cache_pages = 32 };
-       ]);
+    (if quick then [ small ] else [ small; { cache_pages = 32 } ]);
   record (run_wal_pitr ());
   run_error_paths ();
   run_wal_error_paths ();

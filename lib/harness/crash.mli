@@ -9,7 +9,6 @@
     [blink_cli crash-test]; see doc/RECOVERY.md. *)
 
 type config = {
-  writer : bool;  (** run the store's background writer domain *)
   cache_pages : int;  (** decoded-node cache size (small → eviction traffic) *)
 }
 
@@ -54,7 +53,10 @@ val run_short_writes : config -> outcome
 
 val run_error_paths : unit -> unit
 (** Injected-error battery at the store level: every site raises once,
-    retries succeed, and the final image proves no update was dropped. *)
+    retries succeed, and the final image proves no update was dropped.
+    The eviction stage checks its own victim: every page put up to the
+    failed eviction must hold its new leaf in a crash image taken after
+    the following [sync]. *)
 
 val run_wal_tree :
   ?ops:int ->
@@ -162,7 +164,7 @@ val run_wal_error_paths : unit -> unit
 
 val battery :
   ?quick:bool -> ?shards:int -> ?log:(string -> unit) -> unit -> outcome list
-(** Crash runs for every site × config plus the targeted runs above,
+(** Crash runs for every site × cache size plus the targeted runs above,
     including the {!run_sharded_wal} sweep over [shards] (default 4)
     partitions ([shards <= 1] skips it). After a battery,
     {!Repro_storage.Failpoint.unexercised} must be empty.

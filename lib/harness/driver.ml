@@ -128,9 +128,8 @@ let run_ops ?(measure_latency = false) (tree : Tree_intf.handle) ~domains ~ops_p
   else result
 
 (** Like {!run_ops} but with one extra domain per element of [aux], each
-    running its function (a {!Repro_core.Compactor} loop, a
-    {!Repro_storage.Paged_store} writer loop, ...) for the duration of the
-    workload. Each function receives the shared stop flag it must poll and
+    running its function (a {!Repro_core.Compactor} loop, an MVCC
+    scanner, ...) for the duration of the workload. Each function receives the shared stop flag it must poll and
     a fresh context with a slot disjoint from the measured domains. Aux
     stats are merged and returned separately. *)
 let run_ops_with_aux (tree : Tree_intf.handle) ~domains

@@ -49,9 +49,8 @@ val run_ops_with_aux :
   Workload.spec ->
   result * Repro_storage.Stats.t
 (** {!run_ops} with one extra domain per element of [aux] — heterogeneous
-    background workers (a compactor loop next to a
-    {!Repro_storage.Paged_store} writer loop, say), each polling the
-    shared stop flag, with epoch slots [domains .. domains +
+    background workers (a compactor loop next to MVCC scanners, say),
+    each polling the shared stop flag, with epoch slots [domains .. domains +
     Array.length aux - 1]. Their merged stats are returned separately. *)
 
 val run_ops_with_workers :

@@ -7,7 +7,7 @@
     fire the policy:
 
     - [Error _]: raise {!Injected} every Nth hit — exercises error
-      propagation (the background writer must park the victim, not leak
+      propagation (a failed eviction must put its victim back, not drop
       it; [sync] must stay retryable).
     - [Short_write _]: every Nth write call accepts only a seeded-random
       prefix — exercises the short-write retry loops.
@@ -20,7 +20,7 @@
 
     Once a [Crash] has been raised the registry latches a global
     {!is_crashed} flag; the shadow [Paged_file] backend refuses further
-    writes and fsyncs, so a surviving domain (e.g. the background writer)
+    writes and fsyncs, so a surviving domain (e.g. another worker)
     cannot commit post-mortem work into the simulated disk. {!reset}
     clears the flag, disarms every site and reseeds the RNG.
 

@@ -130,9 +130,9 @@ let ensure_durable_capacity (t : t) (s : shadow) needed =
   end
 
 (* A crashed process cannot issue further IO: once a failpoint has raised
-   [Crash], the shadow device freezes so a surviving domain (the
-   background writer, a straggling worker) cannot mutate or commit the
-   simulated disk post mortem. *)
+   [Crash], the shadow device freezes so a surviving domain (a
+   straggling worker) cannot mutate or commit the simulated disk post
+   mortem. *)
 let check_alive t =
   match t.backend with
   | Shadow _ when Failpoint.is_crashed () -> raise (Failpoint.Crash "paged_file.dead")

@@ -14,23 +14,21 @@
       move between it and the {!Paged_file} with positional reads and
       writes and no raw-frame pool in between. The pages are hashed
       across N {e stripes} (page [p] belongs to stripe [p land (N-1)]);
-      each stripe has its own mutex, clock hand, resident counter,
-      pending-write-back table and one page-sized IO buffer, so faults,
-      evictions and releases touching {e distinct} stripes proceed in
-      parallel. A fault reads the page into its stripe's buffer and
-      decodes it from there; a write-back encodes the node, copies the
-      frame into the buffer over a zero tail and writes the page once —
-      never reading it first. One small [file_lock] serialises the
-      {!Paged_file} calls; it is held only for the read or write itself,
-      never across decode/encode.
-    - {b Background writer}: eviction does not write a dirty victim back
-      inline when a writer domain is running — the victim moves into its
-      stripe's pending table and its id onto a bounded write queue the
-      writer drains in batches ({!Make.writer_loop}, typically run via
-      [Driver.run_ops_with_aux] or {!Make.start_writer}). With no writer,
-      or with the queue full, eviction falls back to the synchronous
-      write. [sync] drains every pending table, so durability is
-      unchanged.
+      each stripe has its own mutex, clock hand, resident counter and
+      one page-sized IO buffer, so faults, evictions and releases
+      touching {e distinct} stripes proceed in parallel. A fault reads
+      the page into its stripe's buffer and decodes it from there; a
+      write-back encodes the node, copies the frame into the buffer over
+      a zero tail and writes the page once — never reading it first.
+      One small [file_lock] serialises the {!Paged_file} calls; it is
+      held only for the read or write itself, never across
+      decode/encode.
+    - {b One write-back path}: a dirty eviction victim is written back
+      inline, by the domain whose [put] or fault pushed its stripe over
+      the cap; [sync] writes back every dirty cached node. A victim
+      whose write-back raises goes back into its slot, still dirty, so
+      a failed write is retried by the next eviction or [sync] and never
+      drops an update.
     - {b Disk layout}: disk pages 0 and 1 are {e two header slots},
       ping-ponged by a generation counter (generation [g] commits to slot
       [g land 1]); each holds magic, geometry, allocator state, free-list
@@ -63,35 +61,27 @@
       races with nothing.
     - A cache miss faults under the page's {e stripe lock} and installs
       with compare-and-set; losing the race means a concurrent [put]
-      installed a {e newer} version, which the reader adopts. The fault
-      consults the stripe's pending table {e before} the disk, so a
-      victim awaiting background write-back is re-adopted (and its queued
-      write cancelled) rather than re-read stale from disk.
+      installed a {e newer} version, which the reader adopts.
     - Eviction holds the stripe lock and takes page latches with
       [try_lock] only — it never blocks on a latch (and so never
       deadlocks against writers, who may block on a stripe lock while
       holding a latch); latched pages are simply skipped this sweep. A
       victim is withdrawn from the cache {e first} and only then written
-      back (or parked in the pending table), still under the stripe lock:
-      faulters for that page serialise on the same stripe, so no reader
-      can observe the pre-write-back disk contents. The victim's dirty
-      bit is exchanged to false before the withdrawal CAS and restored if
-      the CAS fails — a concurrent [put] to a private (just-[reserve]d)
-      page may have swapped in a newer node whose dirty bit must survive
-      the sweep.
+      back, still under the stripe lock: faulters for that page serialise
+      on the same stripe, so no reader can observe the pre-write-back
+      disk contents. Winning the withdrawal CAS makes the entry, and the
+      dirty flag inside it, the evictor's alone; a concurrent [put] to a
+      private (just-[reserve]d) page installs a fresh entry with its own
+      flag. A failed write-back restores the withdrawn entry with a CAS
+      from [None]; losing that CAS means a newer [put] owns the slot.
     - [release] runs under the stripe lock, so it can never interleave
-      with a fault, an eviction write-back, the background writer or
-      [sync] on the same page; it cancels any pending write-back and
-      clears the slot's [on_disk] flag, so a [get] on a recycled page
+      with a fault, an eviction write-back or [sync] on the same page;
+      it clears the slot's [on_disk] flag, so a [get] on a recycled page
       raises [Freed_page] until the first [put] lands — the same contract
       as the in-memory {!Store}.
 
     Lock order (acyclic; see doc/CONCURRENCY.md): latch -> stripe ->
-    file, with the write-queue mutex a leaf taken under a stripe lock
-    (enqueue) or with nothing held (writer pop). The background writer
-    processes each entry under its page's stripe lock, revalidating
-    against the pending table — a popped id whose entry was cancelled
-    (re-fault, release, sync) is skipped. *)
+    file. *)
 
 exception Corrupt of string
 
@@ -134,7 +124,6 @@ let max_chunks = 1 lsl 14 (* 64 M pages *)
 
 let default_cache_pages = 4096
 let default_stripes = 8
-let default_queue_cap = 256
 
 (* Group-commit knobs (WAL durability mode). [commit_batch] > 1 makes a
    leader linger up to [commit_interval] seconds for followers before
@@ -146,7 +135,6 @@ let default_commit_interval = 2e-3
    every [Make] instantiation — the registry is keyed by name. *)
 let fp_fault = Failpoint.site "paged_store.fault"
 let fp_evict = Failpoint.site "paged_store.evict"
-let fp_writer = Failpoint.site "paged_store.writer"
 let fp_sync_data = Failpoint.site "paged_store.sync.data"
 let fp_sync_chain = Failpoint.site "paged_store.sync.chain"
 let fp_sync_header = Failpoint.site "paged_store.sync.header"
@@ -213,15 +201,11 @@ module Make (K : Key.S) = struct
   type stripe = {
     s_lock : Mutex.t;  (** serialises fault/evict/release/write-back for this stripe's pages *)
     io_buf : Bytes.t;  (** one page: the stripe's read/write buffer (under [s_lock]) *)
-    pending : (int, K.t Node.t) Hashtbl.t;
-        (** dirty victims withdrawn from the cache, awaiting background
-            write-back; consulted by faults before the disk (under [s_lock]) *)
     resident : int Atomic.t;  (** cached nodes in this stripe *)
     mutable hand : int;  (** clock position within this stripe's page sequence *)
     mutable faults : int;  (** disk reads (under [s_lock]) *)
     mutable stall_s : float;  (** time faulters waited for [s_lock] *)
-    mutable inline_wb : int;  (** synchronous eviction write-backs *)
-    mutable queued_wb : int;  (** write-backs handed to the writer *)
+    mutable inline_wb : int;  (** eviction write-backs *)
   }
 
   type t = {
@@ -249,23 +233,12 @@ module Make (K : Key.S) = struct
     zero : Bytes.t;  (** scratch page (under [file_lock]) *)
     mutable page_reads : int;  (** data-page reads (under [file_lock]) *)
     mutable page_writes : int;  (** data-page writes (under [file_lock]) *)
-    (* background-writer queue *)
     mutable wal : wal_state option;
         (** durability mode: [Some] = WAL group commit; set once during
             construction, before the store is shared *)
-    wq : int Queue.t;  (** page ids with a pending-table entry (under [wq_lock]) *)
-    wq_lock : Mutex.t;
-    wq_cap : int;
-    wq_depth : int Atomic.t;
-    writers : int Atomic.t;  (** running writer loops; 0 = synchronous fallback *)
-    mutable writer : (unit Domain.t * bool Atomic.t) option;  (** under [wq_lock] *)
     (* gauges *)
     faulting : int Atomic.t;  (** faults currently reading from storage *)
     max_faulting : int Atomic.t;
-    max_wq_depth : int Atomic.t;
-    writer_batches : int Atomic.t;
-    writer_errors : int Atomic.t;  (** failed background write-backs left pending *)
-    max_batch : int Atomic.t;
   }
 
   let new_chunk () =
@@ -450,46 +423,25 @@ module Make (K : Key.S) = struct
       then Some (Int64.to_int (Bytes.get_int64_le page 16))
       else None
 
-  (* ---------- write-back: queue to the writer or do it inline ---------- *)
+  (* ---------- eviction write-back ---------- *)
 
-  (* Hand a withdrawn dirty victim to the background writer, or write it
-     back synchronously when no writer runs / the queue is full. Caller
-     holds [si]'s stripe lock; the victim is already out of the cache, so
-     parking it in [pending] keeps it reachable for faulters (who check
-     [pending] before the disk, under the same stripe lock). *)
-  let write_back_victim t (st : stripe) p n =
-    if Atomic.get t.writers > 0 && Atomic.get t.wq_depth < t.wq_cap then begin
-      Hashtbl.replace st.pending p n;
-      Mutex.lock t.wq_lock;
-      Queue.push p t.wq;
-      Mutex.unlock t.wq_lock;
-      let d = 1 + Atomic.fetch_and_add t.wq_depth 1 in
-      update_max t.max_wq_depth d;
-      st.queued_wb <- st.queued_wb + 1
-    end
-    else begin
-      (* Cancel any queued write of an {e older} version of this page
-         before the inline write lands: the sequence evict(queued) ->
-         put -> evict(inline, queue full) would otherwise leave the
-         stale entry for the writer to pop after us, clobbering the
-         newer bytes on disk. The victim in hand is always newest — it
-         was just withdrawn from the cache. *)
-      Hashtbl.remove st.pending p;
-      (* The failpoint sits inside the recovery scope on purpose: an
-         injected eviction error must leave the store in the same state a
-         real one would — victim parked, never dropped. *)
-      (try
-         Failpoint.hit fp_evict;
-         write_node_striped t st p n
-       with e ->
-         (* The victim is already out of the cache: losing it here would
-            silently drop a committed update. Park it in the pending
-            table — faulters re-adopt it and [sync] retries the write —
-            then let the error surface. *)
-         Hashtbl.replace st.pending p n;
-         raise e);
-      st.inline_wb <- st.inline_wb + 1
-    end
+  (* Write back victim entry [e] of page [p], already withdrawn from slot
+     [s]. Caller holds [p]'s stripe lock [st] and its latch. On failure
+     the entry goes back into the slot, still dirty, before the error
+     surfaces: faulters find it cached and the next eviction or [sync]
+     retries the write. Losing that CAS means a newer [put] owns the
+     slot, so this version is obsolete. The failpoint sits inside the
+     recovery scope so an injected error takes the same path as a real
+     one. *)
+  let write_back_victim t (st : stripe) p s e =
+    (try
+       Failpoint.hit fp_evict;
+       write_node_striped t st p e.node
+     with ex ->
+       if Atomic.compare_and_set s.cached None (Some e) then
+         Atomic.incr st.resident;
+       raise ex);
+    st.inline_wb <- st.inline_wb + 1
 
   (* How many page ids below [frontier] hash to stripe [si]. *)
   let stripe_page_count t si frontier =
@@ -497,7 +449,7 @@ module Make (K : Key.S) = struct
     else 1 + ((frontier - 1 - si) / Array.length t.stripes)
 
   (* Clock sweep over this stripe's slice of the node cache: write back
-     (or queue) and drop unreferenced, unlatched nodes until the stripe's
+     and drop unreferenced, unlatched nodes until the stripe's
      resident count is back under its cap. Latches are only try_locked —
      see the protocol note above. Caller holds [si]'s stripe lock. *)
   let maybe_evict_stripe t si (st : stripe) =
@@ -525,8 +477,7 @@ module Make (K : Key.S) = struct
                   (fun () ->
                     (* Withdraw first, write back second: we hold the stripe
                        lock, so a faulter for this page cannot read the disk
-                       until the write-back (or pending-table entry) below has
-                       landed. The CAS is against the exact option value read —
+                       until the write-back below has landed. The CAS is against the exact option value read —
                        physical equality distinguishes our snapshot from any
                        newer entry a concurrent [put] to a private page may
                        install. Winning the CAS makes the entry (and its dirty
@@ -536,7 +487,7 @@ module Make (K : Key.S) = struct
                     | Some e as snapshot when not (Atomic.get s.freed) ->
                         if Atomic.compare_and_set s.cached snapshot None then begin
                           Atomic.decr st.resident;
-                          if Atomic.get e.e_dirty then write_back_victim t st p e.node
+                          if Atomic.get e.e_dirty then write_back_victim t st p s e
                         end
                     | _ -> ()))
       done
@@ -576,13 +527,11 @@ module Make (K : Key.S) = struct
             {
               s_lock = Mutex.create ();
               io_buf = Bytes.create page_size;
-              pending = Hashtbl.create 16;
               resident = Atomic.make 0;
               hand = 0;
               faults = 0;
               stall_s = 0.0;
               inline_wb = 0;
-              queued_wb = 0;
             });
       stripe_mask = nstripes - 1;
       stripe_cap = max 1 (cache_pages / nstripes);
@@ -594,18 +543,8 @@ module Make (K : Key.S) = struct
       page_reads = 0;
       page_writes = 0;
       wal = None;
-      wq = Queue.create ();
-      wq_lock = Mutex.create ();
-      wq_cap = default_queue_cap;
-      wq_depth = Atomic.make 0;
-      writers = Atomic.make 0;
-      writer = None;
       faulting = Atomic.make 0;
       max_faulting = Atomic.make 0;
-      max_wq_depth = Atomic.make 0;
-      writer_batches = Atomic.make 0;
-      writer_errors = Atomic.make 0;
-      max_batch = Atomic.make 0;
     }
 
   let mk_wal_state ?(commit_interval = default_commit_interval)
@@ -779,52 +718,33 @@ module Make (K : Key.S) = struct
     match Atomic.get s.cached with
     | Some e -> e.node
     | None -> (
-        if Atomic.get s.freed then raise (Page_store.Freed_page ptr);
-        match Hashtbl.find_opt st.pending ptr with
-        | Some n ->
-            (* An evicted victim the writer has not drained yet: adopt
-               it and cancel the queued write (the re-installed entry
-               is dirty and will be re-written on its next eviction or
-               on [sync]; the writer skips ids with no pending entry). *)
-            Hashtbl.remove st.pending ptr;
-            Atomic.set s.referenced true;
-            let e = { node = n; e_dirty = Atomic.make true } in
-            if Atomic.compare_and_set s.cached None (Some e) then begin
-              Atomic.incr st.resident;
+        if Atomic.get s.freed || not (Atomic.get s.on_disk) then
+          raise (Page_store.Freed_page ptr);
+        Failpoint.hit fp_fault;
+        st.faults <- st.faults + 1;
+        let c = 1 + Atomic.fetch_and_add t.faulting 1 in
+        update_max t.max_faulting c;
+        let n =
+          match read_node_striped t st ptr with
+          | n ->
+              Atomic.decr t.faulting;
               n
-            end
-            else (
-              match Atomic.get s.cached with
-              | Some e' -> e'.node
-              | None -> n)
-        | None ->
-            if not (Atomic.get s.on_disk) then
-              raise (Page_store.Freed_page ptr);
-            Failpoint.hit fp_fault;
-            st.faults <- st.faults + 1;
-            let c = 1 + Atomic.fetch_and_add t.faulting 1 in
-            update_max t.max_faulting c;
-            let n =
-              match read_node_striped t st ptr with
-              | n ->
-                  Atomic.decr t.faulting;
-                  n
-              | exception e ->
-                  Atomic.decr t.faulting;
-                  raise e
-            in
-            Atomic.set s.referenced true;
-            (* Fresh from disk: the entry is born clean. *)
-            let e = { node = n; e_dirty = Atomic.make false } in
-            if Atomic.compare_and_set s.cached None (Some e) then begin
-              Atomic.incr st.resident;
-              maybe_evict_stripe t si st;
-              n
-            end
-            else (
-              match Atomic.get s.cached with
-              | Some e' -> e'.node
-              | None -> n))
+          | exception e ->
+              Atomic.decr t.faulting;
+              raise e
+        in
+        Atomic.set s.referenced true;
+        (* Fresh from disk: the entry is born clean. *)
+        let e = { node = n; e_dirty = Atomic.make false } in
+        if Atomic.compare_and_set s.cached None (Some e) then begin
+          Atomic.incr st.resident;
+          maybe_evict_stripe t si st;
+          n
+        end
+        else
+          match Atomic.get s.cached with
+          | Some e' -> e'.node
+          | None -> n)
 
   (* Only a contended stripe lock reads the clock, so [stall_s] still
      counts every real wait while an uncontended fault pays for none. *)
@@ -863,21 +783,18 @@ module Make (K : Key.S) = struct
   let try_lock t ptr = Mutex.try_lock (slot t ptr).latch
 
   (* Under the stripe lock: a release must never interleave with an
-     eviction write-back, a fault, the background writer or [sync]
-     touching the same page — otherwise the page can reach the free list
-     (and be recycled by [reserve]/[put]) while an evictor is still
-     mid-write, and the evictor's bookkeeping would clobber the new
-     tenant's. Any pending background write-back is cancelled here — a
-     stale write landing after the page is recycled would clobber the new
-     tenant's disk contents. [on_disk] is cleared so a [get] on the
-     recycled page raises [Freed_page] until its first [put], instead of
-     resurrecting the pre-release contents from disk. *)
+     eviction write-back, a fault or [sync] touching the same page —
+     otherwise the page can reach the free list (and be recycled by
+     [reserve]/[put]) while an evictor is still mid-write, and the
+     evictor's bookkeeping would clobber the new tenant's. [on_disk] is
+     cleared so a [get] on the recycled page raises [Freed_page] until
+     its first [put], instead of resurrecting the pre-release contents
+     from disk. *)
   let release t ptr =
     let s = slot t ptr in
     let st = t.stripes.(stripe_index t ptr) in
     with_stripe st (fun () ->
         Atomic.set s.freed true;
-        Hashtbl.remove st.pending ptr;
         (match Atomic.exchange s.cached None with
         | Some _ -> Atomic.decr st.resident
         | None -> ());
@@ -890,8 +807,8 @@ module Make (K : Key.S) = struct
   let total_freed t = Atomic.get t.freed
 
   (* Quiescent only (like {!Store.iter}): uncached pages are read from
-     disk (or the pending table) without being installed, so iteration
-     does not thrash the cache. *)
+     disk without being installed, so iteration does not thrash the
+     cache. *)
   let iter t f =
     let frontier = Atomic.get t.next in
     for p = 0 to frontier - 1 do
@@ -907,13 +824,10 @@ module Make (K : Key.S) = struct
                   with_stripe st (fun () ->
                       match Atomic.get s.cached with
                       | Some e -> Some e.node
-                      | None -> (
-                          match Hashtbl.find_opt st.pending p with
-                          | Some n -> Some n
-                          | None ->
-                              if Atomic.get s.on_disk then
-                                Some (read_node_striped t st p)
-                              else None))
+                      | None ->
+                          if Atomic.get s.on_disk then
+                            Some (read_node_striped t st p)
+                          else None)
                 in
                 match n with Some n -> f p n | None -> ()))
     done
@@ -935,121 +849,13 @@ module Make (K : Key.S) = struct
 
   let get_meta t = Atomic.get t.meta
 
-  (* ---------- the background writer ---------- *)
-
-  (* Pop everything currently queued (under [wq_lock]); the depth gauge
-     drops as entries are popped, re-opening queue capacity. *)
-  let take_batch t =
-    Mutex.lock t.wq_lock;
-    let rec go acc =
-      if Queue.is_empty t.wq then List.rev acc
-      else begin
-        ignore (Atomic.fetch_and_add t.wq_depth (-1));
-        go (Queue.pop t.wq :: acc)
-      end
-    in
-    let batch = go [] in
-    Mutex.unlock t.wq_lock;
-    batch
-
-  (* Drain one queue entry: revalidate against the pending table under
-     the page's stripe lock — the entry may have been cancelled by a
-     re-fault, a release or a sync since it was queued, or superseded by
-     a newer eviction of the same page (the table holds the newest).
-     Write {e then} remove: if the write raises, the entry stays pending
-     and [sync] (or a faulter) recovers it — removing first would turn an
-     injected IO error into silent data loss. *)
-  let write_back_one t p =
-    let st = t.stripes.(stripe_index t p) in
-    with_stripe st (fun () ->
-        match Hashtbl.find_opt st.pending p with
-        | None -> ()
-        | Some n ->
-            Failpoint.hit fp_writer;
-            write_node_striped t st p n;
-            Hashtbl.remove st.pending p)
-
-  (* A failed background write-back is not fatal: count it and leave the
-     pending entry for [sync] to retry. A [Crash] is fatal — it must
-     propagate so the writer domain dies with the simulated process. *)
-  let write_back_one_resilient t p =
-    try write_back_one t p
-    with Failpoint.Injected _ | Paged_file.Io_error _ | Corrupt _ ->
-      Atomic.incr t.writer_errors
-
-  (** The background-writer loop: drain the write queue in batches until
-      [stop] is raised {e and} the queue is empty. Run it on a dedicated
-      domain ({!start_writer} or [Driver.run_ops_with_aux]); while at
-      least one loop runs, eviction stops writing dirty victims back
-      inline. Entries enqueued after the final drain are picked up by
-      [sync]. *)
-  let writer_loop t ~stop =
-    Atomic.incr t.writers;
-    Fun.protect
-      ~finally:(fun () -> Atomic.decr t.writers)
-      (fun () ->
-        (* Idle poll interval backs off exponentially: a fixed short
-           sleep costs ~10k wakeups/s of context switches, which on a
-           timeshared core taxes the very workers the writer exists to
-           relieve. The queue (plus the inline-write fallback when it
-           fills) absorbs the extra wake-up latency. *)
-        let idle_min = 1e-4 and idle_max = 2e-3 in
-        let rec run idle =
-          match take_batch t with
-          | [] ->
-              if not (Atomic.get stop) then begin
-                Unix.sleepf idle;
-                run (Float.min idle_max (idle *. 2.))
-              end
-          | batch ->
-              Atomic.incr t.writer_batches;
-              update_max t.max_batch (List.length batch);
-              List.iter (write_back_one_resilient t) batch;
-              run idle_min
-        in
-        run idle_min;
-        (* Final drain: everything enqueued before [stop] was observed. *)
-        List.iter (write_back_one_resilient t) (take_batch t))
-
-  let start_writer t =
-    Mutex.lock t.wq_lock;
-    let spawned =
-      match t.writer with
-      | Some _ -> false
-      | None ->
-          let stop = Atomic.make false in
-          t.writer <- Some (Domain.spawn (fun () -> writer_loop t ~stop), stop);
-          true
-    in
-    Mutex.unlock t.wq_lock;
-    (* Don't return on the spawn alone: eviction routes dirty victims by
-       [t.writers], which the loop increments only once the new domain is
-       scheduled. Returning early leaves a window where every eviction
-       still writes back inline — a short-lived workload can run entirely
-       inside it and the writer never sees a single page. *)
-    if spawned then
-      while Atomic.get t.writers = 0 do
-        Domain.cpu_relax ()
-      done
-
-  let stop_writer t =
-    Mutex.lock t.wq_lock;
-    let w = t.writer in
-    t.writer <- None;
-    Mutex.unlock t.wq_lock;
-    match w with
-    | None -> ()
-    | Some (d, stop) ->
-        Atomic.set stop true;
-        Domain.join d
-
   (* ---------- durability ---------- *)
 
   (* ---------- group commit (WAL durability mode) ---------- *)
 
   (* Snapshot the bytes a committed page image must hold: the cached
-     node, the pending victim, or the on-disk page (trimmed to its codec
-     frame) — whichever is newest. [None] for pages that were freed (or
+     node if resident, else the on-disk page (trimmed to its codec
+     frame). [None] for pages that were freed (or
      never materialised) since they were dirtied. Under the page's
      stripe lock; the encode of a node snapshot happens outside it. *)
   let commit_image t ptr =
@@ -1062,22 +868,19 @@ module Make (K : Key.S) = struct
             else
               match Atomic.get s.cached with
               | Some e -> Some (`Node e.node)
-              | None -> (
-                  match Hashtbl.find_opt st.pending ptr with
-                  | Some n -> Some (`Node n)
-                  | None ->
-                      if Atomic.get s.on_disk then begin
-                        read_page_striped t st ptr;
-                        (* past its codec frame the page is the zero tail
-                           {!write_node_striped} left, which {!Wal.Apply}
-                           pads back *)
-                        let len =
-                          Option.value (Page_codec.frame_length st.io_buf)
-                            ~default:t.page_size
-                        in
-                        Some (`Raw (Bytes.sub st.io_buf 0 len))
-                      end
-                      else None))
+              | None ->
+                  if Atomic.get s.on_disk then begin
+                    read_page_striped t st ptr;
+                    (* past its codec frame the page is the zero tail
+                       {!write_node_striped} left, which {!Wal.Apply}
+                       pads back *)
+                    let len =
+                      Option.value (Page_codec.frame_length st.io_buf)
+                        ~default:t.page_size
+                    in
+                    Some (`Raw (Bytes.sub st.io_buf 0 len))
+                  end
+                  else None)
 
   (* The logged image is the node's codec frame alone — {!Wal.append}
      blits it into its log scratch, so no page-sized buffer is allocated
@@ -1177,9 +980,8 @@ module Make (K : Key.S) = struct
      0. WAL mode only: a logged group commit of the current dirty set,
         so the state this checkpoint is about to make official has
         transited the log first (replication / PITR coverage)
-     1. per stripe: queued victims (older than any dirty cached version
-        of the same page), then dirty cached nodes, each written straight
-        to the file                                 [paged_store.sync.data]
+     1. per stripe: every dirty cached node, written straight to the
+        file                                        [paged_store.sync.data]
      2. the free chain, if the free list changed    [paged_store.sync.chain]
      3. generation [g+1]'s header into slot [(g+1) land 1] — the slot
         holding committed generation [g] is not touched
@@ -1195,9 +997,9 @@ module Make (K : Key.S) = struct
      6. only now does the in-memory generation advance.
 
      Error resilience: every mutation of book-keeping happens {e after}
-     the write it describes succeeds (pending entries, [e_dirty] flags,
-     [free_dirty], the generation), so a sync aborted by an IO error can
-     simply be retried. *)
+     the write it describes succeeds ([e_dirty] flags, [free_dirty], the
+     generation), so a sync aborted by an IO error can simply be
+     retried. *)
   let rec sync t =
     (* WAL mode: route whatever is dirty through a logged group commit
        {e before} the checkpoint makes it official. Without this, the
@@ -1223,12 +1025,6 @@ module Make (K : Key.S) = struct
     Array.iteri
       (fun si (st : stripe) ->
         with_stripe st (fun () ->
-            let pend = Hashtbl.fold (fun p n acc -> (p, n) :: acc) st.pending [] in
-            List.iter
-              (fun (p, n) ->
-                write_node_striped t st p n;
-                Hashtbl.remove st.pending p)
-              pend;
             let frontier = Atomic.get t.next in
             let p = ref si in
             while !p < frontier do
@@ -1329,7 +1125,6 @@ module Make (K : Key.S) = struct
   let flush = sync
 
   let close t =
-    stop_writer t;
     sync t;
     (match t.wal with Some w -> Wal.close w.log | None -> ());
     Paged_file.close t.file
@@ -1545,9 +1340,7 @@ module Make (K : Key.S) = struct
   let page_size t = t.page_size
   let shard t = t.shard
   let stripe_count t = Array.length t.stripes
-  let queue_depth t = Atomic.get t.wq_depth
   let generation t = Atomic.get t.generation
-  let writer_errors t = Atomic.get t.writer_errors
 
   (* Per-stripe counters are read without the stripe locks: the snapshot
      is racy by a few events, which is fine for reporting. *)
@@ -1557,13 +1350,8 @@ module Make (K : Key.S) = struct
       (fun (st : stripe) ->
         io.Stats.faults <- io.Stats.faults + st.faults;
         io.Stats.fault_stall_s <- io.Stats.fault_stall_s +. st.stall_s;
-        io.Stats.inline_writebacks <- io.Stats.inline_writebacks + st.inline_wb;
-        io.Stats.queued_writebacks <- io.Stats.queued_writebacks + st.queued_wb)
+        io.Stats.inline_writebacks <- io.Stats.inline_writebacks + st.inline_wb)
       t.stripes;
-    io.Stats.writer_batches <- Atomic.get t.writer_batches;
-    io.Stats.writer_errors <- Atomic.get t.writer_errors;
-    io.Stats.max_batch <- Atomic.get t.max_batch;
-    io.Stats.max_queue_depth <- Atomic.get t.max_wq_depth;
     io.Stats.max_concurrent_faults <- Atomic.get t.max_faulting;
     (match t.wal with
     | Some w ->
@@ -1604,12 +1392,12 @@ module Make (K : Key.S) = struct
   (* Install one shipped commit batch's page images, exactly as recovery
      installs replayed images: straight through the file (never the
      dirty-tracking path — a follower's store has no log of its own to
-     re-ship them into), dropping any cached or writer-queued copy so
-     the next read faults the authoritative bytes back in. Single
-     applier thread assumed (the replica's apply loop); readers on other
-     threads see each page flip atomically from old image to new via the
-     file write, and batch-level consistency is the caller's job (the
-     replica swaps its tree view only after the whole batch lands). *)
+     re-ship them into), dropping any cached copy so the next read
+     faults the authoritative bytes back in. Single applier thread
+     assumed (the replica's apply loop); readers on other threads see
+     each page flip atomically from old image to new via the file write,
+     and batch-level consistency is the caller's job (the replica swaps
+     its tree view only after the whole batch lands). *)
   let apply_replicated t ~images ~meta =
     List.iter
       (fun (p, img) ->
@@ -1624,7 +1412,6 @@ module Make (K : Key.S) = struct
         let s = (ensure_chunk t (p lsr chunk_bits)).(p land (chunk_size - 1)) in
         let st = t.stripes.(stripe_index t p) in
         with_stripe st (fun () ->
-            Hashtbl.remove st.pending p;
             (match Atomic.exchange s.cached None with
             | Some _ -> Atomic.decr st.resident
             | None -> ());

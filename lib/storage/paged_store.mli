@@ -11,24 +11,26 @@
     A recycled page raises [Freed_page] until its first [put] — the same
     contract as {!Store}.
 
-    Dirty eviction victims are handed to a background writer when one is
-    running ({!Make.writer_loop} / {!Make.start_writer}); otherwise (or
-    when the bounded write queue is full) eviction writes back inline.
+    Eviction writes a dirty victim back inline, on the domain that
+    pushed the stripe over its cap; with [sync] that is the only
+    write-back path. A victim whose write-back fails goes back into its
+    cache slot, still dirty, before the error surfaces, so the next
+    eviction or [sync] retries it.
 
     Disk pages 0 and 1 are two checksummed header slots ping-ponged by a
     generation counter; tree pointer [p] lives on disk page [p + 2],
     checksummed by {!Page_codec}; the free list is threaded through the
     free pages themselves (checksummed entries) and rewritten on [sync]
-    only when it changed. [sync] (quiescent) drains the write queue,
-    stages the next generation's header into the alternate slot and
+    only when it changed. [sync] (quiescent) writes back every dirty
+    node, stages the next generation's header into the alternate slot and
     commits it with a single fsync — crash-atomic under the model of
     {!Paged_file.create_shadow}; reopening falls back to the surviving
     slot when the other is torn, and degrades a damaged free chain to a
     leak instead of a failure (see doc/RECOVERY.md). Failpoint sites:
-    [paged_store.fault], [paged_store.evict], [paged_store.writer],
-    [paged_store.sync.data], [paged_store.sync.chain],
-    [paged_store.sync.header], [paged_store.sync.commit] (plus the
-    {!Wal} sites [wal.append], [wal.commit], [wal.replay] in WAL mode).
+    [paged_store.fault], [paged_store.evict], [paged_store.sync.data],
+    [paged_store.sync.chain], [paged_store.sync.header],
+    [paged_store.sync.commit] (plus the {!Wal} sites [wal.append],
+    [wal.commit], [wal.replay] in WAL mode).
 
     {b WAL durability mode}: constructed with a second paged file (the
     log device), the store additionally satisfies {!Page_store.S.commit}
@@ -160,35 +162,18 @@ module Make (K : Key.S) : sig
       chain is rebuilt. *)
 
   val flush : t -> unit
-  (** Alias of [sync]: write back queued and dirty nodes, persist the
-      free list and header, fsync. Quiescent only. *)
+  (** Alias of [sync]: write back dirty nodes, persist the free list and
+      header, fsync. Quiescent only. *)
 
   val close : t -> unit
-  (** Stop the store-owned writer (if {!start_writer} started one), then
-      [flush], then close the underlying file. *)
-
-  (** {2 Background writer} *)
-
-  val writer_loop : t -> stop:bool Atomic.t -> unit
-  (** Drain the write queue in batches until [stop] is set {e and} the
-      queue is empty. Run on a dedicated domain (e.g. via
-      [Driver.run_ops_with_aux]); while at least one loop runs, eviction
-      queues dirty victims instead of writing them back inline. *)
-
-  val start_writer : t -> unit
-  (** Spawn a domain running {!writer_loop}, owned by the store
-      ({!close}/{!stop_writer} joins it). Idempotent. *)
-
-  val stop_writer : t -> unit
-  (** Stop and join the store-owned writer, draining the queue. No-op if
-      none is running. *)
+  (** [flush], then close the underlying file. *)
 
   (** {2 Introspection} *)
 
   val pool_stats : t -> Buffer_pool.stats
   (** Data-page IO in the pool's record: [misses] counts data-page reads
       (faults, and on-disk images a commit logs), [writebacks] counts
-      data-page writes (eviction, writer and [sync] write-backs). [hits]
+      data-page writes (eviction and [sync] write-backs). [hits]
       and [evictions] are always 0 — there is no raw-frame pool. Header,
       free-chain and replay-install IO is not counted. *)
 
@@ -204,18 +189,11 @@ module Make (K : Key.S) : sig
   val stripe_count : t -> int
   (** Actual stripe count after power-of-two / cache clamping. *)
 
-  val queue_depth : t -> int
-  (** Write-queue entries not yet popped by the writer. *)
-
   val generation : t -> int
   (** Last generation committed by [sync] (0 before the first sync). *)
 
-  val writer_errors : t -> int
-  (** Background write-backs that failed and were left pending for
-      [sync] to retry. *)
-
   val io_stats : t -> Stats.io
-  (** Snapshot of fault / write-back / writer counters (racy by a few
+  (** Snapshot of fault / write-back / commit counters (racy by a few
       events while workers run; exact when quiescent). *)
 
   val per_stripe_faults : t -> int array

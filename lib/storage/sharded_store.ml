@@ -1,7 +1,6 @@
 (** Keyspace partition layer: N fully independent {!Paged_store}
     instances — each with its own node cache, free list, IO stripes,
-    commit mutex, group-commit leader, background writer, checkpoint and
-    recovery replay — managed as one unit. Nothing is shared between
+    commit mutex, group-commit leader, checkpoint and recovery replay — managed as one unit. Nothing is shared between
     shards, so group commits on different shards fsync different log
     devices concurrently, and reopen recovers every shard in parallel
     (one domain per shard).
@@ -15,11 +14,10 @@
     different shard count refuses to open ({!Paged_store.Shard_mismatch})
     instead of silently misrouting every key.
 
-    Shutdown is idempotent and exception-safe: each shard's writer stop
-    + final checkpoint runs under [Fun.protect], every shard is visited
-    even when an earlier one fails, and the first failure is re-raised
-    once the sweep completes — one shard's bad device never leaks the
-    other shards' writer domains. *)
+    Shutdown is idempotent and exception-safe: every shard's final
+    checkpoint and file close is attempted even when an earlier shard
+    fails, and the first failure is re-raised once the sweep completes —
+    one shard's bad device never leaves another shard unsynced. *)
 
 module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
   type t = {
@@ -100,13 +98,11 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
      the shard's header, truncates its log). *)
   let sync_all t = Array.iter P.sync t.stores
 
-  (* ---------- background writers ---------- *)
-
-  let start_writers t = Array.iter P.start_writer t.stores
+  (* ---------- shutdown ---------- *)
 
   (* Visit every shard even when one fails; first failure re-raises
-     after the sweep so no other shard's writer domain is left running
-     behind an exception. *)
+     after the sweep so no other shard is left unclosed behind an
+     exception. *)
   let iter_protected f stores =
     let first = ref None in
     Array.iter
@@ -114,22 +110,12 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
       stores;
     match !first with Some e -> raise e | None -> ()
 
-  let stop_writers t = iter_protected P.stop_writer t.stores
-
-  (* One shard's shutdown: the final checkpoint under [Fun.protect] on
-     the writer stop, so a failing sync (bad device, injected error)
-     still joins the writer domain. [P.close] itself stops the writer
-     first; the protect covers the case where it dies before that or
-     between stop and sync ([P.stop_writer] is idempotent). *)
-  let close_shard s =
-    Fun.protect ~finally:(fun () -> P.stop_writer s) (fun () -> P.close s)
-
   let close t =
     Mutex.lock t.close_mu;
     let already = t.closed in
     t.closed <- true;
     Mutex.unlock t.close_mu;
-    if not already then iter_protected close_shard t.stores
+    if not already then iter_protected P.close t.stores
 
   (* ---------- introspection ---------- *)
 
@@ -140,6 +126,5 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
     Array.iter (fun s -> Stats.io_merge ~into:acc (P.io_stats s)) t.stores;
     acc
 
-  let queue_depths t = Array.map P.queue_depth t.stores
   let generations t = Array.map P.generation t.stores
 end

@@ -1,6 +1,6 @@
 (** Keyspace partition layer: N fully independent {!Paged_store}
     instances (own node cache, free list, commit mutex, group-commit
-    leader, background writer, checkpoint, recovery) managed as one
+    leader, checkpoint, recovery) managed as one
     unit. Shard identity [(i, N)] is recorded in each shard's headers
     and validated on reopen; reopen recovers all shards in parallel.
     Key → shard routing lives in {!Shard_router} (used by the tree
@@ -70,26 +70,18 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
   val sync_all : t -> unit
   (** Quiescent checkpoint of every shard. *)
 
-  val start_writers : t -> unit
-
-  val stop_writers : t -> unit
-  (** Exception-safe: every shard's writer is stopped even when one
-      raises; the first failure re-raises after the sweep. *)
-
   val close : t -> unit
-  (** Idempotent, exception-safe shutdown: per shard, writer stop +
-      final checkpoint under [Fun.protect]; all shards are visited even
-      when one fails, then the first failure re-raises — one shard's
-      bad device never leaks another's writer domain. *)
+  (** Idempotent, exception-safe shutdown: each shard's final checkpoint
+      and file close ([P.close]); all shards are visited
+      even when one fails, then the first failure re-raises — one
+      shard's bad device never leaves another unsynced. *)
 
   val per_shard_io : t -> Stats.io array
   (** One {!Stats.io} snapshot per shard, in shard order — the skew
-      observability surface (faults, commits, fsyncs, queue depth per
-      shard). *)
+      observability surface (faults, commits, fsyncs per shard). *)
 
   val io_stats : t -> Stats.io
   (** All shards merged (counters sum, high-water marks max). *)
 
-  val queue_depths : t -> int array
   val generations : t -> int array
 end

@@ -99,14 +99,10 @@ let merge ~into:dst src =
 type io = {
   mutable faults : int;  (** cache misses that read a page from storage *)
   mutable fault_stall_s : float;  (** time faulters spent waiting for an IO stripe lock *)
-  mutable inline_writebacks : int;  (** eviction write-backs done synchronously *)
-  mutable queued_writebacks : int;  (** eviction write-backs handed to the background writer *)
-  mutable writer_batches : int;  (** background-writer queue drains *)
-  mutable writer_errors : int;
-      (** background write-backs that failed (IO error / injected fault)
-          and left their entry pending for [sync] to retry *)
-  mutable max_batch : int;  (** largest single writer batch *)
-  mutable max_queue_depth : int;  (** write-queue depth high-water mark *)
+  mutable inline_writebacks : int;  (** eviction write-backs (all of them are inline) *)
+  mutable queued_writebacks : int;
+      (** always 0: eviction has no write queue. Kept only because the
+          repository benchmark still reads it. *)
   mutable max_concurrent_faults : int;
       (** most faults in flight at once — [> 1] proves misses on distinct
           stripes overlapped *)
@@ -137,10 +133,6 @@ let io_create () =
     fault_stall_s = 0.0;
     inline_writebacks = 0;
     queued_writebacks = 0;
-    writer_batches = 0;
-    writer_errors = 0;
-    max_batch = 0;
-    max_queue_depth = 0;
     max_concurrent_faults = 0;
     commit_reqs = 0;
     commit_groups = 0;
@@ -161,10 +153,6 @@ let io_merge ~into:dst (src : io) =
   dst.fault_stall_s <- dst.fault_stall_s +. src.fault_stall_s;
   dst.inline_writebacks <- dst.inline_writebacks + src.inline_writebacks;
   dst.queued_writebacks <- dst.queued_writebacks + src.queued_writebacks;
-  dst.writer_batches <- dst.writer_batches + src.writer_batches;
-  dst.writer_errors <- dst.writer_errors + src.writer_errors;
-  dst.max_batch <- max dst.max_batch src.max_batch;
-  dst.max_queue_depth <- max dst.max_queue_depth src.max_queue_depth;
   dst.max_concurrent_faults <- max dst.max_concurrent_faults src.max_concurrent_faults;
   dst.commit_reqs <- dst.commit_reqs + src.commit_reqs;
   dst.commit_groups <- dst.commit_groups + src.commit_groups;
@@ -180,13 +168,11 @@ let io_merge ~into:dst (src : io) =
 
 let pp_io fmt (io : io) =
   Format.fprintf fmt
-    "faults=%d stall=%.3fms wb_inline=%d wb_queued=%d batches=%d max_batch=%d \
-     max_queue=%d max_conc_faults=%d wr_errors=%d commits=%d/%d max_group=%d \
-     wal_records=%d wal_fsyncs=%d min_pinned=%d snap_pins=%d mvcc_versions=%d \
-     mvcc_pruned=%d mvcc_disk=%d/%dpg"
-    io.faults (1e3 *. io.fault_stall_s) io.inline_writebacks io.queued_writebacks
-    io.writer_batches io.max_batch io.max_queue_depth io.max_concurrent_faults
-    io.writer_errors io.commit_groups io.commit_reqs io.max_commit_group
+    "faults=%d stall=%.3fms wb_inline=%d max_conc_faults=%d commits=%d/%d \
+     max_group=%d wal_records=%d wal_fsyncs=%d min_pinned=%d snap_pins=%d \
+     mvcc_versions=%d mvcc_pruned=%d mvcc_disk=%d/%dpg"
+    io.faults (1e3 *. io.fault_stall_s) io.inline_writebacks
+    io.max_concurrent_faults io.commit_groups io.commit_reqs io.max_commit_group
     io.wal_records io.wal_fsyncs
     (if io.epoch_min_pinned = max_int then -1 else io.epoch_min_pinned)
     io.snap_pins io.mvcc_versions io.mvcc_pruned io.mvcc_disk_versions

@@ -46,14 +46,10 @@ val to_string : t -> string
 type io = {
   mutable faults : int;  (** cache misses that read a page from storage *)
   mutable fault_stall_s : float;  (** time spent waiting for an IO stripe lock *)
-  mutable inline_writebacks : int;  (** synchronous eviction write-backs *)
-  mutable queued_writebacks : int;  (** write-backs handed to the background writer *)
-  mutable writer_batches : int;  (** background-writer queue drains *)
-  mutable writer_errors : int;
-      (** background write-backs that failed and were left pending for
-          [sync] to retry *)
-  mutable max_batch : int;  (** largest single writer batch *)
-  mutable max_queue_depth : int;  (** write-queue depth high-water mark *)
+  mutable inline_writebacks : int;  (** eviction write-backs (all of them are inline) *)
+  mutable queued_writebacks : int;
+      (** always 0: eviction has no write queue. Kept only because the
+          repository benchmark still reads it. *)
   mutable max_concurrent_faults : int;
       (** most faults in flight at once — [> 1] proves misses on distinct
           stripes overlapped *)

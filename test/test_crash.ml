@@ -1,8 +1,8 @@
 (* Crash-fault injection: the simulated-crash battery (every failpoint
-   site × writer on/off), targeted torn-write and injected-error runs,
-   the dual-header fallback regression, short-write retries on a real
-   file, and writer-shutdown races — plus the CI guarantee that every
-   registered failpoint site was actually exercised. *)
+   site × cache size), targeted torn-write and injected-error runs, the
+   dual-header fallback regression and short-write retries on a real
+   file — plus the CI guarantee that every registered failpoint site was
+   actually exercised. *)
 
 open Repro_storage
 open Repro_harness
@@ -147,45 +147,6 @@ let test_short_writes_on_file () =
           Alcotest.failf "key %d lost behind short writes" k
       done;
       PS.close store)
-
-(* ---------- writer shutdown: stop_writer racing sync and close under
-   injected write-back errors must drain (not leak) pending entries *)
-
-let test_writer_shutdown_race () =
-  for seed = 1 to 3 do
-    Failpoint.reset ();
-    let pfile = Paged_file.create_shadow ~page_size:512 () in
-    let store = PS.create_on ~cache_pages:4 pfile in
-    let n = 48 in
-    let ptrs = Array.init n (fun i -> PS.alloc store (mk_leaf [ i ])) in
-    PS.sync store;
-    PS.start_writer store;
-    Failpoint.set "paged_store.writer" (Failpoint.Error { every = 2 });
-    (* churn: puts evict through the bounded queue into the writer, half
-       of whose write-backs fail and must stay pending *)
-    for round = 1 to 4 do
-      for i = 0 to n - 1 do
-        PS.put store ptrs.(i) (mk_leaf [ i + (100 * round) + seed ])
-      done
-    done;
-    (* race shutdown against a concurrent sync *)
-    let syncer = Domain.spawn (fun () -> PS.sync store) in
-    PS.stop_writer store;
-    Domain.join syncer;
-    Failpoint.set "paged_store.writer" Failpoint.Off;
-    PS.sync store;
-    Alcotest.(check int) "write queue drained" 0 (PS.queue_depth store);
-    (* the durable image must hold every page's final version *)
-    let image = Paged_file.crash_image pfile in
-    Failpoint.reset ();
-    let store2 = PS.open_from ~cache_pages:8 image in
-    for i = 0 to n - 1 do
-      let node = PS.get store2 ptrs.(i) in
-      if node.Node.keys <> [| i + 400 + seed |] then
-        Alcotest.failf "seed %d: page %d lost updates across writer shutdown (got %d)"
-          seed i node.Node.keys.(0)
-    done
-  done
 
 (* ---------- WAL replay edge cases: the redo scanner's boundary
    behaviour, pinned down against the log directly ---------- *)
@@ -560,7 +521,7 @@ let test_mvcc_wal_crashes () =
       let o =
         Crash.run_mvcc_wal ~site
           ~policy:(Failpoint.Crash_after ordinal)
-          { Crash.writer = false; cache_pages = 8 }
+          { Crash.cache_pages = 8 }
       in
       Alcotest.(check bool) (site ^ " fired") true o.Crash.crashed)
     [ ("wal.append", 5); ("wal.commit", 3); ("paged_file.fsync", 4) ]
@@ -581,8 +542,6 @@ let suite =
       test_header_slot_corruption;
     Alcotest.test_case "short writes retried on a real file" `Quick
       test_short_writes_on_file;
-    Alcotest.test_case "writer shutdown races sync under errors" `Quick
-      test_writer_shutdown_race;
     Alcotest.test_case "replay: empty log" `Quick test_replay_empty_log;
     Alcotest.test_case "replay: checkpoint-only log" `Quick
       test_replay_checkpoint_only;

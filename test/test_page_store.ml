@@ -267,8 +267,9 @@ let with_tmp_file f =
   let path = Filename.temp_file "paged_store_test" ".pages" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
 
-(* Build on a real file, close, reopen from disk: search, validate,
-   mutate, close, reopen again. *)
+(* Build on a real file with a cache small enough that eviction writes
+   pages back, close, reopen from disk: search, validate, mutate, close,
+   reopen again. *)
 let test_durability () =
   with_tmp_file (fun path ->
       let n = 3000 in
@@ -281,6 +282,8 @@ let test_durability () =
       for k = 0 to n - 1 do
         if k mod 3 = 0 then ignore (Sg.delete t c k)
       done;
+      Alcotest.(check bool) "eviction wrote pages back" true
+        ((Paged_int.io_stats store).Stats.inline_writebacks > 0);
       Sg.flush t;
       Paged_int.close store;
       (* first reopen: everything must come back from disk *)
@@ -383,13 +386,9 @@ let test_fault_storm () =
    alloc / rewrite / release, so freed pages are constantly re-tenanted
    while the evictor may be mid-sweep on them. A page whose dirty bit is
    clobbered gets dropped without write-back and re-faults stale — the
-   content checks below catch exactly that. Run twice: once with
-   eviction writing back inline, once with the background writer taking
-   the victims (which adds the pending-table adopt/cancel paths to the
-   race surface). *)
-let run_recycle_eviction_churn ~writer () =
+   content checks below catch exactly that. *)
+let test_recycle_eviction_churn () =
   let s = Paged_int.create_memory ~cache_pages:8 () in
-  if writer then Paged_int.start_writer s;
   let nd = 4 and per = 1500 in
   let keep = 8 in
   let stale = Atomic.make 0 and lost = Atomic.make 0 in
@@ -418,48 +417,53 @@ let run_recycle_eviction_churn ~writer () =
             Queue.iter (fun (q, w) -> check_page q w) live))
   in
   Array.iter Domain.join domains;
-  if writer then begin
-    let io = Paged_int.io_stats s in
-    Alcotest.(check bool) "victims reached the writer queue" true
-      (io.Repro_storage.Stats.queued_writebacks > 0);
-    Paged_int.stop_writer s;
-    Alcotest.(check int) "queue drained on stop" 0 (Paged_int.queue_depth s)
-  end;
   if Atomic.get stale > 0 || Atomic.get lost > 0 then
     Alcotest.failf "stale=%d lost=%d pages" (Atomic.get stale) (Atomic.get lost);
   Alcotest.(check int) "resident count consistent" (nd * keep)
     (Paged_int.live_count s)
 
-(* Background write-back must not weaken durability: build a tree on a
-   real file with the writer running (so evictions are offloaded), flush,
-   close, and reopen from disk. *)
-let test_writer_durability () =
-  with_tmp_file (fun path ->
-      let n = 3000 in
-      let store = Paged_int.create_file ~cache_pages:32 path in
-      Paged_int.start_writer store;
-      let t = Sg.create ~order:4 ~store () in
-      let c = Sg.ctx ~slot:0 in
-      for k = 0 to n - 1 do
-        ignore (Sg.insert t c k (k * 5))
-      done;
-      for k = 0 to n - 1 do
-        if k mod 3 = 0 then ignore (Sg.delete t c k)
-      done;
-      let io = Paged_int.io_stats store in
-      Alcotest.(check bool) "evictions were offloaded" true
-        (io.Repro_storage.Stats.queued_writebacks > 0);
-      Sg.flush t;
-      Paged_int.close store;
-      let store = Paged_int.open_file ~cache_pages:32 path in
-      let t = Sg.open_existing store in
-      check_valid t "after reopen behind the writer";
-      for k = 0 to n - 1 do
-        let expect = if k mod 3 = 0 then None else Some (k * 5) in
-        if Sg.search t c k <> expect then
-          Alcotest.failf "key %d wrong after writer-backed reopen" k
-      done;
-      Paged_int.close store)
+(* A failed eviction write-back must not drop its victim: the withdrawn
+   entry goes back into its slot, still dirty. Puts on a one-stripe,
+   8-page cache run until the armed eviction error surfaces. Every page
+   must then read back its last put without a single fault — the victim
+   was never on disk, so only its slot can serve it — and a sync must
+   still make it durable. *)
+let test_failed_eviction_keeps_victim () =
+  Failpoint.reset ();
+  let pfile = Paged_file.create_shadow ~page_size:512 () in
+  let s = Paged_int.create_on ~cache_pages:8 ~stripes:1 pfile in
+  let pages = ref [] in
+  Failpoint.set "paged_store.evict" (Failpoint.Error { every = 1 });
+  (match
+     for i = 0 to 63 do
+       let p = Paged_int.reserve s in
+       pages := (p, i) :: !pages;
+       Paged_int.put s p (mk_leaf [ i ])
+     done
+   with
+   | () -> Alcotest.fail "injected eviction error never surfaced"
+   | exception Failpoint.Injected _ -> ());
+  Failpoint.set "paged_store.evict" Failpoint.Off;
+  let check_all what s =
+    List.iter
+      (fun (p, i) ->
+        match Paged_int.get s p with
+        | n ->
+            if n.Node.keys.(0) <> i then
+              Alcotest.failf "%s: page %d holds %d, last put %d" what p
+                n.Node.keys.(0) i
+        | exception Page_store.Freed_page _ ->
+            Alcotest.failf "%s: page %d dropped" what p)
+      !pages
+  in
+  let f0 = (Paged_int.io_stats s).Stats.faults in
+  check_all "after the failed eviction" s;
+  Alcotest.(check int) "served from the cache" f0
+    (Paged_int.io_stats s).Stats.faults;
+  Paged_int.sync s;
+  check_all "crash image after sync"
+    (Paged_int.open_from ~cache_pages:8 (Paged_file.crash_image pfile));
+  Failpoint.reset ()
 
 let test_corrupt_rejected () =
   with_tmp_file (fun path ->
@@ -542,11 +546,9 @@ let suite =
       Alcotest.test_case "disk: fault storm across stripes" `Quick
         test_fault_storm;
       Alcotest.test_case "disk: recycle vs eviction churn" `Quick
-        (run_recycle_eviction_churn ~writer:false);
-      Alcotest.test_case "disk: recycle churn with background writer" `Quick
-        (run_recycle_eviction_churn ~writer:true);
-      Alcotest.test_case "disk: durability behind background writer" `Quick
-        test_writer_durability;
+        test_recycle_eviction_churn;
+      Alcotest.test_case "disk: failed eviction keeps its victim" `Quick
+        test_failed_eviction_keeps_victim;
       Alcotest.test_case "disk: corrupt file rejected" `Quick test_corrupt_rejected;
       Alcotest.test_case "disk: cold faults allocate no page each" `Quick
         test_fault_allocates_no_page;
