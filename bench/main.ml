@@ -1409,9 +1409,7 @@ let e15 () =
      is a duplicate, so batch-level dedup can elide repeats behind their \
      in-batch anchor, piggy-back hot searches on already-known outcomes, \
      and — when a whole drained batch turns out to be tree no-ops — skip \
-     the durable-ack group commit entirely. leaf adds the combining \
-     array under the tree, collapsing cross-connection hot-key storms \
-     into one lock acquisition. off/batch/leaf/both sweep the two knobs; \
+     the durable-ack group commit entirely. off/batch sweep the knob; \
      wal pays a real fsync per acked batch, mem is fire-and-forget.";
   let per_conn = scale 10_000 in
   let key_space = scale 20_000 in
@@ -1429,9 +1427,7 @@ let e15 () =
         ("1.20", Repro_util.Distribution.Zipfian 1.2);
       ]
   in
-  let combine_modes =
-    if !quick then [ "off"; "both" ] else [ "off"; "batch"; "leaf"; "both" ]
-  in
+  let combine_modes = [ "off"; "batch" ] in
   let backends = [ "mem"; "wal" ] in
   (* Sorted (key, value) pairs for the bulk preload: the whole keyspace,
      so the timed inserts are all duplicates (insert-if-absent no-ops). *)
@@ -1448,8 +1444,7 @@ let e15 () =
   let jrows = ref [] in
   let run backend (theta_label, dist_kind) combine =
     Gc.compact ();
-    let combine_batch = combine = "batch" || combine = "both" in
-    let combine_leaf = combine = "leaf" || combine = "both" in
+    let combine_batch = combine = "batch" in
     let cleanup = ref (fun () -> ()) in
     let handle =
       match backend with
@@ -1478,12 +1473,6 @@ let e15 () =
     in
     preload_full handle;
     handle.Tree_intf.commit ();
-    let comb, handle =
-      if combine_leaf then
-        let c, h = Tree_intf.with_combining handle in
-        (Some c, h)
-      else (None, handle)
-    in
     let srv =
       Server.start ~workers ~durable_acks:(backend = "wal") ~combine_batch
         ~handle
@@ -1523,33 +1512,20 @@ let e15 () =
     let tput = float_of_int (conns * per_conn) /. dt in
     let pq p = 1e6 *. Repro_util.Histogram.percentile m.Stats.latency p in
     let p50 = pq 50.0 and p99 = pq 99.0 in
-    let cc =
-      match comb with
-      | None -> []
-      | Some c ->
-          let k = Combine.counters c in
-          [
-            ("leaf_registered", J.Int k.Combine.c_registered);
-            ("leaf_installs", J.Int k.Combine.c_installs);
-            ("leaf_combined", J.Int k.Combine.c_combined);
-            ("leaf_applied", J.Int k.Combine.c_applied);
-          ]
-    in
     jrows :=
       J.Obj
-        ([
-           ("backend", J.Str backend);
-           ("theta", J.Str theta_label);
-           ("combine", J.Str combine);
-           ("ops_per_s", J.Float tput);
-           ("svc_p50_us", J.Float p50);
-           ("svc_p99_us", J.Float p99);
-           ("elided", J.Int m.Stats.elided);
-           ("piggybacked", J.Int m.Stats.piggybacked);
-           ("commits_skipped", J.Int m.Stats.commits_skipped);
-           ("acked_commits", J.Int m.Stats.acked_commits);
-         ]
-        @ cc)
+        [
+          ("backend", J.Str backend);
+          ("theta", J.Str theta_label);
+          ("combine", J.Str combine);
+          ("ops_per_s", J.Float tput);
+          ("svc_p50_us", J.Float p50);
+          ("svc_p99_us", J.Float p99);
+          ("elided", J.Int m.Stats.elided);
+          ("piggybacked", J.Int m.Stats.piggybacked);
+          ("commits_skipped", J.Int m.Stats.commits_skipped);
+          ("acked_commits", J.Int m.Stats.acked_commits);
+        ]
       :: !jrows;
     [
       backend;

@@ -62,28 +62,6 @@ let dist_of_name = function
   | "hotspot" -> Repro_util.Distribution.Hotspot { hot_fraction = 0.1; hot_probability = 0.9 }
   | s -> failwith (Printf.sprintf "unknown distribution %S" s)
 
-(* --combine MODE -> (batch-level dedup on, leaf-level combining on) *)
-let combine_of_name = function
-  | "off" -> (false, false)
-  | "batch" -> (true, false)
-  | "leaf" -> (false, true)
-  | "both" -> (true, true)
-  | s -> failwith (Printf.sprintf "unknown combine mode %S (off, batch, leaf, both)" s)
-
-let maybe_combine combine_leaf (h : Tree_intf.handle) =
-  if combine_leaf then
-    let c, h' = Tree_intf.with_combining h in
-    (Some c, h')
-  else (None, h)
-
-let print_combine = function
-  | None -> ()
-  | Some c ->
-      let ct = Combine.counters c in
-      Printf.printf "combine: registered=%d installs=%d combined=%d applied=%d\n"
-        ct.Combine.c_registered ct.Combine.c_installs ct.Combine.c_combined
-        ct.Combine.c_applied
-
 (* -- run -- *)
 
 (* Wrap a handle so every [every]-th completed mutation (a global
@@ -123,7 +101,7 @@ let print_sharded_io sst =
 
 let run_cmd tree_name backend mix_name dist_name domains ops key_space preload order
     seed compactors validate latency durability sync_every commit_every
-    commit_batch shards combine zipf =
+    commit_batch shards zipf =
   let wal =
     match durability with
     | "sync" -> false
@@ -142,11 +120,6 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     failwith "--shards requires --backend disk";
   let every = max sync_every commit_every in
   let commit_batch = if commit_batch > 1 then Some commit_batch else None in
-  let combine_batch, combine_leaf = combine_of_name combine in
-  if combine_batch then
-    Printf.printf
-      "note: batch-level dedup lives in the pipelined server (serve --combine); \
-       the direct driver path applies leaf combining only\n";
   let dist =
     match zipf with
     | Some theta -> Repro_util.Distribution.Zipfian theta
@@ -165,8 +138,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
         Printf.sprintf " durability=%s%s" durability
           (if every > 0 then Printf.sprintf " every=%d" every else "")
       else "")
-    ^ (if shards > 1 then Printf.sprintf " shards=%d" shards else "")
-    ^ if combine_leaf then " combine=leaf" else "");
+    ^ if shards > 1 then Printf.sprintf " shards=%d" shards else "");
   let needs_raw = compactors > 0 || (validate && tree_name <> "lehman-yao") in
   if needs_raw && shards > 1 then
     failwith "--compactors/--validate are per-tree; not supported with --shards";
@@ -208,25 +180,21 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     match backend with
     | "mem" ->
         let raw, h = Tree_intf.sagiv_raw ~enqueue_on_delete ~order () in
-        let comb, h = maybe_combine combine_leaf h in
         finish
           (measure h (fun () ->
                Driver.run_ops_with_compaction raw h ~domains ~compactors
                  ~ops_per_domain:ops ~seed spec));
-        print_combine comb;
         finish_check (fun () -> V.check raw)
     | _ ->
         let raw, h =
           Tree_intf.sagiv_disk_raw ~enqueue_on_delete ~wal ?commit_batch ~order ()
         in
         let h = with_periodic_commit every h in
-        let comb, h = maybe_combine combine_leaf h in
         finish
           (measure h (fun () ->
                Driver.run_ops_with_workers h ~domains ~workers:compactors
                  ~worker:(fun ~stop ctx -> Co_disk.run_worker raw ctx ~stop)
                  ~ops_per_domain:ops ~seed spec));
-        print_combine comb;
         Printf.printf "io: %s\n"
           (Stats.io_to_string (Tree_intf.Paged_int.io_stats raw.Handle.store));
         finish_check (fun () -> V_disk.check raw)
@@ -252,7 +220,6 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
       end
       else (None, None, impl.Tree_intf.make ~order)
     in
-    let comb, h = maybe_combine combine_leaf h in
     let n = Driver.preload h ~seed spec in
     Printf.printf "preloaded %d keys\n%!" n;
     let r = Driver.run_ops ~measure_latency:latency h ~domains ~ops_per_domain:ops ~seed spec in
@@ -262,7 +229,6 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     (match r.Driver.latency with
     | Some h -> Printf.printf "latency: %s\n" (Driver.percentiles_line h)
     | None -> ());
-    print_combine comb;
     (match store with
     | Some s -> Printf.printf "io: %s\n" (Stats.io_to_string (Tree_intf.Paged_int.io_stats s))
     | None -> ());
@@ -314,48 +280,26 @@ let dump_cmd n order =
   done;
   D.print t
 
-(* -- snapshot / checkpoint -- *)
+(* -- snapshot -- *)
 
-let snapshot_cmd n order path =
-  let module Ck = Checkpoint.Make (Key.Int) in
+let snapshot_cmd n order =
   let t = S.create ~order () in
   let c = S.ctx ~slot:0 in
   for k = 1 to n do
     ignore (S.insert t c k k)
   done;
-  match path with
-  | None ->
-      let t0 = Unix.gettimeofday () in
-      let bytes = Snap.save t in
-      let t1 = Unix.gettimeofday () in
-      let t' = Snap.load bytes in
-      let t2 = Unix.gettimeofday () in
-      Printf.printf "saved %d keys: %s in %.3fs, loaded in %.3fs\n" n
-        (Report.fmt_bytes (Bytes.length bytes))
-        (t1 -. t0) (t2 -. t1);
-      let rep = V.check t' in
-      Printf.printf "loaded tree: %s (keys=%d)\n"
-        (if Validate.ok rep then "valid" else "INVALID")
-        rep.Validate.total_keys
-  | Some path ->
-      let t0 = Unix.gettimeofday () in
-      let pf = Paged_file.create_file path in
-      Ck.save t pf;
-      Paged_file.close pf;
-      let t1 = Unix.gettimeofday () in
-      let pf = Paged_file.open_file path in
-      let t' = Ck.load pf in
-      let pages = Paged_file.pages pf in
-      Paged_file.close pf;
-      let t2 = Unix.gettimeofday () in
-      Printf.printf "checkpointed %d keys to %s: %d pages (%s) in %.3fs, loaded in %.3fs\n"
-        n path pages
-        (Report.fmt_bytes (pages * Paged_file.default_page_size))
-        (t1 -. t0) (t2 -. t1);
-      let rep = V.check t' in
-      Printf.printf "loaded tree: %s (keys=%d)\n"
-        (if Validate.ok rep then "valid" else "INVALID")
-        rep.Validate.total_keys
+  let t0 = Unix.gettimeofday () in
+  let bytes = Snap.save t in
+  let t1 = Unix.gettimeofday () in
+  let t' = Snap.load bytes in
+  let t2 = Unix.gettimeofday () in
+  Printf.printf "saved %d keys: %s in %.3fs, loaded in %.3fs\n" n
+    (Report.fmt_bytes (Bytes.length bytes))
+    (t1 -. t0) (t2 -. t1);
+  let rep = V.check t' in
+  Printf.printf "loaded tree: %s (keys=%d)\n"
+    (if Validate.ok rep then "valid" else "INVALID")
+    rep.Validate.total_keys
 
 (* -- crash-test: fault-injection battery -- *)
 
@@ -424,7 +368,7 @@ let string_of_sockaddr = function
       Printf.sprintf "tcp:%s:%d" (Unix.string_of_inet_addr a) p
 
 let serve_cmd tree_name backend order durability commit_batch workers port
-    unix_path shards combine mvcc path =
+    unix_path shards combine_batch mvcc path =
   let cfg =
     match
       Repro_server.Serve_config.validate ~backend ~durability ~shards ~mvcc
@@ -556,8 +500,6 @@ let serve_cmd tree_name backend order durability commit_batch workers port
     @ match unix_path with Some p -> [ Unix.ADDR_UNIX p ] | None -> []
   in
   if listen = [] then failwith "nothing to listen on (--port and/or --unix)";
-  let combine_batch, combine_leaf = combine_of_name combine in
-  let comb, h = maybe_combine combine_leaf h in
   (* acks are durable exactly when the backend can group-commit them *)
   let srv =
     Repro_server.Server.start ~workers
@@ -572,7 +514,7 @@ let serve_cmd tree_name backend order durability commit_batch workers port
     (if backend = "disk" then durability else "none")
     workers
     (if shards > 1 then Printf.sprintf " shards=%d" shards else "")
-    (if combine <> "off" then Printf.sprintf " combine=%s" combine else "")
+    (if combine_batch then " combine=batch" else "")
     (match wal_source with Some _ -> " replication=on" | None -> "")
     (if mvcc then " mvcc=on" else "")
     (match path with
@@ -590,7 +532,6 @@ let serve_cmd tree_name backend order durability commit_batch workers port
   h.Tree_intf.commit ();
   Printf.printf "%s\n"
     (Stats.server_to_string (Repro_server.Server.stats srv));
-  print_combine comb;
   (match sst with Some sst -> print_sharded_io sst | None -> ());
   (match h.Tree_intf.mvcc with
   | Some m ->
@@ -896,11 +837,10 @@ let shards_arg =
                  (deterministic hash routing; disk backend only).")
 
 let combine_arg =
-  Arg.(value & opt string "off"
+  Arg.(value & opt (enum [ ("off", false); ("batch", true) ]) false
        & info [ "combine" ] ~docv:"MODE"
-           ~doc:"Hot-key combining: off, batch (server-side pipeline-batch \
-                 dedup), leaf (publication-array combining under the tree \
-                 interface), or both.")
+           ~doc:"Hot-key combining: off, or batch (server-side \
+                 pipeline-batch dedup).")
 
 let zipf_arg =
   Arg.(value & opt (some float) None
@@ -912,7 +852,7 @@ let run_t =
     const run_cmd $ tree_arg $ backend_arg $ mix_arg $ dist_arg $ domains_arg $ ops_arg
     $ space_arg $ preload_arg $ order_arg $ seed_arg $ compactors_arg $ validate_arg
     $ latency_arg $ durability_arg $ sync_every_arg $ commit_every_arg
-    $ commit_batch_arg $ shards_arg $ combine_arg $ zipf_arg)
+    $ commit_batch_arg $ shards_arg $ zipf_arg)
 
 let n_arg = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of keys.")
 
@@ -927,11 +867,8 @@ let compress_t = Term.(const compress_cmd $ n_arg $ order_arg $ keep_arg $ mode_
 let dump_n_arg = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Number of keys.")
 let dump_order_arg = Arg.(value & opt int 2 & info [ "order"; "k" ] ~docv:"K" ~doc:"Order.")
 let dump_t = Term.(const dump_cmd $ dump_n_arg $ dump_order_arg)
-let path_arg =
-  Arg.(value & opt (some string) None
-       & info [ "path" ] ~docv:"FILE" ~doc:"Checkpoint to a real paged file instead of an in-memory snapshot.")
 
-let snapshot_t = Term.(const snapshot_cmd $ n_arg $ order_arg $ path_arg)
+let snapshot_t = Term.(const snapshot_cmd $ n_arg $ order_arg)
 
 let trace_path_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Trace file.")

@@ -183,35 +183,6 @@ let sharded ~name (subs : handle array) =
     mvcc = None;
   }
 
-(** Route a handle's mutations through a {!Repro_core.Combine} array:
-    contenders on the same hot key publish their ops and one combiner
-    applies the merged result under the slot lock, so N writers cost at
-    most two tree operations per key instead of N serialised leaf-lock
-    acquisitions. Searches (and everything else) pass straight through —
-    they were lock-free already. The combiner applies other publishers'
-    operations with its own [ctx]; outcomes are valid linearizations
-    (see {!Repro_core.Combine}). Returns the array (for its counters)
-    alongside the wrapped handle. *)
-let with_combining ?slots (h : handle) =
-  let c = Combine.create ?slots () in
-  let insert ctx k v =
-    match
-      Combine.mutate c ~key:k ~op:(Combine.Insert v) ~insert:(h.insert ctx)
-        ~delete:(h.delete ctx)
-    with
-    | Combine.Inserted r -> r
-    | Combine.Deleted _ -> assert false
-  in
-  let delete ctx k =
-    match
-      Combine.mutate c ~key:k ~op:Combine.Delete ~insert:(h.insert ctx)
-        ~delete:(h.delete ctx)
-    with
-    | Combine.Deleted r -> r
-    | Combine.Inserted _ -> assert false
-  in
-  (c, { h with name = h.name ^ "+combine"; insert; delete })
-
 module Sagiv_int = Sagiv.Make (Repro_storage.Key.Int)
 module Mvcc_int = Mvcc.Make (Repro_storage.Key.Int)
 module Paged_int = Repro_storage.Paged_store.Make (Repro_storage.Key.Int)

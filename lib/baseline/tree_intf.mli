@@ -116,15 +116,6 @@ val sharded : name:string -> handle array -> handle
     router and per-shard commit; [bulk_add] partitions the sorted pairs
     per shard (present iff every shard supports it). *)
 
-val with_combining : ?slots:int -> handle -> Repro_core.Combine.t * handle
-(** Route the handle's mutations through a {!Repro_core.Combine} array:
-    same-hot-key writers publish their ops and one combiner applies the
-    merged result, so N contenders cost at most two tree operations per
-    key instead of N serialised leaf-lock acquisitions. Searches pass
-    straight through (lock-free already). Returns the array (for its
-    counters) with the wrapped handle; [slots] is the array width
-    (default 64). The handle's name gains a ["+combine"] suffix. *)
-
 module Paged_int : module type of Repro_storage.Paged_store.Make (Repro_storage.Key.Int)
 (** The durable int-keyed page store the disk impls run on. *)
 

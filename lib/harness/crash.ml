@@ -1474,7 +1474,7 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       [ small ];
   (* the same commit-point oracle under hot-key traffic: a Zipfian key
      stream hammers a handful of leaves, so crashes land amid repeated
-     same-key updates — the regime the combining layer batches *)
+     same-key updates — the regime batch dedup targets *)
   let zipf = Repro_util.Distribution.Zipfian 0.99 in
   List.iter
     (fun site ->

@@ -33,7 +33,7 @@ val spec :
 val skewed :
   ?op_mix:mix -> ?key_space:int -> ?theta:float -> ?preload:int -> unit -> spec
 (** {!spec} over a scrambled Zipfian key stream; [theta] defaults to the
-    YCSB 0.99 — the hot-key stress the combining layer targets. *)
+    YCSB 0.99 — the hot-key stress batch dedup targets. *)
 
 val ycsb : ?key_space:int -> [ `A | `B | `C | `D | `F ] -> spec
 (** YCSB-style presets: A 50/50 r/u zipf, B 95/5 zipf, C read-only zipf,

@@ -47,8 +47,9 @@ val start :
     worker domains running. [workers] defaults to 4 — it bounds the
     connections served concurrently (excess connections wait in the
     accept queue). [durable_acks] (default false) makes every mutation
-    batch commit before its acks flush. [combine_batch] (default false)
-    enables batch-level hot-key dedup: within one drained pipeline
+    batch commit before its acks flush. [combine_batch] (default false;
+    CLI [serve --combine batch]) enables batch-level hot-key dedup, the
+    repository's only hot-key combining: within one drained pipeline
     batch, an operation that an earlier same-batch operation already
     proved to be a tree no-op (insert of a known-present key, delete of
     a known-absent one) is answered without touching the tree, and a

@@ -62,7 +62,7 @@ val min_worker_pinned : t -> int
 val min_pinned : t -> int
 (** Smallest epoch anything (worker or snapshot) is pinned to
     ([max_int] when none): the reclamation horizon, and the
-    quiescence test used by [Snapshot]/[Validate]/[Checkpoint]. *)
+    quiescence test used by [Snapshot]/[Validate]. *)
 
 val retire : t -> Node.ptr -> unit
 (** Begin a deleted page's grace period. *)

@@ -3,8 +3,8 @@
     in-memory byte vector (tests, benches), a real file through [Unix]
     (durability), and a {e crash shadow} (an in-memory device that models
     a volatile write cache: writes are discarded at a simulated crash
-    unless an [fsync] covered them) — so the checkpointer
-    ({!Repro_core.Checkpoint}) and the paged store are backend-agnostic.
+    unless an [fsync] covered them) — so the paged store and its WAL are
+    backend-agnostic.
 
     IO discipline (see doc/RECOVERY.md):
 

@@ -1,7 +1,7 @@
 (** Fixed-size-page file with memory, [Unix]-file and crash-shadow
-    backends; the storage device under {!Repro_core.Checkpoint} and
-    {!Paged_store}. Writes and reads are positional (offset derived from
-    the page index on every call, seek+transfer atomic per file), retry
+    backends; the storage device under {!Paged_store} and its {!Wal}.
+    Writes and reads are positional (offset derived from the page index
+    on every call, seek+transfer atomic per file), retry
     short transfers and [EINTR], and raise {!Io_error} on failures
     instead of silently truncating. Fault-injection points:
     [paged_file.pwrite], [paged_file.pread], [paged_file.fsync] (see

@@ -102,10 +102,10 @@ type server = {
       (** durable group commits issued to cover mutation acks *)
   mutable elided : int;
       (** mutations answered from batch-dedup state without a tree
-          operation (combining mode) *)
+          operation (batch dedup, [combine_batch]) *)
   mutable piggybacked : int;
       (** searches answered from the latest preceding same-batch write
-          (combining mode) *)
+          (batch dedup, [combine_batch]) *)
   mutable commits_skipped : int;
       (** durable-ack commits elided because the batch's surviving
           mutations were all tree no-ops *)

@@ -1,13 +1,12 @@
 (* Hot-key combining: the batch-level dedup layer in the server
-   (anchored-no-op elision, search piggy-backing, commit elision) and
-   the leaf-level combining array under the tree. Covers exact batch
-   semantics, per-batch state reset, 4-client linearizability with
-   combining on and off, the durable-ack contract under a crash taken
-   right after a combined batch's acks, and pipeline_sharded's
-   keyless-barrier / same-key-run ordering guarantees. *)
+   (anchored-no-op elision, search piggy-backing, commit elision).
+   Covers exact batch semantics, per-batch state reset, 4-client
+   linearizability with dedup on and off, the durable-ack contract
+   under a crash taken right after a combined batch's acks, and
+   pipeline_sharded's keyless-barrier / same-key-run ordering
+   guarantees. *)
 
 open Repro_storage
-open Repro_core
 open Repro_baseline
 open Repro_harness
 module P = Repro_server.Protocol
@@ -35,70 +34,6 @@ let with_client addr f =
 
 let check_resps what expected actual =
   Alcotest.(check (list response)) what expected actual
-
-(* ---------- leaf combining, single caller ---------- *)
-
-(* The combining handle must be observationally identical to the plain
-   one: same outcomes for the full insert/dup/delete/miss alphabet, and
-   the counters account for every mutation routed through the array. *)
-let test_leaf_combining_semantics () =
-  let comb, h = Tree_intf.with_combining ((Tree_intf.sagiv ()).make ~order:4) in
-  let c = Handle.ctx ~slot:0 in
-  Alcotest.(check bool) "insert" true (h.Tree_intf.insert c 1 10 = `Ok);
-  Alcotest.(check bool) "dup" true (h.Tree_intf.insert c 1 11 = `Duplicate);
-  Alcotest.(check (option int)) "search" (Some 10) (h.Tree_intf.search c 1);
-  Alcotest.(check bool) "delete" true (h.Tree_intf.delete c 1);
-  Alcotest.(check bool) "delete miss" false (h.Tree_intf.delete c 1);
-  Alcotest.(check (option int)) "gone" None (h.Tree_intf.search c 1);
-  for k = 0 to 99 do
-    ignore (h.Tree_intf.insert c k k)
-  done;
-  Alcotest.(check int) "cardinal" 100 (h.Tree_intf.cardinal ());
-  let k = Combine.counters comb in
-  Alcotest.(check int) "every mutation registered" 104 k.Combine.c_registered;
-  Alcotest.(check int) "uncontended: all applied physically" 104
-    k.Combine.c_applied;
-  Alcotest.(check int) "uncontended: nothing combined" 0 k.Combine.c_combined
-
-(* 4 domains hammering 2 hot keys through one combining handle; every
-   outcome feeds the per-key linearizability oracle (histories kept
-   under Linearize.max_history so nothing is skipped). *)
-let test_leaf_combining_linearizable () =
-  let comb, h = Tree_intf.with_combining ((Tree_intf.sagiv ()).make ~order:4) in
-  let rec_ = Linearize.recorder () in
-  let key_space = 2 and per_domain = 6 in
-  let domains =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            let l = Linearize.local rec_ in
-            let rng = Random.State.make [| 4100 + d |] in
-            let c = Handle.ctx ~slot:d in
-            for _ = 1 to per_domain do
-              let key = Random.State.int rng key_space in
-              ignore
-                (match Random.State.int rng 2 with
-                | 0 ->
-                    Linearize.record l ~key ~kind:Insert (fun () ->
-                        h.Tree_intf.insert c key key = `Ok)
-                | _ ->
-                    Linearize.record l ~key ~kind:Delete (fun () ->
-                        h.Tree_intf.delete c key))
-            done;
-            Linearize.merge_local l))
-  in
-  List.iter Domain.join domains;
-  let v = Linearize.check (Linearize.events rec_) in
-  Alcotest.(check bool) "no skipped keys" true (v.Linearize.skipped = []);
-  if not (Linearize.ok v) then
-    Alcotest.failf "combining handle not linearizable on keys %s"
-      (String.concat ", "
-         (List.map (fun (k, _) -> string_of_int k) v.Linearize.violations));
-  let k = Combine.counters comb in
-  Alcotest.(check int) "all ops registered" (4 * per_domain)
-    k.Combine.c_registered;
-  Alcotest.(check int) "combined + applied = registered"
-    k.Combine.c_registered
-    (k.Combine.c_combined + k.Combine.c_applied)
 
 (* ---------- batch-level dedup: exact semantics ---------- *)
 
@@ -172,13 +107,13 @@ let test_piggyback_unknown_key () =
   Alcotest.(check int) "exactly the repeats piggybacked" 2 m.Stats.piggybacked;
   Alcotest.(check int) "nothing elided" 0 m.Stats.elided
 
-(* ---------- 4-client hot-key linearizability, combining on/off ---------- *)
+(* ---------- 4-client hot-key linearizability, dedup on/off ---------- *)
 
 (* 4 clients pipeline small batches over 8 hot keys; every response
    becomes an event whose window spans its whole batch (conservative:
    wider windows only make the check more permissive, so any violation
-   found is real). Run against a plain server and a fully combined one:
-   both must linearize, with every key actually checked. *)
+   found is real). Run against a plain server and one with batch dedup
+   on: both must linearize, with every key actually checked. *)
 let run_hot_key_clients ~combine addr =
   let clock = Atomic.make 0 in
   let all = Atomic.make [] in
@@ -237,10 +172,7 @@ let test_hot_keys_linearizable_off () =
   run_hot_key_clients ~combine:false addr
 
 let test_hot_keys_linearizable_on () =
-  let _comb, handle =
-    Tree_intf.with_combining ((Tree_intf.sagiv ()).make ~order:4)
-  in
-  with_server ~workers:4 ~combine_batch:true ~handle @@ fun _srv addr ->
+  with_server ~workers:4 ~combine_batch:true @@ fun _srv addr ->
   run_hot_key_clients ~combine:true addr
 
 (* ---------- durable acks under combining ---------- *)
@@ -384,19 +316,16 @@ let test_pipeline_sharded_order () =
 
 let suite =
   [
-    ("leaf combining semantics", `Quick, test_leaf_combining_semantics);
-    ("leaf combining linearizable (4 domains)", `Quick,
-     test_leaf_combining_linearizable);
     ("batch dedup exact semantics", `Quick, test_batch_dedup_semantics);
     ("dedup state resets per batch", `Quick, test_batch_state_reset);
     ("piggyback only on in-batch knowledge", `Quick,
      test_piggyback_unknown_key);
-    ("4 hot-key clients linearizable, combining off", `Quick,
-     test_hot_keys_linearizable_off);
-    ("4 hot-key clients linearizable, combining on", `Quick,
-     test_hot_keys_linearizable_on);
     ("combined-batch acks survive crash (wal)", `Quick,
      test_wal_combined_acked_crash);
     ("pipeline_sharded same-key runs and barriers", `Quick,
      test_pipeline_sharded_order);
+    ("4 hot-key clients linearizable, combining off", `Quick,
+     test_hot_keys_linearizable_off);
+    ("4 hot-key clients linearizable, batch dedup on", `Quick,
+     test_hot_keys_linearizable_on);
   ]

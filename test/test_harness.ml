@@ -172,6 +172,31 @@ let test_snapshot_roundtrip () =
   Alcotest.(check bool) "insert into loaded tree" true (S.insert t' c' 100_001 1 = `Ok);
   Alcotest.(check (option int)) "search loaded" (Some 14) (S.search t' c' 2)
 
+(* A snapshot is a compaction point: after merges and reclamation the
+   image carries only the live chain, so the loaded tree must still
+   validate with exactly the same contents. *)
+let test_snapshot_compacted_tree () =
+  let module Co = Compactor.Make (Repro_storage.Key.Int) in
+  let t = S.create ~order:4 ~enqueue_on_delete:true () in
+  let c = S.ctx ~slot:0 in
+  for k = 1 to 4_000 do
+    ignore (S.insert t c k k)
+  done;
+  for k = 1 to 4_000 do
+    if k mod 3 <> 0 then ignore (S.delete t c k)
+  done;
+  (match Co.run_until_empty t c with
+  | `Drained -> ()
+  | `Step_limit -> Alcotest.fail "compaction queue did not drain");
+  Alcotest.(check bool) "nodes merged" true
+    (c.Handle.stats.Repro_storage.Stats.merges > 0);
+  Alcotest.(check bool) "tombstones reclaimed" true (S.reclaim t > 0);
+  let t' = Snap.load (Snap.save t) in
+  let rep = V.check t' in
+  if not (Validate.ok rep) then
+    Alcotest.failf "loaded tree invalid: %s" (String.concat "; " rep.Validate.errors);
+  Alcotest.(check bool) "contents equal" true (S.to_list t = S.to_list t')
+
 let test_snapshot_empty_tree () =
   let t = S.create ~order:2 () in
   let t' = Snap.load (Snap.save t) in
@@ -204,6 +229,7 @@ let suite =
     Alcotest.test_case "oracle detects divergence" `Quick test_oracle_replay_detects_divergence;
     Alcotest.test_case "oracle replay clean" `Quick test_oracle_replay_clean;
     Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
+    Alcotest.test_case "snapshot of compacted tree" `Quick test_snapshot_compacted_tree;
     Alcotest.test_case "snapshot of empty tree" `Quick test_snapshot_empty_tree;
     Alcotest.test_case "snapshot corruption detected" `Quick test_snapshot_corruption;
   ]

@@ -16,7 +16,7 @@ let () =
       ("restart", Test_restart.suite);
       ("baselines", Test_baselines.suite);
       ("harness", Test_harness.suite);
-      ("checkpoint", Test_checkpoint.suite);
+      ("paged_file", Test_paged_file.suite);
       ("disk", Test_disk.suite);
       ("crash", Test_crash.suite);
       ("shard", Test_shard.suite);

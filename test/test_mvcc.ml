@@ -2,7 +2,7 @@
    vacuum behind and after pins, group snapshots across shards, the
    scan-consistency oracle under 4 concurrent writer domains (single
    tree and sharded), the documented-weak unversioned range, online
-   backup / leak-check / checkpoint with writers live, the server's
+   backup / leak-check with writers live, the server's
    SNAPSHOT session, and the replica's one-horizon-per-scan
    regression. *)
 
@@ -12,7 +12,6 @@ open Repro_harness
 module M = Tree_intf.Mvcc_int
 module Sg = Repro_core.Sagiv.Make (Key.Int)
 module Sn = Repro_core.Snapshot.Make (Key.Int)
-module Ck = Repro_core.Checkpoint.Make (Key.Int)
 module V = Repro_core.Validate.Make (Key.Int)
 module P = Repro_server.Protocol
 module Server = Repro_server.Server
@@ -282,7 +281,7 @@ let test_oracle_rejects () =
   Alcotest.(check (list string)) "common instant accepted" []
     (check2 [ (1, 2); (1001, 1) ])
 
-(* ---------- online backup / validate / checkpoint ---------- *)
+(* ---------- online backup / validate ---------- *)
 
 (* Stable keys 1..400 never move; two writer domains churn a disjoint
    high block while the online pass runs. Every stable pair must land
@@ -347,12 +346,6 @@ let test_online_leak_check () =
         Alcotest.failf "pass %d: %d pages reported leaked under churn" pass
           (List.length leaks)
   done
-
-let test_online_checkpoint () =
-  with_churn @@ fun t c ->
-  let pf = Paged_file.create_memory () in
-  Ck.save_online t c pf;
-  check_restored (Ck.load pf)
 
 (* Quiescent cross-check: the lock-free full scan equals the reference
    range over a tree with deletions. *)
@@ -737,7 +730,6 @@ let suite =
     ("oracle rejects infeasible scans", `Quick, test_oracle_rejects);
     ("online backup under churn", `Quick, test_online_snapshot_save);
     ("online leak check under churn", `Quick, test_online_leak_check);
-    ("online checkpoint under churn", `Quick, test_online_checkpoint);
     ("fold_all equals range when quiescent", `Quick, test_fold_all_quiescent);
     ("SNAPSHOT frame roundtrip", `Quick, test_snapshot_frame_roundtrip);
     ("server snapshot session", `Quick, test_server_snapshot_session);

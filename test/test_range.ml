@@ -117,7 +117,12 @@ let test_string_tree () =
     [ "date"; "fig"; "grape"; "lemon"; "lime" ]
     (List.map fst r);
   let rep = VS.check t in
-  Alcotest.(check (list string)) "valid" [] rep.Validate.errors
+  Alcotest.(check (list string)) "valid" [] rep.Validate.errors;
+  (* snapshot through the string codec *)
+  let module SnapS = Snapshot.Make (Key.Str) in
+  let t' = SnapS.load (SnapS.save t) in
+  Alcotest.(check (list string)) "snapshot valid" [] (VS.check t').Validate.errors;
+  Alcotest.(check bool) "snapshot roundtrip" true (SS.to_list t = SS.to_list t')
 
 let test_string_tree_large () =
   let t = SS.create ~order:4 () in
