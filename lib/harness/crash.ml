@@ -1002,7 +1002,7 @@ let follower_promote f =
     images, and (b) hold the commit-point oracle: every acknowledged
     commit survives, plus at most the in-flight one. The traffic run
     never checkpoints, so the live log pass spans it whole and the
-    catch-up can address crash-image pages by LSN directly. *)
+    catch-up can count records from the start of the crash image. *)
 let run_replication ?(ops = 300) ?(seed = 2042) ~site ~policy
     (config : config) =
   Failpoint.reset ();
@@ -1073,13 +1073,13 @@ let run_replication ?(ops = 300) ?(seed = 2042) ~site ~policy
      tail. Records past the last fsync were lost with the crash, so the
      scan ends at the first invalid continuation — stale pass-0 bytes
      (LSN regression) or a torn record — exactly like local replay. *)
-  (let npages = Paged_file.pages limage in
-   let pos = ref (f.f_next - live_base) in
-   let feeding = ref true in
-   while !feeding && !pos >= 0 && !pos < npages do
-     if follower_feed f (Paged_file.read limage !pos) then incr pos
-     else feeding := false
-   done);
+  (let consumed = ref (f.f_next - live_base) in
+   Wal.scan ~data_page_size limage (fun page ->
+       if !consumed > 0 then begin
+         decr consumed;
+         true
+       end
+       else follower_feed f page));
   let ftree = follower_promote f in
   check_valid ftree ~what:(site ^ " (promoted follower)");
   let freplica = Sg.to_list ftree in

@@ -1359,7 +1359,8 @@ module Make (K : Key.S) = struct
         io.Stats.commit_groups <- w.commit_groups;
         io.Stats.max_commit_group <- w.max_group;
         io.Stats.wal_records <- Wal.appended w.log;
-        io.Stats.wal_fsyncs <- Wal.fsyncs w.log
+        io.Stats.wal_fsyncs <- Wal.fsyncs w.log;
+        io.Stats.wal_bytes <- Wal.bytes_written w.log
     | None -> ());
     io
 

@@ -61,6 +61,9 @@ type io = {
       (** most requests absorbed by a single group commit's fsync *)
   mutable wal_records : int;  (** log records appended (pages + markers) *)
   mutable wal_fsyncs : int;  (** log-device fsyncs over the store's life *)
+  mutable wal_bytes : int;
+      (** bytes written to the log device, whole log pages — what the
+          device gets, where [wal_records] counts records *)
   mutable epoch_min_pinned : int;
       (** MVCC reclamation horizon at sample time — the oldest epoch any
           worker or snapshot still pins ([max_int] = nothing pinned);

@@ -5,26 +5,35 @@
     and fetch API the shipping layer consumes.
 
     {b Log device}: a {!Paged_file} whose page size is the data store's
-    page size plus {!header_bytes} — one log page per record, so a torn
-    record is exactly a torn device page. Use {!log_page_size} to size
-    the device.
+    page size plus {!header_bytes}, so the largest record (a whole data
+    page image) fits one log page. Use {!log_page_size} to size the
+    device.
+
+    {b Dense layout}: records are packed back to back — header plus
+    [body_len] bytes, nothing else. A group (the records appended
+    between two {!fsync}s, or before a {!truncate}) starts on a fresh
+    log page; a record may cross a page boundary, and the unused tail of
+    the group's last page is zero-filled. Full pages go to the device as
+    they fill, the partly filled last page at the {!fsync} that ends the
+    group ({!truncate} seals it straight from memory), so a group is one
+    run of whole log pages and a page an earlier fsync covered is never
+    written again: a torn write can only damage the group being written,
+    never a committed one. A PAGE record carries the node's ~500 B codec
+    frame, so a commit of a handful of pages costs a page or two of log,
+    not one log page per record.
 
     {b Checksum range}: FNV-1a-32 (the same framing idiom as
     {!Page_codec}) over the header plus the [body_len] bytes the record
-    carries — not the zero padding after them, which is most of the page
-    for a PAGE record (its body is the node's codec frame) and all of it
-    for COMMIT / CHECKPOINT. A tear inside header + body breaks the
-    checksum; a tear wholly past [body_len] touches only bytes no reader
-    ever looks at, so the record is exactly as written and stays valid.
-    Logs written before this range existed checksummed the whole log
-    page; {!decode} falls back to that range when the short one does not
-    match, so they still replay.
+    carries. A tear inside header + body breaks the checksum. Logs
+    written when every record filled a whole log page may instead carry
+    a checksum over that page; {!decode} falls back to that range when
+    the short one does not match, so they still replay.
 
-    {b Record format} (one log page):
+    {b Record format}:
 
     {v
     off 0   u32  magic        "SGWL"
-    off 4   u8   kind         1 = PAGE, 2 = COMMIT, 3 = CHECKPOINT
+    off 4   u8   kind         1 = PAGE, 2 = COMMIT, 3 = CHECKPOINT, 4 = META
     off 8   u64  lsn          strictly increasing across the log's life
     off 16  u64  generation   store generation the record applies on top of
     off 24  u64  ptr          tree pointer (PAGE records; -1 otherwise)
@@ -32,12 +41,20 @@
     off 40  u32  checksum     FNV-1a-32 over header + body, own field zeroed
     off 44  u32  incarnation  append-pass counter, bumped at every resume
     off 64  ...  body         page image (codec frame) / meta blob
-    ...          zero padding to the log page size (not checksummed)
     v}
 
-    A PAGE body shorter than one data page stands for that page with
-    its tail zeroed: {!Apply} pads it back, so replay and followers see
-    full data-page images.
+    The next record starts right after the body. A PAGE body shorter
+    than one data page stands for that page with its tail zeroed:
+    {!Apply} pads it back, so replay and followers see full data-page
+    images.
+
+    {b The scan rule}: at each offset, a record magic means a record;
+    no magic means the group ended, so the scan continues at the next
+    page boundary — and no magic {e at} a page boundary is the end of
+    the written log. The page-per-record logs older versions wrote are
+    the special case where every record is followed by zero padding, so
+    one scanner ({!scan}) reads both layouts, and a log whose older tail
+    is page-per-record simply continues with packed groups.
 
     {b Incarnation stamping}: every record additionally carries the
     log's {e incarnation} — a counter bumped each time the log is
@@ -57,16 +74,16 @@
     {b Generation stamping, sealing and truncation}: every record
     carries the store generation current when it was appended. A
     checkpoint advances the generation and {e logically truncates} the
-    log by rewinding the append cursor to page 0 — but first the pass's
-    records are {e sealed} into a retained segment ({!truncate} copies
-    the live pages aside, keeping the newest [retain] segments), so the
-    LSN-contiguous history stays fetchable for replication catch-up and
-    point-in-time recovery even after the device pages are overwritten
-    by the next pass. On the device itself nothing is erased; records of
-    the previous pass are invalidated by their (now old) generation
-    stamp, and the next pass simply overwrites them, so the file never
-    grows beyond the record count of the busiest inter-checkpoint
-    window.
+    log by rewinding the append cursor to page 0 — but first the pass is
+    {e sealed} into a retained segment ({!truncate} copies its packed
+    pages aside with an LSN → offset index, keeping the newest [retain]
+    segments), so the LSN-contiguous history stays fetchable for
+    replication catch-up and point-in-time recovery even after the
+    device pages are overwritten by the next pass. On the device itself
+    nothing is erased; records of the previous pass are invalidated by
+    their (now old) generation stamp, and the next pass simply
+    overwrites them, so the file never grows beyond the bytes of the
+    busiest inter-checkpoint window.
 
     {b Replay} ({!replay}) scans from page 0 and applies the classic
     redo discipline: PAGE / META records are {e staged}; a COMMIT record
@@ -78,20 +95,23 @@
     stamped with a foreign generation (a previous pass), breaks LSN
     continuity, or regresses the incarnation (a crashed pass's leftovers
     beyond the recovered tail). Staged-but-unpromoted records — an
-    interrupted commit's tail — are discarded: recovery yields exactly
-    the group-committed batches. The scan-one-record step is {!Apply},
-    which replication followers drive incrementally over the shipped
-    stream.
+    interrupted commit's tail — are discarded, and the valid tail ends
+    at the last record that left nothing staged, so a resumed log
+    overwrites them instead of promoting them with its own first COMMIT.
+    The scan-one-record step is {!Apply}, which replication followers
+    drive incrementally over the shipped stream.
 
     {b Shipping}: {!fsync} advances a {e durable watermark} (the highest
-    LSN covered by a log fsync); {!fetch_from} serves the raw log pages
-    of any LSN range at or below it, from the live pass or the retained
-    segments, and {!wait_durable} lets a subscriber long-poll the
-    watermark so sealed commit batches stream out right after the fsync
-    that made them durable. See doc/RECOVERY.md for the replication
-    commit-point argument.
+    LSN covered by a log fsync); {!fetch_from} serves the records of any
+    LSN range at or below it, from the live pass or the retained
+    segments, each re-padded to one log page — the stream a follower
+    receives is one record per log page, whatever the device layout —
+    and {!wait_durable} lets a subscriber long-poll the watermark so
+    sealed commit batches stream out right after the fsync that made
+    them durable. See doc/RECOVERY.md for the replication commit-point
+    argument.
 
-    Failpoint sites: [wal.append] (before each record write),
+    Failpoint sites: [wal.append] (as each record is packed),
     [wal.commit] (before each log fsync), [wal.replay] (per record
     scanned during recovery). *)
 
@@ -99,6 +119,7 @@ exception Corrupt of string
 
 let magic = 0x53_47_57_4C (* "SGWL" *)
 let header_bytes = 64
+let len_off = 32
 let cksum_off = 40
 let inc_off = 44
 
@@ -112,6 +133,7 @@ let fp_commit = Failpoint.site "wal.commit"
 let fp_replay = Failpoint.site "wal.replay"
 
 let log_page_size ~data_page_size = data_page_size + header_bytes
+let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
 type record =
   | Page of { ptr : int; image : Bytes.t }
@@ -127,8 +149,9 @@ type record =
     with it; its {e durable} device pages are what recovery (and a
     promoting follower's final catch-up) read instead. *)
 type segment = {
-  seg_base_lsn : int;  (** LSN of [seg_pages.(0)] *)
-  seg_pages : Bytes.t array;  (** raw log pages, LSN-contiguous *)
+  seg_base_lsn : int;  (** LSN of the record at [seg_offsets.(0)] *)
+  seg_offsets : int array;  (** byte offset of each record, LSN order *)
+  seg_bytes : Bytes.t;  (** the pass's packed log pages *)
 }
 
 let default_retain = 8
@@ -136,12 +159,18 @@ let default_retain = 8
 type t = {
   file : Paged_file.t;
   data_page_size : int;
+  page_size : int;  (** log page size *)
   mu : Mutex.t;  (** serialises append / fsync / truncate / fetch *)
-  scratch : Bytes.t;  (** one log page, reused under [mu] *)
-  mutable pos : int;  (** next log page to write *)
+  record : Bytes.t;  (** the record being packed; one log page, under [mu] *)
+  tail : Bytes.t;  (** the group's partly filled page, not yet written *)
+  mutable tail_len : int;
+  mutable pos : int;  (** log page the tail will be written to *)
+  mutable offsets : int array;
+      (** byte offset of each live-pass record, LSN order; grows *)
+  mutable count : int;  (** records in the live pass *)
   mutable lsn : int;  (** next record's sequence number *)
   mutable inc : int;  (** incarnation stamped into every appended record *)
-  mutable base_lsn : int;  (** LSN of live log page 0 *)
+  mutable base_lsn : int;  (** LSN of the live pass's first record *)
   durable_lsn : int Atomic.t;
       (** highest LSN covered by a log fsync (or sealed at a checkpoint);
           -1 before the first. The shipping horizon. *)
@@ -150,6 +179,7 @@ type t = {
   (* counters: monotone, read concurrently by stats reporting *)
   appended : int Atomic.t;
   fsyncs : int Atomic.t;
+  written : int Atomic.t;  (** bytes written to the device, whole pages *)
 }
 
 let check_device ~data_page_size file =
@@ -163,12 +193,18 @@ let check_device ~data_page_size file =
 
 let create ?(retain = default_retain) ~data_page_size file =
   check_device ~data_page_size file;
+  let page_size = log_page_size ~data_page_size in
   {
     file;
     data_page_size;
+    page_size;
     mu = Mutex.create ();
-    scratch = Bytes.create (log_page_size ~data_page_size);
+    record = Bytes.create page_size;
+    tail = Bytes.create page_size;
+    tail_len = 0;
     pos = 0;
+    offsets = [||];
+    count = 0;
     lsn = 0;
     inc = 0;
     base_lsn = 0;
@@ -177,6 +213,7 @@ let create ?(retain = default_retain) ~data_page_size file =
     retain = max 0 retain;
     appended = Atomic.make 0;
     fsyncs = Atomic.make 0;
+    written = Atomic.make 0;
   }
 
 let with_mu t f =
@@ -185,19 +222,22 @@ let with_mu t f =
 
 (* ---------- record encode / decode ---------- *)
 
-let encode_into page ~page_size ~kind ~lsn ~gen ~inc ~ptr ~body =
+(* Header + body at the front of [buf]; returns the record's length.
+   Bytes past it are left as they were. *)
+let encode_into buf ~kind ~lsn ~gen ~inc ~ptr ~body =
   let len = header_bytes + Bytes.length body in
-  Bytes.fill page 0 page_size '\000';
-  Bytes.set_int32_le page 0 (Int32.of_int magic);
-  Bytes.set_uint8 page 4 kind;
-  Bytes.set_int64_le page 8 (Int64.of_int lsn);
-  Bytes.set_int64_le page 16 (Int64.of_int gen);
-  Bytes.set_int64_le page 24 (Int64.of_int ptr);
-  Bytes.set_int32_le page 32 (Int32.of_int (Bytes.length body));
-  Bytes.set_int32_le page inc_off (Int32.of_int inc);
-  Bytes.blit body 0 page header_bytes (Bytes.length body);
-  Bytes.set_int32_le page cksum_off
-    (Int32.of_int (Repro_util.Checksum.fnv32 page ~pos:0 ~len))
+  Bytes.fill buf 0 header_bytes '\000';
+  Bytes.set_int32_le buf 0 (Int32.of_int magic);
+  Bytes.set_uint8 buf 4 kind;
+  Bytes.set_int64_le buf 8 (Int64.of_int lsn);
+  Bytes.set_int64_le buf 16 (Int64.of_int gen);
+  Bytes.set_int64_le buf 24 (Int64.of_int ptr);
+  Bytes.set_int32_le buf len_off (Int32.of_int (Bytes.length body));
+  Bytes.set_int32_le buf inc_off (Int32.of_int inc);
+  Bytes.blit body 0 buf header_bytes (Bytes.length body);
+  Bytes.set_int32_le buf cksum_off
+    (Int32.of_int (Repro_util.Checksum.fnv32 buf ~pos:0 ~len));
+  len
 
 type parsed = {
   p_kind : int;
@@ -209,17 +249,19 @@ type parsed = {
 }
 
 (* [None] when the page is not a valid record (torn, zeroed, foreign).
-   [body_len] is bounds-checked before anything is hashed; the checksum
-   covers header + body, or — for logs written before that range — the
-   whole log page. Writes the checksum field in place (and restores it),
-   so [page] must not be shared with a concurrent reader. *)
+   [page] is one log page with the record at its front and zeros after
+   it — a shipped page, or the scanner's re-padded copy. [body_len] is
+   bounds-checked before anything is hashed; the checksum covers header
+   + body, or — for logs whose records each filled a log page — the
+   whole page. Writes the checksum field in place (and restores it), so
+   [page] must not be shared with a concurrent reader. *)
 let decode page ~page_size =
-  if Int32.to_int (Bytes.get_int32_le page 0) land 0xFFFFFFFF <> magic then None
+  if get_u32 page 0 <> magic then None
   else
-    let body_len = Int32.to_int (Bytes.get_int32_le page 32) land 0xFFFFFFFF in
+    let body_len = get_u32 page len_off in
     if body_len > page_size - header_bytes then None
     else
-      let stored = Int32.to_int (Bytes.get_int32_le page cksum_off) land 0xFFFFFFFF in
+      let stored = get_u32 page cksum_off in
       Bytes.set_int32_le page cksum_off 0l;
       let sum len = Repro_util.Checksum.fnv32 page ~pos:0 ~len in
       let len = header_bytes + body_len in
@@ -232,21 +274,134 @@ let decode page ~page_size =
             p_kind = Bytes.get_uint8 page 4;
             p_lsn = Int64.to_int (Bytes.get_int64_le page 8);
             p_gen = Int64.to_int (Bytes.get_int64_le page 16);
-            p_inc = Int32.to_int (Bytes.get_int32_le page inc_off) land 0xFFFFFFFF;
+            p_inc = get_u32 page inc_off;
             p_ptr = Int64.to_int (Bytes.get_int64_le page 24);
             p_body = Bytes.sub page header_bytes body_len;
           }
 
+(* ---------- byte-addressed reads ---------- *)
+
+(* [blit off dst dst_off len] copies log bytes [off, off + len) out of
+   the device, across page boundaries, through a two-page cache — a
+   record spans at most two pages, so a forward scan reads each page
+   once. *)
+let device_blit file =
+  let ps = Paged_file.page_size file in
+  let idx = [| -1; -1 |] and bufs = [| Bytes.create ps; Bytes.create ps |] in
+  let page i =
+    let s = i land 1 in
+    if idx.(s) <> i then begin
+      idx.(s) <- -1;
+      Paged_file.read_into file i bufs.(s);
+      idx.(s) <- i
+    end;
+    bufs.(s)
+  in
+  let rec blit off dst dst_off len =
+    if len > 0 then begin
+      let o = off mod ps in
+      let n = min len (ps - o) in
+      Bytes.blit (page (off / ps)) o dst dst_off n;
+      blit (off + n) dst (dst_off + n) (len - n)
+    end
+  in
+  blit
+
+(* The record at [off], re-padded to one log page: what {!fetch_from}
+   ships. Only called on records this log wrote or replay accepted. *)
+let repad ~page_size blit off =
+  let page = Bytes.make page_size '\000' in
+  blit off page 0 header_bytes;
+  let body_len = min (get_u32 page len_off) (page_size - header_bytes) in
+  blit (off + header_bytes) page header_bytes body_len;
+  page
+
+(* The scan rule over [size] bytes of log: [f ~off ~len page] sees each
+   record at [off] ([len] bytes, re-padded into the reused [page]) and
+   returns whether to go on. A record cut off by the end of the bytes
+   ends the scan like any torn record. *)
+let scan_bytes ~page_size ~size blit f =
+  let page = Bytes.create page_size in
+  let rec at off =
+    if off + header_bytes <= size then begin
+      blit off page 0 4;
+      if get_u32 page 0 <> magic then begin
+        (* the group ended: its last page's tail is zero; a page
+           boundary without a record is the end of the written log *)
+        if off mod page_size <> 0 then
+          at ((off / page_size + 1) * page_size)
+      end
+      else begin
+        blit off page 0 header_bytes;
+        let len = header_bytes + get_u32 page len_off in
+        if len <= page_size && off + len <= size then begin
+          blit (off + header_bytes) page header_bytes (len - header_bytes);
+          Bytes.fill page len (page_size - len) '\000';
+          if f ~off ~len page then at (off + len)
+        end
+      end
+    end
+    else if off mod page_size <> 0 then at ((off / page_size + 1) * page_size)
+  in
+  at 0
+
+let scan ~data_page_size file f =
+  check_device ~data_page_size file;
+  let page_size = Paged_file.page_size file in
+  scan_bytes ~page_size
+    ~size:(Paged_file.pages file * page_size)
+    (device_blit file)
+    (fun ~off:_ ~len:_ page -> f page)
+
 (* ---------- append path ---------- *)
 
-(** Append one record, stamped [gen] and the log's incarnation, at the
-    cursor. The write lands in the device's volatile image only — call
-    {!fsync} (the group-commit leader does) to make the appended prefix
-    durable. Thread-safe. *)
+let write_page t page =
+  Paged_file.write t.file t.pos page;
+  t.pos <- t.pos + 1;
+  ignore (Atomic.fetch_and_add t.written t.page_size)
+
+(* Pack the [len]-byte record in [t.record] onto the tail. A record that
+   fills the tail page writes it and carries its remainder over to a
+   fresh one; should that write fail, [tail_len] is untouched and the
+   record is simply not appended. *)
+let pack t len =
+  let room = t.page_size - t.tail_len in
+  if len < room then begin
+    Bytes.blit t.record 0 t.tail t.tail_len len;
+    t.tail_len <- t.tail_len + len
+  end
+  else begin
+    Bytes.blit t.record 0 t.tail t.tail_len room;
+    write_page t t.tail;
+    Bytes.blit t.record room t.tail 0 (len - room);
+    t.tail_len <- len - room
+  end
+
+(* End the group: write its partly filled last page, zero tail and all.
+   The next group starts on a fresh page. *)
+let flush t =
+  if t.tail_len > 0 then begin
+    Bytes.fill t.tail t.tail_len (t.page_size - t.tail_len) '\000';
+    write_page t t.tail;
+    t.tail_len <- 0
+  end
+
+(* [a], holding [n] entries, with room for one more. *)
+let room a n = if n < Array.length a then a else Array.append a (Array.make (max n 64) 0)
+
+let push_offset t off =
+  t.offsets <- room t.offsets t.count;
+  t.offsets.(t.count) <- off;
+  t.count <- t.count + 1
+
+(** Append one record, stamped [gen] and the log's incarnation, packed
+    right after the previous one. It reaches the device's volatile image
+    when its page fills or at the next {!fsync} / {!truncate}; only
+    {!fsync} (the group-commit leader calls it) makes the appended
+    prefix durable. Thread-safe. *)
 let append t ~gen record =
   with_mu t (fun () ->
       Failpoint.hit fp_append;
-      let page_size = Bytes.length t.scratch in
       let kind, ptr, body =
         match record with
         | Page { ptr; image } ->
@@ -254,34 +409,36 @@ let append t ~gen record =
               invalid_arg "Wal.append: image larger than one data page";
             (kind_page, ptr, image)
         | Meta blob ->
-            if Bytes.length blob > page_size - header_bytes then
+            if Bytes.length blob > t.page_size - header_bytes then
               invalid_arg "Wal.append: metadata blob too large for a log record";
             (kind_meta, -1, blob)
         | Commit -> (kind_commit, -1, Bytes.empty)
         | Checkpoint -> (kind_checkpoint, -1, Bytes.empty)
       in
-      encode_into t.scratch ~page_size ~kind ~lsn:t.lsn ~gen ~inc:t.inc ~ptr
-        ~body;
-      Paged_file.write t.file t.pos t.scratch;
-      t.pos <- t.pos + 1;
+      let len = encode_into t.record ~kind ~lsn:t.lsn ~gen ~inc:t.inc ~ptr ~body in
+      let off = (t.pos * t.page_size) + t.tail_len in
+      pack t len;
+      push_offset t off;
       t.lsn <- t.lsn + 1;
       Atomic.incr t.appended)
 
-(** Fsync the log device: the group-commit point. Everything appended so
-    far becomes durable, and the shipping watermark advances to cover
-    it — a subscriber parked in {!wait_durable} sees the new horizon on
-    its next poll, which is how sealed batches stream right after the
-    fsync that committed them. *)
+(** Fsync the log device: the group-commit point. The group's last page
+    is written, everything appended so far becomes durable, and the
+    shipping watermark advances to cover it — a subscriber parked in
+    {!wait_durable} sees the new horizon on its next poll, which is how
+    sealed batches stream right after the fsync that committed them. *)
 let fsync t =
   with_mu t (fun () ->
       Failpoint.hit fp_commit;
+      flush t;
       Paged_file.sync t.file;
       Atomic.incr t.fsyncs;
       Atomic.set t.durable_lsn (t.lsn - 1))
 
 (** Logical truncation, called by the store's checkpoint {e after} its
-    header commit: seal the live pass into a retained segment, then
-    rewind the cursor to page 0. The old pass's records stay on the
+    header commit: seal the live pass into a retained segment — its
+    packed pages plus an LSN → offset index — then rewind the cursor to
+    page 0. The old pass's records stay on the
     device but are dead — their generation stamp no longer matches the
     header, so replay ignores them, and the next pass overwrites them in
     place; the sealed copy keeps them fetchable ({!fetch_from}) for
@@ -292,11 +449,27 @@ let fsync t =
     inside an old pass's leftovers. *)
 let truncate t =
   with_mu t (fun () ->
-      if t.pos > 0 && t.retain > 0 then begin
-        let pages =
-          Array.init t.pos (fun i -> Paged_file.read t.file i)
+      if t.count > 0 && t.retain > 0 then begin
+        (* The pass's pages: those on the device, plus the group still in
+           the tail (the checkpoint marker), zero tail included — the
+           pass is dead once sealed, so the tail need not reach the
+           device. *)
+        let ps = t.page_size in
+        let npages = t.pos + if t.tail_len > 0 then 1 else 0 in
+        let bytes = Bytes.make (npages * ps) '\000' in
+        let page = Bytes.create ps in
+        for i = 0 to t.pos - 1 do
+          Paged_file.read_into t.file i page;
+          Bytes.blit page 0 bytes (i * ps) ps
+        done;
+        Bytes.blit t.tail 0 bytes (t.pos * ps) t.tail_len;
+        let seg =
+          {
+            seg_base_lsn = t.base_lsn;
+            seg_offsets = Array.sub t.offsets 0 t.count;
+            seg_bytes = bytes;
+          }
         in
-        let seg = { seg_base_lsn = t.base_lsn; seg_pages = pages } in
         let rec keep n = function
           | [] -> []
           | _ when n = 0 -> []
@@ -310,11 +483,14 @@ let truncate t =
          (which no commit fsync ever covers). *)
       Atomic.set t.durable_lsn (max (Atomic.get t.durable_lsn) (t.lsn - 1));
       t.base_lsn <- t.lsn;
-      t.pos <- 0)
+      t.tail_len <- 0;
+      t.pos <- 0;
+      t.count <- 0)
 
 let close t = Paged_file.close t.file
 let appended t = Atomic.get t.appended
 let fsyncs t = Atomic.get t.fsyncs
+let bytes_written t = Atomic.get t.written
 let cursor t = t.pos
 let incarnation t = t.inc
 let durable_lsn t = Atomic.get t.durable_lsn
@@ -332,49 +508,48 @@ let retained_lsn t =
 
 type fetch =
   | Pages of { pages : Bytes.t list; next : int }
-      (** raw log pages for LSNs [lsn .. next - 1], LSN-contiguous *)
+      (** one log page per record for LSNs [lsn .. next - 1],
+          LSN-contiguous *)
   | At_end  (** nothing durable at or past [lsn] yet — poll again *)
   | Stale  (** [lsn] has fallen out of the retention window *)
 
-(** The raw log pages of up to [max_pages] records starting at [lsn],
-    bounded by the durable watermark — only records an fsync (or a
-    checkpoint seal) covered are ever shipped, so a follower's stream
-    can never outrun the primary's own commit point. Served from the
-    live pass or from the sealed segments; [Stale] means the follower
-    lost the window and must re-seed from a full image. *)
+(** Up to [max_pages] records starting at [lsn], each re-padded to one
+    log page, bounded by the durable watermark — only records an fsync
+    (or a checkpoint seal) covered are ever shipped, so a follower's
+    stream can never outrun the primary's own commit point. Served from
+    the live pass or from the sealed segments through their LSN →
+    offset index; [Stale] means the follower lost the window and must
+    re-seed from a full image. *)
 let fetch_from t ~lsn ~max_pages =
   if lsn < 0 || max_pages < 1 then invalid_arg "Wal.fetch_from";
   with_mu t (fun () ->
       let durable = Atomic.get t.durable_lsn in
-      if lsn > durable then At_end
-      else if lsn >= t.base_lsn then begin
-        (* live pass: page i holds LSN [base_lsn + i] *)
-        let lo = lsn - t.base_lsn in
-        let hi = min (durable - t.base_lsn) (lo + max_pages - 1) in
+      let ship ~base ~last offsets blit =
+        let lo = lsn - base in
+        let hi = min last (lo + max_pages - 1) in
         let pages =
-          List.init (hi - lo + 1) (fun i -> Paged_file.read t.file (lo + i))
+          List.init (hi - lo + 1) (fun i ->
+              repad ~page_size:t.page_size blit offsets.(lo + i))
         in
-        Pages { pages; next = t.base_lsn + hi + 1 }
-      end
+        Pages { pages; next = base + hi + 1 }
+      in
+      if lsn > durable then At_end
+      else if lsn >= t.base_lsn then
+        ship ~base:t.base_lsn ~last:(durable - t.base_lsn) t.offsets
+          (device_blit t.file)
       else
         (* sealed segments, newest first; find the one covering [lsn] *)
         let rec find = function
           | [] -> Stale
           | seg :: rest ->
-              let len = Array.length seg.seg_pages in
+              let len = Array.length seg.seg_offsets in
               if lsn >= seg.seg_base_lsn + len then
                 (* newer than this segment, but below base_lsn: the gap
                    can only be a segment evicted from the window *)
                 Stale
-              else if lsn >= seg.seg_base_lsn then begin
-                let lo = lsn - seg.seg_base_lsn in
-                let hi = min (len - 1) (lo + max_pages - 1) in
-                let pages =
-                  List.init (hi - lo + 1) (fun i ->
-                      Bytes.copy seg.seg_pages.(lo + i))
-                in
-                Pages { pages; next = seg.seg_base_lsn + hi + 1 }
-              end
+              else if lsn >= seg.seg_base_lsn then
+                ship ~base:seg.seg_base_lsn ~last:(len - 1) seg.seg_offsets
+                  (fun off dst dst_off n -> Bytes.blit seg.seg_bytes off dst dst_off n)
               else find rest
         in
         find t.segments)
@@ -467,6 +642,9 @@ module Apply = struct
   let records a = a.a_records
   let batches a = a.a_batches
 
+  (* Nothing staged: the stream so far is whole batches (and markers). *)
+  let settled a = Hashtbl.length a.staged = 0 && a.staged_meta = None
+
   (** Feed one raw log page. @raise Corrupt on a record that is
       structurally impossible {e after} its checksum validated (device
       or stream damage outside the torn-tail model). *)
@@ -543,63 +721,99 @@ type replay = {
   next_pos : int;  (** log page where the valid tail ends — resume cursor *)
   next_lsn : int;  (** LSN to continue appending with *)
   next_inc : int;  (** incarnation the resumed log must append with *)
+  tail_end : int;  (** byte offset where the valid tail ends *)
+  tail_offsets : int array;
+      (** byte offset of each valid-tail record, LSN order; the last one
+          carries LSN [next_lsn - 1] *)
 }
 
 (** Scan the log from page 0 and redo the pass belonging to store
     generation [gen] — {!Apply} driven over the local device: stage
     PAGE / META records, promote them at each COMMIT, stop at the first
-    torn record, foreign-generation record, LSN discontinuity, or
-    incarnation regression (the crashed pass's phantom tail), or device
-    end. Read-only; the caller installs [committed] into the data
-    file. *)
+    torn record, foreign-generation record, LSN discontinuity,
+    incarnation regression (the crashed pass's phantom tail), or the end
+    of the written log. The valid tail ends at the last record after
+    which nothing was staged: the records of an interrupted group are
+    left for the resumed log to overwrite. Read-only; the caller
+    installs [committed] into the data file. *)
 let replay ~data_page_size ~gen file =
   check_device ~data_page_size file;
+  let page_size = log_page_size ~data_page_size in
   let a = Apply.create ~expect_gen:gen ~data_page_size () in
   let committed = Hashtbl.create 64 in
   let committed_meta = ref None in
-  let stop = ref false in
-  let pos = ref 0 in
-  let npages = Paged_file.pages file in
-  while (not !stop) && !pos < npages do
-    Failpoint.hit fp_replay;
-    let page = Paged_file.read file !pos in
-    match Apply.step a page with
-    | Apply.Reject _ -> stop := true (* the clean end of the valid tail *)
-    | Apply.Progress -> incr pos
-    | Apply.Batch b ->
-        List.iter (fun (p, img) -> Hashtbl.replace committed p img) b.Apply.b_images;
-        (match b.Apply.b_meta with
-        | Some m -> committed_meta := Some m
-        | None -> ());
-        incr pos
-  done;
+  let offsets = ref [||] and n = ref 0 in
+  let first_lsn = ref 0 and tail_n = ref 0 and tail_end = ref 0 in
+  scan_bytes ~page_size
+    ~size:(Paged_file.pages file * page_size)
+    (device_blit file)
+    (fun ~off ~len page ->
+      Failpoint.hit fp_replay;
+      match Apply.step a page with
+      | Apply.Reject _ -> false (* the clean end of the valid log *)
+      | (Apply.Progress | Apply.Batch _) as step ->
+          (match step with
+          | Apply.Batch b ->
+              List.iter (fun (p, img) -> Hashtbl.replace committed p img) b.Apply.b_images;
+              Option.iter (fun m -> committed_meta := Some m) b.Apply.b_meta
+          | _ -> ());
+          if !n = 0 then first_lsn := Apply.next_lsn a - 1;
+          offsets := room !offsets !n;
+          !offsets.(!n) <- off;
+          incr n;
+          if Apply.settled a then begin
+            tail_n := !n;
+            tail_end := off + len
+          end;
+          true);
   {
     committed;
     committed_meta = !committed_meta;
     records = Apply.records a;
     batches = Apply.batches a;
-    next_pos = !pos;
-    next_lsn = Apply.next_lsn a;
+    next_pos = (!tail_end + page_size - 1) / page_size;
+    next_lsn = !first_lsn + !tail_n;
     next_inc = (if a.Apply.a_inc < 0 then 0 else a.Apply.a_inc + 1);
+    tail_end = !tail_end;
+    tail_offsets = Array.sub !offsets 0 !tail_n;
   }
 
-(** Continue an existing log after recovery: the cursor resumes at the
-    replay's valid tail (overwriting any torn record or stale pass), the
-    LSN continues past the highest one seen, and — the phantom-tail fix
-    — the incarnation is {e bumped} past every one observed (and past
-    [incarnation], the floor the store header persisted at its last
-    checkpoint), so the stale records beyond the tail can never chain
-    onto the new pass's appends: replay stops at the first incarnation
-    regression. *)
+(** Continue an existing log after recovery: the cursor resumes on the
+    fresh page after the replay's valid tail (overwriting a torn group
+    or a stale pass), the LSN continues past the tail's last record,
+    and — the phantom-tail fix — the incarnation is {e bumped} past
+    every one observed (and past [incarnation], the floor the store
+    header persisted at its last checkpoint), so the stale records
+    beyond the tail can never chain onto the new pass's appends: replay
+    stops at the first incarnation regression. *)
 let resume ?(incarnation = 0) ~data_page_size ~(replay : replay) file =
   let t = create ~data_page_size file in
+  let ps = t.page_size in
+  (* A tail that ends mid-page may be followed, on that page, by records
+     of the group it interrupted: zero them, so a later scan skips from
+     the tail to the next group instead of stopping at their remains.
+     The bytes before the tail's end are rewritten unchanged. *)
+  let from = replay.tail_end mod ps in
+  if from > 0 then begin
+    let ix = replay.tail_end / ps in
+    let page = Paged_file.read file ix in
+    if Bytes.sub_string page from (ps - from) <> String.make (ps - from) '\000'
+    then begin
+      Bytes.fill page from (ps - from) '\000';
+      Paged_file.write file ix page;
+      ignore (Atomic.fetch_and_add t.written ps)
+    end
+  end;
+  let n = Array.length replay.tail_offsets in
   t.pos <- replay.next_pos;
   t.lsn <- replay.next_lsn;
   t.inc <- max replay.next_inc incarnation;
-  t.base_lsn <- replay.next_lsn - replay.next_pos;
-  (* Everything the valid tail holds was durable before the crash (the
-     tail ends at the last commit fsync's coverage or the torn record
-     after it) — expose it for shipping so a promoted-from or re-seeded
-     follower can catch up from the recovered log. *)
+  t.base_lsn <- replay.next_lsn - n;
+  t.offsets <- Array.copy replay.tail_offsets;
+  t.count <- n;
+  (* Everything the valid tail holds is on the device and promoted by
+     replay (it ends at whole batches) — expose it for shipping so a
+     promoted-from or re-seeded follower can catch up from the
+     recovered log. *)
   Atomic.set t.durable_lsn (replay.next_lsn - 1);
   t

@@ -3,21 +3,27 @@
     redo log behind {!Paged_store}'s group-commit durability mode, and
     the stream behind WAL-shipping replication.
 
-    One record per log page ({!log_page_size} sizes the device). Each
-    record's FNV-1a-32 checksum (the {!Page_codec} v2 framing idiom)
-    covers its header and the [body_len] bytes of its body, not the zero
-    padding after them; logs checksummed over the whole log page still
-    replay. Each record also carries a strictly increasing LSN, the
-    store generation it applies on top of, and the log's
-    {e incarnation} — a counter bumped at every post-crash {!resume},
-    which is what makes the recovered tail unambiguous (the phantom-tail
-    fix; see doc/RECOVERY.md). A checkpoint {e logically truncates} the
-    log by rewinding the cursor — but first {!truncate} seals the pass's
-    pages into a retained in-memory segment so the LSN-contiguous
-    history stays fetchable for replication catch-up and point-in-time
-    recovery; on the device, old records are invalidated by their
-    generation stamp, not erased, so the file never outgrows the busiest
-    inter-checkpoint window.
+    Records are packed back to back: a record is its 64-byte header
+    plus the [body_len] bytes it carries, and may cross a log page
+    boundary. Each group commit (the records between two {!fsync}s)
+    starts on a fresh log page and zero-fills the rest of its last one,
+    so a page an earlier fsync covered is never rewritten. The scanner
+    reads a missing record magic as the end of a group and continues at
+    the next page boundary, which also reads logs written one record per
+    log page. Each record's FNV-1a-32 checksum (the {!Page_codec} v2
+    framing idiom) covers its header and body; logs checksummed over the
+    whole log page still replay. Each record also carries a strictly
+    increasing LSN, the store generation it applies on top of, and the
+    log's {e incarnation} — a counter bumped at every post-crash
+    {!resume}, which is what makes the recovered tail unambiguous (the
+    phantom-tail fix; see doc/RECOVERY.md). A checkpoint {e logically
+    truncates} the log by rewinding the cursor — but first {!truncate}
+    seals the pass's packed pages, with an LSN → offset index, into a
+    retained in-memory segment so the LSN-contiguous history stays
+    fetchable for replication catch-up and point-in-time recovery; on
+    the device, old records are invalidated by their generation stamp,
+    not erased, so the file never outgrows the busiest inter-checkpoint
+    window.
 
     {!replay} scans from page 0, promotes staged page images at each
     COMMIT record (last writer wins), skips CHECKPOINT markers (a
@@ -28,9 +34,11 @@
     {!Apply} for followers replaying a shipped stream incrementally.
 
     Shipping: {!fsync} advances a durable watermark; {!fetch_from}
-    serves raw log pages at or below it (live pass or retained
-    segments); {!wait_durable} long-polls the watermark so a subscriber
-    receives each sealed batch right after the fsync that committed it.
+    serves the records at or below it (live pass or retained segments),
+    each re-padded to one log page, so the shipped stream is one record
+    per log page whatever the device layout; {!wait_durable} long-polls
+    the watermark so a subscriber receives each sealed batch right after
+    the fsync that committed it.
 
     Failpoint sites: [wal.append], [wal.commit], [wal.replay]. See
     doc/RECOVERY.md for the commit-point argument. *)
@@ -43,7 +51,8 @@ val header_bytes : int
 (** Record header size; a log page is one data page plus this. *)
 
 val log_page_size : data_page_size:int -> int
-(** Page size the log's {!Paged_file} must be created with. *)
+(** Page size the log's {!Paged_file} must be created with: the largest
+    record (a whole data page image) fills exactly one log page. *)
 
 val default_retain : int
 (** Sealed segments kept by default (the PITR / catch-up window). *)
@@ -72,17 +81,21 @@ val create : ?retain:int -> data_page_size:int -> Paged_file.t -> t
 
 val append : t -> gen:int -> record -> unit
 (** Append one record stamped with store generation [gen] and the log's
-    incarnation at the cursor. Volatile until {!fsync}. Thread-safe.
-    Failpoint [wal.append]. *)
+    incarnation, packed right after the previous one; a page reaches the
+    device when it fills. Volatile until {!fsync}. Thread-safe.
+    Failpoint [wal.append], as each record is packed. *)
 
 val fsync : t -> unit
-(** The group-commit point: make every appended record durable and
-    advance the shipping watermark over it. Failpoint [wal.commit]. *)
+(** The group-commit point: write the group's partly filled last page
+    (zero tail included), make every appended record durable and
+    advance the shipping watermark over it. The next record starts a
+    fresh page. Failpoint [wal.commit]. *)
 
 val truncate : t -> unit
 (** Logical truncation after a checkpoint's header commit: seal the live
-    pass into a retained segment, then rewind the cursor to page 0.
-    LSNs keep rising across truncations. *)
+    pass into a retained segment (its packed pages plus an LSN → offset
+    index), then rewind the cursor to page 0. LSNs keep rising across
+    truncations. *)
 
 val close : t -> unit
 
@@ -93,8 +106,13 @@ val fsyncs : t -> int
 (** Log fsyncs issued (= group commits led through this log). Safe to
     read concurrently. *)
 
+val bytes_written : t -> int
+(** Bytes written to the log device over the log's life, in whole log
+    pages. Safe to read concurrently. *)
+
 val cursor : t -> int
-(** Current append position (log pages in the live pass). *)
+(** The log page the next device write lands on (whole pages the live
+    pass has written). *)
 
 val incarnation : t -> int
 (** The incarnation stamped into appended records. Persisted in the
@@ -119,16 +137,17 @@ val segment_count : t -> int
 
 type fetch =
   | Pages of { pages : Bytes.t list; next : int }
-      (** Raw log pages for LSNs [lsn .. next-1], contiguous. *)
+      (** One log page per record for LSNs [lsn .. next-1], contiguous:
+          the record at the front, zeros after it. *)
   | At_end  (** Nothing durable at or past [lsn] yet — poll again. *)
   | Stale
       (** [lsn] predates the retention window; the subscriber must
           re-seed from a full image. *)
 
 val fetch_from : t -> lsn:int -> max_pages:int -> fetch
-(** Up to [max_pages] raw log pages starting at [lsn], bounded by the
-    durable watermark (never ships records a crash could revoke).
-    Thread-safe. *)
+(** Up to [max_pages] records starting at [lsn], each re-padded to one
+    log page, bounded by the durable watermark (never ships records a
+    crash could revoke). Thread-safe. *)
 
 val wait_durable : t -> lsn:int -> timeout:float -> bool
 (** Long-poll until some record at or past [lsn] is durable; [false] on
@@ -167,7 +186,7 @@ module Apply : sig
       generation (the local-replay policy). *)
 
   val step : t -> Bytes.t -> action
-  (** Feed one raw log page.
+  (** Feed one log page: a record at its front, zeros after it.
       @raise Corrupt on a structurally impossible checksummed record. *)
 
   val next_lsn : t -> int
@@ -193,21 +212,36 @@ type replay = {
       (** newest metadata blob covered by a commit *)
   records : int;  (** valid records scanned in this pass *)
   batches : int;  (** COMMIT records applied *)
-  next_pos : int;  (** where the valid tail ends — the resume cursor *)
+  next_pos : int;
+      (** the first log page past the valid tail — the resume cursor *)
   next_lsn : int;  (** LSN to continue appending with *)
   next_inc : int;  (** incarnation the resumed log must append with *)
+  tail_end : int;  (** byte offset where the valid tail ends *)
+  tail_offsets : int array;
+      (** byte offset of each valid-tail record, LSN order; the last one
+          carries LSN [next_lsn - 1] *)
 }
 
 val replay : data_page_size:int -> gen:int -> Paged_file.t -> replay
 (** Read-only redo scan of generation [gen]'s pass (see module doc for
-    the stop conditions). The caller installs [committed] into the data
-    file {e before} its free-chain walk commits allocator state.
+    the stop conditions). The valid tail ends at the last record after
+    which nothing was staged, so the records of an interrupted group
+    commit are not part of it. The caller installs [committed] into the
+    data file {e before} its free-chain walk commits allocator state.
     Failpoint [wal.replay] fires once per record scanned. *)
 
 val resume : ?incarnation:int -> data_page_size:int -> replay:replay -> Paged_file.t -> t
 (** Reattach a log after {!replay}: cursor at [next_pos] (overwriting a
-    torn record or a stale pass's leftovers), LSN at [next_lsn], and —
-    the phantom-tail fix — incarnation bumped past every one observed
-    in the valid tail and past [incarnation] (the floor the store
-    header persisted at its last checkpoint), so stale records beyond
-    the tail can never chain onto the new pass. *)
+    torn group or a stale pass's leftovers; the rest of the valid tail's
+    last page is zeroed if an interrupted group left bytes there), LSN
+    at [next_lsn], and — the phantom-tail fix — incarnation bumped past
+    every one observed in the valid tail and past [incarnation] (the
+    floor the store header persisted at its last checkpoint), so stale
+    records beyond the tail can never chain onto the new pass. *)
+
+val scan : data_page_size:int -> Paged_file.t -> (Bytes.t -> bool) -> unit
+(** Walk a log device from page 0 by the scan rule, handing [f] each
+    record it finds, re-padded to one log page (the shape {!fetch_from}
+    ships and {!Apply.step} takes), until [f] returns false or the
+    written log ends. Records are not validated — feed them to {!Apply}
+    for that. The page buffer is reused between calls. *)

@@ -183,6 +183,9 @@ let test_replay_torn_final_record () =
   let w = Wal.create ~data_page_size:data_ps f in
   Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = img 'a' });
   Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
+  (* the final record is a group of its own: a whole data page image
+     fills exactly page 2 *)
   Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = img 'b' });
   Wal.fsync w;
   (* tear the final record by hand: garbage over its second half *)
@@ -240,7 +243,9 @@ let test_phantom_tail_two_crash () =
   Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = img 'b' });
   Wal.append w ~gen:1 (Wal.Page { ptr = 5; image = img 'c' });
   Wal.append w ~gen:1 Wal.Commit;
-  (* batch 2: never fsynced, never acknowledged *)
+  (* batch 2: never fsynced, never acknowledged — but each PAGE record
+     fills a log page, and full pages reach the device as they fill:
+     pages 2 and 3 hold its two images *)
   (* crash 1: the batch-2 head lands torn; its tail survives as bytes *)
   let page = Paged_file.read f 2 in
   Bytes.fill page (log_ps / 2) (log_ps - (log_ps / 2)) '\xFF';
@@ -264,7 +269,11 @@ let test_phantom_tail_two_crash () =
     (Hashtbl.mem r2.Wal.committed 5);
   Alcotest.(check bool) "uncommitted new record not promoted" false
     (Hashtbl.mem r2.Wal.committed 6);
-  Alcotest.(check int) "scan stops at the stale tail" 3 r2.Wal.next_pos
+  (* The scan stops at the stale tail (page 3); the valid tail ends
+     before life 2's uncommitted record, at the last COMMIT, so the
+     next life overwrites that record instead of promoting it. *)
+  Alcotest.(check int) "scan stops at the stale tail" 3 r2.Wal.records;
+  Alcotest.(check int) "valid tail ends at the last COMMIT" 2 r2.Wal.next_pos
 
 (* The same two-crash shape with the stale COMMIT {e directly} after the
    resumed tail: accepting that one record would promote the new pass's
@@ -278,7 +287,9 @@ let test_phantom_commit_after_tail () =
   Wal.fsync w;
   Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = img 'b' });
   Wal.append w ~gen:1 Wal.Commit;
-  (* unacked *)
+  (* unacked: its pages reach the device (PAGE on page 2, the COMMIT on
+     page 3), but the crash lands before the fsync returns *)
+  Wal.fsync w;
   let page = Paged_file.read f 2 in
   Bytes.fill page 8 (log_ps - 8) '\x00';
   Paged_file.write f 2 page;
@@ -301,6 +312,7 @@ let test_resume_overwrites_torn_position () =
   let w = Wal.create ~data_page_size:data_ps f in
   Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = img 'a' });
   Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
   Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = img 'b' });
   Wal.fsync w;
   let page = Paged_file.read f 2 in
@@ -363,12 +375,18 @@ let zero_padded body =
   Bytes.blit body 0 page 0 (Bytes.length body);
   page
 
+(* A page-per-record log: one fsync per record, and each fsync starts
+   a fresh log page, so every record sits alone at the front of its
+   page with zero padding after it — the layout logs had before records
+   were packed. *)
 let log_short_page_batch () =
   let f = Paged_file.create_memory ~page_size:log_ps () in
   let w = Wal.create ~data_page_size:data_ps f in
   Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = short_body });
+  Wal.fsync w;
   Wal.append w ~gen:1 Wal.Commit;
   Wal.fsync w;
+  Alcotest.(check int) "one log page per record" 2 (Paged_file.pages f);
   (f, w)
 
 let test_short_page_record_padded () =
@@ -434,9 +452,11 @@ let test_tear_inside_record_stops_scan () =
       ("tear in the body", Wal.header_bytes + Bytes.length short_body - 1);
     ]
 
-(* A record as logs before the header + body range wrote it: checksum
-   over the whole log page, own field zeroed (layout in wal.ml). *)
-let legacy_record ~kind ~lsn ~ptr body =
+(* A record of a page-per-record log, alone on its log page with zero
+   padding after it (layout in wal.ml). [whole_page] (the default) puts
+   the checksum over the whole log page, as logs before the header +
+   body range did; otherwise over header + body. *)
+let legacy_record ?(whole_page = true) ~kind ~lsn ~ptr body =
   let page = Bytes.make log_ps '\000' in
   Bytes.set_int32_le page 0 0x53_47_57_4Cl;
   Bytes.set_uint8 page 4 kind;
@@ -445,8 +465,9 @@ let legacy_record ~kind ~lsn ~ptr body =
   Bytes.set_int64_le page 24 (Int64.of_int ptr);
   Bytes.set_int32_le page 32 (Int32.of_int (Bytes.length body));
   Bytes.blit body 0 page Wal.header_bytes (Bytes.length body);
+  let len = if whole_page then log_ps else Wal.header_bytes + Bytes.length body in
   Bytes.set_int32_le page 40
-    (Int32.of_int (Repro_util.Checksum.fnv32 page ~pos:0 ~len:log_ps));
+    (Int32.of_int (Repro_util.Checksum.fnv32 page ~pos:0 ~len));
   page
 
 let test_legacy_whole_page_checksum () =
@@ -466,6 +487,263 @@ let test_legacy_whole_page_checksum () =
   Alcotest.(check bool) "legacy image intact" true
     (Hashtbl.find_opt r.Wal.committed 3 = Some (img 'a'));
   Alcotest.(check bool) "legacy meta intact" true (r.Wal.committed_meta = Some meta)
+
+(* ---------- the packed layout: records back to back, one run of whole
+   log pages per group commit ---------- *)
+
+(* Every shipped page of [w] from [lsn] on, in one list. *)
+let fetch_all w ~lsn =
+  match Wal.fetch_from w ~lsn ~max_pages:1_000 with
+  | Wal.Pages { pages; _ } -> pages
+  | Wal.At_end -> []
+  | Wal.Stale -> Alcotest.fail "durable records fell out of the window"
+
+let test_commit_writes_whole_pages () =
+  Failpoint.reset ();
+  let data_page_size = 4096 in
+  let f =
+    Paged_file.create_memory ~page_size:(Wal.log_page_size ~data_page_size) ()
+  in
+  let w = Wal.create ~data_page_size f in
+  for p = 0 to 7 do
+    Wal.append w ~gen:1 (Wal.Page { ptr = p; image = Bytes.make 550 'x' })
+  done;
+  Wal.append w ~gen:1 Wal.Commit;
+  Alcotest.(check int) "only the filled first page written before the fsync"
+    4160 (Wal.bytes_written w);
+  Wal.fsync w;
+  Alcotest.(check int) "9 records appended" 9 (Wal.appended w);
+  Alcotest.(check int) "8 x 614 B + 64 B packed into exactly 2 log pages" 8320
+    (Wal.bytes_written w);
+  Alcotest.(check int) "the next group starts a fresh page" 2 (Wal.cursor w);
+  let r = Wal.replay ~data_page_size ~gen:1 f in
+  Alcotest.(check int) "the batch replays" 8 (Hashtbl.length r.Wal.committed);
+  (* the store reports the same device bytes *)
+  let store = PS.create_memory ~wal:true () in
+  for k = 0 to 7 do
+    ignore (PS.alloc store (mk_leaf [ k ]))
+  done;
+  PS.commit store;
+  let io = PS.io_stats store in
+  let lps = Wal.log_page_size ~data_page_size:(PS.page_size store) in
+  Alcotest.(check bool) "io.wal_bytes counts whole log pages" true
+    (io.Stats.wal_bytes > 0 && io.Stats.wal_bytes mod lps = 0);
+  Alcotest.(check bool) "fewer log pages than records" true
+    (io.Stats.wal_bytes < io.Stats.wal_records * lps)
+
+(* A 3-page group whose middle page never landed: it still holds the
+   previous pass's bytes. Replay must stop inside the group, before its
+   COMMIT, and resume on the group's first page, so the records on that
+   page (staged, never promoted) are overwritten, not chained. *)
+let test_stale_middle_page () =
+  Failpoint.reset ();
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let w = Wal.create ~data_page_size:data_ps f in
+  (* pass 1 (generation 1) fills pages 0..6 *)
+  for p = 0 to 9 do
+    Wal.append w ~gen:1 (Wal.Page { ptr = 100 + p; image = Bytes.make 300 'o' })
+  done;
+  Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
+  Wal.append w ~gen:1 Wal.Checkpoint;
+  Wal.truncate w;
+  (* pass 2: batch A on page 0 *)
+  Wal.append w ~gen:2 (Wal.Page { ptr = 1; image = Bytes.make 100 'a' });
+  Wal.append w ~gen:2 Wal.Commit;
+  Wal.fsync w;
+  let stale = Paged_file.read f 2 in
+  (* batch B: 6 x 264 B + 64 B = 1648 B, pages 1..3 *)
+  for i = 0 to 5 do
+    Wal.append w ~gen:2 (Wal.Page { ptr = 10 + i; image = Bytes.make 200 'b' })
+  done;
+  Wal.append w ~gen:2 Wal.Commit;
+  Wal.fsync w;
+  Alcotest.(check int) "batch B spans pages 1..3" 4 (Wal.cursor w);
+  Paged_file.write f 2 stale;
+  let r = Wal.replay ~data_page_size:data_ps ~gen:2 f in
+  Alcotest.(check int) "A promoted, B stopped before its COMMIT" 1 r.Wal.batches;
+  Alcotest.(check int) "B's first-page records were scanned" 4 r.Wal.records;
+  Alcotest.(check (list int)) "only A's image" [ 1 ]
+    (Hashtbl.fold (fun p _ acc -> p :: acc) r.Wal.committed []);
+  Alcotest.(check int) "resume on B's first page" 1 r.Wal.next_pos;
+  let w2 = Wal.resume ~data_page_size:data_ps ~replay:r f in
+  Alcotest.(check int) "resumed cursor" 1 (Wal.cursor w2);
+  Wal.append w2 ~gen:2 (Wal.Page { ptr = 20; image = Bytes.make 100 'c' });
+  Wal.append w2 ~gen:2 Wal.Commit;
+  Wal.fsync w2;
+  let r2 = Wal.replay ~data_page_size:data_ps ~gen:2 f in
+  Alcotest.(check int) "A and the new batch" 2 r2.Wal.batches;
+  Alcotest.(check (list int)) "B's staged records never promoted" [ 1; 20 ]
+    (List.sort compare (Hashtbl.fold (fun p _ acc -> p :: acc) r2.Wal.committed []))
+
+(* A record crossing a page boundary, torn on either side of it. *)
+let test_tear_across_page_boundary () =
+  List.iter
+    (fun (what, page, off, len) ->
+      Failpoint.reset ();
+      let f = Paged_file.create_memory ~page_size:log_ps () in
+      let w = Wal.create ~data_page_size:data_ps f in
+      Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = Bytes.make 100 'a' });
+      Wal.append w ~gen:1 Wal.Commit;
+      Wal.fsync w;
+      (* 464 B at offset 0 of page 1, then 464 B from offset 464: the
+         second record crosses into page 2 *)
+      Wal.append w ~gen:1 (Wal.Page { ptr = 5; image = Bytes.make 400 'b' });
+      Wal.append w ~gen:1 (Wal.Page { ptr = 6; image = Bytes.make 400 'c' });
+      Wal.append w ~gen:1 Wal.Commit;
+      Wal.fsync w;
+      let p = Paged_file.read f page in
+      Bytes.fill p off len '\xFF';
+      Paged_file.write f page p;
+      let r = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+      Alcotest.(check int) (what ^ ": first batch only") 1 r.Wal.batches;
+      Alcotest.(check int) (what ^ ": scan stops at the crossing record") 3
+        r.Wal.records;
+      Alcotest.(check bool) (what ^ ": torn batch not promoted") false
+        (Hashtbl.mem r.Wal.committed 5 || Hashtbl.mem r.Wal.committed 6);
+      Alcotest.(check int) (what ^ ": resume on the torn group's page") 1
+        r.Wal.next_pos)
+    [
+      ("head half torn", 1, 500, log_ps - 500);
+      ("tail half torn", 2, 0, 100);
+    ]
+
+(* A group that continues past a settled record on the same page — a
+   CHECKPOINT marker left by a failed checkpoint, then a batch — and
+   tears after it. The valid tail ends mid-page; resume must clear the
+   torn remains after it, or the next replay stops there and loses the
+   resumed log's committed batches. *)
+let test_resume_clears_interrupted_group () =
+  Failpoint.reset ();
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let w = Wal.create ~data_page_size:data_ps f in
+  Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = Bytes.make 100 'a' });
+  Wal.append w ~gen:1 Wal.Commit;
+  Wal.append w ~gen:1 Wal.Checkpoint;
+  Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = Bytes.make 100 'b' });
+  Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
+  (* tear the second PAGE record's body: offsets 0, 164, 228, 292 *)
+  tear_from f 0 300;
+  let r1 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "first batch promoted" 1 r1.Wal.batches;
+  Alcotest.(check int) "valid tail ends after the marker" 292 r1.Wal.tail_end;
+  let w2 = Wal.resume ~data_page_size:data_ps ~replay:r1 f in
+  Wal.append w2 ~gen:1 (Wal.Page { ptr = 7; image = Bytes.make 100 'c' });
+  Wal.append w2 ~gen:1 Wal.Commit;
+  Wal.fsync w2;
+  let r2 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "the resumed batch is reached" 2 r2.Wal.batches;
+  Alcotest.(check bool) "new image committed" true (Hashtbl.mem r2.Wal.committed 7);
+  Alcotest.(check bool) "torn image never promoted" false
+    (Hashtbl.mem r2.Wal.committed 4)
+
+(* Regression: a record a crashed life logged but never committed must
+   not be promoted by the next life's first COMMIT. *)
+let test_uncommitted_tail_not_chained () =
+  Failpoint.reset ();
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let w = Wal.create ~data_page_size:data_ps f in
+  Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = img 'a' });
+  Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
+  (* the crashed batch: its first record landed, its COMMIT did not *)
+  Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = img 'b' });
+  Wal.fsync w;
+  let r1 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "the orphan is scanned" 3 r1.Wal.records;
+  Alcotest.(check int) "but not part of the valid tail" 2 r1.Wal.next_lsn;
+  let w2 = Wal.resume ~data_page_size:data_ps ~replay:r1 f in
+  Wal.append w2 ~gen:1 (Wal.Page { ptr = 6; image = img 'd' });
+  Wal.append w2 ~gen:1 Wal.Commit;
+  Wal.fsync w2;
+  let r2 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "both lives' batches" 2 r2.Wal.batches;
+  Alcotest.(check bool) "new batch promoted" true (Hashtbl.mem r2.Wal.committed 6);
+  Alcotest.(check bool) "orphan never promoted" false (Hashtbl.mem r2.Wal.committed 4)
+
+(* Sealing changes where a record lives, not what is shipped. *)
+let test_fetch_identical_across_seal () =
+  Failpoint.reset ();
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let w = Wal.create ~data_page_size:data_ps f in
+  List.iter
+    (fun sizes ->
+      List.iteri
+        (fun i n ->
+          Wal.append w ~gen:1 (Wal.Page { ptr = i; image = Bytes.make n 'p' }))
+        sizes;
+      Wal.append w ~gen:1 (Wal.Meta (Bytes.of_string "m"));
+      Wal.append w ~gen:1 Wal.Commit;
+      Wal.fsync w)
+    [ [ 37; 512; 300 ]; [ 200; 200; 200; 200 ]; [ 511 ] ];
+  let live = fetch_all w ~lsn:2 in
+  Alcotest.(check int) "every durable record from LSN 2" 12 (List.length live);
+  List.iter
+    (fun p -> Alcotest.(check int) "one log page per record" log_ps (Bytes.length p))
+    live;
+  Wal.append w ~gen:1 Wal.Checkpoint;
+  Wal.truncate w;
+  Alcotest.(check int) "pass sealed" 1 (Wal.segment_count w);
+  let sealed = fetch_all w ~lsn:2 in
+  Alcotest.(check int) "sealed range adds the marker" 13 (List.length sealed);
+  Alcotest.(check bool) "byte-identical pages before and after the seal" true
+    (List.for_all2 Bytes.equal live (List.filteri (fun i _ -> i < 12) sealed));
+  let a = Wal.Apply.create ~data_page_size:data_ps () in
+  let batches =
+    List.length
+      (List.filter
+         (fun p -> match Wal.Apply.step a p with Wal.Apply.Batch _ -> true | _ -> false)
+         (fetch_all w ~lsn:0))
+  in
+  Alcotest.(check int) "the sealed stream applies" 3 batches
+
+(* A page-per-record log (both checksum ranges) resumed with packed
+   groups: replay reads both as one pass, and a follower fed through the
+   resumed log's fetch_from reaches the same images. *)
+let test_legacy_log_resumes_packed () =
+  Failpoint.reset ();
+  let f = Paged_file.create_memory ~page_size:log_ps () in
+  let meta = Bytes.of_string "legacy meta" in
+  List.iter
+    (fun page -> ignore (Paged_file.append f page))
+    [
+      legacy_record ~kind:1 ~lsn:0 ~ptr:3 (img 'a');
+      legacy_record ~whole_page:false ~kind:4 ~lsn:1 ~ptr:(-1) meta;
+      legacy_record ~whole_page:false ~kind:2 ~lsn:2 ~ptr:(-1) Bytes.empty;
+      legacy_record ~whole_page:false ~kind:1 ~lsn:3 ~ptr:4 short_body;
+      legacy_record ~kind:2 ~lsn:4 ~ptr:(-1) Bytes.empty;
+    ];
+  let r1 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "legacy records accepted" 5 r1.Wal.records;
+  Alcotest.(check int) "legacy batches" 2 r1.Wal.batches;
+  Alcotest.(check int) "resume after the legacy tail" 5 r1.Wal.next_pos;
+  let w = Wal.resume ~data_page_size:data_ps ~replay:r1 f in
+  Wal.append w ~gen:1 (Wal.Page { ptr = 5; image = short_body });
+  Wal.append w ~gen:1 (Wal.Page { ptr = 3; image = Bytes.make 300 'z' });
+  Wal.append w ~gen:1 Wal.Commit;
+  Wal.fsync w;
+  Alcotest.(check int) "the packed group fills one page" 6 (Wal.cursor w);
+  let r2 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "legacy and packed records, one pass" 8 r2.Wal.records;
+  Alcotest.(check int) "three batches" 3 r2.Wal.batches;
+  Alcotest.(check bool) "legacy meta intact" true (r2.Wal.committed_meta = Some meta);
+  Alcotest.(check bool) "packed image wins over the legacy one" true
+    (Hashtbl.find_opt r2.Wal.committed 3 = Some (zero_padded (Bytes.make 300 'z')));
+  let a = Wal.Apply.create ~data_page_size:data_ps () in
+  let follower = Hashtbl.create 8 in
+  List.iter
+    (fun p ->
+      match Wal.Apply.step a p with
+      | Wal.Apply.Batch b ->
+          List.iter (fun (q, img) -> Hashtbl.replace follower q img) b.Wal.Apply.b_images
+      | Wal.Apply.Progress -> ()
+      | Wal.Apply.Reject m -> Alcotest.failf "shipped page rejected: %s" m)
+    (fetch_all w ~lsn:0);
+  Alcotest.(check int) "follower applied every record" 8 (Wal.Apply.records a);
+  let sorted h = List.sort compare (Hashtbl.fold (fun p img acc -> (p, img) :: acc) h []) in
+  Alcotest.(check bool) "follower state = replayed state" true
+    (sorted follower = sorted r2.Wal.committed)
 
 (* A page freed in the checkpointed generation, recycled and re-committed
    through the log only: recovery must take it off the free list, keep
@@ -569,6 +847,20 @@ let suite =
       `Quick test_tear_inside_record_stops_scan;
     Alcotest.test_case "replay: legacy whole-page checksum still accepted"
       `Quick test_legacy_whole_page_checksum;
+    Alcotest.test_case "packed: one commit of 8 PAGE records writes 2 log pages"
+      `Quick test_commit_writes_whole_pages;
+    Alcotest.test_case "packed: stale middle page stops the group, resume on its first page"
+      `Quick test_stale_middle_page;
+    Alcotest.test_case "packed: tear inside a record crossing a page boundary"
+      `Quick test_tear_across_page_boundary;
+    Alcotest.test_case "packed: resume clears an interrupted group's remains"
+      `Quick test_resume_clears_interrupted_group;
+    Alcotest.test_case "regression: uncommitted tail not chained by the next life"
+      `Quick test_uncommitted_tail_not_chained;
+    Alcotest.test_case "packed: fetch_from byte-identical across the seal" `Quick
+      test_fetch_identical_across_seal;
+    Alcotest.test_case "legacy: page-per-record log resumes with packed groups"
+      `Quick test_legacy_log_resumes_packed;
     Alcotest.test_case "concurrent group commit loses no acked key" `Quick
       test_wal_commit_race;
     Alcotest.test_case "durable mvcc crash battery (targeted)" `Quick
