@@ -7,7 +7,9 @@ module type S = sig
   val to_string : t -> string
 
   val encode : Buffer.t -> t -> unit
-  (** Append the binary page-format encoding of a key. *)
+  (** Append the binary page-format encoding of a key: at least one
+      byte, which {!Page_codec} relies on to bound a frame's key count
+      by its body length. *)
 
   val decode : Bytes.t -> pos:int -> t * int
   (** [decode bytes ~pos] returns the key and the position after it. *)

@@ -7,8 +7,8 @@
     round-trip tests, so the library could be rebased onto a real pager
     without touching tree code.
 
-    Version 2 frames every node with its body length and an FNV-1a
-    checksum, so a torn or partially-persisted page is {e detected} at
+    Every node is framed with its body length and a checksum of the
+    body, so a torn or partially-persisted page is {e detected} at
     decode time (raising {!Corrupt}) rather than parsed into a plausible
     but wrong node — the failure mode crash-recovery testing punishes
     hardest (see doc/RECOVERY.md).
@@ -16,9 +16,10 @@
     Layout (little-endian):
     {v
       magic      u8   = 0xB7
-      version    u8   = 2
+      version    u8   = 4 or 5 (2 or 3: legacy, read only)
       body_len   u32  (bytes after the checksum field)
-      checksum   u32  (FNV-1a-32 of the body)
+      checksum   u32  (of the body: Checksum.mx32 for v4/v5,
+                       FNV-1a-32 for v2/v3)
       -- body --
       level      u16
       flags      u8   (bit0 root, bit1 deleted)
@@ -27,26 +28,36 @@
       low_tag    u8   (0 = -inf, 1 = key, 2 = +inf) [key bytes if tag = 1]
       high_tag   u8   likewise
       nkeys      u32  [keys]
-      nptrs      u32  [ptrs as i64]
-    v} *)
+      nptrs      u32  [ptrs: i64s in v2/v4, varints in v3/v5]
+    v}
+
+    Versions come in pairs that differ only in the checksum. v2 and v4
+    store ptrs as fixed i64s. v3 and v5 store them as LEB128/zigzag
+    varints; they are written only for {!Node.vrec_level} pages, whose
+    ptrs are a dense int stream (epochs, tags, encoded values) dominated
+    by small numbers, where varints cut them 3–6x. Writers emit v4/v5;
+    v2/v3 are the FNV-1a-checksummed frames of stores written before the
+    word-at-a-time checksum, and still decode. A frame has the same
+    byte length in either version of its pair. *)
 
 let magic = 0xB7
-let version = 2
-
-let version_varint = 3
-(** Version 3 = identical layout except the ptr array is LEB128/zigzag
-    varints instead of fixed i64s. Only written for {!Node.vrec_level}
-    pages, whose ptrs are a dense int stream (epochs, tags, encoded
-    values) dominated by small numbers — varints cut them 3–6x. Plain
-    tree nodes keep writing version 2, so stores from before this codec
-    existed stay byte-identical and open unchanged. *)
+let version = 4
+let version_varint = 5
+let legacy_version = 2
+let legacy_version_varint = 3
 
 let frame_bytes = 10 (* magic + version + body_len + checksum *)
 
 exception Corrupt of string
 
+let known_version v = v >= legacy_version && v <= version_varint
+
 let frame_length page =
-  if Bytes.length page < frame_bytes || Bytes.get_uint8 page 0 <> magic then None
+  if
+    Bytes.length page < frame_bytes
+    || Bytes.get_uint8 page 0 <> magic
+    || not (known_version (Bytes.get_uint8 page 1))
+  then None
   else
     let len = frame_bytes + (Int32.to_int (Bytes.get_int32_le page 2) land 0xFFFFFFFF) in
     if len <= Bytes.length page then Some len else None
@@ -111,29 +122,41 @@ module Make (K : Key.S) = struct
     if varint then Array.iter (add_varint buf) n.Node.ptrs
     else Array.iter (fun p -> Buffer.add_int64_le buf (Int64.of_int p)) n.Node.ptrs
 
-  let encode buf (n : K.t Node.t) =
+  (* The whole frame is rendered once, into one buffer behind a
+     placeholder header; the single [Buffer.to_bytes] copy is then
+     patched in place with the body length and checksum. *)
+  let header_placeholder = String.make frame_bytes '\000'
+
+  let to_bytes (n : K.t Node.t) =
     let varint = n.Node.level = Node.vrec_level in
-    let body = Buffer.create 256 in
-    encode_body body ~varint n;
-    let body = Buffer.to_bytes body in
-    Buffer.add_uint8 buf magic;
-    Buffer.add_uint8 buf (if varint then version_varint else version);
-    Buffer.add_int32_le buf (Int32.of_int (Bytes.length body));
-    Buffer.add_int32_le buf
-      (Int32.of_int (Repro_util.Checksum.fnv32 body ~pos:0 ~len:(Bytes.length body)));
-    Buffer.add_bytes buf body
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf header_placeholder;
+    encode_body buf ~varint n;
+    let b = Buffer.to_bytes buf in
+    let body_len = Bytes.length b - frame_bytes in
+    Bytes.set_uint8 b 0 magic;
+    Bytes.set_uint8 b 1 (if varint then version_varint else version);
+    Bytes.set_int32_le b 2 (Int32.of_int body_len);
+    Bytes.set_int32_le b 6
+      (Int32.of_int (Repro_util.Checksum.mx32 b ~pos:frame_bytes ~len:body_len));
+    b
+
+  let encode buf n = Buffer.add_bytes buf (to_bytes n)
 
   let decode bytes ~pos : K.t Node.t * int =
     if pos + frame_bytes > Bytes.length bytes then raise (Corrupt "truncated frame");
     if Bytes.get_uint8 bytes pos <> magic then raise (Corrupt "bad magic");
     let ver = Bytes.get_uint8 bytes (pos + 1) in
-    if ver <> version && ver <> version_varint then raise (Corrupt "bad version");
-    let varint = ver = version_varint in
+    if not (known_version ver) then raise (Corrupt "bad version");
+    let varint = ver = version_varint || ver = legacy_version_varint in
     let body_len = Int32.to_int (Bytes.get_int32_le bytes (pos + 2)) in
     if body_len < 0 || pos + frame_bytes + body_len > Bytes.length bytes then
       raise (Corrupt "bad body length");
     let want = Int32.to_int (Bytes.get_int32_le bytes (pos + 6)) land 0xFFFFFFFF in
-    let got = Repro_util.Checksum.fnv32 bytes ~pos:(pos + frame_bytes) ~len:body_len in
+    let sum =
+      if ver >= version then Repro_util.Checksum.mx32 else Repro_util.Checksum.fnv32
+    in
+    let got = sum bytes ~pos:(pos + frame_bytes) ~len:body_len in
     if want <> got then
       raise
         (Corrupt
@@ -148,7 +171,9 @@ module Make (K : Key.S) = struct
     let low, pos = decode_bound bytes ~pos in
     let high, pos = decode_bound bytes ~pos in
     let nkeys = Int32.to_int (Bytes.get_int32_le bytes pos) in
-    if nkeys < 0 then raise (Corrupt "negative key count");
+    (* Every key and every ptr takes at least one byte, so a count past
+       the bytes left is damage — caught before it sizes an allocation. *)
+    if nkeys < 0 || nkeys > body_end - (pos + 4) then raise (Corrupt "bad key count");
     let pos = ref (pos + 4) in
     let keys =
       Array.init nkeys (fun _ ->
@@ -157,7 +182,7 @@ module Make (K : Key.S) = struct
           k)
     in
     let nptrs = Int32.to_int (Bytes.get_int32_le bytes !pos) in
-    if nptrs < 0 then raise (Corrupt "negative ptr count");
+    if nptrs < 0 || nptrs > body_end - (!pos + 4) then raise (Corrupt "bad ptr count");
     pos := !pos + 4;
     let ptrs =
       if varint then
@@ -185,11 +210,6 @@ module Make (K : Key.S) = struct
       }
     in
     (node, !pos)
-
-  let to_bytes n =
-    let buf = Buffer.create 256 in
-    encode buf n;
-    Buffer.to_bytes buf
 
   let of_bytes bytes = fst (decode bytes ~pos:0)
 

@@ -22,23 +22,28 @@
     frame, so a commit of a handful of pages costs a page or two of log,
     not one log page per record.
 
-    {b Checksum range}: FNV-1a-32 (the same framing idiom as
-    {!Page_codec}) over the header plus the [body_len] bytes the record
-    carries. A tear inside header + body breaks the checksum. Logs
-    written when every record filled a whole log page may instead carry
-    a checksum over that page; {!decode} falls back to that range when
-    the short one does not match, so they still replay.
+    {b Checksum range}: {!Repro_util.Checksum.mx32} (the word-at-a-time
+    checksum {!Page_codec} v4/v5 frames use) over the header plus the
+    [body_len] bytes the record carries, with the record's checksum-kind
+    byte set to 1. A tear inside header + body breaks the checksum. The
+    kind byte sits inside the checksummed header, so a flipped kind
+    fails the check too. Records with kind 0 are from logs written
+    before the word-at-a-time checksum: their FNV-1a-32 checksum covers
+    header + body or — for logs whose records each filled a log page —
+    the whole page, and {!decode} accepts either range, so they still
+    replay.
 
     {b Record format}:
 
     {v
     off 0   u32  magic        "SGWL"
     off 4   u8   kind         1 = PAGE, 2 = COMMIT, 3 = CHECKPOINT, 4 = META
+    off 5   u8   ck_kind      1 = mx32 over header + body; 0 = legacy FNV-1a
     off 8   u64  lsn          strictly increasing across the log's life
     off 16  u64  generation   store generation the record applies on top of
     off 24  u64  ptr          tree pointer (PAGE records; -1 otherwise)
     off 32  u32  body_len     bytes of body (≤ one data page)
-    off 40  u32  checksum     FNV-1a-32 over header + body, own field zeroed
+    off 40  u32  checksum     per ck_kind, own field zeroed
     off 44  u32  incarnation  append-pass counter, bumped at every resume
     off 64  ...  body         page image (codec frame) / meta blob
     v}
@@ -119,6 +124,7 @@ exception Corrupt of string
 
 let magic = 0x53_47_57_4C (* "SGWL" *)
 let header_bytes = 64
+let ck_kind_off = 5
 let len_off = 32
 let cksum_off = 40
 let inc_off = 44
@@ -127,6 +133,10 @@ let kind_page = 1
 let kind_commit = 2
 let kind_checkpoint = 3
 let kind_meta = 4
+
+(* Checksum kinds (the byte at [ck_kind_off]). *)
+let ck_fnv = 0
+let ck_mx = 1
 
 let fp_append = Failpoint.site "wal.append"
 let fp_commit = Failpoint.site "wal.commit"
@@ -229,6 +239,7 @@ let encode_into buf ~kind ~lsn ~gen ~inc ~ptr ~body =
   Bytes.fill buf 0 header_bytes '\000';
   Bytes.set_int32_le buf 0 (Int32.of_int magic);
   Bytes.set_uint8 buf 4 kind;
+  Bytes.set_uint8 buf ck_kind_off ck_mx;
   Bytes.set_int64_le buf 8 (Int64.of_int lsn);
   Bytes.set_int64_le buf 16 (Int64.of_int gen);
   Bytes.set_int64_le buf 24 (Int64.of_int ptr);
@@ -236,7 +247,7 @@ let encode_into buf ~kind ~lsn ~gen ~inc ~ptr ~body =
   Bytes.set_int32_le buf inc_off (Int32.of_int inc);
   Bytes.blit body 0 buf header_bytes (Bytes.length body);
   Bytes.set_int32_le buf cksum_off
-    (Int32.of_int (Repro_util.Checksum.fnv32 buf ~pos:0 ~len));
+    (Int32.of_int (Repro_util.Checksum.mx32 buf ~pos:0 ~len));
   len
 
 type parsed = {
@@ -251,21 +262,28 @@ type parsed = {
 (* [None] when the page is not a valid record (torn, zeroed, foreign).
    [page] is one log page with the record at its front and zeros after
    it — a shipped page, or the scanner's re-padded copy. [body_len] is
-   bounds-checked before anything is hashed; the checksum covers header
-   + body, or — for logs whose records each filled a log page — the
-   whole page. Writes the checksum field in place (and restores it), so
-   [page] must not be shared with a concurrent reader. *)
+   bounds-checked before anything is hashed. A kind-1 checksum covers
+   header + body; a kind-0 (legacy FNV-1a) one covers header + body or
+   — for logs whose records each filled a log page — the whole page.
+   Writes the checksum field in place (and restores it), so [page] must
+   not be shared with a concurrent reader. *)
 let decode page ~page_size =
   if get_u32 page 0 <> magic then None
   else
     let body_len = get_u32 page len_off in
-    if body_len > page_size - header_bytes then None
+    let ck_kind = Bytes.get_uint8 page ck_kind_off in
+    if body_len > page_size - header_bytes || (ck_kind <> ck_mx && ck_kind <> ck_fnv)
+    then None
     else
       let stored = get_u32 page cksum_off in
       Bytes.set_int32_le page cksum_off 0l;
-      let sum len = Repro_util.Checksum.fnv32 page ~pos:0 ~len in
       let len = header_bytes + body_len in
-      let valid = sum len = stored || (len < page_size && sum page_size = stored) in
+      let valid =
+        if ck_kind = ck_mx then Repro_util.Checksum.mx32 page ~pos:0 ~len = stored
+        else
+          let sum len = Repro_util.Checksum.fnv32 page ~pos:0 ~len in
+          sum len = stored || (len < page_size && sum page_size = stored)
+      in
       Bytes.set_int32_le page cksum_off (Int32.of_int stored);
       if not valid then None
       else

@@ -10,9 +10,12 @@
     so a page an earlier fsync covered is never rewritten. The scanner
     reads a missing record magic as the end of a group and continues at
     the next page boundary, which also reads logs written one record per
-    log page. Each record's FNV-1a-32 checksum (the {!Page_codec} v2
-    framing idiom) covers its header and body; logs checksummed over the
-    whole log page still replay. Each record also carries a strictly
+    log page. Each record's checksum covers its header and body; a
+    checksum-kind byte inside the header says which hash: the
+    word-at-a-time {!Repro_util.Checksum.mx32} (the {!Page_codec} v4/v5
+    idiom), which every appended record uses, or FNV-1a-32 for records
+    of older logs — whose checksum may also cover the whole log page —
+    so those still replay. Each record also carries a strictly
     increasing LSN, the store generation it applies on top of, and the
     log's {e incarnation} — a counter bumped at every post-crash
     {!resume}, which is what makes the recovered tail unambiguous (the

@@ -128,7 +128,7 @@ let test_vrec_roundtrip () =
   let ptrs = [ 0; 1; -1; 63; -64; 64; 1000000; -1000000; max_int / 2; min_int / 2; 0; 0 ] in
   let n = mk_vrec ptrs in
   let b = C.to_bytes n in
-  Alcotest.(check int) "vrec frames as v3" Page_codec.version_varint
+  Alcotest.(check int) "vrec frames as v5" Page_codec.version_varint
     (Char.code (Bytes.get b 1));
   Alcotest.(check bool) "vrec roundtrip" true (node_eq n (C.of_bytes b));
   (* chained continuation (link, not root) *)
@@ -145,10 +145,83 @@ let test_vrec_compact () =
     true
     (v3 < v2 / 3)
 
-let test_tree_nodes_stay_v2 () =
-  (* tree nodes must keep framing byte-identical to v2 stores *)
-  let n = mk ~high:(Bound.Key 30) ~link:42 [ 10; 20; 30 ] [ 1; 2; 3 ] in
-  Alcotest.(check int) "tree node frames as v2" 2 (Char.code (Bytes.get (C.to_bytes n) 1))
+let of_hex h =
+  Bytes.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* Frames the v2/v3 codec wrote (FNV-1a-32 body checksums), captured
+   from the encoder before v4/v5 existed: a leaf and a version-record
+   page. *)
+let v2_leaf =
+  of_hex
+    "b7025d00000076fa1974000000ffffffffffffffff2a00000000000000010500000000000000011e00000000000000030000000a0000000000000014000000000000001e0000000000000003000000010000000000000002000000000000000300000000000000"
+
+let v2_leaf_node =
+  mk ~low:(Bound.Key 5) ~high:(Bound.Key 30) ~link:42 [ 10; 20; 30 ] [ 1; 2; 3 ]
+
+let v3_vrec =
+  of_hex "b70325000000dedfbad2ffff01ffffffffffffffffffffffffffffffff00020000000005000000000201d804dfc508"
+
+let v3_vrec_node = mk_vrec [ 0; 1; -1; 300; -70000 ]
+
+let test_tree_nodes_frame_v4 () =
+  let b = C.to_bytes v2_leaf_node in
+  Alcotest.(check int) "tree node frames as v4" Page_codec.version
+    (Char.code (Bytes.get b 1));
+  Alcotest.(check int) "same length as its v2 frame" (Bytes.length v2_leaf)
+    (Bytes.length b);
+  Alcotest.(check bool) "v2 still decodes" true (node_eq v2_leaf_node (C.of_bytes v2_leaf))
+
+let test_legacy_frames_decode () =
+  Alcotest.(check int) "v2 frame" Page_codec.legacy_version
+    (Char.code (Bytes.get v2_leaf 1));
+  Alcotest.(check bool) "v2 leaf" true (node_eq v2_leaf_node (C.of_bytes v2_leaf));
+  Alcotest.(check (option int)) "v2 frame length" (Some (Bytes.length v2_leaf))
+    (Page_codec.frame_length v2_leaf);
+  Alcotest.(check int) "v3 frame" Page_codec.legacy_version_varint
+    (Char.code (Bytes.get v3_vrec 1));
+  Alcotest.(check bool) "v3 vrec" true (node_eq v3_vrec_node (C.of_bytes v3_vrec));
+  let v5 = C.to_bytes v3_vrec_node in
+  Alcotest.(check int) "vrec now frames as v5" Page_codec.version_varint
+    (Char.code (Bytes.get v5 1));
+  Alcotest.(check int) "v5 frame as long as v3" (Bytes.length v3_vrec) (Bytes.length v5);
+  (* each version is checked with its own hash: relabelling a frame
+     with its pair's version breaks the checksum *)
+  List.iter
+    (fun (what, frame, ver) ->
+      let b = Bytes.copy frame in
+      Bytes.set_uint8 b 1 ver;
+      match C.of_bytes b with
+      | exception Page_codec.Corrupt _ -> ()
+      | _ -> Alcotest.failf "%s accepted under the other checksum" what)
+    [
+      ("v2 relabelled v4", v2_leaf, Page_codec.version);
+      ("v4 relabelled v2", C.to_bytes v2_leaf_node, Page_codec.legacy_version);
+      ("v3 relabelled v5", v3_vrec, Page_codec.version_varint);
+    ]
+
+(* A frame whose key or ptr count is forged past the body, with a
+   checksum that matches, must fail as Corrupt — not size a 2^31-entry
+   allocation. *)
+let test_forged_count_rejected () =
+  let b = C.to_bytes (mk [] []) in
+  let body_len = Bytes.length b - Page_codec.frame_bytes in
+  let reseal b =
+    Bytes.set_int32_le b 6
+      (Int32.of_int
+         (Repro_util.Checksum.mx32 b ~pos:Page_codec.frame_bytes ~len:body_len))
+  in
+  (* body: level 2, flags 1, fwd 8, link 8, two bound tags, nkeys 4, nptrs 4 *)
+  let nkeys_off = Page_codec.frame_bytes + 21 in
+  List.iter
+    (fun (what, off) ->
+      let f = Bytes.copy b in
+      Bytes.set_int32_le f off 0x7FFFFFFFl;
+      reseal f;
+      match C.of_bytes f with
+      | exception Page_codec.Corrupt _ -> ()
+      | _ -> Alcotest.failf "%s accepted" what)
+    [ ("forged nkeys", nkeys_off); ("forged nptrs", nkeys_off + 4) ]
 
 let prop_vrec_roundtrip =
   QCheck.Test.make ~count:300 ~name:"vrec varint roundtrip"
@@ -162,7 +235,9 @@ let suite =
     Alcotest.test_case "roundtrip leaf" `Quick test_roundtrip_leaf;
     Alcotest.test_case "vrec v3 roundtrip" `Quick test_vrec_roundtrip;
     Alcotest.test_case "vrec v3 compact" `Quick test_vrec_compact;
-    Alcotest.test_case "tree nodes stay v2" `Quick test_tree_nodes_stay_v2;
+    Alcotest.test_case "tree nodes frame as v4; v2 decodes" `Quick test_tree_nodes_frame_v4;
+    Alcotest.test_case "legacy v2/v3 frames decode" `Quick test_legacy_frames_decode;
+    Alcotest.test_case "forged count raises Corrupt" `Quick test_forged_count_rejected;
     QCheck_alcotest.to_alcotest prop_vrec_roundtrip;
     Alcotest.test_case "roundtrip internal" `Quick test_roundtrip_internal;
     Alcotest.test_case "roundtrip root/tombstone" `Quick test_roundtrip_root_and_deleted;

@@ -395,8 +395,10 @@ let test_short_page_record_padded () =
   let rec0 = Paged_file.read f 0 in
   let stored = Int32.to_int (Bytes.get_int32_le rec0 40) land 0xFFFFFFFF in
   Bytes.set_int32_le rec0 40 0l;
+  Alcotest.(check int) "record flagged with the word-at-a-time checksum" 1
+    (Bytes.get_uint8 rec0 5);
   Alcotest.(check int) "checksum covers header + body only"
-    (Repro_util.Checksum.fnv32 rec0 ~pos:0
+    (Repro_util.Checksum.mx32 rec0 ~pos:0
        ~len:(Wal.header_bytes + Bytes.length short_body))
     stored;
   let r = Wal.replay ~data_page_size:data_ps ~gen:1 f in
@@ -453,9 +455,11 @@ let test_tear_inside_record_stops_scan () =
     ]
 
 (* A record of a page-per-record log, alone on its log page with zero
-   padding after it (layout in wal.ml). [whole_page] (the default) puts
-   the checksum over the whole log page, as logs before the header +
-   body range did; otherwise over header + body. *)
+   padding after it (layout in wal.ml), checksummed with FNV-1a-32 and
+   its checksum-kind byte left 0, as logs before the word-at-a-time
+   checksum were. [whole_page] (the default) puts the checksum over the
+   whole log page, as logs before the header + body range did;
+   otherwise over header + body. *)
 let legacy_record ?(whole_page = true) ~kind ~lsn ~ptr body =
   let page = Bytes.make log_ps '\000' in
   Bytes.set_int32_le page 0 0x53_47_57_4Cl;
@@ -743,7 +747,141 @@ let test_legacy_log_resumes_packed () =
   Alcotest.(check int) "follower applied every record" 8 (Wal.Apply.records a);
   let sorted h = List.sort compare (Hashtbl.fold (fun p img acc -> (p, img) :: acc) h []) in
   Alcotest.(check bool) "follower state = replayed state" true
-    (sorted follower = sorted r2.Wal.committed)
+    (sorted follower = sorted r2.Wal.committed);
+  (* the stream mixes both checksum kinds: legacy records unflagged,
+     everything the resumed log appended flagged *)
+  let shipped = fetch_all w ~lsn:0 in
+  Alcotest.(check (list int)) "checksum-kind bytes in LSN order"
+    [ 0; 0; 0; 0; 0; 1; 1; 1 ]
+    (List.map (fun p -> Bytes.get_uint8 p 5) shipped);
+  (* a second crash: the mixed pass replays and resumes again *)
+  let w2 = Wal.resume ~data_page_size:data_ps ~replay:r2 f in
+  Wal.append w2 ~gen:1 (Wal.Page { ptr = 4; image = Bytes.make 200 'y' });
+  Wal.append w2 ~gen:1 Wal.Commit;
+  Wal.fsync w2;
+  let r3 = Wal.replay ~data_page_size:data_ps ~gen:1 f in
+  Alcotest.(check int) "both kinds and two resumes, one scan" 10 r3.Wal.records;
+  Alcotest.(check int) "four batches" 4 r3.Wal.batches;
+  Alcotest.(check bool) "the newest image wins" true
+    (Hashtbl.find_opt r3.Wal.committed 4 = Some (zero_padded (Bytes.make 200 'y')));
+  let a = Wal.Apply.create ~data_page_size:data_ps () in
+  let follower = Hashtbl.create 8 in
+  List.iter
+    (fun p ->
+      match Wal.Apply.step a p with
+      | Wal.Apply.Batch b ->
+          List.iter (fun (q, img) -> Hashtbl.replace follower q img) b.Wal.Apply.b_images
+      | Wal.Apply.Progress -> ()
+      | Wal.Apply.Reject m -> Alcotest.failf "shipped page rejected: %s" m)
+    (fetch_all w2 ~lsn:0);
+  Alcotest.(check bool) "follower parity after the second resume" true
+    (sorted follower = sorted r3.Wal.committed)
+
+(* The checksum-kind byte sits inside the checksummed header: flipping
+   it on a flagged record, to legacy FNV or to an unknown kind, fails
+   the record instead of switching hashes. *)
+let test_flipped_checksum_kind_rejected () =
+  Failpoint.reset ();
+  let _, w = log_short_page_batch () in
+  match fetch_all w ~lsn:0 with
+  | page :: _ ->
+      Alcotest.(check int) "flagged" 1 (Bytes.get_uint8 page 5);
+      List.iter
+        (fun kind ->
+          let p = Bytes.copy page in
+          Bytes.set_uint8 p 5 kind;
+          match Wal.Apply.step (Wal.Apply.create ~data_page_size:data_ps ()) p with
+          | Wal.Apply.Reject _ -> ()
+          | _ -> Alcotest.failf "checksum kind %d accepted" kind)
+        [ 0; 2; 0xFF ];
+      Alcotest.(check bool) "unflipped record accepted" true
+        (Wal.Apply.step (Wal.Apply.create ~data_page_size:data_ps ()) page
+        = Wal.Apply.Progress)
+  | [] -> Alcotest.fail "nothing shipped"
+
+(* ---------- a store written before the word-at-a-time checksum ---------- *)
+
+(* The fixture directory, whether the suite runs from the test
+   directory (dune runtest) or the repository root (dune exec). *)
+let fixture name =
+  let dir = if Sys.file_exists "fixtures" then "fixtures" else "test/fixtures" in
+  Filename.concat dir name
+
+let copy_file src dst =
+  let ic = open_in_bin src in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin dst in
+  output_string oc s;
+  close_out oc
+
+(* test/fixtures/legacy-store.*: a one-shard store that `serve --backend
+   disk --durability wal --path` wrote with v2 frames and FNV-checksummed
+   log records, then was killed with kill -9 after acked commits — so
+   its last batches live only in the WAL's uncheckpointed tail. Opened
+   from a copy, it must replay, validate and hold exactly the pairs
+   listed beside it. *)
+let test_legacy_store_fixture () =
+  Failpoint.reset ();
+  let module Sh = Repro_baseline.Tree_intf.Sharded_int in
+  let module VD = Repro_core.Validate.Make_on_store (Key.Int) (Repro_baseline.Tree_intf.Paged_int) in
+  let data = fixture "legacy-store.s0" and log = fixture "legacy-store.wal.s0" in
+  let raw = Paged_file.open_file data in
+  Alcotest.(check int) "fixture holds v2 frames" Page_codec.legacy_version
+    (Bytes.get_uint8 (Paged_file.read raw 2) 1);
+  Paged_file.close raw;
+  let raw =
+    Paged_file.open_file
+      ~page_size:(Wal.log_page_size ~data_page_size:Paged_file.default_page_size)
+      log
+  in
+  Alcotest.(check int) "fixture log holds unflagged records" 0
+    (Bytes.get_uint8 (Paged_file.read raw 0) 5);
+  Paged_file.close raw;
+  let base = Filename.temp_file "legacy_store" "" in
+  let wal = base ^ ".wal" in
+  copy_file data (Sh.shard_path base 0);
+  copy_file log (Sh.shard_path wal 0);
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ base; Sh.shard_path base 0; Sh.shard_path wal 0 ])
+    (fun () ->
+      let sst = Sh.open_file ~wal_path:wal ~shards:1 base in
+      let ts, h = Repro_baseline.Tree_intf.sagiv_disk_sharded_open sst in
+      let r = VD.check ts.(0) in
+      if not (Repro_core.Validate.ok r) then
+        Alcotest.failf "fixture invalid: %s"
+          (String.concat "; " r.Repro_core.Validate.errors);
+      let want =
+        let ic = open_in (fixture "legacy-store.pairs") in
+        let rec go acc =
+          match input_line ic with
+          | line -> go (Scanf.sscanf line "%d %d" (fun k v -> (k, v)) :: acc)
+          | exception End_of_file -> List.rev acc
+        in
+        let l = go [] in
+        close_in ic;
+        l
+      in
+      let c = Repro_core.Handle.ctx ~slot:0 in
+      let got = (Option.get h.Repro_baseline.Tree_intf.range) c ~lo:min_int ~hi:max_int in
+      Alcotest.(check int) "pair count" (List.length want) (List.length got);
+      Alcotest.(check bool) "pairs match the list" true (got = want);
+      (* the batches past the last checkpoint came from the log *)
+      Alcotest.(check (option int)) "WAL-only key" (Some 5000) (h.Repro_baseline.Tree_intf.search c 500);
+      (* new writes land as v4 frames and flagged records *)
+      ignore (h.Repro_baseline.Tree_intf.insert c 1_000 1);
+      h.Repro_baseline.Tree_intf.commit ();
+      Sh.close sst;
+      let sst = Sh.open_file ~wal_path:wal ~shards:1 base in
+      let _, h = Repro_baseline.Tree_intf.sagiv_disk_sharded_open sst in
+      Alcotest.(check (option int)) "mixed store reopens" (Some 1)
+        (h.Repro_baseline.Tree_intf.search c 1_000);
+      Alcotest.(check int) "every pair kept" (List.length want + 1)
+        (List.length ((Option.get h.Repro_baseline.Tree_intf.range) c ~lo:min_int ~hi:max_int));
+      Sh.close sst)
 
 (* A page freed in the checkpointed generation, recycled and re-committed
    through the log only: recovery must take it off the free list, keep
@@ -861,6 +999,10 @@ let suite =
       test_fetch_identical_across_seal;
     Alcotest.test_case "legacy: page-per-record log resumes with packed groups"
       `Quick test_legacy_log_resumes_packed;
+    Alcotest.test_case "flipped checksum kind rejected" `Quick
+      test_flipped_checksum_kind_rejected;
+    Alcotest.test_case "legacy: pre-v4 store fixture replays" `Quick
+      test_legacy_store_fixture;
     Alcotest.test_case "concurrent group commit loses no acked key" `Quick
       test_wal_commit_race;
     Alcotest.test_case "durable mvcc crash battery (targeted)" `Quick

@@ -216,6 +216,29 @@ let test_snapshot_corruption () =
   | exception Snapshot.Corrupt _ -> ()
   | _ -> Alcotest.fail "corrupt snapshot accepted"
 
+(* test/fixtures/snapshot-v2.blk: [Snap.save] of an order-3 tree holding
+   k -> 7k for k in 1..60 except multiples of 3, written when the codec
+   framed nodes as v2 (FNV-1a-32). It must still load. *)
+let test_snapshot_v2_loads () =
+  let path =
+    Filename.concat
+      (if Sys.file_exists "fixtures" then "fixtures" else "test/fixtures")
+      "snapshot-v2.blk"
+  in
+  let ic = open_in_bin path in
+  let bytes = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
+  close_in ic;
+  let t = Snap.load bytes in
+  let rep = V.check t in
+  if not (Validate.ok rep) then
+    Alcotest.failf "v2 snapshot invalid: %s" (String.concat "; " rep.Validate.errors);
+  let want =
+    List.filter_map
+      (fun k -> if k mod 3 = 0 then None else Some (k, k * 7))
+      (List.init 60 succ)
+  in
+  Alcotest.(check bool) "v2 snapshot contents" true (S.to_list t = want)
+
 let suite =
   [
     Alcotest.test_case "mix validation" `Quick test_mix_validation;
@@ -232,4 +255,5 @@ let suite =
     Alcotest.test_case "snapshot of compacted tree" `Quick test_snapshot_compacted_tree;
     Alcotest.test_case "snapshot of empty tree" `Quick test_snapshot_empty_tree;
     Alcotest.test_case "snapshot corruption detected" `Quick test_snapshot_corruption;
+    Alcotest.test_case "v2 snapshot file loads" `Quick test_snapshot_v2_loads;
   ]

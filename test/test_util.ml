@@ -215,8 +215,9 @@ let test_backoff_grows () =
   Alcotest.(check int) "reset" 0 (Backoff.stage b)
 
 (* Known answers for FNV-1a-32 (the published test vectors): this hash
-   stamps the page codec, WAL records, header slots and the wire format,
-   so a change to its output breaks every store and log on disk. *)
+   stamps header slots, the free chain and the wire format, and checks
+   legacy (v2/v3) codec frames and unflagged WAL records, so a change to
+   its output breaks stores, logs and clients. *)
 let test_fnv32_known_answers () =
   List.iter
     (fun (s, want) ->
@@ -224,6 +225,83 @@ let test_fnv32_known_answers () =
     [ ("", 0x811c9dc5); ("a", 0xe40c292c); ("foobar", 0xbf9cf968) ];
   Alcotest.(check int) "a sub-range hashes like the substring" 0xbf9cf968
     (Checksum.fnv32 (Bytes.of_string "xxfoobarxx") ~pos:2 ~len:6)
+
+(* Known answers for mx32 over the bytes 0, 1, 2, ...: this hash stamps
+   every v4/v5 codec frame and every flagged WAL record, so these pin
+   the on-disk format. Lengths cover the empty range, the byte-only tail,
+   one word, one word plus a tail, one and a half lanes, one full
+   two-lane step, and a leaf frame's body. *)
+let test_mx32_known_answers () =
+  List.iter
+    (fun (len, want) ->
+      let b = Bytes.init len (fun i -> Char.chr (i land 0xFF)) in
+      Alcotest.(check int) (Printf.sprintf "mx32 of %d bytes" len) want
+        (Checksum.mx32 b ~pos:0 ~len))
+    [
+      (0, 0x380b481b);
+      (1, 0x06f351d1);
+      (7, 0x655f6206);
+      (8, 0x99988c0b);
+      (15, 0xc6b831af);
+      (16, 0xafa49f79);
+      (17, 0x353cbbc1);
+      (502, 0x042dacbb);
+    ]
+
+(* A WAL PAGE record carrying a ~500 B frame is about 566 B. *)
+let record_sized () = Bytes.init 566 (fun i -> Char.chr (((i * 131) + 7) land 0xFF))
+
+let test_mx32_detects_bit_flips () =
+  let b = record_sized () in
+  let len = Bytes.length b in
+  let base = Checksum.mx32 b ~pos:0 ~len in
+  let missed = ref 0 in
+  for i = 0 to len - 1 do
+    for bit = 0 to 7 do
+      let orig = Bytes.get_uint8 b i in
+      Bytes.set_uint8 b i (orig lxor (1 lsl bit));
+      if Checksum.mx32 b ~pos:0 ~len = base then incr missed;
+      Bytes.set_uint8 b i orig
+    done
+  done;
+  Alcotest.(check int) "every single-bit flip detected" 0 !missed
+
+let test_mx32_detects_truncation () =
+  let b = record_sized () in
+  for len = 1 to 40 do
+    Alcotest.(check bool)
+      (Printf.sprintf "%d bytes vs %d" len (len - 1))
+      true
+      (Checksum.mx32 b ~pos:0 ~len <> Checksum.mx32 b ~pos:0 ~len:(len - 1))
+  done
+
+let test_mx32_detects_word_swap () =
+  let b = record_sized () in
+  let len = Bytes.length b in
+  let base = Checksum.mx32 b ~pos:0 ~len in
+  List.iter
+    (fun (i, j) ->
+      let s = Bytes.copy b in
+      Bytes.blit b (8 * i) s (8 * j) 8;
+      Bytes.blit b (8 * j) s (8 * i) 8;
+      Alcotest.(check bool)
+        (Printf.sprintf "words %d and %d swapped" i j)
+        true
+        (Checksum.mx32 s ~pos:0 ~len <> base))
+    [ (0, 1); (0, 2); (1, 2); (3, 40); (0, 69) ]
+
+let test_mx32_sub_range () =
+  let b = record_sized () in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.(check int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Checksum.mx32 (Bytes.sub b pos len) ~pos:0 ~len)
+        (Checksum.mx32 b ~pos ~len))
+    [ (0, 0); (1, 7); (3, 16); (10, 502); (5, 561); (566, 0) ];
+  match Checksum.mx32 b ~pos:560 ~len:7 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a range past the end must be rejected"
 
 let suite =
   [
@@ -246,4 +324,9 @@ let suite =
     Alcotest.test_case "striped counters" `Quick test_counters;
     Alcotest.test_case "backoff stages" `Quick test_backoff_grows;
     Alcotest.test_case "fnv32 known answers" `Quick test_fnv32_known_answers;
+    Alcotest.test_case "mx32 known answers" `Quick test_mx32_known_answers;
+    Alcotest.test_case "mx32 detects every bit flip" `Quick test_mx32_detects_bit_flips;
+    Alcotest.test_case "mx32 detects truncation" `Quick test_mx32_detects_truncation;
+    Alcotest.test_case "mx32 detects a word swap" `Quick test_mx32_detects_word_swap;
+    Alcotest.test_case "mx32 sub-range" `Quick test_mx32_sub_range;
   ]
