@@ -889,7 +889,7 @@ let verbose_arg =
 let crash_shards_arg =
   Arg.(value & opt int 4
        & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard count for the partition-layer crash sweep (1 skips it).")
+           ~doc:"Shard count for the sharded crash sweeps, sync and WAL (1 skips them).")
 
 let crash_test_t =
   Term.(const crash_test_cmd $ quick_arg $ verbose_arg $ crash_shards_arg)

@@ -1,55 +1,60 @@
 (** Simulated-crash harness for the durable store.
 
-    Runs a deterministic Sagiv-tree workload over the full
-    {!Repro_storage.Paged_store} stack on a {e crash-shadow}
-    {!Repro_storage.Paged_file} (writes not covered by an fsync are lost
-    at the crash), with one {!Repro_storage.Failpoint} site armed to kill
-    the simulated process at an exact IO boundary. After the crash it
-    harvests the durable image, reopens it cold, and checks:
+    One runner, {!run}, drives a deterministic workload over the full
+    {!Repro_storage.Paged_store} stack on {e crash-shadow}
+    {!Repro_storage.Paged_file} devices (writes not covered by an fsync
+    are lost at the crash), with one {!Repro_storage.Failpoint} site
+    armed to kill the simulated process at an exact IO boundary. Its
+    {!scenario} names the durable configuration — sync or WAL
+    durability, the shard count, the plain tree or durable MVCC, and an
+    optional WAL-shipping follower. After the crash it harvests the
+    durable images, reopens them cold, and checks:
 
     - the store opens (falling back across header slots, degrading a
       damaged free chain to a leak — never refusing an intact tree);
     - {!Repro_core.Validate} finds a structurally sound tree;
-    - the recovered contents are {e exactly} one of the two states the
-      crash-atomic sync permits: the last acknowledged sync, or — only
-      when the crash hit inside a sync after its commit fsync — the
-      in-flight one. Acknowledged data is never lost, and no value is
-      ever torn or half-applied.
+    - every shard's recovered contents are {e exactly} one of the two
+      states its commit point permits: the last acknowledged commit (a
+      sync, in sync mode), or — only when the crash hit inside a commit
+      after its fsync — the in-flight one. Acknowledged data is never
+      lost, and no value is ever torn or half-applied.
 
     The oracle is a sequential model: the workload runs single-domain,
-    so the key set at each sync is known exactly. In WAL durability
-    mode ({!run_wal_tree} and friends) the same oracle tightens to the
-    {e group-commit} point: the store runs on a shadow data device
-    {e and} a shadow log device, recovery replays the log's crash image,
-    and the recovered contents must be exactly the last acknowledged
-    commit (or the in-flight one when the crash landed past its log
-    fsync). See doc/RECOVERY.md for the crash model and its
-    assumptions. *)
+    so the key set at each commit is known exactly. The targeted runs
+    below {!run} stage one fault each by hand (torn writes, short
+    writes, crashes in commit and replay, injected errors, a commit
+    race, point-in-time recovery). See doc/RECOVERY.md for the crash
+    model and its assumptions. *)
 
 open Repro_storage
 
 module PS = Paged_store.Make (Key.Int)
 module Sg = Repro_core.Sagiv.Make_on_store (Key.Int) (PS)
 module V = Repro_core.Validate.Make_on_store (Key.Int) (PS)
+module MV = Repro_core.Mvcc.Make_on_store (Key.Int) (PS)
 
-type config = {
+type scenario = {
   cache_pages : int;  (** decoded-node cache size (small → eviction traffic) *)
+  wal : bool;  (** WAL group commit; [false] = sync (checkpoint) durability *)
+  shards : int;  (** independent store pairs, keys routed by {!Shard_router} *)
+  mvcc : bool;  (** durable MVCC version chains over the tree *)
+  follower : bool;  (** a WAL-shipping follower, promoted after the crash *)
 }
 
 type outcome = {
   site : string;  (** armed failpoint site *)
   policy : string;
-  config : config;
+  scenario : scenario;
   crashed : bool;  (** false when the armed policy never fired *)
   ops : int;  (** workload ops issued before the crash (or all of them) *)
-  acked_syncs : int;  (** syncs that returned before the crash *)
+  acked_syncs : int;  (** commits that returned before the crash *)
   recovered_keys : int;
   recovered_gen : int;  (** header generation the reopen landed on *)
 }
 
 let pp_outcome o =
   Printf.sprintf "%-28s %-14s cache=%-3d %s ops=%-4d syncs=%-2d -> %d keys @gen %d"
-    o.site o.policy o.config.cache_pages
+    o.site o.policy o.scenario.cache_pages
     (if o.crashed then "CRASH" else "clean")
     o.ops o.acked_syncs o.recovered_keys o.recovered_gen
 
@@ -76,15 +81,25 @@ let policy_name : Failpoint.policy -> string = function
   | Failpoint.Torn_write -> "torn"
   | Failpoint.Crash_after n -> Printf.sprintf "crash@%d" n
 
-(* Reopen the durable image a crash at this instant would leave behind
-   and hand back a cold tree over it. All failpoints are disarmed first:
-   the dead process's policies must not outlive it into recovery. *)
-let recover ~cache_pages pfile =
+let data_page_size = 512
+let data_device () = Paged_file.create_shadow ~page_size:data_page_size ()
+
+let log_device () =
+  Paged_file.create_shadow ~page_size:(Wal.log_page_size ~data_page_size) ()
+
+let mk_scenario ?(wal = false) ?(shards = 1) ?(mvcc = false)
+    ?(follower = false) cache_pages =
+  { cache_pages; wal; shards; mvcc; follower }
+
+(* Reopen the durable image a crash at this instant would leave behind:
+   the data device's crash image, replaying the log device's in WAL
+   mode. All failpoints are disarmed first: the dead process's policies
+   must not outlive it into recovery. *)
+let recover ?shard ?wal ~cache_pages pfile =
   let image = Paged_file.crash_image pfile in
+  let wal = Option.map Paged_file.crash_image wal in
   Failpoint.reset ();
-  let store = PS.open_from ~cache_pages image in
-  let tree = Sg.open_existing store in
-  (store, tree)
+  PS.open_from ?expect_shard:shard ~cache_pages ?wal image
 
 let check_valid tree ~what =
   let r = V.check tree in
@@ -105,90 +120,492 @@ let key_sampler ~space dist =
   let scramble = dist <> Repro_util.Distribution.Uniform in
   Repro_util.Distribution.create ~scramble ~space dist
 
-(** One tree-level crash run: preload + clean sync, arm [site] with
-    [policy], run a seeded insert/delete/search mix ([dist] keys, default
-    uniform) syncing every 25 ops, catch the simulated death, recover,
-    and hold recovery to the oracle. A run where the policy never fires
-    ends with a clean close and an exact-contents check instead. *)
-let run_tree ?(ops = 400) ?(seed = 42) ?(dist = Repro_util.Distribution.Uniform)
-    ~site ~policy (config : config) =
-  Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:512 () in
-  let store = PS.create_on ~cache_pages:config.cache_pages pfile in
-  let tree = Sg.create ~order:4 ~store () in
+(* ---------- the commit-point oracle ---------- *)
+
+(* One instance per shard. [model] is the live key set, [committed] the
+   model at the last acknowledged commit, [inflight] the model at a
+   commit still in progress: a crash inside it may land either side of
+   its fsync, so recovery may land on either state, and on no other.
+   [touched] notes a change since the last commit began, so a
+   multi-shard batch commits only the shards it wrote. *)
+module Commit_point = struct
+  type t = {
+    model : (int, int) Hashtbl.t;
+    mutable committed : (int, int) Hashtbl.t;
+    mutable inflight : (int, int) Hashtbl.t option;
+    mutable touched : bool;
+  }
+
+  let create () =
+    {
+      model = Hashtbl.create 256;
+      committed = Hashtbl.create 1;
+      inflight = None;
+      touched = false;
+    }
+
+  let put t k v =
+    Hashtbl.replace t.model k v;
+    t.touched <- true
+
+  let remove t k =
+    Hashtbl.remove t.model k;
+    t.touched <- true
+
+  let begin_commit t =
+    t.inflight <- Some (Hashtbl.copy t.model);
+    t.touched <- false
+
+  let ack t =
+    t.committed <- Option.get t.inflight;
+    t.inflight <- None
+
+  let check t ~what recovered =
+    let ok =
+      matches_model recovered t.committed
+      || match t.inflight with Some m -> matches_model recovered m | None -> false
+    in
+    if not ok then
+      fail "%s: recovered %d keys matching neither the %d committed nor the in-flight commit"
+        what (List.length recovered) (Hashtbl.length t.committed)
+end
+
+(* ---------- WAL shipping: a harness-local follower ---------- *)
+
+(* The same {!Wal.Apply} scan-one-record step the wire replica runs,
+   over a private in-memory store. Promoted batches are only {e queued}
+   while the primary is alive — they install at promotion time, after
+   [Failpoint.reset] — because the harness's one global failpoint
+   registry simulates one process: the follower is a different process,
+   and its page installs must not trip the faults armed at the
+   primary. *)
+type follower = {
+  f_store : PS.t;
+  f_apply : Wal.Apply.t;
+  mutable f_next : int;  (** next LSN to pull *)
+  mutable f_pending : Wal.Apply.batch list;  (** promoted, newest first *)
+}
+
+let follower_create () =
+  {
+    f_store = PS.create_memory ~page_size:data_page_size ();
+    f_apply = Wal.Apply.create ~data_page_size ();
+    f_next = 0;
+    f_pending = [];
+  }
+
+(* Feed one shipped log page; false = the stream ended (an invalid
+   continuation — only legal at the torn tail of a crash image). *)
+let follower_feed f page =
+  match Wal.Apply.step f.f_apply page with
+  | Wal.Apply.Reject _ -> false
+  | Wal.Apply.Progress ->
+      f.f_next <- Wal.Apply.next_lsn f.f_apply;
+      true
+  | Wal.Apply.Batch b ->
+      f.f_pending <- b :: f.f_pending;
+      f.f_next <- Wal.Apply.next_lsn f.f_apply;
+      true
+
+(* Pull everything durable from a live primary. Durable pages are
+   covered by an fsync (or a checkpoint seal): a Reject here is a
+   harness failure, never a legitimate stream end. *)
+let follower_drain ~what store f =
+  let rec loop () =
+    match PS.wal_fetch store ~lsn:f.f_next ~max_pages:64 with
+    | Wal.At_end -> ()
+    | Wal.Stale -> fail "%s: follower fell out of the retention window" what
+    | Wal.Pages { pages; next } ->
+        List.iter
+          (fun page ->
+            if not (follower_feed f page) then
+              fail "%s: durable shipped page rejected by the stream policy"
+                what)
+          pages;
+        if f.f_next <> next then
+          fail "%s: follower cursor %d disagrees with fetch next %d" what
+            f.f_next next;
+        loop ()
+  in
+  loop ()
+
+(* Promotion: install every queued batch into the follower's store, in
+   promotion order, and open a read-write tree over it. *)
+let follower_promote f =
+  List.iter
+    (fun (b : Wal.Apply.batch) ->
+      PS.apply_replicated f.f_store ~images:b.Wal.Apply.b_images
+        ~meta:b.Wal.Apply.b_meta)
+    (List.rev f.f_pending);
+  f.f_pending <- [];
+  Sg.open_existing f.f_store
+
+(* The follower hooks of {!run}, attached after the preload checkpoint:
+   [drain] after every ack (synchronous shipping; the follower only
+   queues, so the armed faults cannot fire in it), and [promote] once
+   the primary is dead — catch up from the log device's crash image,
+   exactly what a replica that kept pulling until the primary died would
+   have received, and return the promoted tree's pairs. The run never
+   checkpoints after this point, so the live log pass spans it whole and
+   the catch-up can count records from the start of the crash image. *)
+let attach_follower ~what store lfile =
+  let live_base = PS.wal_durable_lsn store + 1 in
+  let f = follower_create () in
+  follower_drain ~what store f;
+  if f.f_next <> live_base then
+    fail "%s: follower drained to LSN %d, live pass starts at %d" what f.f_next
+      live_base;
+  let promote () =
+    let limage = Paged_file.crash_image lfile in
+    Failpoint.reset ();
+    (* Records past the last fsync were lost with the crash, so the scan
+       ends at the first invalid continuation — stale pass-0 bytes (LSN
+       regression) or a torn record — exactly like local replay. *)
+    (let consumed = ref (f.f_next - live_base) in
+     Wal.scan ~data_page_size limage (fun page ->
+         if !consumed > 0 then begin
+           decr consumed;
+           true
+         end
+         else follower_feed f page));
+    let ftree = follower_promote f in
+    check_valid ftree ~what:(what ^ " (promoted follower)");
+    Sg.to_list ftree
+  in
+  ((fun () -> follower_drain ~what store f), promote)
+
+(* ---------- engines ---------- *)
+
+(* What {!run} drives over the shards' stores. [load k] preloads key
+   [k]; [step i k r] applies op [i] on key [k] with mix draw [r], before
+   op [i]'s commit point; [persist s ~checkpoint] commits (or
+   checkpoints) shard [s]; [acked] runs after each acknowledged commit;
+   [quiesce] before a clean run's closing commit; [reopen what open_]
+   opens a recovered store (calling [open_] as often as it needs),
+   checks the engine's own invariants and returns the live pairs. *)
+type engine = {
+  load : int -> unit;
+  step : int -> int -> int -> unit;
+  persist : int -> checkpoint:bool -> unit;
+  acked : unit -> unit;
+  quiesce : unit -> unit;
+  reopen : string -> (unit -> PS.t) -> PS.t * (int * int) list;
+}
+
+(* The Sagiv engine: one tree per shard, the insert/delete/search mix. *)
+let tree_engine ~route stores (oracles : Commit_point.t array) =
+  let trees = Array.map (fun store -> Sg.create ~order:4 ~store ()) stores in
   let c = Sg.ctx ~slot:0 in
-  let model : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  (* Preload and sync before arming: the durable image always holds a
-     valid committed generation when the faults switch on. *)
-  for k = 0 to 49 do
-    if k mod 2 = 0 then begin
-      ignore (Sg.insert tree c k (payload k));
-      Hashtbl.replace model k (payload k)
+  let insert k =
+    let s = route k in
+    match Sg.insert trees.(s) c k (payload k) with
+    | `Ok -> Commit_point.put oracles.(s) k (payload k)
+    | `Duplicate -> ()
+  in
+  {
+    load = insert;
+    step =
+      (fun _ k r ->
+        let s = route k in
+        match r with
+        | 0 | 1 -> if Sg.delete trees.(s) c k then Commit_point.remove oracles.(s) k
+        | 2 -> ignore (Sg.search trees.(s) c k)
+        | _ -> insert k);
+    persist =
+      (fun s ~checkpoint ->
+        if checkpoint then Sg.flush trees.(s) else Sg.commit trees.(s));
+    acked = ignore;
+    quiesce = ignore;
+    reopen =
+      (fun what open_ ->
+        let store = open_ () in
+        let tree = Sg.open_existing store in
+        check_valid tree ~what;
+        (store, Sg.to_list tree));
+  }
+
+(* Full version-chain dump of a durable-MVCC store, sorted:
+   [(key, [(epoch, value-or-tombstone) newest-first])]. Two recoveries
+   of the same crash images must produce {e equal} dumps — chain replay
+   is deterministic down to the version level, not just the newest. *)
+let chain_dump mv =
+  let records = MV.records mv in
+  MV.T.to_list (MV.tree mv)
+  |> List.map (fun (k, rptr) ->
+         let chain =
+           match Record_store.export records rptr with
+           | Record_store.Slot_chain v ->
+               let rec walk = function
+                 | None -> []
+                 | Some (v : int Record_store.version) ->
+                     (v.Record_store.epoch, v.Record_store.value)
+                     :: walk v.Record_store.prev
+               in
+               walk (Some v)
+           | Record_store.Slot_empty | Record_store.Slot_sealed -> []
+         in
+         (k, chain))
+  |> List.sort compare
+
+(* The durable-MVCC engine (one shard): upsert/delete/get, with values
+   salted by the op index so every version of a key is distinguishable.
+   Its hooks hold a snapshot pinned across several commits (checked
+   against its cut before release) and run vacuum, keeping a ledger of
+   the version identities each prune removed. Recovery adds three
+   checks to the commit point: chain replay is deterministic (two
+   recoveries of the same images yield identical chains), no version
+   pruned before an acked commit resurrects — even when WAL replay
+   re-installs a pre-prune page image past the checkpoint — and a fresh
+   pin reads the recovered state. *)
+let mvcc_engine ~what store (o : Commit_point.t) =
+  let page_ints = max 32 ((PS.page_size store - 48) / 10) in
+  let mv = MV.create_durable ~order:4 ~page_ints ~enc:Fun.id ~dec:Fun.id store in
+  let c = MV.ctx ~slot:0 in
+  let upsert k v =
+    MV.upsert mv c k v;
+    Commit_point.put o k v
+  in
+  let snap = ref None in
+  (* the pruned-version ledger: identities vacuum dropped, pending until
+     the drop rides an acked commit *)
+  let pending_pruned = ref [] in
+  let committed_pruned : (int * int * int option, unit) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let hooks i =
+    (* a pin opened at +20 each century, held across several group
+       commits, checked against its cut and dropped at +60 *)
+    if i mod 100 = 20 && Option.is_none !snap then
+      snap := Some (MV.snapshot mv, Hashtbl.copy o.model);
+    (if i mod 100 = 60 then
+       match !snap with
+       | Some (s, at_cut) ->
+           for k = 0 to 199 do
+             if Hashtbl.mem at_cut k || Hashtbl.mem o.model k then
+               if MV.snap_get mv s c k <> Hashtbl.find_opt at_cut k then
+                 fail "%s: pinned snapshot drifted at key %d" what k
+           done;
+           MV.release s;
+           snap := None
+       | None -> ());
+    (* vacuum churn after the pin drops: record exactly which version
+       identities the prune removed *)
+    if i mod 100 = 70 then begin
+      let before = chain_dump mv in
+      ignore (MV.vacuum mv c);
+      ignore (MV.reclaim mv);
+      let after = Hashtbl.create 64 in
+      List.iter
+        (fun (k, chain) ->
+          List.iter (fun (e, v) -> Hashtbl.replace after (k, e, v) ()) chain)
+        (chain_dump mv);
+      List.iter
+        (fun (k, chain) ->
+          List.iter
+            (fun (e, v) ->
+              if not (Hashtbl.mem after (k, e, v)) then
+                pending_pruned := (k, e, v) :: !pending_pruned)
+            chain)
+        before
     end
+  in
+  let reopen what open_ =
+    let open_mv () =
+      let store = open_ () in
+      (store, MV.open_durable ~enc:Fun.id ~dec:Fun.id store)
+    in
+    let store2, mv2 = open_mv () in
+    check_valid (MV.tree mv2) ~what;
+    let recovered = MV.range mv2 c ~lo:min_int ~hi:max_int in
+    let dump = chain_dump mv2 in
+    if chain_dump (snd (open_mv ())) <> dump then
+      fail "%s: two recoveries of one crash image disagree on chains" what;
+    List.iter
+      (fun (k, chain) ->
+        List.iter
+          (fun (e, v) ->
+            if Hashtbl.mem committed_pruned (k, e, v) then
+              fail
+                "%s: version (key %d, epoch %d) pruned before an acked commit resurrected across recovery"
+                what k e)
+          chain)
+      dump;
+    let s = MV.snapshot mv2 in
+    List.iter
+      (fun (k, v) ->
+        if MV.snap_get mv2 s c k <> Some v then
+          fail "%s: post-recovery snapshot misreads key %d" what k)
+      recovered;
+    MV.release s;
+    (store2, recovered)
+  in
+  {
+    load = (fun k -> upsert k (payload k));
+    step =
+      (fun i k r ->
+        (match r with
+        | 0 -> if MV.delete mv c k then Commit_point.remove o k
+        | 1 -> ignore (MV.get mv c k)
+        | _ -> upsert k (payload k + (i * 1000)));
+        hooks i);
+    persist =
+      (fun _ ~checkpoint -> if checkpoint then MV.flush mv else MV.commit mv);
+    acked =
+      (fun () ->
+        List.iter (fun id -> Hashtbl.replace committed_pruned id ()) !pending_pruned;
+        pending_pruned := []);
+    quiesce = (fun () -> Option.iter (fun (s, _) -> MV.release s) !snap);
+    reopen;
+  }
+
+(* ---------- the runner ---------- *)
+
+(* The policy-column suffix that names a scenario in the battery log. *)
+let label sc =
+  if sc.follower then "+repl"
+  else if sc.mvcc then if sc.wal then "+mvcc" else "+mvcc.sync"
+  else if sc.shards > 1 then
+    Printf.sprintf "+%s.x%d" (if sc.wal then "wal" else "sync") sc.shards
+  else if sc.wal then "+wal"
+  else ""
+
+(** One crash run: preload + checkpoint on every shard, arm [site] with
+    [policy], run the engine's seeded mix with a commit point every
+    [period] ops, catch the simulated death, recover every shard from
+    its own crash images and hold it to its commit-point oracle. A run
+    where the policy never fires ends with a clean commit and an
+    exact-contents check instead. *)
+let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
+  let n = sc.shards in
+  if n < 1 || (sc.mvcc && n > 1)
+     || (sc.follower && (n > 1 || sc.mvcc || not sc.wal))
+  then invalid_arg "Crash.run: no engine for this scenario";
+  let what = Printf.sprintf "%s (%s%s)" site (policy_name policy) (label sc) in
+  let ops = Option.value ops ~default:(if sc.follower then 300 else 400) in
+  let seed =
+    Option.value seed
+      ~default:
+        (if sc.follower || n > 1 then 2042
+         else if sc.mvcc then 4042
+         else if sc.wal then 1042
+         else 42)
+  in
+  Failpoint.reset ();
+  let devices =
+    Array.init n (fun _ ->
+        (data_device (), if sc.wal then Some (log_device ()) else None))
+  in
+  let stores =
+    Array.mapi
+      (fun s (pfile, wal) ->
+        PS.create_on ~shard:(s, n) ~cache_pages:sc.cache_pages ?wal pfile)
+      devices
+  in
+  let oracles = Array.init n (fun _ -> Commit_point.create ()) in
+  let route k = Shard_router.shard_of ~shards:n k in
+  let e =
+    if sc.mvcc then mvcc_engine ~what stores.(0) oracles.(0)
+    else tree_engine ~route stores oracles
+  in
+  let commit s ~checkpoint =
+    Commit_point.begin_commit oracles.(s);
+    e.persist s ~checkpoint;
+    Commit_point.ack oracles.(s)
+  in
+  (* Preload and checkpoint before arming: every shard's durable image
+     holds a committed generation when the faults switch on. *)
+  for k = 0 to 49 do
+    if k mod 2 = 0 then e.load k
   done;
-  Sg.flush tree;
-  (* [committed]: model at the last sync that returned. [inflight]: model
-     at a sync call still in progress — a crash inside a sync may land
-     either side of its commit fsync, so both states are legal. *)
-  let committed = ref (Hashtbl.copy model) in
-  let inflight = ref None in
+  for s = 0 to n - 1 do
+    commit s ~checkpoint:true
+  done;
+  let follower =
+    if sc.follower then
+      Some (attach_follower ~what stores.(0) (Option.get (snd devices.(0))))
+    else None
+  in
+  (* sync mode checkpoints every 25 ops; WAL group-commits every 5 and
+     checkpoints on every 100th op instead, so each run crosses both
+     mechanisms; a followed primary commits every 3 ops and never
+     checkpoints *)
+  let period = if sc.follower then 3 else if sc.wal then 5 else 25 in
+  let checkpoint i = (not sc.wal) || (i mod 100 = 0 && not sc.follower) in
   let acked = ref 0 in
   let issued = ref 0 in
   let crashed = ref false in
   Failpoint.set site policy;
   (try
      let rng = Repro_util.Splitmix.create seed in
-     let keys = key_sampler ~space:200 dist in
+     let keys = key_sampler ~space:(if n > 1 then 400 else 200) dist in
      for i = 1 to ops do
        issued := i;
        let k = Repro_util.Distribution.sample keys rng in
-       (match Repro_util.Splitmix.int rng 10 with
-       | 0 | 1 ->
-           if Sg.delete tree c k then Hashtbl.remove model k
-       | 2 -> ignore (Sg.search tree c k)
-       | _ -> (
-           match Sg.insert tree c k (payload k) with
-           | `Ok -> Hashtbl.replace model k (payload k)
-           | `Duplicate -> ()));
-       if i mod 25 = 0 then begin
-         inflight := Some (Hashtbl.copy model);
-         Sg.flush tree;
-         committed := Hashtbl.copy model;
-         inflight := None;
-         incr acked
-       end
+       e.step i k (Repro_util.Splitmix.int rng 10);
+       if i mod period = 0 then
+         (* a multi-shard batch commits the shards it touched, in shard
+            order, each acknowledged separately — a crash lands mid-batch *)
+         for s = 0 to n - 1 do
+           if n = 1 || oracles.(s).touched then begin
+             commit s ~checkpoint:(checkpoint i);
+             e.acked ();
+             Option.iter (fun (drain, _) -> drain ()) follower;
+             incr acked
+           end
+         done
      done
    with Failpoint.Crash _ -> crashed := true);
   let crashed = !crashed || Failpoint.is_crashed () in
   if not crashed then begin
-    (* Policy never fired: finish cleanly so the run still checks the
-       straight-line durability path. *)
+    (* the policy never fired: finish cleanly so the run still checks the
+       straight-line durability path *)
     Failpoint.reset ();
-    Sg.flush tree;
-    committed := Hashtbl.copy model;
-    inflight := None
+    e.quiesce ();
+    for s = 0 to n - 1 do
+      commit s ~checkpoint:(not sc.wal)
+    done;
+    e.acked ();
+    Option.iter (fun (drain, _) -> drain ()) follower
   end;
-  let store2, tree2 = recover ~cache_pages:config.cache_pages pfile in
-  check_valid tree2 ~what:site;
-  let recovered = Sg.to_list tree2 in
-  let ok =
-    matches_model recovered !committed
-    || match !inflight with Some m -> matches_model recovered m | None -> false
-  in
-  if not ok then
-    fail "%s (%s): recovered %d keys matching neither the %d committed nor the in-flight sync"
-      site (policy_name policy) (List.length recovered)
-      (Hashtbl.length !committed);
+  let promoted = Option.map (fun (_, promote) -> promote ()) follower in
+  let keys = ref 0 and gen = ref 0 in
+  Array.iteri
+    (fun s (pfile, wal) ->
+      let what =
+        if n > 1 then Printf.sprintf "%s shard %d/%d" what s n else what
+      in
+      let store, recovered =
+        e.reopen what (fun () ->
+            recover ~shard:(s, n) ?wal ~cache_pages:sc.cache_pages pfile)
+      in
+      Commit_point.check oracles.(s) ~what recovered;
+      List.iter
+        (fun (k, _) ->
+          if route k <> s then
+            fail "%s: key %d recovered here but routes to shard %d" what k
+              (route k))
+        recovered;
+      Option.iter
+        (fun replica ->
+          if replica <> recovered then
+            fail "%s: promoted follower (%d keys) diverged from the recovered primary (%d keys)"
+              what (List.length replica) (List.length recovered))
+        promoted;
+      keys := !keys + List.length recovered;
+      gen := max !gen (PS.generation store))
+    devices;
   {
     site;
-    policy = policy_name policy;
-    config;
+    policy = policy_name policy ^ label sc;
+    scenario = sc;
     crashed;
     ops = !issued;
     acked_syncs = !acked;
-    recovered_keys = List.length recovered;
-    recovered_gen = PS.generation store2;
+    recovered_keys = !keys;
+    recovered_gen = !gen;
   }
+
+(* ---------- targeted runs ---------- *)
 
 (** Torn header-slot write: with nothing else dirty, the first write of a
     sync is the staged header — tear it mid-page and die. The slot being
@@ -200,14 +617,14 @@ let run_tree ?(ops = 400) ?(seed = 42) ?(dist = Repro_util.Distribution.Uniform)
     physically landed in full, in which case the newer generation — with
     byte-identical contents — validates and wins. Runs a spread of RNG
     seeds and requires both branches to occur. *)
-let run_torn_header (config : config) =
+let run_torn_header () =
   let seeds = 24 in
   let committed = ref 0 and fell_back = ref 0 and landed = ref 0 in
   for s = 1 to seeds do
     Failpoint.reset ();
     Failpoint.seed (0x7EAD + s);
-    let pfile = Paged_file.create_shadow ~page_size:512 () in
-    let store = PS.create_on ~cache_pages:config.cache_pages pfile in
+    let pfile = data_device () in
+    let store = PS.create_on ~cache_pages:8 pfile in
     let tree = Sg.create ~order:4 ~store () in
     let c = Sg.ctx ~slot:0 in
     let model = Hashtbl.create 64 in
@@ -224,7 +641,8 @@ let run_torn_header (config : config) =
     (match Sg.flush tree with
     | () -> fail "torn header write: sync must crash"
     | exception Failpoint.Crash _ -> ());
-    let store2, tree2 = recover ~cache_pages:config.cache_pages pfile in
+    let store2 = recover ~cache_pages:8 pfile in
+    let tree2 = Sg.open_existing store2 in
     check_valid tree2 ~what:"torn header";
     if not (matches_model (Sg.to_list tree2) model) then
       fail "torn header (seed %d): recovered contents differ from the committed state"
@@ -243,7 +661,7 @@ let run_torn_header (config : config) =
   {
     site = "paged_file.pwrite";
     policy = "torn(header)";
-    config;
+    scenario = mk_scenario 8;
     crashed = true;
     ops = seeds;
     acked_syncs = 2 * seeds;
@@ -257,7 +675,7 @@ let run_torn_header (config : config) =
     chain, which recovery degrades to a leak — never the tree. *)
 let run_torn_chain () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:512 () in
+  let pfile = data_device () in
   let store = PS.create_on ~cache_pages:8 pfile in
   let live = [ 0; 2; 4 ] and doomed = [ 1; 3; 5 ] in
   let ptrs = List.init 6 (fun i -> (i, PS.alloc store (leaf i))) in
@@ -275,9 +693,7 @@ let run_torn_chain () =
   (match PS.sync store with
   | () -> fail "torn chain write: sync must crash"
   | exception Failpoint.Crash _ -> ());
-  let image = Paged_file.crash_image pfile in
-  Failpoint.reset ();
-  let store2 = PS.open_from ~cache_pages:8 image in
+  let store2 = recover ~cache_pages:8 pfile in
   if PS.generation store2 <> committed_gen then
     fail "torn chain: recovered generation %d, expected %d"
       (PS.generation store2) committed_gen;
@@ -300,7 +716,7 @@ let run_torn_chain () =
   {
     site = "paged_file.pwrite";
     policy = "torn(chain)";
-    config = { cache_pages = 8 };
+    scenario = mk_scenario 8;
     crashed = true;
     ops = 0;
     acked_syncs = 2;
@@ -311,10 +727,10 @@ let run_torn_chain () =
 (** Short writes every other page write: the retry loops in
     {!Repro_storage.Paged_file} must make them invisible — the workload
     completes, and the recovered image is byte-exact. *)
-let run_short_writes (config : config) =
+let run_short_writes () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:512 () in
-  let store = PS.create_on ~cache_pages:config.cache_pages pfile in
+  let pfile = data_device () in
+  let store = PS.create_on ~cache_pages:8 pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
   let model = Hashtbl.create 256 in
@@ -332,14 +748,15 @@ let run_short_writes (config : config) =
     if i mod 50 = 0 then Sg.flush tree
   done;
   Sg.flush tree;
-  let store2, tree2 = recover ~cache_pages:config.cache_pages pfile in
+  let store2 = recover ~cache_pages:8 pfile in
+  let tree2 = Sg.open_existing store2 in
   check_valid tree2 ~what:"short writes";
   if not (matches_model (Sg.to_list tree2) model) then
     fail "short writes: contents differ after reopen";
   {
     site = "paged_file.pwrite";
     policy = "short/2";
-    config;
+    scenario = mk_scenario 8;
     crashed = false;
     ops = 300;
     acked_syncs = 6;
@@ -359,7 +776,7 @@ let expect_injected what f =
     stays retryable). *)
 let run_error_paths () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:512 () in
+  let pfile = data_device () in
   let store = PS.create_on ~cache_pages:4 pfile in
   let n = 24 in
   let ptrs = Array.init n (fun i -> PS.alloc store (leaf i)) in
@@ -435,249 +852,6 @@ let run_error_paths () =
   Failpoint.reset ();
   check_image ~what:"across the error storm" ~from:1
 
-(* ---------- WAL durability mode ---------- *)
-
-let data_page_size = 512
-let wal_page_size = Wal.log_page_size ~data_page_size
-
-(* WAL-mode recovery: harvest the crash image of {e both} devices — the
-   data file and the log — and reopen through the replay path. *)
-let recover_wal ~cache_pages pfile lfile =
-  let image = Paged_file.crash_image pfile in
-  let limage = Paged_file.crash_image lfile in
-  Failpoint.reset ();
-  let store = PS.open_from ~cache_pages ~wal:limage image in
-  let tree = Sg.open_existing store in
-  (store, tree)
-
-(** The WAL-mode analog of {!run_tree}: the store runs on a shadow data
-    device plus a shadow log device, the workload group-commits every 5
-    ops ([Sg.commit]) and checkpoints every 100 ([Sg.flush]), and the
-    oracle tightens to the {e commit} point — recovery must land exactly
-    on the last acknowledged commit (or the in-flight one, when the
-    crash hit a commit past its log fsync). [dist] (default uniform)
-    selects the key stream; a Zipfian dist aims the commit-point oracle
-    at hot-key traffic. *)
-let run_wal_tree ?(ops = 400) ?(seed = 1042)
-    ?(dist = Repro_util.Distribution.Uniform) ~site ~policy (config : config) =
-  Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
-  let store = PS.create_on ~cache_pages:config.cache_pages ~wal:lfile pfile in
-  let tree = Sg.create ~order:4 ~store () in
-  let c = Sg.ctx ~slot:0 in
-  let model : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  for k = 0 to 49 do
-    if k mod 2 = 0 then begin
-      ignore (Sg.insert tree c k (payload k));
-      Hashtbl.replace model k (payload k)
-    end
-  done;
-  Sg.flush tree;
-  (* a committed checkpoint generation exists before the faults arm *)
-  let committed = ref (Hashtbl.copy model) in
-  let inflight = ref None in
-  let acked = ref 0 in
-  let issued = ref 0 in
-  let crashed = ref false in
-  Failpoint.set site policy;
-  (try
-     let rng = Repro_util.Splitmix.create seed in
-     let keys = key_sampler ~space:200 dist in
-     for i = 1 to ops do
-       issued := i;
-       let k = Repro_util.Distribution.sample keys rng in
-       (match Repro_util.Splitmix.int rng 10 with
-       | 0 | 1 ->
-           if Sg.delete tree c k then Hashtbl.remove model k
-       | 2 -> ignore (Sg.search tree c k)
-       | _ -> (
-           match Sg.insert tree c k (payload k) with
-           | `Ok -> Hashtbl.replace model k (payload k)
-           | `Duplicate -> ()));
-       (* group commit every 5 ops; every 100th op checkpoints instead,
-          so each run crosses both durability mechanisms *)
-       if i mod 5 = 0 then begin
-         inflight := Some (Hashtbl.copy model);
-         if i mod 100 = 0 then Sg.flush tree else Sg.commit tree;
-         committed := Hashtbl.copy model;
-         inflight := None;
-         incr acked
-       end
-     done
-   with Failpoint.Crash _ -> crashed := true);
-  let crashed = !crashed || Failpoint.is_crashed () in
-  if not crashed then begin
-    Failpoint.reset ();
-    Sg.commit tree;
-    committed := Hashtbl.copy model;
-    inflight := None
-  end;
-  let store2, tree2 = recover_wal ~cache_pages:config.cache_pages pfile lfile in
-  check_valid tree2 ~what:site;
-  let recovered = Sg.to_list tree2 in
-  let ok =
-    matches_model recovered !committed
-    || match !inflight with Some m -> matches_model recovered m | None -> false
-  in
-  if not ok then
-    fail
-      "%s (%s, wal): recovered %d keys matching neither the %d committed nor the in-flight commit"
-      site (policy_name policy) (List.length recovered)
-      (Hashtbl.length !committed);
-  {
-    site;
-    policy = policy_name policy ^ "+wal";
-    config;
-    crashed;
-    ops = !issued;
-    acked_syncs = !acked;
-    recovered_keys = List.length recovered;
-    recovered_gen = PS.generation store2;
-  }
-
-(** The partition-layer analog of {!run_wal_tree}: [shards] fully
-    independent store+WAL pairs on their own shadow devices, keys routed
-    by {!Repro_storage.Shard_router}, and every 5th op a {e multi-shard
-    batch commit} — the shards the batch touched commit in shard order,
-    so an armed crash lands mid-batch: shards before the victim are at
-    their new durable state, the victim either side of its log fsync,
-    shards after it still at their old state. Each shard is recovered
-    from its own crash images (asserting its recorded [(i, N)] identity)
-    and held to its {e own} commit-point oracle; recovered keys must
-    also route back to the shard that held them. *)
-let run_sharded_wal ?(ops = 400) ?(seed = 2042) ?(shards = 4) ~site ~policy
-    (config : config) =
-  Failpoint.reset ();
-  let pfiles =
-    Array.init shards (fun _ ->
-        Paged_file.create_shadow ~page_size:data_page_size ())
-  in
-  let lfiles =
-    Array.init shards (fun _ ->
-        Paged_file.create_shadow ~page_size:wal_page_size ())
-  in
-  let stores =
-    Array.init shards (fun i ->
-        PS.create_on ~shard:(i, shards) ~cache_pages:config.cache_pages
-          ~wal:lfiles.(i) pfiles.(i))
-  in
-  let trees = Array.map (fun store -> Sg.create ~order:4 ~store ()) stores in
-  let c = Sg.ctx ~slot:0 in
-  let route k = Shard_router.shard_of ~shards k in
-  let models : (int, int) Hashtbl.t array =
-    Array.init shards (fun _ -> Hashtbl.create 64)
-  in
-  for k = 0 to 49 do
-    if k mod 2 = 0 then begin
-      let s = route k in
-      ignore (Sg.insert trees.(s) c k (payload k));
-      Hashtbl.replace models.(s) k (payload k)
-    end
-  done;
-  Array.iter Sg.flush trees;
-  (* every shard holds a committed checkpoint before the faults arm *)
-  let committed = Array.map (fun m -> ref (Hashtbl.copy m)) models in
-  let inflight : (int, int) Hashtbl.t option array = Array.make shards None in
-  let touched = Array.make shards false in
-  let acked = ref 0 in
-  let issued = ref 0 in
-  let crashed = ref false in
-  Failpoint.set site policy;
-  (try
-     let rng = Repro_util.Splitmix.create seed in
-     for i = 1 to ops do
-       issued := i;
-       let k = Repro_util.Splitmix.int rng 400 in
-       let s = route k in
-       (match Repro_util.Splitmix.int rng 10 with
-       | 0 | 1 ->
-           if Sg.delete trees.(s) c k then begin
-             Hashtbl.remove models.(s) k;
-             touched.(s) <- true
-           end
-       | 2 -> ignore (Sg.search trees.(s) c k)
-       | _ -> (
-           match Sg.insert trees.(s) c k (payload k) with
-           | `Ok ->
-               Hashtbl.replace models.(s) k (payload k);
-               touched.(s) <- true
-           | `Duplicate -> ()));
-       if i mod 5 = 0 then
-         (* multi-shard batch commit: touched shards in shard order, each
-            acknowledged separately (every 100th op checkpoints instead) *)
-         for s = 0 to shards - 1 do
-           if touched.(s) then begin
-             inflight.(s) <- Some (Hashtbl.copy models.(s));
-             if i mod 100 = 0 then Sg.flush trees.(s) else Sg.commit trees.(s);
-             committed.(s) := Hashtbl.copy models.(s);
-             inflight.(s) <- None;
-             incr acked;
-             touched.(s) <- false
-           end
-         done
-     done
-   with Failpoint.Crash _ -> crashed := true);
-  let crashed = !crashed || Failpoint.is_crashed () in
-  if not crashed then begin
-    Failpoint.reset ();
-    Array.iteri
-      (fun s tree ->
-        Sg.commit tree;
-        committed.(s) := Hashtbl.copy models.(s);
-        inflight.(s) <- None)
-      trees
-  end;
-  let images =
-    Array.init shards (fun i ->
-        (Paged_file.crash_image pfiles.(i), Paged_file.crash_image lfiles.(i)))
-  in
-  Failpoint.reset ();
-  let recovered_total = ref 0 in
-  let gen = ref 0 in
-  Array.iteri
-    (fun s (image, limage) ->
-      let store2 =
-        PS.open_from ~expect_shard:(s, shards)
-          ~cache_pages:config.cache_pages ~wal:limage image
-      in
-      let tree2 = Sg.open_existing store2 in
-      check_valid tree2 ~what:(Printf.sprintf "%s (shard %d/%d)" site s shards);
-      let recovered = Sg.to_list tree2 in
-      let ok =
-        matches_model recovered !(committed.(s))
-        ||
-        match inflight.(s) with
-        | Some m -> matches_model recovered m
-        | None -> false
-      in
-      if not ok then
-        fail
-          "%s (%s, shard %d/%d): recovered %d keys matching neither the %d \
-           committed nor the in-flight commit"
-          site (policy_name policy) s shards (List.length recovered)
-          (Hashtbl.length !(committed.(s)));
-      (* isolation: every recovered key routes back to this shard *)
-      List.iter
-        (fun (k, _) ->
-          if route k <> s then
-            fail "sharded wal: key %d recovered on shard %d but routes to %d" k
-              s (route k))
-        recovered;
-      recovered_total := !recovered_total + List.length recovered;
-      gen := max !gen (PS.generation store2))
-    images;
-  {
-    site;
-    policy = Printf.sprintf "%s+wal.x%d" (policy_name policy) shards;
-    config;
-    crashed;
-    ops = !issued;
-    acked_syncs = !acked;
-    recovered_keys = !recovered_total;
-    recovered_gen = !gen;
-  }
-
 (** Torn log append: with the cache big enough to hold the whole tree,
     the only device writes a group commit issues are log records — so a
     torn write is guaranteed to land on a record, never on the tree.
@@ -685,8 +859,8 @@ let run_sharded_wal ?(ops = 400) ?(seed = 2042) ?(shards = 4) ~site ~policy
     on the last acknowledged commit. *)
 let run_wal_torn_append () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+  let pfile = data_device () in
+  let lfile = log_device () in
   let store = PS.create_on ~cache_pages:256 ~wal:lfile pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
@@ -710,14 +884,15 @@ let run_wal_torn_append () =
   (match Sg.commit tree with
   | () -> fail "torn log append: commit must crash"
   | exception Failpoint.Crash _ -> ());
-  let store2, tree2 = recover_wal ~cache_pages:32 pfile lfile in
+  let store2 = recover ~cache_pages:32 ~wal:lfile pfile in
+  let tree2 = Sg.open_existing store2 in
   check_valid tree2 ~what:"torn log append";
   if not (matches_model (Sg.to_list tree2) committed) then
     fail "torn log append: recovery must land on the pre-tear commit";
   {
     site = "paged_file.pwrite";
     policy = "torn(wal)";
-    config = { cache_pages = 256 };
+    scenario = mk_scenario ~wal:true 256;
     crashed = true;
     ops = 80;
     acked_syncs = 2;
@@ -731,8 +906,8 @@ let run_wal_torn_append () =
     half-promoted batch. *)
 let run_wal_commit_crash () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+  let pfile = data_device () in
+  let lfile = log_device () in
   let store = PS.create_on ~cache_pages:32 ~wal:lfile pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
@@ -755,14 +930,15 @@ let run_wal_commit_crash () =
   (match Sg.commit tree with
   | () -> fail "commit-fsync crash: commit must crash"
   | exception Failpoint.Crash _ -> ());
-  let store2, tree2 = recover_wal ~cache_pages:32 pfile lfile in
+  let store2 = recover ~cache_pages:32 ~wal:lfile pfile in
+  let tree2 = Sg.open_existing store2 in
   check_valid tree2 ~what:"commit-fsync crash";
   if not (matches_model (Sg.to_list tree2) committed) then
     fail "commit-fsync crash: recovery must land on the previous commit";
   {
     site = "wal.commit";
     policy = "crash@1(fsync)";
-    config = { cache_pages = 32 };
+    scenario = mk_scenario ~wal:true 32;
     crashed = true;
     ops = 70;
     acked_syncs = 2;
@@ -776,8 +952,8 @@ let run_wal_commit_crash () =
     and land on the same state — recovery is idempotent. *)
 let run_wal_replay_crash () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+  let pfile = data_device () in
+  let lfile = log_device () in
   let store = PS.create_on ~cache_pages:32 ~wal:lfile pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
@@ -817,7 +993,7 @@ let run_wal_replay_crash () =
   {
     site = "wal.replay";
     policy = "crash@2(replay)";
-    config = { cache_pages = 16 };
+    scenario = mk_scenario ~wal:true 16;
     crashed = true;
     ops = 70;
     acked_syncs = 2;
@@ -833,8 +1009,8 @@ let run_wal_replay_crash () =
     wins) by the retry. *)
 let run_wal_error_paths () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+  let pfile = data_device () in
+  let lfile = log_device () in
   let store = PS.create_on ~cache_pages:32 ~wal:lfile pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
@@ -860,11 +1036,10 @@ let run_wal_error_paths () =
     Hashtbl.replace model k (payload k)
   done;
   commit_once "wal.commit";
-  let store2, tree2 = recover_wal ~cache_pages:32 pfile lfile in
+  let tree2 = Sg.open_existing (recover ~cache_pages:32 ~wal:lfile pfile) in
   check_valid tree2 ~what:"wal error paths";
   if not (matches_model (Sg.to_list tree2) model) then
-    fail "wal error paths: retried commits lost data";
-  ignore (PS.generation store2)
+    fail "wal error paths: retried commits lost data"
 
 (** Multi-domain group-commit durability stress — regression cover for
     the install/seal ordering in {!Repro_storage.Paged_store}: several
@@ -886,8 +1061,8 @@ let run_wal_error_paths () =
 let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
   for run = 1 to runs do
     Failpoint.reset ();
-    let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-    let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+    let pfile = data_device () in
+    let lfile = log_device () in
     let store =
       PS.create_on ~cache_pages:64 ~commit_interval:5e-4 ~commit_batch:domains
         ~wal:lfile pfile
@@ -911,7 +1086,7 @@ let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
     in
     List.iter Domain.join ds;
     (* power cut: nothing past the last acked commit reaches the image *)
-    let _store2, tree2 = recover_wal ~cache_pages:64 pfile lfile in
+    let tree2 = Sg.open_existing (recover ~cache_pages:64 ~wal:lfile pfile) in
     check_valid tree2 ~what:"wal commit race";
     let recovered = Sg.to_list tree2 in
     let expect = 1 + (domains * batch) in
@@ -921,199 +1096,6 @@ let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
     if not (List.for_all (fun (k, v) -> v = payload k) recovered) then
       fail "wal commit race (run %d): recovered a torn payload" run
   done
-
-(* ---------- replication: WAL shipping + promotion oracle ---------- *)
-
-(* A harness-local follower: the same {!Wal.Apply} scan-one-record step
-   the wire replica runs, over a private in-memory store. Promoted
-   batches are only {e queued} while the primary is alive — they install
-   at promotion time, after [Failpoint.reset] — because the harness's
-   one global failpoint registry simulates one process: the follower is
-   a different process, and its page installs must not trip the faults
-   armed at the primary. *)
-type follower = {
-  f_store : PS.t;
-  f_apply : Wal.Apply.t;
-  mutable f_next : int;  (** next LSN to pull *)
-  mutable f_pending : Wal.Apply.batch list;  (** promoted, newest first *)
-}
-
-let follower_create () =
-  {
-    f_store = PS.create_memory ~page_size:data_page_size ();
-    f_apply = Wal.Apply.create ~data_page_size ();
-    f_next = 0;
-    f_pending = [];
-  }
-
-(* Feed one shipped log page; false = the stream ended (an invalid
-   continuation — only legal at the torn tail of a crash image). *)
-let follower_feed f page =
-  match Wal.Apply.step f.f_apply page with
-  | Wal.Apply.Reject _ -> false
-  | Wal.Apply.Progress ->
-      f.f_next <- Wal.Apply.next_lsn f.f_apply;
-      true
-  | Wal.Apply.Batch b ->
-      f.f_pending <- b :: f.f_pending;
-      f.f_next <- Wal.Apply.next_lsn f.f_apply;
-      true
-
-(* Pull everything durable from a live primary. Durable pages are
-   covered by an fsync (or a checkpoint seal): a Reject here is a
-   harness failure, never a legitimate stream end. *)
-let follower_drain ~what store f =
-  let rec loop () =
-    match PS.wal_fetch store ~lsn:f.f_next ~max_pages:64 with
-    | Wal.At_end -> ()
-    | Wal.Stale -> fail "%s: follower fell out of the retention window" what
-    | Wal.Pages { pages; next } ->
-        List.iter
-          (fun page ->
-            if not (follower_feed f page) then
-              fail "%s: durable shipped page rejected by the stream policy"
-                what)
-          pages;
-        if f.f_next <> next then
-          fail "%s: follower cursor %d disagrees with fetch next %d" what
-            f.f_next next;
-        loop ()
-  in
-  loop ()
-
-(* Promotion: install every queued batch into the follower's store, in
-   promotion order, and open a read-write tree over it. *)
-let follower_promote f =
-  List.iter
-    (fun (b : Wal.Apply.batch) ->
-      PS.apply_replicated f.f_store ~images:b.Wal.Apply.b_images
-        ~meta:b.Wal.Apply.b_meta)
-    (List.rev f.f_pending);
-  f.f_pending <- [];
-  Sg.open_existing f.f_store
-
-(** The replication oracle: a primary on shadow devices streams its WAL
-    to a follower (drained synchronously after every acknowledged
-    commit), an armed failpoint kills the primary mid-run, the follower
-    catches up from the log device's {e crash image} — exactly what a
-    replica that kept pulling until the primary died would have
-    received — and is promoted. The promoted follower must (a) agree
-    byte-for-byte with a cold recovery of the primary from the same
-    images, and (b) hold the commit-point oracle: every acknowledged
-    commit survives, plus at most the in-flight one. The traffic run
-    never checkpoints, so the live log pass spans it whole and the
-    catch-up can count records from the start of the crash image. *)
-let run_replication ?(ops = 300) ?(seed = 2042) ~site ~policy
-    (config : config) =
-  Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
-  let store = PS.create_on ~cache_pages:config.cache_pages ~wal:lfile pfile in
-  let tree = Sg.create ~order:4 ~store () in
-  let c = Sg.ctx ~slot:0 in
-  let model : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  for k = 0 to 49 do
-    if k mod 2 = 0 then begin
-      ignore (Sg.insert tree c k (payload k));
-      Hashtbl.replace model k (payload k)
-    end
-  done;
-  Sg.flush tree;
-  (* the seed checkpoint sealed pass 0 into a segment; the live pass
-     starts here and — no checkpoint below — spans the whole run *)
-  let live_base = PS.wal_durable_lsn store + 1 in
-  let f = follower_create () in
-  follower_drain ~what:site store f;
-  if f.f_next <> live_base then
-    fail "%s: follower drained to LSN %d, live pass starts at %d" site f.f_next
-      live_base;
-  let committed = ref (Hashtbl.copy model) in
-  let inflight = ref None in
-  let acked = ref 0 in
-  let issued = ref 0 in
-  let crashed = ref false in
-  Failpoint.set site policy;
-  (try
-     let rng = Repro_util.Splitmix.create seed in
-     for i = 1 to ops do
-       issued := i;
-       let k = Repro_util.Splitmix.int rng 200 in
-       (match Repro_util.Splitmix.int rng 10 with
-       | 0 | 1 -> if Sg.delete tree c k then Hashtbl.remove model k
-       | 2 -> ignore (Sg.search tree c k)
-       | _ -> (
-           match Sg.insert tree c k (payload k) with
-           | `Ok -> Hashtbl.replace model k (payload k)
-           | `Duplicate -> ()));
-       if i mod 3 = 0 then begin
-         inflight := Some (Hashtbl.copy model);
-         Sg.commit tree;
-         committed := Hashtbl.copy model;
-         inflight := None;
-         incr acked;
-         (* synchronous shipping: drain right after the ack — the
-            follower only queues, so the armed faults cannot fire in it *)
-         follower_drain ~what:site store f
-       end
-     done
-   with Failpoint.Crash _ -> crashed := true);
-  let crashed = !crashed || Failpoint.is_crashed () in
-  if not crashed then begin
-    Failpoint.reset ();
-    Sg.commit tree;
-    committed := Hashtbl.copy model;
-    inflight := None;
-    follower_drain ~what:site store f
-  end;
-  (* the primary is dead: harvest the log device's crash image (the
-     data device's is taken inside [recover_wal] below) *)
-  let limage = Paged_file.crash_image lfile in
-  Failpoint.reset ();
-  (* catch-up: feed the log image from the follower's cursor to the torn
-     tail. Records past the last fsync were lost with the crash, so the
-     scan ends at the first invalid continuation — stale pass-0 bytes
-     (LSN regression) or a torn record — exactly like local replay. *)
-  (let consumed = ref (f.f_next - live_base) in
-   Wal.scan ~data_page_size limage (fun page ->
-       if !consumed > 0 then begin
-         decr consumed;
-         true
-       end
-       else follower_feed f page));
-  let ftree = follower_promote f in
-  check_valid ftree ~what:(site ^ " (promoted follower)");
-  let freplica = Sg.to_list ftree in
-  (* cold-recover the primary from the same images: the follower must
-     agree exactly, and both must sit on the commit-point oracle *)
-  let store2, tree2 = recover_wal ~cache_pages:config.cache_pages pfile lfile in
-  check_valid tree2 ~what:(site ^ " (recovered primary)");
-  let recovered = Sg.to_list tree2 in
-  if freplica <> recovered then
-    fail
-      "%s (%s): promoted follower (%d keys) diverged from the recovered \
-       primary (%d keys)"
-      site (policy_name policy) (List.length freplica)
-      (List.length recovered);
-  let ok =
-    matches_model recovered !committed
-    || match !inflight with Some m -> matches_model recovered m | None -> false
-  in
-  if not ok then
-    fail
-      "%s (%s, repl): recovered %d keys matching neither the %d committed nor \
-       the in-flight commit"
-      site (policy_name policy) (List.length recovered)
-      (Hashtbl.length !committed);
-  {
-    site;
-    policy = policy_name policy ^ "+repl";
-    config;
-    crashed;
-    ops = !issued;
-    acked_syncs = !acked;
-    recovered_keys = List.length freplica;
-    recovered_gen = PS.generation store2;
-  }
 
 (** Point-in-time recovery: run commits and periodic checkpoints (so the
     history spans several sealed log segments), snapshot the model at
@@ -1125,8 +1107,8 @@ let run_replication ?(ops = 300) ?(seed = 2042) ~site ~policy
     boundaries. *)
 let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
   Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+  let pfile = data_device () in
+  let lfile = log_device () in
   let store = PS.create_on ~cache_pages:32 ~wal:lfile pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
@@ -1179,7 +1161,7 @@ let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
   {
     site = "wal.pitr";
     policy = "replay-to-lsn";
-    config = { cache_pages = 32 };
+    scenario = mk_scenario ~wal:true 32;
     crashed = false;
     ops;
     acked_syncs = Array.length snaps;
@@ -1187,224 +1169,17 @@ let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
     recovered_gen = PS.generation f.f_store;
   }
 
-(* ---- durable MVCC ---- *)
-
-module MV = Repro_core.Mvcc.Make_on_store (Key.Int) (PS)
-
-(* Full version-chain dump of a durable-MVCC store, sorted:
-   [(key, [(epoch, value-or-tombstone) newest-first])]. Two recoveries
-   of the same crash images must produce {e equal} dumps — chain replay
-   is deterministic down to the version level, not just the newest. *)
-let chain_dump mv =
-  let records = MV.records mv in
-  MV.T.to_list (MV.tree mv)
-  |> List.map (fun (k, rptr) ->
-         let chain =
-           match Record_store.export records rptr with
-           | Record_store.Slot_chain v ->
-               let rec walk = function
-                 | None -> []
-                 | Some (v : int Record_store.version) ->
-                     (v.Record_store.epoch, v.Record_store.value)
-                     :: walk v.Record_store.prev
-               in
-               walk (Some v)
-           | Record_store.Slot_empty | Record_store.Slot_sealed -> []
-         in
-         (k, chain))
-  |> List.sort compare
-
-(** {!run_wal_tree} over durable MVCC: version chains persist through
-    the same WAL as the tree, snapshots stay pinned across group
-    commits, vacuum prunes mid-run, and the armed crash lands anywhere
-    in the log path. Recovery ({!MV.open_durable} over the replayed
-    images) is held to three oracles: (1) the newest acked versions —
-    current reads land exactly on the last acked commit or the in-flight
-    one; (2) chain replay is deterministic — recovering the same images
-    twice yields identical version chains; (3) versions pruned before an
-    acked commit never resurrect, even when WAL replay re-installs a
-    pre-prune page image past the checkpoint. *)
-let run_mvcc_wal ?(ops = 400) ?(seed = 4042) ~site ~policy (config : config) =
-  Failpoint.reset ();
-  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
-  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
-  let store = PS.create_on ~cache_pages:config.cache_pages ~wal:lfile pfile in
-  let page_ints = max 32 ((PS.page_size store - 48) / 10) in
-  let mv =
-    MV.create_durable ~order:4 ~page_ints ~enc:Fun.id ~dec:Fun.id store
-  in
-  let c = MV.ctx ~slot:0 in
-  let model : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  for k = 0 to 49 do
-    if k mod 2 = 0 then begin
-      MV.upsert mv c k (payload k);
-      Hashtbl.replace model k (payload k)
-    end
-  done;
-  MV.flush mv;
-  let committed = ref (Hashtbl.copy model) in
-  let inflight = ref None in
-  (* the pruned-version ledger: identities vacuum dropped, pending until
-     the drop rides an acked commit. Values are salted with the op index
-     so every version of a key is distinguishable. *)
-  let pending_pruned = ref [] in
-  let committed_pruned : (int * int * int option, unit) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  let acked = ref 0 in
-  let issued = ref 0 in
-  let crashed = ref false in
-  let snap = ref None in
-  Failpoint.set site policy;
-  (try
-     let rng = Repro_util.Splitmix.create seed in
-     let keys = key_sampler ~space:200 Repro_util.Distribution.Uniform in
-     for i = 1 to ops do
-       issued := i;
-       let k = Repro_util.Distribution.sample keys rng in
-       (match Repro_util.Splitmix.int rng 10 with
-       | 0 -> if MV.delete mv c k then Hashtbl.remove model k
-       | 1 -> ignore (MV.get mv c k)
-       | _ ->
-           let v = payload k + (i * 1000) in
-           MV.upsert mv c k v;
-           Hashtbl.replace model k v);
-       (* a pin opened at +20 each century, held across several group
-          commits, checked against its cut and dropped at +60 *)
-       if i mod 100 = 20 && !snap = None then
-         snap := Some (MV.snapshot mv, Hashtbl.copy model);
-       if i mod 100 = 60 then begin
-         match !snap with
-         | Some (s, at_cut) ->
-             for k = 0 to 199 do
-               if Hashtbl.mem at_cut k || Hashtbl.mem model k then
-                 let got = MV.snap_get mv s c k in
-                 if got <> Hashtbl.find_opt at_cut k then
-                   fail "%s (%s, mvcc): pinned snapshot drifted at key %d"
-                     site (policy_name policy) k
-             done;
-             MV.release s;
-             snap := None
-         | None -> ()
-       end;
-       (* vacuum churn after the pin drops: record exactly which version
-          identities the prune removed *)
-       if i mod 100 = 70 then begin
-         let before = chain_dump mv in
-         ignore (MV.vacuum mv c);
-         ignore (MV.reclaim mv);
-         let after = Hashtbl.create 64 in
-         List.iter
-           (fun (k, chain) ->
-             List.iter (fun (e, v) -> Hashtbl.replace after (k, e, v) ()) chain)
-           (chain_dump mv);
-         List.iter
-           (fun (k, chain) ->
-             List.iter
-               (fun (e, v) ->
-                 if not (Hashtbl.mem after (k, e, v)) then
-                   pending_pruned := (k, e, v) :: !pending_pruned)
-               chain)
-           before
-       end;
-       if i mod 5 = 0 then begin
-         inflight := Some (Hashtbl.copy model);
-         if i mod 100 = 0 then MV.flush mv else MV.commit mv;
-         committed := Hashtbl.copy model;
-         inflight := None;
-         List.iter
-           (fun id -> Hashtbl.replace committed_pruned id ())
-           !pending_pruned;
-         pending_pruned := [];
-         incr acked
-       end
-     done
-   with Failpoint.Crash _ -> crashed := true);
-  let crashed = !crashed || Failpoint.is_crashed () in
-  if not crashed then begin
-    Failpoint.reset ();
-    (match !snap with Some (s, _) -> MV.release s | None -> ());
-    MV.commit mv;
-    committed := Hashtbl.copy model;
-    List.iter (fun id -> Hashtbl.replace committed_pruned id ()) !pending_pruned;
-    pending_pruned := [];
-    inflight := None
-  end;
-  let recover_mvcc () =
-    let image = Paged_file.crash_image pfile in
-    let limage = Paged_file.crash_image lfile in
-    Failpoint.reset ();
-    let store2 =
-      PS.open_from ~cache_pages:config.cache_pages ~wal:limage image
-    in
-    (store2, MV.open_durable ~enc:Fun.id ~dec:Fun.id store2)
-  in
-  let store2, mv2 = recover_mvcc () in
-  check_valid (MV.tree mv2) ~what:site;
-  (* (1) newest acked versions: current reads land on the last acked
-     commit (or the in-flight one past its fsync) *)
-  let recovered = MV.range mv2 c ~lo:min_int ~hi:max_int in
-  let ok =
-    matches_model recovered !committed
-    || match !inflight with Some m -> matches_model recovered m | None -> false
-  in
-  if not ok then
-    fail
-      "%s (%s, mvcc): recovered %d live keys matching neither the %d committed nor the in-flight commit"
-      site (policy_name policy) (List.length recovered)
-      (Hashtbl.length !committed);
-  (* (2) deterministic chain replay: a second recovery of the same
-     images yields byte-identical version chains *)
-  let dump1 = chain_dump mv2 in
-  let _store3, mv3 = recover_mvcc () in
-  if chain_dump mv3 <> dump1 then
-    fail "%s (%s, mvcc): two recoveries of one crash image disagree on chains"
-      site (policy_name policy);
-  (* (3) no resurrection: every version pruned before an acked commit
-     stays pruned across replay *)
-  List.iter
-    (fun (k, chain) ->
-      List.iter
-        (fun (e, v) ->
-          if Hashtbl.mem committed_pruned (k, e, v) then
-            fail
-              "%s (%s, mvcc): version (key %d, epoch %d) pruned before an acked commit resurrected across recovery"
-              site (policy_name policy) k e)
-        chain)
-    dump1;
-  (* pins still work over the recovered store *)
-  let s = MV.snapshot mv2 in
-  List.iter
-    (fun (k, v) ->
-      if MV.snap_get mv2 s c k <> Some v then
-        fail "%s (%s, mvcc): post-recovery snapshot misreads key %d" site
-          (policy_name policy) k)
-    recovered;
-  MV.release s;
-  {
-    site;
-    policy = policy_name policy ^ "+mvcc";
-    config;
-    crashed;
-    ops = !issued;
-    acked_syncs = !acked;
-    recovered_keys = List.length recovered;
-    recovered_gen = PS.generation store2;
-  }
-
-(** The whole battery: tree-level crash runs for every site × cache size in
-    both durability modes (sync-everything, then WAL group commit
-    against the commit-point oracle), then the targeted torn /
-    short-write / commit-fsync / mid-replay / injected-error runs and
-    the multi-domain group-commit stress.
-    Returns the outcomes; raises on any violated invariant. After a
+(** The whole battery, one table walked by one loop: each sweep row is
+    a scenario run at every (cache size, site, crash ordinal), in the
+    order the rows are listed; the targeted runs sit between them. The
+    injected-error runs and the multi-domain group-commit stress close
+    it. Returns the outcomes; raises on any violated invariant. After a
     battery, {!Repro_storage.Failpoint.unexercised} must be empty — the
     CLI and CI enforce it. *)
 let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
-  let small = { cache_pages = 8 } in
-  let configs = if quick then [ small ] else [ small; { cache_pages = 64 } ] in
-  let crash_ordinals = if quick then [ 1 ] else [ 1; 3; 7 ] in
-  let sites =
+  let ordinals = if quick then [ 1 ] else [ 1; 3; 7 ] in
+  let caches big = if quick then [ 8 ] else [ 8; big ] in
+  let sync_sites =
     [
       "paged_file.pwrite";
       "paged_file.pread";
@@ -1416,25 +1191,8 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       "paged_store.sync.commit";
     ]
   in
-  let outcomes = ref [] in
-  let record o =
-    log (pp_outcome o);
-    outcomes := o :: !outcomes
-  in
-  List.iter
-    (fun config ->
-      List.iter
-        (fun site ->
-          List.iter
-            (fun ordinal ->
-              record
-                (run_tree ~site ~policy:(Failpoint.Crash_after ordinal) config))
-            crash_ordinals)
-        sites)
-    configs;
-  (* the same sweep in WAL durability mode, against the commit-point
-     oracle: the WAL's own sites plus the device and checkpoint sites
-     the log path shares *)
+  (* the WAL's own sites plus the device and checkpoint sites the log
+     path shares *)
   let wal_sites =
     [
       "wal.append";
@@ -1444,91 +1202,57 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       "paged_store.sync.header";
     ]
   in
-  List.iter
-    (fun config ->
-      List.iter
-        (fun site ->
-          List.iter
-            (fun ordinal ->
-              record
-                (run_wal_tree ~site ~policy:(Failpoint.Crash_after ordinal)
-                   config))
-            crash_ordinals)
-        wal_sites)
-    configs;
-  (* the WAL sweep again through the partition layer: [shards]
-     independent store+WAL pairs, batches spanning shards, crashes
-     landing mid-multi-shard-commit, per-shard commit-point oracle *)
-  if shards > 1 then
-    List.iter
-      (fun config ->
-        List.iter
+  let sweep ?seed ?dist ?(ordinals = ordinals) caches sites mk =
+    List.concat_map
+      (fun cache ->
+        List.concat_map
           (fun site ->
-            List.iter
-              (fun ordinal ->
-                record
-                  (run_sharded_wal ~shards ~site
-                     ~policy:(Failpoint.Crash_after ordinal) config))
-              crash_ordinals)
-          wal_sites)
-      [ small ];
-  (* the same commit-point oracle under hot-key traffic: a Zipfian key
-     stream hammers a handful of leaves, so crashes land amid repeated
-     same-key updates — the regime batch dedup targets *)
+            List.map
+              (fun n () ->
+                run ?seed ?dist ~site ~policy:(Failpoint.Crash_after n) (mk cache))
+              ordinals)
+          sites)
+      caches
+  in
+  (* Zipfian rows aim the commit-point oracle at hot-key traffic: a
+     handful of leaves take repeated same-key updates, the regime batch
+     dedup targets *)
   let zipf = Repro_util.Distribution.Zipfian 0.99 in
+  let sharded rows = if shards > 1 then rows else [] in
+  let table =
+    [
+      sweep (caches 64) sync_sites mk_scenario;
+      sweep (caches 64) wal_sites (mk_scenario ~wal:true);
+      sharded (sweep [ 8 ] wal_sites (mk_scenario ~wal:true ~shards));
+      sweep ~seed:3042 ~dist:zipf [ 8 ]
+        [ "wal.append"; "wal.commit" ]
+        (mk_scenario ~wal:true);
+      sweep ~seed:3042 ~dist:zipf ~ordinals:[ 3 ] [ 8 ]
+        [ "paged_file.pwrite" ] mk_scenario;
+      [
+        run_torn_header;
+        run_torn_chain;
+        run_short_writes;
+        run_wal_torn_append;
+        run_wal_commit_crash;
+        run_wal_replay_crash;
+      ];
+      sweep (caches 32)
+        [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
+        (mk_scenario ~wal:true ~follower:true);
+      sweep (caches 32) wal_sites (mk_scenario ~wal:true ~mvcc:true);
+      [ (fun () -> run_wal_pitr ()) ];
+      sharded (sweep (caches 64) sync_sites (mk_scenario ~shards));
+      sweep (caches 64) sync_sites (mk_scenario ~mvcc:true);
+    ]
+  in
+  let outcomes = ref [] in
   List.iter
-    (fun site ->
-      List.iter
-        (fun ordinal ->
-          record
-            (run_wal_tree ~dist:zipf ~seed:3042 ~site
-               ~policy:(Failpoint.Crash_after ordinal)
-               small))
-        crash_ordinals)
-    [ "wal.append"; "wal.commit" ];
-  record
-    (run_tree ~dist:zipf ~seed:3042 ~site:"paged_file.pwrite"
-       ~policy:(Failpoint.Crash_after 3)
-       small);
-  record (run_torn_header small);
-  record (run_torn_chain ());
-  record (run_short_writes small);
-  record (run_wal_torn_append ());
-  record (run_wal_commit_crash ());
-  record (run_wal_replay_crash ());
-  (* WAL shipping: a synchronously-drained follower promoted over the
-     primary's crash image, held to the recovered primary and to the
-     commit-point oracle — across every log-path site — then the
-     replay-to-LSN (PITR) check over the retained segments *)
-  List.iter
-    (fun config ->
-      List.iter
-        (fun site ->
-          List.iter
-            (fun ordinal ->
-              record
-                (run_replication ~site ~policy:(Failpoint.Crash_after ordinal)
-                   config))
-            crash_ordinals)
-        [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ])
-    (if quick then [ small ] else [ small; { cache_pages = 32 } ]);
-  (* durable MVCC over the WAL: version chains in the same log, pins
-     held across group commits, vacuum churn mid-run; every log-path
-     site, held to the newest-acked / deterministic-replay /
-     no-resurrection oracles *)
-  List.iter
-    (fun config ->
-      List.iter
-        (fun site ->
-          List.iter
-            (fun ordinal ->
-              record
-                (run_mvcc_wal ~site ~policy:(Failpoint.Crash_after ordinal)
-                   config))
-            crash_ordinals)
-        wal_sites)
-    (if quick then [ small ] else [ small; { cache_pages = 32 } ]);
-  record (run_wal_pitr ());
+    (List.iter (fun r ->
+         let o = r () in
+         log (pp_outcome o);
+         outcomes := o :: !outcomes))
+    table;
   run_error_paths ();
   run_wal_error_paths ();
   run_wal_commit_race ();

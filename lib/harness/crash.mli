@@ -1,21 +1,30 @@
-(** Simulated-crash harness: runs Sagiv-tree (and raw store) workloads
-    over the durable {!Repro_storage.Paged_store} stack on a crash-shadow
-    {!Repro_storage.Paged_file}, kills the simulated process at an armed
-    {!Repro_storage.Failpoint} site, reopens the durable image and holds
-    the recovery to an exact oracle (last acknowledged sync, or the
-    in-flight one when the crash landed past its commit fsync). The WAL
-    runs do the same over a data device {e plus} a log device, with the
-    oracle tightened to the group-commit point. Used by [test_crash] and
+(** Simulated-crash harness: one runner, {!run}, drives a workload over
+    the durable {!Repro_storage.Paged_store} stack on crash-shadow
+    {!Repro_storage.Paged_file} devices in any durable {!scenario} (sync
+    or WAL, one or several shards, plain tree or MVCC, with or without a
+    follower), kills the simulated process at an armed
+    {!Repro_storage.Failpoint} site, reopens the durable images and
+    holds every shard to one commit-point oracle: the last acknowledged
+    commit, or the in-flight one when the crash landed past its fsync.
+    Targeted runs stage single faults by hand. Used by [test_crash] and
     [blink_cli crash-test]; see doc/RECOVERY.md. *)
 
-type config = {
+type scenario = {
   cache_pages : int;  (** decoded-node cache size (small → eviction traffic) *)
+  wal : bool;  (** WAL group commit; [false] = sync (checkpoint) durability *)
+  shards : int;
+      (** independent store pairs, keys routed by
+          {!Repro_storage.Shard_router} *)
+  mvcc : bool;  (** durable MVCC version chains over the tree *)
+  follower : bool;  (** a WAL-shipping follower, promoted after the crash *)
 }
+(** A durable configuration: the axes the server's [Serve_config] names,
+    plus a replication follower. *)
 
 type outcome = {
   site : string;
   policy : string;
-  config : config;
+  scenario : scenario;
   crashed : bool;  (** false when the armed policy never fired *)
   ops : int;
   acked_syncs : int;
@@ -25,20 +34,45 @@ type outcome = {
 
 val pp_outcome : outcome -> string
 
-val run_tree :
+val run :
   ?ops:int ->
   ?seed:int ->
   ?dist:Repro_util.Distribution.kind ->
   site:string ->
   policy:Repro_storage.Failpoint.policy ->
-  config ->
+  scenario ->
   outcome
-(** One tree-level crash run against the oracle. [dist] (default
-    uniform, bit-identical to the historical seeded stream) selects the
-    key distribution; Zipfian aims the oracle at hot-key traffic.
+(** One crash run against the commit-point oracle. Every shard gets its
+    own shadow data device (and log device under [wal]), is preloaded
+    and checkpointed, and then the failpoint arms and a seeded mix runs:
+    insert/delete/search on the plain tree, or upsert/delete/get with
+    op-salted values, a pinned snapshot and vacuum churn under [mvcc].
+    Commit points follow from the scenario: a sync every 25 ops in sync
+    mode; under [wal] a group commit every 5 ops, every 100th op a
+    checkpoint instead; with a [follower], a commit every 3 ops, no
+    checkpoint, and the follower drained after each. With several
+    [shards] keys route by {!Repro_storage.Shard_router} and a commit
+    point is a multi-shard batch: touched shards commit in shard order,
+    each acknowledged separately, so a crash lands mid-batch.
+
+    After the crash every shard recovers from its own crash images
+    (asserting its recorded [(i, N)] identity) and must hold exactly its
+    last acknowledged commit, or the in-flight one when the crash came
+    after its fsync; every recovered key must route back to its shard.
+    [mvcc] adds three checks: two recoveries of the same images yield
+    identical version chains, versions pruned before an acked commit
+    never resurrect, and a fresh pin reads the recovered state. A
+    [follower] catches up from the log device's crash image, is
+    promoted, and must agree exactly with the recovered primary.
+
+    Defaults replay the historical seeded histories: [ops] 400 (300 with
+    a follower); [seed] 42 sync, 1042 WAL, 4042 MVCC, 2042 sharded or
+    followed; [dist] uniform over 200 keys (400 when sharded).
+    @raise Invalid_argument when [shards < 1], for MVCC over several
+    shards, and for a follower anywhere but on one plain WAL shard.
     @raise Failure on any violated recovery invariant. *)
 
-val run_torn_header : config -> outcome
+val run_torn_header : unit -> outcome
 (** Tear the staged header slot mid-write; recovery must fall back to the
     committed generation with full contents. *)
 
@@ -47,7 +81,7 @@ val run_torn_chain : unit -> outcome
     generation); recovery keeps the tree and either restores or safely
     leaks the free list. *)
 
-val run_short_writes : config -> outcome
+val run_short_writes : unit -> outcome
 (** Short-write every other page write; the device retry loops must make
     it invisible. *)
 
@@ -57,36 +91,6 @@ val run_error_paths : unit -> unit
     The eviction stage checks its own victim: every page put up to the
     failed eviction must hold its new leaf in a crash image taken after
     the following [sync]. *)
-
-val run_wal_tree :
-  ?ops:int ->
-  ?seed:int ->
-  ?dist:Repro_util.Distribution.kind ->
-  site:string ->
-  policy:Repro_storage.Failpoint.policy ->
-  config ->
-  outcome
-(** {!run_tree} in WAL durability mode: shadow data + shadow log device,
-    group commit every 5 ops, checkpoint every 100, recovery through log
-    replay held to the commit-point oracle. [dist] as in {!run_tree};
-    the battery includes Zipfian runs of this. *)
-
-val run_sharded_wal :
-  ?ops:int ->
-  ?seed:int ->
-  ?shards:int ->
-  site:string ->
-  policy:Repro_storage.Failpoint.policy ->
-  config ->
-  outcome
-(** {!run_wal_tree} through the partition layer: [shards] (default 4)
-    independent store+WAL pairs on their own shadow devices, keys routed
-    by {!Repro_storage.Shard_router}, multi-shard batch commits (touched
-    shards commit in shard order, each acknowledged separately), crashes
-    landing mid-batch. Every shard recovers from its own crash images —
-    asserting its recorded [(i, N)] identity — against its own
-    commit-point oracle, and every recovered key must route back to the
-    shard that held it. *)
 
 val run_wal_torn_append : unit -> outcome
 (** Tear a log record mid-append (cache sized so the commit writes only
@@ -115,42 +119,6 @@ val run_wal_commit_race :
     its installer's commit targets).
     @raise Failure on any lost or torn acknowledged key. *)
 
-val run_replication :
-  ?ops:int ->
-  ?seed:int ->
-  site:string ->
-  policy:Repro_storage.Failpoint.policy ->
-  config ->
-  outcome
-(** WAL-shipping replication oracle: a follower (the {!Wal.Apply} step
-    over its own in-memory store) drains the primary's durable log after
-    every acknowledged commit; the armed failpoint kills the primary;
-    the follower catches up from the log device's crash image and is
-    promoted. The promoted follower must agree exactly with a cold
-    recovery of the primary from the same images, and both must land on
-    the commit-point oracle (every acked commit survives, plus at most
-    the in-flight one).
-    @raise Failure on divergence or a lost acknowledged commit. *)
-
-val run_mvcc_wal :
-  ?ops:int ->
-  ?seed:int ->
-  site:string ->
-  policy:Repro_storage.Failpoint.policy ->
-  config ->
-  outcome
-(** {!run_wal_tree} over durable MVCC: version chains persist through
-    the same WAL as the tree, a snapshot stays pinned across several
-    group commits (checked against its cut before release), vacuum
-    prunes mid-run, and the armed crash lands anywhere in the log path.
-    Recovery through {!Repro_core.Mvcc.Make_on_store.open_durable} is
-    held to three oracles: newest acked versions land exactly on the
-    last acked commit (or the in-flight one past its fsync); recovering
-    the same crash images twice yields identical version chains; and
-    versions pruned before an acked commit never resurrect, even when
-    WAL replay re-installs a pre-prune page image past the checkpoint.
-    @raise Failure on any violated invariant. *)
-
 val run_wal_pitr : ?ops:int -> ?seed:int -> unit -> outcome
 (** Point-in-time recovery: replay the retained log (sealed segments +
     live pass) from LSN 0 up to a mid-history COMMIT boundary into a
@@ -164,8 +132,9 @@ val run_wal_error_paths : unit -> unit
 
 val battery :
   ?quick:bool -> ?shards:int -> ?log:(string -> unit) -> unit -> outcome list
-(** Crash runs for every site × cache size plus the targeted runs above,
-    including the {!run_sharded_wal} sweep over [shards] (default 4)
-    partitions ([shards <= 1] skips it). After a battery,
+(** One table of {!run} sweeps — each a scenario at every cache size ×
+    site × crash ordinal ([quick] keeps cache 8 and ordinal 1) — plus the
+    targeted runs above. Its sharded rows use [shards] (default 4)
+    partitions; [shards <= 1] skips them. After a battery,
     {!Repro_storage.Failpoint.unexercised} must be empty.
     @raise Failure on the first violated invariant. *)

@@ -62,12 +62,55 @@ let test_failpoint_registry () =
 
 (* ---------- the simulated-crash battery ---------- *)
 
+(* one quick battery, shared by the checks below *)
+let quick_battery = lazy (Crash.battery ~quick:true ())
+
 let test_battery () =
-  let outcomes = Crash.battery ~quick:true () in
+  let outcomes = Lazy.force quick_battery in
   Alcotest.(check bool) "battery ran" true (List.length outcomes > 20);
   let crashes = List.filter (fun o -> o.Crash.crashed) outcomes in
   Alcotest.(check bool) "most runs actually crashed" true
     (List.length crashes > List.length outcomes / 2)
+
+(* Every disk configuration the serve command accepts has a crashed run
+   in the quick battery with the same durability, shard count and MVCC
+   flag, or is named in [uncovered]. A new accepted axis value fails
+   here until the battery sweeps it. *)
+let test_battery_covers_serve_configs () =
+  let uncovered = [ (false, 4, true); (true, 4, true) ] in
+  let crashed = List.filter (fun o -> o.Crash.crashed) (Lazy.force quick_battery) in
+  let covered (wal, shards, mvcc) =
+    List.exists
+      (fun o ->
+        let sc = o.Crash.scenario in
+        sc.Crash.wal = wal && sc.shards = shards && sc.mvcc = mvcc)
+      crashed
+  in
+  List.iter
+    (fun durability ->
+      List.iter
+        (fun shards ->
+          List.iter
+            (fun mvcc ->
+              match
+                Repro_server.Serve_config.validate ~backend:"disk" ~durability
+                  ~shards ~mvcc ~path:None
+              with
+              | Error _ -> ()
+              | Ok c ->
+                  let key = (c.wal, c.shards, c.mvcc) in
+                  let name =
+                    Printf.sprintf "%s x%d mvcc=%b" durability shards mvcc
+                  in
+                  if List.mem key uncovered then
+                    Alcotest.(check bool) (name ^ " is listed uncovered") false
+                      (covered key)
+                  else
+                    Alcotest.(check bool) (name ^ " is crash-tested") true
+                      (covered key))
+            [ false; true ])
+        [ 1; 4 ])
+    [ "sync"; "wal" ]
 
 (* ---------- dual header slots (regression: sync used to rewrite the
    single header page 0 in place — one torn header bricked the store) *)
@@ -935,9 +978,15 @@ let test_mvcc_wal_crashes () =
   List.iter
     (fun (site, ordinal) ->
       let o =
-        Crash.run_mvcc_wal ~site
+        Crash.run ~site
           ~policy:(Failpoint.Crash_after ordinal)
-          { Crash.cache_pages = 8 }
+          {
+            Crash.cache_pages = 8;
+            wal = true;
+            shards = 1;
+            mvcc = true;
+            follower = false;
+          }
       in
       Alcotest.(check bool) (site ^ " fired") true o.Crash.crashed)
     [ ("wal.append", 5); ("wal.commit", 3); ("paged_file.fsync", 4) ]
@@ -1007,6 +1056,8 @@ let suite =
       test_wal_commit_race;
     Alcotest.test_case "durable mvcc crash battery (targeted)" `Quick
       test_mvcc_wal_crashes;
+    Alcotest.test_case "battery crash-tests every accepted disk config" `Quick
+      test_battery_covers_serve_configs;
     Alcotest.test_case "all failpoint sites exercised" `Quick
       test_all_sites_exercised;
   ]
