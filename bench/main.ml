@@ -21,6 +21,14 @@ let quick = ref false
 let scale n = if !quick then max 1 (n / 10) else n
 
 let ctx = Handle.ctx
+let cores = Domain.recommended_domain_count ()
+
+(* What a row with more domains than cores can show on this machine. *)
+let scaling_note =
+  match cores with
+  | 1 -> "one core: scaling rows show overhead, not speedup"
+  | 2 -> "two cores: rows past 2 domains timeshare, so no row shows more than 2x"
+  | n -> Printf.sprintf "%d cores: rows past %d domains timeshare" n n
 
 (* Minimal JSON emitter: enough for flat result records, no dependency.
    Experiments push named values into [json_out]; [--json PATH] writes
@@ -148,8 +156,8 @@ let e1 () =
 let e2 () =
   Report.heading "E2: throughput scaling with worker domains";
   Report.note
-    "Claim (§1): fewer/shorter locks allow a higher degree of concurrency. \
-     Single-core substrate: differences show as blocking/overhead, not speedup.";
+    ("Claim (§1): fewer/shorter locks allow a higher degree of concurrency. "
+    ^ String.capitalize_ascii scaling_note ^ ".");
   let total_ops = scale 160_000 in
   let space = scale 200_000 in
   let preload = space / 2 in
@@ -323,7 +331,7 @@ let e5 () =
       if k mod 4 <> 0 then ignore (S.delete t c k)
     done;
     let queued = Cqueue.length t.Handle.queue in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Driver.now () in
     let workers =
       Array.init compactors (fun i ->
           Domain.spawn (fun () ->
@@ -332,7 +340,7 @@ let e5 () =
               cc))
     in
     let ctxs = Array.map Domain.join workers in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Driver.now () -. t0 in
     let merges =
       Array.fold_left (fun acc (c : Handle.ctx) -> acc + c.Handle.stats.Stats.merges) 0 ctxs
     in
@@ -511,137 +519,19 @@ let e8 () =
     (J.List (List.sort (fun a b -> compare (J.to_string a) (J.to_string b)) !jrows))
 
 (* ------------------------------------------------------------------ *)
-(* E9: the memory hierarchy — buffer-pool size vs locality             *)
-(* ------------------------------------------------------------------ *)
-
-let e9 () =
-  Report.heading "E9: disk-resident baseline — buffer pool sweep";
-  Report.note
-    "The paper's nodes live on secondary storage (§2.2); this runs the \
-     sequential B+ tree against the real pager stack (paged file + clock \
-     buffer pool) and sweeps the pool size under uniform vs skewed reads.";
-  let module D = Disk_btree.Make (Key.Int) in
-  let n = scale 100_000 in
-  let searches = scale 100_000 in
-  let jsweep = ref [] in
-  let rows =
-    List.concat_map
-      (fun (dist_name, dist) ->
-        List.map
-          (fun frames ->
-            let pf = Paged_file.create_memory () in
-            let bp = Buffer_pool.create ~frames pf in
-            let t = D.create ~order:64 bp in
-            for k = 1 to n do
-              ignore (D.insert t k k)
-            done;
-            D.flush t;
-            (* measure reads only *)
-            let d = Repro_util.Distribution.create ~space:n dist in
-            let rng = Repro_util.Splitmix.create 99 in
-            let s0 = D.pool_stats t in
-            let t0 = Unix.gettimeofday () in
-            for _ = 1 to searches do
-              ignore (D.search t (1 + Repro_util.Distribution.sample d rng))
-            done;
-            let dt = Unix.gettimeofday () -. t0 in
-            let s1 = D.pool_stats t in
-            let hits = s1.Buffer_pool.hits - s0.Buffer_pool.hits in
-            let misses = s1.Buffer_pool.misses - s0.Buffer_pool.misses in
-            let ratio = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-            let tput = float_of_int searches /. dt in
-            jsweep :=
-              J.Obj
-                [
-                  ("dist", J.Str dist_name);
-                  ("frames", J.Int frames);
-                  ("hit_ratio", J.Float ratio);
-                  ("searches_per_s", J.Float tput);
-                ]
-              :: !jsweep;
-            [
-              dist_name;
-              string_of_int frames;
-              Report.fmt_f ~digits:3 ratio;
-              Report.fmt_si tput ^ "/s";
-            ])
-          [ 8; 64; 512; 4096 ])
-      [
-        ("uniform", Repro_util.Distribution.Uniform);
-        ("zipf(0.99)", Repro_util.Distribution.Zipfian 0.99);
-      ]
-  in
-  Report.table ~header:[ "read dist"; "pool frames"; "hit ratio"; "searches/s" ] rows;
-  Report.note
-    "Same hierarchy under the concurrent tree: Sagiv over the in-memory \
-     Store vs over Paged_store (codec + node cache + eviction), 4 domains, \
-     50/50 search/insert, node cache swept.";
-  let domains = 4 in
-  let ops_per_domain = scale 40_000 in
-  let space = scale 100_000 in
-  let spec = Workload.spec ~op_mix:Workload.balanced ~key_space:space ~preload:(space / 2) () in
-  let measure h =
-    ignore (Driver.preload h ~seed:42 spec);
-    let r = Driver.run_ops h ~domains ~ops_per_domain ~seed:42 spec in
-    r.Driver.throughput
-  in
-  let jtrees = ref [] in
-  let mem_row =
-    let h = (Tree_intf.sagiv ()).Tree_intf.make ~order:16 in
-    let tput = measure h in
-    jtrees := [ J.Obj [ ("tree", J.Str "sagiv-mem"); ("ops_per_s", J.Float tput) ] ];
-    [ "sagiv (mem)"; "-"; Report.fmt_si tput ^ "/s"; "-"; "-" ]
-  in
-  let disk_rows =
-    List.map
-      (fun cache_pages ->
-        let store = Tree_intf.Paged_int.create_memory ~cache_pages () in
-        let t = Tree_intf.Sagiv_disk.create ~order:16 ~store () in
-        let h = Tree_intf.(of_ops ~name:"sagiv-disk" (module Sagiv_disk) t) in
-        let tput = measure h in
-        let s = Tree_intf.Paged_int.pool_stats store in
-        jtrees :=
-          J.Obj
-            [
-              ("tree", J.Str "sagiv-disk");
-              ("cache_pages", J.Int cache_pages);
-              ("ops_per_s", J.Float tput);
-              ("page_reads", J.Int s.Buffer_pool.misses);
-              ("page_writes", J.Int s.Buffer_pool.writebacks);
-            ]
-          :: !jtrees;
-        [
-          "sagiv (disk)";
-          string_of_int cache_pages;
-          Report.fmt_si tput ^ "/s";
-          string_of_int s.Buffer_pool.misses;
-          string_of_int s.Buffer_pool.writebacks;
-        ])
-      [ 64; 512; 4096 ]
-  in
-  Report.table
-    ~header:[ "tree"; "node cache"; "ops/s"; "page reads"; "page writes" ]
-    (mem_row :: disk_rows);
-  record_json "E9"
-    (J.Obj
-       [
-         ("pool_sweep", J.List (List.rev !jsweep));
-         ("sagiv_hierarchy", J.List (List.rev !jtrees));
-       ])
-
-(* ------------------------------------------------------------------ *)
 (* E11: disk-resident concurrency — IO stripes                         *)
 (* ------------------------------------------------------------------ *)
 
 let e11 () =
   Report.heading "E11: disk-resident concurrency — IO stripes";
   Report.note
-    "sagiv-disk under a mixed workload with a node cache far smaller than \
+    ("sagiv-disk under a mixed workload with a node cache far smaller than \
      the working set, sweeping the store's IO stripe count (1 stripe = the \
      old single-global-IO-lock regime). Eviction writes dirty victims back \
-     inline. On this single-core substrate the gain comes from shorter \
-     critical sections (less convoying on one hot mutex) — not from \
-     parallel disk IO.";
+     inline. The store is memory-backed, so the gain comes from shorter \
+     critical sections (less convoying on one hot mutex), not from \
+     parallel disk IO; "
+    ^ scaling_note ^ ".");
   let space = scale 60_000 in
   let cache_pages = 128 in
   let total_ops = scale 120_000 in
@@ -734,232 +624,6 @@ let e11 () =
             control, 16 stripes = %.2fx"
            (s4 /. base) (s16 /. base))
   | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* E12: durability — stop-the-world sync vs WAL group commit           *)
-(* ------------------------------------------------------------------ *)
-
-(* Wrap a disk handle so every [every]-th completed write op issues a
-   durability call, timing each call into [samples]. [ckpt] = [(n, f)]
-   additionally runs checkpoint [f] every [n]-th write op — how a
-   WAL-mode store bounds its log (and keeps the log device overwriting
-   in place instead of growing under every fsync). *)
-let with_timed_commit ~every ~samples ?ckpt (h : Tree_intf.handle) =
-  let count = Atomic.make 0 in
-  let idx = Atomic.make 0 in
-  let tick () =
-    let n = Atomic.fetch_and_add count 1 in
-    (match ckpt with
-    | Some (ck_every, ck) when n mod ck_every = ck_every - 1 -> ck ()
-    | _ -> ());
-    if n mod every = every - 1 then begin
-      let t0 = Unix.gettimeofday () in
-      h.Tree_intf.commit ();
-      let i = Atomic.fetch_and_add idx 1 in
-      if i < Array.length samples then
-        samples.(i) <- Unix.gettimeofday () -. t0
-    end
-  in
-  ( {
-      h with
-      Tree_intf.insert =
-        (fun ctx k v ->
-          let r = h.Tree_intf.insert ctx k v in
-          tick ();
-          r);
-      delete =
-        (fun ctx k ->
-          let r = h.Tree_intf.delete ctx k in
-          tick ();
-          r);
-    },
-    idx )
-
-let quantile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
-let e12 () =
-  Report.heading "E12: durability — sync-every-N vs WAL group commit";
-  Report.note
-    "Write-heavy mix (10/60/30 search/insert/delete) on a file-backed \
-     store (real fsyncs) with a durability point every 10 completed write \
-     ops: sync mode serialises a full checkpoint (every dirty page, free \
-     chain, dual header, 3 fsyncs) behind one mutex per commit; WAL mode \
-     logs just the dirty page images and group-commits with one log \
-     fsync (checkpointing every 2000 write ops to truncate the log), \
-     commit_batch > 1 letting one leader's fsync cover concurrent \
-     committers. Commit latency sampled per durability call.";
-  let space = scale 20_000 in
-  let total_ops = scale 60_000 in
-  let every = 10 in
-  let cache_pages = 2048 in
-  let spec =
-    Workload.spec
-      ~op_mix:(Workload.mix ~search:0.1 ~insert:0.6 ~delete:0.3 ())
-      ~key_space:space ~preload:(space / 2) ()
-  in
-  let trials = if !quick then 3 else 5 in
-  let domain_counts = [ 1; 2; 4 ] in
-  (* (label, wal, commit_batch) *)
-  let modes = [ ("sync", false, 1); ("wal", true, 1); ("wal", true, 4) ] in
-  let run_once wal commit_batch domains =
-    Gc.compact ();
-    let path = Filename.temp_file "e12" ".pages" in
-    let wal_path = path ^ ".wal" in
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter
-          (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ path; wal_path ])
-      (fun () ->
-        let store =
-          if wal then
-            Tree_intf.Paged_int.create_file ~cache_pages ~commit_batch
-              ~commit_interval:5e-4 ~wal_path path
-          else Tree_intf.Paged_int.create_file ~cache_pages path
-        in
-        let t = Tree_intf.Sagiv_disk.create ~order:16 ~store () in
-        let h0 =
-          Tree_intf.of_ops
-            ~commit:(fun () -> Tree_intf.Sagiv_disk.commit t)
-            ~name:"sagiv-disk" (module Tree_intf.Sagiv_disk) t
-        in
-        ignore (Driver.preload h0 ~seed:4242 spec);
-        Tree_intf.Paged_int.flush store;
-        let samples = Array.make ((total_ops / every) + domains + 1) 0.0 in
-        let ckpt =
-          (* WAL mode checkpoints every 2000 write ops (sync mode's every
-             commit already is one), truncating the log so later windows
-             overwrite it in place. *)
-          if wal then Some (2000, fun () -> Tree_intf.Sagiv_disk.flush t)
-          else None
-        in
-        let h, idx = with_timed_commit ~every ~samples ?ckpt h0 in
-        let r =
-          Driver.run_ops h ~domains ~ops_per_domain:(total_ops / domains)
-            ~seed:4242 spec
-        in
-        let n = min (Atomic.get idx) (Array.length samples) in
-        let lat = Array.sub samples 0 n in
-        Array.sort Float.compare lat;
-        let io = Tree_intf.Paged_int.io_stats store in
-        Tree_intf.Paged_int.close store;
-        (r.Driver.throughput, lat, io))
-  in
-  let results = Hashtbl.create 16 in
-  let jrows = ref [] in
-  let rows =
-    List.concat_map
-      (fun (label, wal, commit_batch) ->
-        List.map
-          (fun domains ->
-            let runs =
-              List.init trials (fun _ -> run_once wal commit_batch domains)
-            in
-            let sorted =
-              List.sort (fun (a, _, _) (b, _, _) -> Float.compare a b) runs
-            in
-            let tput, lat, io = List.nth sorted (trials / 2) in
-            let p50 = quantile lat 0.50 and p99 = quantile lat 0.99 in
-            Hashtbl.replace results (label, commit_batch, domains)
-              (tput, p99);
-            jrows :=
-              J.Obj
-                [
-                  ("mode", J.Str label);
-                  ("commit_batch", J.Int commit_batch);
-                  ("domains", J.Int domains);
-                  ("ops_per_s", J.Float tput);
-                  ("commits", J.Int (Array.length lat));
-                  ("commit_p50_us", J.Float (1e6 *. p50));
-                  ("commit_p99_us", J.Float (1e6 *. p99));
-                  ("commit_groups", J.Int io.Stats.commit_groups);
-                  ("max_commit_group", J.Int io.Stats.max_commit_group);
-                  ("wal_records", J.Int io.Stats.wal_records);
-                  ("wal_fsyncs", J.Int io.Stats.wal_fsyncs);
-                ]
-              :: !jrows;
-            [
-              label;
-              string_of_int commit_batch;
-              string_of_int domains;
-              Report.fmt_si tput ^ "/s";
-              string_of_int (Array.length lat);
-              Report.fmt_f (1e6 *. p50) ^ "us";
-              Report.fmt_f (1e6 *. p99) ^ "us";
-              string_of_int io.Stats.commit_groups;
-              string_of_int io.Stats.max_commit_group;
-              string_of_int io.Stats.wal_fsyncs;
-            ])
-          domain_counts)
-      modes
-  in
-  Report.table
-    ~header:
-      [
-        "mode"; "batch"; "domains"; "tput"; "commits"; "commit p50";
-        "commit p99"; "groups"; "max group"; "log fsyncs";
-      ]
-    rows;
-  record_json "E12"
-    (J.Obj
-       [
-         ("space", J.Int space);
-         ("total_ops", J.Int total_ops);
-         ("commit_every", J.Int every);
-         ("rows", J.List (List.rev !jrows));
-       ]);
-  match
-    ( Hashtbl.find_opt results ("sync", 1, 4),
-      Hashtbl.find_opt results ("wal", 1, 4),
-      Hashtbl.find_opt results ("wal", 4, 4) )
-  with
-  | Some (sync_t, sync_p99), Some (w1_t, w1_p99), Some (w4_t, w4_p99) ->
-      Report.note
-        (Printf.sprintf
-           "verdict @ 4 domains: wal batch=1 = %.2fx sync throughput (p99 \
-            commit %.0fus vs %.0fus), wal batch=4 = %.2fx (p99 %.0fus)"
-           (w1_t /. sync_t) (1e6 *. w1_p99) (1e6 *. sync_p99)
-           (w4_t /. sync_t) (1e6 *. w4_p99))
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* E10: YCSB-style workloads across the trees                          *)
-(* ------------------------------------------------------------------ *)
-
-let e10 () =
-  Report.heading "E10: YCSB-style workloads (A/B/C/D/F), 4 domains";
-  Report.note
-    "Standard cloud-serving mixes on every tree: A 50/50 r/u zipf, B 95/5 \
-     zipf, C read-only zipf, D 95/5 fresh-key, F RMW ~ 50/50. Latency \
-     percentiles from per-op timing.";
-  let space = scale 100_000 in
-  let rows =
-    List.concat_map
-      (fun (wname, w) ->
-        List.map
-          (fun (impl : Tree_intf.impl) ->
-            let h = impl.Tree_intf.make ~order:16 in
-            let spec = Workload.ycsb ~key_space:space w in
-            ignore (Driver.preload h ~seed:77 spec);
-            let r =
-              Driver.run_ops ~measure_latency:true h ~domains:4
-                ~ops_per_domain:(scale 15_000) ~seed:77 spec
-            in
-            [
-              wname;
-              impl.Tree_intf.impl_name;
-              Report.fmt_si r.Driver.throughput ^ "/s";
-              (match r.Driver.latency with
-              | Some hist -> Driver.percentiles_line hist
-              | None -> "-");
-            ])
-          [ Tree_intf.sagiv (); Tree_intf.lehman_yao; Tree_intf.lock_couple_optimistic; Tree_intf.coarse ])
-      [ ("A", `A); ("B", `B); ("C", `C); ("D", `D); ("F", `F) ]
-  in
-  Report.table ~header:[ "ycsb"; "tree"; "tput"; "latency" ] rows
 
 (* ------------------------------------------------------------------ *)
 (* A1–A4: ablations of the paper's design choices                      *)
@@ -1095,137 +759,33 @@ let a4 () =
     [ paper; ablated ]
 
 (* ------------------------------------------------------------------ *)
-(* E13: netbench — pipelined clients over loopback TCP                 *)
+(* Served experiments (E14-E16): one pipelined client loop              *)
 (* ------------------------------------------------------------------ *)
 
-let e13 () =
-  let module P = Repro_server.Protocol in
-  let module Server = Repro_server.Server in
+(* Spawn [conns] client domains against [addr]. Client [d] sends
+   [per_conn] requests in pipelined batches of up to [depth] through
+   [send]; [next d], called inside the client's domain, returns the
+   client's request generator. Returns the seconds from the first spawn
+   to the last join. *)
+let drive_clients ?(send = Repro_client.Client.pipeline) addr ~conns
+    ~per_conn ~depth next =
   let module Cl = Repro_client.Client in
-  Report.heading "E13: netbench — clients \u{00D7} pipeline depth \u{00D7} durability";
-  Report.note
-    "An in-process server over loopback TCP, one worker domain per \
-     client. mem serves the in-memory tree with fire-and-forget acks; \
-     wal serves the file-backed store (real fsyncs) with durable acks — \
-     each mutation batch group-commits before its responses flush, so \
-     deeper pipelines amortise both the syscalls and the fsync. 50/50 \
-     insert/search, per-request service latency from the server's own \
-     histogram.";
-  let per_client = scale 8_000 in
-  let key_space = scale 50_000 in
-  let client_counts = if !quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  let depths = [ 1; 16; 128 ] in
-  let modes = [ "mem"; "wal" ] in
-  let jrows = ref [] in
-  let run mode clients depth =
-    Gc.compact ();
-    let cleanup = ref (fun () -> ()) in
-    let handle =
-      match mode with
-      | "mem" -> (Tree_intf.sagiv ()).Tree_intf.make ~order:16
-      | _ ->
-          let path = Filename.temp_file "e13" ".pages" in
-          let wal_path = path ^ ".wal" in
-          let store =
-            Tree_intf.Paged_int.create_file ~cache_pages:4096 ~commit_batch:8
-              ~commit_interval:5e-4 ~wal_path path
-          in
-          let t = Tree_intf.Sagiv_disk.create ~order:16 ~store () in
-          cleanup :=
-            (fun () ->
-              (try Tree_intf.Paged_int.close store with _ -> ());
-              List.iter
-                (fun p -> try Sys.remove p with Sys_error _ -> ())
-                [ path; wal_path ]);
-          Tree_intf.of_ops
-            ~commit:(fun () -> Tree_intf.Sagiv_disk.commit t)
-            ~range:(Tree_intf.Sagiv_disk.range t)
-            ~name:"sagiv-disk"
-            (module Tree_intf.Sagiv_disk)
-            t
-    in
-    let srv =
-      Server.start ~workers:clients ~durable_acks:(mode = "wal") ~handle
-        ~listen:[ Unix.ADDR_INET (Unix.inet_addr_loopback, 0) ]
-        ()
-    in
-    let addr = List.hd (Server.addresses srv) in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init clients (fun d ->
-          Domain.spawn (fun () ->
-              let c = Cl.connect addr in
-              let rng = Random.State.make [| 90_000 + (1000 * d) |] in
-              let remaining = ref per_client in
-              while !remaining > 0 do
-                let n = min depth !remaining in
-                let reqs =
-                  List.init n (fun _ ->
-                      let k = Random.State.int rng key_space in
-                      if Random.State.bool rng then P.Insert { key = k; value = k }
-                      else P.Search { key = k })
-                in
-                ignore (Cl.pipeline c reqs);
-                remaining := !remaining - n
-              done;
-              Cl.close c))
-    in
-    List.iter Domain.join domains;
-    let dt = Unix.gettimeofday () -. t0 in
-    let m = Server.stats srv in
-    Server.stop srv;
-    !cleanup ();
-    let tput = float_of_int (clients * per_client) /. dt in
-    let pq p = 1e6 *. Repro_util.Histogram.percentile m.Stats.latency p in
-    let p50 = pq 50.0 and p99 = pq 99.0 in
-    jrows :=
-      J.Obj
-        [
-          ("mode", J.Str mode);
-          ("clients", J.Int clients);
-          ("depth", J.Int depth);
-          ("ops_per_s", J.Float tput);
-          ("svc_p50_us", J.Float p50);
-          ("svc_p99_us", J.Float p99);
-          ("max_pipeline", J.Int m.Stats.max_pipeline);
-          ("acked_commits", J.Int m.Stats.acked_commits);
-          ("bytes_in", J.Int m.Stats.bytes_in);
-          ("bytes_out", J.Int m.Stats.bytes_out);
-        ]
-      :: !jrows;
-    [
-      mode;
-      string_of_int clients;
-      string_of_int depth;
-      Report.fmt_si tput ^ "/s";
-      Report.fmt_f p50 ^ "us";
-      Report.fmt_f p99 ^ "us";
-      string_of_int m.Stats.max_pipeline;
-      string_of_int m.Stats.acked_commits;
-    ]
+  let t0 = Driver.now () in
+  let domains =
+    List.init conns (fun d ->
+        Domain.spawn (fun () ->
+            let c = Cl.connect addr in
+            let draw = next d in
+            let remaining = ref per_conn in
+            while !remaining > 0 do
+              let n = min depth !remaining in
+              ignore (send c (List.init n (fun _ -> draw ())));
+              remaining := !remaining - n
+            done;
+            Cl.close c))
   in
-  let rows =
-    List.concat_map
-      (fun mode ->
-        List.concat_map
-          (fun clients -> List.map (run mode clients) depths)
-          client_counts)
-      modes
-  in
-  Report.table
-    ~header:
-      [
-        "mode"; "clients"; "depth"; "tput"; "svc p50"; "svc p99";
-        "max pipeline"; "commits";
-      ]
-    rows;
-  record_json "E13"
-    (J.Obj
-       [
-         ("per_client_ops", J.Int per_client);
-         ("key_space", J.Int key_space);
-         ("rows", J.List (List.rev !jrows));
-       ])
+  List.iter Domain.join domains;
+  Driver.now () -. t0
 
 (* ------------------------------------------------------------------ *)
 (* E14: sharded netbench — shards x domains x durability             *)
@@ -1300,32 +860,20 @@ let e14 () =
         ()
     in
     let addr = List.hd (Server.addresses srv) in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init conns (fun d ->
-          Domain.spawn (fun () ->
-              let c = Cl.connect addr in
-              let rng = Random.State.make [| 91_000 + (1000 * d) |] in
-              let keys = stripe_keys.(d mod 8) in
-              let nkeys = Array.length keys in
-              let remaining = ref per_conn in
-              while !remaining > 0 do
-                let n = min depth !remaining in
-                let reqs =
-                  List.init n (fun _ ->
-                      let k = keys.(Random.State.int rng nkeys) in
-                      match Random.State.int rng 4 with
-                      | 0 -> P.Insert { key = k; value = k }
-                      | 1 -> P.Delete { key = k }
-                      | _ -> P.Search { key = k })
-                in
-                ignore (Cl.pipeline_sharded c ~shards reqs);
-                remaining := !remaining - n
-              done;
-              Cl.close c))
+    let dt =
+      drive_clients addr ~conns ~per_conn ~depth
+        ~send:(Cl.pipeline_sharded ~shards)
+        (fun d ->
+          let rng = Random.State.make [| 91_000 + (1000 * d) |] in
+          let keys = stripe_keys.(d mod 8) in
+          let nkeys = Array.length keys in
+          fun () ->
+            let k = keys.(Random.State.int rng nkeys) in
+            match Random.State.int rng 4 with
+            | 0 -> P.Insert { key = k; value = k }
+            | 1 -> P.Delete { key = k }
+            | _ -> P.Search { key = k })
     in
-    List.iter Domain.join domains;
-    let dt = Unix.gettimeofday () -. t0 in
     let m = Server.stats srv in
     Server.stop srv;
     let io = SS.io_stats sst in
@@ -1400,7 +948,6 @@ let e14 () =
 let e15 () =
   let module P = Repro_server.Protocol in
   let module Server = Repro_server.Server in
-  let module Cl = Repro_client.Client in
   Report.heading
     "E15: hot-key combining — zipf \u{03B8} \u{00D7} combine mode \u{00D7} durability";
   Report.note
@@ -1480,32 +1027,16 @@ let e15 () =
         ()
     in
     let addr = List.hd (Server.addresses srv) in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init conns (fun d ->
-          Domain.spawn (fun () ->
-              let c = Cl.connect addr in
-              let rng = Repro_util.Splitmix.create (95_000 + (1000 * d)) in
-              let dist =
-                Repro_util.Distribution.create ~space:key_space dist_kind
-              in
-              let remaining = ref per_conn in
-              while !remaining > 0 do
-                let n = min depth !remaining in
-                let reqs =
-                  List.init n (fun _ ->
-                      let k = Repro_util.Distribution.sample dist rng in
-                      if Repro_util.Splitmix.int rng 2 = 0 then
-                        P.Insert { key = k; value = k }
-                      else P.Search { key = k })
-                in
-                ignore (Cl.pipeline c reqs);
-                remaining := !remaining - n
-              done;
-              Cl.close c))
+    let dt =
+      drive_clients addr ~conns ~per_conn ~depth (fun d ->
+          let rng = Repro_util.Splitmix.create (95_000 + (1000 * d)) in
+          let dist = Repro_util.Distribution.create ~space:key_space dist_kind in
+          fun () ->
+            let k = Repro_util.Distribution.sample dist rng in
+            if Repro_util.Splitmix.int rng 2 = 0 then
+              P.Insert { key = k; value = k }
+            else P.Search { key = k })
     in
-    List.iter Domain.join domains;
-    let dt = Unix.gettimeofday () -. t0 in
     let m = Server.stats srv in
     Server.stop srv;
     !cleanup ();
@@ -1637,35 +1168,21 @@ let e16 () =
                 | `Applied _ -> pull ()
                 | `Caught_up ->
                     if Atomic.get writers_done then
-                      Unix.gettimeofday () -. !t_done
+                      Driver.now () -. !t_done
                     else pull ()
               in
               let lag = pull () in
               Cl.close c;
               (r, lag)))
     in
-    let t0 = Unix.gettimeofday () in
-    let writer_domains =
-      List.init writers (fun d ->
-          Domain.spawn (fun () ->
-              let c = Cl.connect addr in
-              let rng = Random.State.make [| 160_000 + (1000 * d) |] in
-              let remaining = ref per_writer in
-              while !remaining > 0 do
-                let n = min depth !remaining in
-                let reqs =
-                  List.init n (fun _ ->
-                      let k = Random.State.int rng key_space in
-                      P.Insert { key = k; value = k })
-                in
-                ignore (Cl.pipeline c reqs);
-                remaining := !remaining - n
-              done;
-              Cl.close c))
+    let dt =
+      drive_clients addr ~conns:writers ~per_conn:per_writer ~depth (fun d ->
+          let rng = Random.State.make [| 160_000 + (1000 * d) |] in
+          fun () ->
+            let k = Random.State.int rng key_space in
+            P.Insert { key = k; value = k })
     in
-    List.iter Domain.join writer_domains;
-    let dt = Unix.gettimeofday () -. t0 in
-    t_done := Unix.gettimeofday ();
+    t_done := Driver.now ();
     Atomic.set writers_done true;
     let replicas = List.map Domain.join follower_domains in
     let catchup_ms =
@@ -1679,11 +1196,11 @@ let e16 () =
       | (r, _) :: _ ->
           let ctx = Repro_core.Handle.ctx ~slot:0 in
           let rng = Random.State.make [| 170_000 |] in
-          let tr = Unix.gettimeofday () in
+          let tr = Driver.now () in
           for _ = 1 to reads do
             ignore (R.search r ctx (Random.State.int rng key_space))
           done;
-          float_of_int reads /. (Unix.gettimeofday () -. tr)
+          float_of_int reads /. (Driver.now () -. tr)
     in
     let primary_card = handle.Tree_intf.cardinal () in
     (match replicas with
@@ -1808,7 +1325,7 @@ let e17 () =
               let scan_time = Atomic.make 0 (* microseconds, summed *) in
               let scanner m ~stop c =
                 while not (Atomic.get stop) do
-                  let t0 = Unix.gettimeofday () in
+                  let t0 = Driver.now () in
                   let s = m.Tree_intf.snapshot () in
                   let pairs = s.Tree_intf.snap_range c ~lo:0 ~hi:space in
                   (* reclamation rides the scan loop: prune version
@@ -1821,7 +1338,7 @@ let e17 () =
                       : int);
                   ignore
                     (Atomic.fetch_and_add scan_time
-                       (int_of_float (1e6 *. (Unix.gettimeofday () -. t0)))
+                       (int_of_float (1e6 *. (Driver.now () -. t0)))
                       : int)
                 done
               in
@@ -1920,9 +1437,9 @@ let e17 () =
       ignore (Driver.preload h ~seed:17 spec);
       let c = ctx ~slot:0 in
       let range = Option.get h.Tree_intf.range in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Driver.now () in
       let n = List.length (range c ~lo:0 ~hi:space) in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Driver.now () -. t0 in
       ("sagiv leaf-chain (weak)", n, float_of_int n /. dt)
     in
     let snap =
@@ -1931,9 +1448,9 @@ let e17 () =
       let m = Option.get h.Tree_intf.mvcc in
       let c = ctx ~slot:0 in
       let s = m.Tree_intf.snapshot () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Driver.now () in
       let n = List.length (s.Tree_intf.snap_range c ~lo:0 ~hi:space) in
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Driver.now () -. t0 in
       s.Tree_intf.snap_release ();
       ("sagiv-mvcc snap_range", n, float_of_int n /. dt)
     in
@@ -1996,244 +1513,6 @@ let e17 () =
     impls
 
 (* ------------------------------------------------------------------ *)
-(* E18: durable MVCC — disk-backed writer throughput under pinned     *)
-(* scans, and vrec codec density (v3 varint vs v2 fixed-width)        *)
-(* ------------------------------------------------------------------ *)
-
-let e18 () =
-  Report.heading
-    "E18: durable MVCC — disk backend under pinned scans + vrec codec density";
-  Report.note
-    "(a) Version chains persisted through the paged store (single and \
-     4-shard WAL-backed stores): 4 writer domains run the mixed load \
-     while a committer domain drives the durable group-commit cadence \
-     (each commit re-serializes the dirty version-chain groups into \
-     vrec pages inside the same batch as the tree pages) and N scanner \
-     domains loop pin \u{2192} consistent sweep \u{2192} vacuum \u{2192} release. \
-     'vs idle' is writer throughput against the 0-scanner baseline of \
-     the same durable config — the added cost of scanning + chain \
-     persistence churn. (b) prices the vrec page encoding itself: the \
-     same group stream framed as a v3 varint vrec page vs the v2 \
-     fixed-width layout, in bytes per key.";
-  let space = scale 50_000 in
-  let preload = space / 2 in
-  let ops = scale 15_000 in
-  let domains = 4 in
-  let spec =
-    Workload.spec ~op_mix:Workload.mixed_sid ~key_space:space ~preload ()
-  in
-  let scanner_counts = if !quick then [ 0; 1 ] else [ 0; 1; 2 ] in
-  let impls =
-    [ Tree_intf.sagiv_mvcc_disk ~shards:1 (); Tree_intf.sagiv_mvcc_disk ~shards:4 () ]
-  in
-  let jrows = ref [] in
-  let baselines = Hashtbl.create 4 in
-  let trials = if !quick then 1 else 3 in
-  let rows =
-    List.concat_map
-      (fun (impl : Tree_intf.impl) ->
-        List.map
-          (fun scanners ->
-            let one_trial () =
-              Gc.compact ();
-              let h = impl.Tree_intf.make ~order:16 in
-              let m =
-                match h.Tree_intf.mvcc with
-                | Some m -> m
-                | None -> failwith "E18 needs an mvcc handle"
-              in
-              ignore (Driver.preload h ~seed:18 spec);
-              h.Tree_intf.commit ();
-              let sweeps = Atomic.make 0 in
-              let pairs_seen = Atomic.make 0 in
-              let commits = Atomic.make 0 in
-              let committer ~stop _c =
-                (* the durable cadence: chains become crash-safe here *)
-                while not (Atomic.get stop) do
-                  h.Tree_intf.commit ();
-                  Atomic.incr commits;
-                  Unix.sleepf 0.002
-                done;
-                h.Tree_intf.commit ()
-              in
-              let scanner ~stop c =
-                while not (Atomic.get stop) do
-                  let s = m.Tree_intf.snapshot () in
-                  let pairs = s.Tree_intf.snap_range c ~lo:0 ~hi:space in
-                  ignore (m.Tree_intf.vacuum c : int);
-                  s.Tree_intf.snap_release ();
-                  Atomic.incr sweeps;
-                  ignore
-                    (Atomic.fetch_and_add pairs_seen (List.length pairs) : int)
-                done
-              in
-              let aux =
-                Array.init (1 + scanners) (fun i ->
-                    if i = 0 then committer else scanner)
-              in
-              let r, _aux_stats =
-                Driver.run_ops_with_aux h ~domains ~aux ~ops_per_domain:ops
-                  ~seed:18 spec
-              in
-              (r, m.Tree_intf.gauges (), Atomic.get sweeps,
-               Atomic.get pairs_seen, Atomic.get commits)
-            in
-            let runs = List.init trials (fun _ -> one_trial ()) in
-            let sorted =
-              List.sort
-                (fun ((a : Driver.result), _, _, _, _)
-                     ((b : Driver.result), _, _, _, _) ->
-                  Float.compare a.Driver.throughput b.Driver.throughput)
-                runs
-            in
-            let r, g, sweeps_n, pairs_n, commits_n =
-              List.nth sorted (trials / 2)
-            in
-            if scanners = 0 then
-              Hashtbl.replace baselines impl.Tree_intf.impl_name
-                r.Driver.throughput;
-            let base =
-              Option.value ~default:r.Driver.throughput
-                (Hashtbl.find_opt baselines impl.Tree_intf.impl_name)
-            in
-            let vs_idle = r.Driver.throughput /. base in
-            jrows :=
-              J.Obj
-                [
-                  ("impl", J.Str impl.Tree_intf.impl_name);
-                  ("scanners", J.Int scanners);
-                  ("writer_ops_per_s", J.Float r.Driver.throughput);
-                  ("vs_idle", J.Float vs_idle);
-                  ("sweeps", J.Int sweeps_n);
-                  ("scan_pairs", J.Int pairs_n);
-                  ("commits", J.Int commits_n);
-                  ("live_versions", J.Int g.Tree_intf.g_live_versions);
-                  ("pruned_versions", J.Int g.Tree_intf.g_pruned_versions);
-                ]
-              :: !jrows;
-            [
-              impl.Tree_intf.impl_name;
-              string_of_int scanners;
-              Report.fmt_si r.Driver.throughput ^ "/s";
-              (if scanners = 0 then "-" else Report.fmt_f ~digits:3 vs_idle);
-              string_of_int sweeps_n;
-              string_of_int commits_n;
-              string_of_int g.Tree_intf.g_live_versions;
-              string_of_int g.Tree_intf.g_pruned_versions;
-            ])
-          scanner_counts)
-      impls
-  in
-  Report.table
-    ~header:
-      [
-        "impl"; "scanners"; "writer tput"; "vs idle"; "sweeps"; "commits";
-        "versions"; "pruned";
-      ]
-    rows;
-  (* (b) vrec codec density: one 64-slot group of version chains,
-     framed as the v3 varint vrec page vs the v2 fixed-width layout a
-     tree node uses. Epochs and tags are small; payloads are
-     word-sized — exactly the mix the varint layout targets. *)
-  let module PC = Page_codec.Make (Key.Int) in
-  let keys_per_group = 64 in
-  let codec_rows, jcodec =
-    List.map
-      (fun chain_len ->
-        let stream =
-          List.concat
-            [
-              [ 0; keys_per_group ];
-              List.concat
-                (List.init keys_per_group (fun k ->
-                     (1 + chain_len)
-                     :: List.concat
-                          (List.init chain_len (fun v ->
-                               [ chain_len - v; 1; (k * 7) + 1 + (v * 1000) ]))));
-            ]
-        in
-        let ptrs = Array.of_list stream in
-        let mk level is_root =
-          {
-            Node.level;
-            keys = [||];
-            ptrs;
-            low = Bound.Neg_inf;
-            high = Bound.Pos_inf;
-            link = None;
-            is_root;
-            state = Node.Live;
-          }
-        in
-        let v3 = Bytes.length (PC.to_bytes (mk Node.vrec_level true)) in
-        let v2 = Bytes.length (PC.to_bytes (mk 1 false)) in
-        let per_key_v3 = float_of_int v3 /. float_of_int keys_per_group in
-        let per_key_v2 = float_of_int v2 /. float_of_int keys_per_group in
-        ( [
-            string_of_int chain_len;
-            string_of_int (Array.length ptrs);
-            string_of_int v3;
-            string_of_int v2;
-            Report.fmt_f ~digits:1 per_key_v3;
-            Report.fmt_f ~digits:1 per_key_v2;
-            Report.fmt_f ~digits:2 (float_of_int v2 /. float_of_int v3);
-          ],
-          J.Obj
-            [
-              ("chain_len", J.Int chain_len);
-              ("stream_ints", J.Int (Array.length ptrs));
-              ("v3_bytes", J.Int v3);
-              ("v2_bytes", J.Int v2);
-              ("v3_bytes_per_key", J.Float per_key_v3);
-              ("v2_bytes_per_key", J.Float per_key_v2);
-            ] ))
-      [ 1; 4; 16 ]
-    |> List.split
-  in
-  Report.note "(b) vrec codec density (64-key group, bytes on the page):";
-  Report.table
-    ~header:
-      [
-        "versions/key"; "stream ints"; "v3 bytes"; "v2 bytes"; "v3 B/key";
-        "v2 B/key"; "v2/v3";
-      ]
-    codec_rows;
-  record_json "E18"
-    (J.Obj
-       [
-         ("space", J.Int space);
-         ("preload", J.Int preload);
-         ("writer_domains", J.Int domains);
-         ("ops_per_domain", J.Int ops);
-         ("rows", J.List (List.rev !jrows));
-         ("codec", J.List jcodec);
-       ]);
-  List.iter
-    (fun (impl : Tree_intf.impl) ->
-      match Hashtbl.find_opt baselines impl.Tree_intf.impl_name with
-      | None -> ()
-      | Some base ->
-          let worst =
-            List.fold_left
-              (fun acc j ->
-                match j with
-                | J.Obj kvs
-                  when List.assoc_opt "impl" kvs
-                       = Some (J.Str impl.Tree_intf.impl_name) -> (
-                    match List.assoc_opt "vs_idle" kvs with
-                    | Some (J.Float r) -> Float.min acc r
-                    | _ -> acc)
-                | _ -> acc)
-              1.0 !jrows
-          in
-          Report.note
-            (Printf.sprintf
-               "verdict %s: worst durable writer throughput under pinned \
-                scans = %.2fx the 0-scanner durable baseline (%s/s)"
-               impl.Tree_intf.impl_name worst (Report.fmt_si base)))
-    impls
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -2245,16 +1524,11 @@ let experiments =
     ("E6", e6);
     ("E7", e7);
     ("E8", e8);
-    ("E9", e9);
-    ("E10", e10);
     ("E11", e11);
-    ("E12", e12);
-    ("E13", e13);
     ("E14", e14);
     ("E15", e15);
     ("E16", e16);
     ("E17", e17);
-    ("E18", e18);
     ("A1", a1);
     ("A2", a2);
     ("A3", a3);
@@ -2292,8 +1566,7 @@ let () =
   in
   Printf.printf "Sagiv B*-tree reproduction benchmarks%s\n"
     (if !quick then " (quick mode)" else "");
-  Printf.printf "cores available: %d (single-core: scaling rows show overhead, not speedup)\n"
-    (Domain.recommended_domain_count ());
+  Printf.printf "cores available: %d (%s)\n" cores scaling_note;
   let gc0 = Gc.get () in
   List.iter
     (fun (_, f) ->
@@ -2312,7 +1585,7 @@ let () =
         J.Obj
           [
             ("quick", J.Bool !quick);
-            ("cores", J.Int (Domain.recommended_domain_count ()));
+            ("cores", J.Int cores);
             ("experiments", J.Obj (List.rev !json_out));
           ]
       in

@@ -423,19 +423,6 @@ let sagiv_disk_sharded_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
   let trees, h = sagiv_disk_sharded_on ~enqueue_on_delete ~order sst in
   (sst, trees, h)
 
-let sagiv_disk_sharded ?enqueue_on_delete ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ?wal ~shards () =
-  {
-    impl_name = sharded_name shards;
-    make =
-      (fun ~order ->
-        let _, _, h =
-          sagiv_disk_sharded_raw ?enqueue_on_delete ?cache_pages ?stripes
-            ?commit_interval ?commit_batch ?wal ~shards ~order ()
-        in
-        h);
-  }
-
 (* -- durable MVCC: version chains persisted through the paged store
       (vrec pages in the same WAL/commit/recovery path as the tree) -- *)
 
@@ -564,31 +551,6 @@ let sagiv_mvcc_disk_open ?(enqueue_on_delete = false) sst =
       (Sharded_int.stores sst)
   in
   (ts, mvcc_disk_compose ~name:(mvcc_disk_name (Array.length ts)) ts)
-
-(** Memory-backed durable MVCC (full pager stack, no filesystem) — the
-    [--mvcc --backend disk] composition benches and tests sweep. *)
-let sagiv_mvcc_disk_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ?wal ~shards ~order () =
-  if shards < 1 then invalid_arg "Tree_intf.sagiv_mvcc_disk: shards >= 1";
-  let sst =
-    Sharded_int.create_memory ?cache_pages ?stripes ?commit_interval
-      ?commit_batch ?wal ~shards ()
-  in
-  let ts, h = sagiv_mvcc_disk_on ~enqueue_on_delete ~order sst in
-  (sst, ts, h)
-
-let sagiv_mvcc_disk ?enqueue_on_delete ?cache_pages ?stripes ?commit_interval
-    ?commit_batch ?wal ~shards () =
-  {
-    impl_name = mvcc_disk_name shards;
-    make =
-      (fun ~order ->
-        let _, _, h =
-          sagiv_mvcc_disk_raw ?enqueue_on_delete ?cache_pages ?stripes
-            ?commit_interval ?commit_batch ?wal ~shards ~order ()
-        in
-        h);
-  }
 
 let lehman_yao =
   {

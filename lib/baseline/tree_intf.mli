@@ -225,19 +225,6 @@ val sagiv_disk_sharded_raw :
     Sagiv tree each, routed by the {!Repro_storage.Shard_router}. Every
     per-store knob applies per shard. *)
 
-val sagiv_disk_sharded :
-  ?enqueue_on_delete:bool ->
-  ?cache_pages:int ->
-  ?stripes:int ->
-  ?commit_interval:float ->
-  ?commit_batch:int ->
-  ?wal:bool ->
-  shards:int ->
-  unit ->
-  impl
-(** {!sagiv_disk} through the partition layer ([impl_name]
-    ["sagiv-disk-x<shards>"]). *)
-
 module Mvcc_disk : module type of Mvcc.Make_on_store (Repro_storage.Key.Int) (Paged_int)
 (** The MVCC store over {!Paged_int} — the durable composition: tree and
     version chains share one paged store, one WAL, one group commit. *)
@@ -250,13 +237,6 @@ val vrec_page_ints : Paged_int.t -> int
 val mvcc_disk_sub_handle : int Mvcc_disk.t -> name:string -> handle
 (** A per-shard handle over one durable MVCC tree ([commit] group-commits
     tree pages and version chains together). *)
-
-val mvcc_disk_compose : name:string -> int Mvcc_disk.t array -> handle
-(** Route shards like {!sharded} and override [mvcc] with a group
-    snapshot (the trees must share one epoch clock). *)
-
-val mvcc_disk_name : int -> string
-(** ["sagiv-mvcc-disk"] or ["sagiv-mvcc-disk-x<shards>"]. *)
 
 val sagiv_mvcc_disk_on :
   ?enqueue_on_delete:bool ->
@@ -273,33 +253,6 @@ val sagiv_mvcc_disk_open :
 (** Reopen durable MVCC trees over a reopened {!Sharded_int.t} (WAL
     replay already ran): every shard's version chains restore exactly as
     persisted and the shared clock restarts above all persisted stamps. *)
-
-val sagiv_mvcc_disk_raw :
-  ?enqueue_on_delete:bool ->
-  ?cache_pages:int ->
-  ?stripes:int ->
-  ?commit_interval:float ->
-  ?commit_batch:int ->
-  ?wal:bool ->
-  shards:int ->
-  order:int ->
-  unit ->
-  Sharded_int.t * int Mvcc_disk.t array * handle
-(** Memory-backed durable MVCC (full pager stack, no filesystem) — the
-    [--mvcc --backend disk] composition benches and tests sweep. *)
-
-val sagiv_mvcc_disk :
-  ?enqueue_on_delete:bool ->
-  ?cache_pages:int ->
-  ?stripes:int ->
-  ?commit_interval:float ->
-  ?commit_batch:int ->
-  ?wal:bool ->
-  shards:int ->
-  unit ->
-  impl
-(** {!sagiv_mvcc} over the disk backend through the partition layer
-    ([impl_name] ["sagiv-mvcc-disk-x<shards>"]). *)
 
 val lehman_yao : impl
 val lock_couple : impl

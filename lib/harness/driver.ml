@@ -28,6 +28,8 @@ type result = {
       (** per-operation latency (seconds), merged, when requested *)
 }
 
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let percentiles_line h =
   Printf.sprintf "p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus"
     (1e6 *. Repro_util.Histogram.percentile h 50.0)
@@ -47,11 +49,10 @@ let run_parallel ~domains ~(f : int -> Handle.ctx -> unit) : result =
         f i ctxs.(i))
   in
   let workers = Array.init domains spawn in
-  let t0 = ref 0.0 in
   Barrier.wait barrier;
-  t0 := Unix.gettimeofday ();
+  let t0 = now () in
   Array.iter Domain.join workers;
-  let elapsed = Unix.gettimeofday () -. !t0 in
+  let elapsed = now () -. t0 in
   let merged = Repro_storage.Stats.create () in
   Array.iter (fun c -> Repro_storage.Stats.merge ~into:merged c.Handle.stats) ctxs;
   {
@@ -111,9 +112,9 @@ let run_ops ?(measure_latency = false) (tree : Tree_intf.handle) ~domains ~ops_p
         in
         if measure_latency then
           for _ = 1 to ops_per_domain do
-            let t0 = Unix.gettimeofday () in
+            let t0 = now () in
             run_op ();
-            Repro_util.Histogram.add h (Unix.gettimeofday () -. t0)
+            Repro_util.Histogram.add h (now () -. t0)
           done
         else
           for _ = 1 to ops_per_domain do

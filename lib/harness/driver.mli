@@ -21,6 +21,10 @@ type result = {
       (** per-op latency in seconds, merged (only with [measure_latency]) *)
 }
 
+val now : unit -> float
+(** Seconds on the monotonic clock (nanosecond resolution, never steps);
+    only differences are meaningful. Every run loop here times with it. *)
+
 val percentiles_line : Repro_util.Histogram.t -> string
 (** "p50=..us p95=..us p99=..us max=..us" *)
 

@@ -44,23 +44,6 @@ let skewed ?(op_mix = balanced) ?(key_space = 100_000) ?(theta = 0.99)
     ?(preload = 0) () =
   { op_mix; key_space; dist = Distribution.Zipfian theta; preload }
 
-(** YCSB-style presets (reads map to search, updates/RMW to insert; YCSB-E
-    is scan-heavy and has no point-op encoding here). All zipfian(0.99)
-    over a preloaded key space, as in the YCSB core workloads. *)
-let ycsb ?(key_space = 100_000) (w : [ `A | `B | `C | `D | `F ]) =
-  let op_mix =
-    match w with
-    | `A -> { search = 0.5; insert = 0.5; delete = 0.0 }
-    | `B -> { search = 0.95; insert = 0.05; delete = 0.0 }
-    | `C -> search_only
-    | `D -> { search = 0.95; insert = 0.05; delete = 0.0 }
-    | `F -> { search = 0.5; insert = 0.5; delete = 0.0 }
-  in
-  let dist =
-    match w with `D -> Distribution.Sequential | `A | `B | `C | `F -> Distribution.Zipfian 0.99
-  in
-  { op_mix; key_space; dist; preload = key_space }
-
 (** Per-worker sampler. *)
 type sampler = { rng : Splitmix.t; dist : Distribution.t; op_mix : mix }
 

@@ -35,11 +35,6 @@ val skewed :
 (** {!spec} over a scrambled Zipfian key stream; [theta] defaults to the
     YCSB 0.99 — the hot-key stress batch dedup targets. *)
 
-val ycsb : ?key_space:int -> [ `A | `B | `C | `D | `F ] -> spec
-(** YCSB-style presets: A 50/50 r/u zipf, B 95/5 zipf, C read-only zipf,
-    D 95/5 with fresh-key inserts, F read-modify-write ≈ 50/50. (E is
-    scan-heavy and not encodable as point ops here.) *)
-
 type sampler
 
 val sampler : seed:int -> worker:int -> spec -> sampler

@@ -54,26 +54,6 @@ let test_preload_keys_distinct () =
       Hashtbl.replace tbl k ())
     keys
 
-let test_ycsb_presets () =
-  List.iter
-    (fun w ->
-      let spec = Workload.ycsb ~key_space:1_000 w in
-      Alcotest.(check int) "preloaded space" 1_000 spec.Workload.preload;
-      let s = Workload.sampler ~seed:1 ~worker:0 spec in
-      for _ = 1 to 1_000 do
-        match Workload.next_op s with
-        | Workload.Delete _ -> Alcotest.fail "YCSB presets never delete"
-        | Workload.Search _ | Workload.Insert _ -> ()
-      done)
-    [ `A; `B; `C; `D; `F ];
-  (* C is read-only *)
-  let s = Workload.sampler ~seed:2 ~worker:0 (Workload.ycsb `C) in
-  for _ = 1 to 500 do
-    match Workload.next_op s with
-    | Workload.Search _ -> ()
-    | _ -> Alcotest.fail "YCSB-C must be read-only"
-  done
-
 let test_latency_measurement () =
   let h = Tree_intf.((sagiv ()).make ~order:8) in
   let spec = Workload.spec ~key_space:5_000 ~preload:1_000 () in
@@ -245,7 +225,6 @@ let suite =
     Alcotest.test_case "sampler respects mix" `Quick test_sampler_respects_mix;
     Alcotest.test_case "sampler deterministic" `Quick test_sampler_deterministic;
     Alcotest.test_case "preload keys distinct" `Quick test_preload_keys_distinct;
-    Alcotest.test_case "ycsb presets" `Quick test_ycsb_presets;
     Alcotest.test_case "latency measurement" `Quick test_latency_measurement;
     Alcotest.test_case "driver runs all ops" `Quick test_driver_runs_all_ops;
     Alcotest.test_case "driver with compaction workers" `Quick test_driver_with_compaction;

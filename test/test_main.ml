@@ -17,7 +17,6 @@ let () =
       ("baselines", Test_baselines.suite);
       ("harness", Test_harness.suite);
       ("paged_file", Test_paged_file.suite);
-      ("disk", Test_disk.suite);
       ("crash", Test_crash.suite);
       ("shard", Test_shard.suite);
       ("props", Test_props.suite);
