@@ -1503,12 +1503,15 @@ let e17 () =
                 | _ -> acc)
               1.0 !jrows
           in
+          (* one --quick trial lasts milliseconds: its ratio is noise,
+             so it is reported without a verdict *)
           Report.note
             (Printf.sprintf
                "verdict %s: worst writer throughput under scans = %.2fx the \
                 CPU-equivalent control (idle baseline %s/s) — %s"
                impl.Tree_intf.impl_name worst (Report.fmt_si base)
-               (if worst >= 0.8 then "within the 20% acceptance bound"
+               (if !quick then "no verdict at --quick scale"
+                else if worst >= 0.8 then "within the 20% acceptance bound"
                 else "OUTSIDE the 20% acceptance bound")))
     impls
 

@@ -398,14 +398,21 @@ let serve_cmd tree_name backend order durability commit_batch workers port
     | Some p -> Sys.file_exists (Tree_intf.Sharded_int.shard_path p 0)
     | None -> false
   in
+  (* A new store's page is sized to hold a full node of [order]; a
+     reopened one keeps the page size its header records. *)
+  let page_size = Tree_intf.page_size_for_order order in
   let mk_sst () =
     match path with
-    | None -> Tree_intf.Sharded_int.create_memory ~wal ?commit_batch ~shards ()
+    | None ->
+        Tree_intf.Sharded_int.create_memory ~page_size ~wal ?commit_batch
+          ~shards ()
     | Some p ->
         let wal_path = if wal then Some (p ^ ".wal") else None in
         if reopening then
           Tree_intf.Sharded_int.open_file ?wal_path ?commit_batch ~shards p
-        else Tree_intf.Sharded_int.create_file ?wal_path ?commit_batch ~shards p
+        else
+          Tree_intf.Sharded_int.create_file ~page_size ?wal_path ?commit_batch
+            ~shards p
   in
   let sst, store, h =
     if mvcc && backend = "disk" then begin

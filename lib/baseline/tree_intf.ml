@@ -328,10 +328,23 @@ let sagiv_mvcc_sharded ?enqueue_on_delete ~shards () =
         snd (sagiv_mvcc_sharded_raw ?enqueue_on_delete ~shards ~order ()));
   }
 
+(* Key.Int encodes every key in 8 bytes. *)
+let page_size_for_order order =
+  Repro_storage.Page_codec.page_size_for ~key_bytes:8 ~order
+
+let check_page_fits ~order store =
+  let need = Repro_storage.Page_codec.node_frame_bound ~key_bytes:8 ~order in
+  let have = Paged_int.page_size store in
+  if need > have then
+    invalid_arg
+      (Printf.sprintf
+         "order %d needs %d-byte pages (its full node frames %d B); the store's pages are %d B"
+         order (page_size_for_order order) need have)
+
 let make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch
-    ?(wal = false) () =
-  Paged_int.create_memory ?cache_pages ?stripes ?commit_interval ?commit_batch
-    ~wal ()
+    ?(wal = false) ~order () =
+  Paged_int.create_memory ~page_size:(page_size_for_order order) ?cache_pages
+    ?stripes ?commit_interval ?commit_batch ~wal ()
 
 (** The same Sagiv tree over the durable {!Repro_storage.Paged_store}
     (memory-backed paged file: full pager stack, no filesystem). [wal]
@@ -345,7 +358,7 @@ let sagiv_disk ?(enqueue_on_delete = false) ?cache_pages ?stripes
       (fun ~order ->
         let store =
           make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch
-            ?wal ()
+            ?wal ~order ()
         in
         let t = Sagiv_disk.create ~order ~enqueue_on_delete ~store () in
         of_ops
@@ -361,7 +374,8 @@ let sagiv_disk ?(enqueue_on_delete = false) ?cache_pages ?stripes
 let sagiv_disk_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
     ?commit_interval ?commit_batch ?wal ~order () =
   let store =
-    make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ?wal ()
+    make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ?wal
+      ~order ()
   in
   let t = Sagiv_disk.create ~order ~enqueue_on_delete ~store () in
   ( t,
@@ -385,10 +399,12 @@ let sharded_name shards = Printf.sprintf "sagiv-disk-x%d" shards
     shard: create/open the store themselves, then wrap. Hands back the
     raw trees for flush/validation. *)
 let sagiv_disk_sharded_on ?(enqueue_on_delete = false) ~order sst =
+  let stores = Sharded_int.stores sst in
+  Array.iter (check_page_fits ~order) stores;
   let trees =
     Array.map
       (fun store -> Sagiv_disk.create ~order ~enqueue_on_delete ~store ())
-      (Sharded_int.stores sst)
+      stores
   in
   ( trees,
     sharded
@@ -401,7 +417,10 @@ let sagiv_disk_sharded_on ?(enqueue_on_delete = false) ~order sst =
 let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
   let trees =
     Array.map
-      (fun store -> Sagiv_disk.open_existing ~enqueue_on_delete store)
+      (fun store ->
+        let t = Sagiv_disk.open_existing ~enqueue_on_delete store in
+        check_page_fits ~order:(Sagiv_disk.order t) store;
+        t)
       (Sharded_int.stores sst)
   in
   ( trees,
@@ -417,18 +436,14 @@ let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
 let sagiv_disk_sharded_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
     ?commit_interval ?commit_batch ?wal ~shards ~order () =
   let sst =
-    Sharded_int.create_memory ?cache_pages ?stripes ?commit_interval
-      ?commit_batch ?wal ~shards ()
+    Sharded_int.create_memory ~page_size:(page_size_for_order order)
+      ?cache_pages ?stripes ?commit_interval ?commit_batch ?wal ~shards ()
   in
   let trees, h = sagiv_disk_sharded_on ~enqueue_on_delete ~order sst in
   (sst, trees, h)
 
 (* -- durable MVCC: version chains persisted through the paged store
       (vrec pages in the same WAL/commit/recovery path as the tree) -- *)
-
-(** Conservative int budget for a vrec page's stream slice: worst-case
-    10 varint bytes per int plus codec framing must fit the page. *)
-let vrec_page_ints store = max 32 ((Paged_int.page_size store - 48) / 10)
 
 let mvcc_disk_sub_handle (t : int Mvcc_disk.t) ~name =
   of_ops
@@ -531,8 +546,9 @@ let sagiv_mvcc_disk_on ?(enqueue_on_delete = false) ~order sst =
   let ts =
     Array.map
       (fun store ->
-        Mvcc_disk.create_durable ~order ~enqueue_on_delete ~epoch
-          ~page_ints:(vrec_page_ints store) ~enc:Fun.id ~dec:Fun.id store)
+        check_page_fits ~order store;
+        Mvcc_disk.create_durable ~order ~enqueue_on_delete ~epoch ~enc:Fun.id
+          ~dec:Fun.id store)
       (Sharded_int.stores sst)
   in
   (ts, mvcc_disk_compose ~name:(mvcc_disk_name (Array.length ts)) ts)
@@ -546,8 +562,8 @@ let sagiv_mvcc_disk_open ?(enqueue_on_delete = false) sst =
   let ts =
     Array.map
       (fun store ->
-        Mvcc_disk.open_durable ~enqueue_on_delete ~epoch
-          ~page_ints:(vrec_page_ints store) ~enc:Fun.id ~dec:Fun.id store)
+        Mvcc_disk.open_durable ~enqueue_on_delete ~epoch ~enc:Fun.id
+          ~dec:Fun.id store)
       (Sharded_int.stores sst)
   in
   (ts, mvcc_disk_compose ~name:(mvcc_disk_name (Array.length ts)) ts)

@@ -165,6 +165,14 @@ val sagiv_mvcc_sharded_raw :
   unit ->
   int Mvcc_int.t array * handle
 
+val page_size_for_order : int -> int
+(** The data page of an int-keyed tree of this order:
+    {!Repro_storage.Page_codec.page_size_for} at 8-byte keys (512 up to
+    order 7, 1024 at 16, 4096 at 64). Every disk constructor below that
+    creates its store sizes it so, and every one handed a store raises
+    [Invalid_argument] before touching it when the order's largest node
+    frame would not fit its page. *)
+
 val sagiv_disk :
   ?enqueue_on_delete:bool ->
   ?cache_pages:int ->
@@ -175,7 +183,8 @@ val sagiv_disk :
   unit ->
   impl
 (** {!sagiv} over {!Repro_storage.Paged_store} (memory-backed paged
-    file: codec + node cache + eviction, no filesystem). [stripes]
+    file: codec + node cache + eviction, no filesystem) with
+    {!page_size_for_order} pages. [stripes]
     selects the store's IO stripe count; [wal] attaches a write-ahead
     log so the handle's [commit] group-commits ([commit_interval] /
     [commit_batch] tune it) instead of degrading to a full sync. *)
@@ -200,14 +209,18 @@ val sagiv_disk_sharded_on :
   (int, Paged_int.t) Handle.t array * handle
 (** One fresh Sagiv tree per shard of an existing {!Sharded_int.t},
     composed with {!sharded} — how file-backed callers (CLI serve,
-    benches) shard: create the store themselves, then wrap. *)
+    benches) shard: create the store themselves, then wrap.
+    @raise Invalid_argument when a full node of [order] does not fit
+    the stores' pages. *)
 
 val sagiv_disk_sharded_open :
   ?enqueue_on_delete:bool ->
   Sharded_int.t ->
   (int, Paged_int.t) Handle.t array * handle
 (** Rebuild the routed handle over a reopened {!Sharded_int.t} (every
-    shard's tree metadata was flushed, or recovered from its WAL). *)
+    shard's tree metadata was flushed, or recovered from its WAL).
+    @raise Invalid_argument when a full node of the recorded order does
+    not fit the stores' pages. *)
 
 val sagiv_disk_sharded_raw :
   ?enqueue_on_delete:bool ->
@@ -229,11 +242,6 @@ module Mvcc_disk : module type of Mvcc.Make_on_store (Repro_storage.Key.Int) (Pa
 (** The MVCC store over {!Paged_int} — the durable composition: tree and
     version chains share one paged store, one WAL, one group commit. *)
 
-val vrec_page_ints : Paged_int.t -> int
-(** Vrec stream ints per page for the store's page size (worst-case
-    varint width + framing), the [page_ints] to pass to
-    {!Mvcc_disk.create_durable}/[open_durable]. *)
-
 val mvcc_disk_sub_handle : int Mvcc_disk.t -> name:string -> handle
 (** A per-shard handle over one durable MVCC tree ([commit] group-commits
     tree pages and version chains together). *)
@@ -246,7 +254,9 @@ val sagiv_mvcc_disk_on :
 (** Durable MVCC trees over an existing (empty) {!Sharded_int.t}: one
     {!Mvcc_disk} per shard store sharing one epoch clock, composed so
     the handle's snapshot is a true cross-shard cut. File-backed callers
-    (CLI serve) create the store themselves, then wrap. *)
+    (CLI serve) create the store themselves, then wrap.
+    @raise Invalid_argument when a full node of [order] does not fit
+    the stores' pages. *)
 
 val sagiv_mvcc_disk_open :
   ?enqueue_on_delete:bool -> Sharded_int.t -> int Mvcc_disk.t array * handle

@@ -183,6 +183,25 @@ let group_of_stream ~dec (stream : int array) =
   if !pos <> len then raise (Corrupt_vrec "trailing bytes in stream");
   (group, group * nslots, states)
 
+(** Cut a group stream into [(offset, length)] runs, each as long as its
+    varints fit in [budget] encoded bytes (a run holds at least one
+    int), so every vrec page is filled by bytes, not by a worst-case
+    int count. *)
+let chunk_stream ~budget (stream : int array) =
+  let runs = ref [] and start = ref 0 and used = ref 0 in
+  Array.iteri
+    (fun i v ->
+      let b = Page_codec.varint_bytes v in
+      if !used + b > budget && i > !start then begin
+        runs := (!start, i - !start) :: !runs;
+        start := i;
+        used := 0
+      end;
+      used := !used + b)
+    stream;
+  runs := (!start, Array.length stream - !start) :: !runs;
+  Array.of_list (List.rev !runs)
+
 module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) =
 struct
   module T = Sagiv.Make_on_store (K) (S)
@@ -196,7 +215,8 @@ struct
     d_enc : 'v -> int;
     d_dec : int -> 'v;
     d_group_bits : int;
-    d_page_ints : int;  (** ints per vrec page (codec-size budget) *)
+    d_page_bytes : int;
+        (** encoded stream bytes per vrec page ({!Page_codec.vrec_budget}) *)
     d_mu : Mutex.t;
     d_pages : (int, Node.ptr list) Hashtbl.t;  (** group -> head :: rest *)
     d_group_versions : (int, int) Hashtbl.t;
@@ -571,8 +591,8 @@ struct
       Hashtbl.remove d.d_group_versions g
     end
     else begin
-      let len = Array.length stream in
-      let nchunks = (len + d.d_page_ints - 1) / d.d_page_ints in
+      let chunks = chunk_stream ~budget:d.d_page_bytes stream in
+      let nchunks = Array.length chunks in
       let rec fit have n =
         if n = 0 then begin
           List.iter (S.release d.d_store) have;
@@ -586,8 +606,8 @@ struct
       let ptrs_list = fit existing nchunks in
       let parr = Array.of_list ptrs_list in
       for i = 0 to nchunks - 1 do
-        let off = i * d.d_page_ints in
-        let chunk = Array.sub stream off (min d.d_page_ints (len - off)) in
+        let off, n = chunks.(i) in
+        let chunk = Array.sub stream off n in
         let link = if i + 1 < nchunks then Some parr.(i + 1) else None in
         let p = parr.(i) in
         S.lock d.d_store p;
@@ -647,13 +667,13 @@ struct
         persist t d;
         S.sync d.d_store
 
-  let mk_durable ?(group_bits = 6) ?(page_ints = 480) ~enc ~dec store =
+  let mk_durable ?(group_bits = 6) ~enc ~dec store =
     {
       d_store = store;
       d_enc = enc;
       d_dec = dec;
       d_group_bits = group_bits;
-      d_page_ints = max 16 page_ints;
+      d_page_bytes = Page_codec.vrec_budget ~page_size:(S.page_size store);
       d_mu = Mutex.create ();
       d_pages = Hashtbl.create 64;
       d_group_versions = Hashtbl.create 64;
@@ -665,10 +685,10 @@ struct
   (** A fresh durable MVCC store over an empty page store: the tree and
       the version heap share [store], one commit makes both durable.
       [enc]/[dec] map payloads to the int stream (identity for int
-      payloads); [page_ints] bounds a vrec page's int count — compute it
-      from the backend's page size so the encoded node always fits. *)
+      payloads). Each vrec page is filled up to the encoded bytes the
+      store's page holds. *)
   let create_durable ?order ?enqueue_on_delete ?epoch ?size ?group_bits
-      ?page_ints ~enc ~dec store =
+      ~enc ~dec store =
     {
       tree = T.create ?order ?enqueue_on_delete ~store ();
       records = R.create ?size ();
@@ -676,7 +696,7 @@ struct
       gc = Atomic.make [];
       gc_len = Atomic.make 0;
       retired = Atomic.make [];
-      durable = Some (mk_durable ?group_bits ?page_ints ~enc ~dec store);
+      durable = Some (mk_durable ?group_bits ~enc ~dec store);
     }
 
   (** Reopen a durable MVCC store: rebuild the tree from its metadata,
@@ -694,8 +714,8 @@ struct
       - a reachable chain headed by a tombstone: re-note it for vacuum.
       A store with no MVCC extension (a plain unversioned tree) is
       migrated in place: each payload becomes a one-version chain. *)
-  let open_durable ?enqueue_on_delete ?epoch ?size ?group_bits ?page_ints
-      ~enc ~dec store =
+  let open_durable ?enqueue_on_delete ?epoch ?size ?group_bits ~enc ~dec
+      store =
     let tree = T.open_existing ?enqueue_on_delete store in
     let meta =
       match S.get_meta store with Some b -> b | None -> assert false
@@ -707,7 +727,7 @@ struct
           (match ext with
           | Some e -> Some e.group_bits
           | None -> group_bits)
-        ?page_ints ~enc ~dec store
+        ~enc ~dec store
     in
     let t =
       {

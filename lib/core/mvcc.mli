@@ -140,22 +140,22 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
     ?epoch:Epoch.t ->
     ?size:('v -> int) ->
     ?group_bits:int ->
-    ?page_ints:int ->
     enc:('v -> int) ->
     dec:(int -> 'v) ->
     S.t ->
     'v t
   (** MVCC over an empty durable store: tree and version heap share it,
       {!commit} makes both durable in one batch. [enc]/[dec] map payloads
-      into the vrec int stream; [page_ints] (default 480) bounds a vrec
-      page's stream slice — derive it from the backend's page size. *)
+      into the vrec int stream, which is cut into vrec pages by encoded
+      bytes: each page takes as many varints as
+      {!Repro_storage.Page_codec.vrec_budget} allows at the store's
+      {!Repro_storage.Page_store.S.page_size}. *)
 
   val open_durable :
     ?enqueue_on_delete:bool ->
     ?epoch:Epoch.t ->
     ?size:('v -> int) ->
     ?group_bits:int ->
-    ?page_ints:int ->
     enc:('v -> int) ->
     dec:(int -> 'v) ->
     S.t ->

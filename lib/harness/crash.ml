@@ -39,6 +39,7 @@ type scenario = {
   shards : int;  (** independent store pairs, keys routed by {!Shard_router} *)
   mvcc : bool;  (** durable MVCC version chains over the tree *)
   follower : bool;  (** a WAL-shipping follower, promoted after the crash *)
+  page_size : int;  (** data page bytes (the log page follows from it) *)
 }
 
 type outcome = {
@@ -81,15 +82,28 @@ let policy_name : Failpoint.policy -> string = function
   | Failpoint.Torn_write -> "torn"
   | Failpoint.Crash_after n -> Printf.sprintf "crash@%d" n
 
+(* The battery's page: order 4's, {!Page_codec.page_size_for}. Rows at
+   4096 B, the page of every store written before pages were sized to
+   the node, run the same checks at the other end of the range. *)
 let data_page_size = 512
-let data_device () = Paged_file.create_shadow ~page_size:data_page_size ()
+let large_page_size = 4096
 
-let log_device () =
-  Paged_file.create_shadow ~page_size:(Wal.log_page_size ~data_page_size) ()
+let data_device ?(page_size = data_page_size) () =
+  Paged_file.create_shadow ~page_size ()
+
+let log_device ?(page_size = data_page_size) () =
+  Paged_file.create_shadow
+    ~page_size:(Wal.log_page_size ~data_page_size:page_size)
+    ()
 
 let mk_scenario ?(wal = false) ?(shards = 1) ?(mvcc = false)
-    ?(follower = false) cache_pages =
-  { cache_pages; wal; shards; mvcc; follower }
+    ?(follower = false) ?(page_size = data_page_size) cache_pages =
+  { cache_pages; wal; shards; mvcc; follower; page_size }
+
+(* The suffix that names a non-default page size in the battery log. *)
+let page_label page_size =
+  if page_size = data_page_size then ""
+  else Printf.sprintf ".%dk" (page_size / 1024)
 
 (* Reopen the durable image a crash at this instant would leave behind:
    the data device's crash image, replaying the log device's in WAL
@@ -186,10 +200,10 @@ type follower = {
   mutable f_pending : Wal.Apply.batch list;  (** promoted, newest first *)
 }
 
-let follower_create () =
+let follower_create ?(page_size = data_page_size) () =
   {
-    f_store = PS.create_memory ~page_size:data_page_size ();
-    f_apply = Wal.Apply.create ~data_page_size ();
+    f_store = PS.create_memory ~page_size ();
+    f_apply = Wal.Apply.create ~data_page_size:page_size ();
     f_next = 0;
     f_pending = [];
   }
@@ -250,7 +264,8 @@ let follower_promote f =
    the catch-up can count records from the start of the crash image. *)
 let attach_follower ~what store lfile =
   let live_base = PS.wal_durable_lsn store + 1 in
-  let f = follower_create () in
+  let data_page_size = PS.page_size store in
+  let f = follower_create ~page_size:data_page_size () in
   follower_drain ~what store f;
   if f.f_next <> live_base then
     fail "%s: follower drained to LSN %d, live pass starts at %d" what f.f_next
@@ -358,8 +373,7 @@ let chain_dump mv =
    re-installs a pre-prune page image past the checkpoint — and a fresh
    pin reads the recovered state. *)
 let mvcc_engine ~what store (o : Commit_point.t) =
-  let page_ints = max 32 ((PS.page_size store - 48) / 10) in
-  let mv = MV.create_durable ~order:4 ~page_ints ~enc:Fun.id ~dec:Fun.id store in
+  let mv = MV.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store in
   let c = MV.ctx ~slot:0 in
   let upsert k v =
     MV.upsert mv c k v;
@@ -462,12 +476,13 @@ let mvcc_engine ~what store (o : Commit_point.t) =
 
 (* The policy-column suffix that names a scenario in the battery log. *)
 let label sc =
-  if sc.follower then "+repl"
-  else if sc.mvcc then if sc.wal then "+mvcc" else "+mvcc.sync"
-  else if sc.shards > 1 then
-    Printf.sprintf "+%s.x%d" (if sc.wal then "wal" else "sync") sc.shards
-  else if sc.wal then "+wal"
-  else ""
+  (if sc.follower then "+repl"
+   else if sc.mvcc then if sc.wal then "+mvcc" else "+mvcc.sync"
+   else if sc.shards > 1 then
+     Printf.sprintf "+%s.x%d" (if sc.wal then "wal" else "sync") sc.shards
+   else if sc.wal then "+wal"
+   else "")
+  ^ page_label sc.page_size
 
 (** One crash run: preload + checkpoint on every shard, arm [site] with
     [policy], run the engine's seeded mix with a commit point every
@@ -491,9 +506,11 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
          else 42)
   in
   Failpoint.reset ();
+  let page_size = sc.page_size in
   let devices =
     Array.init n (fun _ ->
-        (data_device (), if sc.wal then Some (log_device ()) else None))
+        ( data_device ~page_size (),
+          if sc.wal then Some (log_device ~page_size ()) else None ))
   in
   let stores =
     Array.mapi
@@ -616,14 +633,20 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
     the tear covered every byte that differs and the staged header
     physically landed in full, in which case the newer generation — with
     byte-identical contents — validates and wins. Runs a spread of RNG
-    seeds and requires both branches to occur. *)
-let run_torn_header () =
-  let seeds = 24 in
+    seeds and requires both branches to occur. At the default page the
+    tear lands on slot 1; at any other size one more checkpoint puts it
+    on slot 0, the slot that names the page size, so the reopen must
+    find slot 1 by the size it derives. The few bytes that differ sit
+    at the head of the page, so the seed count grows with the page to
+    keep the fall-back branch in reach. *)
+let run_torn_header ?(page_size = data_page_size) () =
+  let seeds = 24 * (page_size / data_page_size) in
+  let flushes = if page_size = data_page_size then 2 else 3 in
   let committed = ref 0 and fell_back = ref 0 and landed = ref 0 in
   for s = 1 to seeds do
     Failpoint.reset ();
     Failpoint.seed (0x7EAD + s);
-    let pfile = data_device () in
+    let pfile = data_device ~page_size () in
     let store = PS.create_on ~cache_pages:8 pfile in
     let tree = Sg.create ~order:4 ~store () in
     let c = Sg.ctx ~slot:0 in
@@ -632,8 +655,9 @@ let run_torn_header () =
       ignore (Sg.insert tree c k (payload k));
       Hashtbl.replace model k (payload k)
     done;
-    Sg.flush tree;
-    Sg.flush tree;
+    for _ = 1 to flushes do
+      Sg.flush tree
+    done;
     (* both slots now hold valid headers *)
     let committed_gen = PS.generation store in
     committed := committed_gen;
@@ -660,11 +684,11 @@ let run_torn_header () =
     fail "torn header: no seed exercised the fully-landed-tear path";
   {
     site = "paged_file.pwrite";
-    policy = "torn(header)";
-    scenario = mk_scenario 8;
+    policy = "torn(header)" ^ page_label page_size;
+    scenario = mk_scenario ~page_size 8;
     crashed = true;
     ops = seeds;
-    acked_syncs = 2 * seeds;
+    acked_syncs = flushes * seeds;
     recovered_keys = 60;
     recovered_gen = !committed;
   }
@@ -1231,6 +1255,7 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
         [ "paged_file.pwrite" ] mk_scenario;
       [
         run_torn_header;
+        run_torn_header ~page_size:large_page_size;
         run_torn_chain;
         run_short_writes;
         run_wal_torn_append;
@@ -1241,6 +1266,12 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
         [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
         (mk_scenario ~wal:true ~follower:true);
       sweep (caches 32) wal_sites (mk_scenario ~wal:true ~mvcc:true);
+      (* the 4096-byte page of every store written before pages were
+         sized to the node, at the first ordinal in either mode *)
+      sweep ~ordinals:[ 1 ] [ 8 ] wal_sites
+        (mk_scenario ~wal:true ~page_size:large_page_size);
+      sweep ~ordinals:[ 1 ] [ 8 ] wal_sites
+        (mk_scenario ~wal:true ~mvcc:true ~page_size:large_page_size);
       [ (fun () -> run_wal_pitr ()) ];
       sharded (sweep (caches 64) sync_sites (mk_scenario ~shards));
       sweep (caches 64) sync_sites (mk_scenario ~mvcc:true);

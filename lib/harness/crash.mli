@@ -17,9 +17,13 @@ type scenario = {
           {!Repro_storage.Shard_router} *)
   mvcc : bool;  (** durable MVCC version chains over the tree *)
   follower : bool;  (** a WAL-shipping follower, promoted after the crash *)
+  page_size : int;
+      (** data page bytes: 512 (order 4's page) in most rows, 4096 in the
+          rows that cover stores written before pages were sized to the
+          node; the log page follows from it *)
 }
 (** A durable configuration: the axes the server's [Serve_config] names,
-    plus a replication follower. *)
+    plus a replication follower and the page size. *)
 
 type outcome = {
   site : string;
@@ -72,9 +76,11 @@ val run :
     shards, and for a follower anywhere but on one plain WAL shard.
     @raise Failure on any violated recovery invariant. *)
 
-val run_torn_header : unit -> outcome
+val run_torn_header : ?page_size:int -> unit -> outcome
 (** Tear the staged header slot mid-write; recovery must fall back to the
-    committed generation with full contents. *)
+    committed generation with full contents. At the default 512-byte
+    page the tear hits slot 1; at any other [page_size] it hits slot 0,
+    so the reopen finds the page size from slot 1 alone. *)
 
 val run_torn_chain : unit -> outcome
 (** Tear a free-chain entry (over a page free in the committed

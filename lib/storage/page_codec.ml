@@ -62,11 +62,35 @@ let frame_length page =
     let len = frame_bytes + (Int32.to_int (Bytes.get_int32_le page 2) land 0xFFFFFFFF) in
     if len <= Bytes.length page then Some len else None
 
-(* LEB128 with zigzag mapping so small negatives (-1 = nil ptr) stay
-   1 byte. *)
+(* Body bytes besides keys and ptrs: level, flags, fwd, link, both
+   bound tags, and the two counts. *)
+let fixed_body_bytes = 2 + 1 + 8 + 8 + 1 + 1 + 4 + 4
+
+let node_frame_bound ~key_bytes ~order =
+  (* 2k keys, up to 2k + 1 ptrs (internal), two key bounds *)
+  let keys = 2 * order in
+  frame_bytes + fixed_body_bytes + ((keys + 2) * key_bytes) + ((keys + 1) * 8)
+
+let min_page_size = 512
+
+let page_size_for ~key_bytes ~order =
+  let need = node_frame_bound ~key_bytes ~order in
+  let rec grow p = if p >= need then p else grow (2 * p) in
+  grow min_page_size
+
+let vrec_budget ~page_size = page_size - frame_bytes - fixed_body_bytes
+
+(* Zigzag on 63-bit OCaml ints, so small negatives (-1 = nil ptr) stay
+   small. *)
+let zigzag v = (v lsl 1) lxor (v asr 62)
+
+let varint_bytes v =
+  let rec go u n = if u land lnot 0x7F = 0 then n else go (u lsr 7) (n + 1) in
+  go (zigzag v) 1
+
+(* LEB128 over the zigzag mapping. *)
 let add_varint buf v =
-  let u = (v lsl 1) lxor (v asr 62) in
-  (* zigzag on 63-bit OCaml ints *)
+  let u = zigzag v in
   let rec go u =
     if u land lnot 0x7F = 0 then Buffer.add_uint8 buf u
     else begin

@@ -27,6 +27,27 @@ val legacy_version_varint : int
 val frame_bytes : int
 (** Bytes of framing (magic, version, length, checksum) before the body. *)
 
+val node_frame_bound : key_bytes:int -> order:int -> int
+(** Bytes of the largest tree-node frame of order [order] (the paper's
+    k) whose keys encode in [key_bytes] each: a full internal node, 2k
+    keys, 2k + 1 ptrs and two key bounds. *)
+
+val min_page_size : int
+(** 512: the smallest data page a store uses. *)
+
+val page_size_for : key_bytes:int -> order:int -> int
+(** The data page for order [order]: the smallest power of two, at
+    least {!min_page_size}, that holds {!node_frame_bound}. 1024 for
+    8-byte keys at order 16, 4096 at order 64. *)
+
+val vrec_budget : page_size:int -> int
+(** Encoded ptr bytes one version-record frame can carry and still fit
+    a [page_size] page: the page less the framing and fixed node
+    fields of a keyless, boundless node. *)
+
+val varint_bytes : int -> int
+(** Encoded length of one ptr in a v5 frame (zigzag LEB128): 1 to 9. *)
+
 exception Corrupt of string
 
 val frame_length : Bytes.t -> int option

@@ -76,6 +76,12 @@ module type S = sig
       concurrent writers make the traversal a mix of old and new states,
       and durable backends may fault pages in mid-iteration. *)
 
+  val page_size : t -> int
+  (** Bytes one node's codec frame may occupy: the data page of a paged
+      backend, [max_int] for a store whose nodes never leave memory.
+      Writers that size their own nodes (version-record pages) read
+      their budget from it. *)
+
   val set_meta : t -> Bytes.t -> unit
   (** Attach an opaque metadata blob (tree geometry, prime-block state).
       Durable implementations persist it in their header on [sync];

@@ -46,6 +46,10 @@ module type S = sig
   val iter : t -> (Node.ptr -> key Node.t -> unit) -> unit
   (** Over all live pages; only meaningful when quiescent. *)
 
+  val page_size : t -> int
+  (** Bytes one node's codec frame may occupy: the data page of a paged
+      backend, [max_int] where nodes never leave memory. *)
+
   val set_meta : t -> Bytes.t -> unit
   (** Opaque metadata blob, persisted by durable backends on [sync]. *)
 

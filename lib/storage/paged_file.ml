@@ -97,6 +97,27 @@ let open_file ?(page_size = default_page_size) ?(writable = false) path =
 let page_size t = t.page_size
 let pages t = t.pages
 
+(** The same bytes cut into [page_size] pages: what a reader that learns
+    the page size from the data itself (a store header) reopens
+    through. The view shares the device with [t]; use one of them at a
+    time. *)
+let retile t ~page_size =
+  if page_size = t.page_size then t
+  else begin
+    if page_size < 64 then invalid_arg "Paged_file: page_size too small";
+    let bytes = t.pages * t.page_size in
+    if bytes mod page_size <> 0 then
+      invalid_arg "Paged_file.retile: size not a multiple of the page size";
+    let backend =
+      match t.backend with
+      | Memory m ->
+          Memory { data = m.data; capacity = Bytes.length m.data / page_size }
+      | File f -> File f
+      | Shadow _ -> invalid_arg "Paged_file.retile: shadow devices keep their page size"
+    in
+    { page_size; backend; pages = bytes / page_size }
+  end
+
 let grow_bytes old old_cap page_size needed =
   let cap = ref (max 16 old_cap) in
   while needed > !cap do

@@ -39,6 +39,14 @@ val open_file : ?page_size:int -> ?writable:bool -> string -> t
 val page_size : t -> int
 val pages : t -> int
 
+val retile : t -> page_size:int -> t
+(** The same device cut into [page_size] pages — how a reader that
+    learns the page size from the data (a store header) views it. The
+    result shares the device with [t]; use one of them at a time.
+    Returns [t] itself when the size is unchanged.
+    @raise Invalid_argument when the device's bytes are not a multiple
+    of [page_size], or on a shadow device. *)
+
 val append : t -> Bytes.t -> int
 (** Write a full page at the end; returns its index.
     @raise Invalid_argument on a wrong-sized buffer. *)

@@ -122,6 +122,7 @@ let chunk_bits = 12
 let chunk_size = 1 lsl chunk_bits
 let max_chunks = 1 lsl 14 (* 64 M pages *)
 
+let default_page_size = Page_codec.page_size_for ~key_bytes:8 ~order:16
 let default_cache_pages = 4096
 let default_stripes = 8
 
@@ -388,6 +389,50 @@ module Make (K : Key.S) = struct
       then Some (geti 64, page)
       else None
 
+  (* The device cut at the page size its header records, with the
+     newest valid header slot. Slot 0 sits at byte 0, so its prefix
+     names the size; when slot 0 is torn, slot 1 sits at byte [p] for
+     the one power of two [p] at which a whole slot validates. *)
+  let header_view pfile =
+    let unit = Page_codec.min_page_size in
+    let bytes = Paged_file.pages pfile * Paged_file.page_size pfile in
+    if bytes mod unit <> 0 then
+      raise (Corrupt "file size is not a multiple of the minimum page size");
+    let probe = Paged_file.retile pfile ~page_size:unit in
+    (* the page size named by a header starting at probe page [i] *)
+    let named i =
+      let page = Paged_file.read probe i in
+      let field off = Int64.to_int (Bytes.get_int64_le page off) in
+      if field 0 = magic && field 8 = version then Some (field 16) else None
+    in
+    let at_size ps =
+      let view = Paged_file.retile pfile ~page_size:ps in
+      match
+        (read_header_slot view ~page_size:ps 0, read_header_slot view ~page_size:ps 1)
+      with
+      | Some (g0, h0), Some (g1, h1) ->
+          Some (view, if g0 >= g1 then (g0, h0) else (g1, h1))
+      | Some h, None | None, Some h -> Some (view, h)
+      | None, None -> None
+    in
+    let fits ps = ps >= unit && ps land (ps - 1) = 0 && 2 * ps <= bytes in
+    let rec from_slot1 ps =
+      if not (fits ps) then None
+      else
+        match if named (ps / unit) = Some ps then at_size ps else None with
+        | Some _ as found -> found
+        | None -> from_slot1 (2 * ps)
+    in
+    let found =
+      match named 0 with
+      | Some ps when fits ps -> (
+          match at_size ps with Some _ as found -> found | None -> from_slot1 unit)
+      | _ -> from_slot1 unit
+    in
+    match found with
+    | Some found -> found
+    | None -> raise (Corrupt "no valid header slot")
+
   (* Thread the free list through the free pages themselves: each free
      page holds a checksummed [chain_magic, generation, next] entry (-1
      ends the chain). Written after the data flush. Called only when the
@@ -576,6 +621,12 @@ module Make (K : Key.S) = struct
   let create_on ?(shard = (0, 1)) ?(cache_pages = default_cache_pages)
       ?(stripes = default_stripes) ?commit_interval ?commit_batch ?wal pfile =
     let page_size = Paged_file.page_size pfile in
+    if page_size < Page_codec.min_page_size || page_size land (page_size - 1) <> 0
+    then
+      invalid_arg
+        (Printf.sprintf
+           "Paged_store: page size %d is not a power of two of at least %d"
+           page_size Page_codec.min_page_size);
     let t = make ~shard ~page_size ~cache_pages ~stripes pfile in
     (match wal with
     | Some log_file ->
@@ -589,7 +640,7 @@ module Make (K : Key.S) = struct
         write_header_flocked t ~gen:0);
     t
 
-  let create_memory ?shard ?(page_size = Paged_file.default_page_size)
+  let create_memory ?shard ?(page_size = default_page_size)
       ?(cache_pages = default_cache_pages) ?(stripes = default_stripes)
       ?commit_interval ?commit_batch ?(wal = false) () =
     let log =
@@ -604,7 +655,7 @@ module Make (K : Key.S) = struct
       ?wal:log
       (Paged_file.create_memory ~page_size ())
 
-  let create_file ?shard ?(page_size = Paged_file.default_page_size)
+  let create_file ?shard ?(page_size = default_page_size)
       ?(cache_pages = default_cache_pages) ?(stripes = default_stripes)
       ?commit_interval ?commit_batch ?wal_path path =
     let log =
@@ -1163,20 +1214,12 @@ module Make (K : Key.S) = struct
        Same degradation class as the damaged-chain leak: never a double
        hand-out, never wrong tree contents — the page is merely dead
        weight until the store is rebuilt. See doc/RECOVERY.md. *)
-  let open_from ?expect_shard ?(cache_pages = default_cache_pages)
-      ?(stripes = default_stripes) ?commit_interval ?commit_batch ?wal pfile =
+  let open_view ?expect_shard ?(cache_pages = default_cache_pages)
+      ?(stripes = default_stripes) ?commit_interval ?commit_batch ~log pfile =
     if Paged_file.pages pfile = 0 then raise (Corrupt "empty file");
+    let pfile, (gen, header) = header_view pfile in
     let page_size = Paged_file.page_size pfile in
-    let header =
-      match
-        ( read_header_slot pfile ~page_size 0,
-          read_header_slot pfile ~page_size 1 )
-      with
-      | Some (g0, h0), Some (g1, h1) -> if g0 >= g1 then (g0, h0) else (g1, h1)
-      | Some (g, h), None | None, Some (g, h) -> (g, h)
-      | None, None -> raise (Corrupt "no valid header slot")
-    in
-    let gen, header = header in
+    let wal = log page_size in
     let geti off = Int64.to_int (Bytes.get_int64_le header off) in
     (* Partition identity check before anything else touches the file:
        opening shard i-of-N as j-of-M would misroute every key the
@@ -1308,24 +1351,35 @@ module Make (K : Key.S) = struct
     | _ -> ());
     t
 
+  let open_from ?expect_shard ?cache_pages ?stripes ?commit_interval
+      ?commit_batch ?wal pfile =
+    open_view ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
+      ~log:(fun data_page_size ->
+        Option.map
+          (Paged_file.retile ~page_size:(Wal.log_page_size ~data_page_size))
+          wal)
+      pfile
+
+  (* The file is opened at the minimum page size and re-cut at the size
+     its header records; the log is opened only once that size is
+     known. *)
   let open_file ?expect_shard ?cache_pages ?stripes ?commit_interval
       ?commit_batch ?wal_path path =
-    let pfile = Paged_file.open_file ~writable:true path in
-    let wal =
-      Option.map
-        (fun p ->
-          (* A store synced and closed in sync mode can be reopened in
-             WAL mode: a missing log file is simply created empty. *)
-          let log_page_size =
-            Wal.log_page_size ~data_page_size:(Paged_file.page_size pfile)
-          in
-          if Sys.file_exists p then
-            Paged_file.open_file ~page_size:log_page_size ~writable:true p
-          else Paged_file.create_file ~page_size:log_page_size p)
-        wal_path
+    let pfile =
+      Paged_file.open_file ~page_size:Page_codec.min_page_size ~writable:true path
     in
-    open_from ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
-      ?wal pfile
+    open_view ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
+      ~log:(fun data_page_size ->
+        Option.map
+          (fun p ->
+            (* A store synced and closed in sync mode can be reopened in
+               WAL mode: a missing log file is simply created empty. *)
+            let page_size = Wal.log_page_size ~data_page_size in
+            if Sys.file_exists p then
+              Paged_file.open_file ~page_size ~writable:true p
+            else Paged_file.create_file ~page_size p)
+          wal_path)
+      pfile
 
   (* ---------- introspection ---------- *)
 

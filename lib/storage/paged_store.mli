@@ -62,6 +62,12 @@ exception
     [expect_shard] is given: silently opening shard i-of-N as j-of-M
     would misroute every key the {!Shard_router} hashes. *)
 
+val default_page_size : int
+(** 1024: the data page of an order-16 tree of int keys,
+    {!Page_codec.page_size_for} [~key_bytes:8 ~order:16] — the page a
+    store gets when its creator names none. A tree of higher order needs
+    a larger page; its constructor passes one. *)
+
 val default_cache_pages : int
 
 val default_stripes : int
@@ -96,7 +102,11 @@ module Make (K : Key.S) : sig
       [cache_pages]); [wal] (default false) attaches a memory-backed log
       device so [commit] group-commits; [create] is [create_memory ()].
       [shard] (default [(0, 1)]) is the store's partition identity
-      [(index, count)], recorded in every header it writes. *)
+      [(index, count)], recorded in every header it writes. [page_size]
+      (default {!default_page_size}) must be a power of two of at least
+      {!Page_codec.min_page_size}; it is recorded in the header, so a
+      reopen needs no size.
+      @raise Invalid_argument on any other [page_size]. *)
 
   val create_file :
     ?shard:int * int ->
@@ -138,7 +148,10 @@ module Make (K : Key.S) : sig
     string ->
     t
   (** Reopen a store that was {!Page_store.S.sync}ed ([flush]/[close]
-      also sync). Restores the allocator frontier, free list and
+      also sync). The page size is read from the header: slot 0's prefix
+      names it, and when slot 0 is torn, slot 1 is found at the one
+      power-of-two offset where a whole slot validates. Restores the
+      allocator frontier, free list and
       metadata blob from the newest valid header slot; with [wal_path],
       additionally replays the log's group-committed tail (a missing log
       file is created empty, so a sync-mode store can be reopened in WAL
@@ -157,9 +170,11 @@ module Make (K : Key.S) : sig
     Paged_file.t ->
     t
   (** {!open_file} over an already-open paged file (e.g. a
-      {!Paged_file.crash_image}); [wal] is the already-open log device
-      (e.g. its crash image), replayed via {!Wal.replay} before the free
-      chain is rebuilt. *)
+      {!Paged_file.crash_image}), at whatever page size it was opened:
+      the device is re-cut ({!Paged_file.retile}) at the size its header
+      records, and so is [wal], the already-open log device (e.g. its
+      crash image), replayed via {!Wal.replay} before the free chain is
+      rebuilt. *)
 
   val flush : t -> unit
   (** Alias of [sync]: write back dirty nodes, persist the free list and

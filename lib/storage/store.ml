@@ -168,6 +168,7 @@ struct
   let total_allocated = total_allocated
   let total_freed = total_freed
   let iter = iter
+  let page_size _ = max_int
   let set_meta = set_meta
   let get_meta = get_meta
   let sync = sync

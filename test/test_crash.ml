@@ -124,7 +124,9 @@ let corrupt_page path page =
 
 let build_two_generations path =
   Failpoint.reset ();
-  let store = PS.create_file ~cache_pages:32 path in
+  let store =
+    PS.create_file ~page_size:Paged_file.default_page_size ~cache_pages:32 path
+  in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
   for k = 0 to 199 do
@@ -986,6 +988,7 @@ let test_mvcc_wal_crashes () =
             shards = 1;
             mvcc = true;
             follower = false;
+            page_size = 512;
           }
       in
       Alcotest.(check bool) (site ^ " fired") true o.Crash.crashed)

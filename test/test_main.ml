@@ -6,6 +6,7 @@ let () =
       ("codec", Test_codec.suite);
       ("store", Test_store.suite);
       ("page_store", Test_page_store.suite);
+      ("page_size", Test_page_size.suite);
       ("blink", Test_blink.suite);
       ("compress", Test_compress.suite);
       ("compactor", Test_compactor.suite);

@@ -569,8 +569,7 @@ let test_durable_roundtrip () =
   rm wal;
   let store = Pg.create_file ~wal_path:wal path in
   let t =
-    MD.create_durable ~order:4 ~page_ints:(Tree_intf.vrec_page_ints store)
-      ~enc:Fun.id ~dec:Fun.id store
+    MD.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store
   in
   let c = mctx ~slot:0 in
   for k = 1 to 200 do

@@ -478,7 +478,7 @@ let test_corrupt_rejected () =
    there: N faults must allocate fewer than N pages' worth of bytes,
    which one page-sized copy per fault would already exceed. *)
 let test_fault_allocates_no_page () =
-  let s = Paged_int.create_memory ~cache_pages:8 () in
+  let s = Paged_int.create_memory ~page_size:4096 ~cache_pages:8 () in
   let npages = 512 in
   let pages = Array.init npages (fun i -> Paged_int.alloc s (mk_leaf [ i ])) in
   Paged_int.sync s;

@@ -507,8 +507,7 @@ let test_replica_mvcc_reads () =
   let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
   let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
   let md =
-    MD.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id
-      ~page_ints:(Tree_intf.vrec_page_ints store) store
+    MD.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store
   in
   MD.flush md;
   let handle = Tree_intf.mvcc_disk_sub_handle md ~name:"mvcc-disk" in
