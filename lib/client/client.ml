@@ -5,7 +5,7 @@ exception Remote_error of string
 type t = {
   fd : Unix.file_descr;
   mutable seq : int;
-  out : Buffer.t;
+  out : P.Writer.t;
   mutable buf : Bytes.t;
   mutable lo : int;
   mutable hi : int;
@@ -23,7 +23,7 @@ let connect addr =
   {
     fd;
     seq = 0;
-    out = Buffer.create 4096;
+    out = P.Writer.create ();
     buf = Bytes.create 4096;
     lo = 0;
     hi = 0;
@@ -37,9 +37,9 @@ let close t =
   end
 
 let flush t =
-  let n = Buffer.length t.out in
-  let bytes = Buffer.to_bytes t.out in
-  Buffer.clear t.out;
+  let n = P.Writer.length t.out in
+  let bytes = P.Writer.bytes t.out in
+  P.Writer.reset t.out;
   let off = ref 0 in
   while !off < n do
     off := !off + Unix.write t.fd bytes !off (n - !off)
@@ -74,18 +74,16 @@ let read_response t =
   go ()
 
 let pipeline t reqs =
-  let seqs =
-    List.map
-      (fun r ->
-        let s = t.seq in
-        t.seq <- (t.seq + 1) land 0xffffffff;
-        P.encode_request t.out ~seq:s r;
-        s)
-      reqs
-  in
+  let first = t.seq in
+  List.iter
+    (fun r ->
+      P.Writer.request t.out ~seq:t.seq r;
+      t.seq <- (t.seq + 1) land 0xffffffff)
+    reqs;
   flush t;
-  List.map
-    (fun expect ->
+  List.mapi
+    (fun i _ ->
+      let expect = (first + i) land 0xffffffff in
       let seq, resp = read_response t in
       if seq <> expect then
         raise
@@ -93,7 +91,7 @@ let pipeline t reqs =
              (Printf.sprintf "response out of order: seq %d, expected %d" seq
                 expect));
       resp)
-    seqs
+    reqs
 
 (* The shard a request's key routes to; [None] for keyless requests
    (Range spans shards; Commit/Stats are global). *)

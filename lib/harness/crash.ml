@@ -80,6 +80,7 @@ let policy_name : Failpoint.policy -> string = function
   | Failpoint.Error { every } -> Printf.sprintf "error/%d" every
   | Failpoint.Short_write { every } -> Printf.sprintf "short/%d" every
   | Failpoint.Torn_write -> "torn"
+  | Failpoint.Torn_at n -> Printf.sprintf "torn@%d" n
   | Failpoint.Crash_after n -> Printf.sprintf "crash@%d" n
 
 (* The battery's page: order 4's, {!Page_codec.page_size_for}. Rows at

@@ -17,14 +17,14 @@ let record log ~key ~value ~start ~stop =
   log.ops <- { o_key = key; o_value = value; o_start = start; o_end = stop } :: log.ops
 
 let logged log ~key ~value f =
-  let start = Unix.gettimeofday () in
+  let start = Driver.now () in
   let r = f () in
-  record log ~key ~value ~start ~stop:(Unix.gettimeofday ());
+  record log ~key ~value ~start ~stop:(Driver.now ());
   r
 
 (* -- interval sets -- *)
 
-(* A feasible set is a list of [lo, hi] wall-clock intervals (hi may be
+(* A feasible set is a list of [lo, hi] monotonic-clock intervals (hi may be
    infinity), kept in chronological order. *)
 let inter_two a b =
   List.concat_map
@@ -36,7 +36,7 @@ let inter_two a b =
         b)
     a
 
-(* The wall-clock intervals during which key [k]'s visible value could
+(* The monotonic-clock intervals during which key [k]'s visible value could
    have been [obs], given the owner's chronological op list. Candidate
    moments: after any op whose effect equals [obs] and before the next
    op on the same key completed; plus "before the first op on [k]" when
@@ -103,7 +103,7 @@ let check ~(logs : log array) ~(owner : int -> int) ~(initial : int -> int optio
         note "writer %d: observations mix two of its states (no single cut)"
           w)
     writer_sets;
-  (* cross-writer: one wall-clock instant must satisfy every writer —
+  (* cross-writer: one instant must satisfy every writer —
      the scan is a cut of the global history, not per-writer cuts *)
   let all =
     Array.fold_left inter_two [ (Float.neg_infinity, Float.infinity) ]

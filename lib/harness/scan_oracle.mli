@@ -2,7 +2,7 @@
 
     Model: each writer domain owns a {e disjoint} block of keys and
     mutates only those, appending every operation to its own {!log}
-    with a wall-clock interval ([start] before the tree call, [stop]
+    with a monotonic-clock interval ([start] before the tree call, [stop]
     after). A scan observed concurrently is a {e consistent cut} iff
     there exists one instant [t] such that, for every key, the
     observed value is exactly the visible effect of its owner's last
@@ -40,7 +40,7 @@ val record : log -> key:int -> value:int option -> start:float -> stop:float -> 
 
 val logged : log -> key:int -> value:int option -> (unit -> 'a) -> 'a
 (** Run [f] (the tree operation) and record it with the measured
-    wall-clock interval. *)
+    monotonic-clock interval. *)
 
 val check :
   logs:log array ->

@@ -1,15 +1,16 @@
 (** Wire protocol: length-prefixed, versioned, checksummed frames.
-    See the interface for the layout. Encoding appends to a [Buffer.t]
-    (the per-connection write buffer); decoding reads straight out of
-    the per-connection byte buffer without copying the payload. *)
+    See the interface for the layout. A frame is rendered and
+    checksummed in place at the end of a {!Writer}'s bytes, which the
+    caller flushes to the socket as they are; decoding reads straight
+    out of the per-connection byte buffer without copying the payload.
+    Ints move a word at a time ([Bytes.get/set_int64_be]). *)
 
 exception Bad_frame of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad_frame s)) fmt
 let header_size = 16
-let magic0 = 0x42 (* 'B' *)
-let magic1 = 0x4C (* 'L' *)
-let version = 1
+let magic = 0x424C (* "BL" *)
+let version = 2
 let default_max_payload = 1 lsl 20
 
 (* Request opcodes / response status tags share the header's byte 3. *)
@@ -122,79 +123,14 @@ let pp_response fmt = function
 
 let response_to_string r = Format.asprintf "%a" pp_response r
 
-(* -- payload scratch encoding -- *)
+(* -- word-at-a-time fields -- *)
 
-let put_i64 b v =
-  for i = 7 downto 0 do
-    Buffer.add_char b (Char.chr ((v lsr (i * 8)) land 0xff))
-  done
+let set_u32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+let get_i64 b off = Int64.to_int (Bytes.get_int64_be b off)
+let checksum = Repro_util.Checksum.mx32
 
-let get_i64 bytes off =
-  (* 64-bit two's complement; the top bit folds into OCaml's 63-bit int
-     sign through the shift accumulation. *)
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code (Bytes.get bytes (off + i))
-  done;
-  !v
-
-let put_u32 b v =
-  for i = 3 downto 0 do
-    Buffer.add_char b (Char.chr ((v lsr (i * 8)) land 0xff))
-  done
-
-let get_u32 bytes off =
-  let v = ref 0 in
-  for i = 0 to 3 do
-    v := (!v lsl 8) lor Char.code (Bytes.get bytes (off + i))
-  done;
-  !v
-
-(* Append a complete frame: header + payload, checksumming the payload
-   bytes already rendered into [payload]. *)
-let add_frame out ~opcode ~seq payload =
-  let len = Buffer.length payload in
-  Buffer.add_char out (Char.chr magic0);
-  Buffer.add_char out (Char.chr magic1);
-  Buffer.add_char out (Char.chr version);
-  Buffer.add_char out (Char.chr opcode);
-  put_u32 out (seq land 0xffffffff);
-  put_u32 out len;
-  let bytes = Buffer.to_bytes payload in
-  put_u32 out (Repro_util.Checksum.fnv32 bytes ~pos:0 ~len);
-  Buffer.add_bytes out bytes
-
-let encode_request out ~seq (r : request) =
-  let p = Buffer.create 16 in
-  let opcode =
-    match r with
-    | Insert { key; value } ->
-        put_i64 p key;
-        put_i64 p value;
-        op_insert
-    | Delete { key } ->
-        put_i64 p key;
-        op_delete
-    | Search { key } ->
-        put_i64 p key;
-        op_search
-    | Range { lo; hi } ->
-        put_i64 p lo;
-        put_i64 p hi;
-        op_range
-    | Commit -> op_commit
-    | Stats -> op_stats
-    | Subscribe { shard; from_lsn; max_pages; wait_ms } ->
-        put_u32 p shard;
-        put_i64 p from_lsn;
-        put_u32 p max_pages;
-        put_u32 p wait_ms;
-        op_subscribe
-    | Snapshot { close } ->
-        put_u32 p (if close then 1 else 0);
-        op_snapshot
-  in
-  add_frame out ~opcode ~seq p
+(* -- encoding -- *)
 
 let stats_fields s =
   [
@@ -219,46 +155,140 @@ let stats_of_fields = function
 
 let n_stats_fields = 13
 
-let encode_response out ~seq (r : response) =
-  let p = Buffer.create 16 in
-  let status =
-    match r with
-    | Inserted -> st_inserted
-    | Duplicate -> st_duplicate
-    | Deleted -> st_deleted
-    | Absent -> st_absent
-    | Found v ->
-        put_i64 p v;
-        st_found
-    | Pairs ps ->
-        put_u32 p (List.length ps);
-        List.iter
-          (fun (k, v) ->
-            put_i64 p k;
-            put_i64 p v)
-          ps;
-        st_pairs
-    | Committed -> st_committed
-    | Stats_reply s ->
-        List.iter (put_i64 p) (stats_fields s);
-        st_stats
-    | Wal_chunk { shard; next_lsn; pages } ->
-        (* All pages in one chunk share a size (the shard's log page
-           size) — ship it once so the decoder can slice without it. *)
-        put_u32 p shard;
-        put_i64 p next_lsn;
-        put_u32 p (match pages with [] -> 0 | pg :: _ -> Bytes.length pg);
-        put_u32 p (List.length pages);
-        List.iter (Buffer.add_bytes p) pages;
-        st_wal_chunk
-    | Snap_reply { epoch } ->
-        put_i64 p epoch;
-        st_snap
-    | Error msg ->
-        Buffer.add_string p msg;
-        st_error
-  in
-  add_frame out ~opcode:status ~seq p
+module Writer = struct
+  type t = { mutable buf : Bytes.t; mutable len : int }
+
+  let create () = { buf = Bytes.create 4096; len = 0 }
+  let bytes w = w.buf
+  let length w = w.len
+  let reset w = w.len <- 0
+
+  (* Room for [n] more bytes at the end. *)
+  let reserve w n =
+    if w.len + n > Bytes.length w.buf then begin
+      let b = Bytes.create (max (w.len + n) (2 * Bytes.length w.buf)) in
+      Bytes.blit w.buf 0 b 0 w.len;
+      w.buf <- b
+    end
+
+  let add_u32 w v =
+    reserve w 4;
+    set_u32 w.buf w.len v;
+    w.len <- w.len + 4
+
+  let add_i64 w v =
+    reserve w 8;
+    Bytes.set_int64_be w.buf w.len (Int64.of_int v);
+    w.len <- w.len + 8
+
+  let add_bytes w b =
+    reserve w (Bytes.length b);
+    Bytes.blit b 0 w.buf w.len (Bytes.length b);
+    w.len <- w.len + Bytes.length b
+
+  (* Skip the header of a frame starting at the end; returns its offset. *)
+  let start w =
+    reserve w header_size;
+    w.len <- w.len + header_size;
+    w.len - header_size
+
+  (* Fill in the header of the frame at [at], whose payload runs to the
+     end, checksumming the payload where it lies. *)
+  let finish w at ~code ~seq =
+    let b = w.buf and plen = w.len - at - header_size in
+    Bytes.set_uint16_be b at magic;
+    Bytes.set_uint8 b (at + 2) version;
+    Bytes.set_uint8 b (at + 3) code;
+    set_u32 b (at + 4) seq;
+    set_u32 b (at + 8) plen;
+    set_u32 b (at + 12) (checksum b ~pos:(at + header_size) ~len:plen)
+
+  let request w ~seq (r : request) =
+    let at = start w in
+    let code =
+      match r with
+      | Insert { key; value } ->
+          add_i64 w key;
+          add_i64 w value;
+          op_insert
+      | Delete { key } ->
+          add_i64 w key;
+          op_delete
+      | Search { key } ->
+          add_i64 w key;
+          op_search
+      | Range { lo; hi } ->
+          add_i64 w lo;
+          add_i64 w hi;
+          op_range
+      | Commit -> op_commit
+      | Stats -> op_stats
+      | Subscribe { shard; from_lsn; max_pages; wait_ms } ->
+          add_u32 w shard;
+          add_i64 w from_lsn;
+          add_u32 w max_pages;
+          add_u32 w wait_ms;
+          op_subscribe
+      | Snapshot { close } ->
+          add_u32 w (if close then 1 else 0);
+          op_snapshot
+    in
+    finish w at ~code ~seq
+
+  let response w ~seq (r : response) =
+    let at = start w in
+    let code =
+      match r with
+      | Inserted -> st_inserted
+      | Duplicate -> st_duplicate
+      | Deleted -> st_deleted
+      | Absent -> st_absent
+      | Found v ->
+          add_i64 w v;
+          st_found
+      | Pairs ps ->
+          add_u32 w (List.length ps);
+          List.iter
+            (fun (k, v) ->
+              add_i64 w k;
+              add_i64 w v)
+            ps;
+          st_pairs
+      | Committed -> st_committed
+      | Stats_reply s ->
+          List.iter (add_i64 w) (stats_fields s);
+          st_stats
+      | Wal_chunk { shard; next_lsn; pages } ->
+          (* All pages in one chunk share a size (the shard's log page
+             size) — ship it once so the decoder can slice without it. *)
+          add_u32 w shard;
+          add_i64 w next_lsn;
+          add_u32 w (match pages with [] -> 0 | pg :: _ -> Bytes.length pg);
+          add_u32 w (List.length pages);
+          List.iter (add_bytes w) pages;
+          st_wal_chunk
+      | Snap_reply { epoch } ->
+          add_i64 w epoch;
+          st_snap
+      | Error msg ->
+          add_bytes w (Bytes.unsafe_of_string msg);
+          st_error
+    in
+    finish w at ~code ~seq
+end
+
+(* The [Buffer.t] entry points render through this domain's writer, then
+   move the frame out in one blit. *)
+let scratch = Domain.DLS.new_key Writer.create
+
+let encode_with render out =
+  let w = Domain.DLS.get scratch in
+  Writer.reset w;
+  render w;
+  Buffer.add_subbytes out w.buf 0 w.len
+
+let encode_request out ~seq r = encode_with (fun w -> Writer.request w ~seq r) out
+let encode_response out ~seq r = encode_with (fun w -> Writer.response w ~seq r) out
 
 (* -- decoding -- *)
 
@@ -266,32 +296,28 @@ type 'a decoded =
   | Need_more
   | Frame of { seq : int; body : 'a; consumed : int }
 
-(* Validate the header and checksum; hand (opcode, seq, payload offset,
-   payload length, consumed) to [body] when the frame is complete. *)
+(* Validate the header and checksum; hand (opcode, payload offset,
+   payload length) to [body] when the frame is complete. *)
 let decode_frame ?(max_payload = default_max_payload) bytes ~pos ~len body =
   if len < header_size then Need_more
   else begin
-    let u8 i = Char.code (Bytes.get bytes (pos + i)) in
-    if u8 0 <> magic0 || u8 1 <> magic1 then
-      bad "bad magic 0x%02x%02x" (u8 0) (u8 1);
-    if u8 2 <> version then bad "unsupported protocol version %d" (u8 2);
-    let opcode = u8 3 in
-    let seq = get_u32 bytes (pos + 4) in
+    if Bytes.get_uint16_be bytes pos <> magic then
+      bad "bad magic 0x%04x" (Bytes.get_uint16_be bytes pos);
+    let v = Bytes.get_uint8 bytes (pos + 2) in
+    if v <> version then bad "unsupported protocol version %d" v;
     let plen = get_u32 bytes (pos + 8) in
     if plen > max_payload then
       bad "payload of %d bytes exceeds the %d-byte bound" plen max_payload;
     if len < header_size + plen then Need_more
     else begin
       let sum = get_u32 bytes (pos + 12) in
-      let actual =
-        Repro_util.Checksum.fnv32 bytes ~pos:(pos + header_size) ~len:plen
-      in
+      let actual = checksum bytes ~pos:(pos + header_size) ~len:plen in
       if sum <> actual then
         bad "payload checksum mismatch (frame %#x, got %#x)" sum actual;
       Frame
         {
-          seq;
-          body = body opcode (pos + header_size) plen;
+          seq = get_u32 bytes (pos + 4);
+          body = body (Bytes.get_uint8 bytes (pos + 3)) (pos + header_size) plen;
           consumed = header_size + plen;
         }
     end
@@ -352,8 +378,7 @@ let decode_response ?max_payload bytes ~pos ~len =
           need plen (4 + (16 * n)) "PAIRS";
           Pairs
             (List.init n (fun i ->
-                 ( get_i64 bytes (off + 4 + (16 * i)),
-                   get_i64 bytes (off + 4 + (16 * i) + 8) )))
+                 (get_i64 bytes (off + 4 + (16 * i)), get_i64 bytes (off + 12 + (16 * i)))))
       | s when s = st_committed -> Committed
       | s when s = st_stats ->
           need plen (8 * n_stats_fields) "STATS";

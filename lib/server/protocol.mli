@@ -9,19 +9,25 @@
     {v
     offset  size  field
     0       2     magic 0x42 0x4C ("BL")
-    2       1     version (currently 1)
+    2       1     version (currently 2)
     3       1     opcode (request) / status (response)
     4       4     sequence number (echoed verbatim in the response)
     8       4     payload length (bytes; bounded by the receiver)
-    12      4     FNV-1a-32 checksum of the payload
+    12      4     Checksum.mx32 of the payload
     16      n     payload
     v}
 
     Keys and values are 63-bit OCaml ints carried as 64-bit two's
-    complement. A frame that fails any header check (magic, version,
-    unknown opcode, oversized length) or whose payload fails the
-    checksum raises {!Bad_frame}; the server answers with a final
-    [Error] frame and closes {e that} connection only. *)
+    complement, read and written a word at a time. A frame that fails
+    any header check (magic, version, unknown opcode, oversized length)
+    or whose payload fails the checksum raises {!Bad_frame}; the server
+    answers with a final [Error] frame and closes {e that} connection
+    only.
+
+    Version 2 replaced version 1 (FNV-1a-32 checksums, byte-at-a-time
+    ints) outright: a version-1 frame is refused as an unsupported
+    version, so a primary, its replicas and its clients upgrade
+    together. *)
 
 exception Bad_frame of string
 (** Unparseable or integrity-failed frame. The connection that sent it
@@ -101,8 +107,32 @@ val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit
 val response_to_string : response -> string
 
+(** Frames rendered in place: each frame is written and checksummed
+    at the end of one reused byte buffer, which the owner flushes as it
+    is — no per-frame allocation or copy. A writer belongs to one
+    domain (the server keeps one per connection, a client one per
+    connection). *)
+module Writer : sig
+  type t
+
+  val create : unit -> t
+  val request : t -> seq:int -> request -> unit
+  (** Append one request frame. [seq] is truncated to 32 bits. *)
+
+  val response : t -> seq:int -> response -> unit
+
+  val bytes : t -> Bytes.t
+  (** The buffer; its first {!length} bytes are the frames written since
+      the last {!reset}. Valid until the next append. *)
+
+  val length : t -> int
+  val reset : t -> unit
+end
+
 val encode_request : Buffer.t -> seq:int -> request -> unit
-(** Append one request frame. [seq] is truncated to 32 bits. *)
+(** Append one request frame: {!Writer.request} on a domain-private
+    scratch writer, then one blit into the buffer. [seq] is truncated to
+    32 bits. *)
 
 val encode_response : Buffer.t -> seq:int -> response -> unit
 

@@ -324,18 +324,20 @@ let serve_conn t ~slot fd =
   let cap = ref 4096 in
   let buf = ref (Bytes.create !cap) in
   let lo = ref 0 and hi = ref 0 in
-  let out = Buffer.create 4096 in
+  (* the drained batch, decoded into reused arrays *)
+  let seqs = ref (Array.make 64 0) and reqs = ref (Array.make 64 P.Commit) in
+  let out = P.Writer.create () in
   let closing = ref false in
   let flush_out () =
-    let n = Buffer.length out in
+    let n = P.Writer.length out in
     if n > 0 then begin
-      write_all fd (Buffer.to_bytes out) n;
-      Buffer.clear out;
+      P.Writer.reset out;
+      write_all fd (P.Writer.bytes out) n;
       sst.bytes_out <- sst.bytes_out + n
     end
   in
   let respond ~seq resp =
-    P.encode_response out ~seq resp;
+    P.Writer.response out ~seq resp;
     sst.frames_out <- sst.frames_out + 1;
     (match (resp : P.response) with Error _ -> closing := true | _ -> ())
   in
@@ -378,7 +380,7 @@ let serve_conn t ~slot fd =
          sst.bytes_in <- sst.bytes_in + n;
          (* drain the batch; a bad frame poisons the stream but the
             frames parsed before it still execute and answer *)
-         let batch = ref [] in
+         let depth = ref 0 in
          let poisoned = ref None in
          (try
             let continue = ref true in
@@ -391,13 +393,21 @@ let serve_conn t ~slot fd =
               | Frame { seq; body; consumed } ->
                   lo := !lo + consumed;
                   sst.frames_in <- sst.frames_in + 1;
-                  batch := (seq, body) :: !batch
+                  if !depth = Array.length !reqs then begin
+                    let grow a fill =
+                      Array.append a (Array.make (Array.length a) fill)
+                    in
+                    seqs := grow !seqs 0;
+                    reqs := grow !reqs P.Commit
+                  end;
+                  !seqs.(!depth) <- seq;
+                  !reqs.(!depth) <- body;
+                  incr depth
             done
           with P.Bad_frame msg ->
             sst.protocol_errors <- sst.protocol_errors + 1;
             poisoned := Some msg);
-         let batch = List.rev !batch in
-         let depth = List.length batch in
+         let depth = !depth in
          if depth > sst.max_pipeline then sst.max_pipeline <- depth;
          let mutated = ref false in
          let state_changed = ref false in
@@ -406,28 +416,28 @@ let serve_conn t ~slot fd =
             argument (all ops' windows overlap) only holds within one
             drained batch *)
          if t.combine_batch then Hashtbl.reset kstate;
-         List.iter
-           (fun (seq, req) ->
-             if not !closing then begin
-               if (not t.combine_batch) && is_mutation req then begin
-                 mutated := true;
-                 match (t.handle.sharding, mutation_key req) with
-                 | Some s, Some key -> touched.(s.shard_of_key key) <- true
-                 | _ -> ()
-               end;
-               let t0 = now () in
-               let resp =
-                 try
-                   if t.combine_batch then
-                     execute_combined t sst ctx ~kstate ~mutated
-                       ~state_changed ~touched ~snap req
-                   else execute t sst ctx ~snap req
-                 with e -> P.Error (Printexc.to_string e)
-               in
-               Repro_util.Histogram.add sst.latency (now () -. t0);
-               respond ~seq resp
-             end)
-           batch;
+         for i = 0 to depth - 1 do
+           let req = !reqs.(i) in
+           if not !closing then begin
+             if (not t.combine_batch) && is_mutation req then begin
+               mutated := true;
+               match (t.handle.sharding, mutation_key req) with
+               | Some s, Some key -> touched.(s.shard_of_key key) <- true
+               | _ -> ()
+             end;
+             let t0 = now () in
+             let resp =
+               try
+                 if t.combine_batch then
+                   execute_combined t sst ctx ~kstate ~mutated
+                     ~state_changed ~touched ~snap req
+                 else execute t sst ctx ~snap req
+               with e -> P.Error (Printexc.to_string e)
+             in
+             Repro_util.Histogram.add sst.latency (now () -. t0);
+             respond ~seq:!seqs.(i) resp
+           end
+         done;
          (* durable acks: the batch's mutations reach the log (and, via
             the WAL's group commit, disk) before any ack flushes. On a
             sharded handle only the shards this batch touched commit —

@@ -15,6 +15,8 @@
       bytes over the old contents and the process "dies" ({!Crash}); the
       shadow backend promotes the torn page to its durable image, the
       in-flight write that hits the platter as power fails.
+    - [Torn_at n]: the same tear, on the nth armed write — a page in
+      the middle of a multi-page write.
     - [Crash_after n]: the nth hit raises {!Crash} before the site's
       action runs.
 
@@ -34,6 +36,7 @@ type policy =
   | Error of { every : int }
   | Short_write of { every : int }
   | Torn_write
+  | Torn_at of int
   | Crash_after of int
 
 type action = Proceed | Short of int | Torn of int
@@ -83,6 +86,7 @@ let set_site (s : site) policy =
   | Error { every } | Short_write { every } ->
       if every < 1 then invalid_arg "Failpoint: every must be >= 1"
   | Crash_after n -> if n < 1 then invalid_arg "Failpoint: crash after >= 1 hits"
+  | Torn_at n -> if n < 1 then invalid_arg "Failpoint: torn at >= 1 writes"
   | Off | Torn_write -> ());
   s.policy <- policy
 
@@ -123,7 +127,7 @@ let armed_ordinal (s : site) = 1 + Atomic.fetch_and_add s.armed_hits 1
 let hit (s : site) =
   Atomic.incr s.hits;
   match s.policy with
-  | Off | Short_write _ | Torn_write -> ()
+  | Off | Short_write _ | Torn_write | Torn_at _ -> ()
   | Error { every } ->
       let k = armed_ordinal s in
       if k mod every = 0 then begin
@@ -131,6 +135,12 @@ let hit (s : site) =
         raise (Injected s.name)
       end
   | Crash_after n -> if armed_ordinal s = n then crash s
+
+let tear s ~len =
+  Atomic.incr s.fired;
+  (* Disarm: the torn write is one-shot — the process dies with it. *)
+  s.policy <- Off;
+  Torn (if len > 1 then 1 + rand_below (len - 1) else len)
 
 (** A write of [len] bytes is about to run at [s]: decide its fate.
     [Short k] / [Torn k] return how many bytes the device accepts
@@ -156,10 +166,8 @@ let write_action (s : site) ~len =
       else Proceed
   | Torn_write ->
       ignore (armed_ordinal s);
-      Atomic.incr s.fired;
-      (* Disarm: the torn write is one-shot — the process dies with it. *)
-      s.policy <- Off;
-      Torn (if len > 1 then 1 + rand_below (len - 1) else len)
+      tear s ~len
+  | Torn_at n -> if armed_ordinal s = n then tear s ~len else Proceed
   | Crash_after n -> if armed_ordinal s = n then crash s else Proceed
 
 let reset () =

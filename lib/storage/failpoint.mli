@@ -13,6 +13,9 @@ type policy =
   | Torn_write
       (** the next write lands a random prefix of the new bytes, then
           {!Crash}; one-shot *)
+  | Torn_at of int
+      (** the same tear on the n-th armed write; the writes before it
+          proceed *)
   | Crash_after of int  (** raise {!Crash} on the n-th armed hit *)
 
 type action =

@@ -159,11 +159,11 @@ let check_alive t =
   | Shadow _ when Failpoint.is_crashed () -> raise (Failpoint.Crash "paged_file.dead")
   | _ -> ()
 
-(* Write [len] bytes of [page] at byte offset [base], honouring the
-   failpoint's short/torn decisions, via [accept src_off dst_off n]
-   (returns bytes actually moved). Loops until complete. *)
-let write_loop t idx ~accept =
-  let len = t.page_size in
+(* Write the [len] bytes that start page [idx] (one page unless a file
+   takes a run at once), honouring the failpoint's short/torn decisions,
+   via [accept off n] (returns bytes actually moved). Loops until
+   complete. *)
+let write_loop t idx ~len ~accept =
   let rec go off =
     if off < len then begin
       let want = len - off in
@@ -201,40 +201,59 @@ let write_loop t idx ~accept =
   in
   go 0
 
-let write t idx page =
-  if Bytes.length page <> t.page_size then invalid_arg "Paged_file.write: wrong page size";
-  if idx < 0 || idx > t.pages then invalid_arg "Paged_file.write: hole in file";
+(* Page [idx] from [len] bytes of [src] at [pos]: one page, except on a
+   file, where a run of whole pages goes down in one positioned write. *)
+let write_at t idx src ~pos ~len =
   check_alive t;
   (match t.backend with
   | Memory m ->
       ensure_memory_capacity t (idx + 1);
-      write_loop t idx ~accept:(fun off n ->
-          Bytes.blit page off m.data ((idx * t.page_size) + off) n;
+      write_loop t idx ~len ~accept:(fun off n ->
+          Bytes.blit src (pos + off) m.data ((idx * t.page_size) + off) n;
           n)
   | Shadow s ->
       ensure_memory_capacity t (idx + 1);
       Hashtbl.replace s.unsynced idx ();
-      write_loop t idx ~accept:(fun off n ->
-          Bytes.blit page off s.volatile ((idx * t.page_size) + off) n;
+      write_loop t idx ~len ~accept:(fun off n ->
+          Bytes.blit src (pos + off) s.volatile ((idx * t.page_size) + off) n;
           n)
   | File f ->
       (* Positional IO invariant: the seek and the writes below form one
          atomic unit under [io_lock]; no other thread can move this fd's
          offset in between. The write loop retries short writes and EINTR
-         until the full page lands. *)
+         until every byte lands. *)
       Mutex.lock f.io_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock f.io_lock)
         (fun () ->
           ignore (Unix.lseek f.fd (idx * t.page_size) Unix.SEEK_SET);
-          write_loop t idx ~accept:(fun off n ->
-              try Unix.write f.fd page off n with
+          write_loop t idx ~len ~accept:(fun off n ->
+              try Unix.write f.fd src (pos + off) n with
               | Unix.Unix_error (Unix.EINTR, _, _) -> 0
               | Unix.Unix_error (e, _, _) ->
                   raise
                     (Io_error
                        { op = "write"; page = idx; detail = Unix.error_message e }))));
-  if idx = t.pages then t.pages <- t.pages + 1
+  t.pages <- max t.pages (idx + (len / t.page_size))
+
+let write t idx page =
+  if Bytes.length page <> t.page_size then invalid_arg "Paged_file.write: wrong page size";
+  if idx < 0 || idx > t.pages then invalid_arg "Paged_file.write: hole in file";
+  write_at t idx page ~pos:0 ~len:t.page_size
+
+let write_pages t idx src ~pos ~count =
+  let len = count * t.page_size in
+  if count < 0 || pos < 0 || pos > Bytes.length src - len then
+    invalid_arg "Paged_file.write_pages: range out of bounds";
+  if idx < 0 || idx > t.pages then invalid_arg "Paged_file.write_pages: hole in file";
+  match t.backend with
+  | File _ -> if count > 0 then write_at t idx src ~pos ~len
+  | Memory _ | Shadow _ ->
+      (* page by page, in order: a failpoint sees the same writes as
+         [count] calls of {!write} *)
+      for i = 0 to count - 1 do
+        write_at t (idx + i) src ~pos:(pos + (i * t.page_size)) ~len:t.page_size
+      done
 
 (** Append a page; returns its index. *)
 let append t page =

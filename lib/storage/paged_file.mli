@@ -55,6 +55,13 @@ val write : t -> int -> Bytes.t -> unit
 (** Overwrite page [idx] (or append when [idx = pages]). Retries until
     the full page lands. @raise Io_error when it cannot. *)
 
+val write_pages : t -> int -> Bytes.t -> pos:int -> count:int -> unit
+(** Write [count] whole pages from [pos] in the buffer to pages [idx ..
+    idx + count - 1] ([idx <= pages]). On a file it is one positioned
+    write; on a memory or shadow device it is [count] page writes in
+    order, so the [paged_file.pwrite] failpoint fires once per page.
+    @raise Io_error when it cannot. *)
+
 val read : t -> int -> Bytes.t
 
 val read_into : t -> int -> Bytes.t -> unit

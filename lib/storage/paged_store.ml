@@ -132,6 +132,10 @@ let default_stripes = 8
 let default_commit_batch = 1
 let default_commit_interval = 2e-3
 
+(* Seconds on the monotonic clock, for the gather window and the stall
+   timer: a step of the wall clock stretches neither. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 (* Fault-injection sites (see doc/RECOVERY.md for the catalog). Shared by
    every [Make] instantiation — the registry is keyed by name. *)
 let fp_fault = Failpoint.site "paged_store.fault"
@@ -803,9 +807,9 @@ module Make (K : Key.S) = struct
     let si = stripe_index t ptr in
     let st = t.stripes.(si) in
     if not (Mutex.try_lock st.s_lock) then begin
-      let t0 = Unix.gettimeofday () in
+      let t0 = now () in
       Mutex.lock st.s_lock;
-      st.stall_s <- st.stall_s +. (Unix.gettimeofday () -. t0)
+      st.stall_s <- st.stall_s +. (now () -. t0)
     end;
     match fault_locked t ptr s si st with
     | n ->
@@ -964,11 +968,11 @@ module Make (K : Key.S) = struct
          none.) A checkpoint cannot intervene (sync is quiescent), so
          the batch is still ours to seal afterwards. *)
       Mutex.unlock w.w_mu;
-      let deadline = Unix.gettimeofday () +. w.commit_interval in
+      let deadline = now () +. w.commit_interval in
       let rec gather () =
         if
           Atomic.get w.unsealed_reqs < w.commit_batch
-          && Unix.gettimeofday () < deadline
+          && now () < deadline
         then begin
           Unix.sleepf 5e-5;
           gather ()
@@ -1414,7 +1418,8 @@ module Make (K : Key.S) = struct
         io.Stats.max_commit_group <- w.max_group;
         io.Stats.wal_records <- Wal.appended w.log;
         io.Stats.wal_fsyncs <- Wal.fsyncs w.log;
-        io.Stats.wal_bytes <- Wal.bytes_written w.log
+        io.Stats.wal_bytes <- Wal.bytes_written w.log;
+        io.Stats.wal_writes <- Wal.writes w.log
     | None -> ());
     io
 

@@ -117,6 +117,8 @@ type io = {
   mutable wal_bytes : int;
       (** bytes written to the log device, whole log pages — what the
           device gets, where [wal_records] counts records *)
+  mutable wal_writes : int;
+      (** write calls those bytes took: about one per group commit *)
   mutable epoch_min_pinned : int;
       (** MVCC reclamation horizon at sample time ([max_int] = nothing
           pinned, printed as -1); merges by {e min} — the fleet-wide
@@ -143,6 +145,7 @@ let io_create () =
     wal_records = 0;
     wal_fsyncs = 0;
     wal_bytes = 0;
+    wal_writes = 0;
     epoch_min_pinned = max_int;
     snap_pins = 0;
     mvcc_versions = 0;
@@ -164,6 +167,7 @@ let io_merge ~into:dst (src : io) =
   dst.wal_records <- dst.wal_records + src.wal_records;
   dst.wal_fsyncs <- dst.wal_fsyncs + src.wal_fsyncs;
   dst.wal_bytes <- dst.wal_bytes + src.wal_bytes;
+  dst.wal_writes <- dst.wal_writes + src.wal_writes;
   dst.epoch_min_pinned <- min dst.epoch_min_pinned src.epoch_min_pinned;
   dst.snap_pins <- dst.snap_pins + src.snap_pins;
   dst.mvcc_versions <- dst.mvcc_versions + src.mvcc_versions;
@@ -174,11 +178,12 @@ let io_merge ~into:dst (src : io) =
 let pp_io fmt (io : io) =
   Format.fprintf fmt
     "faults=%d stall=%.3fms wb_inline=%d max_conc_faults=%d commits=%d/%d \
-     max_group=%d wal_records=%d wal_fsyncs=%d wal_bytes=%d min_pinned=%d \
-     snap_pins=%d mvcc_versions=%d mvcc_pruned=%d mvcc_disk=%d/%dpg"
+     max_group=%d wal_records=%d wal_fsyncs=%d wal_bytes=%d wal_writes=%d \
+     min_pinned=%d snap_pins=%d mvcc_versions=%d mvcc_pruned=%d \
+     mvcc_disk=%d/%dpg"
     io.faults (1e3 *. io.fault_stall_s) io.inline_writebacks
     io.max_concurrent_faults io.commit_groups io.commit_reqs io.max_commit_group
-    io.wal_records io.wal_fsyncs io.wal_bytes
+    io.wal_records io.wal_fsyncs io.wal_bytes io.wal_writes
     (if io.epoch_min_pinned = max_int then -1 else io.epoch_min_pinned)
     io.snap_pins io.mvcc_versions io.mvcc_pruned io.mvcc_disk_versions
     io.mvcc_disk_pages

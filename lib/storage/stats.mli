@@ -64,6 +64,8 @@ type io = {
   mutable wal_bytes : int;
       (** bytes written to the log device, whole log pages — what the
           device gets, where [wal_records] counts records *)
+  mutable wal_writes : int;
+      (** write calls those bytes took: about one per group commit *)
   mutable epoch_min_pinned : int;
       (** MVCC reclamation horizon at sample time — the oldest epoch any
           worker or snapshot still pins ([max_int] = nothing pinned);

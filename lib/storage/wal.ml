@@ -13,14 +13,17 @@
     [body_len] bytes, nothing else. A group (the records appended
     between two {!fsync}s, or before a {!truncate}) starts on a fresh
     log page; a record may cross a page boundary, and the unused tail of
-    the group's last page is zero-filled. Full pages go to the device as
-    they fill, the partly filled last page at the {!fsync} that ends the
-    group ({!truncate} seals it straight from memory), so a group is one
-    run of whole log pages and a page an earlier fsync covered is never
-    written again: a torn write can only damage the group being written,
-    never a committed one. A PAGE record carries the node's ~500 B codec
-    frame, so a commit of a handful of pages costs a page or two of log,
-    not one log page per record.
+    the group's last page is zero-filled. The group's pages wait in
+    memory and go to the device as one run of whole pages, in one
+    {!Paged_file.write_pages} call, at the {!fsync} that ends the group
+    — or earlier, {!run_bytes} at a time, when a group outgrows that
+    ({!truncate} seals the pages still waiting straight from memory). So
+    a group is one run of whole log pages and a page an earlier fsync
+    covered is never written again: a torn write can only damage the
+    group being written, never a committed one. A PAGE record carries
+    the node's ~500 B codec frame, so a commit of a handful of pages
+    costs a page or two of log in one write call, not one log page per
+    record.
 
     {b Checksum range}: {!Repro_util.Checksum.mx32} (the word-at-a-time
     checksum {!Page_codec} v4/v5 frames use) over the header plus the
@@ -143,6 +146,11 @@ let fp_commit = Failpoint.site "wal.commit"
 let fp_replay = Failpoint.site "wal.replay"
 
 let log_page_size ~data_page_size = data_page_size + header_bytes
+
+(* Seconds on the monotonic clock: a step of the wall clock neither
+   stretches nor cuts a long-poll. Only differences are meaningful. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
 type record =
@@ -172,9 +180,12 @@ type t = {
   page_size : int;  (** log page size *)
   mu : Mutex.t;  (** serialises append / fsync / truncate / fetch *)
   record : Bytes.t;  (** the record being packed; one log page, under [mu] *)
-  tail : Bytes.t;  (** the group's partly filled page, not yet written *)
-  mutable tail_len : int;
-  mutable pos : int;  (** log page the tail will be written to *)
+  run : Bytes.t;
+      (** the open group's pages not yet written: whole pages, then the
+          partly filled last one; [run_pages] whole pages and one more *)
+  run_pages : int;  (** whole pages that make the run go to the device *)
+  mutable run_len : int;  (** bytes packed into [run] *)
+  mutable pos : int;  (** log page [run] starts at *)
   mutable offsets : int array;
       (** byte offset of each live-pass record, LSN order; grows *)
   mutable count : int;  (** records in the live pass *)
@@ -190,7 +201,13 @@ type t = {
   appended : int Atomic.t;
   fsyncs : int Atomic.t;
   written : int Atomic.t;  (** bytes written to the device, whole pages *)
+  writes : int Atomic.t;  (** device write calls *)
 }
+
+(* A run this long goes to the device without waiting for its fsync:
+   [Unix.write] moves at most 64 KB per call anyway, and a bulk load
+   logged as one group must not sit in memory whole. *)
+let run_bytes = 65536
 
 let check_device ~data_page_size file =
   if Paged_file.page_size file <> log_page_size ~data_page_size then
@@ -204,14 +221,16 @@ let check_device ~data_page_size file =
 let create ?(retain = default_retain) ~data_page_size file =
   check_device ~data_page_size file;
   let page_size = log_page_size ~data_page_size in
+  let run_pages = max 1 (run_bytes / page_size) in
   {
     file;
     data_page_size;
     page_size;
     mu = Mutex.create ();
     record = Bytes.create page_size;
-    tail = Bytes.create page_size;
-    tail_len = 0;
+    run = Bytes.create ((run_pages + 1) * page_size);
+    run_pages;
+    run_len = 0;
     pos = 0;
     offsets = [||];
     count = 0;
@@ -224,6 +243,7 @@ let create ?(retain = default_retain) ~data_page_size file =
     appended = Atomic.make 0;
     fsyncs = Atomic.make 0;
     written = Atomic.make 0;
+    writes = Atomic.make 0;
   }
 
 let with_mu t f =
@@ -373,36 +393,44 @@ let scan ~data_page_size file f =
 
 (* ---------- append path ---------- *)
 
-let write_page t page =
-  Paged_file.write t.file t.pos page;
-  t.pos <- t.pos + 1;
-  ignore (Atomic.fetch_and_add t.written t.page_size)
+(* Write the run's first [n] pages in one call; of the [used] bytes
+   packed, the ones past them start the next run. Should the write fail,
+   the run is left as it was. *)
+let write_run t n ~used =
+  Paged_file.write_pages t.file t.pos t.run ~pos:0 ~count:n;
+  ignore (Atomic.fetch_and_add t.written (n * t.page_size));
+  Atomic.incr t.writes;
+  let rest = max 0 (used - (n * t.page_size)) in
+  Bytes.blit t.run (n * t.page_size) t.run 0 rest;
+  t.pos <- t.pos + n;
+  t.run_len <- rest
 
-(* Pack the [len]-byte record in [t.record] onto the tail. A record that
-   fills the tail page writes it and carries its remainder over to a
-   fresh one; should that write fail, [tail_len] is untouched and the
-   record is simply not appended. *)
+(* Pack the [len]-byte record in [t.record] onto the run. Once the run
+   holds [run_pages] whole pages they are written; should that write
+   fail, the record is simply not appended. *)
 let pack t len =
-  let room = t.page_size - t.tail_len in
-  if len < room then begin
-    Bytes.blit t.record 0 t.tail t.tail_len len;
-    t.tail_len <- t.tail_len + len
-  end
-  else begin
-    Bytes.blit t.record 0 t.tail t.tail_len room;
-    write_page t t.tail;
-    Bytes.blit t.record room t.tail 0 (len - room);
-    t.tail_len <- len - room
+  Bytes.blit t.record 0 t.run t.run_len len;
+  let used = t.run_len + len in
+  let full = used / t.page_size in
+  if full >= t.run_pages then write_run t full ~used else t.run_len <- used
+
+(* End the group: write its pages, the last one zero-filled past its
+   last record. The next group starts on a fresh page. *)
+let flush t =
+  if t.run_len > 0 then begin
+    let n = (t.run_len + t.page_size - 1) / t.page_size in
+    Bytes.fill t.run t.run_len ((n * t.page_size) - t.run_len) '\000';
+    write_run t n ~used:t.run_len
   end
 
-(* End the group: write its partly filled last page, zero tail and all.
-   The next group starts on a fresh page. *)
-let flush t =
-  if t.tail_len > 0 then begin
-    Bytes.fill t.tail t.tail_len (t.page_size - t.tail_len) '\000';
-    write_page t t.tail;
-    t.tail_len <- 0
-  end
+(* [blit] over the live pass: the written pages from the device, the
+   rest from the run. *)
+let live_blit t =
+  let device = device_blit t.file and split = t.pos * t.page_size in
+  fun off dst dst_off len ->
+    let n = max 0 (min len (split - off)) in
+    if n > 0 then device off dst dst_off n;
+    if n < len then Bytes.blit t.run (off + n - split) dst (dst_off + n) (len - n)
 
 (* [a], holding [n] entries, with room for one more. *)
 let room a n = if n < Array.length a then a else Array.append a (Array.make (max n 64) 0)
@@ -414,9 +442,9 @@ let push_offset t off =
 
 (** Append one record, stamped [gen] and the log's incarnation, packed
     right after the previous one. It reaches the device's volatile image
-    when its page fills or at the next {!fsync} / {!truncate}; only
-    {!fsync} (the group-commit leader calls it) makes the appended
-    prefix durable. Thread-safe. *)
+    with its group at the next {!fsync}, or sooner when the group
+    outgrows {!run_bytes}; only {!fsync} (the group-commit leader calls
+    it) makes the appended prefix durable. Thread-safe. *)
 let append t ~gen record =
   with_mu t (fun () ->
       Failpoint.hit fp_append;
@@ -434,17 +462,18 @@ let append t ~gen record =
         | Checkpoint -> (kind_checkpoint, -1, Bytes.empty)
       in
       let len = encode_into t.record ~kind ~lsn:t.lsn ~gen ~inc:t.inc ~ptr ~body in
-      let off = (t.pos * t.page_size) + t.tail_len in
+      let off = (t.pos * t.page_size) + t.run_len in
       pack t len;
       push_offset t off;
       t.lsn <- t.lsn + 1;
       Atomic.incr t.appended)
 
-(** Fsync the log device: the group-commit point. The group's last page
-    is written, everything appended so far becomes durable, and the
-    shipping watermark advances to cover it — a subscriber parked in
-    {!wait_durable} sees the new horizon on its next poll, which is how
-    sealed batches stream right after the fsync that committed them. *)
+(** Fsync the log device: the group-commit point. The group's pages
+    still in memory are written in one call, everything appended so far
+    becomes durable, and the shipping watermark advances to cover it — a
+    subscriber parked in {!wait_durable} sees the new horizon on its
+    next poll, which is how sealed batches stream right after the fsync
+    that committed them. *)
 let fsync t =
   with_mu t (fun () ->
       Failpoint.hit fp_commit;
@@ -469,18 +498,13 @@ let truncate t =
   with_mu t (fun () ->
       if t.count > 0 && t.retain > 0 then begin
         (* The pass's pages: those on the device, plus the group still in
-           the tail (the checkpoint marker), zero tail included — the
-           pass is dead once sealed, so the tail need not reach the
+           the run (the checkpoint marker), zero tail included — the
+           pass is dead once sealed, so the run need not reach the
            device. *)
         let ps = t.page_size in
-        let npages = t.pos + if t.tail_len > 0 then 1 else 0 in
-        let bytes = Bytes.make (npages * ps) '\000' in
-        let page = Bytes.create ps in
-        for i = 0 to t.pos - 1 do
-          Paged_file.read_into t.file i page;
-          Bytes.blit page 0 bytes (i * ps) ps
-        done;
-        Bytes.blit t.tail 0 bytes (t.pos * ps) t.tail_len;
+        let len = (t.pos * ps) + t.run_len in
+        let bytes = Bytes.make ((len + ps - 1) / ps * ps) '\000' in
+        live_blit t 0 bytes 0 len;
         let seg =
           {
             seg_base_lsn = t.base_lsn;
@@ -501,7 +525,7 @@ let truncate t =
          (which no commit fsync ever covers). *)
       Atomic.set t.durable_lsn (max (Atomic.get t.durable_lsn) (t.lsn - 1));
       t.base_lsn <- t.lsn;
-      t.tail_len <- 0;
+      t.run_len <- 0;
       t.pos <- 0;
       t.count <- 0)
 
@@ -509,7 +533,8 @@ let close t = Paged_file.close t.file
 let appended t = Atomic.get t.appended
 let fsyncs t = Atomic.get t.fsyncs
 let bytes_written t = Atomic.get t.written
-let cursor t = t.pos
+let writes t = Atomic.get t.writes
+let cursor t = t.pos + (t.run_len / t.page_size)
 let incarnation t = t.inc
 let durable_lsn t = Atomic.get t.durable_lsn
 let next_lsn t = with_mu t (fun () -> t.lsn)
@@ -553,8 +578,7 @@ let fetch_from t ~lsn ~max_pages =
       in
       if lsn > durable then At_end
       else if lsn >= t.base_lsn then
-        ship ~base:t.base_lsn ~last:(durable - t.base_lsn) t.offsets
-          (device_blit t.file)
+        ship ~base:t.base_lsn ~last:(durable - t.base_lsn) t.offsets (live_blit t)
       else
         (* sealed segments, newest first; find the one covering [lsn] *)
         let rec find = function
@@ -573,13 +597,14 @@ let fetch_from t ~lsn ~max_pages =
         find t.segments)
 
 (** Long-poll the durable watermark: true once some record at or past
-    [lsn] is durable, false on timeout. Polling (the stdlib [Condition]
-    has no timed wait) at a grain far below any real fsync latency. *)
+    [lsn] is durable, false on timeout, timed on the monotonic clock.
+    Polling (the stdlib [Condition] has no timed wait) at a grain far
+    below any real fsync latency. *)
 let wait_durable t ~lsn ~timeout =
-  let deadline = Unix.gettimeofday () +. timeout in
+  let deadline = now () +. timeout in
   let rec poll () =
     if Atomic.get t.durable_lsn >= lsn then true
-    else if Unix.gettimeofday () >= deadline then false
+    else if now () >= deadline then false
     else begin
       Unix.sleepf 5e-4;
       poll ()
@@ -819,7 +844,8 @@ let resume ?(incarnation = 0) ~data_page_size ~(replay : replay) file =
     then begin
       Bytes.fill page from (ps - from) '\000';
       Paged_file.write file ix page;
-      ignore (Atomic.fetch_and_add t.written ps)
+      ignore (Atomic.fetch_and_add t.written ps);
+      Atomic.incr t.writes
     end
   end;
   let n = Array.length replay.tail_offsets in

@@ -7,7 +7,10 @@
     plus the [body_len] bytes it carries, and may cross a log page
     boundary. Each group commit (the records between two {!fsync}s)
     starts on a fresh log page and zero-fills the rest of its last one,
-    so a page an earlier fsync covered is never rewritten. The scanner
+    so a page an earlier fsync covered is never rewritten. A group's
+    pages wait in memory and reach the device in one multi-page write at
+    its fsync, or {!run_bytes} at a time when the group outgrows that.
+    The scanner
     reads a missing record magic as the end of a group and continues at
     the next page boundary, which also reads logs written one record per
     log page. Each record's checksum covers its header and body; a
@@ -84,13 +87,15 @@ val create : ?retain:int -> data_page_size:int -> Paged_file.t -> t
 
 val append : t -> gen:int -> record -> unit
 (** Append one record stamped with store generation [gen] and the log's
-    incarnation, packed right after the previous one; a page reaches the
-    device when it fills. Volatile until {!fsync}. Thread-safe.
+    incarnation, packed right after the previous one; it reaches the
+    device with its group at the next {!fsync}, or sooner once the
+    group's unwritten pages reach {!run_bytes}. Volatile until {!fsync}.
+    Thread-safe.
     Failpoint [wal.append], as each record is packed. *)
 
 val fsync : t -> unit
-(** The group-commit point: write the group's partly filled last page
-    (zero tail included), make every appended record durable and
+(** The group-commit point: write the group's unwritten pages in one
+    call (zero tail included), make every appended record durable and
     advance the shipping watermark over it. The next record starts a
     fresh page. Failpoint [wal.commit]. *)
 
@@ -113,9 +118,19 @@ val bytes_written : t -> int
 (** Bytes written to the log device over the log's life, in whole log
     pages. Safe to read concurrently. *)
 
+val writes : t -> int
+(** Write calls issued to the log device over the log's life: about
+    one per group commit, plus one per {!run_bytes} of a larger group.
+    Safe to read concurrently. *)
+
+val run_bytes : int
+(** How many bytes of whole pages an open group holds in memory before
+    they go to the device ahead of its fsync (64 KB, the most one
+    [Unix.write] moves). *)
+
 val cursor : t -> int
-(** The log page the next device write lands on (whole pages the live
-    pass has written). *)
+(** The log page the open group's partly filled page lands on (whole
+    pages the live pass has filled, written or not). *)
 
 val incarnation : t -> int
 (** The incarnation stamped into appended records. Persisted in the

@@ -2,15 +2,16 @@
     Neither is cryptographic — they exist to catch torn writes, bit rot
     and stale-generation pages at reopen.
 
-    {!mx32} is the hot one: it stamps every {!Page_codec} frame (v4/v5)
-    and every flagged WAL record, so each page fault, write-back and
-    logged image pays for it. It reads 8 bytes per step in two
-    independent multiply-xorshift lanes (16 B per iteration), so its
-    cost per byte is about a tenth of FNV's.
+    {!mx32} is the hot one: it stamps every {!Page_codec} frame (v4/v5),
+    every flagged WAL record and every wire-protocol frame (version 2),
+    so each page fault, write-back, logged image and served request pays
+    for it. It reads 8 bytes per step in two independent
+    multiply-xorshift lanes (16 B per iteration), so its cost per byte
+    is about a tenth of FNV's.
 
     {!fnv32} is FNV-1a, byte at a time. It stays for the legacy formats
     (v2/v3 frames, unflagged WAL records) and for the cold users: the
-    store header slot, the free chain and the wire protocol's frames. *)
+    store header slot and the free chain. *)
 
 let offset_basis = 0x811c9dc5
 let prime = 0x01000193

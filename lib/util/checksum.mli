@@ -1,7 +1,7 @@
-(** Checksums for on-disk integrity (torn-write and corruption
-    detection). Not cryptographic. {!mx32} stamps codec frames and WAL
-    records; {!fnv32} reads the legacy formats and stamps the cold
-    structures (store header, free chain, protocol frames). *)
+(** Checksums for on-disk and on-wire integrity (torn-write and
+    corruption detection). Not cryptographic. {!mx32} stamps codec
+    frames, WAL records and protocol frames; {!fnv32} reads the legacy
+    formats and stamps the cold structures (store header, free chain). *)
 
 val fnv32 : Bytes.t -> pos:int -> len:int -> int
 (** FNV-1a-32 of [len] bytes starting at [pos], byte at a time; always

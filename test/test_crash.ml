@@ -288,9 +288,10 @@ let test_phantom_tail_two_crash () =
   Wal.append w ~gen:1 (Wal.Page { ptr = 4; image = img 'b' });
   Wal.append w ~gen:1 (Wal.Page { ptr = 5; image = img 'c' });
   Wal.append w ~gen:1 Wal.Commit;
-  (* batch 2: never fsynced, never acknowledged — but each PAGE record
-     fills a log page, and full pages reach the device as they fill:
-     pages 2 and 3 hold its two images *)
+  (* batch 2: never acknowledged — each PAGE record fills a log page,
+     and its group reaches the device (the images on pages 2 and 3, the
+     COMMIT on page 4), but the crash lands before the fsync returns *)
+  Wal.fsync w;
   (* crash 1: the batch-2 head lands torn; its tail survives as bytes *)
   let page = Paged_file.read f 2 in
   Bytes.fill page (log_ps / 2) (log_ps - (log_ps / 2)) '\xFF';
@@ -558,12 +559,13 @@ let test_commit_writes_whole_pages () =
     Wal.append w ~gen:1 (Wal.Page { ptr = p; image = Bytes.make 550 'x' })
   done;
   Wal.append w ~gen:1 Wal.Commit;
-  Alcotest.(check int) "only the filled first page written before the fsync"
-    4160 (Wal.bytes_written w);
+  Alcotest.(check int) "nothing written before the fsync" 0
+    (Wal.bytes_written w);
   Wal.fsync w;
   Alcotest.(check int) "9 records appended" 9 (Wal.appended w);
   Alcotest.(check int) "8 x 614 B + 64 B packed into exactly 2 log pages" 8320
     (Wal.bytes_written w);
+  Alcotest.(check int) "both pages in one write call" 1 (Wal.writes w);
   Alcotest.(check int) "the next group starts a fresh page" 2 (Wal.cursor w);
   let r = Wal.replay ~data_page_size ~gen:1 f in
   Alcotest.(check int) "the batch replays" 8 (Hashtbl.length r.Wal.committed);
@@ -579,6 +581,50 @@ let test_commit_writes_whole_pages () =
     (io.Stats.wal_bytes > 0 && io.Stats.wal_bytes mod lps = 0);
   Alcotest.(check bool) "fewer log pages than records" true
     (io.Stats.wal_bytes < io.Stats.wal_records * lps)
+
+(* An open group's pages wait in memory; one that outgrows
+   [Wal.run_bytes] has sent its head to the device and keeps its tail.
+   [fetch_from] and [truncate] read through both and give the same bytes
+   as a log whose group was written. *)
+let test_unwritten_group_reads () =
+  Failpoint.reset ();
+  let n = (Wal.run_bytes / log_ps) + 10 in
+  let log ~fsync =
+    let f = Paged_file.create_memory ~page_size:log_ps () in
+    let w = Wal.create ~data_page_size:data_ps f in
+    Wal.append w ~gen:1 (Wal.Page { ptr = 1; image = Bytes.make 100 'a' });
+    Wal.append w ~gen:1 Wal.Commit;
+    Wal.fsync w;
+    (* records of three lengths, so they straddle page boundaries *)
+    for p = 0 to n - 1 do
+      let image = Bytes.make (data_ps - (8 * (p mod 3))) (Char.chr (65 + (p mod 26))) in
+      Wal.append w ~gen:1 (Wal.Page { ptr = 10 + p; image })
+    done;
+    Wal.append w ~gen:1 Wal.Commit;
+    if fsync then Wal.fsync w;
+    w
+  in
+  let opened = log ~fsync:false and written = log ~fsync:true in
+  Alcotest.(check int) "the first group, then one early run" 2 (Wal.writes opened);
+  Alcotest.(check bool) "part of the open group is on the device" true
+    (Wal.bytes_written opened > log_ps
+    && Wal.bytes_written opened < Wal.bytes_written written);
+  let fetch w ~max_pages =
+    match Wal.fetch_from w ~lsn:0 ~max_pages with
+    | Wal.Pages { pages; _ } -> pages
+    | Wal.At_end | Wal.Stale -> Alcotest.fail "nothing to fetch"
+  in
+  Alcotest.(check (list bytes)) "fetch_from over the live pass"
+    (fetch written ~max_pages:2) (fetch opened ~max_pages:1000);
+  List.iter
+    (fun w ->
+      Wal.append w ~gen:1 Wal.Checkpoint;
+      Wal.truncate w)
+    [ opened; written ];
+  let sealed = fetch opened ~max_pages:1000 in
+  Alcotest.(check int) "every record sealed" (n + 4) (List.length sealed);
+  Alcotest.(check (list bytes)) "truncate seals the same pages"
+    (fetch written ~max_pages:1000) sealed
 
 (* A 3-page group whose middle page never landed: it still holds the
    previous pass's bytes. Replay must stop inside the group, before its
@@ -1063,4 +1109,6 @@ let suite =
       test_battery_covers_serve_configs;
     Alcotest.test_case "all failpoint sites exercised" `Quick
       test_all_sites_exercised;
+    Alcotest.test_case "packed: unwritten group pages fetch and seal from memory"
+      `Quick test_unwritten_group_reads;
   ]

@@ -18,10 +18,27 @@ let response = Alcotest.testable P.pp_response ( = )
 
 (* ---------- protocol ---------- *)
 
-let roundtrip_req r =
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* The [Buffer.t] entry point's frame, after checking that the writer the
+   server and client flush from renders the very same bytes. *)
+let encoded encode write r =
   let b = Buffer.create 64 in
-  P.encode_request b ~seq:7 r;
+  encode b r;
+  let w = P.Writer.create () in
+  write w r;
   let bytes = Buffer.to_bytes b in
+  Alcotest.(check string) "Buffer.t entry point = writer"
+    (hex (Bytes.sub (P.Writer.bytes w) 0 (P.Writer.length w)))
+    (hex bytes);
+  bytes
+
+let roundtrip_req r =
+  let bytes =
+    encoded (P.encode_request ~seq:7) (P.Writer.request ~seq:7) r
+  in
   match P.decode_request bytes ~pos:0 ~len:(Bytes.length bytes) with
   | Frame { seq; body; consumed } ->
       Alcotest.(check int) "seq" 7 seq;
@@ -30,9 +47,9 @@ let roundtrip_req r =
   | Need_more -> Alcotest.fail "complete request decoded as Need_more"
 
 let roundtrip_resp r =
-  let b = Buffer.create 64 in
-  P.encode_response b ~seq:3 r;
-  let bytes = Buffer.to_bytes b in
+  let bytes =
+    encoded (P.encode_response ~seq:3) (P.Writer.response ~seq:3) r
+  in
   match P.decode_response bytes ~pos:0 ~len:(Bytes.length bytes) with
   | Frame { seq; body; consumed } ->
       Alcotest.(check int) "seq" 3 seq;
@@ -40,7 +57,86 @@ let roundtrip_resp r =
       Alcotest.check response "body" r body
   | Need_more -> Alcotest.fail "complete response decoded as Need_more"
 
+let sample_stats =
+  {
+    P.s_conns_opened = 1; s_conns_active = 2; s_frames_in = 3;
+    s_frames_out = 4; s_bytes_in = 5; s_bytes_out = 6;
+    s_max_pipeline = 7; s_protocol_errors = 8; s_acked_commits = 9;
+    s_lat_p50_us = 10; s_lat_p99_us = 11; s_cardinal = 12;
+    s_height = 13;
+  }
+
+(* One frame of every kind, byte for byte: magic "BL", version 2, the
+   opcode or status, seq, payload length, the payload's mx32, then the
+   big-endian payload. A layout change has to change these. *)
+let golden_requests =
+  [
+    ( P.Insert { key = 1; value = -2 },
+      "424c02010000000700000010c21eca5a" ^ "0000000000000001fffffffffffffffe" );
+    (P.Delete { key = 42 }, "424c020200000007000000083bb81215000000000000002a");
+    (P.Search { key = -42 }, "424c020300000007000000082d62c3a1ffffffffffffffd6");
+    ( P.Range { lo = -10; hi = 10 },
+      "424c0204000000070000001012bbb90bfffffffffffffff6000000000000000a" );
+    (P.Commit, "424c02050000000700000000380b481b");
+    (P.Stats, "424c02060000000700000000380b481b");
+    ( P.Subscribe { shard = 1; from_lsn = 258; max_pages = 16; wait_ms = 500 },
+      "424c020700000007000000149004b252"
+      ^ "00000001000000000000010200000010000001f4" );
+    (P.Snapshot { close = true }, "424c0208000000070000000405f28ea500000001");
+  ]
+
+let golden_responses =
+  [
+    (P.Inserted, "424c02400000000300000000380b481b");
+    (P.Duplicate, "424c02410000000300000000380b481b");
+    (P.Deleted, "424c02420000000300000000380b481b");
+    (P.Absent, "424c02430000000300000000380b481b");
+    (P.Found (-123456789), "424c024400000003000000081e3de236fffffffff8a432eb");
+    ( P.Pairs [ (1, 10); (-2, 20) ],
+      "424c02450000000300000024f7211e6b00000002"
+      ^ "0000000000000001000000000000000afffffffffffffffe0000000000000014" );
+    (P.Committed, "424c02460000000300000000380b481b");
+    ( P.Stats_reply sample_stats,
+      "424c024700000003000000683a634eba"
+      ^ String.concat ""
+          (List.init 13 (fun i -> Printf.sprintf "%016x" (i + 1))) );
+    ( P.Wal_chunk
+        { shard = 2; next_lsn = 9; pages = [ Bytes.of_string "abcd"; Bytes.of_string "efgh" ] },
+      "424c0248000000030000001cfeb54e06"
+      ^ "00000002000000000000000900000004000000026162636465666768" );
+    (P.Snap_reply { epoch = 5 }, "424c02490000000300000008268265b20000000000000005");
+    (P.Error "boom", "424c02ff0000000300000004b52848e9626f6f6d");
+  ]
+
 let test_roundtrip () =
+  List.iter
+    (fun (r, golden) ->
+      Alcotest.(check string)
+        (Format.asprintf "%a" P.pp_request r)
+        golden
+        (hex (encoded (P.encode_request ~seq:7) (P.Writer.request ~seq:7) r));
+      roundtrip_req r)
+    golden_requests;
+  List.iter
+    (fun (r, golden) ->
+      Alcotest.(check string) (P.response_to_string r) golden
+        (hex (encoded (P.encode_response ~seq:3) (P.Writer.response ~seq:3) r));
+      roundtrip_resp r)
+    golden_responses;
+  (* the int edges, as keys and as values *)
+  let edges = [ min_int; max_int; -1; 0 ] in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun v -> roundtrip_req (P.Insert { key = k; value = v }))
+        edges;
+      roundtrip_req (P.Delete { key = k });
+      roundtrip_req (P.Search { key = k });
+      roundtrip_req (P.Range { lo = k; hi = -k });
+      roundtrip_resp (P.Found k);
+      roundtrip_resp (P.Snap_reply { epoch = k }))
+    edges;
+  roundtrip_resp (P.Pairs (List.concat_map (fun k -> List.map (fun v -> (k, v)) edges) edges));
   List.iter roundtrip_req
     [
       P.Insert { key = 1; value = 2 };
@@ -62,16 +158,38 @@ let test_roundtrip () =
       P.Pairs [];
       P.Pairs [ (1, 10); (-2, 20); (3, -30) ];
       P.Committed;
-      P.Stats_reply
-        {
-          s_conns_opened = 1; s_conns_active = 2; s_frames_in = 3;
-          s_frames_out = 4; s_bytes_in = 5; s_bytes_out = 6;
-          s_max_pipeline = 7; s_protocol_errors = 8; s_acked_commits = 9;
-          s_lat_p50_us = 10; s_lat_p99_us = 11; s_cardinal = 12;
-          s_height = 13;
-        };
+      P.Stats_reply sample_stats;
       P.Error "boom";
     ]
+
+(* Frames encoded and decoded on four domains at once come back as their
+   own: the scratch writer behind the [Buffer.t] entry points is not
+   shared between domains. *)
+let test_domain_private_scratch () =
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            for i = 0 to 499 do
+              let req = P.Insert { key = (d * 1_000_000) + i; value = -d } in
+              let resp = P.Pairs (List.init ((i + d) mod 40) (fun j -> (d, i + j))) in
+              let b = Buffer.create 64 in
+              P.encode_request b ~seq:i req;
+              P.encode_response b ~seq:(i + 1) resp;
+              let bytes = Buffer.to_bytes b in
+              let len = Bytes.length bytes in
+              match P.decode_request bytes ~pos:0 ~len with
+              | Frame { seq; body; consumed } -> (
+                  if seq <> i || body <> req then
+                    Alcotest.failf "domain %d got another request at %d" d i;
+                  match P.decode_response bytes ~pos:consumed ~len:(len - consumed) with
+                  | Frame { seq; body; _ } ->
+                      if seq <> i + 1 || body <> resp then
+                        Alcotest.failf "domain %d got another response at %d" d i
+                  | Need_more -> Alcotest.fail "response cut short")
+              | Need_more -> Alcotest.fail "request cut short"
+            done))
+  in
+  List.iter Domain.join domains
 
 (* Every strict prefix of a frame must decode as Need_more, never raise:
    a reader that has half a frame just waits for the rest. *)
@@ -134,7 +252,26 @@ let test_malformed () =
   (* flip one payload bit: checksum must catch it *)
   let corrupt = fresh () in
   Bytes.set corrupt 20 (Char.chr (Char.code (Bytes.get corrupt 20) lxor 1));
-  expect_bad "checksum" (decode corrupt)
+  expect_bad "checksum" (decode corrupt);
+  (* a one-bit flip anywhere in a 50-pair reply: 804 payload bytes cover
+     both mx32 lanes and its byte tail *)
+  let b = Buffer.create 1024 in
+  P.encode_response b ~seq:1 (P.Pairs (List.init 50 (fun i -> (i - 25, i * 7))));
+  let pairs = Buffer.to_bytes b in
+  for off = P.header_size to Bytes.length pairs - 1 do
+    let flipped = Bytes.copy pairs in
+    Bytes.set_uint8 flipped off (Bytes.get_uint8 flipped off lxor (1 lsl (off mod 8)));
+    expect_bad
+      (Printf.sprintf "bit flip at byte %d" off)
+      (fun () -> P.decode_response flipped ~pos:0 ~len:(Bytes.length flipped))
+  done;
+  (* a version-1 frame, FNV-checksummed as v1 was, is refused *)
+  let v1 = fresh () in
+  Bytes.set_uint8 v1 2 1;
+  let plen = Bytes.length v1 - P.header_size in
+  Bytes.set_int32_be v1 12
+    (Int32.of_int (Repro_util.Checksum.fnv32 v1 ~pos:P.header_size ~len:plen));
+  expect_bad "version 1" (decode v1)
 
 (* ---------- live server helpers ---------- *)
 
@@ -643,4 +780,5 @@ let suite =
     ("replica promotion after primary loss", `Quick, test_replica_promotion);
     ("replica resolves durable-mvcc chains", `Quick, test_replica_mvcc_reads);
     ("serve flag compatibility matrix", `Quick, test_serve_config_matrix);
+    ("4 domains encode at once", `Quick, test_domain_private_scratch);
   ]
