@@ -674,7 +674,7 @@ let backup_cmd host port unix_path out lo hi chunk =
 (* -- replica: WAL-shipping follower -- *)
 
 let replica_cmd host port unix_path shard serve_port workers poll_ms once
-    promote_flag =
+    promote_flag dump =
   let module R = Repro_client.Replica in
   let addr =
     match unix_path with
@@ -762,6 +762,15 @@ let replica_cmd host port unix_path shard serve_port workers poll_ms once
       done
   end;
   (match srv with Some srv -> Repro_server.Server.stop srv | None -> ());
+  (* every live pair at the replay horizon, in the lines [scan] prints *)
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      List.iter
+        (fun (k, v) -> Printf.fprintf oc "%d %d\n" k v)
+        (R.range r (Repro_core.Handle.ctx ~slot:0) ~lo:min_int ~hi:max_int);
+      close_out oc)
+    dump;
   Printf.printf "replica done: %d batches applied, horizon lsn %d, cardinal=%d\n%!"
     (R.batches r) (R.horizon r) (R.cardinal r)
 
@@ -1009,11 +1018,17 @@ let replica_promote_arg =
                  the replica read-write at its replay horizon and keep \
                  serving.")
 
+let replica_dump_arg =
+  Arg.(value & opt (some string) None
+       & info [ "dump" ] ~docv:"FILE"
+           ~doc:"On exit, write every live pair at the replay horizon to FILE \
+                 as 'key value' lines in key order (what scan prints).")
+
 let replica_t =
   Term.(
     const replica_cmd $ host_arg $ port_arg $ unix_arg $ replica_shard_arg
     $ replica_serve_arg $ workers_arg $ replica_poll_arg $ replica_once_arg
-    $ replica_promote_arg)
+    $ replica_promote_arg $ replica_dump_arg)
 
 let cmds =
   [

@@ -24,9 +24,8 @@
 module PS = Repro_baseline.Tree_intf.Paged_int
 module Sg = Repro_baseline.Tree_intf.Sagiv_disk
 module Wal = Repro_storage.Wal
-module Node = Repro_storage.Node
-module R = Repro_storage.Record_store
 module Mvcc = Repro_core.Mvcc
+module MV = Repro_baseline.Tree_intf.Mvcc_disk
 
 exception Stream_error of string
 (** The shipped stream failed the apply policy (LSN gap, regressed
@@ -50,10 +49,9 @@ type t = {
           snapshot read horizon: every persisted version stamp is
           bounded by it, so resolving chains at [<= clock] reads the
           exact committed cut the primary persisted. *)
-  mutable vrec_index : (int, Node.ptr) Hashtbl.t option;
-      (** lazy group -> vrec head-page index over the replicated store;
-          invalidated on every applied batch (groups can be allocated,
-          released or re-chunked by any commit). *)
+  chains : int MV.view;
+      (** the replicated version chains: vrec pages overlaid with the
+          current generation's logical records *)
 }
 
 let create ?(shard = 0) ?(max_pages = 256) () =
@@ -69,7 +67,7 @@ let create ?(shard = 0) ?(max_pages = 256) () =
     batches = 0;
     promoted = false;
     mvcc = None;
-    vrec_index = None;
+    chains = MV.view ~dec:Fun.id;
   }
 
 let with_mu t f =
@@ -112,7 +110,8 @@ let feed t page =
          the mutex let a long scan straddle a batch — its tail leaves
          showed writes whose horizon the scan's head never saw. *)
       with_mu t (fun () ->
-          PS.apply_replicated store ~images:b.Wal.Apply.b_images
+          PS.apply_replicated store ~gen:b.Wal.Apply.b_gen
+            ~logical:b.Wal.Apply.b_logical ~images:b.Wal.Apply.b_images
             ~meta:b.Wal.Apply.b_meta;
           (match b.Wal.Apply.b_meta with
           | Some m ->
@@ -123,9 +122,12 @@ let feed t page =
                  replica reads leaf payloads directly *)
               t.mvcc <- Mvcc.decode_meta_ext m
           | None -> ());
-          (* vrec pages ride the same image stream as tree pages — any
-             batch may have rewritten, grown or released chain groups *)
-          t.vrec_index <- None;
+          (* chain changes ride the same stream: logical records, and vrec
+             pages at each checkpoint's fold *)
+          (try
+             MV.view_batch t.chains ~gen:b.Wal.Apply.b_gen
+               ~logical:b.Wal.Apply.b_logical
+           with Mvcc.Corrupt_vrec msg -> raise (Stream_error msg));
           t.horizon <- b.Wal.Apply.b_lsn;
           t.batches <- t.batches + 1)
 
@@ -147,71 +149,13 @@ let poll ?(wait_ms = 500) t client =
 
    On a durable-MVCC primary a leaf payload is not the value: it is a
    record-slot pointer whose version chain persists in vrec pseudo-pages
-   ({!Node.vrec_level}) shipped through the very same image stream as
-   tree pages. The replica resolves [rptr -> group head page -> chain ->
-   newest version stamped <= persisted clock] — the same cut the primary
-   committed, so a scan at the replay horizon is a true snapshot: no
-   half-applied chain can be observed because whole batches install
-   under [mu]. *)
-
-let vrec_heads t store =
-  match t.vrec_index with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 64 in
-      PS.iter store (fun p n ->
-          if n.Node.level = Node.vrec_level && n.Node.is_root then
-            (* the head chunk starts with the group id *)
-            match n.Node.ptrs with
-            | [||] -> ()
-            | ptrs -> Hashtbl.replace h ptrs.(0) p);
-      t.vrec_index <- Some h;
-      h
-
-(* Decode one group's slot states; [memo] amortises the stream decode
-   across the keys of a single scan. *)
-let group_states t store memo g =
-  match Hashtbl.find_opt memo g with
-  | Some s -> s
-  | None ->
-      let s =
-        match Hashtbl.find_opt (vrec_heads t store) g with
-        | None -> None
-        | Some head ->
-            let rec chunks p =
-              let n = PS.get store p in
-              match n.Node.link with
-              | Some nxt -> n.Node.ptrs :: chunks nxt
-              | None -> [ n.Node.ptrs ]
-            in
-            let stream = Array.concat (chunks head) in
-            let _g, base, states = Mvcc.group_of_stream ~dec:Fun.id stream in
-            Some (base, states)
-      in
-      Hashtbl.replace memo g s;
-      s
-
-(* Newest version at or below the persisted clock; [None] for a
-   tombstone, an unresolvable slot, or a chain entirely above the cut
-   (impossible for a well-formed feed, but fail closed). *)
-let resolve t store (ext : Mvcc.meta_ext) memo rptr =
-  let g = rptr lsr ext.Mvcc.group_bits in
-  match group_states t store memo g with
-  | None -> None
-  | Some (base, states) ->
-      let i = rptr - base in
-      if i < 0 || i >= Array.length states then None
-      else
-        match states.(i) with
-        | R.Slot_empty | R.Slot_sealed -> None
-        | R.Slot_chain v ->
-            let rec newest = function
-              | None -> None
-              | Some (v : int R.version) ->
-                  if v.R.epoch <= ext.Mvcc.clock then v.R.value
-                  else newest v.R.prev
-            in
-            newest (Some v)
+   ({!Repro_storage.Node.vrec_level}) and, between the primary's
+   checkpoints, in logical records — both shipped in the same stream as
+   tree pages. The replica resolves [rptr] through {!MV.view_reader} to
+   the newest version stamped at or below the persisted clock: the same
+   cut the primary committed, so a scan at the replay horizon is a true
+   snapshot — no half-applied chain can be observed because whole
+   batches install under [mu]. *)
 
 let search t ctx key =
   with_mu t (fun () ->
@@ -222,8 +166,7 @@ let search t ctx key =
           | Some payload -> (
               match t.mvcc with
               | None -> Some payload
-              | Some ext ->
-                  resolve t store ext (Hashtbl.create 1) payload))
+              | Some ext -> MV.view_reader t.chains store ext payload))
       | _ -> None)
 
 (* Holding [mu] across the whole walk pins the scan to one replay
@@ -237,10 +180,10 @@ let range t ctx ~lo ~hi =
           match t.mvcc with
           | None -> pairs
           | Some ext ->
-              let memo = Hashtbl.create 16 in
+              let read = MV.view_reader t.chains store ext in
               List.filter_map
                 (fun (k, rptr) ->
-                  match resolve t store ext memo rptr with
+                  match read rptr with
                   | Some value -> Some (k, value)
                   | None -> None)
                 pairs)
@@ -255,10 +198,10 @@ let cardinal t =
           | Some ext ->
               (* live pairs at the cut: tombstoned keys still hold tree
                  pairs until the primary vacuums them *)
-              let memo = Hashtbl.create 16 in
+              let read = MV.view_reader t.chains store ext in
               Sg.fold_range v (Repro_core.Handle.ctx ~slot:0) ~lo:min_int
                 ~hi:max_int ~init:0 (fun acc _k rptr ->
-                  match resolve t store ext memo rptr with
+                  match read rptr with
                   | Some _ -> acc + 1
                   | None -> acc))
       | _ -> 0)

@@ -52,16 +52,21 @@ module ISet = Set.Make (Int)
    {!Node.vrec_level} living in the tree's own page store, so they ride
    the same WAL batches, group commits, recovery replay and replication
    stream as the tree pages. Record slots are grouped ([2^group_bits]
-   slots per group); each dirty group re-serializes into a flat int
-   stream carried in the node's [ptrs] array (codec v3 varint-packs it),
+   slots per group); a {e fold} re-serializes a group into a flat int
+   stream carried in the node's [ptrs] array (codec v5 varint-packs it),
    split across link-chained continuation pages when it outgrows the
    per-page budget. The head page has [is_root = true]; recovery
    rediscovers groups by scanning for heads — no durable directory, so
    the store's metadata blob stays tiny.
 
-   Stream layout (ints): [group; nslots; per slot: tag (0 empty,
-   1 sealed, 1+n chain of n versions); per version newest-first:
-   epoch; 0 (tombstone) | 1, encoded value]. *)
+   Between folds, a store with a log carries chain changes as {e logical
+   records}: each commit logs the new state of every slot it changed,
+   in the same per-slot encoding.
+
+   Slot encoding (ints): tag (0 empty, 1 sealed, 1+n chain of n
+   versions); per version newest-first: epoch; 0 (tombstone) | 1,
+   encoded value. Group stream: [group; nslots; each slot's encoding].
+   Capture stream (logical records): [slot; its encoding]*. *)
 
 type meta_ext = { group_bits : int; clock : int; horizon : int; frontier : int }
 
@@ -101,6 +106,68 @@ let chain_len v =
   in
   go 1 v
 
+exception Corrupt_vrec of string
+
+(* One slot state in the slot encoding, through [push]; returns the
+   versions it holds. *)
+let push_slot push enc = function
+  | Record_store.Slot_empty ->
+      push 0;
+      0
+  | Record_store.Slot_sealed ->
+      push 1;
+      0
+  | Record_store.Slot_chain v ->
+      let n = chain_len v in
+      push (n + 1);
+      let rec walk v =
+        push v.Record_store.epoch;
+        (match v.Record_store.value with
+        | None -> push 0
+        | Some x ->
+            push 1;
+            push (enc x));
+        match v.Record_store.prev with None -> () | Some p -> walk p
+      in
+      walk v;
+      n
+
+(* The inverse, reading ints through [next]. *)
+let read_slot next dec =
+  match next () with
+  | 0 -> Record_store.Slot_empty
+  | 1 -> Record_store.Slot_sealed
+  | tag ->
+      let n = tag - 1 in
+      if n < 0 then raise (Corrupt_vrec "bad slot tag");
+      let vs =
+        Array.init n (fun _ ->
+            let epoch = next () in
+            let value = match next () with 0 -> None | _ -> Some (dec (next ())) in
+            (epoch, value))
+      in
+      let rec build i =
+        if i >= n then None
+        else
+          let epoch, value = vs.(i) in
+          Some { Record_store.epoch; value; prev = build (i + 1) }
+      in
+      (match build 0 with
+      | Some v -> Record_store.Slot_chain v
+      | None -> raise (Corrupt_vrec "empty chain tag"))
+
+(* An int-array reader for [read_slot]. *)
+let reader (stream : int array) =
+  let len = Array.length stream in
+  let pos = ref 0 in
+  let next () =
+    if !pos >= len then raise (Corrupt_vrec "truncated version-record stream");
+    let v = stream.(!pos) in
+    incr pos;
+    v
+  in
+  (next, fun () -> !pos >= len)
+
 (** Serialize one group's slot states (read via [export], one atomic load
     per slot — chains are immutable past the head) into its int stream.
     Returns [(stream, versions, occupied)]; [not occupied] means every
@@ -114,73 +181,22 @@ let stream_of_group ~group ~group_bits ~enc export =
   push nslots;
   let versions = ref 0 and occupied = ref false in
   for i = 0 to nslots - 1 do
-    match export (base + i) with
-    | Record_store.Slot_empty -> push 0
-    | Record_store.Slot_sealed ->
-        occupied := true;
-        push 1
-    | Record_store.Slot_chain v ->
-        occupied := true;
-        let n = chain_len v in
-        versions := !versions + n;
-        push (n + 1);
-        let rec walk v =
-          push v.Record_store.epoch;
-          (match v.Record_store.value with
-          | None -> push 0
-          | Some x ->
-              push 1;
-              push (enc x));
-          match v.Record_store.prev with None -> () | Some p -> walk p
-        in
-        walk v
+    let st = export (base + i) in
+    (match st with Record_store.Slot_empty -> () | _ -> occupied := true);
+    versions := !versions + push_slot push enc st
   done;
   (Array.of_list (List.rev !acc), !versions, !occupied)
-
-exception Corrupt_vrec of string
 
 (** Decode a group stream back into slot states:
     [(group, base_slot, states)]. Shared by recovery and the replica's
     snapshot reads. @raise Corrupt_vrec on a malformed stream. *)
 let group_of_stream ~dec (stream : int array) =
-  let len = Array.length stream in
-  let pos = ref 0 in
-  let next () =
-    if !pos >= len then raise (Corrupt_vrec "truncated version-record stream");
-    let v = stream.(!pos) in
-    incr pos;
-    v
-  in
+  let next, at_end = reader stream in
   let group = next () in
   let nslots = next () in
   if group < 0 || nslots <= 0 then raise (Corrupt_vrec "bad group header");
-  let states =
-    Array.init nslots (fun _ ->
-        match next () with
-        | 0 -> Record_store.Slot_empty
-        | 1 -> Record_store.Slot_sealed
-        | tag ->
-            let n = tag - 1 in
-            if n < 0 then raise (Corrupt_vrec "bad slot tag");
-            let vs =
-              Array.init n (fun _ ->
-                  let epoch = next () in
-                  let value =
-                    match next () with 0 -> None | _ -> Some (dec (next ()))
-                  in
-                  (epoch, value))
-            in
-            let rec build i =
-              if i >= n then None
-              else
-                let epoch, value = vs.(i) in
-                Some { Record_store.epoch; value; prev = build (i + 1) }
-            in
-            (match build 0 with
-            | Some v -> Record_store.Slot_chain v
-            | None -> raise (Corrupt_vrec "empty chain tag")))
-  in
-  if !pos <> len then raise (Corrupt_vrec "trailing bytes in stream");
+  let states = Array.init nslots (fun _ -> read_slot next dec) in
+  if not (at_end ()) then raise (Corrupt_vrec "trailing bytes in stream");
   (group, group * nslots, states)
 
 (** Cut a group stream into [(offset, length)] runs, each as long as its
@@ -202,14 +218,80 @@ let chunk_stream ~budget (stream : int array) =
   runs := (!start, Array.length stream - !start) :: !runs;
   Array.of_list (List.rev !runs)
 
+(* -- logical records --
+
+   One commit's capture is the capture stream of the slots it changed,
+   cut by {!chunk_stream} into records of at most [budget] bytes. A
+   record is varints: a continuation flag (1 = the capture goes on in
+   the next record, 0 = it ends here), then its run of the stream. *)
+
+let encode_logical ~budget ~enc entries =
+  match entries with
+  | [] -> []
+  | _ ->
+      let acc = ref [] in
+      let push v = acc := v :: !acc in
+      List.iter
+        (fun (slot, st) ->
+          push slot;
+          ignore (push_slot push enc st))
+        entries;
+      let stream = Array.of_list (List.rev !acc) in
+      let runs = chunk_stream ~budget:(budget - 1) stream in
+      let last = Array.length runs - 1 in
+      Array.to_list
+        (Array.mapi
+           (fun i (off, n) ->
+             let buf = Buffer.create budget in
+             Page_codec.add_varint buf (if i < last then 1 else 0);
+             for j = off to off + n - 1 do
+               Page_codec.add_varint buf stream.(j)
+             done;
+             Buffer.to_bytes buf)
+           runs)
+
+let decode_logical ~dec records =
+  let out = ref [] and pending = ref [] in
+  let ints b =
+    let acc = ref [] and pos = ref 0 in
+    (try
+       while !pos < Bytes.length b do
+         let v, p = Page_codec.get_varint b ~pos:!pos in
+         acc := v :: !acc;
+         pos := p
+       done
+     with Page_codec.Corrupt msg -> raise (Corrupt_vrec ("logical record: " ^ msg)));
+    List.rev !acc
+  in
+  List.iter
+    (fun b ->
+      match ints b with
+      | [] -> raise (Corrupt_vrec "empty logical record")
+      | more :: run ->
+          pending := run :: !pending;
+          if more = 0 then begin
+            let next, at_end = reader (Array.of_list (List.concat (List.rev !pending))) in
+            pending := [];
+            while not (at_end ()) do
+              let slot = next () in
+              if slot < 0 then raise (Corrupt_vrec "negative slot");
+              out := (slot, read_slot next dec) :: !out
+            done
+          end)
+    records;
+  if !pending <> [] then raise (Corrupt_vrec "logical capture cut short");
+  List.rev !out
+
 module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) =
 struct
   module T = Sagiv.Make_on_store (K) (S)
   module R = Record_store
 
   (** Durable-mode state: the version heap shadows into vrec pages of
-      [d_store] (the {e same} store the tree lives in). [d_mu] serialises
-      persists; the page table / gauges are only touched under it. *)
+      [d_store] (the {e same} store the tree lives in), and between folds
+      into the logical records of its log. [d_mu] serialises captures
+      and folds; the page table, the group sets and the gauges are only
+      touched under it. *)
   type 'v durable = {
     d_store : S.t;
     d_enc : 'v -> int;
@@ -217,12 +299,23 @@ struct
     d_group_bits : int;
     d_page_bytes : int;
         (** encoded stream bytes per vrec page ({!Page_codec.vrec_budget}) *)
+    d_logs : bool;
+        (** the store logs logical records; without a log every commit
+            folds *)
     d_mu : Mutex.t;
     d_pages : (int, Node.ptr list) Hashtbl.t;  (** group -> head :: rest *)
     d_group_versions : (int, int) Hashtbl.t;
-    mutable d_versions : int;  (** versions persisted at last commit *)
+    mutable d_versions : int;  (** versions in vrec pages at the last fold *)
     mutable d_npages : int;  (** vrec pages currently allocated *)
-    d_dirty : ISet.t Atomic.t;  (** groups mutated since last persist *)
+    d_dirty : int list Atomic.t;
+        (** slots changed since the last capture (Treiber stack; may
+            repeat a slot) *)
+    mutable d_unfolded : ISet.t;
+        (** groups whose pages lag the state their records logged *)
+    mutable d_logged : ISet.t;
+        (** groups that may have a logical record in the current log
+            pass: every group logged since open, plus those the pass
+            replayed at open. A fold logs their changed slots first. *)
   }
 
   type 'v t = {
@@ -262,18 +355,15 @@ struct
   let epoch t = t.epoch
   let durable t = Option.is_some t.durable
 
-  (** Note a chain mutation for the next persist. Lock-free fast path:
-      already-dirty groups cost one set lookup. *)
+  (** Note a chain mutation for the next capture: one push on a
+      lock-free stack. *)
   let mark_dirty t rptr =
     match t.durable with
     | None -> ()
     | Some d ->
-        let g = rptr lsr d.d_group_bits in
         let rec go () =
           let old = Atomic.get d.d_dirty in
-          if not (ISet.mem g old) then
-            if not (Atomic.compare_and_set d.d_dirty old (ISet.add g old))
-            then go ()
+          if not (Atomic.compare_and_set d.d_dirty old (rptr :: old)) then go ()
         in
         go ()
 
@@ -567,9 +657,9 @@ struct
       state = Node.Live;
     }
 
-  (* Re-serialize group [g] into its vrec pages (caller holds [d_mu]).
-     Existing pages are rewritten in place (their ptrs are stable across
-     commits, so the WAL logs only genuinely-changed images); growth
+  (* Fold group [g]: re-serialize it into its vrec pages (caller holds
+     [d_mu]). Existing pages are rewritten in place (their ptrs are
+     stable across folds, so the WAL logs only genuinely-changed images); growth
      reserves continuations, shrinkage releases them; an all-empty group
      releases everything. *)
   let persist_group t d g =
@@ -620,22 +710,71 @@ struct
       Hashtbl.replace d.d_group_versions g versions
     end
 
-  (* Serialize every dirty group and refresh the metadata blob (tree
-     geometry + MVCC extension). The clock is read {e after} the chains:
-     every epoch in a serialized chain came from a pin at [<= global], so
-     the persisted clock bounds every persisted stamp and recovery's
-     [advance_to] can never let a fresh write stamp below durable state.
-     Likewise [horizon]: recovery re-prunes at the persisted [min_pinned],
-     which is exactly the most conservative prune any pre-crash vacuum
-     could have applied — a WAL replay of a pre-prune image past a
+  (* Log the state of [slots] as one capture: its records reach the log
+     in the order captures are taken, all in one batch. Caller holds
+     [d_mu]. *)
+  let log_slots t d slots =
+    if slots <> [] then begin
+      let entries = List.map (fun s -> (s, R.export t.records s)) slots in
+      ignore
+        (S.log_logical d.d_store
+           (encode_logical ~budget:(S.page_size d.d_store) ~enc:d.d_enc entries));
+      List.iter (fun s -> d.d_logged <- ISet.add (s lsr d.d_group_bits) d.d_logged) slots
+    end
+
+  (* Rewrite the pages of every unfolded group (caller holds [d_mu]). A
+     group leaves the set only once its pages are put, so a fold that
+     fails part-way leaves the rest for the next one. *)
+  let fold t d =
+    ISet.iter
+      (fun g ->
+        persist_group t d g;
+        d.d_unfolded <- ISet.remove g d.d_unfolded)
+      d.d_unfolded
+
+  (* Capture the slots changed since the last capture, fold if asked (or
+     if the store has no log), and refresh the metadata blob (tree
+     geometry + MVCC extension).
+
+     A commit logs every changed slot. A fold — at each checkpoint —
+     first logs the changed slots of groups that may already have a
+     record in this pass: replay applies the pass's records over the
+     pages, so each slot's last record must say what the fold wrote.
+     Groups with no record in the pass need none (a bulk load folds
+     without logging a record).
+
+     The clock is read {e after} the chains: every epoch in a captured
+     or folded chain came from a pin at [<= global], so the persisted
+     clock bounds every persisted stamp and recovery's [advance_to] can
+     never let a fresh write stamp below durable state. Likewise
+     [horizon]: recovery re-prunes at the persisted [min_pinned], which
+     is exactly the most conservative prune any pre-crash vacuum could
+     have applied — a WAL replay of a pre-prune image or record past a
      checkpoint is undone deterministically, never resurrected. *)
-  let persist t d =
+  let persist ~fold_all t d =
     Mutex.lock d.d_mu;
     Fun.protect
       ~finally:(fun () -> Mutex.unlock d.d_mu)
       (fun () ->
-        let dirty = Atomic.exchange d.d_dirty ISet.empty in
-        ISet.iter (persist_group t d) dirty;
+        let dirty = Atomic.exchange d.d_dirty [] in
+        (* consecutive slots mostly share a group (a bulk load pushes
+           100k slots in order): add each run's group once *)
+        let prev = ref (-1) in
+        List.iter
+          (fun s ->
+            let g = s lsr d.d_group_bits in
+            if g <> !prev then begin
+              prev := g;
+              d.d_unfolded <- ISet.add g d.d_unfolded
+            end)
+          dirty;
+        if d.d_logs then
+          log_slots t d
+            (List.sort_uniq Int.compare
+               (if fold_all then
+                  List.filter (fun s -> ISet.mem (s lsr d.d_group_bits) d.d_logged) dirty
+                else dirty));
+        if fold_all || not d.d_logs then fold t d;
         let clock = Epoch.current t.epoch in
         let horizon =
           let m = Epoch.min_pinned t.epoch in
@@ -648,23 +787,24 @@ struct
         in
         S.set_meta d.d_store (Bytes.cat (T.encode_meta t.tree) ext))
 
-  (** Durably commit completed operations: on a durable tree this also
-      serializes dirty version-chain groups into the same commit batch
-      (one WAL group commit covers tree pages, vrec pages and metadata).
-      Plain (memory) trees defer to {!T.commit}. *)
+  (** Durably commit completed operations: on a durable tree the chain
+      changes ride the same commit batch — as logical records of the
+      changed slots when the store has a log, else as a fold of their
+      groups' pages. Plain (memory) trees defer to {!T.commit}. *)
   let commit t =
     match t.durable with
     | None -> T.commit t.tree
     | Some d ->
-        persist t d;
+        persist ~fold_all:false t d;
         S.commit d.d_store
 
-  (** Quiescent full sync (checkpoint path); see {!T.flush}. *)
+  (** Quiescent full sync (checkpoint path): fold every group the log
+      got ahead of, then checkpoint; see {!T.flush}. *)
   let flush t =
     match t.durable with
     | None -> T.flush t.tree
     | Some d ->
-        persist t d;
+        persist ~fold_all:true t d;
         S.sync d.d_store
 
   let mk_durable ?(group_bits = 6) ~enc ~dec store =
@@ -674,13 +814,24 @@ struct
       d_dec = dec;
       d_group_bits = group_bits;
       d_page_bytes = Page_codec.vrec_budget ~page_size:(S.page_size store);
+      d_logs = S.log_logical store [];
       d_mu = Mutex.create ();
       d_pages = Hashtbl.create 64;
       d_group_versions = Hashtbl.create 64;
       d_versions = 0;
       d_npages = 0;
-      d_dirty = Atomic.make ISet.empty;
+      d_dirty = Atomic.make [];
+      d_unfolded = ISet.empty;
+      d_logged = ISet.empty;
     }
+
+  (* Every checkpoint of the store folds first, however it is reached
+     (this module's [flush], or the store's own close), so no pass ends
+     with records its pages do not hold. *)
+  let register_fold t =
+    match t.durable with
+    | Some d -> S.on_checkpoint d.d_store (fun () -> persist ~fold_all:true t d)
+    | None -> ()
 
   (** A fresh durable MVCC store over an empty page store: the tree and
       the version heap share [store], one commit makes both durable.
@@ -689,22 +840,27 @@ struct
       store's page holds. *)
   let create_durable ?order ?enqueue_on_delete ?epoch ?size ?group_bits
       ~enc ~dec store =
-    {
-      tree = T.create ?order ?enqueue_on_delete ~store ();
-      records = R.create ?size ();
-      epoch = (match epoch with Some e -> e | None -> Epoch.create ());
-      gc = Atomic.make [];
-      gc_len = Atomic.make 0;
-      retired = Atomic.make [];
-      durable = Some (mk_durable ?group_bits ~enc ~dec store);
-    }
+    let t =
+      {
+        tree = T.create ?order ?enqueue_on_delete ~store ();
+        records = R.create ?size ();
+        epoch = (match epoch with Some e -> e | None -> Epoch.create ());
+        gc = Atomic.make [];
+        gc_len = Atomic.make 0;
+        retired = Atomic.make [];
+        durable = Some (mk_durable ?group_bits ~enc ~dec store);
+      }
+    in
+    register_fold t;
+    t
 
   (** Reopen a durable MVCC store: rebuild the tree from its metadata,
       rediscover the vrec pages (quiescent [iter] for heads, links for
-      continuations), restore every chain exactly as persisted, restart
-      the clock above every persisted stamp, re-prune at the persisted
-      horizon, then heal the bounded crash windows the commit protocol
-      leaves open:
+      continuations), restore every chain as its pages hold it, then
+      apply the log pass's replayed logical records in order over them,
+      restart the clock above every persisted stamp, re-prune at the
+      persisted horizon, then heal the bounded crash windows the commit
+      protocol leaves open:
       - a pair whose slot is empty (tree insert captured, record not):
         the op was never acked — remove the pair;
       - a pair whose slot is sealed (vacuum's seal captured, take not):
@@ -712,6 +868,7 @@ struct
       - an occupied slot no pair reaches (record captured, tree insert
         not; or take captured, seal not): free it;
       - a reachable chain headed by a tombstone: re-note it for vacuum.
+      The groups the records touched are marked for the next fold.
       A store with no MVCC extension (a plain unversioned tree) is
       migrated in place: each payload becomes a one-version chain. *)
   let open_durable ?enqueue_on_delete ?epoch ?size ?group_bits ~enc ~dec
@@ -763,6 +920,12 @@ struct
               if n.Node.is_root then heads := p :: !heads
             end);
         let max_slot = ref (-1) in
+        let restore slot st =
+          R.restore t.records slot st;
+          match st with
+          | R.Slot_empty -> ()
+          | _ -> if slot > !max_slot then max_slot := slot
+        in
         List.iter
           (fun hp ->
             let rec pages p =
@@ -781,28 +944,35 @@ struct
             let versions = ref 0 in
             Array.iteri
               (fun i st ->
+                restore (base + i) st;
                 match st with
-                | R.Slot_empty -> ()
-                | st ->
-                    R.restore t.records (base + i) st;
-                    if base + i > !max_slot then max_slot := base + i;
-                    (match st with
-                    | R.Slot_chain v -> versions := !versions + chain_len v
-                    | _ -> ()))
+                | R.Slot_chain v -> versions := !versions + chain_len v
+                | _ -> ())
               states;
             Hashtbl.replace d.d_pages group (List.map fst chunks);
             Hashtbl.replace d.d_group_versions group !versions;
             d.d_versions <- d.d_versions + !versions;
             d.d_npages <- d.d_npages + List.length chunks)
           !heads;
+        (* the pass's logical records, in log order, over the pages: the
+           last record of a slot is its state at the last promoted
+           commit (the fold that ended the previous pass holds every
+           older one) *)
+        let touched = ref ISet.empty in
+        List.iter
+          (fun (slot, st) ->
+            restore slot st;
+            touched := ISet.add (slot lsr d.d_group_bits) !touched)
+          (decode_logical ~dec:d.d_dec (S.replayed_logical store));
         R.finish_restore t.records ~next:(max ext.frontier (!max_slot + 1));
         Epoch.advance_to t.epoch ext.clock;
         (* re-prune at the persisted horizon: deterministic, idempotent —
            any version a pre-crash prune dropped is below [ext.horizon]
            and is dropped again here even if WAL replay resurrected a
-           pre-prune page image *)
-        Hashtbl.iter
-          (fun group _ ->
+           pre-prune page image or record *)
+        let groups = Hashtbl.fold (fun g _ acc -> ISet.add g acc) d.d_pages !touched in
+        ISet.iter
+          (fun group ->
             let base = group lsl d.d_group_bits in
             for i = 0 to (1 lsl d.d_group_bits) - 1 do
               match R.export t.records (base + i) with
@@ -811,7 +981,7 @@ struct
                   then mark_dirty t (base + i)
               | _ -> ()
             done)
-          d.d_pages;
+          groups;
         (* heal the crash windows *)
         let reachable = Hashtbl.create 256 in
         List.iter
@@ -833,9 +1003,14 @@ struct
             | R.Slot_sealed | R.Slot_chain _ ->
                 R.free t.records p;
                 mark_dirty t p
-        done);
+        done;
+        (* the records' groups lag their pages until the next fold, and
+           the pass holds records for them *)
+        d.d_unfolded <- !touched;
+        d.d_logged <- !touched);
+    register_fold t;
     (* make the healed/migrated state durable before serving *)
-    persist t d;
+    persist ~fold_all:false t d;
     S.commit store;
     t
 
@@ -890,6 +1065,103 @@ struct
         io.Stats.mvcc_disk_pages <- d.d_npages
     | None -> ());
     io
+
+  (* -- the chains of a follower's store --
+
+     A follower installs the primary's batches into a store no [t]
+     serves. Its chains are the group pages as the last fold wrote them,
+     overlaid with the logical records shipped since: every record of
+     the current generation, newest state per slot. A batch of a later
+     generation drops the overlay, because the checkpoint that ended
+     the older generation folded its records into the pages shipped
+     before it. *)
+
+  type 'v view = {
+    v_dec : int -> 'v;
+    v_overlay : (int, 'v R.slot_state) Hashtbl.t;
+    mutable v_gen : int;
+    mutable v_heads : (int, Node.ptr) Hashtbl.t option;
+        (** group -> head page; rebuilt after every batch (a batch can
+            allocate, release or rewrite any page) *)
+  }
+
+  let view ~dec =
+    { v_dec = dec; v_overlay = Hashtbl.create 64; v_gen = -1; v_heads = None }
+
+  let view_batch v ~gen ~logical =
+    v.v_heads <- None;
+    if gen > v.v_gen then begin
+      Hashtbl.reset v.v_overlay;
+      v.v_gen <- gen
+    end;
+    List.iter
+      (fun (slot, st) -> Hashtbl.replace v.v_overlay slot st)
+      (decode_logical ~dec:v.v_dec logical)
+
+  let view_heads v store =
+    match v.v_heads with
+    | Some h -> h
+    | None ->
+        let h = Hashtbl.create 64 in
+        S.iter store (fun p n ->
+            if n.Node.level = Node.vrec_level && n.Node.is_root then
+              (* the head chunk starts with the group id *)
+              match n.Node.ptrs with
+              | [||] -> ()
+              | ptrs -> Hashtbl.replace h ptrs.(0) p);
+        v.v_heads <- Some h;
+        h
+
+  (* Newest version at or below [ext.clock] (the persisted clock bounds
+     every persisted stamp, so this is the committed cut); [None] for a
+     tombstone, an unresolvable slot, or a chain entirely above the cut
+     (impossible for a well-formed feed, but fail closed). Group decodes
+     are memoised for the life of the returned reader. *)
+  let view_reader v store (ext : meta_ext) =
+    let memo = Hashtbl.create 16 in
+    let group_states g =
+      match Hashtbl.find_opt memo g with
+      | Some s -> s
+      | None ->
+          let s =
+            match Hashtbl.find_opt (view_heads v store) g with
+            | None -> None
+            | Some head ->
+                let rec chunks p =
+                  let n = S.get store p in
+                  match n.Node.link with
+                  | Some nxt -> n.Node.ptrs :: chunks nxt
+                  | None -> [ n.Node.ptrs ]
+                in
+                let _g, base, states =
+                  group_of_stream ~dec:v.v_dec (Array.concat (chunks head))
+                in
+                Some (base, states)
+          in
+          Hashtbl.replace memo g s;
+          s
+    in
+    let state rptr =
+      match Hashtbl.find_opt v.v_overlay rptr with
+      | Some st -> st
+      | None -> (
+          match group_states (rptr lsr ext.group_bits) with
+          | None -> R.Slot_empty
+          | Some (base, states) ->
+              let i = rptr - base in
+              if i < 0 || i >= Array.length states then R.Slot_empty
+              else states.(i))
+    in
+    fun rptr ->
+      match state rptr with
+      | R.Slot_empty | R.Slot_sealed -> None
+      | R.Slot_chain v ->
+          let rec newest = function
+            | None -> None
+            | Some (v : 'v R.version) ->
+                if v.R.epoch <= ext.clock then v.R.value else newest v.R.prev
+          in
+          newest (Some v)
 end
 
 module Make (K : Key.S) = Make_on_store (K) (Store.For_key (K))

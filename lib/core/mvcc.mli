@@ -12,11 +12,14 @@ open Repro_storage
 
     Version chains persist as {e version-record (vrec) pages}: pseudo-nodes
     at {!Node.vrec_level} in the tree's own page store, carrying a flat
-    int stream in their [ptrs] array (codec v3 varint-packs it). Record
-    slots are grouped; each group serializes to a head page
-    ([is_root = true]) plus link-chained continuations. The store's
-    metadata blob grows a fixed extension (clock, prune horizon, slot
-    frontier) after the Sagiv geometry. See doc/RECOVERY.md. *)
+    int stream in their [ptrs] array (codec v5 varint-packs it). Record
+    slots are grouped; a {e fold} serializes a group to a head page
+    ([is_root = true]) plus link-chained continuations. Over a store
+    with a log, a commit does not fold: it logs the new state of each
+    slot it changed as {e logical records}, and the store's checkpoint
+    folds. The store's metadata blob grows a fixed extension (clock,
+    prune horizon, slot frontier) after the Sagiv geometry. See
+    doc/RECOVERY.md. *)
 
 type meta_ext = {
   group_bits : int;  (** log2 slots per group *)
@@ -47,6 +50,20 @@ val stream_of_group :
   int array * int * bool
 (** Serialize a group from a slot-state reader:
     [(stream, version count, occupied)]. *)
+
+val encode_logical :
+  budget:int ->
+  enc:('v -> int) ->
+  (int * 'v Record_store.slot_state) list ->
+  Bytes.t list
+(** One capture's logical records: each [(slot, state)] in the slot
+    encoding a group stream uses, cut into records of at most [budget]
+    bytes (a slot may span records). [[]] for no slots. *)
+
+val decode_logical :
+  dec:(int -> 'v) -> Bytes.t list -> (int * 'v Record_store.slot_state) list
+(** The [(slot, state)] entries of whole captures, in order.
+    @raise Corrupt_vrec on a malformed record or a capture cut short. *)
 
 module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
   module T : module type of Sagiv.Make_on_store (K) (S)
@@ -169,12 +186,17 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       place, each payload becoming a one-version chain. *)
 
   val commit : 'v t -> unit
-  (** Durable group commit of completed operations; in durable mode also
-      serializes the dirty version-chain groups into the same batch.
-      Falls back to {!T.commit} on non-durable stores. *)
+  (** Durable group commit of completed operations. In durable mode the
+      chain changes ride the same batch: the new state of every changed
+      slot as logical records when the store has a log
+      ({!Repro_storage.Page_store.S.log_logical}), else a fold of their
+      groups' pages. Falls back to {!T.commit} on non-durable stores. *)
 
   val flush : 'v t -> unit
-  (** Quiescent full sync (checkpoint path). *)
+  (** Quiescent full sync (checkpoint path): folds every group changed
+      since the last fold into its pages, then syncs. A durable store's
+      own checkpoint (its close) folds the same way, through
+      {!Repro_storage.Page_store.S.on_checkpoint}. *)
 
   val durable : 'v t -> bool
 
@@ -184,7 +206,8 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       durably) when the tree is not empty. *)
 
   val persisted_versions : 'v t -> int
-  (** Version records persisted at the last commit (0 when volatile). *)
+  (** Version records in vrec pages as of the last fold (0 when
+      volatile). *)
 
   val persisted_pages : 'v t -> int
   (** vrec pages currently allocated (0 when volatile). *)
@@ -200,6 +223,28 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       [mvcc_pruned]) as a {!Repro_storage.Stats.io} record with every
       other field zero — made to be {!Repro_storage.Stats.io_merge}d
       into a backing store's line. *)
+
+  (** {2 A follower's chains}
+
+      A read-only view of the durable chains in a store that a follower
+      fills with a primary's shipped batches: the group pages, overlaid
+      with the logical records of the current generation. *)
+
+  type 'v view
+
+  val view : dec:(int -> 'v) -> 'v view
+
+  val view_batch : 'v view -> gen:int -> logical:Bytes.t list -> unit
+  (** Note a batch installed into the store: its generation and logical
+      records ({!Repro_storage.Wal.Apply.batch}). A higher generation
+      first drops the overlay: the checkpoint between folded it.
+      @raise Corrupt_vrec on a malformed record. *)
+
+  val view_reader : 'v view -> S.t -> meta_ext -> int -> 'v option
+  (** [view_reader v store ext] resolves a leaf payload (a record slot)
+      to its newest version at or below [ext.clock], the committed cut;
+      [None] for a tombstone or an unknown slot. Build one per read: it
+      memoises group decodes. *)
 end
 
 module Make (K : Key.S) : module type of Make_on_store (K) (Store.For_key (K))

@@ -135,6 +135,33 @@ let key_sampler ~space dist =
   let scramble = dist <> Repro_util.Distribution.Uniform in
   Repro_util.Distribution.create ~scramble ~space dist
 
+(* A key and its version chain: [(epoch, value-or-tombstone)] newest
+   first. *)
+type chain = int * (int * int option) list
+
+(* Full version-chain dump of a durable-MVCC store, sorted. Two
+   recoveries of the same crash images must produce {e equal} dumps —
+   chain replay is deterministic down to the version level, not just
+   the newest. *)
+let chain_dump mv : chain list =
+  let records = MV.records mv in
+  MV.T.to_list (MV.tree mv)
+  |> List.map (fun (k, rptr) ->
+         let chain =
+           match Record_store.export records rptr with
+           | Record_store.Slot_chain v ->
+               let rec walk = function
+                 | None -> []
+                 | Some (v : int Record_store.version) ->
+                     (v.Record_store.epoch, v.Record_store.value)
+                     :: walk v.Record_store.prev
+               in
+               walk (Some v)
+           | Record_store.Slot_empty | Record_store.Slot_sealed -> []
+         in
+         (k, chain))
+  |> List.sort compare
+
 (* ---------- the commit-point oracle ---------- *)
 
 (* One instance per shard. [model] is the live key set, [committed] the
@@ -199,6 +226,7 @@ type follower = {
   f_apply : Wal.Apply.t;
   mutable f_next : int;  (** next LSN to pull *)
   mutable f_pending : Wal.Apply.batch list;  (** promoted, newest first *)
+  f_chains : int MV.view;  (** an MVCC primary's chains, as installed *)
 }
 
 let follower_create ?(page_size = data_page_size) () =
@@ -207,6 +235,7 @@ let follower_create ?(page_size = data_page_size) () =
     f_apply = Wal.Apply.create ~data_page_size:page_size ();
     f_next = 0;
     f_pending = [];
+    f_chains = MV.view ~dec:Fun.id;
   }
 
 (* Feed one shipped log page; false = the stream ended (an invalid
@@ -249,21 +278,31 @@ let follower_drain ~what store f =
 let follower_promote f =
   List.iter
     (fun (b : Wal.Apply.batch) ->
-      PS.apply_replicated f.f_store ~images:b.Wal.Apply.b_images
-        ~meta:b.Wal.Apply.b_meta)
+      PS.apply_replicated f.f_store ~gen:b.Wal.Apply.b_gen
+        ~logical:b.Wal.Apply.b_logical ~images:b.Wal.Apply.b_images
+        ~meta:b.Wal.Apply.b_meta;
+      MV.view_batch f.f_chains ~gen:b.Wal.Apply.b_gen ~logical:b.Wal.Apply.b_logical)
     (List.rev f.f_pending);
   f.f_pending <- [];
   Sg.open_existing f.f_store
+
+(* What a promoted follower holds: its pairs, and for an MVCC primary
+   the version chains [Mvcc.open_durable] recovers over its store. *)
+type promoted = { p_pairs : (int * int) list; p_chains : chain list option }
 
 (* The follower hooks of {!run}, attached after the preload checkpoint:
    [drain] after every ack (synchronous shipping; the follower only
    queues, so the armed faults cannot fire in it), and [promote] once
    the primary is dead — catch up from the log device's crash image,
    exactly what a replica that kept pulling until the primary died would
-   have received, and return the promoted tree's pairs. The run never
+   have received, and return what the promoted follower holds. Following
+   an MVCC primary ([mvcc]) its pairs are its reads at the replicated
+   clock (a leaf payload is a record slot, resolved through the vrec
+   pages and the logical records shipped since), and its chains are
+   what [Mvcc.open_durable] recovers over its store. The run never
    checkpoints after this point, so the live log pass spans it whole and
    the catch-up can count records from the start of the crash image. *)
-let attach_follower ~what store lfile =
+let attach_follower ~what ~mvcc store lfile =
   let live_base = PS.wal_durable_lsn store + 1 in
   let data_page_size = PS.page_size store in
   let f = follower_create ~page_size:data_page_size () in
@@ -286,7 +325,26 @@ let attach_follower ~what store lfile =
          else follower_feed f page));
     let ftree = follower_promote f in
     check_valid ftree ~what:(what ^ " (promoted follower)");
-    Sg.to_list ftree
+    if not mvcc then { p_pairs = Sg.to_list ftree; p_chains = None }
+    else begin
+      let ext =
+        match Option.bind (PS.get_meta f.f_store) Repro_core.Mvcc.decode_meta_ext with
+        | Some ext -> ext
+        | None -> fail "%s: follower holds no MVCC metadata" what
+      in
+      let read = MV.view_reader f.f_chains f.f_store ext in
+      let pairs =
+        List.filter_map
+          (fun (k, rptr) -> Option.map (fun v -> (k, v)) (read rptr))
+          (Sg.to_list ftree)
+      in
+      let mv = MV.open_durable ~enc:Fun.id ~dec:Fun.id f.f_store in
+      let c = MV.ctx ~slot:0 in
+      if MV.range mv c ~lo:min_int ~hi:max_int <> pairs then
+        fail "%s: follower promoted through Mvcc.open_durable disagrees with its reads at the replicated clock"
+          what;
+      { p_pairs = pairs; p_chains = Some (chain_dump mv) }
+    end
   in
   ((fun () -> follower_drain ~what store f), promote)
 
@@ -298,7 +356,9 @@ let attach_follower ~what store lfile =
    checkpoints) shard [s]; [acked] runs after each acknowledged commit;
    [quiesce] before a clean run's closing commit; [reopen what open_]
    opens a recovered store (calling [open_] as often as it needs),
-   checks the engine's own invariants and returns the live pairs. *)
+   checks the engine's own invariants and returns the live pairs;
+   [chains] gives the version chains the last [reopen] recovered (MVCC
+   only). *)
 type engine = {
   load : int -> unit;
   step : int -> int -> int -> unit;
@@ -306,6 +366,7 @@ type engine = {
   acked : unit -> unit;
   quiesce : unit -> unit;
   reopen : string -> (unit -> PS.t) -> PS.t * (int * int) list;
+  chains : unit -> chain list option;
 }
 
 (* The Sagiv engine: one tree per shard, the insert/delete/search mix. *)
@@ -338,30 +399,8 @@ let tree_engine ~route stores (oracles : Commit_point.t array) =
         let tree = Sg.open_existing store in
         check_valid tree ~what;
         (store, Sg.to_list tree));
+    chains = (fun () -> None);
   }
-
-(* Full version-chain dump of a durable-MVCC store, sorted:
-   [(key, [(epoch, value-or-tombstone) newest-first])]. Two recoveries
-   of the same crash images must produce {e equal} dumps — chain replay
-   is deterministic down to the version level, not just the newest. *)
-let chain_dump mv =
-  let records = MV.records mv in
-  MV.T.to_list (MV.tree mv)
-  |> List.map (fun (k, rptr) ->
-         let chain =
-           match Record_store.export records rptr with
-           | Record_store.Slot_chain v ->
-               let rec walk = function
-                 | None -> []
-                 | Some (v : int Record_store.version) ->
-                     (v.Record_store.epoch, v.Record_store.value)
-                     :: walk v.Record_store.prev
-               in
-               walk (Some v)
-           | Record_store.Slot_empty | Record_store.Slot_sealed -> []
-         in
-         (k, chain))
-  |> List.sort compare
 
 (* The durable-MVCC engine (one shard): upsert/delete/get, with values
    salted by the op index so every version of a key is distinguishable.
@@ -424,6 +463,7 @@ let mvcc_engine ~what store (o : Commit_point.t) =
         before
     end
   in
+  let recovered_chains = ref None in
   let reopen what open_ =
     let open_mv () =
       let store = open_ () in
@@ -433,6 +473,7 @@ let mvcc_engine ~what store (o : Commit_point.t) =
     check_valid (MV.tree mv2) ~what;
     let recovered = MV.range mv2 c ~lo:min_int ~hi:max_int in
     let dump = chain_dump mv2 in
+    recovered_chains := Some dump;
     if chain_dump (snd (open_mv ())) <> dump then
       fail "%s: two recoveries of one crash image disagree on chains" what;
     List.iter
@@ -471,13 +512,14 @@ let mvcc_engine ~what store (o : Commit_point.t) =
         pending_pruned := []);
     quiesce = (fun () -> Option.iter (fun (s, _) -> MV.release s) !snap);
     reopen;
+    chains = (fun () -> !recovered_chains);
   }
 
 (* ---------- the runner ---------- *)
 
 (* The policy-column suffix that names a scenario in the battery log. *)
 let label sc =
-  (if sc.follower then "+repl"
+  (if sc.follower then if sc.mvcc then "+wal.mvcc.follower" else "+repl"
    else if sc.mvcc then if sc.wal then "+mvcc" else "+mvcc.sync"
    else if sc.shards > 1 then
      Printf.sprintf "+%s.x%d" (if sc.wal then "wal" else "sync") sc.shards
@@ -494,7 +536,7 @@ let label sc =
 let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
   let n = sc.shards in
   if n < 1 || (sc.mvcc && n > 1)
-     || (sc.follower && (n > 1 || sc.mvcc || not sc.wal))
+     || (sc.follower && (n > 1 || not sc.wal))
   then invalid_arg "Crash.run: no engine for this scenario";
   let what = Printf.sprintf "%s (%s%s)" site (policy_name policy) (label sc) in
   let ops = Option.value ops ~default:(if sc.follower then 300 else 400) in
@@ -540,7 +582,9 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
   done;
   let follower =
     if sc.follower then
-      Some (attach_follower ~what stores.(0) (Option.get (snd devices.(0))))
+      Some
+        (attach_follower ~what ~mvcc:sc.mvcc stores.(0)
+           (Option.get (snd devices.(0))))
     else None
   in
   (* sync mode checkpoints every 25 ops; WAL group-commits every 5 and
@@ -604,10 +648,15 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
               (route k))
         recovered;
       Option.iter
-        (fun replica ->
-          if replica <> recovered then
+        (fun { p_pairs; p_chains } ->
+          (* the follower's reads at its horizon are a committed cut *)
+          Commit_point.check oracles.(s) ~what:(what ^ " (follower)") p_pairs;
+          if p_pairs <> recovered then
             fail "%s: promoted follower (%d keys) diverged from the recovered primary (%d keys)"
-              what (List.length replica) (List.length recovered))
+              what (List.length p_pairs) (List.length recovered);
+          if p_chains <> e.chains () then
+            fail "%s: promoted follower recovered other version chains than the primary"
+              what)
         promoted;
       keys := !keys + List.length recovered;
       gen := max !gen (PS.generation store))
@@ -1267,6 +1316,9 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
         [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
         (mk_scenario ~wal:true ~follower:true);
       sweep (caches 32) wal_sites (mk_scenario ~wal:true ~mvcc:true);
+      sweep (caches 32)
+        [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
+        (mk_scenario ~wal:true ~mvcc:true ~follower:true);
       (* the 4096-byte page of every store written before pages were
          sized to the node, at the first ordinal in either mode *)
       sweep ~ordinals:[ 1 ] [ 8 ] wal_sites

@@ -67,13 +67,16 @@ val run :
     identical version chains, versions pruned before an acked commit
     never resurrect, and a fresh pin reads the recovered state. A
     [follower] catches up from the log device's crash image, is
-    promoted, and must agree exactly with the recovered primary.
+    promoted, and must agree exactly with the recovered primary;
+    following an MVCC primary, its reads at the replicated clock must
+    also be a committed cut, and its store opened through
+    [Mvcc.open_durable] must recover the primary's version chains.
 
     Defaults replay the historical seeded histories: [ops] 400 (300 with
     a follower); [seed] 42 sync, 1042 WAL, 4042 MVCC, 2042 sharded or
     followed; [dist] uniform over 200 keys (400 when sharded).
     @raise Invalid_argument when [shards < 1], for MVCC over several
-    shards, and for a follower anywhere but on one plain WAL shard.
+    shards, and for a follower anywhere but on one WAL shard.
     @raise Failure on any violated recovery invariant. *)
 
 val run_torn_header : ?page_size:int -> unit -> outcome

@@ -50,6 +50,13 @@ val varint_bytes : int -> int
 
 exception Corrupt of string
 
+val add_varint : Buffer.t -> int -> unit
+(** Append one int as a v5 frame stores a ptr (zigzag LEB128). *)
+
+val get_varint : Bytes.t -> pos:int -> int * int
+(** Read the varint at [pos]; returns it and the position after it.
+    @raise Corrupt on a truncated or overlong varint. *)
+
 val frame_length : Bytes.t -> int option
 (** Bytes the frame at the start of [page] spans (framing plus body), read
     from its header alone, without verifying the checksum. [None] when

@@ -106,4 +106,25 @@ module type S = sig
       in-memory stores treat it as a no-op. Callers who need the
       concurrent contract must therefore know their backend has a log
       (e.g. was opened in WAL mode). *)
+
+  val log_logical : t -> Bytes.t list -> bool
+  (** Queue one client capture — redo records of at most {!page_size}
+      bytes each, in order — for the next group commit, beside the page
+      images it seals. The records of one call land in one batch, after
+      every record queued before them. [false], queueing nothing, when
+      the store has no log; [log_logical t []] asks just that. A
+      logical record lives only in the log pass it was appended to: the
+      client must fold what it says into pages before the store's
+      checkpoint ends that pass (see {!on_checkpoint}). *)
+
+  val replayed_logical : t -> Bytes.t list
+  (** The current log pass's promoted logical records, in append order:
+      replayed when the store was opened, or shipped to a follower's
+      store (empty where nothing was). *)
+
+  val on_checkpoint : t -> (unit -> unit) -> unit
+  (** Register the function every checkpoint ({!sync}, and whatever
+      closes the store) runs first, before it makes anything official:
+      the client's chance to fold its logical records into pages. One
+      per store; a later registration replaces it. *)
 end

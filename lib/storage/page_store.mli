@@ -63,4 +63,16 @@ module type S = sig
       concurrency-safe durability point (optional capability: WAL
       backends group-commit, plain durable backends degrade to [sync],
       in-memory stores no-op). *)
+
+  val log_logical : t -> Bytes.t list -> bool
+  (** Queue one capture's logical records (each at most [page_size]
+      bytes, in order) for the next group commit; [false], queueing
+      nothing, without a log. *)
+
+  val replayed_logical : t -> Bytes.t list
+  (** The current log pass's promoted logical records, in order. *)
+
+  val on_checkpoint : t -> (unit -> unit) -> unit
+  (** Register the function each checkpoint runs before anything else
+      (one per store). *)
 end

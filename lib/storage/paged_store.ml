@@ -189,6 +189,8 @@ module Make (K : Key.S) = struct
     w_cond : Condition.t;  (** broadcast when a batch becomes durable (or a leader fails) *)
     mutable w_dirty : (int, unit) Hashtbl.t;  (** pages changed since the last seal *)
     mutable w_meta_dirty : bool;  (** metadata changed since the last seal *)
+    mutable w_logical : Bytes.t list;
+        (** logical records queued since the last seal, newest first *)
     mutable sealed : int;
     mutable durable : int;
     mutable leader : bool;  (** a leader is currently flushing a batch *)
@@ -241,6 +243,11 @@ module Make (K : Key.S) = struct
     mutable wal : wal_state option;
         (** durability mode: [Some] = WAL group commit; set once during
             construction, before the store is shared *)
+    mutable replayed : Bytes.t list;
+        (** the current pass's promoted logical records, newest first:
+            replayed at open, or shipped ({!apply_replicated}) *)
+    mutable replayed_gen : int;  (** the shipped generation [replayed] belongs to *)
+    mutable checkpoint_hook : unit -> unit;  (** run first by every [sync] *)
     (* gauges *)
     faulting : int Atomic.t;  (** faults currently reading from storage *)
     max_faulting : int Atomic.t;
@@ -592,6 +599,9 @@ module Make (K : Key.S) = struct
       page_reads = 0;
       page_writes = 0;
       wal = None;
+      replayed = [];
+      replayed_gen = -1;
+      checkpoint_hook = ignore;
       faulting = Atomic.make 0;
       max_faulting = Atomic.make 0;
     }
@@ -604,6 +614,7 @@ module Make (K : Key.S) = struct
       w_cond = Condition.create ();
       w_dirty = Hashtbl.create 64;
       w_meta_dirty = false;
+      w_logical = [];
       sealed = 0;
       durable = 0;
       leader = false;
@@ -904,6 +915,26 @@ module Make (K : Key.S) = struct
 
   let get_meta t = Atomic.get t.meta
 
+  (* Queued under [w_mu], so records reach the log in the order their
+     callers queued them, and one call's records all land in the batch
+     the next seal takes. *)
+  let log_logical t records =
+    match t.wal with
+    | None -> false
+    | Some w ->
+        List.iter
+          (fun r ->
+            if Bytes.length r > t.page_size then
+              invalid_arg "Paged_store.log_logical: record larger than a page")
+          records;
+        Mutex.lock w.w_mu;
+        w.w_logical <- List.rev_append records w.w_logical;
+        Mutex.unlock w.w_mu;
+        true
+
+  let replayed_logical t = List.rev t.replayed
+  let on_checkpoint t f = t.checkpoint_hook <- f
+
   (* ---------- durability ---------- *)
 
   (* ---------- group commit (WAL durability mode) ---------- *)
@@ -983,9 +1014,11 @@ module Make (K : Key.S) = struct
     end;
     let dirty = w.w_dirty in
     let meta_dirty = w.w_meta_dirty in
+    let logical = w.w_logical in
     let group = Atomic.get w.unsealed_reqs in
     w.w_dirty <- Hashtbl.create 32;
     w.w_meta_dirty <- false;
+    w.w_logical <- [];
     Atomic.set w.unsealed_reqs 0;
     w.sealed <- target;
     Mutex.unlock w.w_mu;
@@ -1001,6 +1034,7 @@ module Make (K : Key.S) = struct
           | Some src ->
               Wal.append w.log ~gen (Wal.Page { ptr = p; image = encode_image t src }))
         ptrs;
+      List.iter (fun r -> Wal.append w.log ~gen (Wal.Logical r)) (List.rev logical);
       (if meta_dirty then
          match Atomic.get t.meta with
          | Some m -> Wal.append w.log ~gen (Wal.Meta m)
@@ -1024,6 +1058,9 @@ module Make (K : Key.S) = struct
         Mutex.lock w.w_mu;
         Hashtbl.iter (fun p () -> Hashtbl.replace w.w_dirty p ()) dirty;
         w.w_meta_dirty <- w.w_meta_dirty || meta_dirty;
+        (* the sealed records go back ahead of any queued since, so the
+           retry logs them in their original order *)
+        w.w_logical <- w.w_logical @ logical;
         w.sealed <- target - 1;
         w.leader <- false;
         Condition.broadcast w.w_cond;
@@ -1056,6 +1093,9 @@ module Make (K : Key.S) = struct
      generation), so a sync aborted by an IO error can simply be
      retried. *)
   let rec sync t =
+    (* The client's fold first: what its logical records say must be in
+       pages before this checkpoint ends their pass. *)
+    t.checkpoint_hook ();
     (* WAL mode: route whatever is dirty through a logged group commit
        {e before} the checkpoint makes it official. Without this, the
        changes accumulated since the last commit would reach durability
@@ -1069,7 +1109,9 @@ module Make (K : Key.S) = struct
     | Some w ->
         let dirty_work =
           Mutex.lock w.w_mu;
-          let d = Hashtbl.length w.w_dirty > 0 || w.w_meta_dirty in
+          let d =
+            Hashtbl.length w.w_dirty > 0 || w.w_meta_dirty || w.w_logical <> []
+          in
           Mutex.unlock w.w_mu;
           d
         in
@@ -1142,8 +1184,10 @@ module Make (K : Key.S) = struct
         Mutex.lock w.w_mu;
         Hashtbl.reset w.w_dirty;
         w.w_meta_dirty <- false;
+        w.w_logical <- [];
+        t.replayed <- [];
         Mutex.unlock w.w_mu
-    | None -> ()
+    | None -> t.replayed <- []
 
   (* Group commit: block until every operation completed before this call
      is durable. Safe from any number of domains at once — unlike [sync],
@@ -1259,6 +1303,9 @@ module Make (K : Key.S) = struct
     (match rep with
     | Some { Wal.committed_meta = Some m; _ } -> Atomic.set t.meta (Some m)
     | _ -> ());
+    (match rep with
+    | Some r -> t.replayed <- List.rev r.Wal.committed_logical
+    | None -> ());
     (match rep with
     | Some r ->
         (* Pages group-committed past the checkpoint's bump frontier:
@@ -1458,7 +1505,14 @@ module Make (K : Key.S) = struct
      each page flip atomically from old image to new via the file write,
      and batch-level consistency is the caller's job (the replica swaps
      its tree view only after the whole batch lands). *)
-  let apply_replicated t ~images ~meta =
+  let apply_replicated ?(gen = 0) ?(logical = []) t ~images ~meta =
+    (* a batch of a later generation starts a new pass: the records kept
+       so far were folded into pages by the checkpoint that ended theirs *)
+    if gen > t.replayed_gen then begin
+      t.replayed <- [];
+      t.replayed_gen <- gen
+    end;
+    t.replayed <- List.rev_append logical t.replayed;
     List.iter
       (fun (p, img) ->
         if p < 0 then invalid_arg "apply_replicated: negative ptr";

@@ -45,7 +45,11 @@
     group-committed batches past the last checkpoint before the free
     chain is rebuilt, so [commit]-acknowledged state survives a crash
     with no [sync] ever issued. Without a log device, [commit] degrades
-    to [sync] (and inherits its quiescence requirement). *)
+    to [sync] (and inherits its quiescence requirement). A client's
+    logical records ({!Page_store.S.log_logical}) ride the same group
+    commits, and [sync] runs the client's {!Page_store.S.on_checkpoint}
+    function before anything else, so the client can fold them into
+    pages before the pass they live in ends. *)
 
 exception Corrupt of string
 (** A damaged header or page encountered while opening / faulting. *)
@@ -245,10 +249,21 @@ module Make (K : Key.S) : sig
   val wal_incarnation : t -> int option
   (** The log's current incarnation (None without a WAL). *)
 
-  val apply_replicated : t -> images:(int * Bytes.t) list -> meta:Bytes.t option -> unit
+  val apply_replicated :
+    ?gen:int ->
+    ?logical:Bytes.t list ->
+    t ->
+    images:(int * Bytes.t) list ->
+    meta:Bytes.t option ->
+    unit
   (** Install one shipped commit batch: write each full page image
       straight to the data file (extending the allocation frontier over
       new pages, invalidating any cached copy), then publish [meta].
       For follower stores driven by a single apply loop; the caller
-      rebuilds its tree view from [meta] after the batch lands. *)
+      rebuilds its tree view from [meta] after the batch lands. The
+      batch's [logical] records (default none) are kept for
+      {!replayed_logical}, so a client opened over the follower's store
+      replays them; a batch of a higher [gen] (default 0) than the last
+      drops the kept ones first, since the checkpoint between the two
+      folded them. *)
 end

@@ -344,24 +344,25 @@ let export t ptr =
         | Sealed -> Slot_sealed
         | Chain v -> Slot_chain v)
 
-(** Install slot [ptr]'s state exactly as persisted (recovery only).
-    Gauges are bumped as if the chain had been built by normal appends;
-    allocation accounting is settled afterwards by {!finish_restore}. *)
+(** Install slot [ptr]'s state exactly as persisted (recovery only),
+    replacing whatever an earlier [restore] put there. Gauges move as if
+    the chain had been built by normal appends; allocation accounting
+    is settled afterwards by {!finish_restore}. *)
 let restore t ptr st =
   let chunk = ensure_chunk t (ptr lsr chunk_bits) in
   let a = chunk.(ptr land (chunk_size - 1)) in
-  (match st with
-  | Slot_empty -> Atomic.set a Empty
-  | Slot_sealed -> Atomic.set a Sealed
-  | Slot_chain v ->
-      Atomic.set a (Chain v);
-      let n, b = chain_stats t v in
-      ignore (Atomic.fetch_and_add t.versions n);
-      ignore (Atomic.fetch_and_add t.bytes_stored b);
-      (match v.value with
-      | Some _ -> Atomic.incr t.live_values
-      | None -> ()));
-  ()
+  let count sign = function
+    | Empty | Sealed -> ()
+    | Chain v ->
+        let n, b = chain_stats t v in
+        ignore (Atomic.fetch_and_add t.versions (sign * n));
+        ignore (Atomic.fetch_and_add t.bytes_stored (sign * b));
+        if v.value <> None then ignore (Atomic.fetch_and_add t.live_values sign)
+  in
+  count (-1) (Atomic.get a);
+  let s = match st with Slot_empty -> Empty | Slot_sealed -> Sealed | Slot_chain v -> Chain v in
+  Atomic.set a s;
+  count 1 s
 
 (** Finish a restore: set the bump frontier to [next], rebuild the free
     list from every [Empty]/[Sealed] slot below it, and settle the

@@ -173,4 +173,9 @@ struct
   let get_meta = get_meta
   let sync = sync
   let commit = commit
+
+  (* No log: a client folds its state into pages at every commit. *)
+  let log_logical _ _ = false
+  let replayed_logical _ = []
+  let on_checkpoint _ _ = ()
 end

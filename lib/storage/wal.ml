@@ -40,7 +40,8 @@
 
     {v
     off 0   u32  magic        "SGWL"
-    off 4   u8   kind         1 = PAGE, 2 = COMMIT, 3 = CHECKPOINT, 4 = META
+    off 4   u8   kind         1 = PAGE, 2 = COMMIT, 3 = CHECKPOINT, 4 = META,
+                              5 = LOGICAL
     off 5   u8   ck_kind      1 = mx32 over header + body; 0 = legacy FNV-1a
     off 8   u64  lsn          strictly increasing across the log's life
     off 16  u64  generation   store generation the record applies on top of
@@ -48,7 +49,8 @@
     off 32  u32  body_len     bytes of body (≤ one data page)
     off 40  u32  checksum     per ck_kind, own field zeroed
     off 44  u32  incarnation  append-pass counter, bumped at every resume
-    off 64  ...  body         page image (codec frame) / meta blob
+    off 64  ...  body         page image (codec frame) / meta blob /
+                              logical record
     v}
 
     The next record starts right after the body. A PAGE body shorter
@@ -94,9 +96,10 @@
     busiest inter-checkpoint window.
 
     {b Replay} ({!replay}) scans from page 0 and applies the classic
-    redo discipline: PAGE / META records are {e staged}; a COMMIT record
-    {e promotes} everything staged (later images of the same page win —
-    last-writer-wins); CHECKPOINT markers are skipped (a checkpoint that
+    redo discipline: PAGE / META / LOGICAL records are {e staged}; a
+    COMMIT record {e promotes} everything staged (later images of the
+    same page win — last-writer-wins; logical records are kept, all of
+    them, in append order); CHECKPOINT markers are skipped (a checkpoint that
     failed before its header flip leaves its marker mid-log, with
     committed batches legitimately continuing after it); the scan stops
     cleanly at the first record that is torn (bad magic / checksum),
@@ -136,6 +139,7 @@ let kind_page = 1
 let kind_commit = 2
 let kind_checkpoint = 3
 let kind_meta = 4
+let kind_logical = 5
 
 (* Checksum kinds (the byte at [ck_kind_off]). *)
 let ck_fnv = 0
@@ -158,6 +162,9 @@ type record =
       (** physical page image, at most one data page; a short one stands
           for the page with its tail zeroed *)
   | Meta of Bytes.t  (** client metadata blob (committed with its batch) *)
+  | Logical of Bytes.t
+      (** client redo record, at most one data page; promoted with its
+          batch and handed back in append order *)
   | Commit  (** promotes every record staged since the previous commit *)
   | Checkpoint  (** pass boundary marker appended by a store checkpoint *)
 
@@ -458,6 +465,10 @@ let append t ~gen record =
             if Bytes.length blob > t.page_size - header_bytes then
               invalid_arg "Wal.append: metadata blob too large for a log record";
             (kind_meta, -1, blob)
+        | Logical body ->
+            if Bytes.length body > t.data_page_size then
+              invalid_arg "Wal.append: logical record larger than one data page";
+            (kind_logical, -1, body)
         | Commit -> (kind_commit, -1, Bytes.empty)
         | Checkpoint -> (kind_checkpoint, -1, Bytes.empty)
       in
@@ -617,8 +628,8 @@ let wait_durable t ~lsn ~timeout =
 (** Incremental redo scanner — the single scan-one-record step behind
     {!replay} (which drives it over the local device) and the
     replication follower (which drives it over the shipped stream,
-    installing each promoted batch into its own store). PAGE / META
-    records are staged; a COMMIT promotes the stage as one batch;
+    installing each promoted batch into its own store). PAGE / META /
+    LOGICAL records are staged; a COMMIT promotes the stage as one batch;
     CHECKPOINT markers are passed over (a shipped stream legitimately
     crosses checkpoint = generation boundaries, which is why the stream
     policy accepts a generation {e advance} where local replay — pinned
@@ -630,6 +641,8 @@ module Apply = struct
     b_lsn : int;  (** LSN of the COMMIT record that promoted the batch *)
     b_images : (int * Bytes.t) list;  (** tree ptr → page image, deduped *)
     b_meta : Bytes.t option;  (** metadata blob committed with the batch *)
+    b_logical : Bytes.t list;  (** logical records, in append order *)
+    b_gen : int;  (** store generation the batch was appended in *)
   }
 
   type action =
@@ -647,6 +660,7 @@ module Apply = struct
     a_expect_gen : int option;
     staged : (int, Bytes.t) Hashtbl.t;
     mutable staged_meta : Bytes.t option;
+    mutable staged_logical : Bytes.t list;  (** newest first *)
     mutable a_next_lsn : int;  (** -1 = no record consumed yet *)
     mutable a_gen : int;
     mutable a_inc : int;
@@ -662,6 +676,7 @@ module Apply = struct
       a_expect_gen = expect_gen;
       staged = Hashtbl.create 32;
       staged_meta = None;
+      staged_logical = [];
       a_next_lsn = -1;
       a_gen = -1;
       a_inc = -1;
@@ -686,7 +701,8 @@ module Apply = struct
   let batches a = a.a_batches
 
   (* Nothing staged: the stream so far is whole batches (and markers). *)
-  let settled a = Hashtbl.length a.staged = 0 && a.staged_meta = None
+  let settled a =
+    Hashtbl.length a.staged = 0 && a.staged_meta = None && a.staged_logical = []
 
   (** Feed one raw log page. @raise Corrupt on a record that is
       structurally impossible {e after} its checksum validated (device
@@ -730,16 +746,28 @@ module Apply = struct
               a.staged_meta <- Some r.p_body;
               Progress
             end
+            else if r.p_kind = kind_logical then begin
+              a.staged_logical <- r.p_body :: a.staged_logical;
+              Progress
+            end
             else if r.p_kind = kind_commit then begin
               let images =
                 Hashtbl.fold (fun p img acc -> (p, img) :: acc) a.staged []
               in
               Hashtbl.reset a.staged;
-              let meta = a.staged_meta in
+              let meta = a.staged_meta and logical = List.rev a.staged_logical in
               a.staged_meta <- None;
+              a.staged_logical <- [];
               a.a_horizon <- r.p_lsn;
               a.a_batches <- a.a_batches + 1;
-              Batch { b_lsn = r.p_lsn; b_images = images; b_meta = meta }
+              Batch
+                {
+                  b_lsn = r.p_lsn;
+                  b_images = images;
+                  b_meta = meta;
+                  b_logical = logical;
+                  b_gen = r.p_gen;
+                }
             end
             else if r.p_kind = kind_checkpoint then
               (* A pass-boundary marker, not promoted state. Local
@@ -759,6 +787,8 @@ type replay = {
   committed : (int, Bytes.t) Hashtbl.t;
       (** page images promoted by a COMMIT record, last writer wins *)
   committed_meta : Bytes.t option;  (** newest committed metadata blob *)
+  committed_logical : Bytes.t list;
+      (** every promoted logical record of the pass, in append order *)
   records : int;  (** records scanned (valid ones, this pass) *)
   batches : int;  (** COMMIT records applied *)
   next_pos : int;  (** log page where the valid tail ends — resume cursor *)
@@ -785,6 +815,7 @@ let replay ~data_page_size ~gen file =
   let a = Apply.create ~expect_gen:gen ~data_page_size () in
   let committed = Hashtbl.create 64 in
   let committed_meta = ref None in
+  let committed_logical = ref [] in
   let offsets = ref [||] and n = ref 0 in
   let first_lsn = ref 0 and tail_n = ref 0 and tail_end = ref 0 in
   scan_bytes ~page_size
@@ -798,7 +829,8 @@ let replay ~data_page_size ~gen file =
           (match step with
           | Apply.Batch b ->
               List.iter (fun (p, img) -> Hashtbl.replace committed p img) b.Apply.b_images;
-              Option.iter (fun m -> committed_meta := Some m) b.Apply.b_meta
+              Option.iter (fun m -> committed_meta := Some m) b.Apply.b_meta;
+              committed_logical := List.rev_append b.Apply.b_logical !committed_logical
           | _ -> ());
           if !n = 0 then first_lsn := Apply.next_lsn a - 1;
           offsets := room !offsets !n;
@@ -812,6 +844,7 @@ let replay ~data_page_size ~gen file =
   {
     committed;
     committed_meta = !committed_meta;
+    committed_logical = List.rev !committed_logical;
     records = Apply.records a;
     batches = Apply.batches a;
     next_pos = (!tail_end + page_size - 1) / page_size;

@@ -1,6 +1,7 @@
 (** Append-only, checksummed, generation- and incarnation-stamped
-    write-ahead log of physical page images over a {!Paged_file} — the
-    redo log behind {!Paged_store}'s group-commit durability mode, and
+    write-ahead log of physical page images (and of the opaque logical
+    records a client of the store logs beside them) over a
+    {!Paged_file} — the redo log behind {!Paged_store}'s group-commit durability mode, and
     the stream behind WAL-shipping replication.
 
     Records are packed back to back: a record is its 64-byte header
@@ -32,7 +33,8 @@
     window.
 
     {!replay} scans from page 0, promotes staged page images at each
-    COMMIT record (last writer wins), skips CHECKPOINT markers (a
+    COMMIT record (last writer wins) and logical records (all of them,
+    in append order), skips CHECKPOINT markers (a
     checkpoint that failed before its header flip leaves one mid-log
     with committed batches continuing after it), and stops cleanly at
     the first torn record, foreign-generation record, LSN discontinuity
@@ -71,6 +73,11 @@ type record =
           one data page. Staged until the next [Commit]. *)
   | Meta of Bytes.t
       (** Client metadata blob; committed atomically with its batch. *)
+  | Logical of Bytes.t
+      (** A client redo record of at most one data page (its shipped
+          form is padded to one log page). Staged like a page image but
+          never deduplicated: a batch hands back every logical record it
+          promoted, in append order. *)
   | Commit
       (** Group-commit boundary: promotes everything staged since the
           previous commit. *)
@@ -175,8 +182,8 @@ val wait_durable : t -> lsn:int -> timeout:float -> bool
 
 (** Incremental redo scanner shared by {!replay} (local device) and
     replication followers (shipped stream): feed raw log pages in
-    stream order; PAGE / META records stage, each COMMIT promotes the
-    stage as one batch. Enforces the full acceptance policy — checksum,
+    stream order; PAGE / META / LOGICAL records stage, each COMMIT
+    promotes the stage as one batch. Enforces the full acceptance policy — checksum,
     strict LSN continuity, non-decreasing generation and incarnation,
     optionally an exact expected generation (local replay pins the
     header's generation; a shipped stream instead crosses generation
@@ -186,6 +193,10 @@ module Apply : sig
     b_lsn : int;  (** LSN of the COMMIT that promoted the batch *)
     b_images : (int * Bytes.t) list;  (** tree ptr → page image, deduped *)
     b_meta : Bytes.t option;  (** metadata committed with the batch *)
+    b_logical : Bytes.t list;  (** logical records, in append order *)
+    b_gen : int;
+        (** store generation the batch was appended in: a follower sees
+            a checkpoint as the step to a higher one *)
   }
 
   type action =
@@ -228,6 +239,8 @@ type replay = {
       (** tree ptr → newest group-committed page image *)
   committed_meta : Bytes.t option;
       (** newest metadata blob covered by a commit *)
+  committed_logical : Bytes.t list;
+      (** every logical record a commit promoted, in append order *)
   records : int;  (** valid records scanned in this pass *)
   batches : int;  (** COMMIT records applied *)
   next_pos : int;

@@ -10,6 +10,7 @@ open Repro_harness
 module PS = Paged_store.Make (Key.Int)
 module Sg = Repro_core.Sagiv.Make_on_store (Key.Int) (PS)
 module V = Repro_core.Validate.Make_on_store (Key.Int) (PS)
+module MV = Repro_core.Mvcc.Make_on_store (Key.Int) (PS)
 
 let mk_leaf keys =
   {
@@ -974,6 +975,291 @@ let test_legacy_store_fixture () =
         (List.length ((Option.get h.Repro_baseline.Tree_intf.range) c ~lo:min_int ~hi:max_int));
       Sh.close sst)
 
+(* ---------- durable MVCC: logical records ---------- *)
+
+(* A crash-shadow device holding [pfile]'s crash image, so the life
+   that recovers from it can crash again. *)
+let reshadow pfile =
+  let image = Paged_file.crash_image pfile in
+  let dev = Paged_file.create_shadow ~page_size:(Paged_file.page_size image) () in
+  for i = 0 to Paged_file.pages image - 1 do
+    ignore (Paged_file.append dev (Paged_file.read image i))
+  done;
+  Paged_file.sync dev;
+  dev
+
+(* Recover a durable MVCC store from the devices' crash images; returns
+   the devices the recovered life writes to with it. *)
+let mv_open ?(cache_pages = 256) pfile lfile =
+  Failpoint.reset ();
+  let pfile = reshadow pfile and lfile = reshadow lfile in
+  let store = PS.open_from ~cache_pages ~wal:lfile pfile in
+  (store, MV.open_durable ~enc:Fun.id ~dec:Fun.id store, pfile, lfile)
+
+(* Key [k]'s whole chain, newest first: the values of its versions. *)
+let chain_values mv k =
+  let c = MV.ctx ~slot:0 in
+  match MV.T.search (MV.tree mv) c k with
+  | None -> []
+  | Some rptr -> (
+      match Record_store.export (MV.records mv) rptr with
+      | Record_store.Slot_chain v ->
+          let rec walk = function
+            | None -> []
+            | Some (v : int Record_store.version) -> v.Record_store.value :: walk v.Record_store.prev
+          in
+          walk (Some v)
+      | Record_store.Slot_empty | Record_store.Slot_sealed -> [])
+
+(* Commit one batch of upserts, then die inside the next: its log group
+   write tears, so the crash image holds whatever of it landed past the
+   acknowledged tail. *)
+let mv_life mv ~acked ~torn =
+  let c = MV.ctx ~slot:0 in
+  List.iter (fun (k, v) -> MV.upsert mv c k v) acked;
+  MV.commit mv;
+  List.iter (fun (k, v) -> MV.upsert mv c k v) torn;
+  Failpoint.set "paged_file.pwrite" Failpoint.Torn_write;
+  match MV.commit mv with
+  | () -> Alcotest.fail "the torn commit must crash"
+  | exception Failpoint.Crash _ -> ()
+
+(* Two crashes with no checkpoint between them (the phantom-tail class,
+   for chains): each life acknowledges one commit and dies tearing the
+   next. The second recovery replays the first life's records and the
+   second life's, in log order, in one pass: every acknowledged version
+   is in its chain, in order, and nothing of either torn batch is. *)
+let test_mvcc_two_crashes () =
+  Failpoint.reset ();
+  let pfile = Paged_file.create_shadow ~page_size:data_ps () in
+  let lfile = Paged_file.create_shadow ~page_size:log_ps () in
+  let store = PS.create_on ~cache_pages:256 ~wal:lfile pfile in
+  let mv = MV.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store in
+  let c = MV.ctx ~slot:0 in
+  for k = 0 to 29 do
+    MV.upsert mv c k (k * 10)
+  done;
+  MV.flush mv;
+  let keys lo hi f = List.init (hi - lo + 1) (fun i -> (lo + i, f (lo + i))) in
+  mv_life mv ~acked:(keys 0 14 (fun k -> (k * 10) + 1)) ~torn:(keys 0 29 (fun _ -> 9999));
+  let _, mv, pfile, lfile = mv_open pfile lfile in
+  Alcotest.(check (list (option int))) "life 1: acked version on top" [ Some 31; Some 30 ]
+    (chain_values mv 3);
+  Alcotest.(check (list (option int))) "life 1: untouched key" [ Some 200 ] (chain_values mv 20);
+  mv_life mv ~acked:(keys 10 29 (fun k -> (k * 10) + 2)) ~torn:(keys 0 29 (fun _ -> 8888));
+  let _, mv, _, _ = mv_open pfile lfile in
+  for k = 0 to 29 do
+    let want =
+      (if k >= 10 then [ Some ((k * 10) + 2) ] else [])
+      @ (if k <= 14 then [ Some ((k * 10) + 1) ] else [])
+      @ [ Some (k * 10) ]
+    in
+    Alcotest.(check (list (option int))) (Printf.sprintf "key %d's chain" k) want
+      (chain_values mv k)
+  done
+
+(* A group commit that fails puts its logical records back ahead of any
+   queued since, so the retry logs them: the failed attempt's upserts of
+   existing keys change no tree page, and their records are all that
+   carries them. *)
+let test_mvcc_failed_group_requeues () =
+  Failpoint.reset ();
+  let pfile = Paged_file.create_shadow ~page_size:data_ps () in
+  let lfile = Paged_file.create_shadow ~page_size:log_ps () in
+  let store = PS.create_on ~cache_pages:256 ~wal:lfile pfile in
+  let mv = MV.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store in
+  let c = MV.ctx ~slot:0 in
+  for k = 0 to 19 do
+    MV.upsert mv c k k
+  done;
+  MV.flush mv;
+  for k = 0 to 9 do
+    MV.upsert mv c k (k + 100)
+  done;
+  List.iter
+    (fun site ->
+      Failpoint.set site (Failpoint.Error { every = 1 });
+      (match MV.commit mv with
+      | () -> Alcotest.failf "%s: the commit must fail" site
+      | exception Failpoint.Injected _ -> ());
+      Failpoint.set site Failpoint.Off)
+    [ "wal.append"; "wal.commit" ];
+  MV.upsert mv c 19 119;
+  MV.commit mv;
+  let _, mv, _, _ = mv_open pfile lfile in
+  for k = 0 to 19 do
+    let want = if k < 10 then k + 100 else if k = 19 then 119 else k in
+    Alcotest.(check (option int)) (Printf.sprintf "key %d" k) (Some want) (MV.get mv c k)
+  done
+
+(* The generation rule: a follower's kept logical records die at the
+   first batch of a later generation, because the checkpoint between
+   folded them into the pages it shipped. A record kept past it would
+   read over a newer fold: here the primary restarts after a crash (its
+   new instance knows only the current pass's records), changes key 1,
+   whose group has no record in that pass, and checkpoints — the fold
+   carries the change, no record does. The follower's reads and its
+   promotion through [Mvcc.open_durable] must both see it. *)
+let test_mvcc_follower_generations () =
+  Failpoint.reset ();
+  let pfile = Paged_file.create_shadow ~page_size:data_ps () in
+  let lfile = Paged_file.create_shadow ~page_size:log_ps () in
+  let store = PS.create_on ~cache_pages:256 ~wal:lfile pfile in
+  (* two slots per group: keys 1 and 8 land in different groups *)
+  let mv = MV.create_durable ~order:4 ~group_bits:1 ~enc:Fun.id ~dec:Fun.id store in
+  let c = MV.ctx ~slot:0 in
+  let fstore = PS.create_memory ~page_size:data_ps () in
+  let apply = Wal.Apply.create ~data_page_size:data_ps () in
+  let chains = MV.view ~dec:Fun.id in
+  let next = ref 0 in
+  let drain store =
+    let rec go () =
+      match PS.wal_fetch store ~lsn:!next ~max_pages:64 with
+      | Wal.At_end -> ()
+      | Wal.Stale -> Alcotest.fail "follower fell out of the window"
+      | Wal.Pages { pages; next = n } ->
+          List.iter
+            (fun page ->
+              match Wal.Apply.step apply page with
+              | Wal.Apply.Progress -> ()
+              | Wal.Apply.Reject msg -> Alcotest.failf "stream rejected: %s" msg
+              | Wal.Apply.Batch b ->
+                  PS.apply_replicated fstore ~gen:b.Wal.Apply.b_gen
+                    ~logical:b.Wal.Apply.b_logical ~images:b.Wal.Apply.b_images
+                    ~meta:b.Wal.Apply.b_meta;
+                  MV.view_batch chains ~gen:b.Wal.Apply.b_gen
+                    ~logical:b.Wal.Apply.b_logical)
+            pages;
+          next := n;
+          go ()
+    in
+    go ()
+  in
+  let read k =
+    let ext = Option.get (Option.bind (PS.get_meta fstore) Repro_core.Mvcc.decode_meta_ext) in
+    match Sg.search (Sg.open_existing fstore) (Sg.ctx ~slot:0) k with
+    | None -> None
+    | Some rptr -> MV.view_reader chains fstore ext rptr
+  in
+  for k = 0 to 9 do
+    MV.upsert mv c k (k * 10)
+  done;
+  MV.flush mv;
+  MV.upsert mv c 1 11;
+  MV.commit mv;
+  MV.flush mv;
+  MV.upsert mv c 8 81;
+  MV.commit mv;
+  drain store;
+  Alcotest.(check (option int)) "key 1 before the restart" (Some 11) (read 1);
+  Alcotest.(check (option int)) "key 8 before the restart" (Some 81) (read 8);
+  let store, mv, _, _ = mv_open pfile lfile in
+  MV.upsert mv c 1 12;
+  MV.flush mv;
+  MV.upsert mv c 8 82;
+  MV.commit mv;
+  drain store;
+  Alcotest.(check (option int)) "follower reads the fold, not an older record"
+    (Some 12) (read 1);
+  Alcotest.(check (option int)) "follower reads this generation's record" (Some 82)
+    (read 8);
+  let promoted = MV.open_durable ~enc:Fun.id ~dec:Fun.id fstore in
+  Alcotest.(check (option int)) "promotion reads the fold" (Some 12) (MV.get promoted c 1);
+  Alcotest.(check (option int)) "promotion replays this generation" (Some 82)
+    (MV.get promoted c 8)
+
+(* The MVCC follower row past the battery's early ordinals: a crash
+   deep in the run (snapshot pins and vacuum behind it) and a run the
+   policy never stops, both held to the oracle, the follower's reads at
+   its horizon and its promoted chains. *)
+let test_mvcc_follower_deep () =
+  List.iter
+    (fun (site, ordinal, crashes) ->
+      let o =
+        Crash.run ~site
+          ~policy:(Failpoint.Crash_after ordinal)
+          {
+            Crash.cache_pages = 8;
+            wal = true;
+            shards = 1;
+            mvcc = true;
+            follower = true;
+            page_size = 512;
+          }
+      in
+      Alcotest.(check bool) (Printf.sprintf "%s crash@%d fired" site ordinal) crashes
+        o.Crash.crashed)
+    [ ("wal.commit", 60, true); ("wal.append", 250, true); ("wal.commit", 10_000, false) ]
+
+(* test/fixtures/mvcc-store.*: a durable MVCC store that `serve --mvcc
+   --backend disk --durability wal` wrote before commits logged chain
+   changes as logical records, killed with kill -9 after acked commits:
+   its uncheckpointed log tail carries chains as vrec page images only.
+   Opened from a copy through [Mvcc.open_durable], it must hold exactly
+   the pairs listed beside it. *)
+let test_mvcc_store_fixture () =
+  Failpoint.reset ();
+  let module Sh = Repro_baseline.Tree_intf.Sharded_int in
+  let module Codec = Page_codec.Make (Key.Int) in
+  let data = fixture "mvcc-store.s0" and log = fixture "mvcc-store.wal.s0" in
+  (* order 16's page: the default `serve` wrote it with *)
+  let data_page_size = 1024 in
+  let raw = Paged_file.open_file ~page_size:(Wal.log_page_size ~data_page_size) log in
+  let a = Wal.Apply.create ~data_page_size () in
+  let vrec_images = ref 0 and logical = ref 0 in
+  Wal.scan ~data_page_size raw (fun page ->
+      match Wal.Apply.step a page with
+      | Wal.Apply.Reject _ -> false
+      | Wal.Apply.Progress -> true
+      | Wal.Apply.Batch b ->
+          logical := !logical + List.length b.Wal.Apply.b_logical;
+          List.iter
+            (fun (_, img) ->
+              if (Codec.of_bytes img).Node.level = Node.vrec_level then incr vrec_images)
+            b.Wal.Apply.b_images;
+          true);
+  Paged_file.close raw;
+  Alcotest.(check bool) "log tail carries vrec page images" true (!vrec_images > 0);
+  Alcotest.(check int) "log tail carries no logical records" 0 !logical;
+  let base = Filename.temp_file "mvcc_store" "" in
+  let wal = base ^ ".wal" in
+  copy_file data (Sh.shard_path base 0);
+  copy_file log (Sh.shard_path wal 0);
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ base; Sh.shard_path base 0; Sh.shard_path wal 0 ])
+    (fun () ->
+      let want =
+        let ic = open_in (fixture "mvcc-store.pairs") in
+        let rec go acc =
+          match input_line ic with
+          | line -> go (Scanf.sscanf line "%d %d" (fun k v -> (k, v)) :: acc)
+          | exception End_of_file -> List.rev acc
+        in
+        let l = go [] in
+        close_in ic;
+        l
+      in
+      let sst = Sh.open_file ~wal_path:wal ~shards:1 base in
+      let _, h = Repro_baseline.Tree_intf.sagiv_mvcc_disk_open sst in
+      let c = Repro_core.Handle.ctx ~slot:0 in
+      let got = (Option.get h.Repro_baseline.Tree_intf.range) c ~lo:min_int ~hi:max_int in
+      Alcotest.(check int) "pair count" (List.length want) (List.length got);
+      Alcotest.(check bool) "pairs match the list" true (got = want);
+      (* a commit now logs records; the store they land in reopens *)
+      ignore (h.Repro_baseline.Tree_intf.insert c 1_000 45);
+      h.Repro_baseline.Tree_intf.commit ();
+      Sh.close sst;
+      let sst = Sh.open_file ~wal_path:wal ~shards:1 base in
+      let _, h = Repro_baseline.Tree_intf.sagiv_mvcc_disk_open sst in
+      Alcotest.(check (option int)) "store reopens after new commits" (Some 45)
+        (h.Repro_baseline.Tree_intf.search c 1_000);
+      Alcotest.(check (option int)) "fixture pair kept" (Some 44)
+        (h.Repro_baseline.Tree_intf.search c 4);
+      Sh.close sst)
+
 (* A page freed in the checkpointed generation, recycled and re-committed
    through the log only: recovery must take it off the free list, keep
    the allocator accounting consistent, and never hand it out again. *)
@@ -1111,4 +1397,14 @@ let suite =
       test_all_sites_exercised;
     Alcotest.test_case "packed: unwritten group pages fetch and seal from memory"
       `Quick test_unwritten_group_reads;
+    Alcotest.test_case "mvcc: chains survive two crashes, no checkpoint between"
+      `Quick test_mvcc_two_crashes;
+    Alcotest.test_case "mvcc: a failed group re-queues its logical records" `Quick
+      test_mvcc_failed_group_requeues;
+    Alcotest.test_case "mvcc: follower drops older generations' records" `Quick
+      test_mvcc_follower_generations;
+    Alcotest.test_case "mvcc follower: deep crash and clean run" `Quick
+      test_mvcc_follower_deep;
+    Alcotest.test_case "legacy: MVCC store with page-image chains replays" `Quick
+      test_mvcc_store_fixture;
   ]

@@ -551,6 +551,124 @@ let test_replica_scan_horizon () =
   | None -> ());
   Alcotest.(check int) "all batches applied" 500 (R.cardinal r)
 
+(* ---------- logical records ---------- *)
+
+let slot_state_str = function
+  | Record_store.Slot_empty -> "empty"
+  | Record_store.Slot_sealed -> "sealed"
+  | Record_store.Slot_chain v ->
+      let rec walk = function
+        | None -> []
+        | Some (v : int Record_store.version) ->
+            Printf.sprintf "%d:%s" v.Record_store.epoch
+              (match v.Record_store.value with Some x -> string_of_int x | None -> "dead")
+            :: walk v.Record_store.prev
+      in
+      "[" ^ String.concat " " (walk (Some v)) ^ "]"
+
+let entries_str es =
+  String.concat "; " (List.map (fun (s, st) -> Printf.sprintf "%d=%s" s (slot_state_str st)) es)
+
+let chain vs =
+  let rec build = function
+    | [] -> None
+    | (epoch, value) :: rest -> Some { Record_store.epoch; value; prev = build rest }
+  in
+  Record_store.Slot_chain (Option.get (build vs))
+
+(* Every slot state a capture can hold survives encode/decode: empty and
+   sealed slots, tombstone heads, payloads that need 9-byte varints
+   (>= 2^56, and their negatives), across record boundaries. *)
+let test_logical_roundtrip () =
+  let big = 1 lsl 56 in
+  Alcotest.(check int) "2^56 takes a 9-byte varint" 9 (Page_codec.varint_bytes big);
+  let entries =
+    [
+      (0, Record_store.Slot_empty);
+      (1, Record_store.Slot_sealed);
+      (2, chain [ (7, None); (5, Some 50); (1, Some 10) ]);
+      (63, chain [ (3, Some big) ]);
+      (64, chain [ (4, Some max_int); (2, Some (-big)); (1, Some min_int) ]);
+      (1_000_000, chain [ (max_int, None) ]);
+      (5, Record_store.Slot_empty);
+    ]
+  in
+  List.iter
+    (fun budget ->
+      let records = Repro_core.Mvcc.encode_logical ~budget ~enc:Fun.id entries in
+      List.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "budget %d: record of %d bytes fits" budget (Bytes.length r))
+            true
+            (Bytes.length r <= budget))
+        records;
+      Alcotest.(check string)
+        (Printf.sprintf "budget %d: round trip" budget)
+        (entries_str entries)
+        (entries_str (Repro_core.Mvcc.decode_logical ~dec:Fun.id records)))
+    [ 512; 24; 12 ];
+  Alcotest.(check int) "no slots, no records" 0
+    (List.length (Repro_core.Mvcc.encode_logical ~budget:512 ~enc:Fun.id []));
+  (* a capture whose last record is missing is refused, not half-applied *)
+  let records = Repro_core.Mvcc.encode_logical ~budget:12 ~enc:Fun.id entries in
+  match
+    Repro_core.Mvcc.decode_logical ~dec:Fun.id
+      (List.filteri (fun i _ -> i < List.length records - 1) records)
+  with
+  | _ -> Alcotest.fail "a capture cut short must not decode"
+  | exception Repro_core.Mvcc.Corrupt_vrec _ -> ()
+
+(* One commit of 2,000 fresh upserts is one capture too large for one
+   record: it splits across several, each at most one data page, all in
+   the commit's one batch, and together they carry every slot. *)
+let test_logical_split () =
+  let module PS = Tree_intf.Paged_int in
+  let module MD = Tree_intf.Mvcc_disk in
+  let module Codec = Page_codec.Make (Key.Int) in
+  let page_size = 512 in
+  let store = PS.create_memory ~page_size ~wal:true () in
+  let t = MD.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store in
+  MD.flush t;
+  let c = mctx ~slot:0 in
+  for k = 1 to 2000 do
+    MD.upsert t c k (k * 7)
+  done;
+  MD.commit t;
+  let a = Wal.Apply.create ~data_page_size:page_size () in
+  let batches = ref [] in
+  let rec pull lsn =
+    match PS.wal_fetch store ~lsn ~max_pages:64 with
+    | Wal.Pages { pages; next } ->
+        List.iter
+          (fun p ->
+            match Wal.Apply.step a p with
+            | Wal.Apply.Batch b -> batches := b :: !batches
+            | Wal.Apply.Progress -> ()
+            | Wal.Apply.Reject msg -> Alcotest.failf "stream: %s" msg)
+          pages;
+        pull next
+    | Wal.At_end | Wal.Stale -> ()
+  in
+  pull 0;
+  let last = List.hd !batches in
+  let records = last.Wal.Apply.b_logical in
+  Alcotest.(check bool)
+    (Printf.sprintf "split across several records (%d)" (List.length records))
+    true
+    (List.length records > 10);
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "each record fits a page" true (Bytes.length r <= page_size))
+    records;
+  let entries = Repro_core.Mvcc.decode_logical ~dec:Fun.id records in
+  Alcotest.(check int) "every upsert's slot logged once" 2000 (List.length entries);
+  (* and the pages wait for the fold *)
+  Alcotest.(check bool) "no vrec page in the commit" true
+    (List.for_all
+       (fun (_, img) -> (Codec.of_bytes img).Node.level <> Node.vrec_level)
+       last.Wal.Apply.b_images)
+
 (* ---------- durable mode (version chains through the paged store) ---------- *)
 
 module MD = Tree_intf.Mvcc_disk
@@ -584,9 +702,12 @@ let test_durable_roundtrip () =
   done;
   MD.commit t;
   Alcotest.(check bool) "durable" true (MD.durable t);
+  (* a commit logs the changed slots; pages wait for the fold *)
+  Alcotest.(check int) "nothing folded at commit" 0 (MD.persisted_versions t);
+  Pg.close store;
+  (* the store's close checkpoints, and its checkpoint folds first *)
   Alcotest.(check bool) "versions persisted" true (MD.persisted_versions t > 200);
   Alcotest.(check bool) "vrec pages allocated" true (MD.persisted_pages t > 0);
-  Pg.close store;
   (* reopen: chains must replay exactly *)
   let store = Pg.open_file ~wal_path:wal path in
   let t = MD.open_durable ~enc:Fun.id ~dec:Fun.id store in
@@ -741,4 +862,6 @@ let suite =
     ("plain v2 store migrates in place", `Quick, test_durable_migrates_plain_store);
     ("pruned versions never resurrect", `Quick, test_durable_no_resurrection);
     ("sharded durable MVCC reopens with one cut", `Quick, test_durable_sharded_reopen);
+    ("logical records round-trip every slot state", `Quick, test_logical_roundtrip);
+    ("2000 upserts split across page-sized records", `Quick, test_logical_split);
   ]

@@ -704,7 +704,21 @@ let test_replica_mvcc_reads () =
   let h1 = Option.get (R.mvcc_horizon r) in
   Alcotest.(check bool) "horizon advanced past the cut" true (h1 > 0);
   Alcotest.(check (option int)) "post-cut write visible" (Some 1)
-    (R.search r ctx 500)
+    (R.search r ctx 500);
+  (* a checkpoint folds the logical records into vrec pages; the next
+     generation's first batch drops the replica's overlay, and every
+     chain still reads from the folded pages *)
+  MD.flush md;
+  (with_client addr @@ fun c ->
+   ignore (C.insert c ~key:600 ~value:6);
+   ignore (C.delete c ~key:10);
+   C.commit c);
+  ignore (drain_replica r rc);
+  Alcotest.(check (option int)) "folded resurrection" (Some 777) (R.search r ctx 7);
+  Alcotest.(check (option int)) "folded write" (Some 1) (R.search r ctx 500);
+  Alcotest.(check (option int)) "next-generation write" (Some 6) (R.search r ctx 600);
+  Alcotest.(check (option int)) "next-generation tombstone" None (R.search r ctx 10);
+  Alcotest.(check int) "live cardinal across the checkpoint" 31 (R.cardinal r)
 
 (* ---------- serve flag compatibility matrix ---------- *)
 
