@@ -788,7 +788,7 @@ let drive_clients ?(send = Repro_client.Client.pipeline) addr ~conns
   Driver.now () -. t0
 
 (* ------------------------------------------------------------------ *)
-(* E14: sharded netbench — shards x domains x durability             *)
+(* E14: sharded netbench — shards x connections                      *)
 (* ------------------------------------------------------------------ *)
 
 let e14 () =
@@ -796,20 +796,18 @@ let e14 () =
   let module Server = Repro_server.Server in
   let module Cl = Repro_client.Client in
   let module SS = Tree_intf.Sharded_int in
-  Report.heading "E14: sharded netbench — shards \u{00D7} domains \u{00D7} durability";
+  Report.heading "E14: sharded netbench — shards \u{00D7} connections";
   Report.note
     "The file-backed server (4 worker domains) behind the partition \
      layer: N independent store+WAL shards, keys routed by hash, each \
      drained batch group-committing only the shards it touched before \
-     its responses flush (durable acks in both modes). Each connection \
+     its responses flush (durable acks). Each connection \
      works one fixed hash stripe of the keyspace (stripe = router hash \
      mod 8), so a batch's mutations land on one shard at every swept \
-     shard count — the affinity the batch router exploits. sync \
-     degrades every ack-covering commit to a serialised full checkpoint \
-     — one durability point for the whole keyspace, no absorption — \
-     while wal gives each shard its own commit mutex, group-commit \
-     leader and log fsync stream, so a shard's connections absorb into \
-     one fsync and independent shards' fsyncs overlap. Group gathering \
+     shard count — the affinity the batch router exploits. Each shard \
+     has its own commit mutex, group-commit leader and log fsync \
+     stream, so a shard's connections absorb into one fsync and \
+     independent shards' fsyncs overlap. Group gathering \
      is left at the default (every commit request seals immediately), \
      so the commit stream itself is the contended resource. Mixed \
      1/4 insert, 1/4 delete, 1/2 search over a preloaded keyspace.";
@@ -819,7 +817,6 @@ let e14 () =
   let shard_counts = if !quick then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
   let conn_counts = if !quick then [ 16 ] else [ 4; 16 ] in
   let depth = 4 in
-  let modes = [ "sync"; "wal" ] in
   (* Stripe the keyspace by the router hash at the finest swept shard
      count: stripe s holds the keys that land on shard s when shards=8,
      and — because [mix k mod 2^j] is determined by [mix k mod 2^k] for
@@ -835,15 +832,12 @@ let e14 () =
     Array.map Array.of_list buckets
   in
   let jrows = ref [] in
-  let run mode shards conns =
+  let run shards conns =
     Gc.compact ();
     let per_conn = total_ops / conns in
     let path = Filename.temp_file "e14" ".pages" in
     let wal_path = path ^ ".wal" in
-    let sst =
-      if mode = "wal" then SS.create_file ~cache_pages:2048 ~wal_path ~shards path
-      else SS.create_file ~cache_pages:2048 ~shards path
-    in
+    let sst = SS.create_file ~cache_pages:2048 ~shards path in
     let _trees, handle = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
     (* Preload the whole keyspace before timing: the working set then
        overflows a single shard's buffer pool (the partition layer gives
@@ -891,7 +885,6 @@ let e14 () =
     jrows :=
       J.Obj
         [
-          ("mode", J.Str mode);
           ("shards", J.Int shards);
           ("workers", J.Int workers);
           ("conns", J.Int conns);
@@ -906,7 +899,6 @@ let e14 () =
         ]
       :: !jrows;
     [
-      mode;
       string_of_int shards;
       string_of_int conns;
       Report.fmt_si tput ^ "/s";
@@ -917,19 +909,11 @@ let e14 () =
     ]
   in
   let rows =
-    List.concat_map
-      (fun mode ->
-        List.concat_map
-          (fun shards -> List.map (run mode shards) conn_counts)
-          shard_counts)
-      modes
+    List.concat_map (fun shards -> List.map (run shards) conn_counts) shard_counts
   in
   Report.table
     ~header:
-      [
-        "mode"; "shards"; "conns"; "tput"; "svc p50"; "svc p99"; "commits";
-        "shard acks";
-      ]
+      [ "shards"; "conns"; "tput"; "svc p50"; "svc p99"; "commits"; "shard acks" ]
     rows;
   record_json "E14"
     (J.Obj

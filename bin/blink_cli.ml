@@ -8,7 +8,7 @@
      crash-test  fault-injection battery over the durable store
      serve     pipelined network server over a tree (TCP / Unix socket)
      client    scripted client session against a running server
-     replica   WAL-shipping read replica of a running wal-mode server
+     replica   WAL-shipping read replica of a running disk-backed server
      scan      pinned-snapshot consistent scan of a running --mvcc server
      backup    online backup of a running --mvcc server into a file
 *)
@@ -29,14 +29,14 @@ module Snap = Snapshot.Make (Key.Int)
 module Co_disk = Compactor.Make_on_store (Key.Int) (Tree_intf.Paged_int)
 module V_disk = Validate.Make_on_store (Key.Int) (Tree_intf.Paged_int)
 
-let impl_of_name ?(wal = false) ?commit_batch ~backend name =
+let impl_of_name ?commit_batch ~backend name =
   match (backend, name) with
   | "mem", "sagiv" -> Tree_intf.sagiv ()
   | "mem", "sagiv-compact" -> Tree_intf.sagiv ~enqueue_on_delete:true ()
   | "mem", "sagiv-mvcc" -> Tree_intf.sagiv_mvcc ()
-  | "disk", "sagiv" -> Tree_intf.sagiv_disk ~wal ?commit_batch ()
+  | "disk", "sagiv" -> Tree_intf.sagiv_disk ?commit_batch ()
   | "disk", "sagiv-compact" ->
-      Tree_intf.sagiv_disk ~enqueue_on_delete:true ~wal ?commit_batch ()
+      Tree_intf.sagiv_disk ~enqueue_on_delete:true ?commit_batch ()
   | "disk", s ->
       failwith (Printf.sprintf "tree %S has no disk backend (only sagiv does)" s)
   | "mem", "lehman-yao" | "mem", "ly" -> Tree_intf.lehman_yao
@@ -66,8 +66,7 @@ let dist_of_name = function
 
 (* Wrap a handle so every [every]-th completed mutation (a global
    counter: whichever worker crosses the boundary issues the call)
-   triggers a durable commit — the CLI's --sync-every / --commit-every
-   semantics. *)
+   triggers a durable commit — the CLI's --commit-every semantics. *)
 let with_periodic_commit every (h : Tree_intf.handle) =
   if every <= 0 then h
   else begin
@@ -92,33 +91,33 @@ let with_periodic_commit every (h : Tree_intf.handle) =
   end
 
 (* Per-shard io lines next to the merged one: the skew observability
-   surface (faults / commits / fsyncs / queue depth per shard). *)
-let print_sharded_io sst =
-  Array.iteri
-    (fun i io -> Printf.printf "io[s%d]: %s\n" i (Stats.io_to_string io))
-    (Tree_intf.Sharded_int.per_shard_io sst);
-  Printf.printf "io: %s\n" (Stats.io_to_string (Tree_intf.Sharded_int.io_stats sst))
+   surface (faults / commits / fsyncs / queue depth per shard). A
+   durable MVCC serve passes each shard's version gauges ([mvcc]); the
+   shards share one epoch, so the merged line counts its pins once. *)
+let print_sharded_io ?mvcc sst =
+  let per_shard = Tree_intf.Sharded_int.per_shard_io sst in
+  Option.iter
+    (fun trees ->
+      Array.iteri
+        (fun i io -> Stats.io_merge ~into:io (Tree_intf.Mvcc_disk.io_stats trees.(i)))
+        per_shard)
+    mvcc;
+  Array.iteri (fun i io -> Printf.printf "io[s%d]: %s\n" i (Stats.io_to_string io)) per_shard;
+  let merged = Stats.io_create () in
+  Array.iter (fun io -> Stats.io_merge ~into:merged io) per_shard;
+  Option.iter
+    (fun trees ->
+      merged.Stats.snap_pins <- (Tree_intf.Mvcc_disk.io_stats trees.(0)).Stats.snap_pins)
+    mvcc;
+  Printf.printf "io: %s\n" (Stats.io_to_string merged)
 
 let run_cmd tree_name backend mix_name dist_name domains ops key_space preload order
-    seed compactors validate latency durability sync_every commit_every
-    commit_batch shards zipf =
-  let wal =
-    match durability with
-    | "sync" -> false
-    | "wal" -> true
-    | s -> failwith (Printf.sprintf "unknown durability %S (sync or wal)" s)
-  in
-  if wal && backend <> "disk" then
-    failwith "--durability wal requires --backend disk";
-  if sync_every > 0 && wal then
-    failwith "--sync-every drives the sync path; use --commit-every with --durability wal";
-  if commit_every > 0 && not wal then
-    failwith "--commit-every drives the group-commit path; use --sync-every with --durability sync";
-  if (sync_every > 0 || commit_every > 0) && backend <> "disk" then
-    failwith "--sync-every/--commit-every require --backend disk";
+    seed compactors validate latency commit_every commit_batch shards zipf =
+  if commit_every > 0 && backend <> "disk" then
+    failwith "--commit-every requires --backend disk";
   if shards > 1 && backend <> "disk" then
     failwith "--shards requires --backend disk";
-  let every = max sync_every commit_every in
+  let every = commit_every in
   let commit_batch = if commit_batch > 1 then Some commit_batch else None in
   let dist =
     match zipf with
@@ -126,7 +125,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     | None -> dist_of_name dist_name
   in
   let dist_label = Repro_util.Distribution.kind_to_string dist in
-  let impl = impl_of_name ~wal ?commit_batch ~backend tree_name in
+  let impl = impl_of_name ?commit_batch ~backend tree_name in
   let spec =
     Workload.spec ~op_mix:(mix_of_name mix_name) ~key_space ~dist ~preload ()
   in
@@ -134,10 +133,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     "tree=%s backend=%s mix=%s dist=%s domains=%d ops/domain=%d keyspace=%d preload=%d order=%d%s\n%!"
     impl.Tree_intf.impl_name backend mix_name dist_label domains ops key_space preload
     order
-    ((if backend = "disk" then
-        Printf.sprintf " durability=%s%s" durability
-          (if every > 0 then Printf.sprintf " every=%d" every else "")
-      else "")
+    ((if every > 0 then Printf.sprintf " commit-every=%d" every else "")
     ^ if shards > 1 then Printf.sprintf " shards=%d" shards else "");
   let needs_raw = compactors > 0 || (validate && tree_name <> "lehman-yao") in
   if needs_raw && shards > 1 then
@@ -187,7 +183,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
         finish_check (fun () -> V.check raw)
     | _ ->
         let raw, h =
-          Tree_intf.sagiv_disk_raw ~enqueue_on_delete ~wal ?commit_batch ~order ()
+          Tree_intf.sagiv_disk_raw ~enqueue_on_delete ?commit_batch ~order ()
         in
         let h = with_periodic_commit every h in
         finish
@@ -206,7 +202,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
       if backend = "disk" && shards > 1 then begin
         let enqueue_on_delete = tree_name = "sagiv-compact" in
         let sst, _trees, h =
-          Tree_intf.sagiv_disk_sharded_raw ~enqueue_on_delete ~wal ?commit_batch
+          Tree_intf.sagiv_disk_sharded_raw ~enqueue_on_delete ?commit_batch
             ~shards ~order ()
         in
         (None, Some sst, with_periodic_commit every h)
@@ -214,7 +210,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
       else if backend = "disk" then begin
         let enqueue_on_delete = tree_name = "sagiv-compact" in
         let raw, h =
-          Tree_intf.sagiv_disk_raw ~enqueue_on_delete ~wal ?commit_batch ~order ()
+          Tree_intf.sagiv_disk_raw ~enqueue_on_delete ?commit_batch ~order ()
         in
         (Some raw.Handle.store, None, with_periodic_commit every h)
       end
@@ -288,11 +284,11 @@ let snapshot_cmd n order =
   for k = 1 to n do
     ignore (S.insert t c k k)
   done;
-  let t0 = Unix.gettimeofday () in
+  let t0 = Driver.now () in
   let bytes = Snap.save t in
-  let t1 = Unix.gettimeofday () in
+  let t1 = Driver.now () in
   let t' = Snap.load bytes in
-  let t2 = Unix.gettimeofday () in
+  let t2 = Driver.now () in
   Printf.printf "saved %d keys: %s in %.3fs, loaded in %.3fs\n" n
     (Report.fmt_bytes (Bytes.length bytes))
     (t1 -. t0) (t2 -. t1);
@@ -344,9 +340,9 @@ let trace_run_cmd path order =
       (fun (impl : Tree_intf.impl) ->
         let h = impl.Tree_intf.make ~order in
         let c = Handle.ctx ~slot:0 in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Driver.now () in
         let ins, del, found = Trace.replay h c ops in
-        let dt = Unix.gettimeofday () -. t0 in
+        let dt = Driver.now () -. t0 in
         Printf.printf "  %-14s %.3fs  inserted=%d deleted=%d hits=%d cardinal=%d\n"
           impl.Tree_intf.impl_name dt ins del found
           (h.Tree_intf.cardinal ());
@@ -367,17 +363,13 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (a, p) ->
       Printf.sprintf "tcp:%s:%d" (Unix.string_of_inet_addr a) p
 
-let serve_cmd tree_name backend order durability commit_batch workers port
-    unix_path shards combine_batch mvcc path =
+let serve_cmd tree_name backend order commit_batch workers port unix_path shards
+    combine_batch mvcc path =
   let cfg =
-    match
-      Repro_server.Serve_config.validate ~backend ~durability ~shards ~mvcc
-        ~path
-    with
+    match Repro_server.Serve_config.validate ~backend ~shards ~mvcc ~path with
     | Ok c -> c
     | Error msg -> failwith msg
   in
-  let wal = cfg.Repro_server.Serve_config.wal in
   let commit_batch = if commit_batch > 1 then Some commit_batch else None in
   (* No compactor runs under [serve], so a sagiv-compact tree would
      queue every sparse leaf for a drain that never comes. Refused before
@@ -404,17 +396,13 @@ let serve_cmd tree_name backend order durability commit_batch workers port
   let mk_sst () =
     match path with
     | None ->
-        Tree_intf.Sharded_int.create_memory ~page_size ~wal ?commit_batch
-          ~shards ()
+        Tree_intf.Sharded_int.create_memory ~page_size ?commit_batch ~shards ()
     | Some p ->
-        let wal_path = if wal then Some (p ^ ".wal") else None in
-        if reopening then
-          Tree_intf.Sharded_int.open_file ?wal_path ?commit_batch ~shards p
+        if reopening then Tree_intf.Sharded_int.open_file ?commit_batch ~shards p
         else
-          Tree_intf.Sharded_int.create_file ~page_size ?wal_path ?commit_batch
-            ~shards p
+          Tree_intf.Sharded_int.create_file ~page_size ?commit_batch ~shards p
   in
-  let sst, store, h =
+  let sst, store, mvcc_trees, h =
     if mvcc && backend = "disk" then begin
       (* durable MVCC: the version chains persist through the same paged
          stores as the tree (one WAL, one group commit per shard), so
@@ -422,11 +410,11 @@ let serve_cmd tree_name backend order durability commit_batch workers port
          reopen picks every chain back up *)
       check_disk_tree ();
       let sst = mk_sst () in
-      let _trees, h =
+      let trees, h =
         if reopening then Tree_intf.sagiv_mvcc_disk_open sst
         else Tree_intf.sagiv_mvcc_disk_on ~order sst
       in
-      (Some sst, None, h)
+      (Some sst, None, Some trees, h)
     end
     else if mvcc then begin
       (* version-stamped memory backend: SNAPSHOT sessions and
@@ -436,7 +424,7 @@ let serve_cmd tree_name backend order durability commit_batch workers port
         if shards > 1 then Tree_intf.sagiv_mvcc_sharded ~shards ()
         else Tree_intf.sagiv_mvcc ()
       in
-      (None, None, impl.Tree_intf.make ~order)
+      (None, None, None, impl.Tree_intf.make ~order)
     end
     else if backend = "disk" && path <> None then begin
       (* file-backed plain serve: partition layer over the on-disk
@@ -447,7 +435,7 @@ let serve_cmd tree_name backend order durability commit_batch workers port
         if reopening then Tree_intf.sagiv_disk_sharded_open sst
         else Tree_intf.sagiv_disk_sharded_on ~order sst
       in
-      (Some sst, None, h)
+      (Some sst, None, None, h)
     end
     else if shards > 1 then begin
       (* sharded serve: N independent store+WAL partitions behind one
@@ -455,51 +443,40 @@ let serve_cmd tree_name backend order durability commit_batch workers port
          shards it touched *)
       check_disk_tree ();
       let sst, _trees, h =
-        Tree_intf.sagiv_disk_sharded_raw ~wal ?commit_batch ~shards ~order ()
+        Tree_intf.sagiv_disk_sharded_raw ?commit_batch ~shards ~order ()
       in
-      (Some sst, None, h)
+      (Some sst, None, None, h)
     end
     else if backend = "disk" then begin
       (* the raw constructor keeps the store at hand for the WAL
          subscription source below *)
       check_disk_tree ();
-      let raw, h = Tree_intf.sagiv_disk_raw ~wal ?commit_batch ~order () in
-      (None, Some raw.Handle.store, h)
+      let raw, h = Tree_intf.sagiv_disk_raw ?commit_batch ~order () in
+      (None, Some raw.Handle.store, None, h)
     end
     else
-      let impl = impl_of_name ~wal ?commit_batch ~backend tree_name in
-      (None, None, impl.Tree_intf.make ~order)
+      let impl = impl_of_name ?commit_batch ~backend tree_name in
+      (None, None, None, impl.Tree_intf.make ~order)
   in
-  (* WAL mode publishes the log over the Subscribe opcode: one source
-     per shard (an unsharded primary is shard 0 of 1) *)
+  (* a disk store publishes its log over the Subscribe opcode: one
+     source per shard (an unsharded primary is shard 0 of 1) *)
   let wal_source =
-    if not wal then None
-    else
-      match (sst, store) with
-      | Some sst, _ ->
-          let stores = Tree_intf.Sharded_int.stores sst in
-          Some
-            {
-              Repro_server.Server.ws_shards = Array.length stores;
-              ws_fetch =
-                (fun ~shard ~lsn ~max_pages ->
-                  Tree_intf.Paged_int.wal_fetch stores.(shard) ~lsn ~max_pages);
-              ws_wait =
-                (fun ~shard ~lsn ~timeout ->
-                  Tree_intf.Paged_int.wal_wait stores.(shard) ~lsn ~timeout);
-            }
-      | None, Some store ->
-          Some
-            {
-              Repro_server.Server.ws_shards = 1;
-              ws_fetch =
-                (fun ~shard:_ ~lsn ~max_pages ->
-                  Tree_intf.Paged_int.wal_fetch store ~lsn ~max_pages);
-              ws_wait =
-                (fun ~shard:_ ~lsn ~timeout ->
-                  Tree_intf.Paged_int.wal_wait store ~lsn ~timeout);
-            }
-      | None, None -> None
+    let source stores =
+      Some
+        {
+          Repro_server.Server.ws_shards = Array.length stores;
+          ws_fetch =
+            (fun ~shard ~lsn ~max_pages ->
+              Tree_intf.Paged_int.wal_fetch stores.(shard) ~lsn ~max_pages);
+          ws_wait =
+            (fun ~shard ~lsn ~timeout ->
+              Tree_intf.Paged_int.wal_wait stores.(shard) ~lsn ~timeout);
+        }
+    in
+    match (sst, store) with
+    | Some sst, _ -> source (Tree_intf.Sharded_int.stores sst)
+    | None, Some store -> source [| store |]
+    | None, None -> None
   in
   let listen =
     (if port >= 0 then [ Unix.ADDR_INET (Unix.inet_addr_loopback, port) ]
@@ -516,10 +493,8 @@ let serve_cmd tree_name backend order durability commit_batch workers port
   List.iter
     (fun a -> Printf.printf "listening on %s\n%!" (string_of_sockaddr a))
     (Repro_server.Server.addresses srv);
-  Printf.printf "tree=%s backend=%s durability=%s workers=%d%s%s%s%s%s (ctrl-C stops)\n%!"
-    h.Tree_intf.name backend
-    (if backend = "disk" then durability else "none")
-    workers
+  Printf.printf "tree=%s backend=%s workers=%d%s%s%s%s%s (ctrl-C stops)\n%!"
+    h.Tree_intf.name backend workers
     (if shards > 1 then Printf.sprintf " shards=%d" shards else "")
     (if combine_batch then " combine=batch" else "")
     (match wal_source with Some _ -> " replication=on" | None -> "")
@@ -539,7 +514,7 @@ let serve_cmd tree_name backend order durability commit_batch workers port
   h.Tree_intf.commit ();
   Printf.printf "%s\n"
     (Stats.server_to_string (Repro_server.Server.stats srv));
-  (match sst with Some sst -> print_sharded_io sst | None -> ());
+  (match sst with Some sst -> print_sharded_io ?mvcc:mvcc_trees sst | None -> ());
   (match h.Tree_intf.mvcc with
   | Some m ->
       let g = m.Tree_intf.gauges () in
@@ -822,22 +797,10 @@ let validate_arg =
 let latency_arg =
   Arg.(value & flag & info [ "latency" ] ~doc:"Measure per-operation latency percentiles.")
 
-let durability_arg =
-  Arg.(value & opt string "sync"
-       & info [ "durability" ] ~docv:"MODE"
-           ~doc:"Disk durability mode: sync (stop-the-world checkpoints) or wal \
-                 (write-ahead log with group commit).")
-
-let sync_every_arg =
-  Arg.(value & opt int 0
-       & info [ "sync-every" ] ~docv:"N"
-           ~doc:"With --durability sync: full store sync every N completed \
-                 mutations (0 = never).")
-
 let commit_every_arg =
   Arg.(value & opt int 0
        & info [ "commit-every" ] ~docv:"N"
-           ~doc:"With --durability wal: durable group commit every N completed \
+           ~doc:"Disk backend: durable group commit every N completed \
                  mutations (0 = never).")
 
 let commit_batch_arg =
@@ -867,8 +830,7 @@ let run_t =
   Term.(
     const run_cmd $ tree_arg $ backend_arg $ mix_arg $ dist_arg $ domains_arg $ ops_arg
     $ space_arg $ preload_arg $ order_arg $ seed_arg $ compactors_arg $ validate_arg
-    $ latency_arg $ durability_arg $ sync_every_arg $ commit_every_arg
-    $ commit_batch_arg $ shards_arg $ zipf_arg)
+    $ latency_arg $ commit_every_arg $ commit_batch_arg $ shards_arg $ zipf_arg)
 
 let n_arg = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of keys.")
 
@@ -905,7 +867,7 @@ let verbose_arg =
 let crash_shards_arg =
   Arg.(value & opt int 4
        & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard count for the sharded crash sweeps, sync and WAL (1 skips them).")
+           ~doc:"Shard count for the sharded crash sweeps (1 skips them).")
 
 let crash_test_t =
   Term.(const crash_test_cmd $ quick_arg $ verbose_arg $ crash_shards_arg)
@@ -939,13 +901,12 @@ let serve_path_arg =
        & info [ "path" ] ~docv:"PATH"
            ~doc:"File-backed store base path (requires --backend disk; shard \
                  i lives at PATH.si, its log at PATH.wal.si). Opens an \
-                 existing store — recovering from its WAL if one is present \
-                 — or creates a fresh one.")
+                 existing store — recovering from its WAL — or creates a \
+                 fresh one.")
 
 let serve_t =
   Term.(
-    const serve_cmd $ tree_arg $ backend_arg $ order_arg $ durability_arg
-    $ commit_batch_arg $ workers_arg $ port_arg $ unix_arg $ shards_arg
+    const serve_cmd $ tree_arg $ backend_arg $ order_arg $ commit_batch_arg $ workers_arg $ port_arg $ unix_arg $ shards_arg
     $ combine_arg $ mvcc_arg $ serve_path_arg)
 
 let host_arg =
@@ -1065,7 +1026,7 @@ let cmds =
       backup_t;
     Cmd.v
       (Cmd.info "replica"
-         ~doc:"Follow a WAL-mode server as a read replica (pull the log over \
+         ~doc:"Follow a disk-backed server as a read replica (pull the log over \
                the Subscribe opcode, serve reads at the replay horizon, \
                optionally promote to read-write when the primary is gone)")
       replica_t;

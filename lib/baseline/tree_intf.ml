@@ -54,9 +54,9 @@ type handle = {
   cardinal : unit -> int;
   height : unit -> int;
   commit : unit -> unit;
-      (** durably commit completed operations (group commit on a
-          WAL-mode disk backend, full sync on a plain durable one, no-op
-          in memory) — callable from any worker domain *)
+      (** durably commit completed operations (group commit on the
+          disk backend, no-op in memory) — callable from any worker
+          domain *)
   range : (Handle.ctx -> lo:int -> hi:int -> (int * int) list) option;
       (** lock-free ordered scan of [lo <= key <= hi] along the leaf
           chain; [None] on backends without a leaf chain to walk (the
@@ -341,24 +341,23 @@ let check_page_fits ~order store =
          "order %d needs %d-byte pages (its full node frames %d B); the store's pages are %d B"
          order (page_size_for_order order) need have)
 
-let make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch
-    ?(wal = false) ~order () =
+let make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ~order
+    () =
   Paged_int.create_memory ~page_size:(page_size_for_order order) ?cache_pages
-    ?stripes ?commit_interval ?commit_batch ~wal ()
+    ?stripes ?commit_interval ?commit_batch ()
 
 (** The same Sagiv tree over the durable {!Repro_storage.Paged_store}
-    (memory-backed paged file: full pager stack, no filesystem). [wal]
-    attaches a write-ahead log so [handle.commit] group-commits instead
-    of degrading to a stop-the-world sync. *)
+    (memory-backed data and log devices: full pager stack, no
+    filesystem); [handle.commit] group-commits through the log. *)
 let sagiv_disk ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ?wal () =
+    ?commit_interval ?commit_batch () =
   {
     impl_name = "sagiv-disk";
     make =
       (fun ~order ->
         let store =
           make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch
-            ?wal ~order ()
+            ~order ()
         in
         let t = Sagiv_disk.create ~order ~enqueue_on_delete ~store () in
         of_ops
@@ -372,10 +371,9 @@ let sagiv_disk ?(enqueue_on_delete = false) ?cache_pages ?stripes
     compaction workers, store statistics (the store is
     [raw.Handle.store]) and validation. *)
 let sagiv_disk_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ?wal ~order () =
+    ?commit_interval ?commit_batch ~order () =
   let store =
-    make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ?wal
-      ~order ()
+    make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ~order ()
   in
   let t = Sagiv_disk.create ~order ~enqueue_on_delete ~store () in
   ( t,
@@ -434,10 +432,10 @@ let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
     back the sharded store (per-shard io stats) and the raw
     trees alongside the handle. *)
 let sagiv_disk_sharded_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ?wal ~shards ~order () =
+    ?commit_interval ?commit_batch ~shards ~order () =
   let sst =
     Sharded_int.create_memory ~page_size:(page_size_for_order order)
-      ?cache_pages ?stripes ?commit_interval ?commit_batch ?wal ~shards ()
+      ?cache_pages ?stripes ?commit_interval ?commit_batch ~shards ()
   in
   let trees, h = sagiv_disk_sharded_on ~enqueue_on_delete ~order sst in
   (sst, trees, h)

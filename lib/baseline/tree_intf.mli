@@ -54,9 +54,9 @@ type handle = {
   cardinal : unit -> int;
   height : unit -> int;
   commit : unit -> unit;
-      (** durably commit completed operations (group commit on a
-          WAL-mode disk backend, full sync on a plain durable one, no-op
-          in memory) — callable from any worker domain *)
+      (** durably commit completed operations (group commit on the
+          disk backend, no-op in memory) — callable from any worker
+          domain *)
   range : (Handle.ctx -> lo:int -> hi:int -> (int * int) list) option;
       (** lock-free ordered scan of [lo <= key <= hi] along the leaf
           chain; [None] on backends without one (the network server
@@ -179,15 +179,13 @@ val sagiv_disk :
   ?stripes:int ->
   ?commit_interval:float ->
   ?commit_batch:int ->
-  ?wal:bool ->
   unit ->
   impl
-(** {!sagiv} over {!Repro_storage.Paged_store} (memory-backed paged
-    file: codec + node cache + eviction, no filesystem) with
-    {!page_size_for_order} pages. [stripes]
-    selects the store's IO stripe count; [wal] attaches a write-ahead
-    log so the handle's [commit] group-commits ([commit_interval] /
-    [commit_batch] tune it) instead of degrading to a full sync. *)
+(** {!sagiv} over {!Repro_storage.Paged_store} (memory-backed data and
+    log devices: codec + node cache + eviction + group commit, no
+    filesystem) with {!page_size_for_order} pages. [stripes] selects the
+    store's IO stripe count; the handle's [commit] group-commits through
+    the log ([commit_interval] / [commit_batch] tune it). *)
 
 val sagiv_disk_raw :
   ?enqueue_on_delete:bool ->
@@ -195,7 +193,6 @@ val sagiv_disk_raw :
   ?stripes:int ->
   ?commit_interval:float ->
   ?commit_batch:int ->
-  ?wal:bool ->
   order:int ->
   unit ->
   (int, Paged_int.t) Handle.t * handle
@@ -228,7 +225,6 @@ val sagiv_disk_sharded_raw :
   ?stripes:int ->
   ?commit_interval:float ->
   ?commit_batch:int ->
-  ?wal:bool ->
   shards:int ->
   order:int ->
   unit ->

@@ -299,9 +299,6 @@ struct
     d_group_bits : int;
     d_page_bytes : int;
         (** encoded stream bytes per vrec page ({!Page_codec.vrec_budget}) *)
-    d_logs : bool;
-        (** the store logs logical records; without a log every commit
-            folds *)
     d_mu : Mutex.t;
     d_pages : (int, Node.ptr list) Hashtbl.t;  (** group -> head :: rest *)
     d_group_versions : (int, int) Hashtbl.t;
@@ -716,9 +713,8 @@ struct
   let log_slots t d slots =
     if slots <> [] then begin
       let entries = List.map (fun s -> (s, R.export t.records s)) slots in
-      ignore
-        (S.log_logical d.d_store
-           (encode_logical ~budget:(S.page_size d.d_store) ~enc:d.d_enc entries));
+      S.log_logical d.d_store
+        (encode_logical ~budget:(S.page_size d.d_store) ~enc:d.d_enc entries);
       List.iter (fun s -> d.d_logged <- ISet.add (s lsr d.d_group_bits) d.d_logged) slots
     end
 
@@ -732,9 +728,8 @@ struct
         d.d_unfolded <- ISet.remove g d.d_unfolded)
       d.d_unfolded
 
-  (* Capture the slots changed since the last capture, fold if asked (or
-     if the store has no log), and refresh the metadata blob (tree
-     geometry + MVCC extension).
+  (* Capture the slots changed since the last capture, fold if asked,
+     and refresh the metadata blob (tree geometry + MVCC extension).
 
      A commit logs every changed slot. A fold — at each checkpoint —
      first logs the changed slots of groups that may already have a
@@ -768,13 +763,12 @@ struct
               d.d_unfolded <- ISet.add g d.d_unfolded
             end)
           dirty;
-        if d.d_logs then
-          log_slots t d
-            (List.sort_uniq Int.compare
-               (if fold_all then
-                  List.filter (fun s -> ISet.mem (s lsr d.d_group_bits) d.d_logged) dirty
-                else dirty));
-        if fold_all || not d.d_logs then fold t d;
+        log_slots t d
+          (List.sort_uniq Int.compare
+             (if fold_all then
+                List.filter (fun s -> ISet.mem (s lsr d.d_group_bits) d.d_logged) dirty
+              else dirty));
+        if fold_all then fold t d;
         let clock = Epoch.current t.epoch in
         let horizon =
           let m = Epoch.min_pinned t.epoch in
@@ -788,9 +782,8 @@ struct
         S.set_meta d.d_store (Bytes.cat (T.encode_meta t.tree) ext))
 
   (** Durably commit completed operations: on a durable tree the chain
-      changes ride the same commit batch — as logical records of the
-      changed slots when the store has a log, else as a fold of their
-      groups' pages. Plain (memory) trees defer to {!T.commit}. *)
+      changes ride the same commit batch as logical records of the
+      changed slots. Plain (memory) trees defer to {!T.commit}. *)
   let commit t =
     match t.durable with
     | None -> T.commit t.tree
@@ -814,7 +807,6 @@ struct
       d_dec = dec;
       d_group_bits = group_bits;
       d_page_bytes = Page_codec.vrec_budget ~page_size:(S.page_size store);
-      d_logs = S.log_logical store [];
       d_mu = Mutex.create ();
       d_pages = Hashtbl.create 64;
       d_group_versions = Hashtbl.create 64;

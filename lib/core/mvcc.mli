@@ -187,10 +187,11 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
 
   val commit : 'v t -> unit
   (** Durable group commit of completed operations. In durable mode the
-      chain changes ride the same batch: the new state of every changed
-      slot as logical records when the store has a log
-      ({!Repro_storage.Page_store.S.log_logical}), else a fold of their
-      groups' pages. Falls back to {!T.commit} on non-durable stores. *)
+      chain changes ride the same batch, as logical records of the new
+      state of every changed slot
+      ({!Repro_storage.Page_store.S.log_logical}); their groups' pages
+      are rewritten at the next checkpoint. Falls back to {!T.commit} on
+      non-durable stores. *)
 
   val flush : 'v t -> unit
   (** Quiescent full sync (checkpoint path): folds every group changed

@@ -545,8 +545,9 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
     S.sync t.store
 
   (** Durably commit every completed operation: refresh the metadata blob
-      (so the committed batch carries the geometry it needs — on a WAL
-      store the blob travels in the same log batch as the page images)
+      (so the committed batch carries the geometry it needs — on a
+      durable store the blob travels in the same log batch as the page
+      images)
       and {!Page_store.S.commit} the store. Unlike {!flush}, safe to call
       while operations run in other domains. *)
   let commit (t : t) =

@@ -104,10 +104,9 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
 
   val commit : t -> unit
   (** Durably commit every {e completed} operation: refresh the metadata
-      blob and {!Page_store.S.commit} the store. On a WAL-mode
-      {!Paged_store} this is a group commit — concurrency-safe, no
-      quiescence needed; on other durable stores it degrades to a full
-      [sync] (then quiescent-only); in memory it is a no-op. *)
+      blob and {!Page_store.S.commit} the store. On a {!Paged_store}
+      this is a group commit through its log — concurrency-safe, no
+      quiescence needed; in memory it is a no-op. *)
 
   val open_existing : ?enqueue_on_delete:bool -> S.t -> t
   (** Rebuild a handle over a store that was {!flush}ed (and possibly

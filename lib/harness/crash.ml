@@ -4,19 +4,20 @@
     {!Repro_storage.Paged_store} stack on {e crash-shadow}
     {!Repro_storage.Paged_file} devices (writes not covered by an fsync
     are lost at the crash), with one {!Repro_storage.Failpoint} site
-    armed to kill the simulated process at an exact IO boundary. Its
-    {!scenario} names the durable configuration — sync or WAL
-    durability, the shard count, the plain tree or durable MVCC, and an
-    optional WAL-shipping follower. After the crash it harvests the
+    armed to kill the simulated process at an exact IO boundary. Every
+    store logs (WAL group commit, with periodic checkpoints); its
+    {!scenario} names the rest of the durable configuration — the shard
+    count, the plain tree or durable MVCC, and an optional WAL-shipping
+    follower of shard 0. After the crash it harvests the
     durable images, reopens them cold, and checks:
 
     - the store opens (falling back across header slots, degrading a
       damaged free chain to a leak — never refusing an intact tree);
     - {!Repro_core.Validate} finds a structurally sound tree;
     - every shard's recovered contents are {e exactly} one of the two
-      states its commit point permits: the last acknowledged commit (a
-      sync, in sync mode), or — only when the crash hit inside a commit
-      after its fsync — the in-flight one. Acknowledged data is never
+      states its commit point permits: the last acknowledged commit, or
+      — only when the crash hit inside a commit after its fsync — the
+      in-flight one. Acknowledged data is never
       lost, and no value is ever torn or half-applied.
 
     The oracle is a sequential model: the workload runs single-domain,
@@ -35,10 +36,10 @@ module MV = Repro_core.Mvcc.Make_on_store (Key.Int) (PS)
 
 type scenario = {
   cache_pages : int;  (** decoded-node cache size (small → eviction traffic) *)
-  wal : bool;  (** WAL group commit; [false] = sync (checkpoint) durability *)
   shards : int;  (** independent store pairs, keys routed by {!Shard_router} *)
   mvcc : bool;  (** durable MVCC version chains over the tree *)
-  follower : bool;  (** a WAL-shipping follower, promoted after the crash *)
+  follower : bool;
+      (** a WAL-shipping follower of shard 0, promoted after the crash *)
   page_size : int;  (** data page bytes (the log page follows from it) *)
 }
 
@@ -97,9 +98,9 @@ let log_device ?(page_size = data_page_size) () =
     ~page_size:(Wal.log_page_size ~data_page_size:page_size)
     ()
 
-let mk_scenario ?(wal = false) ?(shards = 1) ?(mvcc = false)
-    ?(follower = false) ?(page_size = data_page_size) cache_pages =
-  { cache_pages; wal; shards; mvcc; follower; page_size }
+let mk_scenario ?(shards = 1) ?(mvcc = false) ?(follower = false)
+    ?(page_size = data_page_size) cache_pages =
+  { cache_pages; shards; mvcc; follower; page_size }
 
 (* The suffix that names a non-default page size in the battery log. *)
 let page_label page_size =
@@ -107,14 +108,14 @@ let page_label page_size =
   else Printf.sprintf ".%dk" (page_size / 1024)
 
 (* Reopen the durable image a crash at this instant would leave behind:
-   the data device's crash image, replaying the log device's in WAL
-   mode. All failpoints are disarmed first: the dead process's policies
-   must not outlive it into recovery. *)
-let recover ?shard ?wal ~cache_pages pfile =
+   the data device's crash image, replaying the log device's. All
+   failpoints are disarmed first: the dead process's policies must not
+   outlive it into recovery. *)
+let recover ?shard ~wal ~cache_pages pfile =
   let image = Paged_file.crash_image pfile in
-  let wal = Option.map Paged_file.crash_image wal in
+  let wal = Paged_file.crash_image wal in
   Failpoint.reset ();
-  PS.open_from ?expect_shard:shard ~cache_pages ?wal image
+  PS.open_from ?expect_shard:shard ~cache_pages ~wal image
 
 let check_valid tree ~what =
   let r = V.check tree in
@@ -519,46 +520,41 @@ let mvcc_engine ~what store (o : Commit_point.t) =
 
 (* The policy-column suffix that names a scenario in the battery log. *)
 let label sc =
-  (if sc.follower then if sc.mvcc then "+wal.mvcc.follower" else "+repl"
-   else if sc.mvcc then if sc.wal then "+mvcc" else "+mvcc.sync"
-   else if sc.shards > 1 then
-     Printf.sprintf "+%s.x%d" (if sc.wal then "wal" else "sync") sc.shards
-   else if sc.wal then "+wal"
-   else "")
+  (if sc.follower then
+     if sc.mvcc then "+wal.mvcc.follower"
+     else if sc.shards > 1 then Printf.sprintf "+repl.x%d" sc.shards
+     else "+repl"
+   else if sc.mvcc then "+mvcc"
+   else if sc.shards > 1 then Printf.sprintf "+wal.x%d" sc.shards
+   else "+wal")
   ^ page_label sc.page_size
 
 (** One crash run: preload + checkpoint on every shard, arm [site] with
     [policy], run the engine's seeded mix with a commit point every
     [period] ops, catch the simulated death, recover every shard from
-    its own crash images and hold it to its commit-point oracle. A run
-    where the policy never fires ends with a clean commit and an
-    exact-contents check instead. *)
+    its own crash images and hold it to its commit-point oracle (and a
+    follower, promoted, to shard 0's). A run where the policy never
+    fires ends with a clean commit and an exact-contents check
+    instead. *)
 let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
   let n = sc.shards in
-  if n < 1 || (sc.mvcc && n > 1)
-     || (sc.follower && (n > 1 || not sc.wal))
-  then invalid_arg "Crash.run: no engine for this scenario";
+  if n < 1 || (sc.mvcc && n > 1) then
+    invalid_arg "Crash.run: no engine for this scenario";
   let what = Printf.sprintf "%s (%s%s)" site (policy_name policy) (label sc) in
   let ops = Option.value ops ~default:(if sc.follower then 300 else 400) in
   let seed =
     Option.value seed
-      ~default:
-        (if sc.follower || n > 1 then 2042
-         else if sc.mvcc then 4042
-         else if sc.wal then 1042
-         else 42)
+      ~default:(if sc.follower || n > 1 then 2042 else if sc.mvcc then 4042 else 1042)
   in
   Failpoint.reset ();
   let page_size = sc.page_size in
   let devices =
-    Array.init n (fun _ ->
-        ( data_device ~page_size (),
-          if sc.wal then Some (log_device ~page_size ()) else None ))
+    Array.init n (fun _ -> (data_device ~page_size (), log_device ~page_size ()))
   in
   let stores =
     Array.mapi
       (fun s (pfile, wal) ->
-        PS.create_on ~shard:(s, n) ~cache_pages:sc.cache_pages ?wal pfile)
+        PS.create_on ~shard:(s, n) ~cache_pages:sc.cache_pages ~wal pfile)
       devices
   in
   let oracles = Array.init n (fun _ -> Commit_point.create ()) in
@@ -583,16 +579,14 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
   let follower =
     if sc.follower then
       Some
-        (attach_follower ~what ~mvcc:sc.mvcc stores.(0)
-           (Option.get (snd devices.(0))))
+        (attach_follower ~what ~mvcc:sc.mvcc stores.(0) (snd devices.(0)))
     else None
   in
-  (* sync mode checkpoints every 25 ops; WAL group-commits every 5 and
-     checkpoints on every 100th op instead, so each run crosses both
-     mechanisms; a followed primary commits every 3 ops and never
-     checkpoints *)
-  let period = if sc.follower then 3 else if sc.wal then 5 else 25 in
-  let checkpoint i = (not sc.wal) || (i mod 100 = 0 && not sc.follower) in
+  (* group-commit every 5 ops and checkpoint on every 100th, so each run
+     crosses both mechanisms; a followed primary commits every 3 ops and
+     never checkpoints *)
+  let period = if sc.follower then 3 else 5 in
+  let checkpoint i = i mod 100 = 0 && not sc.follower in
   let acked = ref 0 in
   let issued = ref 0 in
   let crashed = ref false in
@@ -624,7 +618,7 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
     Failpoint.reset ();
     e.quiesce ();
     for s = 0 to n - 1 do
-      commit s ~checkpoint:(not sc.wal)
+      commit s ~checkpoint:false
     done;
     e.acked ();
     Option.iter (fun (drain, _) -> drain ()) follower
@@ -638,7 +632,7 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
       in
       let store, recovered =
         e.reopen what (fun () ->
-            recover ~shard:(s, n) ?wal ~cache_pages:sc.cache_pages pfile)
+            recover ~shard:(s, n) ~wal ~cache_pages:sc.cache_pages pfile)
       in
       Commit_point.check oracles.(s) ~what recovered;
       List.iter
@@ -649,7 +643,8 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
         recovered;
       Option.iter
         (fun { p_pairs; p_chains } ->
-          (* the follower's reads at its horizon are a committed cut *)
+          (* the follower's reads at its horizon are a committed cut of
+             the shard it follows *)
           Commit_point.check oracles.(s) ~what:(what ^ " (follower)") p_pairs;
           if p_pairs <> recovered then
             fail "%s: promoted follower (%d keys) diverged from the recovered primary (%d keys)"
@@ -657,7 +652,7 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
           if p_chains <> e.chains () then
             fail "%s: promoted follower recovered other version chains than the primary"
               what)
-        promoted;
+        (if s = 0 then promoted else None);
       keys := !keys + List.length recovered;
       gen := max !gen (PS.generation store))
     devices;
@@ -675,7 +670,8 @@ let run ?ops ?seed ?(dist = Repro_util.Distribution.Uniform) ~site ~policy sc =
 (* ---------- targeted runs ---------- *)
 
 (** Torn header-slot write: with nothing else dirty, the first write of a
-    sync is the staged header — tear it mid-page and die. The slot being
+    sync is the staged header (its CHECKPOINT marker waits in the log's
+    memory for the next group) — tear it mid-page and die. The slot being
     torn is the {e alternate} one, so recovery never loses the committed
     generation: depending on where the seeded tear lands, the torn slot
     either fails its checksum (or reproduces stale-but-valid older-gen
@@ -697,7 +693,8 @@ let run_torn_header ?(page_size = data_page_size) () =
     Failpoint.reset ();
     Failpoint.seed (0x7EAD + s);
     let pfile = data_device ~page_size () in
-    let store = PS.create_on ~cache_pages:8 pfile in
+    let lfile = log_device ~page_size () in
+    let store = PS.create_on ~cache_pages:8 ~wal:lfile pfile in
     let tree = Sg.create ~order:4 ~store () in
     let c = Sg.ctx ~slot:0 in
     let model = Hashtbl.create 64 in
@@ -715,7 +712,7 @@ let run_torn_header ?(page_size = data_page_size) () =
     (match Sg.flush tree with
     | () -> fail "torn header write: sync must crash"
     | exception Failpoint.Crash _ -> ());
-    let store2 = recover ~cache_pages:8 pfile in
+    let store2 = recover ~cache_pages:8 ~wal:lfile pfile in
     let tree2 = Sg.open_existing store2 in
     check_valid tree2 ~what:"torn header";
     if not (matches_model (Sg.to_list tree2) model) then
@@ -750,7 +747,8 @@ let run_torn_header ?(page_size = data_page_size) () =
 let run_torn_chain () =
   Failpoint.reset ();
   let pfile = data_device () in
-  let store = PS.create_on ~cache_pages:8 pfile in
+  let lfile = log_device () in
+  let store = PS.create_on ~cache_pages:8 ~wal:lfile pfile in
   let live = [ 0; 2; 4 ] and doomed = [ 1; 3; 5 ] in
   let ptrs = List.init 6 (fun i -> (i, PS.alloc store (leaf i))) in
   let ptr_of i = List.assoc i ptrs in
@@ -767,7 +765,7 @@ let run_torn_chain () =
   (match PS.sync store with
   | () -> fail "torn chain write: sync must crash"
   | exception Failpoint.Crash _ -> ());
-  let store2 = recover ~cache_pages:8 pfile in
+  let store2 = recover ~cache_pages:8 ~wal:lfile pfile in
   if PS.generation store2 <> committed_gen then
     fail "torn chain: recovered generation %d, expected %d"
       (PS.generation store2) committed_gen;
@@ -804,7 +802,8 @@ let run_torn_chain () =
 let run_short_writes () =
   Failpoint.reset ();
   let pfile = data_device () in
-  let store = PS.create_on ~cache_pages:8 pfile in
+  let lfile = log_device () in
+  let store = PS.create_on ~cache_pages:8 ~wal:lfile pfile in
   let tree = Sg.create ~order:4 ~store () in
   let c = Sg.ctx ~slot:0 in
   let model = Hashtbl.create 256 in
@@ -822,7 +821,7 @@ let run_short_writes () =
     if i mod 50 = 0 then Sg.flush tree
   done;
   Sg.flush tree;
-  let store2 = recover ~cache_pages:8 pfile in
+  let store2 = recover ~cache_pages:8 ~wal:lfile pfile in
   let tree2 = Sg.open_existing store2 in
   check_valid tree2 ~what:"short writes";
   if not (matches_model (Sg.to_list tree2) model) then
@@ -851,7 +850,8 @@ let expect_injected what f =
 let run_error_paths () =
   Failpoint.reset ();
   let pfile = data_device () in
-  let store = PS.create_on ~cache_pages:4 pfile in
+  let lfile = log_device () in
+  let store = PS.create_on ~cache_pages:4 ~wal:lfile pfile in
   let n = 24 in
   let ptrs = Array.init n (fun i -> PS.alloc store (leaf i)) in
   PS.sync store;
@@ -899,7 +899,7 @@ let run_error_paths () =
   (* last leaf put to page [i] by the stages above *)
   let expect i = if i <= evicted_up_to then i + 100 else i in
   let check_image ~what ~from =
-    let image = PS.open_from ~cache_pages:8 (Paged_file.crash_image pfile) in
+    let image = recover ~cache_pages:8 ~wal:lfile pfile in
     for i = from to n - 1 do
       let node = PS.get image ptrs.(i) in
       if node.Node.keys <> [| expect i |] then
@@ -923,7 +923,6 @@ let run_error_paths () =
   sync_once "paged_store.sync.chain";
 
   (* everything must have survived the error storm *)
-  Failpoint.reset ();
   check_image ~what:"across the error storm" ~from:1
 
 (** Torn log append: with the cache big enough to hold the whole tree,
@@ -966,7 +965,7 @@ let run_wal_torn_append () =
   {
     site = "paged_file.pwrite";
     policy = "torn(wal)";
-    scenario = mk_scenario ~wal:true 256;
+    scenario = mk_scenario 256;
     crashed = true;
     ops = 80;
     acked_syncs = 2;
@@ -1012,7 +1011,7 @@ let run_wal_commit_crash () =
   {
     site = "wal.commit";
     policy = "crash@1(fsync)";
-    scenario = mk_scenario ~wal:true 32;
+    scenario = mk_scenario 32;
     crashed = true;
     ops = 70;
     acked_syncs = 2;
@@ -1067,7 +1066,7 @@ let run_wal_replay_crash () =
   {
     site = "wal.replay";
     policy = "crash@2(replay)";
-    scenario = mk_scenario ~wal:true 16;
+    scenario = mk_scenario 16;
     crashed = true;
     ops = 70;
     acked_syncs = 2;
@@ -1235,7 +1234,7 @@ let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
   {
     site = "wal.pitr";
     policy = "replay-to-lsn";
-    scenario = mk_scenario ~wal:true 32;
+    scenario = mk_scenario 32;
     crashed = false;
     ops;
     acked_syncs = Array.length snaps;
@@ -1253,21 +1252,9 @@ let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
 let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
   let ordinals = if quick then [ 1 ] else [ 1; 3; 7 ] in
   let caches big = if quick then [ 8 ] else [ 8; big ] in
-  let sync_sites =
-    [
-      "paged_file.pwrite";
-      "paged_file.pread";
-      "paged_file.fsync";
-      "paged_store.fault";
-      "paged_store.evict";
-      "paged_store.sync.data";
-      "paged_store.sync.header";
-      "paged_store.sync.commit";
-    ]
-  in
   (* the WAL's own sites plus the device and checkpoint sites the log
      path shares *)
-  let wal_sites =
+  let log_sites =
     [
       "wal.append";
       "wal.commit";
@@ -1275,6 +1262,21 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       "paged_file.fsync";
       "paged_store.sync.header";
     ]
+  in
+  (* ... and the pager's: faults, eviction write-back and the rest of
+     the checkpoint *)
+  let store_sites =
+    log_sites
+    @ [
+        "paged_file.pread";
+        "paged_store.fault";
+        "paged_store.evict";
+        "paged_store.sync.data";
+        "paged_store.sync.commit";
+      ]
+  in
+  let follower_sites =
+    [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
   in
   let sweep ?seed ?dist ?(ordinals = ordinals) caches sites mk =
     List.concat_map
@@ -1295,14 +1297,11 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
   let sharded rows = if shards > 1 then rows else [] in
   let table =
     [
-      sweep (caches 64) sync_sites mk_scenario;
-      sweep (caches 64) wal_sites (mk_scenario ~wal:true);
-      sharded (sweep [ 8 ] wal_sites (mk_scenario ~wal:true ~shards));
-      sweep ~seed:3042 ~dist:zipf [ 8 ]
-        [ "wal.append"; "wal.commit" ]
-        (mk_scenario ~wal:true);
-      sweep ~seed:3042 ~dist:zipf ~ordinals:[ 3 ] [ 8 ]
-        [ "paged_file.pwrite" ] mk_scenario;
+      sweep (caches 64) store_sites mk_scenario;
+      sharded (sweep (caches 64) store_sites (mk_scenario ~shards));
+      sweep ~seed:3042 ~dist:zipf [ 8 ] [ "wal.append"; "wal.commit" ] mk_scenario;
+      sweep ~seed:3042 ~dist:zipf ~ordinals:[ 3 ] [ 8 ] [ "paged_file.pwrite" ]
+        mk_scenario;
       [
         run_torn_header;
         run_torn_header ~page_size:large_page_size;
@@ -1312,22 +1311,16 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
         run_wal_commit_crash;
         run_wal_replay_crash;
       ];
-      sweep (caches 32)
-        [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
-        (mk_scenario ~wal:true ~follower:true);
-      sweep (caches 32) wal_sites (mk_scenario ~wal:true ~mvcc:true);
-      sweep (caches 32)
-        [ "wal.append"; "wal.commit"; "paged_file.pwrite"; "paged_file.fsync" ]
-        (mk_scenario ~wal:true ~mvcc:true ~follower:true);
+      sweep (caches 32) follower_sites (mk_scenario ~follower:true);
+      sharded (sweep [ 8 ] follower_sites (mk_scenario ~shards ~follower:true));
+      sweep (caches 32) store_sites (mk_scenario ~mvcc:true);
+      sweep (caches 32) follower_sites (mk_scenario ~mvcc:true ~follower:true);
       (* the 4096-byte page of every store written before pages were
-         sized to the node, at the first ordinal in either mode *)
-      sweep ~ordinals:[ 1 ] [ 8 ] wal_sites
-        (mk_scenario ~wal:true ~page_size:large_page_size);
-      sweep ~ordinals:[ 1 ] [ 8 ] wal_sites
-        (mk_scenario ~wal:true ~mvcc:true ~page_size:large_page_size);
+         sized to the node, at the first ordinal *)
+      sweep ~ordinals:[ 1 ] [ 8 ] log_sites (mk_scenario ~page_size:large_page_size);
+      sweep ~ordinals:[ 1 ] [ 8 ] log_sites
+        (mk_scenario ~mvcc:true ~page_size:large_page_size);
       [ (fun () -> run_wal_pitr ()) ];
-      sharded (sweep (caches 64) sync_sites (mk_scenario ~shards));
-      sweep (caches 64) sync_sites (mk_scenario ~mvcc:true);
     ]
   in
   let outcomes = ref [] in

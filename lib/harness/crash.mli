@@ -1,8 +1,8 @@
 (** Simulated-crash harness: one runner, {!run}, drives a workload over
     the durable {!Repro_storage.Paged_store} stack on crash-shadow
-    {!Repro_storage.Paged_file} devices in any durable {!scenario} (sync
-    or WAL, one or several shards, plain tree or MVCC, with or without a
-    follower), kills the simulated process at an armed
+    {!Repro_storage.Paged_file} devices in any durable {!scenario} (one
+    or several shards, plain tree or MVCC, with or without a follower;
+    every store logs), kills the simulated process at an armed
     {!Repro_storage.Failpoint} site, reopens the durable images and
     holds every shard to one commit-point oracle: the last acknowledged
     commit, or the in-flight one when the crash landed past its fsync.
@@ -11,12 +11,12 @@
 
 type scenario = {
   cache_pages : int;  (** decoded-node cache size (small → eviction traffic) *)
-  wal : bool;  (** WAL group commit; [false] = sync (checkpoint) durability *)
   shards : int;
       (** independent store pairs, keys routed by
           {!Repro_storage.Shard_router} *)
   mvcc : bool;  (** durable MVCC version chains over the tree *)
-  follower : bool;  (** a WAL-shipping follower, promoted after the crash *)
+  follower : bool;
+      (** a WAL-shipping follower of shard 0, promoted after the crash *)
   page_size : int;
       (** data page bytes: 512 (order 4's page) in most rows, 4096 in the
           rows that cover stores written before pages were sized to the
@@ -47,12 +47,11 @@ val run :
   scenario ->
   outcome
 (** One crash run against the commit-point oracle. Every shard gets its
-    own shadow data device (and log device under [wal]), is preloaded
-    and checkpointed, and then the failpoint arms and a seeded mix runs:
-    insert/delete/search on the plain tree, or upsert/delete/get with
-    op-salted values, a pinned snapshot and vacuum churn under [mvcc].
-    Commit points follow from the scenario: a sync every 25 ops in sync
-    mode; under [wal] a group commit every 5 ops, every 100th op a
+    own shadow data and log devices, is preloaded and checkpointed, and
+    then the failpoint arms and a seeded mix runs: insert/delete/search
+    on the plain tree, or upsert/delete/get with op-salted values, a
+    pinned snapshot and vacuum churn under [mvcc]. Commit points follow
+    from the scenario: a group commit every 5 ops, every 100th op a
     checkpoint instead; with a [follower], a commit every 3 ops, no
     checkpoint, and the follower drained after each. With several
     [shards] keys route by {!Repro_storage.Shard_router} and a commit
@@ -66,17 +65,18 @@ val run :
     [mvcc] adds three checks: two recoveries of the same images yield
     identical version chains, versions pruned before an acked commit
     never resurrect, and a fresh pin reads the recovered state. A
-    [follower] catches up from the log device's crash image, is
-    promoted, and must agree exactly with the recovered primary;
+    [follower] of shard 0 catches up from that shard's log device's
+    crash image, is promoted, and must agree exactly with the recovered
+    shard;
     following an MVCC primary, its reads at the replicated clock must
     also be a committed cut, and its store opened through
     [Mvcc.open_durable] must recover the primary's version chains.
 
     Defaults replay the historical seeded histories: [ops] 400 (300 with
-    a follower); [seed] 42 sync, 1042 WAL, 4042 MVCC, 2042 sharded or
-    followed; [dist] uniform over 200 keys (400 when sharded).
-    @raise Invalid_argument when [shards < 1], for MVCC over several
-    shards, and for a follower anywhere but on one WAL shard.
+    a follower); [seed] 1042, 4042 MVCC, 2042 sharded or followed;
+    [dist] uniform over 200 keys (400 when sharded).
+    @raise Invalid_argument when [shards < 1] and for MVCC over several
+    shards.
     @raise Failure on any violated recovery invariant. *)
 
 val run_torn_header : ?page_size:int -> unit -> outcome

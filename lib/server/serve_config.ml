@@ -3,22 +3,20 @@
     resolves to either a coherent configuration or a single actionable
     error — the CLI applies it verbatim and the tests enumerate it.
 
-    The matrix:
+    The matrix (disk always logs: group commit + replication):
 
     {v
                          mem                disk
-      plain              ok                 ok (+wal, +path)
-      plain, shards>1    error (no router   ok (+wal, +path)
+      plain              ok                 ok (+path)
+      plain, shards>1    error (no router   ok (+path)
                          without a cut)
-      mvcc               ok (volatile)      ok (durable chains; +wal, +path)
-      mvcc, shards>1     ok (one epoch)     ok (one epoch; +wal, +path)
-      wal                error              ok
+      mvcc               ok (volatile)      ok (durable chains; +path)
+      mvcc, shards>1     ok (one epoch)     ok (one epoch; +path)
       path               error              ok
     v} *)
 
 type t = {
   backend : [ `Mem | `Disk ];
-  wal : bool;  (** WAL durability mode (group commit + replication) *)
   mvcc : bool;
   shards : int;
   path : string option;
@@ -28,7 +26,7 @@ type t = {
           backend persists anything *)
 }
 
-let validate ~backend ~durability ~shards ~mvcc ~path =
+let validate ~backend ~shards ~mvcc ~path =
   let ( let* ) = Result.bind in
   let* backend =
     match backend with
@@ -36,20 +34,9 @@ let validate ~backend ~durability ~shards ~mvcc ~path =
     | "disk" -> Ok `Disk
     | s -> Error (Printf.sprintf "unknown backend %S (mem or disk)" s)
   in
-  let* wal =
-    match durability with
-    | "sync" -> Ok false
-    | "wal" -> Ok true
-    | s -> Error (Printf.sprintf "unknown durability %S (sync or wal)" s)
-  in
   let* () =
     if shards >= 1 then Ok ()
     else Error (Printf.sprintf "--shards %d: shard count must be >= 1" shards)
-  in
-  let* () =
-    if wal && backend = `Mem then
-      Error "--durability wal requires --backend disk"
-    else Ok ()
   in
   let* () =
     if path <> None && backend = `Mem then
@@ -64,4 +51,4 @@ let validate ~backend ~durability ~shards ~mvcc ~path =
          sharding"
     else Ok ()
   in
-  Ok { backend; wal; mvcc; shards; path; durable_acks = backend = `Disk }
+  Ok { backend; mvcc; shards; path; durable_acks = backend = `Disk }

@@ -4,7 +4,6 @@
 
 type t = {
   backend : [ `Mem | `Disk ];
-  wal : bool;  (** WAL durability mode (group commit + replication) *)
   mvcc : bool;
   shards : int;
   path : string option;
@@ -16,7 +15,6 @@ type t = {
 
 val validate :
   backend:string ->
-  durability:string ->
   shards:int ->
   mvcc:bool ->
   path:string option ->

@@ -95,27 +95,20 @@ module type S = sig
 
   val commit : t -> unit
   (** Durably commit every {e completed} operation — the fine-grained
-      durability point. This is an {e optional capability}: backends
-      with a write-ahead log satisfy it with a group commit (one batched
-      log fsync covers every concurrent caller) that is safe to call
-      from many domains at once, concurrently with other operations.
-      Durable backends {e without} one degrade to [sync] — the degraded
-      path inherits [sync]'s quiescence requirement (concurrent commit
-      calls are merely serialised against each other, which does not
-      make a full sync safe against in-flight operations). Purely
-      in-memory stores treat it as a no-op. Callers who need the
-      concurrent contract must therefore know their backend has a log
-      (e.g. was opened in WAL mode). *)
+      durability point. Durable backends satisfy it with a group commit
+      through their write-ahead log (one batched log fsync covers every
+      concurrent caller), safe to call from many domains at once,
+      concurrently with other operations. Purely in-memory stores treat
+      it as a no-op. *)
 
-  val log_logical : t -> Bytes.t list -> bool
+  val log_logical : t -> Bytes.t list -> unit
   (** Queue one client capture — redo records of at most {!page_size}
       bytes each, in order — for the next group commit, beside the page
       images it seals. The records of one call land in one batch, after
-      every record queued before them. [false], queueing nothing, when
-      the store has no log; [log_logical t []] asks just that. A
-      logical record lives only in the log pass it was appended to: the
-      client must fold what it says into pages before the store's
-      checkpoint ends that pass (see {!on_checkpoint}). *)
+      every record queued before them. A store with nothing durable
+      drops them. A logical record lives only in the log pass it was
+      appended to: the client must fold what it says into pages before
+      the store's checkpoint ends that pass (see {!on_checkpoint}). *)
 
   val replayed_logical : t -> Bytes.t list
   (** The current log pass's promoted logical records, in append order:

@@ -60,14 +60,13 @@ module type S = sig
 
   val commit : t -> unit
   (** Durably commit every completed operation — the fine-grained,
-      concurrency-safe durability point (optional capability: WAL
-      backends group-commit, plain durable backends degrade to [sync],
-      in-memory stores no-op). *)
+      concurrency-safe durability point (durable backends group-commit
+      through their log, in-memory stores no-op). *)
 
-  val log_logical : t -> Bytes.t list -> bool
+  val log_logical : t -> Bytes.t list -> unit
   (** Queue one capture's logical records (each at most [page_size]
-      bytes, in order) for the next group commit; [false], queueing
-      nothing, without a log. *)
+      bytes, in order) for the next group commit; dropped by a store
+      with nothing durable. *)
 
   val replayed_logical : t -> Bytes.t list
   (** The current log pass's promoted logical records, in order. *)

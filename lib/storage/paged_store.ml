@@ -40,9 +40,15 @@
       zero space cost; the chain is rewritten on [sync] only when the
       free list changed since the last sync (a dirty flag set by every
       push/pop).
-    - {b Crash-atomic sync}: [sync] writes data pages and the (possibly
-      changed) free chain, stages the generation-[g+1] header into the
-      {e alternate} slot, and only then issues the commit [fsync] — so
+    - {b One durability path}: every store has a log device. [commit]
+      group-commits the pages changed since the last seal (and the
+      client's logical records) through {!Wal} with one log fsync, safe
+      from any number of domains; [sync] is the {e checkpoint} that
+      folds the log into the data file and truncates it.
+    - {b Crash-atomic checkpoint}: [sync] writes data pages and the
+      (possibly changed) free chain, stages the generation-[g+1] header
+      into the {e alternate} slot, and only then issues the commit
+      [fsync] — so
       under the crash model of {!Paged_file.create_shadow} (writes not
       covered by an fsync are lost) that single fsync atomically moves
       the durable state from generation [g] to [g+1]; a crash anywhere
@@ -94,7 +100,8 @@ exception
   }
 
 let magic = 0x53_47_56_44 (* "SGVD" *)
-let version = 4
+let version = 5
+let legacy_version = 4 (* no next-LSN field; read, never written *)
 
 (* Header-page layout (both slots): fixed fields, then the checksum, then
    the client metadata blob. The checksum is FNV-1a-32 over the whole
@@ -104,12 +111,20 @@ let version = 4
    appended the WAL incarnation at 104 (the phantom-tail floor: recovery
    resumes the log with an incarnation strictly above every one the
    crashed pass could have stamped, even when the pass left no valid
-   records to observe it from), pushing the metadata blob to 112. *)
+   records to observe it from), pushing the metadata blob to 112;
+   version 5 appended the log's next LSN at 112 (recovery resumes the
+   LSN sequence from it when the pass after the checkpoint is empty, so
+   LSNs never restart), pushing the metadata blob to 120. Version 4
+   headers still open, with an LSN floor of 0. *)
 let header_cksum_off = 80
 let header_shard_index_off = 88
 let header_shard_count_off = 96
 let header_wal_inc_off = 104
-let header_fixed = 112 (* bytes of header before the metadata blob *)
+let header_wal_lsn_off = 112
+let header_fixed = 120 (* bytes of header before the metadata blob *)
+
+(* Where a header of [version] keeps its metadata blob. *)
+let header_fixed_of v = if v = legacy_version then header_wal_lsn_off else header_fixed
 let header_slots = 2 (* disk pages 0 and 1; tree ptr [p] -> disk page [p + 2] *)
 
 (* Free-chain entry, written at a free page's disk offset: 8-byte magic,
@@ -126,7 +141,7 @@ let default_page_size = Page_codec.page_size_for ~key_bytes:8 ~order:16
 let default_cache_pages = 4096
 let default_stripes = 8
 
-(* Group-commit knobs (WAL durability mode). [commit_batch] > 1 makes a
+(* Group-commit knobs. [commit_batch] > 1 makes a
    leader linger up to [commit_interval] seconds for followers before
    sealing, so one log fsync absorbs several concurrent commit calls. *)
 let default_commit_batch = 1
@@ -176,18 +191,19 @@ module Make (K : Key.S) = struct
     on_disk : bool Atomic.t;  (** the page has ever been written to disk *)
   }
 
-  (** Group-commit state of a store in WAL durability mode. Batches are
+  (** Group-commit state of a store. Batches are
       numbered: [sealed] counts batches whose dirty-page set has been
       taken by a leader, [durable] those whose log fsync returned. A
       commit request targets batch [sealed + 1] — the next one to seal,
       which by construction covers every page the caller dirtied — and
       returns once [durable] reaches it; whoever finds no leader running
-      becomes the leader (leader/follower handoff). *)
+      becomes the leader (leader/follower handoff). The pages changed
+      since the last seal are kept per stripe ([stripe.dirty]), so a
+      write notes its page without taking [w_mu]. *)
   type wal_state = {
     log : Wal.t;
     w_mu : Mutex.t;  (** guards every mutable field below *)
     w_cond : Condition.t;  (** broadcast when a batch becomes durable (or a leader fails) *)
-    mutable w_dirty : (int, unit) Hashtbl.t;  (** pages changed since the last seal *)
     mutable w_meta_dirty : bool;  (** metadata changed since the last seal *)
     mutable w_logical : Bytes.t list;
         (** logical records queued since the last seal, newest first *)
@@ -213,6 +229,9 @@ module Make (K : Key.S) = struct
     mutable faults : int;  (** disk reads (under [s_lock]) *)
     mutable stall_s : float;  (** time faulters waited for [s_lock] *)
     mutable inline_wb : int;  (** eviction write-backs *)
+    dirty_mu : Mutex.t;  (** guards [dirty]; taken last (the seal holds [w_mu] first) *)
+    mutable dirty : (int, unit) Hashtbl.t;
+        (** this stripe's pages changed since the last sealed commit batch *)
   }
 
   type t = {
@@ -232,17 +251,13 @@ module Make (K : Key.S) = struct
     stripes : stripe array;  (** length is a power of two *)
     stripe_mask : int;
     stripe_cap : int;  (** max resident decoded nodes per stripe *)
-    sync_mu : Mutex.t;
-        (** serialises [commit]'s sync-degradation path (WAL-less stores) *)
     file_lock : Mutex.t;  (** guards [file], [zero] and the page counters *)
     file : Paged_file.t;
     page_size : int;
     zero : Bytes.t;  (** scratch page (under [file_lock]) *)
     mutable page_reads : int;  (** data-page reads (under [file_lock]) *)
     mutable page_writes : int;  (** data-page writes (under [file_lock]) *)
-    mutable wal : wal_state option;
-        (** durability mode: [Some] = WAL group commit; set once during
-            construction, before the store is shared *)
+    wal : wal_state;  (** the log and its group-commit state *)
     mutable replayed : Bytes.t list;
         (** the current pass's promoted logical records, newest first:
             replayed at open, or shipped ({!apply_replicated}) *)
@@ -364,11 +379,12 @@ module Make (K : Key.S) = struct
     let shard_index, shard_count = t.shard in
     seti header_shard_index_off shard_index;
     seti header_shard_count_off shard_count;
-    (* Persist the WAL incarnation so a recovery whose pass left no
-       valid records (checkpoint, then crash before any append survives)
-       still resumes above the crashed pass's stamp. *)
-    seti header_wal_inc_off
-      (match t.wal with Some w -> Wal.incarnation w.log | None -> 0);
+    (* Persist the log's incarnation and next LSN so a recovery whose
+       pass left no valid records (checkpoint, then crash or close before
+       any append survives) still resumes above the crashed pass's stamp
+       and continues the LSN sequence. *)
+    seti header_wal_inc_off (Wal.incarnation t.wal.log);
+    seti header_wal_lsn_off (Wal.next_lsn t.wal.log);
     let meta = match Atomic.get t.meta with Some b -> b | None -> Bytes.empty in
     if Bytes.length meta > t.page_size - header_fixed then
       failwith "Paged_store: metadata blob does not fit in the header page";
@@ -395,8 +411,9 @@ module Make (K : Key.S) = struct
       let computed = Repro_util.Checksum.fnv32 page ~pos:0 ~len:page_size in
       Bytes.set_int32_le page header_cksum_off (Int32.of_int stored);
       if
-        geti 0 = magic && geti 8 = version && geti 16 = page_size
-        && stored = computed
+        geti 0 = magic
+        && (geti 8 = version || geti 8 = legacy_version)
+        && geti 16 = page_size && stored = computed
       then Some (geti 64, page)
       else None
 
@@ -414,7 +431,9 @@ module Make (K : Key.S) = struct
     let named i =
       let page = Paged_file.read probe i in
       let field off = Int64.to_int (Bytes.get_int64_le page off) in
-      if field 0 = magic && field 8 = version then Some (field 16) else None
+      if field 0 = magic && (field 8 = version || field 8 = legacy_version)
+      then Some (field 16)
+      else None
     in
     let at_size ps =
       let view = Paged_file.retile pfile ~page_size:ps in
@@ -555,7 +574,7 @@ module Make (K : Key.S) = struct
 
   (* ---------- construction ---------- *)
 
-  let make ~shard ~page_size ~cache_pages ~stripes pfile =
+  let make ~shard ~page_size ~cache_pages ~stripes ~wal pfile =
     (let idx, count = shard in
      if count < 1 || idx < 0 || idx >= count then
        invalid_arg "Paged_store: shard index out of range");
@@ -588,17 +607,18 @@ module Make (K : Key.S) = struct
               faults = 0;
               stall_s = 0.0;
               inline_wb = 0;
+              dirty_mu = Mutex.create ();
+              dirty = Hashtbl.create 16;
             });
       stripe_mask = nstripes - 1;
       stripe_cap = max 1 (cache_pages / nstripes);
-      sync_mu = Mutex.create ();
       file_lock = Mutex.create ();
       file = pfile;
       page_size;
       zero = Bytes.create page_size;
       page_reads = 0;
       page_writes = 0;
-      wal = None;
+      wal;
       replayed = [];
       replayed_gen = -1;
       checkpoint_hook = ignore;
@@ -612,7 +632,6 @@ module Make (K : Key.S) = struct
       log;
       w_mu = Mutex.create ();
       w_cond = Condition.create ();
-      w_dirty = Hashtbl.create 64;
       w_meta_dirty = false;
       w_logical = [];
       sealed = 0;
@@ -626,15 +645,13 @@ module Make (K : Key.S) = struct
       max_group = 0;
     }
 
-  (* Build a fresh store over an already-created (empty) paged file —
-     the crash harness hands a shadow file in here. Both header slots
-     are materialized and generation 0's header written into slot 0, so
-     the file is reopenable from its first sync on. Passing [wal] (an
-     empty paged file sized [Wal.log_page_size]) turns on WAL durability
-     mode: [commit] group-commits through it instead of degrading to
-     [sync]. *)
+  (* Build a fresh store over an already-created (empty) paged file and
+     an empty log device sized [Wal.log_page_size] — the crash harness
+     hands shadow files in here. Both header slots are materialized and
+     generation 0's header written into slot 0, so the file is
+     reopenable from its first sync on. *)
   let create_on ?(shard = (0, 1)) ?(cache_pages = default_cache_pages)
-      ?(stripes = default_stripes) ?commit_interval ?commit_batch ?wal pfile =
+      ?(stripes = default_stripes) ?commit_interval ?commit_batch ~wal pfile =
     let page_size = Paged_file.page_size pfile in
     if page_size < Page_codec.min_page_size || page_size land (page_size - 1) <> 0
     then
@@ -642,14 +659,11 @@ module Make (K : Key.S) = struct
         (Printf.sprintf
            "Paged_store: page size %d is not a power of two of at least %d"
            page_size Page_codec.min_page_size);
-    let t = make ~shard ~page_size ~cache_pages ~stripes pfile in
-    (match wal with
-    | Some log_file ->
-        t.wal <-
-          Some
-            (mk_wal_state ?commit_interval ?commit_batch
-               (Wal.create ~data_page_size:page_size log_file))
-    | None -> ());
+    let wal =
+      mk_wal_state ?commit_interval ?commit_batch
+        (Wal.create ~data_page_size:page_size wal)
+    in
+    let t = make ~shard ~page_size ~cache_pages ~stripes ~wal pfile in
     with_file t (fun () ->
         ensure_materialized_flocked t (header_slots - 1);
         write_header_flocked t ~gen:0);
@@ -657,32 +671,22 @@ module Make (K : Key.S) = struct
 
   let create_memory ?shard ?(page_size = default_page_size)
       ?(cache_pages = default_cache_pages) ?(stripes = default_stripes)
-      ?commit_interval ?commit_batch ?(wal = false) () =
-    let log =
-      if wal then
-        Some
-          (Paged_file.create_memory
-             ~page_size:(Wal.log_page_size ~data_page_size:page_size)
-             ())
-      else None
-    in
+      ?commit_interval ?commit_batch () =
     create_on ?shard ~cache_pages ~stripes ?commit_interval ?commit_batch
-      ?wal:log
+      ~wal:
+        (Paged_file.create_memory
+           ~page_size:(Wal.log_page_size ~data_page_size:page_size)
+           ())
       (Paged_file.create_memory ~page_size ())
 
   let create_file ?shard ?(page_size = default_page_size)
       ?(cache_pages = default_cache_pages) ?(stripes = default_stripes)
       ?commit_interval ?commit_batch ?wal_path path =
-    let log =
-      Option.map
-        (fun p ->
-          Paged_file.create_file
-            ~page_size:(Wal.log_page_size ~data_page_size:page_size)
-            p)
-        wal_path
-    in
     create_on ?shard ~cache_pages ~stripes ?commit_interval ?commit_batch
-      ?wal:log
+      ~wal:
+        (Paged_file.create_file
+           ~page_size:(Wal.log_page_size ~data_page_size:page_size)
+           (Option.value wal_path ~default:(path ^ ".wal")))
       (Paged_file.create_file ~page_size path)
 
   let create () = create_memory ()
@@ -717,17 +721,38 @@ module Make (K : Key.S) = struct
     ignore (ensure_chunk t (p lsr chunk_bits));
     p
 
-  (* WAL mode: record that [ptr] changed since the last sealed commit
-     batch, so the next group commit logs its image. Orthogonal to the
-     entry-level [e_dirty] flag, which tracks newer-than-the-data-file
-     and keeps driving advisory write-back and checkpoints. *)
-  let note_dirty t ptr =
-    match t.wal with
-    | None -> ()
-    | Some w ->
-        Mutex.lock w.w_mu;
-        Hashtbl.replace w.w_dirty ptr ();
-        Mutex.unlock w.w_mu
+  (* Record that [ptr] changed since the last sealed commit batch, so
+     the next group commit logs its image. Orthogonal to the entry-level
+     [e_dirty] flag, which tracks newer-than-the-data-file and keeps
+     driving advisory write-back and checkpoints. *)
+  let note_dirty (st : stripe) ptr =
+    Mutex.lock st.dirty_mu;
+    Hashtbl.replace st.dirty ptr ();
+    Mutex.unlock st.dirty_mu
+
+  (* Swap every stripe's dirty set out (the seal), returning the pages
+     they held; [put_back_dirty] re-notes them after a failed batch. *)
+  let take_dirty t =
+    Array.fold_left
+      (fun acc (st : stripe) ->
+        Mutex.lock st.dirty_mu;
+        let d = st.dirty in
+        if Hashtbl.length d > 0 then st.dirty <- Hashtbl.create 16;
+        Mutex.unlock st.dirty_mu;
+        Hashtbl.fold (fun p () acc -> p :: acc) d acc)
+      [] t.stripes
+
+  let put_back_dirty t ptrs =
+    List.iter (fun p -> note_dirty t.stripes.(stripe_index t p) p) ptrs
+
+  let any_dirty t =
+    Array.exists
+      (fun (st : stripe) ->
+        Mutex.lock st.dirty_mu;
+        let d = Hashtbl.length st.dirty > 0 in
+        Mutex.unlock st.dirty_mu;
+        d)
+      t.stripes
 
   let install t ptr s n =
     (* Only dirty the cache line when the bit is actually clear: every
@@ -752,7 +777,7 @@ module Make (K : Key.S) = struct
        this note lands in the live set before the caller can request a
        commit, so the next-sealed batch covers it. [alloc] sets
        [freed <- false] before calling here for the same reason. *)
-    note_dirty t ptr;
+    note_dirty st ptr;
     check_evict t si st
 
   let alloc t node =
@@ -905,13 +930,12 @@ module Make (K : Key.S) = struct
       | None -> true
     in
     Atomic.set t.meta (Some (Bytes.copy bytes));
-    if changed then
-      match t.wal with
-      | None -> ()
-      | Some w ->
-          Mutex.lock w.w_mu;
-          w.w_meta_dirty <- true;
-          Mutex.unlock w.w_mu
+    if changed then begin
+      let w = t.wal in
+      Mutex.lock w.w_mu;
+      w.w_meta_dirty <- true;
+      Mutex.unlock w.w_mu
+    end
 
   let get_meta t = Atomic.get t.meta
 
@@ -919,25 +943,20 @@ module Make (K : Key.S) = struct
      callers queued them, and one call's records all land in the batch
      the next seal takes. *)
   let log_logical t records =
-    match t.wal with
-    | None -> false
-    | Some w ->
-        List.iter
-          (fun r ->
-            if Bytes.length r > t.page_size then
-              invalid_arg "Paged_store.log_logical: record larger than a page")
-          records;
-        Mutex.lock w.w_mu;
-        w.w_logical <- List.rev_append records w.w_logical;
-        Mutex.unlock w.w_mu;
-        true
+    List.iter
+      (fun r ->
+        if Bytes.length r > t.page_size then
+          invalid_arg "Paged_store.log_logical: record larger than a page")
+      records;
+    let w = t.wal in
+    Mutex.lock w.w_mu;
+    w.w_logical <- List.rev_append records w.w_logical;
+    Mutex.unlock w.w_mu
 
   let replayed_logical t = List.rev t.replayed
   let on_checkpoint t f = t.checkpoint_hook <- f
 
-  (* ---------- durability ---------- *)
-
-  (* ---------- group commit (WAL durability mode) ---------- *)
+  (* ---------- group commit ---------- *)
 
   (* Snapshot the bytes a committed page image must hold: the cached
      node if resident, else the on-disk page (trimmed to its codec
@@ -1012,20 +1031,17 @@ module Make (K : Key.S) = struct
       gather ();
       Mutex.lock w.w_mu
     end;
-    let dirty = w.w_dirty in
+    let dirty = take_dirty t in
     let meta_dirty = w.w_meta_dirty in
     let logical = w.w_logical in
     let group = Atomic.get w.unsealed_reqs in
-    w.w_dirty <- Hashtbl.create 32;
     w.w_meta_dirty <- false;
     w.w_logical <- [];
     Atomic.set w.unsealed_reqs 0;
     w.sealed <- target;
     Mutex.unlock w.w_mu;
     match
-      let ptrs =
-        List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) dirty [])
-      in
+      let ptrs = List.sort compare dirty in
       let gen = Atomic.get t.generation in
       List.iter
         (fun p ->
@@ -1056,7 +1072,7 @@ module Make (K : Key.S) = struct
            COMMIT, by which point a successful retry has re-logged every
            still-live sealed page with equal-or-newer content. *)
         Mutex.lock w.w_mu;
-        Hashtbl.iter (fun p () -> Hashtbl.replace w.w_dirty p ()) dirty;
+        put_back_dirty t dirty;
         w.w_meta_dirty <- w.w_meta_dirty || meta_dirty;
         (* the sealed records go back ahead of any queued since, so the
            retry logs them in their original order *)
@@ -1067,11 +1083,12 @@ module Make (K : Key.S) = struct
         Mutex.unlock w.w_mu;
         raise e
 
-  (* Quiescent crash-atomic flush, in write-ahead order:
+  (* The checkpoint: a quiescent crash-atomic flush, in write-ahead
+     order:
 
-     0. WAL mode only: a logged group commit of the current dirty set,
-        so the state this checkpoint is about to make official has
-        transited the log first (replication / PITR coverage)
+     0. a logged group commit of the current dirty set, so the state
+        this checkpoint is about to make official has transited the log
+        first (replication / PITR coverage)
      1. per stripe: every dirty cached node, written straight to the
         file                                        [paged_store.sync.data]
      2. the free chain, if the free list changed    [paged_store.sync.chain]
@@ -1096,8 +1113,8 @@ module Make (K : Key.S) = struct
     (* The client's fold first: what its logical records say must be in
        pages before this checkpoint ends their pass. *)
     t.checkpoint_hook ();
-    (* WAL mode: route whatever is dirty through a logged group commit
-       {e before} the checkpoint makes it official. Without this, the
+    (* Route whatever is dirty through a logged group commit {e before}
+       the checkpoint makes it official. Without this, the
        changes accumulated since the last commit would reach durability
        through the data-file flush alone and never transit the log —
        invisible to a replication follower or a point-in-time replay.
@@ -1105,18 +1122,14 @@ module Make (K : Key.S) = struct
        transition, which is the property WAL shipping rests on (see
        doc/RECOVERY.md). Skipped when nothing is dirty, so a quiescent
        checkpoint appends no spurious records. *)
-    (match t.wal with
-    | Some w ->
-        let dirty_work =
-          Mutex.lock w.w_mu;
-          let d =
-            Hashtbl.length w.w_dirty > 0 || w.w_meta_dirty || w.w_logical <> []
-          in
-          Mutex.unlock w.w_mu;
-          d
-        in
-        if dirty_work then commit t
-    | None -> ());
+    let w = t.wal in
+    let dirty_work =
+      Mutex.lock w.w_mu;
+      let d = w.w_meta_dirty || w.w_logical <> [] in
+      Mutex.unlock w.w_mu;
+      d || any_dirty t
+    in
+    if dirty_work then commit t;
     let nstripes = Array.length t.stripes in
     Failpoint.hit fp_sync_data;
     Array.iteri
@@ -1153,15 +1166,13 @@ module Make (K : Key.S) = struct
           write_free_chain_flocked t ~gen;
           Atomic.set t.free_dirty false
         end;
-        (* WAL mode: a CHECKPOINT marker stamped with the {e outgoing}
+        (* A CHECKPOINT marker stamped with the {e outgoing}
            generation, before the header flip. A crash before the commit
            fsync below recovers generation [gen - 1], and replay still
            finds every gen-[gen - 1] batch in the log (the data writes of
            phase 1 were volatile); a crash after it recovers [gen], whose
            replay ignores the stale-generation records wholesale. *)
-        (match t.wal with
-        | Some w -> Wal.append w.log ~gen:(gen - 1) Wal.Checkpoint
-        | None -> ());
+        Wal.append w.log ~gen:(gen - 1) Wal.Checkpoint;
         Failpoint.hit fp_sync_header;
         write_header_flocked t ~gen;
         Paged_file.sync t.file;
@@ -1178,54 +1189,42 @@ module Make (K : Key.S) = struct
        record). The dirty set accumulated since the last seal is already
        covered by the checkpoint too. Quiescent like the rest of [sync],
        so no commit races with this. *)
-    match t.wal with
-    | Some w ->
-        Wal.truncate w.log;
-        Mutex.lock w.w_mu;
-        Hashtbl.reset w.w_dirty;
-        w.w_meta_dirty <- false;
-        w.w_logical <- [];
-        t.replayed <- [];
-        Mutex.unlock w.w_mu
-    | None -> t.replayed <- []
+    Wal.truncate w.log;
+    ignore (take_dirty t);
+    Mutex.lock w.w_mu;
+    w.w_meta_dirty <- false;
+    w.w_logical <- [];
+    t.replayed <- [];
+    Mutex.unlock w.w_mu
 
   (* Group commit: block until every operation completed before this call
      is durable. Safe from any number of domains at once — unlike [sync],
-     which demands quiescence. Without a WAL, degrade to [sync] (caller
-     must then treat it as quiescent-only, see the mli). *)
+     which demands quiescence. *)
   and commit t =
-    match t.wal with
-    | None ->
-        (* Degrade to a full sync, serialised so concurrent committers at
-           least never run two syncs at once. The durability point is
-           still coarse — see the signature's caveat. *)
-        Mutex.lock t.sync_mu;
-        Fun.protect ~finally:(fun () -> Mutex.unlock t.sync_mu) (fun () -> sync t)
-    | Some w ->
-        Mutex.lock w.w_mu;
-        w.commit_reqs <- w.commit_reqs + 1;
-        Atomic.incr w.unsealed_reqs;
-        (* The next batch to seal necessarily covers this caller's pages:
-           they are in the live dirty set right now. If a running leader
-           seals them into {e its} batch first, waiting for [target] only
-           over-waits — never under-waits. *)
-        let target = w.sealed + 1 in
-        let rec await () =
-          if w.durable >= target then Mutex.unlock w.w_mu
-          else if (not w.leader) && w.sealed < target then
-            lead_batch t w ~target
-          else begin
-            Condition.wait w.w_cond w.w_mu;
-            await ()
-          end
-        in
+    let w = t.wal in
+    Mutex.lock w.w_mu;
+    w.commit_reqs <- w.commit_reqs + 1;
+    Atomic.incr w.unsealed_reqs;
+    (* The next batch to seal necessarily covers this caller's pages:
+       they are in the live dirty set right now. If a running leader
+       seals them into {e its} batch first, waiting for [target] only
+       over-waits — never under-waits. *)
+    let target = w.sealed + 1 in
+    let rec await () =
+      if w.durable >= target then Mutex.unlock w.w_mu
+      else if (not w.leader) && w.sealed < target then lead_batch t w ~target
+      else begin
+        Condition.wait w.w_cond w.w_mu;
         await ()
+      end
+    in
+    await ()
 
   let flush = sync
 
   let close t =
     sync t;
-    (match t.wal with Some w -> Wal.close w.log | None -> ());
+    Wal.close t.wal.log;
     Paged_file.close t.file
 
   (* Open a store from an already-open paged file (the crash harness
@@ -1242,8 +1241,7 @@ module Make (K : Key.S) = struct
        the tree — which is intact — unopenable, and the one unsafe
        failure (recycling a page the tree still references) is exactly
        what the validate-first walk rules out.
-     - {b WAL replay} (when [wal] is passed): scan the log for the
-       header generation's pass ({!Wal.replay}) {e before} anything else
+     - {b WAL replay}: scan the log for the header generation's pass ({!Wal.replay}) {e before} anything else
        touches allocator state. The replay result (a) extends the bump
        frontier over pages group-committed after the checkpoint, (b)
        supersedes the header's metadata blob with the newest committed
@@ -1267,8 +1265,9 @@ module Make (K : Key.S) = struct
     if Paged_file.pages pfile = 0 then raise (Corrupt "empty file");
     let pfile, (gen, header) = header_view pfile in
     let page_size = Paged_file.page_size pfile in
-    let wal = log page_size in
+    let log_file = log page_size in
     let geti off = Int64.to_int (Bytes.get_int64_le header off) in
+    let legacy = geti 8 = legacy_version in
     (* Partition identity check before anything else touches the file:
        opening shard i-of-N as j-of-M would misroute every key the
        router hashes, silently — the typed error is the whole defence
@@ -1286,39 +1285,45 @@ module Make (K : Key.S) = struct
                  { expected_index; expected_count; found_index; found_count });
           (expected_index, expected_count)
     in
-    let t = make ~shard ~page_size ~cache_pages ~stripes pfile in
+    (* WAL recovery: redo-scan the log before allocator state settles,
+       and reattach it with its cursor on the valid tail. The
+       incarnation and LSN floors the header persisted cover a pass that
+       left no valid records to take them from (a crash or a close right
+       after a checkpoint, or a store last checkpointed before it had a
+       log); replay's own values cover passes resumed since. [resume]
+       takes the max of each. *)
+    let rep = Wal.replay ~data_page_size:page_size ~gen log_file in
+    let wal =
+      mk_wal_state ?commit_interval ?commit_batch
+        (Wal.resume
+           ~incarnation:(geti header_wal_inc_off + 1)
+           ~lsn:(if legacy then 0 else geti header_wal_lsn_off)
+           ~gen
+           ~data_page_size:page_size ~replay:rep log_file)
+    in
+    let t = make ~shard ~page_size ~cache_pages ~stripes ~wal pfile in
     Atomic.set t.generation gen;
     Atomic.set t.next (geti 24);
     Atomic.set t.allocated (geti 48);
     Atomic.set t.freed (geti 56);
+    let meta_off = header_fixed_of (geti 8) in
     let meta_len = geti 72 in
-    if meta_len < 0 || meta_len > page_size - header_fixed then
+    if meta_len < 0 || meta_len > page_size - meta_off then
       raise (Corrupt "bad metadata length");
     if meta_len > 0 then
-      Atomic.set t.meta (Some (Bytes.sub header header_fixed meta_len));
-    (* WAL recovery: redo-scan the log before allocator state settles. *)
-    let rep =
-      Option.map (fun lf -> Wal.replay ~data_page_size:page_size ~gen lf) wal
-    in
-    (match rep with
-    | Some { Wal.committed_meta = Some m; _ } -> Atomic.set t.meta (Some m)
-    | _ -> ());
-    (match rep with
-    | Some r -> t.replayed <- List.rev r.Wal.committed_logical
-    | None -> ());
-    (match rep with
-    | Some r ->
-        (* Pages group-committed past the checkpoint's bump frontier:
-           extend it (and the allocated counter) so they are live again. *)
-        Hashtbl.iter
-          (fun p _ ->
-            let next = Atomic.get t.next in
-            if p >= next then begin
-              ignore (Atomic.fetch_and_add t.allocated (p + 1 - next));
-              Atomic.set t.next (p + 1)
-            end)
-          r.Wal.committed
-    | None -> ());
+      Atomic.set t.meta (Some (Bytes.sub header meta_off meta_len));
+    Option.iter (fun m -> Atomic.set t.meta (Some m)) rep.Wal.committed_meta;
+    t.replayed <- List.rev rep.Wal.committed_logical;
+    (* Pages group-committed past the checkpoint's bump frontier: extend
+       it (and the allocated counter) so they are live again. *)
+    Hashtbl.iter
+      (fun p _ ->
+        let next = Atomic.get t.next in
+        if p >= next then begin
+          ignore (Atomic.fetch_and_add t.allocated (p + 1 - next));
+          Atomic.set t.next (p + 1)
+        end)
+      rep.Wal.committed;
     let frontier = Atomic.get t.next in
     for p = 0 to frontier - 1 do
       let chunk = ensure_chunk t (p lsr chunk_bits) in
@@ -1342,9 +1347,7 @@ module Make (K : Key.S) = struct
         | None -> None
         | Some next -> walk (cur :: acc) (seen + 1) next
     in
-    let replayed p =
-      match rep with Some r -> Hashtbl.mem r.Wal.committed p | None -> false
-    in
+    let replayed p = Hashtbl.mem rep.Wal.committed p in
     (match walk [] 0 head with
     | Some free ->
         (* Recycled pages — on the checkpoint chain {e and} in the replay
@@ -1376,39 +1379,23 @@ module Make (K : Key.S) = struct
         Atomic.set t.free_len 0;
         Atomic.set t.free_dirty true);
     (* Install the replayed images — full physical pages, written
-       straight to the file — and reattach the log with its
-       cursor on the valid tail. *)
-    (match (rep, wal) with
-    | Some r, Some log_file ->
-        with_file t (fun () ->
-            Hashtbl.iter
-              (fun p img ->
-                ensure_materialized_flocked t (p + header_slots);
-                Paged_file.write t.file (p + header_slots) img;
-                let s = slot t p in
-                Atomic.set s.freed false;
-                Atomic.set s.on_disk true)
-              r.Wal.committed);
-        (* The incarnation floor: the header's persisted value covers a
-           crashed pass that left no valid records for replay to take
-           the incarnation from; replay's own [next_inc] covers passes
-           resumed since the last checkpoint. [resume] takes the max. *)
-        let inc_floor = geti header_wal_inc_off in
-        t.wal <-
-          Some
-            (mk_wal_state ?commit_interval ?commit_batch
-               (Wal.resume ~incarnation:(inc_floor + 1) ~data_page_size:page_size
-                  ~replay:r log_file))
-    | _ -> ());
+       straight to the file. *)
+    with_file t (fun () ->
+        Hashtbl.iter
+          (fun p img ->
+            ensure_materialized_flocked t (p + header_slots);
+            Paged_file.write t.file (p + header_slots) img;
+            let s = slot t p in
+            Atomic.set s.freed false;
+            Atomic.set s.on_disk true)
+          rep.Wal.committed);
     t
 
   let open_from ?expect_shard ?cache_pages ?stripes ?commit_interval
-      ?commit_batch ?wal pfile =
+      ?commit_batch ~wal pfile =
     open_view ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
       ~log:(fun data_page_size ->
-        Option.map
-          (Paged_file.retile ~page_size:(Wal.log_page_size ~data_page_size))
-          wal)
+        Paged_file.retile ~page_size:(Wal.log_page_size ~data_page_size) wal)
       pfile
 
   (* The file is opened at the minimum page size and re-cut at the size
@@ -1421,15 +1408,13 @@ module Make (K : Key.S) = struct
     in
     open_view ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
       ~log:(fun data_page_size ->
-        Option.map
-          (fun p ->
-            (* A store synced and closed in sync mode can be reopened in
-               WAL mode: a missing log file is simply created empty. *)
-            let page_size = Wal.log_page_size ~data_page_size in
-            if Sys.file_exists p then
-              Paged_file.open_file ~page_size ~writable:true p
-            else Paged_file.create_file ~page_size p)
-          wal_path)
+        (* A store last checkpointed before it had a log (written in the
+           retired sync mode) has no log file: it is created empty, and
+           the store opens from the header's checkpoint. *)
+        let p = Option.value wal_path ~default:(path ^ ".wal") in
+        let page_size = Wal.log_page_size ~data_page_size in
+        if Sys.file_exists p then Paged_file.open_file ~page_size ~writable:true p
+        else Paged_file.create_file ~page_size p)
       pfile
 
   (* ---------- introspection ---------- *)
@@ -1458,48 +1443,30 @@ module Make (K : Key.S) = struct
         io.Stats.inline_writebacks <- io.Stats.inline_writebacks + st.inline_wb)
       t.stripes;
     io.Stats.max_concurrent_faults <- Atomic.get t.max_faulting;
-    (match t.wal with
-    | Some w ->
-        io.Stats.commit_reqs <- w.commit_reqs;
-        io.Stats.commit_groups <- w.commit_groups;
-        io.Stats.max_commit_group <- w.max_group;
-        io.Stats.wal_records <- Wal.appended w.log;
-        io.Stats.wal_fsyncs <- Wal.fsyncs w.log;
-        io.Stats.wal_bytes <- Wal.bytes_written w.log;
-        io.Stats.wal_writes <- Wal.writes w.log
-    | None -> ());
+    let w = t.wal in
+    io.Stats.commit_reqs <- w.commit_reqs;
+    io.Stats.commit_groups <- w.commit_groups;
+    io.Stats.max_commit_group <- w.max_group;
+    io.Stats.wal_records <- Wal.appended w.log;
+    io.Stats.wal_fsyncs <- Wal.fsyncs w.log;
+    io.Stats.wal_bytes <- Wal.bytes_written w.log;
+    io.Stats.wal_writes <- Wal.writes w.log;
     io
 
   let per_stripe_faults t = Array.map (fun (st : stripe) -> st.faults) t.stripes
-  let wal_enabled t = t.wal <> None
-
-  let wal_cursor t =
-    match t.wal with Some w -> Some (Wal.cursor w.log) | None -> None
 
   (* ---------- replication: primary side ---------- *)
 
-  let wal_fetch t ~lsn ~max_pages =
-    match t.wal with
-    | Some w -> Wal.fetch_from w.log ~lsn ~max_pages
-    | None -> Wal.At_end
-
-  let wal_wait t ~lsn ~timeout =
-    match t.wal with
-    | Some w -> Wal.wait_durable w.log ~lsn ~timeout
-    | None -> false
-
-  let wal_durable_lsn t =
-    match t.wal with Some w -> Wal.durable_lsn w.log | None -> -1
-
-  let wal_incarnation t =
-    match t.wal with Some w -> Some (Wal.incarnation w.log) | None -> None
+  let wal_fetch t ~lsn ~max_pages = Wal.fetch_from t.wal.log ~lsn ~max_pages
+  let wal_wait t ~lsn ~timeout = Wal.wait_durable t.wal.log ~lsn ~timeout
+  let wal_durable_lsn t = Wal.durable_lsn t.wal.log
 
   (* ---------- replication: follower side ---------- *)
 
   (* Install one shipped commit batch's page images, exactly as recovery
      installs replayed images: straight through the file (never the
-     dirty-tracking path — a follower's store has no log of its own to
-     re-ship them into), dropping any cached copy so the next read
+     dirty-tracking path — the follower's own log is not the primary's,
+     and re-shipping them through it would fork the stream), dropping any cached copy so the next read
      faults the authoritative bytes back in. Single applier thread
      assumed (the replica's apply loop); readers on other threads see
      each page flip atomically from old image to new via the file write,

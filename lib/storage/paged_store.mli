@@ -30,22 +30,23 @@
     [paged_store.fault], [paged_store.evict], [paged_store.sync.data],
     [paged_store.sync.chain], [paged_store.sync.header],
     [paged_store.sync.commit] (plus the {!Wal} sites [wal.append],
-    [wal.commit], [wal.replay] in WAL mode).
+    [wal.commit], [wal.replay]).
 
-    {b WAL durability mode}: constructed with a second paged file (the
-    log device), the store additionally satisfies {!Page_store.S.commit}
-    with a {e group commit} — the caller's completed operations are
-    logged as physical page images through {!Wal} and made durable by a
-    single batched log fsync, without quiescence and without writing the
-    data file. Dirty-page write-back becomes advisory (cache pressure
-    and checkpoints still drive it, but durability no longer depends on
-    it); [sync] remains the {e checkpoint}: it writes everything back as
-    before, appends a CHECKPOINT marker, flips the header, and logically
-    truncates the log. Reopening with the log replays the tail of
-    group-committed batches past the last checkpoint before the free
-    chain is rebuilt, so [commit]-acknowledged state survives a crash
-    with no [sync] ever issued. Without a log device, [commit] degrades
-    to [sync] (and inherits its quiescence requirement). A client's
+    {b One durability path}: every store has a second paged file, its
+    log device, and satisfies {!Page_store.S.commit} with a {e group
+    commit} — the caller's completed operations are logged as physical
+    page images through {!Wal} and made durable by a single batched log
+    fsync, without quiescence and without writing the data file, so
+    [commit] is safe from any number of domains at once. Dirty-page
+    write-back is advisory (cache pressure and checkpoints drive it,
+    but durability does not depend on it); [sync] is the
+    {e checkpoint}: it writes everything back, appends a CHECKPOINT
+    marker, flips the header (which records the log's incarnation and
+    next LSN), and logically truncates the log. Reopening replays the
+    tail of group-committed batches past the last checkpoint before the
+    free chain is rebuilt, so [commit]-acknowledged state survives a
+    crash with no [sync] ever issued; the LSN sequence continues across
+    every reopen. A client's
     logical records ({!Page_store.S.log_logical}) ride the same group
     commits, and [sync] runs the client's {!Page_store.S.on_checkpoint}
     function before anything else, so the client can fold them into
@@ -95,16 +96,14 @@ module Make (K : Key.S) : sig
     ?stripes:int ->
     ?commit_interval:float ->
     ?commit_batch:int ->
-    ?wal:bool ->
     unit ->
     t
-  (** Memory-backed paged file: the full pager stack (codec, node cache,
-      eviction) without filesystem durability — tests and benches.
-      [cache_pages] bounds the decoded-node cache (default
-      {!default_cache_pages}); [stripes] the IO stripe count (default
-      {!default_stripes}, rounded down to a power of two and clamped to
-      [cache_pages]); [wal] (default false) attaches a memory-backed log
-      device so [commit] group-commits; [create] is [create_memory ()].
+  (** Memory-backed data and log devices: the full pager stack (codec,
+      node cache, eviction, group commit) without filesystem durability
+      — tests and benches. [cache_pages] bounds the decoded-node cache
+      (default {!default_cache_pages}); [stripes] the IO stripe count
+      (default {!default_stripes}, rounded down to a power of two and
+      clamped to [cache_pages]); [create] is [create_memory ()].
       [shard] (default [(0, 1)]) is the store's partition identity
       [(index, count)], recorded in every header it writes. [page_size]
       (default {!default_page_size}) must be a power of two of at least
@@ -122,8 +121,8 @@ module Make (K : Key.S) : sig
     ?wal_path:string ->
     string ->
     t
-  (** Create (or truncate) a file-backed store. [wal_path] creates the
-      log device there and turns on WAL durability mode. *)
+  (** Create (or truncate) a file-backed store, its log device at
+      [wal_path] (default [path ^ ".wal"]). *)
 
   val create_on :
     ?shard:int * int ->
@@ -131,16 +130,15 @@ module Make (K : Key.S) : sig
     ?stripes:int ->
     ?commit_interval:float ->
     ?commit_batch:int ->
-    ?wal:Paged_file.t ->
+    wal:Paged_file.t ->
     Paged_file.t ->
     t
   (** Build a fresh store over an already-created (empty) paged file —
       how the crash harness runs the full stack on a
       {!Paged_file.create_shadow} device. [wal] is an empty log device
-      sized {!Wal.log_page_size} (e.g. a second shadow file); passing it
-      turns on WAL durability mode. [commit_interval] / [commit_batch]
-      tune the group commit (defaults {!default_commit_interval} /
-      {!default_commit_batch}). *)
+      sized {!Wal.log_page_size} (e.g. a second shadow file).
+      [commit_interval] / [commit_batch] tune the group commit (defaults
+      {!default_commit_interval} / {!default_commit_batch}). *)
 
   val open_file :
     ?expect_shard:int * int ->
@@ -156,10 +154,11 @@ module Make (K : Key.S) : sig
       names it, and when slot 0 is torn, slot 1 is found at the one
       power-of-two offset where a whole slot validates. Restores the
       allocator frontier, free list and
-      metadata blob from the newest valid header slot; with [wal_path],
-      additionally replays the log's group-committed tail (a missing log
-      file is created empty, so a sync-mode store can be reopened in WAL
-      mode). [expect_shard] asserts the partition identity recorded in
+      metadata blob from the newest valid header slot, then replays the
+      group-committed tail of the log at [wal_path] (default [path ^
+      ".wal"]). A missing log file is created empty, so a store last
+      checkpointed before it had a log opens from its header's
+      checkpoint. [expect_shard] asserts the partition identity recorded in
       the header. @raise Corrupt when no header slot validates.
       @raise Shard_mismatch when [expect_shard] disagrees with the
       header. *)
@@ -170,7 +169,7 @@ module Make (K : Key.S) : sig
     ?stripes:int ->
     ?commit_interval:float ->
     ?commit_batch:int ->
-    ?wal:Paged_file.t ->
+    wal:Paged_file.t ->
     Paged_file.t ->
     t
   (** {!open_file} over an already-open paged file (e.g. a
@@ -219,13 +218,6 @@ module Make (K : Key.S) : sig
   (** Disk faults served per stripe — shows whether misses spread across
       stripes. *)
 
-  val wal_enabled : t -> bool
-  (** Whether the store runs in WAL durability mode. *)
-
-  val wal_cursor : t -> int option
-  (** Log pages in the live pass (None without a WAL) — drops back to 0
-      at each checkpoint's logical truncation. *)
-
   (** {2 Replication}
 
       The primary side exposes the WAL's durable, LSN-contiguous stream
@@ -235,19 +227,15 @@ module Make (K : Key.S) : sig
 
   val wal_fetch : t -> lsn:int -> max_pages:int -> Wal.fetch
   (** Raw log pages starting at [lsn], bounded by the durable watermark
-      (never ships records a crash could revoke). [At_end] without a
-      WAL. Thread-safe. *)
+      (never ships records a crash could revoke). Thread-safe. *)
 
   val wal_wait : t -> lsn:int -> timeout:float -> bool
   (** Long-poll until some record at or past [lsn] is durable; [false]
-      on timeout or without a WAL. *)
+      on timeout. *)
 
   val wal_durable_lsn : t -> int
   (** The shipping horizon: highest fsync-covered LSN (-1 before the
-      first, or without a WAL). *)
-
-  val wal_incarnation : t -> int option
-  (** The log's current incarnation (None without a WAL). *)
+      first). *)
 
   val apply_replicated :
     ?gen:int ->

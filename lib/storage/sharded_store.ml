@@ -38,21 +38,21 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
   let wrap stores = { stores; close_mu = Mutex.create (); closed = false }
 
   let create_memory ?page_size ?cache_pages ?stripes ?commit_interval
-      ?commit_batch ?wal ~shards () =
+      ?commit_batch ~shards () =
     if shards < 1 then invalid_arg "Sharded_store: shards must be >= 1";
     wrap
       (Array.init shards (fun i ->
            P.create_memory ~shard:(i, shards) ?page_size ?cache_pages ?stripes
-             ?commit_interval ?commit_batch ?wal ()))
+             ?commit_interval ?commit_batch ()))
 
   let create_file ?page_size ?cache_pages ?stripes ?commit_interval
       ?commit_batch ?wal_path ~shards path =
     if shards < 1 then invalid_arg "Sharded_store: shards must be >= 1";
+    let wal_path = Option.value wal_path ~default:(path ^ ".wal") in
     wrap
       (Array.init shards (fun i ->
            P.create_file ~shard:(i, shards) ?page_size ?cache_pages ?stripes
-             ?commit_interval ?commit_batch
-             ?wal_path:(Option.map (fun w -> shard_path w i) wal_path)
+             ?commit_interval ?commit_batch ~wal_path:(shard_path wal_path i)
              (shard_path path i)))
 
   (* Reopen every shard in parallel — recovery replay is the expensive
@@ -61,15 +61,15 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
      slowest shard. A shard that fails to open (corrupt, shard-count
      mismatch) fails the whole open: the shards that did open are
      closed before the error propagates, so nothing leaks. *)
-  let open_file ?cache_pages ?stripes ?commit_interval ?commit_batch ?wal_path
-      ~shards path =
+  let open_file ?cache_pages ?stripes ?commit_interval ?commit_batch
+      ?wal_path ~shards path =
     if shards < 1 then invalid_arg "Sharded_store: shards must be >= 1";
+    let wal_path = Option.value wal_path ~default:(path ^ ".wal") in
     let doms =
       Array.init shards (fun i ->
           Domain.spawn (fun () ->
               P.open_file ~expect_shard:(i, shards) ?cache_pages ?stripes
-                ?commit_interval ?commit_batch
-                ?wal_path:(Option.map (fun w -> shard_path w i) wal_path)
+                ?commit_interval ?commit_batch ~wal_path:(shard_path wal_path i)
                 (shard_path path i)))
     in
     let results =

@@ -23,7 +23,6 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
     ?stripes:int ->
     ?commit_interval:float ->
     ?commit_batch:int ->
-    ?wal:bool ->
     shards:int ->
     unit ->
     t
@@ -41,8 +40,8 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
     string ->
     t
   (** File-backed shards at [shard_path path i] (log devices at
-      [shard_path wal_path i]), each created with shard identity
-      [(i, shards)]. *)
+      [shard_path wal_path i], [wal_path] defaulting to [path ^ ".wal"]),
+      each created with shard identity [(i, shards)]. *)
 
   val open_file :
     ?cache_pages:int ->
@@ -54,7 +53,7 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
     string ->
     t
   (** Reopen every shard {e in parallel} (one domain per shard; WAL
-      replay per shard), asserting shard [i] recorded identity
+      replay per shard, logs found as in {!create_file}), asserting shard [i] recorded identity
       [(i, shards)]. On any failure the already-opened shards are
       closed before the error propagates.
       @raise Paged_store.Shard_mismatch on a shard-count/index mismatch

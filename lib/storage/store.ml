@@ -174,8 +174,9 @@ struct
   let sync = sync
   let commit = commit
 
-  (* No log: a client folds its state into pages at every commit. *)
-  let log_logical _ _ = false
+  (* Nothing durable: a client's records are dropped, and it folds its
+     state into pages at [flush]. *)
+  let log_logical _ _ = ()
   let replayed_logical _ = []
   let on_checkpoint _ _ = ()
 end

@@ -856,13 +856,23 @@ let replay ~data_page_size ~gen file =
 
 (** Continue an existing log after recovery: the cursor resumes on the
     fresh page after the replay's valid tail (overwriting a torn group
-    or a stale pass), the LSN continues past the tail's last record,
-    and — the phantom-tail fix — the incarnation is {e bumped} past
+    or a stale pass), the LSN continues past the tail's last record —
+    or from [lsn], the next LSN the store header persisted at its last
+    checkpoint, when that is higher (an empty pass has no record to
+    continue from) — and — the phantom-tail fix — the incarnation is {e bumped} past
     every one observed (and past [incarnation], the floor the store
     header persisted at its last checkpoint), so the stale records
     beyond the tail can never chain onto the new pass's appends: replay
-    stops at the first incarnation regression. *)
-let resume ?(incarnation = 0) ~data_page_size ~(replay : replay) file =
+    stops at the first incarnation regression.
+
+    When the pass begins right after that checkpoint ([lsn] > 0 and the
+    tail starts at [lsn]), the checkpoint's CHECKPOINT marker — LSN
+    [lsn - 1], stamped with generation [gen - 1] and incarnation
+    [incarnation - 1] — is retained again as a one-record segment. It
+    lived only in the previous process's sealed segment, so without it
+    a follower that applied every commit before the close would ask for
+    its LSN and be told [Stale]. *)
+let resume ?(incarnation = 0) ?(lsn = 0) ?(gen = 0) ~data_page_size ~(replay : replay) file =
   let t = create ~data_page_size file in
   let ps = t.page_size in
   (* A tail that ends mid-page may be followed, on that page, by records
@@ -883,14 +893,21 @@ let resume ?(incarnation = 0) ~data_page_size ~(replay : replay) file =
   end;
   let n = Array.length replay.tail_offsets in
   t.pos <- replay.next_pos;
-  t.lsn <- replay.next_lsn;
+  t.lsn <- max replay.next_lsn lsn;
   t.inc <- max replay.next_inc incarnation;
-  t.base_lsn <- replay.next_lsn - n;
+  t.base_lsn <- t.lsn - n;
   t.offsets <- Array.copy replay.tail_offsets;
   t.count <- n;
   (* Everything the valid tail holds is on the device and promoted by
      replay (it ends at whole batches) — expose it for shipping so a
      promoted-from or re-seeded follower can catch up from the
      recovered log. *)
-  Atomic.set t.durable_lsn (replay.next_lsn - 1);
+  Atomic.set t.durable_lsn (t.lsn - 1);
+  if lsn > 0 && t.base_lsn = lsn && t.retain > 0 then begin
+    let seg_bytes = Bytes.make ps '\000' in
+    ignore
+      (encode_into seg_bytes ~kind:kind_checkpoint ~lsn:(lsn - 1) ~gen:(gen - 1)
+         ~inc:(incarnation - 1) ~ptr:(-1) ~body:Bytes.empty);
+    t.segments <- [ { seg_base_lsn = lsn - 1; seg_offsets = [| 0 |]; seg_bytes } ]
+  end;
   t

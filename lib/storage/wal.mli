@@ -1,7 +1,7 @@
 (** Append-only, checksummed, generation- and incarnation-stamped
     write-ahead log of physical page images (and of the opaque logical
     records a client of the store logs beside them) over a
-    {!Paged_file} — the redo log behind {!Paged_store}'s group-commit durability mode, and
+    {!Paged_file} — the redo log behind every {!Paged_store}'s group commit, and
     the stream behind WAL-shipping replication.
 
     Records are packed back to back: a record is its 64-byte header
@@ -144,7 +144,8 @@ val incarnation : t -> int
     store header at each checkpoint, giving recovery a floor. *)
 
 val next_lsn : t -> int
-(** The LSN the next appended record will carry. *)
+(** The LSN the next appended record will carry. Persisted in the store
+    header at each checkpoint, giving {!resume} its LSN floor. *)
 
 (** {2 Shipping} *)
 
@@ -261,14 +262,28 @@ val replay : data_page_size:int -> gen:int -> Paged_file.t -> replay
     data file {e before} its free-chain walk commits allocator state.
     Failpoint [wal.replay] fires once per record scanned. *)
 
-val resume : ?incarnation:int -> data_page_size:int -> replay:replay -> Paged_file.t -> t
+val resume :
+  ?incarnation:int ->
+  ?lsn:int ->
+  ?gen:int ->
+  data_page_size:int ->
+  replay:replay ->
+  Paged_file.t ->
+  t
 (** Reattach a log after {!replay}: cursor at [next_pos] (overwriting a
     torn group or a stale pass's leftovers; the rest of the valid tail's
     last page is zeroed if an interrupted group left bytes there), LSN
-    at [next_lsn], and — the phantom-tail fix — incarnation bumped past
+    at the larger of [next_lsn] and [lsn] (the next LSN the store
+    header persisted at its last checkpoint: an empty pass has no
+    record to continue from, and LSNs never restart), and — the phantom-tail fix — incarnation bumped past
     every one observed in the valid tail and past [incarnation] (the
     floor the store header persisted at its last checkpoint), so stale
-    records beyond the tail can never chain onto the new pass. *)
+    records beyond the tail can never chain onto the new pass. When the
+    pass starts at [lsn], the checkpoint marker before it (LSN
+    [lsn - 1], generation [gen - 1], incarnation [incarnation - 1]: the
+    header's generation and incarnation floor) is served again from a
+    one-record retained segment, so a follower that applied every
+    commit before a clean close continues without a re-seed. *)
 
 val scan : data_page_size:int -> Paged_file.t -> (Bytes.t -> bool) -> unit
 (** Walk a log device from page 0 by the scan rule, handing [f] each

@@ -74,44 +74,39 @@ let test_battery () =
     (List.length crashes > List.length outcomes / 2)
 
 (* Every disk configuration the serve command accepts has a crashed run
-   in the quick battery with the same durability, shard count and MVCC
-   flag, or is named in [uncovered]. A new accepted axis value fails
-   here until the battery sweeps it. *)
+   in the quick battery with the same shard count and MVCC flag, or is
+   named in [uncovered]. A new accepted axis value fails here until the
+   battery sweeps it. *)
 let test_battery_covers_serve_configs () =
-  let uncovered = [ (false, 4, true); (true, 4, true) ] in
+  let uncovered = [ (4, true) ] in
   let crashed = List.filter (fun o -> o.Crash.crashed) (Lazy.force quick_battery) in
-  let covered (wal, shards, mvcc) =
+  let covered (shards, mvcc) =
     List.exists
       (fun o ->
         let sc = o.Crash.scenario in
-        sc.Crash.wal = wal && sc.shards = shards && sc.mvcc = mvcc)
+        sc.Crash.shards = shards && sc.mvcc = mvcc)
       crashed
   in
   List.iter
-    (fun durability ->
+    (fun shards ->
       List.iter
-        (fun shards ->
-          List.iter
-            (fun mvcc ->
-              match
-                Repro_server.Serve_config.validate ~backend:"disk" ~durability
-                  ~shards ~mvcc ~path:None
-              with
-              | Error _ -> ()
-              | Ok c ->
-                  let key = (c.wal, c.shards, c.mvcc) in
-                  let name =
-                    Printf.sprintf "%s x%d mvcc=%b" durability shards mvcc
-                  in
-                  if List.mem key uncovered then
-                    Alcotest.(check bool) (name ^ " is listed uncovered") false
-                      (covered key)
-                  else
-                    Alcotest.(check bool) (name ^ " is crash-tested") true
-                      (covered key))
-            [ false; true ])
-        [ 1; 4 ])
-    [ "sync"; "wal" ]
+        (fun mvcc ->
+          match
+            Repro_server.Serve_config.validate ~backend:"disk" ~shards ~mvcc
+              ~path:None
+          with
+          | Error _ -> ()
+          | Ok c ->
+              let key = (c.shards, c.mvcc) in
+              let name = Printf.sprintf "x%d mvcc=%b" shards mvcc in
+              if List.mem key uncovered then
+                Alcotest.(check bool) (name ^ " is listed uncovered") false
+                  (covered key)
+              else
+                Alcotest.(check bool) (name ^ " is crash-tested") true
+                  (covered key))
+        [ false; true ])
+    [ 1; 4 ]
 
 (* ---------- dual header slots (regression: sync used to rewrite the
    single header page 0 in place — one torn header bricked the store) *)
@@ -571,7 +566,7 @@ let test_commit_writes_whole_pages () =
   let r = Wal.replay ~data_page_size ~gen:1 f in
   Alcotest.(check int) "the batch replays" 8 (Hashtbl.length r.Wal.committed);
   (* the store reports the same device bytes *)
-  let store = PS.create_memory ~wal:true () in
+  let store = PS.create_memory () in
   for k = 0 to 7 do
     ignore (PS.alloc store (mk_leaf [ k ]))
   done;
@@ -975,6 +970,109 @@ let test_legacy_store_fixture () =
         (List.length ((Option.get h.Repro_baseline.Tree_intf.range) c ~lo:min_int ~hi:max_int));
       Sh.close sst)
 
+(* LSNs never restart: a store closed right after its checkpoint reopens
+   with an empty log pass, and the new life's records must continue the
+   sequence. A follower that applied every commit of the first life
+   before the close must then continue into the new life: the closing
+   checkpoint's marker is served again by the reopened log, and the new
+   life's first record follows it instead of being skipped as one the
+   follower has already seen. *)
+let test_lsn_continues_after_clean_reopen () =
+  Failpoint.reset ();
+  let pfile = Paged_file.create_shadow ~page_size:512 () in
+  let lfile =
+    Paged_file.create_shadow ~page_size:(Wal.log_page_size ~data_page_size:512) ()
+  in
+  let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
+  let tree = Sg.create ~order:4 ~store () in
+  let c = Sg.ctx ~slot:0 in
+  for k = 1 to 50 do
+    ignore (Sg.insert tree c k (k * 7));
+    Sg.commit tree
+  done;
+  let first_life = PS.wal_durable_lsn store in
+  let follower = Wal.Apply.create ~data_page_size:512 () in
+  let rec drain store batches =
+    match PS.wal_fetch store ~lsn:(Wal.Apply.next_lsn follower) ~max_pages:64 with
+    | Wal.At_end -> batches
+    | Wal.Stale -> Alcotest.fail "follower fell out of the retention window"
+    | Wal.Pages { pages; _ } ->
+        drain store
+          (List.fold_left
+             (fun n page ->
+               match Wal.Apply.step follower page with
+               | Wal.Apply.Batch _ -> n + 1
+               | Wal.Apply.Progress -> n
+               | Wal.Apply.Reject why -> Alcotest.failf "follower rejected: %s" why)
+             batches pages)
+  in
+  Alcotest.(check int) "follower applied the first life" 50 (drain store 0);
+  Alcotest.(check int) "follower cursor past the first life" (first_life + 1)
+    (Wal.Apply.next_lsn follower);
+  PS.close store;
+  let store2 =
+    PS.open_from ~cache_pages:64 ~wal:(Paged_file.crash_image lfile)
+      (Paged_file.crash_image pfile)
+  in
+  let tree2 = Sg.open_existing store2 in
+  ignore (Sg.insert tree2 c 1_000 1);
+  Sg.commit tree2;
+  let second_life = PS.wal_durable_lsn store2 in
+  if second_life <= first_life then
+    Alcotest.failf "durable LSN %d after the reopen, %d before it" second_life
+      first_life;
+  Alcotest.(check int) "follower received the new life's commit" 1 (drain store2 0);
+  Alcotest.(check int) "follower horizon is the new commit" second_life
+    (Wal.Apply.horizon follower)
+
+let read_pairs path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with
+    | line -> go (Scanf.sscanf line "%d %d" (fun k v -> (k, v)) :: acc)
+    | exception End_of_file -> List.rev acc
+  in
+  let l = go [] in
+  close_in ic;
+  l
+
+(* test/fixtures/sync-store.s0: a one-shard store that `serve --backend
+   disk --durability sync --path` wrote before every store had a log —
+   no log file beside it. Opened from a copy it must create an empty
+   log, hold exactly the listed pairs, group-commit, and keep the
+   commit across a reopen that skips the closing checkpoint (what a
+   kill -9 leaves behind). *)
+let test_sync_store_fixture () =
+  Failpoint.reset ();
+  let module Sh = Repro_baseline.Tree_intf.Sharded_int in
+  let module TI = Repro_baseline.Tree_intf in
+  let base = Filename.temp_file "sync_store" "" in
+  let data = Sh.shard_path base 0 and log = Sh.shard_path (base ^ ".wal") 0 in
+  copy_file (fixture "sync-store.s0") data;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ base; data; log ])
+    (fun () ->
+      let want = read_pairs (fixture "sync-store.pairs") in
+      let c = Repro_core.Handle.ctx ~slot:0 in
+      let scan (h : TI.handle) = (Option.get h.TI.range) c ~lo:min_int ~hi:max_int in
+      let sst = Sh.open_file ~shards:1 base in
+      Alcotest.(check bool) "an empty log was created" true (Sys.file_exists log);
+      let _, h = TI.sagiv_disk_sharded_open sst in
+      Alcotest.(check bool) "pairs match the list" true (scan h = want);
+      ignore (h.TI.insert c 1_000 1);
+      h.TI.commit ();
+      Alcotest.(check int) "the commit went through the log" 1
+        (Sh.io_stats sst).Stats.commit_groups;
+      (* no close: reopen what the files hold after the acked commit *)
+      let sst2 = Sh.open_file ~shards:1 base in
+      let _, h2 = TI.sagiv_disk_sharded_open sst2 in
+      Alcotest.(check (option int)) "the committed insert survived" (Some 1)
+        (h2.TI.search c 1_000);
+      Alcotest.(check int) "every pair kept" (List.length want + 1)
+        (List.length (scan h2));
+      Sh.close sst2)
+
 (* ---------- durable MVCC: logical records ---------- *)
 
 (* A crash-shadow device holding [pfile]'s crash image, so the life
@@ -1180,7 +1278,6 @@ let test_mvcc_follower_deep () =
           ~policy:(Failpoint.Crash_after ordinal)
           {
             Crash.cache_pages = 8;
-            wal = true;
             shards = 1;
             mvcc = true;
             follower = true;
@@ -1316,7 +1413,6 @@ let test_mvcc_wal_crashes () =
           ~policy:(Failpoint.Crash_after ordinal)
           {
             Crash.cache_pages = 8;
-            wal = true;
             shards = 1;
             mvcc = true;
             follower = false;
@@ -1407,4 +1503,8 @@ let suite =
       test_mvcc_follower_deep;
     Alcotest.test_case "legacy: MVCC store with page-image chains replays" `Quick
       test_mvcc_store_fixture;
+    Alcotest.test_case "LSNs continue across a clean reopen" `Quick
+      test_lsn_continues_after_clean_reopen;
+    Alcotest.test_case "legacy: store written without a log opens and logs" `Quick
+      test_sync_store_fixture;
   ]

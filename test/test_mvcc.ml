@@ -627,7 +627,7 @@ let test_logical_split () =
   let module MD = Tree_intf.Mvcc_disk in
   let module Codec = Page_codec.Make (Key.Int) in
   let page_size = 512 in
-  let store = PS.create_memory ~page_size ~wal:true () in
+  let store = PS.create_memory ~page_size () in
   let t = MD.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store in
   MD.flush t;
   let c = mctx ~slot:0 in

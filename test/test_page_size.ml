@@ -93,7 +93,7 @@ let test_constructors_refuse_small_pages () =
   (* the order the pages were sized for is accepted *)
   let _, h = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
   ignore (h.Tree_intf.insert ctx 1 10);
-  let sized = Tree_intf.sagiv_disk ~wal:true () in
+  let sized = Tree_intf.sagiv_disk () in
   let h = sized.Tree_intf.make ~order:64 in
   for k = 0 to 999 do
     ignore (h.Tree_intf.insert ctx k k)
@@ -103,7 +103,7 @@ let test_constructors_refuse_small_pages () =
 
 (* ---------- the page size comes from the header ---------- *)
 
-(* What [serve --order 64 --backend disk --durability wal --path] does:
+(* What [serve --order 64 --backend disk --path] does:
    create at the order's page, commit, stop without a checkpoint, and
    reopen with no size given. *)
 let test_order64_store_reopens () =

@@ -431,7 +431,10 @@ let test_recycle_eviction_churn () =
 let test_failed_eviction_keeps_victim () =
   Failpoint.reset ();
   let pfile = Paged_file.create_shadow ~page_size:512 () in
-  let s = Paged_int.create_on ~cache_pages:8 ~stripes:1 pfile in
+  let lfile =
+    Paged_file.create_shadow ~page_size:(Wal.log_page_size ~data_page_size:512) ()
+  in
+  let s = Paged_int.create_on ~cache_pages:8 ~stripes:1 ~wal:lfile pfile in
   let pages = ref [] in
   Failpoint.set "paged_store.evict" (Failpoint.Error { every = 1 });
   (match
@@ -462,7 +465,8 @@ let test_failed_eviction_keeps_victim () =
     (Paged_int.io_stats s).Stats.faults;
   Paged_int.sync s;
   check_all "crash image after sync"
-    (Paged_int.open_from ~cache_pages:8 (Paged_file.crash_image pfile));
+    (Paged_int.open_from ~cache_pages:8 ~wal:(Paged_file.crash_image lfile)
+       (Paged_file.crash_image pfile));
   Failpoint.reset ()
 
 let test_corrupt_rejected () =
@@ -498,16 +502,22 @@ let test_fault_allocates_no_page () =
 
 (* A write-back overwrites its page whole: writing pages that were never
    read (fresh allocations pushed out by eviction, then [sync]) must not
-   read anything from the data file first. *)
+   read anything from the data file first. The group commit before the
+   checkpoint does read the evicted pages back, to log their images, so
+   it runs on its own and only the checkpoint's write-back is counted. *)
 let test_writeback_reads_nothing () =
   let s = Paged_int.create_memory ~cache_pages:8 () in
   for i = 0 to 255 do
     ignore (Paged_int.alloc s (mk_leaf [ i ]))
   done;
+  Alcotest.(check int) "eviction write-back read nothing" 0
+    (Paged_int.pool_stats s).Buffer_pool.misses;
+  Paged_int.commit s;
+  let logged = (Paged_int.pool_stats s).Buffer_pool.misses in
   Paged_int.sync s;
   let st = Paged_int.pool_stats s in
   Alcotest.(check bool) "pages were written" true (st.Buffer_pool.writebacks >= 256);
-  Alcotest.(check int) "no data-page reads" 0 st.Buffer_pool.misses
+  Alcotest.(check int) "no data-page reads" logged st.Buffer_pool.misses
 
 (* A shipped image must win over every earlier read of its page: fault
    the page, evict it, fault it again, then install a replicated image

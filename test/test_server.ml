@@ -528,8 +528,8 @@ let test_wal_acked_crash () =
 
 module R = Repro_client.Replica
 
-(* A WAL-mode primary with the log exposed as a subscription source, as
-   [blink_cli serve --wal] wires it. *)
+(* A primary with its log exposed as a subscription source, as
+   [blink_cli serve --backend disk] wires it. *)
 let with_wal_primary f =
   let data_page_size = 512 in
   let wal_page_size = Wal.log_page_size ~data_page_size in
@@ -729,9 +729,8 @@ let test_replica_mvcc_reads () =
    [Serve_config.validate] verbatim, so this table IS the behaviour. *)
 let test_serve_config_matrix () =
   let module SC = Repro_server.Serve_config in
-  let v ?(backend = "mem") ?(durability = "sync") ?(shards = 1)
-      ?(mvcc = false) ?path () =
-    SC.validate ~backend ~durability ~shards ~mvcc ~path
+  let v ?(backend = "mem") ?(shards = 1) ?(mvcc = false) ?path () =
+    SC.validate ~backend ~shards ~mvcc ~path
   in
   let ok name r =
     match r with
@@ -749,26 +748,20 @@ let test_serve_config_matrix () =
   let c = ok "disk plain" (v ~backend:"disk" ()) in
   Alcotest.(check bool) "disk acks durable" true c.SC.durable_acks;
   ignore (ok "disk sharded" (v ~backend:"disk" ~shards:4 ()));
-  ignore (ok "disk wal" (v ~backend:"disk" ~durability:"wal" ()));
   ignore (ok "mem mvcc" (v ~mvcc:true ()));
   ignore (ok "mem mvcc sharded" (v ~mvcc:true ~shards:4 ()));
   let c =
-    ok "disk mvcc sharded wal path"
-      (v ~backend:"disk" ~durability:"wal" ~shards:4 ~mvcc:true
-         ~path:"/tmp/t.db" ())
+    ok "disk mvcc sharded path"
+      (v ~backend:"disk" ~shards:4 ~mvcc:true ~path:"/tmp/t.db" ())
   in
   Alcotest.(check bool) "durable mvcc acks durable" true c.SC.durable_acks;
   Alcotest.(check int) "shards carried" 4 c.SC.shards;
-  Alcotest.(check bool) "wal carried" true c.SC.wal;
   Alcotest.(check (option string)) "path carried" (Some "/tmp/t.db") c.SC.path;
   ignore (ok "disk mvcc plain" (v ~backend:"disk" ~mvcc:true ()));
   (* rejected rows *)
   err "unknown backend" (v ~backend:"floppy" ());
-  err "unknown durability" (v ~durability:"fsync-maybe" ());
   err "zero shards" (v ~shards:0 ());
   err "negative shards" (v ~shards:(-3) ());
-  err "wal on mem" (v ~durability:"wal" ());
-  err "wal on mem sharded mvcc" (v ~durability:"wal" ~shards:4 ~mvcc:true ());
   err "path on mem" (v ~path:"/tmp/t.db" ());
   err "plain mem sharding" (v ~shards:4 ());
   (* the row the tentpole fixed: mem sharding is fine WITH mvcc, and

@@ -219,7 +219,7 @@ let test_sharded_store_reopen () =
 
 let test_sharded_handle_oracle () =
   let _sst, _trees, h =
-    Tree_intf.sagiv_disk_sharded_raw ~wal:true ~shards:4 ~order:4 ()
+    Tree_intf.sagiv_disk_sharded_raw ~shards:4 ~order:4 ()
   in
   let ctx = Repro_core.Handle.ctx ~slot:0 in
   let model : (int, int) Hashtbl.t = Hashtbl.create 512 in
@@ -279,7 +279,7 @@ let test_sharded_handle_oracle () =
    merged worker stats carry per-shard ack counts. *)
 let test_sharded_server () =
   let _sst, _trees, handle =
-    Tree_intf.sagiv_disk_sharded_raw ~wal:true ~shards:4 ~order:4 ()
+    Tree_intf.sagiv_disk_sharded_raw ~shards:4 ~order:4 ()
   in
   let srv =
     Server.start ~workers:2 ~durable_acks:true ~handle
