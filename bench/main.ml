@@ -759,7 +759,7 @@ let a4 () =
     [ paper; ablated ]
 
 (* ------------------------------------------------------------------ *)
-(* Served experiments (E14-E16): one pipelined client loop              *)
+(* Served experiments (E14, E16): one pipelined client loop             *)
 (* ------------------------------------------------------------------ *)
 
 (* Spawn [conns] client domains against [addr]. Client [d] sends
@@ -921,161 +921,6 @@ let e14 () =
          ("total_ops", J.Int total_ops);
          ("key_space", J.Int key_space);
          ("workers", J.Int workers);
-         ("depth", J.Int depth);
-         ("rows", J.List (List.rev !jrows));
-       ])
-
-(* ------------------------------------------------------------------ *)
-(* E15: hot-key combining — zipf theta x combine mode x durability    *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  let module P = Repro_server.Protocol in
-  let module Server = Repro_server.Server in
-  Report.heading
-    "E15: hot-key combining — zipf \u{03B8} \u{00D7} combine mode \u{00D7} durability";
-  Report.note
-    "Cache-fill traffic (insert-if-absent + lookup, 50/50) over a fully \
-     preloaded keyspace, keys drawn Zipfian per connection. Every insert \
-     is a duplicate, so batch-level dedup can elide repeats behind their \
-     in-batch anchor, piggy-back hot searches on already-known outcomes, \
-     and — when a whole drained batch turns out to be tree no-ops — skip \
-     the durable-ack group commit entirely. off/batch sweep the knob; \
-     wal pays a real fsync per acked batch, mem is fire-and-forget.";
-  let per_conn = scale 10_000 in
-  let key_space = scale 20_000 in
-  let workers = 4 in
-  let conns = 8 in
-  let depth = 64 in
-  let thetas =
-    if !quick then [ ("uniform", Repro_util.Distribution.Uniform); ("0.99", Repro_util.Distribution.Zipfian 0.99) ]
-    else
-      [
-        ("uniform", Repro_util.Distribution.Uniform);
-        ("0.60", Repro_util.Distribution.Zipfian 0.6);
-        ("0.90", Repro_util.Distribution.Zipfian 0.9);
-        ("0.99", Repro_util.Distribution.Zipfian 0.99);
-        ("1.20", Repro_util.Distribution.Zipfian 1.2);
-      ]
-  in
-  let combine_modes = [ "off"; "batch" ] in
-  let backends = [ "mem"; "wal" ] in
-  (* Sorted (key, value) pairs for the bulk preload: the whole keyspace,
-     so the timed inserts are all duplicates (insert-if-absent no-ops). *)
-  let preload_full handle =
-    let pairs = List.init key_space (fun k -> (k, k)) in
-    let bulk_loaded =
-      match handle.Tree_intf.bulk_add with Some bulk -> bulk pairs | None -> false
-    in
-    if not bulk_loaded then begin
-      let c = ctx ~slot:0 in
-      List.iter (fun (k, v) -> ignore (handle.Tree_intf.insert c k v)) pairs
-    end
-  in
-  let jrows = ref [] in
-  let run backend (theta_label, dist_kind) combine =
-    Gc.compact ();
-    let combine_batch = combine = "batch" in
-    let cleanup = ref (fun () -> ()) in
-    let handle =
-      match backend with
-      | "mem" -> (Tree_intf.sagiv ()).Tree_intf.make ~order:16
-      | _ ->
-          let path = Filename.temp_file "e15" ".pages" in
-          let wal_path = path ^ ".wal" in
-          let store =
-            Tree_intf.Paged_int.create_file ~cache_pages:4096 ~commit_batch:8
-              ~commit_interval:5e-4 ~wal_path path
-          in
-          let t = Tree_intf.Sagiv_disk.create ~order:16 ~store () in
-          cleanup :=
-            (fun () ->
-              (try Tree_intf.Paged_int.close store with _ -> ());
-              List.iter
-                (fun p -> try Sys.remove p with Sys_error _ -> ())
-                [ path; wal_path ]);
-          Tree_intf.of_ops
-            ~commit:(fun () -> Tree_intf.Sagiv_disk.commit t)
-            ~range:(Tree_intf.Sagiv_disk.range t)
-            ~bulk_add:(fun ?fill ps -> Tree_intf.Sagiv_disk.bulk_add ?fill t ps)
-            ~name:"sagiv-disk"
-            (module Tree_intf.Sagiv_disk)
-            t
-    in
-    preload_full handle;
-    handle.Tree_intf.commit ();
-    let srv =
-      Server.start ~workers ~durable_acks:(backend = "wal") ~combine_batch
-        ~handle
-        ~listen:[ Unix.ADDR_INET (Unix.inet_addr_loopback, 0) ]
-        ()
-    in
-    let addr = List.hd (Server.addresses srv) in
-    let dt =
-      drive_clients addr ~conns ~per_conn ~depth (fun d ->
-          let rng = Repro_util.Splitmix.create (95_000 + (1000 * d)) in
-          let dist = Repro_util.Distribution.create ~space:key_space dist_kind in
-          fun () ->
-            let k = Repro_util.Distribution.sample dist rng in
-            if Repro_util.Splitmix.int rng 2 = 0 then
-              P.Insert { key = k; value = k }
-            else P.Search { key = k })
-    in
-    let m = Server.stats srv in
-    Server.stop srv;
-    !cleanup ();
-    let tput = float_of_int (conns * per_conn) /. dt in
-    let pq p = 1e6 *. Repro_util.Histogram.percentile m.Stats.latency p in
-    let p50 = pq 50.0 and p99 = pq 99.0 in
-    jrows :=
-      J.Obj
-        [
-          ("backend", J.Str backend);
-          ("theta", J.Str theta_label);
-          ("combine", J.Str combine);
-          ("ops_per_s", J.Float tput);
-          ("svc_p50_us", J.Float p50);
-          ("svc_p99_us", J.Float p99);
-          ("elided", J.Int m.Stats.elided);
-          ("piggybacked", J.Int m.Stats.piggybacked);
-          ("commits_skipped", J.Int m.Stats.commits_skipped);
-          ("acked_commits", J.Int m.Stats.acked_commits);
-        ]
-      :: !jrows;
-    [
-      backend;
-      theta_label;
-      combine;
-      Report.fmt_si tput ^ "/s";
-      Report.fmt_f p50 ^ "us";
-      string_of_int m.Stats.elided;
-      string_of_int m.Stats.piggybacked;
-      string_of_int m.Stats.commits_skipped;
-      string_of_int m.Stats.acked_commits;
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun backend ->
-        List.concat_map
-          (fun theta -> List.map (run backend theta) combine_modes)
-          thetas)
-      backends
-  in
-  Report.table
-    ~header:
-      [
-        "backend"; "\u{03B8}"; "combine"; "tput"; "svc p50"; "elided";
-        "piggyback"; "skipped"; "commits";
-      ]
-    rows;
-  record_json "E15"
-    (J.Obj
-       [
-         ("per_conn_ops", J.Int per_conn);
-         ("key_space", J.Int key_space);
-         ("workers", J.Int workers);
-         ("conns", J.Int conns);
          ("depth", J.Int depth);
          ("rows", J.List (List.rev !jrows));
        ])
@@ -1513,7 +1358,6 @@ let experiments =
     ("E8", e8);
     ("E11", e11);
     ("E14", e14);
-    ("E15", e15);
     ("E16", e16);
     ("E17", e17);
     ("A1", a1);

@@ -364,7 +364,7 @@ let string_of_sockaddr = function
       Printf.sprintf "tcp:%s:%d" (Unix.string_of_inet_addr a) p
 
 let serve_cmd tree_name backend order commit_batch workers port unix_path shards
-    combine_batch mvcc path =
+    mvcc path =
   let cfg =
     match Repro_server.Serve_config.validate ~backend ~shards ~mvcc ~path with
     | Ok c -> c
@@ -402,19 +402,28 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
         else
           Tree_intf.Sharded_int.create_file ~page_size ?commit_batch ~shards p
   in
-  let sst, store, mvcc_trees, h =
-    if mvcc && backend = "disk" then begin
-      (* durable MVCC: the version chains persist through the same paged
-         stores as the tree (one WAL, one group commit per shard), so
-         SNAPSHOT sessions and consistent scans survive kill -9 and a
-         reopen picks every chain back up *)
+  let sst, mvcc_trees, h =
+    if backend = "disk" then begin
+      (* every disk serve goes through the partition layer (an unsharded
+         store is one partition), in memory or file-backed; durable MVCC
+         persists its version chains through the same paged stores as
+         the tree (one WAL, one group commit per shard), so SNAPSHOT
+         sessions and consistent scans survive kill -9 and a reopen
+         picks every chain back up *)
       check_disk_tree ();
       let sst = mk_sst () in
-      let trees, h =
-        if reopening then Tree_intf.sagiv_mvcc_disk_open sst
-        else Tree_intf.sagiv_mvcc_disk_on ~order sst
-      in
-      (Some sst, None, Some trees, h)
+      if mvcc then
+        let trees, h =
+          if reopening then Tree_intf.sagiv_mvcc_disk_open sst
+          else Tree_intf.sagiv_mvcc_disk_on ~order sst
+        in
+        (Some sst, Some trees, h)
+      else
+        let _trees, h =
+          if reopening then Tree_intf.sagiv_disk_sharded_open sst
+          else Tree_intf.sagiv_disk_sharded_on ~order sst
+        in
+        (Some sst, None, h)
     end
     else if mvcc then begin
       (* version-stamped memory backend: SNAPSHOT sessions and
@@ -424,45 +433,18 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
         if shards > 1 then Tree_intf.sagiv_mvcc_sharded ~shards ()
         else Tree_intf.sagiv_mvcc ()
       in
-      (None, None, None, impl.Tree_intf.make ~order)
-    end
-    else if backend = "disk" && path <> None then begin
-      (* file-backed plain serve: partition layer over the on-disk
-         store(s), open-or-create *)
-      check_disk_tree ();
-      let sst = mk_sst () in
-      let _trees, h =
-        if reopening then Tree_intf.sagiv_disk_sharded_open sst
-        else Tree_intf.sagiv_disk_sharded_on ~order sst
-      in
-      (Some sst, None, None, h)
-    end
-    else if shards > 1 then begin
-      (* sharded serve: N independent store+WAL partitions behind one
-         routed handle; the server folds each batch's acks into only the
-         shards it touched *)
-      check_disk_tree ();
-      let sst, _trees, h =
-        Tree_intf.sagiv_disk_sharded_raw ?commit_batch ~shards ~order ()
-      in
-      (Some sst, None, None, h)
-    end
-    else if backend = "disk" then begin
-      (* the raw constructor keeps the store at hand for the WAL
-         subscription source below *)
-      check_disk_tree ();
-      let raw, h = Tree_intf.sagiv_disk_raw ?commit_batch ~order () in
-      (None, Some raw.Handle.store, None, h)
+      (None, None, impl.Tree_intf.make ~order)
     end
     else
       let impl = impl_of_name ?commit_batch ~backend tree_name in
-      (None, None, None, impl.Tree_intf.make ~order)
+      (None, None, impl.Tree_intf.make ~order)
   in
   (* a disk store publishes its log over the Subscribe opcode: one
      source per shard (an unsharded primary is shard 0 of 1) *)
   let wal_source =
-    let source stores =
-      Some
+    Option.map
+      (fun sst ->
+        let stores = Tree_intf.Sharded_int.stores sst in
         {
           Repro_server.Server.ws_shards = Array.length stores;
           ws_fetch =
@@ -471,12 +453,8 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
           ws_wait =
             (fun ~shard ~lsn ~timeout ->
               Tree_intf.Paged_int.wal_wait stores.(shard) ~lsn ~timeout);
-        }
-    in
-    match (sst, store) with
-    | Some sst, _ -> source (Tree_intf.Sharded_int.stores sst)
-    | None, Some store -> source [| store |]
-    | None, None -> None
+        })
+      sst
   in
   let listen =
     (if port >= 0 then [ Unix.ADDR_INET (Unix.inet_addr_loopback, port) ]
@@ -487,16 +465,15 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
   (* acks are durable exactly when the backend can group-commit them *)
   let srv =
     Repro_server.Server.start ~workers
-      ~durable_acks:cfg.Repro_server.Serve_config.durable_acks ~combine_batch
-      ?wal_source ~handle:h ~listen ()
+      ~durable_acks:cfg.Repro_server.Serve_config.durable_acks ?wal_source
+      ~handle:h ~listen ()
   in
   List.iter
     (fun a -> Printf.printf "listening on %s\n%!" (string_of_sockaddr a))
     (Repro_server.Server.addresses srv);
-  Printf.printf "tree=%s backend=%s workers=%d%s%s%s%s%s (ctrl-C stops)\n%!"
+  Printf.printf "tree=%s backend=%s workers=%d%s%s%s%s (ctrl-C stops)\n%!"
     h.Tree_intf.name backend workers
     (if shards > 1 then Printf.sprintf " shards=%d" shards else "")
-    (if combine_batch then " combine=batch" else "")
     (match wal_source with Some _ -> " replication=on" | None -> "")
     (if mvcc then " mvcc=on" else "")
     (match path with
@@ -815,12 +792,6 @@ let shards_arg =
            ~doc:"Partition the keyspace into N independent store+WAL shards \
                  (deterministic hash routing; disk backend only).")
 
-let combine_arg =
-  Arg.(value & opt (enum [ ("off", false); ("batch", true) ]) false
-       & info [ "combine" ] ~docv:"MODE"
-           ~doc:"Hot-key combining: off, or batch (server-side \
-                 pipeline-batch dedup).")
-
 let zipf_arg =
   Arg.(value & opt (some float) None
        & info [ "zipf" ] ~docv:"THETA"
@@ -907,7 +878,7 @@ let serve_path_arg =
 let serve_t =
   Term.(
     const serve_cmd $ tree_arg $ backend_arg $ order_arg $ commit_batch_arg $ workers_arg $ port_arg $ unix_arg $ shards_arg
-    $ combine_arg $ mvcc_arg $ serve_path_arg)
+    $ mvcc_arg $ serve_path_arg)
 
 let host_arg =
   Arg.(value & opt string "127.0.0.1"

@@ -73,25 +73,54 @@ let read_response t =
   in
   go ()
 
+(* Request bytes a pipeline keeps sent but unanswered. The server
+   answers a drained batch before it reads the next, so once both
+   directions' socket buffers fill, a client still writing would block
+   against a server blocked writing responses. Past this window the
+   client reads responses down to half of it before writing on; a batch
+   under the window goes out in one write. *)
+let window = 65536
+
 let pipeline t reqs =
   let first = t.seq in
+  let sizes = Queue.create () (* unanswered frames' sizes, oldest first *)
+  and in_flight = ref 0
+  and got = ref 0
+  and resps = ref [] in
+  let send () =
+    in_flight := !in_flight + P.Writer.length t.out;
+    flush t
+  in
+  let receive () =
+    let expect = (first + !got) land 0xffffffff in
+    let seq, resp = read_response t in
+    if seq <> expect then
+      raise
+        (P.Bad_frame
+           (Printf.sprintf "response out of order: seq %d, expected %d" seq
+              expect));
+    in_flight := !in_flight - Queue.pop sizes;
+    incr got;
+    resps := resp :: !resps
+  in
   List.iter
     (fun r ->
+      let before = P.Writer.length t.out in
       P.Writer.request t.out ~seq:t.seq r;
-      t.seq <- (t.seq + 1) land 0xffffffff)
+      t.seq <- (t.seq + 1) land 0xffffffff;
+      Queue.push (P.Writer.length t.out - before) sizes;
+      if !in_flight + P.Writer.length t.out > window then begin
+        send ();
+        while !in_flight > window / 2 do
+          receive ()
+        done
+      end)
     reqs;
-  flush t;
-  List.mapi
-    (fun i _ ->
-      let expect = (first + i) land 0xffffffff in
-      let seq, resp = read_response t in
-      if seq <> expect then
-        raise
-          (P.Bad_frame
-             (Printf.sprintf "response out of order: seq %d, expected %d" seq
-                expect));
-      resp)
-    reqs
+  send ();
+  while not (Queue.is_empty sizes) do
+    receive ()
+  done;
+  List.rev !resps
 
 (* The shard a request's key routes to; [None] for keyless requests
    (Range spans shards; Commit/Stats are global). *)

@@ -2,9 +2,9 @@
 
     One connection, one caller at a time (no internal locking). The
     single-request helpers round-trip one frame; {!pipeline} streams a
-    whole batch before reading any response, which is where the
-    protocol's throughput comes from — and what the server's ack-fold
-    into group commit amortises.
+    whole batch (up to a 64 KB window) before reading any response,
+    which is where the protocol's throughput comes from — and what the
+    server's ack-fold into group commit amortises.
 
     Every call raises {!Repro_server.Protocol.Bad_frame} on a corrupt
     response, [End_of_file] when the server closes mid-reply, and
@@ -18,8 +18,11 @@ val close : t -> unit
 
 val pipeline :
   t -> Repro_server.Protocol.request list -> Repro_server.Protocol.response list
-(** Send the whole batch, then read exactly one response per request, in
-    order. Sequence numbers are checked against the requests'. *)
+(** Send the batch, then read exactly one response per request, in
+    order. Sequence numbers are checked against the requests'. A batch
+    under 64 KB of request frames goes out in one write; a larger one
+    never has more than that (plus one frame) sent but unanswered, so a
+    batch of any size completes. *)
 
 val pipeline_sharded :
   t ->

@@ -29,7 +29,6 @@ type t = {
   handle : Repro_baseline.Tree_intf.handle;
   wal_source : wal_source option;
   durable_acks : bool;
-  combine_batch : bool;
   max_payload : int;
   mutable domains : unit Domain.t list;
   mutable stopped : bool;
@@ -218,89 +217,6 @@ let execute t (sst : Stats.server) ctx
   | Subscribe { shard; from_lsn; max_pages; wait_ms } ->
       execute_subscribe t ~shard ~from_lsn ~max_pages ~wait_ms
 
-(* Per-connection, per-batch dedup state: what this batch's already-
-   executed operations proved about a key. [KPresent (Some v)] — present
-   with payload [v]; [KPresent None] — present, payload unknown (a
-   duplicate insert proved presence without revealing the stored
-   payload); [KAbsent] — absent. *)
-type kst = KPresent of int option | KAbsent
-
-(* Combine-mode execution: answer from the batch's dedup state when the
-   operation is a tree no-op anchored at an earlier op of this batch on
-   the same key; otherwise run it physically and record what it proved.
-   A derived response linearizes immediately after its anchor — valid
-   because every op in a drained batch is concurrent with every other
-   (all were pipelined before any response flushed), so any order over
-   them is admissible. Only tree no-ops are ever derived; state-changing
-   operations always execute physically, so [kstate] never diverges from
-   the tree: it only holds facts a batch-local physical op established.
-   [mutated] records "saw a mutation request" (elided or not);
-   [state_changed] records "a physical mutation changed the tree" — the
-   commit decision below keys on the latter. *)
-let execute_combined t (sst : Stats.server) ctx ~kstate ~mutated
-    ~state_changed ~touched ~snap (req : P.request) : P.response =
-  let mark_touched key =
-    match t.handle.sharding with
-    | Some s -> touched.(s.shard_of_key key) <- true
-    | None -> ()
-  in
-  match req with
-  (* a pinned session reads at its cut — batch-dedup facts describe
-     current time, so piggybacking them onto a snapshot read would leak
-     post-cut writes *)
-  | P.Search _ when !snap <> None -> execute t sst ctx ~snap req
-  | P.Insert { key; value } -> (
-      match Hashtbl.find_opt kstate key with
-      | Some (KPresent _) ->
-          mutated := true;
-          sst.elided <- sst.elided + 1;
-          Duplicate
-      | Some KAbsent | None -> (
-          mutated := true;
-          match t.handle.insert ctx key value with
-          | `Ok ->
-              state_changed := true;
-              mark_touched key;
-              Hashtbl.replace kstate key (KPresent (Some value));
-              Inserted
-          | `Duplicate ->
-              Hashtbl.replace kstate key (KPresent None);
-              Duplicate))
-  | P.Delete { key } -> (
-      match Hashtbl.find_opt kstate key with
-      | Some KAbsent ->
-          mutated := true;
-          sst.elided <- sst.elided + 1;
-          Absent
-      | Some (KPresent _) | None ->
-          mutated := true;
-          let hit = t.handle.delete ctx key in
-          Hashtbl.replace kstate key KAbsent;
-          if hit then begin
-            state_changed := true;
-            mark_touched key;
-            Deleted
-          end
-          else Absent)
-  | P.Search { key } -> (
-      match Hashtbl.find_opt kstate key with
-      | Some (KPresent (Some v)) ->
-          sst.piggybacked <- sst.piggybacked + 1;
-          Found v
-      | Some KAbsent ->
-          sst.piggybacked <- sst.piggybacked + 1;
-          Absent
-      | Some (KPresent None) | None -> (
-          match t.handle.search ctx key with
-          | Some v ->
-              Hashtbl.replace kstate key (KPresent (Some v));
-              Found v
-          | None ->
-              Hashtbl.replace kstate key KAbsent;
-              Absent))
-  | P.Range _ | P.Commit | P.Stats | P.Subscribe _ | P.Snapshot _ ->
-      execute t sst ctx ~snap req
-
 (* Serve one connection to completion on worker [slot]. The read loop
    drains every complete frame the kernel delivered (the pipeline
    batch), executes in order, commits once if the batch mutated and
@@ -317,7 +233,6 @@ let serve_conn t ~slot fd =
     | Some s -> Array.make s.shard_count false
     | None -> [||]
   in
-  let kstate : (int, kst) Hashtbl.t = Hashtbl.create 16 in
   (* SNAPSHOT session state: one pin, many reads, released on close or
      when the connection ends *)
   let snap : Repro_baseline.Tree_intf.snap option ref = ref None in
@@ -410,16 +325,11 @@ let serve_conn t ~slot fd =
          let depth = !depth in
          if depth > sst.max_pipeline then sst.max_pipeline <- depth;
          let mutated = ref false in
-         let state_changed = ref false in
          Array.fill touched 0 (Array.length touched) false;
-         (* dedup facts never survive a batch boundary: the concurrency
-            argument (all ops' windows overlap) only holds within one
-            drained batch *)
-         if t.combine_batch then Hashtbl.reset kstate;
          for i = 0 to depth - 1 do
            let req = !reqs.(i) in
            if not !closing then begin
-             if (not t.combine_batch) && is_mutation req then begin
+             if is_mutation req then begin
                mutated := true;
                match (t.handle.sharding, mutation_key req) with
                | Some s, Some key -> touched.(s.shard_of_key key) <- true
@@ -427,11 +337,7 @@ let serve_conn t ~slot fd =
              end;
              let t0 = now () in
              let resp =
-               try
-                 if t.combine_batch then
-                   execute_combined t sst ctx ~kstate ~mutated
-                     ~state_changed ~touched ~snap req
-                 else execute t sst ctx ~snap req
+               try execute t sst ctx ~snap req
                with e -> P.Error (Printexc.to_string e)
              in
              Repro_util.Histogram.add sst.latency (now () -. t0);
@@ -444,11 +350,12 @@ let serve_conn t ~slot fd =
             each fold into its own shard's group commit, so batches on
             different shards never serialise on one log fsync. The walk
             starts at a slot-dependent shard so concurrently-committing
-            workers spread their leader duty instead of convoying. *)
-         if
-           t.durable_acks
-           && if t.combine_batch then !state_changed else !mutated
-         then begin
+            workers spread their leader duty instead of convoying. A
+            batch whose mutations changed nothing still commits: the
+            store finds nothing unsealed and waits only for the group in
+            flight, which may hold the write a [Duplicate] or an
+            [Absent] rests on. *)
+         if t.durable_acks && !mutated then begin
            (match t.handle.sharding with
            | Some s ->
                let n = s.shard_count in
@@ -461,12 +368,7 @@ let serve_conn t ~slot fd =
                done
            | None -> t.handle.commit ());
            sst.acked_commits <- sst.acked_commits + 1
-         end
-         else if t.durable_acks && !mutated then
-           (* combine mode, mutation requests seen, but every surviving
-              mutation was a tree no-op: nothing new to make durable, so
-              the ack-covering commit is elided *)
-           sst.commits_skipped <- sst.commits_skipped + 1;
+         end;
          (match !poisoned with
          | Some msg -> respond ~seq:0 (P.Error ("bad frame: " ^ msg))
          | None -> ());
@@ -529,7 +431,7 @@ let accept_loop t =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
-let start ?(workers = 4) ?(durable_acks = false) ?(combine_batch = false)
+let start ?(workers = 4) ?(durable_acks = false)
     ?(max_payload = P.default_max_payload) ?wal_source ~handle ~listen () =
   (* a peer that drops mid-reply must cost an EPIPE, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -564,7 +466,6 @@ let start ?(workers = 4) ?(durable_acks = false) ?(combine_batch = false)
       handle;
       wal_source;
       durable_acks;
-      combine_batch;
       max_payload;
       domains = [];
       stopped = false;

@@ -36,7 +36,6 @@ type wal_source = {
 val start :
   ?workers:int ->
   ?durable_acks:bool ->
-  ?combine_batch:bool ->
   ?max_payload:int ->
   ?wal_source:wal_source ->
   handle:Repro_baseline.Tree_intf.handle ->
@@ -47,21 +46,10 @@ val start :
     worker domains running. [workers] defaults to 4 — it bounds the
     connections served concurrently (excess connections wait in the
     accept queue). [durable_acks] (default false) makes every mutation
-    batch commit before its acks flush. [combine_batch] (default false;
-    CLI [serve --combine batch]) enables batch-level hot-key dedup, the
-    repository's only hot-key combining: within one drained pipeline
-    batch, an operation that an earlier same-batch operation already
-    proved to be a tree no-op (insert of a known-present key, delete of
-    a known-absent one) is answered without touching the tree, and a
-    search piggy-backs on the latest preceding same-batch write's
-    payload. Per-connection response order is preserved, every response
-    is a valid linearization (derived operations linearize immediately
-    after the batch-local operation that proved the fact), and the
-    durable-ack contract holds: a batch whose surviving mutations
-    changed the tree still commits before its acks flush, while a batch
-    of pure no-ops skips the commit (counted in [commits_skipped])
-    because it made nothing new durable. [wal_source] enables the
-    [Subscribe] opcode — replication pull of durable WAL pages, with a
+    batch commit before its acks flush; a batch whose mutations were
+    all tree no-ops commits too, which costs no log write when the store
+    has nothing unsealed ({!Repro_storage.Paged_store}). [wal_source]
+    enables the [Subscribe] opcode — replication pull of durable WAL pages, with a
     bounded long-poll so each sealed batch streams right after the
     group-commit fsync that made it durable; without it subscribes get
     [Error "replication unsupported"]. TCP addresses may bind port 0;

@@ -1120,16 +1120,10 @@ module Make (K : Key.S) = struct
        invisible to a replication follower or a point-in-time replay.
        With it, the log's retained history covers every committed state
        transition, which is the property WAL shipping rests on (see
-       doc/RECOVERY.md). Skipped when nothing is dirty, so a quiescent
-       checkpoint appends no spurious records. *)
+       doc/RECOVERY.md). A commit with nothing unsealed logs nothing,
+       so a quiescent checkpoint appends no spurious records. *)
     let w = t.wal in
-    let dirty_work =
-      Mutex.lock w.w_mu;
-      let d = w.w_meta_dirty || w.w_logical <> [] in
-      Mutex.unlock w.w_mu;
-      d || any_dirty t
-    in
-    if dirty_work then commit t;
+    commit t;
     let nstripes = Array.length t.stripes in
     Failpoint.hit fp_sync_data;
     Array.iteri
@@ -1199,11 +1193,39 @@ module Make (K : Key.S) = struct
 
   (* Group commit: block until every operation completed before this call
      is durable. Safe from any number of domains at once — unlike [sync],
-     which demands quiescence. *)
+     which demands quiescence.
+
+     An empty commit is free: with no dirty page, logical record or
+     metadata change left unsealed, every page a completed operation
+     wrote (or read another's write from) sits in a batch already
+     sealed. It then waits for the batch in flight, if any, and seals
+     nothing new — no record, no fsync, and no place in the next group.
+     Should that batch fail, its leader puts its pages back, so the
+     caller falls through to the full path and commits them itself.
+     The test reads the dirty tables, never a counter, so a put-back
+     page can never be skipped. *)
   and commit t =
     let w = t.wal in
     Mutex.lock w.w_mu;
     w.commit_reqs <- w.commit_reqs + 1;
+    let empty =
+      (not w.w_meta_dirty) && w.w_logical = [] && not (any_dirty t)
+    in
+    let in_flight = w.sealed in
+    let rec await_sealed () =
+      if w.durable >= in_flight then true
+      else if w.sealed < in_flight then false (* that batch failed *)
+      else begin
+        Condition.wait w.w_cond w.w_mu;
+        await_sealed ()
+      end
+    in
+    if empty && await_sealed () then Mutex.unlock w.w_mu
+    else commit_unsealed t w
+
+  (* The full path: join (or lead) the next batch to seal. Entered
+     holding [w_mu]; returns with it released. *)
+  and commit_unsealed t w =
     Atomic.incr w.unsealed_reqs;
     (* The next batch to seal necessarily covers this caller's pages:
        they are in the live dirty set right now. If a running leader

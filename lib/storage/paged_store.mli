@@ -37,7 +37,10 @@
     commit} — the caller's completed operations are logged as physical
     page images through {!Wal} and made durable by a single batched log
     fsync, without quiescence and without writing the data file, so
-    [commit] is safe from any number of domains at once. Dirty-page
+    [commit] is safe from any number of domains at once. A commit that
+    finds nothing unsealed (no dirty page, logical record or metadata
+    change since the last seal) logs nothing and does not fsync: it
+    returns at once, or once the group in flight is durable. Dirty-page
     write-back is advisory (cache pressure and checkpoints drive it,
     but durability does not depend on it); [sync] is the
     {e checkpoint}: it writes everything back, appends a CHECKPOINT

@@ -211,16 +211,6 @@ type server = {
   mutable acked_commits : int;
       (** durable group commits issued to cover mutation acks
           ([durable_acks] mode) *)
-  mutable elided : int;
-      (** mutations answered from batch-dedup state without a tree
-          operation (insert on a known-present key, delete on a
-          known-absent one) *)
-  mutable piggybacked : int;
-      (** searches answered from the latest preceding same-batch write
-          instead of a tree search *)
-  mutable commits_skipped : int;
-      (** durable-ack commits elided because every surviving mutation in
-          the batch was a tree no-op (nothing new to make durable) *)
   mutable snapshots_opened : int;
       (** MVCC snapshot pins taken on behalf of clients — per-request
           Range cuts and session [SNAPSHOT] opens *)
@@ -247,9 +237,6 @@ let server_create () =
     max_pipeline = 0;
     protocol_errors = 0;
     acked_commits = 0;
-    elided = 0;
-    piggybacked = 0;
-    commits_skipped = 0;
     snapshots_opened = 0;
     snap_reads = 0;
     shard_acks = [||];
@@ -278,9 +265,6 @@ let server_merge ~into:dst (src : server) =
   dst.max_pipeline <- max dst.max_pipeline src.max_pipeline;
   dst.protocol_errors <- dst.protocol_errors + src.protocol_errors;
   dst.acked_commits <- dst.acked_commits + src.acked_commits;
-  dst.elided <- dst.elided + src.elided;
-  dst.piggybacked <- dst.piggybacked + src.piggybacked;
-  dst.commits_skipped <- dst.commits_skipped + src.commits_skipped;
   dst.snapshots_opened <- dst.snapshots_opened + src.snapshots_opened;
   dst.snap_reads <- dst.snap_reads + src.snap_reads;
   (if Array.length src.shard_acks > 0 then begin
@@ -298,11 +282,10 @@ let server_merge ~into:dst (src : server) =
 let pp_server fmt (s : server) =
   Format.fprintf fmt
     "conns=%d/%d frames=%d/%d bytes=%d/%d max_pipeline=%d proto_errors=%d \
-     acked_commits=%d elided=%d piggybacked=%d commits_skipped=%d \
-     snapshots=%d snap_reads=%d lat_p50=%.1fus lat_p99=%.1fus"
+     acked_commits=%d snapshots=%d snap_reads=%d lat_p50=%.1fus lat_p99=%.1fus"
     s.conns_active s.conns_opened s.frames_in s.frames_out s.bytes_in
-    s.bytes_out s.max_pipeline s.protocol_errors s.acked_commits s.elided
-    s.piggybacked s.commits_skipped s.snapshots_opened s.snap_reads
+    s.bytes_out s.max_pipeline s.protocol_errors s.acked_commits
+    s.snapshots_opened s.snap_reads
     (1e6 *. Repro_util.Histogram.percentile s.latency 50.0)
     (1e6 *. Repro_util.Histogram.percentile s.latency 99.0);
   if Array.length s.shard_acks > 0 then

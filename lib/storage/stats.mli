@@ -105,15 +105,6 @@ type server = {
       (** malformed / truncated / oversized / checksum-failed frames *)
   mutable acked_commits : int;
       (** durable group commits issued to cover mutation acks *)
-  mutable elided : int;
-      (** mutations answered from batch-dedup state without a tree
-          operation (batch dedup, [combine_batch]) *)
-  mutable piggybacked : int;
-      (** searches answered from the latest preceding same-batch write
-          (batch dedup, [combine_batch]) *)
-  mutable commits_skipped : int;
-      (** durable-ack commits elided because the batch's surviving
-          mutations were all tree no-ops *)
   mutable snapshots_opened : int;
       (** MVCC snapshot pins taken on behalf of clients — per-request
           Range cuts and session [SNAPSHOT] opens *)

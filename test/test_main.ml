@@ -26,5 +26,4 @@ let () =
       ("report", Test_report.suite);
       ("server", Test_server.suite);
       ("mvcc", Test_mvcc.suite);
-      ("combine", Test_combine.suite);
     ]

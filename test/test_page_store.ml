@@ -545,6 +545,79 @@ let test_replicated_image_after_refault () =
   touch_others ();
   Alcotest.(check int) "shipped image served" 999 (Paged_int.get s p).Node.keys.(0)
 
+(* An empty commit is free: with nothing dirty — after a commit, a
+   rewrite of the unchanged metadata, a read — a commit appends no
+   record, fsyncs nothing and leaves the durable LSN where it was. It
+   still counts as a request. *)
+let test_empty_commit_free () =
+  let s = Paged_int.create_memory ~cache_pages:8 () in
+  let p = Paged_int.alloc s (mk_leaf [ 1 ]) in
+  Paged_int.set_meta s (Bytes.of_string "meta");
+  Paged_int.commit s;
+  let io () = Paged_int.io_stats s in
+  let cost () =
+    let io = io () in
+    ( io.Stats.wal_records,
+      io.Stats.wal_fsyncs,
+      io.Stats.commit_groups,
+      Paged_int.wal_durable_lsn s )
+  in
+  let before = cost () and reqs = (io ()).Stats.commit_reqs in
+  Paged_int.commit s;
+  Paged_int.set_meta s (Bytes.of_string "meta");
+  Paged_int.commit s;
+  ignore (Paged_int.get s p);
+  Paged_int.commit s;
+  let same = Alcotest.(check (pair (pair int int) (pair int int))) in
+  let split (a, b, c, d) = ((a, b), (c, d)) in
+  same "records, fsyncs, groups, durable LSN" (split before) (split (cost ()));
+  Alcotest.(check int) "every call counted" (reqs + 3) (io ()).Stats.commit_reqs;
+  Paged_int.put s p (mk_leaf [ 2 ]);
+  Paged_int.commit s;
+  let _, fsyncs, _, _ = before in
+  Alcotest.(check int) "a real write still commits" (fsyncs + 1)
+    (io ()).Stats.wal_fsyncs
+
+(* A failed group puts its pages and metadata back; the next commit must
+   log them even when no write came since. A fast path that asked a
+   counter ("every sealed batch is durable") instead of the dirty tables
+   would skip them and ack state no log holds. *)
+let test_failed_group_relogged () =
+  Failpoint.reset ();
+  let pfile = Paged_file.create_shadow ~page_size:512 () in
+  let lfile =
+    Paged_file.create_shadow ~page_size:(Wal.log_page_size ~data_page_size:512) ()
+  in
+  let s = Paged_int.create_on ~cache_pages:64 ~wal:lfile pfile in
+  Paged_int.sync s;
+  let pages = List.init 4 (fun i -> (Paged_int.alloc s (mk_leaf [ i ]), i)) in
+  Paged_int.set_meta s (Bytes.of_string "after");
+  Failpoint.set "wal.commit" (Failpoint.Error { every = 1 });
+  (match Paged_int.commit s with
+  | () -> Alcotest.fail "armed log fsync did not fail"
+  | exception Failpoint.Injected _ -> ());
+  Failpoint.set "wal.commit" Failpoint.Off;
+  let io = Paged_int.io_stats s in
+  Paged_int.commit s;
+  let io' = Paged_int.io_stats s in
+  Alcotest.(check int) "one fsync" (io.Stats.wal_fsyncs + 1) io'.Stats.wal_fsyncs;
+  Alcotest.(check int) "pages, meta and COMMIT re-logged"
+    (io.Stats.wal_records + List.length pages + 2)
+    io'.Stats.wal_records;
+  let s2 =
+    Paged_int.open_from ~cache_pages:64 ~wal:(Paged_file.crash_image lfile)
+      (Paged_file.crash_image pfile)
+  in
+  List.iter
+    (fun (p, i) ->
+      Alcotest.(check int)
+        (Printf.sprintf "page %d recovered" p)
+        i (Paged_int.get s2 p).Node.keys.(0))
+    pages;
+  Alcotest.(check (option string)) "meta recovered" (Some "after")
+    (Option.map Bytes.to_string (Paged_int.get_meta s2));
+  Failpoint.reset ()
+
 let suite =
   Mem.suite @ Disk.suite
   @ [
@@ -566,4 +639,8 @@ let suite =
         test_writeback_reads_nothing;
       Alcotest.test_case "disk: replicated image wins after re-fault" `Quick
         test_replicated_image_after_refault;
+      Alcotest.test_case "disk: empty commit logs nothing" `Quick
+        test_empty_commit_free;
+      Alcotest.test_case "disk: failed group relogs on retry" `Quick
+        test_failed_group_relogged;
     ]

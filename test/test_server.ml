@@ -2,8 +2,10 @@
    malformed / truncated / oversized / corrupted frames; the live
    server's pipelined sessions, per-connection error isolation,
    connection-drop robustness; ≥4-client concurrent linearizability
-   through real sockets; and the WAL ack-durability contract — an
-   acked write survives a crash taken right after the ack. *)
+   through real sockets, hot-key pipelined batches included; the WAL
+   ack-durability contract — an acked write survives a crash taken
+   right after the ack; pipeline_sharded's ordering guarantees; and a
+   pipeline far past the socket buffers. *)
 
 open Repro_storage
 open Repro_baseline
@@ -769,6 +771,229 @@ let test_serve_config_matrix () =
   ignore (ok "mem sharding with mvcc" (v ~shards:8 ~mvcc:true ()));
   ignore (ok "disk sharding sans mvcc" (v ~backend:"disk" ~shards:8 ()))
 
+(* ---------- pipelined batches ---------- *)
+
+let check_resps what expected actual =
+  Alcotest.(check (list response)) what expected actual
+
+(* 4 clients pipeline small batches over 8 hot keys; every response
+   becomes an event whose window spans its whole batch (conservative:
+   wider windows only make the check more permissive, so any violation
+   found is real). Every key must be checked. *)
+let test_hot_keys_linearizable () =
+  with_server ~workers:4 @@ fun _srv addr ->
+  let clock = Atomic.make 0 in
+  let all = Atomic.make [] in
+  let key_space = 8 and batches = 3 and depth = 4 in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let rng = Random.State.make [| 8800 + d |] in
+            let mine = ref [] in
+            with_client addr @@ fun c ->
+            for _ = 1 to batches do
+              let reqs =
+                List.init depth (fun _ ->
+                    let key = Random.State.int rng key_space in
+                    match Random.State.int rng 3 with
+                    | 0 -> P.Insert { key; value = key }
+                    | 1 -> P.Delete { key }
+                    | _ -> P.Search { key })
+              in
+              let inv = Atomic.fetch_and_add clock 1 in
+              let resps = C.pipeline c reqs in
+              let res = Atomic.fetch_and_add clock 1 in
+              List.iter2
+                (fun req resp ->
+                  let key, kind, ok =
+                    match (req, resp) with
+                    | P.Insert { key; _ }, r ->
+                        (key, Linearize.Insert, r = P.Inserted)
+                    | P.Delete { key }, r -> (key, Linearize.Delete, r = P.Deleted)
+                    | P.Search { key }, r ->
+                        ( key,
+                          Linearize.Search,
+                          match r with P.Found _ -> true | _ -> false )
+                    | _ -> assert false
+                  in
+                  mine := { Linearize.key; kind; ok; inv; res } :: !mine)
+                reqs resps
+            done;
+            let rec publish () =
+              let cur = Atomic.get all in
+              if not (Atomic.compare_and_set all cur (!mine @ cur)) then
+                publish ()
+            in
+            publish ()))
+  in
+  List.iter Domain.join domains;
+  let v = Linearize.check (Atomic.get all) in
+  Alcotest.(check bool) "no skipped keys" true (v.Linearize.skipped = []);
+  if not (Linearize.ok v) then
+    Alcotest.failf "violations on keys %s"
+      (String.concat ", "
+         (List.map (fun (k, _) -> string_of_int k) v.Linearize.violations))
+
+(* The durable-ack contract for whole pipelined batches: snapshot the
+   crash image the moment a batch's acks are in — duplicates and misses
+   among them — and recovery must hold every effect those acks report.
+   A trailing all-duplicate batch still commits, and the commit is
+   free: the store has nothing unsealed, so the log gets no fsync. *)
+let test_wal_pipelined_acked_crash () =
+  let data_page_size = 512 in
+  let wal_page_size = Wal.log_page_size ~data_page_size in
+  let pfile = Paged_file.create_shadow ~page_size:data_page_size () in
+  let lfile = Paged_file.create_shadow ~page_size:wal_page_size () in
+  let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
+  let t = Sg.create ~order:4 ~store () in
+  Sg.flush t;
+  let handle =
+    Tree_intf.of_ops
+      ~commit:(fun () -> Sg.commit t)
+      ~range:(Sg.range t) ~name:"sagiv-disk" (module Sg) t
+  in
+  let n = 50 in
+  let image, limage =
+    with_server ~workers:2 ~durable_acks:true ~handle @@ fun srv addr ->
+    with_client addr @@ fun c ->
+    (* each key: a fresh insert, a duplicate of it, a delete that misses
+       and a repeat of that miss *)
+    let reqs =
+      List.concat_map
+        (fun i ->
+          [
+            P.Insert { key = i; value = i * 7 };
+            P.Insert { key = i; value = 999 };
+            P.Delete { key = 1000 + i };
+            P.Delete { key = 1000 + i };
+          ])
+        (List.init n Fun.id)
+    in
+    let resps = C.pipeline c reqs in
+    List.iteri
+      (fun j r ->
+        let expect =
+          match j mod 4 with
+          | 0 -> P.Inserted
+          | 1 -> P.Duplicate
+          | _ -> P.Absent
+        in
+        Alcotest.check response (Printf.sprintf "ack %d" j) expect r)
+      resps;
+    let fsyncs () = (PS.io_stats store).Stats.wal_fsyncs in
+    let before = fsyncs () in
+    let dups =
+      C.pipeline c
+        (List.init n (fun i -> P.Insert { key = i; value = 0 }))
+    in
+    Alcotest.(check bool) "all duplicates" true
+      (List.for_all (( = ) P.Duplicate) dups);
+    Alcotest.(check int) "all-duplicate batch added no fsync" before
+      (fsyncs ());
+    Alcotest.(check bool) "every mutating batch committed" true
+      ((Server.stats srv).Stats.acked_commits >= 2);
+    (* the crash: both devices snapshotted right after the acks *)
+    (Paged_file.crash_image pfile, Paged_file.crash_image lfile)
+  in
+  let store2 = PS.open_from ~cache_pages:64 ~wal:limage image in
+  let t2 = Sg.open_existing store2 in
+  let c2 = Sg.ctx ~slot:0 in
+  for i = 0 to n - 1 do
+    (match Sg.search t2 c2 i with
+    | Some v when v = i * 7 -> ()
+    | Some v -> Alcotest.failf "key %d recovered with value %d" i v
+    | None -> Alcotest.failf "acked key %d lost: its ack outran its commit" i);
+    match Sg.search t2 c2 (1000 + i) with
+    | None -> ()
+    | Some _ -> Alcotest.failf "phantom key %d materialised" (1000 + i)
+  done
+
+let test_pipeline_sharded_order () =
+  let shards = 4 in
+  let handle =
+    Tree_intf.sharded ~name:"sagiv-sharded"
+      (Array.init shards (fun _ -> (Tree_intf.sagiv ()).make ~order:4))
+  in
+  with_server ~handle @@ fun _srv addr ->
+  with_client addr @@ fun c ->
+  (* same-key run: insert/delete/insert/search on one key must not be
+     reordered by the regrouping *)
+  check_resps "same-key run keeps order"
+    [ P.Inserted; P.Deleted; P.Inserted; P.Found 2 ]
+    (C.pipeline_sharded c ~shards
+       [
+         P.Insert { key = 5; value = 1 };
+         P.Delete { key = 5 };
+         P.Insert { key = 5; value = 2 };
+         P.Search { key = 5 };
+       ]);
+  (* keyless barrier: the delete after the Commit must see the insert
+     before it, on every shard the keys hash to *)
+  check_resps "keyless barrier not crossed"
+    [
+      P.Inserted; P.Inserted; P.Found 10; P.Committed; P.Duplicate; P.Deleted;
+      P.Absent;
+    ]
+    (C.pipeline_sharded c ~shards
+       [
+         P.Insert { key = 11; value = 10 };
+         P.Insert { key = 12; value = 20 };
+         P.Search { key = 11 };
+         P.Commit;
+         P.Insert { key = 11; value = 99 };
+         P.Delete { key = 12 };
+         P.Search { key = 12 };
+       ]);
+  (* responses come back in caller order even when shard grouping
+     permutes the wire order of distinct keys *)
+  let n = 64 in
+  let reqs = List.init n (fun i -> P.Insert { key = 100 + i; value = i }) in
+  let resps = C.pipeline_sharded c ~shards reqs in
+  Alcotest.(check int) "one response per request" n (List.length resps);
+  Alcotest.(check bool) "all fresh inserts acked" true
+    (List.for_all (( = ) P.Inserted) resps);
+  List.iteri
+    (fun i _ ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "key %d" (100 + i))
+        (Some i)
+        (C.search c ~key:(100 + i)))
+    reqs
+
+(* A pipeline far larger than the socket buffers: the client keeps a
+   bounded window of requests unanswered, so neither side blocks
+   writing while the other does too. Insert/search pairs make every
+   response's position checkable. *)
+let test_huge_pipeline () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "blink-huge-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  Fun.protect
+    ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
+    (fun () ->
+      with_server ~listen:[ Unix.ADDR_UNIX path ] @@ fun _srv addr ->
+      with_client addr @@ fun c ->
+      let pairs = 50_000 in
+      let resps =
+        C.pipeline c
+          (List.concat
+             (List.init pairs (fun k ->
+                  [ P.Insert { key = k; value = k + 1 }; P.Search { key = k } ])))
+      in
+      Alcotest.(check int) "one response per request" (2 * pairs)
+        (List.length resps);
+      List.iteri
+        (fun j r ->
+          let k = j / 2 in
+          let expect = if j mod 2 = 0 then P.Inserted else P.Found (k + 1) in
+          if r <> expect then
+            Alcotest.failf "response %d: %s, expected %s" j
+              (P.response_to_string r) (P.response_to_string expect))
+        resps)
+
 let suite =
   [
     ("protocol roundtrip", `Quick, test_roundtrip);
@@ -788,4 +1013,11 @@ let suite =
     ("replica resolves durable-mvcc chains", `Quick, test_replica_mvcc_reads);
     ("serve flag compatibility matrix", `Quick, test_serve_config_matrix);
     ("4 domains encode at once", `Quick, test_domain_private_scratch);
+    ("hot keys linearizable, four clients", `Quick,
+     test_hot_keys_linearizable);
+    ("pipelined acks survive crash (wal)", `Quick,
+     test_wal_pipelined_acked_crash);
+    ("pipeline_sharded same-key runs and barriers", `Quick,
+     test_pipeline_sharded_order);
+    ("client pipeline of 100k requests", `Quick, test_huge_pipeline);
   ]
