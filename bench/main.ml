@@ -549,8 +549,13 @@ let e11 () =
   let trials = if !quick then 3 else 5 in
   let run_once stripes domains =
     Gc.compact ();
-    let raw, h = Tree_intf.sagiv_disk_raw ~cache_pages ~stripes ~order:16 () in
-    let store = raw.Handle.store in
+    let sst =
+      Tree_intf.Sharded_int.create_memory
+        ~page_size:(Tree_intf.page_size_for_order 16) ~cache_pages ~stripes
+        ~shards:1 ()
+    in
+    let _, h = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
+    let store = Tree_intf.Sharded_int.store sst 0 in
     ignore (Driver.preload h ~seed:42 spec);
     let r =
       Driver.run_ops h ~domains ~ops_per_domain:(total_ops / domains) ~seed:42
@@ -934,8 +939,7 @@ let e16 () =
   let module Server = Repro_server.Server in
   let module Cl = Repro_client.Client in
   let module R = Repro_client.Replica in
-  let module PS = Tree_intf.Paged_int in
-  let module Sg = Tree_intf.Sagiv_disk in
+  let module SS = Tree_intf.Sharded_int in
   Report.heading "E16: log-shipping replication — followers \u{00D7} write load";
   Report.note
     "A WAL primary over loopback TCP with N socket followers pulling \
@@ -956,29 +960,13 @@ let e16 () =
   let run followers =
     Gc.compact ();
     let path = Filename.temp_file "e16" ".pages" in
-    let wal_path = path ^ ".wal" in
-    let store =
-      PS.create_file ~cache_pages:4096 ~commit_batch:8 ~commit_interval:5e-4
-        ~wal_path path
+    let sst =
+      SS.create_file ~cache_pages:4096 ~commit_batch:8 ~commit_interval:5e-4
+        ~shards:1 path
     in
-    let t = Sg.create ~order:16 ~store () in
-    let handle =
-      Tree_intf.of_ops
-        ~commit:(fun () -> Sg.commit t)
-        ~range:(Sg.range t) ~name:"sagiv-disk" (module Sg) t
-    in
-    let wal_source =
-      {
-        Server.ws_shards = 1;
-        ws_fetch =
-          (fun ~shard:_ ~lsn ~max_pages -> PS.wal_fetch store ~lsn ~max_pages);
-        ws_wait =
-          (fun ~shard:_ ~lsn ~timeout -> PS.wal_wait store ~lsn ~timeout);
-      }
-    in
+    let _, handle = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
     let srv =
-      Server.start ~workers:(writers + followers) ~durable_acks:true
-        ~wal_source ~handle
+      Server.start ~workers:(writers + followers) ~durable_acks:true ~handle
         ~listen:[ Unix.ADDR_INET (Unix.inet_addr_loopback, 0) ]
         ()
     in
@@ -1039,10 +1027,10 @@ let e16 () =
              (R.cardinal r) primary_card)
     | _ -> ());
     Server.stop srv;
-    (try PS.close store with _ -> ());
+    (try SS.close sst with _ -> ());
     List.iter
       (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ path; wal_path ];
+      [ path; SS.shard_path path 0; SS.shard_path (path ^ ".wal") 0 ];
     let tput = float_of_int (writers * per_writer) /. dt in
     jrows :=
       J.Obj

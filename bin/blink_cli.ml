@@ -29,14 +29,13 @@ module Snap = Snapshot.Make (Key.Int)
 module Co_disk = Compactor.Make_on_store (Key.Int) (Tree_intf.Paged_int)
 module V_disk = Validate.Make_on_store (Key.Int) (Tree_intf.Paged_int)
 
-let impl_of_name ?commit_batch ~backend name =
+let impl_of_name ~backend name =
   match (backend, name) with
   | "mem", "sagiv" -> Tree_intf.sagiv ()
   | "mem", "sagiv-compact" -> Tree_intf.sagiv ~enqueue_on_delete:true ()
   | "mem", "sagiv-mvcc" -> Tree_intf.sagiv_mvcc ()
-  | "disk", "sagiv" -> Tree_intf.sagiv_disk ?commit_batch ()
-  | "disk", "sagiv-compact" ->
-      Tree_intf.sagiv_disk ~enqueue_on_delete:true ?commit_batch ()
+  | "disk", "sagiv" -> Tree_intf.sagiv_disk ()
+  | "disk", "sagiv-compact" -> Tree_intf.sagiv_disk ~enqueue_on_delete:true ()
   | "disk", s ->
       failwith (Printf.sprintf "tree %S has no disk backend (only sagiv does)" s)
   | "mem", "lehman-yao" | "mem", "ly" -> Tree_intf.lehman_yao
@@ -125,7 +124,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     | None -> dist_of_name dist_name
   in
   let dist_label = Repro_util.Distribution.kind_to_string dist in
-  let impl = impl_of_name ?commit_batch ~backend tree_name in
+  let impl = impl_of_name ~backend tree_name in
   let spec =
     Workload.spec ~op_mix:(mix_of_name mix_name) ~key_space ~dist ~preload ()
   in
@@ -135,102 +134,78 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     order
     ((if every > 0 then Printf.sprintf " commit-every=%d" every else "")
     ^ if shards > 1 then Printf.sprintf " shards=%d" shards else "");
-  let needs_raw = compactors > 0 || (validate && tree_name <> "lehman-yao") in
+  let needs_raw = compactors > 0 || validate in
+  let sagiv = tree_name = "sagiv" || tree_name = "sagiv-compact" in
   if needs_raw && shards > 1 then
     failwith "--compactors/--validate are per-tree; not supported with --shards";
-  if needs_raw && not (String.length tree_name >= 5 && String.sub tree_name 0 5 = "sagiv")
-  then failwith "--compactors/--validate require a sagiv tree";
-  if needs_raw then begin
-    let enqueue_on_delete = compactors > 0 || tree_name = "sagiv-compact" in
-    let finish (r, comp) =
-      Printf.printf "elapsed %.3fs, %s ops/s\n" r.Driver.elapsed_s
-        (Report.fmt_si r.Driver.throughput);
-      Printf.printf "workers:    %s\n" (Stats.to_string r.Driver.stats);
-      (match r.Driver.latency with
-      | Some h -> Printf.printf "latency:    %s\n" (Driver.percentiles_line h)
-      | None -> ());
-      if compactors > 0 then Printf.printf "compactors: %s\n" (Stats.to_string comp)
-    in
-    let finish_check check =
-      if validate then begin
-        let rep = check () in
-        if Validate.ok rep then
-          Printf.printf "validate: OK (height=%d nodes=%d keys=%d)\n" rep.Validate.height
-            rep.Validate.total_nodes rep.Validate.total_keys
-        else begin
-          Printf.printf "validate: FAILED\n";
-          List.iter (fun e -> Printf.printf "  %s\n" e) rep.Validate.errors;
-          exit 1
-        end
-      end
-    in
-    let measure h run_workers =
-      let n = Driver.preload h ~seed spec in
-      Printf.printf "preloaded %d keys\n%!" n;
-      if compactors = 0 then
-        ( Driver.run_ops ~measure_latency:latency h ~domains ~ops_per_domain:ops ~seed
-            spec,
-          Stats.create () )
-      else run_workers ()
-    in
-    match backend with
-    | "mem" ->
-        let raw, h = Tree_intf.sagiv_raw ~enqueue_on_delete ~order () in
-        finish
-          (measure h (fun () ->
-               Driver.run_ops_with_compaction raw h ~domains ~compactors
-                 ~ops_per_domain:ops ~seed spec));
-        finish_check (fun () -> V.check raw)
+  if needs_raw && not sagiv then
+    failwith "--compactors/--validate require a sagiv tree";
+  let enqueue_on_delete = compactors > 0 || tree_name = "sagiv-compact" in
+  (* A sagiv tree comes with its compaction run and its structural
+     check, over the raw tree. Every disk run builds its store the way
+     [serve] does: one memory-backed partition per shard, wrapped tree
+     by tree; compaction and the check use shard 0, the only one. *)
+  let sst, h, raw =
+    if backend = "disk" then begin
+      let sst =
+        Tree_intf.Sharded_int.create_memory
+          ~page_size:(Tree_intf.page_size_for_order order) ?commit_batch ~shards
+          ()
+      in
+      let trees, h = Tree_intf.sagiv_disk_sharded_on ~enqueue_on_delete ~order sst in
+      let h = with_periodic_commit every h in
+      ( Some sst,
+        h,
+        Some
+          ( (fun () ->
+              Driver.run_ops_with_workers h ~domains ~workers:compactors
+                ~worker:(fun ~stop ctx -> Co_disk.run_worker trees.(0) ctx ~stop)
+                ~ops_per_domain:ops ~seed spec),
+            fun () -> V_disk.check trees.(0) ) )
+    end
+    else if sagiv then begin
+      let t, h = Tree_intf.sagiv_raw ~enqueue_on_delete ~order () in
+      ( None,
+        h,
+        Some
+          ( (fun () ->
+              Driver.run_ops_with_compaction t h ~domains ~compactors
+                ~ops_per_domain:ops ~seed spec),
+            fun () -> V.check t ) )
+    end
+    else (None, impl.Tree_intf.make ~order, None)
+  in
+  let n = Driver.preload h ~seed spec in
+  Printf.printf "preloaded %d keys\n%!" n;
+  let r, comp =
+    match raw with
+    | Some (run_with_compactors, _) when compactors > 0 -> run_with_compactors ()
     | _ ->
-        let raw, h =
-          Tree_intf.sagiv_disk_raw ~enqueue_on_delete ?commit_batch ~order ()
-        in
-        let h = with_periodic_commit every h in
-        finish
-          (measure h (fun () ->
-               Driver.run_ops_with_workers h ~domains ~workers:compactors
-                 ~worker:(fun ~stop ctx -> Co_disk.run_worker raw ctx ~stop)
-                 ~ops_per_domain:ops ~seed spec));
-        Printf.printf "io: %s\n"
-          (Stats.io_to_string (Tree_intf.Paged_int.io_stats raw.Handle.store));
-        finish_check (fun () -> V_disk.check raw)
-  end
-  else begin
-    (* Disk runs always go through the raw constructor so the store is at
-       hand for the io/commit counters in the summary line. *)
-    let store, sst, h =
-      if backend = "disk" && shards > 1 then begin
-        let enqueue_on_delete = tree_name = "sagiv-compact" in
-        let sst, _trees, h =
-          Tree_intf.sagiv_disk_sharded_raw ~enqueue_on_delete ?commit_batch
-            ~shards ~order ()
-        in
-        (None, Some sst, with_periodic_commit every h)
+        ( Driver.run_ops ~measure_latency:latency h ~domains ~ops_per_domain:ops
+            ~seed spec,
+          Stats.create () )
+  in
+  Printf.printf "elapsed %.3fs, %s ops/s\n" r.Driver.elapsed_s
+    (Report.fmt_si r.Driver.throughput);
+  Printf.printf "workers:    %s\n" (Stats.to_string r.Driver.stats);
+  (match r.Driver.latency with
+  | Some h -> Printf.printf "latency:    %s\n" (Driver.percentiles_line h)
+  | None -> ());
+  if compactors > 0 then Printf.printf "compactors: %s\n" (Stats.to_string comp);
+  Option.iter print_sharded_io sst;
+  (match raw with
+  | Some (_, check) when validate ->
+      let rep = check () in
+      if Validate.ok rep then
+        Printf.printf "validate: OK (height=%d nodes=%d keys=%d)\n" rep.Validate.height
+          rep.Validate.total_nodes rep.Validate.total_keys
+      else begin
+        Printf.printf "validate: FAILED\n";
+        List.iter (fun e -> Printf.printf "  %s\n" e) rep.Validate.errors;
+        exit 1
       end
-      else if backend = "disk" then begin
-        let enqueue_on_delete = tree_name = "sagiv-compact" in
-        let raw, h =
-          Tree_intf.sagiv_disk_raw ~enqueue_on_delete ?commit_batch ~order ()
-        in
-        (Some raw.Handle.store, None, with_periodic_commit every h)
-      end
-      else (None, None, impl.Tree_intf.make ~order)
-    in
-    let n = Driver.preload h ~seed spec in
-    Printf.printf "preloaded %d keys\n%!" n;
-    let r = Driver.run_ops ~measure_latency:latency h ~domains ~ops_per_domain:ops ~seed spec in
-    Printf.printf "elapsed %.3fs, %s ops/s\n" r.Driver.elapsed_s
-      (Report.fmt_si r.Driver.throughput);
-    Printf.printf "workers: %s\n" (Stats.to_string r.Driver.stats);
-    (match r.Driver.latency with
-    | Some h -> Printf.printf "latency: %s\n" (Driver.percentiles_line h)
-    | None -> ());
-    (match store with
-    | Some s -> Printf.printf "io: %s\n" (Stats.io_to_string (Tree_intf.Paged_int.io_stats s))
-    | None -> ());
-    (match sst with Some sst -> print_sharded_io sst | None -> ());
-    Printf.printf "cardinal=%d height=%d\n" (h.Tree_intf.cardinal ()) (h.Tree_intf.height ())
-  end
+  | _ -> ());
+  Printf.printf "cardinal=%d height=%d\n" (h.Tree_intf.cardinal ()) (h.Tree_intf.height ())
 
 (* -- compress -- *)
 
@@ -366,22 +341,14 @@ let string_of_sockaddr = function
 let serve_cmd tree_name backend order commit_batch workers port unix_path shards
     mvcc path =
   let cfg =
-    match Repro_server.Serve_config.validate ~backend ~shards ~mvcc ~path with
+    match
+      Repro_server.Serve_config.validate ~tree:tree_name ~backend ~shards ~mvcc
+        ~path
+    with
     | Ok c -> c
     | Error msg -> failwith msg
   in
   let commit_batch = if commit_batch > 1 then Some commit_batch else None in
-  (* No compactor runs under [serve], so a sagiv-compact tree would
-     queue every sparse leaf for a drain that never comes. Refused before
-     any store or file is created. *)
-  if tree_name = "sagiv-compact" then
-    failwith
-      "serve --tree sagiv-compact: compaction under serve waits for the \
-       maintenance loop; use --tree sagiv";
-  let check_disk_tree () =
-    if tree_name <> "sagiv" then
-      failwith (Printf.sprintf "tree %S has no disk backend" tree_name)
-  in
   (* File-backed disk serves open-or-create through the partition layer
      (an unsharded store is one partition); a reopen recovers every
      shard — WAL replay included — before the listener comes up. *)
@@ -393,15 +360,6 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
   (* A new store's page is sized to hold a full node of [order]; a
      reopened one keeps the page size its header records. *)
   let page_size = Tree_intf.page_size_for_order order in
-  let mk_sst () =
-    match path with
-    | None ->
-        Tree_intf.Sharded_int.create_memory ~page_size ?commit_batch ~shards ()
-    | Some p ->
-        if reopening then Tree_intf.Sharded_int.open_file ?commit_batch ~shards p
-        else
-          Tree_intf.Sharded_int.create_file ~page_size ?commit_batch ~shards p
-  in
   let sst, mvcc_trees, h =
     if backend = "disk" then begin
       (* every disk serve goes through the partition layer (an unsharded
@@ -410,8 +368,15 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
          the tree (one WAL, one group commit per shard), so SNAPSHOT
          sessions and consistent scans survive kill -9 and a reopen
          picks every chain back up *)
-      check_disk_tree ();
-      let sst = mk_sst () in
+      let sst =
+        match path with
+        | None ->
+            Tree_intf.Sharded_int.create_memory ~page_size ?commit_batch ~shards ()
+        | Some p when reopening ->
+            Tree_intf.Sharded_int.open_file ?commit_batch ~shards p
+        | Some p ->
+            Tree_intf.Sharded_int.create_file ~page_size ?commit_batch ~shards p
+      in
       if mvcc then
         let trees, h =
           if reopening then Tree_intf.sagiv_mvcc_disk_open sst
@@ -436,25 +401,8 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
       (None, None, impl.Tree_intf.make ~order)
     end
     else
-      let impl = impl_of_name ?commit_batch ~backend tree_name in
+      let impl = impl_of_name ~backend tree_name in
       (None, None, impl.Tree_intf.make ~order)
-  in
-  (* a disk store publishes its log over the Subscribe opcode: one
-     source per shard (an unsharded primary is shard 0 of 1) *)
-  let wal_source =
-    Option.map
-      (fun sst ->
-        let stores = Tree_intf.Sharded_int.stores sst in
-        {
-          Repro_server.Server.ws_shards = Array.length stores;
-          ws_fetch =
-            (fun ~shard ~lsn ~max_pages ->
-              Tree_intf.Paged_int.wal_fetch stores.(shard) ~lsn ~max_pages);
-          ws_wait =
-            (fun ~shard ~lsn ~timeout ->
-              Tree_intf.Paged_int.wal_wait stores.(shard) ~lsn ~timeout);
-        })
-      sst
   in
   let listen =
     (if port >= 0 then [ Unix.ADDR_INET (Unix.inet_addr_loopback, port) ]
@@ -465,8 +413,8 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
   (* acks are durable exactly when the backend can group-commit them *)
   let srv =
     Repro_server.Server.start ~workers
-      ~durable_acks:cfg.Repro_server.Serve_config.durable_acks ?wal_source
-      ~handle:h ~listen ()
+      ~durable_acks:cfg.Repro_server.Serve_config.durable_acks ~handle:h
+      ~listen ()
   in
   List.iter
     (fun a -> Printf.printf "listening on %s\n%!" (string_of_sockaddr a))
@@ -474,7 +422,7 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
   Printf.printf "tree=%s backend=%s workers=%d%s%s%s%s (ctrl-C stops)\n%!"
     h.Tree_intf.name backend workers
     (if shards > 1 then Printf.sprintf " shards=%d" shards else "")
-    (match wal_source with Some _ -> " replication=on" | None -> "")
+    (match h.Tree_intf.log with Some _ -> " replication=on" | None -> "")
     (if mvcc then " mvcc=on" else "")
     (match path with
     | Some p -> Printf.sprintf " path=%s%s" p (if reopening then " (reopened)" else "")

@@ -46,6 +46,15 @@ type mvcc = {
 }
 (** The snapshot surface of an MVCC-backed handle. *)
 
+type log = {
+  fetch : lsn:int -> max_pages:int -> Repro_storage.Wal.fetch;
+  wait : lsn:int -> timeout:float -> bool;
+}
+(** One shard's write-ahead log as a primary publishes it: durable pages
+    from an LSN, and a bounded wait for the durable watermark to pass
+    one. Both come from the store ([Paged_store.wal_fetch] /
+    [wal_wait]), which only ever reports durable records. *)
+
 type handle = {
   name : string;
   search : Handle.ctx -> int -> int option;
@@ -78,6 +87,9 @@ type handle = {
   mvcc : mvcc option;
       (** snapshot surface: present on version-stamped backends
           ([sagiv-mvcc] and its sharded composition); [None] elsewhere *)
+  log : log array option;
+      (** the logs the server streams to followers, one per shard:
+          present on disk handles, [None] in memory *)
 }
 
 type impl = { impl_name : string; make : order:int -> handle }
@@ -99,7 +111,8 @@ end
 (** Close a tree value over its operations: the one place the [handle]
     record is built, so a new backend registers in ~5 lines. [commit]
     defaults to a no-op — in-memory backends have nothing to make
-    durable; [range] defaults to unsupported. *)
+    durable; [range] defaults to unsupported; [log] is [None] (the disk
+    wrappers below set it). *)
 let of_ops (type a) ?(commit = fun () -> ()) ?range ?sharding ?bulk_add ?mvcc
     ~name (module M : TREE_OPS with type t = a) (t : a) =
   {
@@ -114,6 +127,7 @@ let of_ops (type a) ?(commit = fun () -> ()) ?range ?sharding ?bulk_add ?mvcc
     sharding;
     bulk_add;
     mvcc;
+    log = None;
   }
 
 (* K-way merge of per-shard range results: each list is sorted and the
@@ -127,7 +141,8 @@ let merge_ranges lists =
     [cardinal] sums, [height] maxes, [commit] commits every shard, and
     [range] k-way merges the per-shard leaf-chain scans; the [sharding]
     field exposes the router and per-shard commit so the server can fold
-    a pipeline batch's acks into only the shards it touched. *)
+    a pipeline batch's acks into only the shards it touched, and [log]
+    concatenates the shards' logs (present iff every shard has one). *)
 let sharded ~name (subs : handle array) =
   let shards = Array.length subs in
   if shards = 0 then invalid_arg "Tree_intf.sharded: no shards";
@@ -160,6 +175,11 @@ let sharded ~name (subs : handle array) =
           !ok)
     else None
   in
+  let log =
+    if Array.for_all (fun h -> h.log <> None) subs then
+      Some (Array.concat (List.filter_map (fun h -> h.log) (Array.to_list subs)))
+    else None
+  in
   {
     name;
     search = (fun ctx k -> subs.(route k).search ctx k);
@@ -181,6 +201,7 @@ let sharded ~name (subs : handle array) =
        needs a shared epoch clock underneath) — the mvcc-sharded
        constructor below overrides this with a true group snapshot *)
     mvcc = None;
+    log;
   }
 
 module Sagiv_int = Sagiv.Make (Repro_storage.Key.Int)
@@ -195,19 +216,8 @@ module Ly_int = Lehman_yao.Make (Repro_storage.Key.Int)
 module Lc_int = Lock_couple.Make (Repro_storage.Key.Int)
 module Coarse_int = Coarse.Make (Repro_storage.Key.Int)
 
-let sagiv ?(enqueue_on_delete = false) () =
-  {
-    impl_name = "sagiv";
-    make =
-      (fun ~order ->
-        let t = Sagiv_int.create ~order ~enqueue_on_delete () in
-        of_ops ~range:(Sagiv_int.range t)
-          ~bulk_add:(fun ?fill ps -> Sagiv_int.bulk_add ?fill t ps)
-          ~name:"sagiv" (module Sagiv_int) t);
-  }
-
-(** Like {!sagiv} but also hands back the raw tree, for benches that run
-    compaction workers alongside. *)
+(** The Sagiv tree plus its handle, for callers that also run compaction
+    workers or validation over the raw tree. *)
 let sagiv_raw ?(enqueue_on_delete = false) ~order () =
   let t = Sagiv_int.create ~order ~enqueue_on_delete () in
   ( t,
@@ -215,75 +225,128 @@ let sagiv_raw ?(enqueue_on_delete = false) ~order () =
       ~bulk_add:(fun ?fill ps -> Sagiv_int.bulk_add ?fill t ps)
       ~name:"sagiv" (module Sagiv_int) t )
 
+let sagiv ?enqueue_on_delete () =
+  {
+    impl_name = "sagiv";
+    make = (fun ~order -> snd (sagiv_raw ?enqueue_on_delete ~order ()));
+  }
+
+let store_log store =
+  Some
+    [| { fetch = Paged_int.wal_fetch store; wait = Paged_int.wal_wait store } |]
+
 (* -- the MVCC-backed tree: version-stamped records under the Sagiv
-      index, exposing the snapshot surface -- *)
+      index, exposing the snapshot surface. One composition for every
+      MVCC instance: [log] says where its store's log is ([None] in
+      memory, where there is nothing to commit either). -- *)
 
-let mvcc_snap_of (t : int Mvcc_int.t) (s : Mvcc_int.snap) =
-  {
-    snap_epoch = Mvcc_int.snap_epoch s;
-    snap_search = (fun ctx k -> Mvcc_int.snap_get t s ctx k);
-    snap_range = (fun ctx ~lo ~hi -> Mvcc_int.snap_range t s ctx ~lo ~hi);
-    snap_release = (fun () -> Mvcc_int.release s);
-  }
-
-let mvcc_gauges_of (ts : int Mvcc_int.t array) () =
-  {
-    g_min_pinned = Mvcc_int.min_pinned ts.(0);
-    g_snap_pins = Repro_storage.Epoch.pinned_snapshots (Mvcc_int.epoch ts.(0));
-    g_live_versions =
-      Array.fold_left (fun a t -> a + Mvcc_int.live_versions t) 0 ts;
-    g_pruned_versions =
-      Array.fold_left (fun a t -> a + Mvcc_int.pruned_versions t) 0 ts;
-    g_gc_pending = Array.fold_left (fun a t -> a + Mvcc_int.gc_pending t) 0 ts;
-  }
-
-let mvcc_sub_handle (t : int Mvcc_int.t) ~name =
-  of_ops
-    ~range:(fun ctx ~lo ~hi -> Mvcc_int.range t ctx ~lo ~hi)
-    ~bulk_add:(fun ?fill ps -> Mvcc_int.bulk_add ?fill t ps)
-    ~mvcc:
+module Mvcc_handles
+    (S : Repro_storage.Page_store.S with type key = int)
+    (M : module type of Mvcc.Make_on_store (Repro_storage.Key.Int) (S))
+    (L : sig
+      val log : S.t -> log array option
+    end) =
+struct
+  (* The snapshot surface over trees sharing ONE epoch clock: a group
+     snapshot is one pin + one tick + one wait, then every tree reads at
+     the same cut, so the k-way merged [snap_range] is point-in-time
+     consistent across shards. *)
+  let mvcc_of (ts : int M.t array) =
+    let shards = Array.length ts in
+    let route k = Repro_storage.Shard_router.shard_of ~shards k in
+    let snapshot () =
+      let s = M.snapshot_group ts in
       {
-        snapshot = (fun () -> mvcc_snap_of t (Mvcc_int.snapshot t));
-        vacuum =
-          (fun ctx ->
-            let removed = Mvcc_int.vacuum t ctx in
-            ignore (Mvcc_int.reclaim t);
-            removed);
-        gauges = mvcc_gauges_of [| t |];
+        snap_epoch = M.snap_epoch s;
+        snap_search = (fun ctx k -> M.snap_get ts.(route k) s ctx k);
+        snap_range =
+          (fun ctx ~lo ~hi ->
+            merge_ranges
+              (Array.to_list
+                 (Array.map (fun t -> M.snap_range t s ctx ~lo ~hi) ts)));
+        snap_release = (fun () -> M.release s);
       }
-    ~name
-    (module struct
-      type nonrec t = int Mvcc_int.t
+    in
+    let vacuum ctx =
+      let removed = Array.fold_left (fun a t -> a + M.vacuum t ctx) 0 ts in
+      Array.iter (fun t -> ignore (M.reclaim t)) ts;
+      removed
+    in
+    let sum f = Array.fold_left (fun a t -> a + f t) 0 ts in
+    let gauges () =
+      {
+        g_min_pinned = M.min_pinned ts.(0);
+        g_snap_pins = Repro_storage.Epoch.pinned_snapshots (M.epoch ts.(0));
+        g_live_versions = sum M.live_versions;
+        g_pruned_versions = sum M.pruned_versions;
+        g_gc_pending = sum M.gc_pending;
+      }
+    in
+    { snapshot; vacuum; gauges }
 
-      let search = Mvcc_int.get
-      let insert = Mvcc_int.insert
-      let delete = Mvcc_int.delete
-      let cardinal = Mvcc_int.cardinal
-      let height t = Mvcc_int.T.height (Mvcc_int.tree t)
+  (** One tree's handle; on a store with a log, [commit] group-commits
+      tree pages and version chains together. *)
+  let sub_handle ~name (t : int M.t) =
+    let log = L.log (M.tree t).Handle.store in
+    let h =
+      of_ops
+        ?commit:(Option.map (fun _ () -> M.commit t) log)
+        ~range:(fun ctx ~lo ~hi -> M.range t ctx ~lo ~hi)
+        ~bulk_add:(fun ?fill ps -> M.bulk_add ?fill t ps)
+        ~mvcc:(mvcc_of [| t |])
+        ~name
+        (module struct
+          type nonrec t = int M.t
+
+          let search = M.get
+          let insert = M.insert
+          let delete = M.delete
+          let cardinal = M.cardinal
+          let height t = M.T.height (M.tree t)
+        end)
+        t
+    in
+    { h with log }
+
+  (** Trees sharing one epoch, routed like {!sharded}, with a group
+      snapshot over all of them. *)
+  let compose ~name ts =
+    {
+      (sharded ~name (Array.map (sub_handle ~name) ts)) with
+      mvcc = Some (mvcc_of ts);
+    }
+end
+
+module Mvcc_mem =
+  Mvcc_handles
+    (Repro_storage.Store.For_key (Repro_storage.Key.Int))
+    (Mvcc_int)
+    (struct
+      let log _ = None
     end)
-    t
+
+module Mvcc_on_disk =
+  Mvcc_handles (Paged_int) (Mvcc_disk)
+    (struct
+      let log = store_log
+    end)
 
 (** The MVCC tree plus its handle, for callers that also scan/vacuum
     through the typed API (benches, tests). *)
 let sagiv_mvcc_raw ?(enqueue_on_delete = false) ~order () =
   let t = Mvcc_int.create ~order ~enqueue_on_delete () in
-  (t, mvcc_sub_handle t ~name:"sagiv-mvcc")
+  (t, Mvcc_mem.sub_handle ~name:"sagiv-mvcc" t)
 
-let sagiv_mvcc ?(enqueue_on_delete = false) () =
+let sagiv_mvcc ?enqueue_on_delete () =
   {
     impl_name = "sagiv-mvcc";
-    make =
-      (fun ~order ->
-        let t = Mvcc_int.create ~order ~enqueue_on_delete () in
-        mvcc_sub_handle t ~name:"sagiv-mvcc");
+    make = (fun ~order -> snd (sagiv_mvcc_raw ?enqueue_on_delete ~order ()));
   }
 
 let mvcc_sharded_name shards = Printf.sprintf "sagiv-mvcc-x%d" shards
 
 (** [shards] MVCC trees sharing ONE epoch clock, composed into a routed
-    handle whose [mvcc.snapshot] is a {e group} snapshot: one pin + one
-    tick + one wait, then every shard reads at the same cut — the k-way
-    merged [snap_range] is point-in-time consistent across shards. *)
+    handle whose [mvcc.snapshot] is a {e group} snapshot. *)
 let sagiv_mvcc_sharded_raw ?(enqueue_on_delete = false) ~shards ~order () =
   if shards < 1 then invalid_arg "Tree_intf.sagiv_mvcc_sharded: shards >= 1";
   let epoch = Repro_storage.Epoch.create () in
@@ -291,34 +354,7 @@ let sagiv_mvcc_sharded_raw ?(enqueue_on_delete = false) ~shards ~order () =
     Array.init shards (fun _ ->
         Mvcc_int.create ~order ~enqueue_on_delete ~epoch ())
   in
-  let name = mvcc_sharded_name shards in
-  let base =
-    sharded ~name (Array.map (fun t -> mvcc_sub_handle t ~name) ts)
-  in
-  let route k = Repro_storage.Shard_router.shard_of ~shards k in
-  let snapshot () =
-    let s = Mvcc_int.snapshot_group ts in
-    {
-      snap_epoch = Mvcc_int.snap_epoch s;
-      snap_search = (fun ctx k -> Mvcc_int.snap_get ts.(route k) s ctx k);
-      snap_range =
-        (fun ctx ~lo ~hi ->
-          merge_ranges
-            (Array.to_list
-               (Array.map (fun t -> Mvcc_int.snap_range t s ctx ~lo ~hi) ts)));
-      snap_release = (fun () -> Mvcc_int.release s);
-    }
-  in
-  let vacuum ctx =
-    let removed =
-      Array.fold_left (fun a t -> a + Mvcc_int.vacuum t ctx) 0 ts
-    in
-    Array.iter (fun t -> ignore (Mvcc_int.reclaim t)) ts;
-    removed
-  in
-  ( ts,
-    { base with mvcc = Some { snapshot; vacuum; gauges = mvcc_gauges_of ts } }
-  )
+  (ts, Mvcc_mem.compose ~name:(mvcc_sharded_name shards) ts)
 
 let sagiv_mvcc_sharded ?enqueue_on_delete ~shards () =
   {
@@ -341,61 +377,25 @@ let check_page_fits ~order store =
          "order %d needs %d-byte pages (its full node frames %d B); the store's pages are %d B"
          order (page_size_for_order order) need have)
 
-let make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ~order
-    () =
-  Paged_int.create_memory ~page_size:(page_size_for_order order) ?cache_pages
-    ?stripes ?commit_interval ?commit_batch ()
-
-(** The same Sagiv tree over the durable {!Repro_storage.Paged_store}
-    (memory-backed data and log devices: full pager stack, no
-    filesystem); [handle.commit] group-commits through the log. *)
-let sagiv_disk ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch () =
+(** The one wrap of a durable Sagiv tree: [commit] group-commits through
+    its store's log, and [log] publishes that log. *)
+let disk_sub_handle (t : Sagiv_disk.t) =
   {
-    impl_name = "sagiv-disk";
-    make =
-      (fun ~order ->
-        let store =
-          make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch
-            ~order ()
-        in
-        let t = Sagiv_disk.create ~order ~enqueue_on_delete ~store () in
-        of_ops
-          ~commit:(fun () -> Sagiv_disk.commit t)
-          ~range:(Sagiv_disk.range t)
-          ~bulk_add:(fun ?fill ps -> Sagiv_disk.bulk_add ?fill t ps)
-          ~name:"sagiv-disk" (module Sagiv_disk) t);
+    (of_ops
+       ~commit:(fun () -> Sagiv_disk.commit t)
+       ~range:(Sagiv_disk.range t)
+       ~bulk_add:(fun ?fill ps -> Sagiv_disk.bulk_add ?fill t ps)
+       ~name:"sagiv-disk" (module Sagiv_disk) t)
+    with
+    log = store_log t.Handle.store;
   }
-
-(** Like {!sagiv_raw} for the disk backend: hands back the raw tree for
-    compaction workers, store statistics (the store is
-    [raw.Handle.store]) and validation. *)
-let sagiv_disk_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ~order () =
-  let store =
-    make_disk_store ?cache_pages ?stripes ?commit_interval ?commit_batch ~order ()
-  in
-  let t = Sagiv_disk.create ~order ~enqueue_on_delete ~store () in
-  ( t,
-    of_ops
-      ~commit:(fun () -> Sagiv_disk.commit t)
-      ~range:(Sagiv_disk.range t)
-      ~bulk_add:(fun ?fill ps -> Sagiv_disk.bulk_add ?fill t ps)
-      ~name:"sagiv-disk" (module Sagiv_disk) t )
-
-let disk_sub_handle t =
-  of_ops
-    ~commit:(fun () -> Sagiv_disk.commit t)
-    ~range:(Sagiv_disk.range t)
-    ~bulk_add:(fun ?fill ps -> Sagiv_disk.bulk_add ?fill t ps)
-    ~name:"sagiv-disk" (module Sagiv_disk) t
 
 let sharded_name shards = Printf.sprintf "sagiv-disk-x%d" shards
 
 (** One Sagiv tree per shard of an existing {!Sharded_int.t}, composed
-    into a routed handle — how file-backed callers (CLI serve, benches)
-    shard: create/open the store themselves, then wrap. Hands back the
-    raw trees for flush/validation. *)
+    into a routed handle — every disk tree is built this way: create or
+    open the store, then wrap. Hands back the raw trees for
+    flush/validation/compaction. *)
 let sagiv_disk_sharded_on ?(enqueue_on_delete = false) ~order sst =
   let stores = Sharded_int.stores sst in
   Array.iter (check_page_fits ~order) stores;
@@ -426,114 +426,30 @@ let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
       ~name:(sharded_name (Sharded_int.count sst))
       (Array.map disk_sub_handle trees) )
 
-(** Memory-backed sharded disk tree: [shards] fully independent
-    {!Paged_int} stores (own node cache, WAL, group-commit leader),
-    one Sagiv tree each, routed by {!Repro_storage.Shard_router}. Hands
-    back the sharded store (per-shard io stats) and the raw
-    trees alongside the handle. *)
-let sagiv_disk_sharded_raw ?(enqueue_on_delete = false) ?cache_pages ?stripes
-    ?commit_interval ?commit_batch ~shards ~order () =
-  let sst =
-    Sharded_int.create_memory ~page_size:(page_size_for_order order)
-      ?cache_pages ?stripes ?commit_interval ?commit_batch ~shards ()
-  in
-  let trees, h = sagiv_disk_sharded_on ~enqueue_on_delete ~order sst in
-  (sst, trees, h)
+(** The same Sagiv tree over the durable {!Repro_storage.Paged_store}:
+    one memory-backed partition (data and log devices in memory: full
+    pager stack, no filesystem); [handle.commit] group-commits through
+    the log. *)
+let sagiv_disk ?enqueue_on_delete () =
+  {
+    impl_name = "sagiv-disk";
+    make =
+      (fun ~order ->
+        let sst =
+          Sharded_int.create_memory ~page_size:(page_size_for_order order)
+            ~shards:1 ()
+        in
+        snd (sagiv_disk_sharded_on ?enqueue_on_delete ~order sst));
+  }
 
 (* -- durable MVCC: version chains persisted through the paged store
       (vrec pages in the same WAL/commit/recovery path as the tree) -- *)
-
-let mvcc_disk_sub_handle (t : int Mvcc_disk.t) ~name =
-  of_ops
-    ~commit:(fun () -> Mvcc_disk.commit t)
-    ~range:(fun ctx ~lo ~hi -> Mvcc_disk.range t ctx ~lo ~hi)
-    ~bulk_add:(fun ?fill ps -> Mvcc_disk.bulk_add ?fill t ps)
-    ~mvcc:
-      {
-        snapshot =
-          (fun () ->
-            let s = Mvcc_disk.snapshot t in
-            {
-              snap_epoch = Mvcc_disk.snap_epoch s;
-              snap_search = (fun ctx k -> Mvcc_disk.snap_get t s ctx k);
-              snap_range =
-                (fun ctx ~lo ~hi -> Mvcc_disk.snap_range t s ctx ~lo ~hi);
-              snap_release = (fun () -> Mvcc_disk.release s);
-            });
-        vacuum =
-          (fun ctx ->
-            let removed = Mvcc_disk.vacuum t ctx in
-            ignore (Mvcc_disk.reclaim t);
-            removed);
-        gauges =
-          (fun () ->
-            {
-              g_min_pinned = Mvcc_disk.min_pinned t;
-              g_snap_pins =
-                Repro_storage.Epoch.pinned_snapshots (Mvcc_disk.epoch t);
-              g_live_versions = Mvcc_disk.live_versions t;
-              g_pruned_versions = Mvcc_disk.pruned_versions t;
-              g_gc_pending = Mvcc_disk.gc_pending t;
-            });
-      }
-    ~name
-    (module struct
-      type nonrec t = int Mvcc_disk.t
-
-      let search = Mvcc_disk.get
-      let insert = Mvcc_disk.insert
-      let delete = Mvcc_disk.delete
-      let cardinal = Mvcc_disk.cardinal
-      let height t = Mvcc_disk.T.height (Mvcc_disk.tree t)
-    end)
-    t
 
 let mvcc_disk_name shards =
   if shards = 1 then "sagiv-mvcc-disk"
   else Printf.sprintf "sagiv-mvcc-disk-x%d" shards
 
-(* Compose per-shard durable MVCC trees (sharing ONE epoch clock) into a
-   routed handle whose snapshot is a group cut, exactly like
-   {!sagiv_mvcc_sharded_raw} — but over durable stores. *)
-let mvcc_disk_compose ~name (ts : int Mvcc_disk.t array) =
-  let shards = Array.length ts in
-  let base =
-    sharded ~name (Array.map (fun t -> mvcc_disk_sub_handle t ~name) ts)
-  in
-  let route k = Repro_storage.Shard_router.shard_of ~shards k in
-  let snapshot () =
-    let s = Mvcc_disk.snapshot_group ts in
-    {
-      snap_epoch = Mvcc_disk.snap_epoch s;
-      snap_search = (fun ctx k -> Mvcc_disk.snap_get ts.(route k) s ctx k);
-      snap_range =
-        (fun ctx ~lo ~hi ->
-          merge_ranges
-            (Array.to_list
-               (Array.map (fun t -> Mvcc_disk.snap_range t s ctx ~lo ~hi) ts)));
-      snap_release = (fun () -> Mvcc_disk.release s);
-    }
-  in
-  let vacuum ctx =
-    let removed =
-      Array.fold_left (fun a t -> a + Mvcc_disk.vacuum t ctx) 0 ts
-    in
-    Array.iter (fun t -> ignore (Mvcc_disk.reclaim t)) ts;
-    removed
-  in
-  let gauges () =
-    {
-      g_min_pinned = Mvcc_disk.min_pinned ts.(0);
-      g_snap_pins =
-        Repro_storage.Epoch.pinned_snapshots (Mvcc_disk.epoch ts.(0));
-      g_live_versions =
-        Array.fold_left (fun a t -> a + Mvcc_disk.live_versions t) 0 ts;
-      g_pruned_versions =
-        Array.fold_left (fun a t -> a + Mvcc_disk.pruned_versions t) 0 ts;
-      g_gc_pending = Array.fold_left (fun a t -> a + Mvcc_disk.gc_pending t) 0 ts;
-    }
-  in
-  { base with mvcc = Some { snapshot; vacuum; gauges } }
+let mvcc_disk_handle t = Mvcc_on_disk.sub_handle ~name:(mvcc_disk_name 1) t
 
 (** Durable MVCC trees over an existing (empty) {!Sharded_int.t}: one
     {!Mvcc_disk} per shard store, all sharing one epoch clock so the
@@ -549,7 +465,7 @@ let sagiv_mvcc_disk_on ?(enqueue_on_delete = false) ~order sst =
           ~dec:Fun.id store)
       (Sharded_int.stores sst)
   in
-  (ts, mvcc_disk_compose ~name:(mvcc_disk_name (Array.length ts)) ts)
+  (ts, Mvcc_on_disk.compose ~name:(mvcc_disk_name (Array.length ts)) ts)
 
 (** Reopen durable MVCC trees over a reopened {!Sharded_int.t} (recovery
     replay already ran in the stores' open): every shard's chains restore
@@ -564,7 +480,7 @@ let sagiv_mvcc_disk_open ?(enqueue_on_delete = false) sst =
           ~dec:Fun.id store)
       (Sharded_int.stores sst)
   in
-  (ts, mvcc_disk_compose ~name:(mvcc_disk_name (Array.length ts)) ts)
+  (ts, Mvcc_on_disk.compose ~name:(mvcc_disk_name (Array.length ts)) ts)
 
 let lehman_yao =
   {

@@ -46,6 +46,18 @@ type mvcc = {
 }
 (** The snapshot surface of an MVCC-backed handle. *)
 
+type log = {
+  fetch : lsn:int -> max_pages:int -> Repro_storage.Wal.fetch;
+  wait : lsn:int -> timeout:float -> bool;
+}
+(** One shard's write-ahead log as a primary publishes it to followers:
+    durable log pages from an LSN, and a bounded wait for the durable
+    watermark to pass one. Built from [Paged_store.wal_fetch] /
+    [wal_wait], so only records the store reports durable are ever
+    returned — which makes a follower's horizon a lower bound on the
+    primary's committed state (doc/RECOVERY.md, replication commit
+    point). *)
+
 type handle = {
   name : string;
   search : Handle.ctx -> int -> int option;
@@ -77,6 +89,10 @@ type handle = {
   mvcc : mvcc option;
       (** snapshot surface: present on version-stamped backends
           ([sagiv-mvcc] and its sharded composition); [None] elsewhere *)
+  log : log array option;
+      (** the logs a server streams to [Subscribe]rs, one per shard in
+          shard order: set by the disk constructors from each store;
+          [None] on memory handles and on a replica's handle *)
 }
 
 type impl = { impl_name : string; make : order:int -> handle }
@@ -104,8 +120,8 @@ val of_ops :
   handle
 (** Close a tree value over its operations — the base constructor of
     {!handle}, so a new backend registers in a few lines. [commit]
-    defaults to a no-op; [range] to unsupported; [sharding] and
-    [bulk_add] to [None]. *)
+    defaults to a no-op; [range] to unsupported; [sharding],
+    [bulk_add] and [log] to [None]. *)
 
 val sharded : name:string -> handle array -> handle
 (** Compose per-shard handles into one: every keyed operation routes
@@ -114,7 +130,8 @@ val sharded : name:string -> handle array -> handle
     shard, [range] k-way merges the per-shard ordered scans (present iff
     every shard supports it). The result's [sharding] field exposes the
     router and per-shard commit; [bulk_add] partitions the sorted pairs
-    per shard (present iff every shard supports it). *)
+    per shard (present iff every shard supports it); [log] concatenates
+    the shards' logs (present iff every shard has one). *)
 
 module Paged_int : module type of Repro_storage.Paged_store.Make (Repro_storage.Key.Int)
 (** The durable int-keyed page store the disk impls run on. *)
@@ -173,31 +190,19 @@ val page_size_for_order : int -> int
     [Invalid_argument] before touching it when the order's largest node
     frame would not fit its page. *)
 
-val sagiv_disk :
-  ?enqueue_on_delete:bool ->
-  ?cache_pages:int ->
-  ?stripes:int ->
-  ?commit_interval:float ->
-  ?commit_batch:int ->
-  unit ->
-  impl
-(** {!sagiv} over {!Repro_storage.Paged_store} (memory-backed data and
-    log devices: codec + node cache + eviction + group commit, no
-    filesystem) with {!page_size_for_order} pages. [stripes] selects the
-    store's IO stripe count; the handle's [commit] group-commits through
-    the log ([commit_interval] / [commit_batch] tune it). *)
+val sagiv_disk : ?enqueue_on_delete:bool -> unit -> impl
+(** {!sagiv} over {!Repro_storage.Paged_store} with
+    {!page_size_for_order} pages: one memory-backed partition (data and
+    log devices in memory: codec + node cache + eviction + group commit,
+    no filesystem) wrapped by {!sagiv_disk_sharded_on}. The handle's
+    [commit] group-commits through the log. *)
 
-val sagiv_disk_raw :
-  ?enqueue_on_delete:bool ->
-  ?cache_pages:int ->
-  ?stripes:int ->
-  ?commit_interval:float ->
-  ?commit_batch:int ->
-  order:int ->
-  unit ->
-  (int, Paged_int.t) Handle.t * handle
-(** {!sagiv_raw} for the disk backend; the store (for [io_stats],
-    [flush]) is the raw handle's [store] field. *)
+val disk_sub_handle : Sagiv_disk.t -> handle
+(** The one wrap of a durable Sagiv tree ([impl] name ["sagiv-disk"]):
+    [commit] group-commits through its store, [log] publishes the
+    store's log as the one shard. Every disk constructor below wraps its
+    trees with it; callers that build a tree over their own devices
+    (shadow files in the tests) do too. *)
 
 val sagiv_disk_sharded_on :
   ?enqueue_on_delete:bool ->
@@ -205,8 +210,9 @@ val sagiv_disk_sharded_on :
   Sharded_int.t ->
   (int, Paged_int.t) Handle.t array * handle
 (** One fresh Sagiv tree per shard of an existing {!Sharded_int.t},
-    composed with {!sharded} — how file-backed callers (CLI serve,
-    benches) shard: create the store themselves, then wrap.
+    each wrapped by {!disk_sub_handle} and composed with {!sharded} —
+    how every disk tree is built: create the store (in memory or on
+    files, one shard or many), then wrap.
     @raise Invalid_argument when a full node of [order] does not fit
     the stores' pages. *)
 
@@ -219,28 +225,15 @@ val sagiv_disk_sharded_open :
     @raise Invalid_argument when a full node of the recorded order does
     not fit the stores' pages. *)
 
-val sagiv_disk_sharded_raw :
-  ?enqueue_on_delete:bool ->
-  ?cache_pages:int ->
-  ?stripes:int ->
-  ?commit_interval:float ->
-  ?commit_batch:int ->
-  shards:int ->
-  order:int ->
-  unit ->
-  Sharded_int.t * (int, Paged_int.t) Handle.t array * handle
-(** Memory-backed sharded disk tree: [shards] fully independent
-    {!Paged_int} stores (own node cache, WAL, group-commit leader), one
-    Sagiv tree each, routed by the {!Repro_storage.Shard_router}. Every
-    per-store knob applies per shard. *)
-
 module Mvcc_disk : module type of Mvcc.Make_on_store (Repro_storage.Key.Int) (Paged_int)
 (** The MVCC store over {!Paged_int} — the durable composition: tree and
     version chains share one paged store, one WAL, one group commit. *)
 
-val mvcc_disk_sub_handle : int Mvcc_disk.t -> name:string -> handle
-(** A per-shard handle over one durable MVCC tree ([commit] group-commits
-    tree pages and version chains together). *)
+val mvcc_disk_handle : int Mvcc_disk.t -> handle
+(** The wrap of one durable MVCC tree (["sagiv-mvcc-disk"]), from the
+    same composition as every MVCC handle: [commit] group-commits tree
+    pages and version chains together, [log] publishes the store's log.
+    For trees built over callers' own devices. *)
 
 val sagiv_mvcc_disk_on :
   ?enqueue_on_delete:bool ->

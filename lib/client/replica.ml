@@ -267,4 +267,5 @@ let handle t =
     sharding = None;
     bulk_add = None;
     mvcc = None;
+    log = None;
   }

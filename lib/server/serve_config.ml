@@ -3,7 +3,10 @@
     resolves to either a coherent configuration or a single actionable
     error — the CLI applies it verbatim and the tests enumerate it.
 
-    The matrix (disk always logs: group commit + replication):
+    Tree names first: [sagiv-compact] is refused (no compactor runs
+    under serve), and the disk backend and [mvcc] both need [sagiv];
+    the memory backend serves any other tree by name. Then the backend
+    matrix (disk always logs: group commit + replication):
 
     {v
                          mem                disk
@@ -26,13 +29,34 @@ type t = {
           backend persists anything *)
 }
 
-let validate ~backend ~shards ~mvcc ~path =
+let validate ~tree ~backend ~shards ~mvcc ~path =
   let ( let* ) = Result.bind in
   let* backend =
     match backend with
     | "mem" -> Ok `Mem
     | "disk" -> Ok `Disk
     | s -> Error (Printf.sprintf "unknown backend %S (mem or disk)" s)
+  in
+  (* No compactor runs under serve, so a sagiv-compact tree would queue
+     every sparse leaf for a drain that never comes. *)
+  let* () =
+    if tree = "sagiv-compact" then
+      Error
+        "serve --tree sagiv-compact: compaction under serve waits for the \
+         maintenance loop; use --tree sagiv"
+    else Ok ()
+  in
+  let* () =
+    if backend = `Disk && tree <> "sagiv" then
+      Error (Printf.sprintf "tree %S has no disk backend (only sagiv does)" tree)
+    else Ok ()
+  in
+  let* () =
+    if mvcc && tree <> "sagiv" then
+      Error
+        (Printf.sprintf
+           "--mvcc versions the sagiv tree; tree %S has no MVCC backend" tree)
+    else Ok ()
   in
   let* () =
     if shards >= 1 then Ok ()

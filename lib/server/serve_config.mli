@@ -14,6 +14,7 @@ type t = {
 }
 
 val validate :
+  tree:string ->
   backend:string ->
   shards:int ->
   mvcc:bool ->

@@ -4,16 +4,6 @@
 open Repro_storage
 module P = Protocol
 
-(** What a Subscribe request reads: the primary's per-shard WAL stream.
-    The functions close over the backing stores (built by the CLI / the
-    tests from [Paged_store.wal_fetch] / [wal_wait]); an unsharded
-    primary is simply [ws_shards = 1]. *)
-type wal_source = {
-  ws_shards : int;
-  ws_fetch : shard:int -> lsn:int -> max_pages:int -> Wal.fetch;
-  ws_wait : shard:int -> lsn:int -> timeout:float -> bool;
-}
-
 type t = {
   listeners : Unix.file_descr list;
   addrs : Unix.sockaddr list;
@@ -27,7 +17,6 @@ type t = {
   active_mu : Mutex.t;
   worker_stats : Stats.server array;
   handle : Repro_baseline.Tree_intf.handle;
-  wal_source : wal_source option;
   durable_acks : bool;
   max_payload : int;
   mutable domains : unit Domain.t list;
@@ -74,13 +63,14 @@ let mutation_key = function
    request/response protocol — the commit fsync advances the watermark
    and the parked fetch picks the new records up immediately). The wait
    is bounded so a worker is never parked longer than a stop can
-   tolerate. *)
+   tolerate. The stream is the handle's own log: disk handles carry one
+   per shard, memory handles none. *)
 let execute_subscribe t ~shard ~from_lsn ~max_pages ~wait_ms : P.response =
-  match t.wal_source with
+  match t.handle.log with
   | None -> Error "replication unsupported (no WAL source)"
-  | Some ws ->
-      if shard < 0 || shard >= ws.ws_shards then
-        Error (Printf.sprintf "no shard %d (have %d)" shard ws.ws_shards)
+  | Some logs ->
+      if shard < 0 || shard >= Array.length logs then
+        Error (Printf.sprintf "no shard %d (have %d)" shard (Array.length logs))
       else if from_lsn < 0 || max_pages < 1 then
         Error "bad subscribe bounds"
       else begin
@@ -88,7 +78,7 @@ let execute_subscribe t ~shard ~from_lsn ~max_pages ~wait_ms : P.response =
            subscriber's decoder enforces the protocol payload bound, and
            a partial chunk just means another pull *)
         let fetch ~lsn ~max_pages =
-          match ws.ws_fetch ~shard ~lsn ~max_pages with
+          match logs.(shard).fetch ~lsn ~max_pages with
           | Wal.Pages { pages = p :: _ as pages; next } ->
               let fit =
                 max 1 ((P.default_max_payload - 64) / Bytes.length p)
@@ -109,7 +99,7 @@ let execute_subscribe t ~shard ~from_lsn ~max_pages ~wait_ms : P.response =
         let rec park () =
           let left = deadline -. now () in
           if left > 0. && not (Atomic.get t.stopping) then
-            if ws.ws_wait ~shard ~lsn:from_lsn ~timeout:(Float.min left 0.05)
+            if logs.(shard).wait ~lsn:from_lsn ~timeout:(Float.min left 0.05)
             then ()
             else park ()
         in
@@ -432,7 +422,7 @@ let accept_loop t =
   done
 
 let start ?(workers = 4) ?(durable_acks = false)
-    ?(max_payload = P.default_max_payload) ?wal_source ~handle ~listen () =
+    ?(max_payload = P.default_max_payload) ~handle ~listen () =
   (* a peer that drops mid-reply must cost an EPIPE, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -464,7 +454,6 @@ let start ?(workers = 4) ?(durable_acks = false)
       active_mu = Mutex.create ();
       worker_stats = Array.init workers (fun _ -> Stats.server_create ());
       handle;
-      wal_source;
       durable_acks;
       max_payload;
       domains = [];

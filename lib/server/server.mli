@@ -21,23 +21,10 @@
 
 type t
 
-(** The primary's per-shard WAL stream, served to [Subscribe] requests
-    (an unsharded primary is [ws_shards = 1]). Built from
-    [Paged_store.wal_fetch] / [wal_wait] over the backing store(s); the
-    server only ever ships records those report durable, which is what
-    makes a follower's horizon a lower bound on the primary's committed
-    state (see doc/RECOVERY.md, replication commit point). *)
-type wal_source = {
-  ws_shards : int;
-  ws_fetch : shard:int -> lsn:int -> max_pages:int -> Repro_storage.Wal.fetch;
-  ws_wait : shard:int -> lsn:int -> timeout:float -> bool;
-}
-
 val start :
   ?workers:int ->
   ?durable_acks:bool ->
   ?max_payload:int ->
-  ?wal_source:wal_source ->
   handle:Repro_baseline.Tree_intf.handle ->
   listen:Unix.sockaddr list ->
   unit ->
@@ -48,11 +35,12 @@ val start :
     accept queue). [durable_acks] (default false) makes every mutation
     batch commit before its acks flush; a batch whose mutations were
     all tree no-ops commits too, which costs no log write when the store
-    has nothing unsealed ({!Repro_storage.Paged_store}). [wal_source]
-    enables the [Subscribe] opcode — replication pull of durable WAL pages, with a
+    has nothing unsealed ({!Repro_storage.Paged_store}). A handle that
+    carries a log ([handle.log], every disk handle) answers the
+    [Subscribe] opcode — replication pull of durable WAL pages, with a
     bounded long-poll so each sealed batch streams right after the
-    group-commit fsync that made it durable; without it subscribes get
-    [Error "replication unsupported"]. TCP addresses may bind port 0;
+    group-commit fsync that made it durable; on any other handle
+    subscribes get [Error "replication unsupported"]. TCP addresses may bind port 0;
     read the chosen port back with {!addresses}.
     @raise Unix.Unix_error when an address cannot be bound. *)
 

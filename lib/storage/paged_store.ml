@@ -1242,8 +1242,6 @@ module Make (K : Key.S) = struct
     in
     await ()
 
-  let flush = sync
-
   let close t =
     sync t;
     Wal.close t.wal.log;

@@ -152,8 +152,8 @@ module Make (K : Key.S) : sig
     ?wal_path:string ->
     string ->
     t
-  (** Reopen a store that was {!Page_store.S.sync}ed ([flush]/[close]
-      also sync). The page size is read from the header: slot 0's prefix
+  (** Reopen a store that was {!Page_store.S.sync}ed ([close]
+      syncs too). The page size is read from the header: slot 0's prefix
       names it, and when slot 0 is torn, slot 1 is found at the one
       power-of-two offset where a whole slot validates. Restores the
       allocator frontier, free list and
@@ -182,12 +182,8 @@ module Make (K : Key.S) : sig
       crash image), replayed via {!Wal.replay} before the free chain is
       rebuilt. *)
 
-  val flush : t -> unit
-  (** Alias of [sync]: write back dirty nodes, persist the free list and
-      header, fsync. Quiescent only. *)
-
   val close : t -> unit
-  (** [flush], then close the underlying file. *)
+  (** [sync] (the checkpoint), then close the log and data devices. *)
 
   (** {2 Introspection} *)
 

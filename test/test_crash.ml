@@ -92,8 +92,8 @@ let test_battery_covers_serve_configs () =
       List.iter
         (fun mvcc ->
           match
-            Repro_server.Serve_config.validate ~backend:"disk" ~shards ~mvcc
-              ~path:None
+            Repro_server.Serve_config.validate ~tree:"sagiv" ~backend:"disk"
+              ~shards ~mvcc ~path:None
           with
           | Error _ -> ()
           | Ok c ->

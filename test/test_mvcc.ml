@@ -486,21 +486,9 @@ let test_replica_scan_horizon () =
   let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
   let t = SgD.create ~order:4 ~store () in
   SgD.flush t;
-  let handle =
-    Tree_intf.of_ops
-      ~commit:(fun () -> SgD.commit t)
-      ~range:(SgD.range t) ~name:"sagiv-disk" (module SgD) t
-  in
-  let wal_source =
-    {
-      Server.ws_shards = 1;
-      ws_fetch = (fun ~shard:_ ~lsn ~max_pages -> PS.wal_fetch store ~lsn ~max_pages);
-      ws_wait = (fun ~shard:_ ~lsn ~timeout -> PS.wal_wait store ~lsn ~timeout);
-    }
-  in
+  let handle = Tree_intf.disk_sub_handle t in
   let srv =
-    Server.start ~workers:2 ~durable_acks:true ~wal_source ~handle
-      ~listen:[ loopback ] ()
+    Server.start ~workers:2 ~durable_acks:true ~handle ~listen:[ loopback ] ()
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
   let addr = List.hd (Server.addresses srv) in

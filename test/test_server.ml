@@ -499,11 +499,7 @@ let test_wal_acked_crash () =
   (* a committed checkpoint generation must exist for the log to replay
      against — same bootstrap the crash battery does *)
   Sg.flush t;
-  let handle =
-    Tree_intf.of_ops
-      ~commit:(fun () -> Sg.commit t)
-      ~range:(Sg.range t) ~name:"sagiv-disk" (module Sg) t
-  in
+  let handle = Tree_intf.disk_sub_handle t in
   let n = 200 in
   let image, limage =
     with_server ~workers:2 ~durable_acks:true ~handle @@ fun _srv addr ->
@@ -528,10 +524,13 @@ let test_wal_acked_crash () =
 
 (* ---------- replication over the wire ---------- *)
 
+let check_resps what expected actual =
+  Alcotest.(check (list response)) what expected actual
+
 module R = Repro_client.Replica
 
-(* A primary with its log exposed as a subscription source, as
-   [blink_cli serve --backend disk] wires it. *)
+(* A disk primary: its handle carries its store's log, so the server
+   answers subscriptions with no further wiring. *)
 let with_wal_primary f =
   let data_page_size = 512 in
   let wal_page_size = Wal.log_page_size ~data_page_size in
@@ -540,22 +539,9 @@ let with_wal_primary f =
   let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
   let t = Sg.create ~order:4 ~store () in
   Sg.flush t;
-  let handle =
-    Tree_intf.of_ops
-      ~commit:(fun () -> Sg.commit t)
-      ~range:(Sg.range t) ~name:"sagiv-disk" (module Sg) t
-  in
-  let wal_source =
-    {
-      Server.ws_shards = 1;
-      ws_fetch =
-        (fun ~shard:_ ~lsn ~max_pages -> PS.wal_fetch store ~lsn ~max_pages);
-      ws_wait = (fun ~shard:_ ~lsn ~timeout -> PS.wal_wait store ~lsn ~timeout);
-    }
-  in
+  let handle = Tree_intf.disk_sub_handle t in
   let srv =
-    Server.start ~workers:2 ~durable_acks:true ~wal_source ~handle
-      ~listen:[ loopback ] ()
+    Server.start ~workers:2 ~durable_acks:true ~handle ~listen:[ loopback ] ()
   in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
@@ -632,6 +618,58 @@ let test_replica_promotion () =
   Alcotest.(check (option int)) "deleted key" None (R.search r ctx 0);
   Alcotest.(check int) "cardinal tracks" 30 (R.cardinal r)
 
+(* A sharded disk handle carries one log per shard, so its server
+   streams every shard with no wiring: a follower of shard 1 holds
+   exactly the keys the router sends to shard 1, a shard past the last
+   is refused, and a memory handle has nothing to stream. *)
+let test_sharded_logs_published () =
+  let shards = 2 in
+  let sst =
+    Tree_intf.Sharded_int.create_memory
+      ~page_size:(Tree_intf.page_size_for_order 4) ~shards ()
+  in
+  let _, handle = Tree_intf.sagiv_disk_sharded_on ~order:4 sst in
+  let subscribe c shard =
+    C.pipeline c
+      [ P.Subscribe { shard; from_lsn = 0; max_pages = 16; wait_ms = 0 } ]
+  in
+  (with_server ~workers:2 ~durable_acks:true ~handle @@ fun _srv addr ->
+   let n = 300 in
+   (with_client addr @@ fun c ->
+    let resps =
+      C.pipeline c (List.init n (fun k -> P.Insert { key = k; value = k * 2 }))
+    in
+    Alcotest.(check bool) "every insert acked" true
+      (List.for_all (( = ) P.Inserted) resps));
+   with_client addr @@ fun rc ->
+   let r = R.create ~shard:1 () in
+   ignore (drain_replica r rc);
+   let expect =
+     List.filter_map
+       (fun k ->
+         if Shard_router.shard_of ~shards k = 1 then Some (k, k * 2) else None)
+       (List.init n Fun.id)
+   in
+   Alcotest.(check bool) "the router splits the keys" true
+     (expect <> [] && List.length expect < n);
+   let ctx = Repro_core.Handle.ctx ~slot:0 in
+   Alcotest.(check (list (pair int int)))
+     "shard 1's follower holds exactly shard 1's keys" expect
+     (R.range r ctx ~lo:0 ~hi:max_int);
+   Alcotest.(check int) "follower cardinal" (List.length expect) (R.cardinal r);
+   check_resps "a shard past the last is refused"
+     [ P.Error "no shard 2 (have 2)" ]
+     (subscribe rc 2));
+  with_server @@ fun _srv addr ->
+  with_client addr @@ fun c ->
+  match subscribe c 0 with
+  | [ P.Error m ] ->
+      Alcotest.(check bool)
+        ("memory handle: " ^ m)
+        true
+        (String.starts_with ~prefix:"replication unsupported" m)
+  | _ -> Alcotest.fail "a memory handle answered a subscription"
+
 (* ---------- durable-MVCC replica reads ---------- *)
 
 (* A durable-MVCC primary ships vrec (version-chain) pages through the
@@ -649,18 +687,9 @@ let test_replica_mvcc_reads () =
     MD.create_durable ~order:4 ~enc:Fun.id ~dec:Fun.id store
   in
   MD.flush md;
-  let handle = Tree_intf.mvcc_disk_sub_handle md ~name:"mvcc-disk" in
-  let wal_source =
-    {
-      Server.ws_shards = 1;
-      ws_fetch =
-        (fun ~shard:_ ~lsn ~max_pages -> PS.wal_fetch store ~lsn ~max_pages);
-      ws_wait = (fun ~shard:_ ~lsn ~timeout -> PS.wal_wait store ~lsn ~timeout);
-    }
-  in
+  let handle = Tree_intf.mvcc_disk_handle md in
   let srv =
-    Server.start ~workers:2 ~durable_acks:true ~wal_source ~handle
-      ~listen:[ loopback ] ()
+    Server.start ~workers:2 ~durable_acks:true ~handle ~listen:[ loopback ] ()
   in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
@@ -731,8 +760,9 @@ let test_replica_mvcc_reads () =
    [Serve_config.validate] verbatim, so this table IS the behaviour. *)
 let test_serve_config_matrix () =
   let module SC = Repro_server.Serve_config in
-  let v ?(backend = "mem") ?(shards = 1) ?(mvcc = false) ?path () =
-    SC.validate ~backend ~shards ~mvcc ~path
+  let v ?(tree = "sagiv") ?(backend = "mem") ?(shards = 1) ?(mvcc = false)
+      ?path () =
+    SC.validate ~tree ~backend ~shards ~mvcc ~path
   in
   let ok name r =
     match r with
@@ -769,12 +799,20 @@ let test_serve_config_matrix () =
   (* the row the tentpole fixed: mem sharding is fine WITH mvcc, and
      disk sharding never needed it *)
   ignore (ok "mem sharding with mvcc" (v ~shards:8 ~mvcc:true ()));
-  ignore (ok "disk sharding sans mvcc" (v ~backend:"disk" ~shards:8 ()))
+  ignore (ok "disk sharding sans mvcc" (v ~backend:"disk" ~shards:8 ()));
+  (* tree rows: the memory backend serves any plain tree by name; no
+     compactor runs under serve; disk and mvcc both version or persist
+     the sagiv tree only *)
+  ignore (ok "mem lehman-yao" (v ~tree:"lehman-yao" ()));
+  ignore (ok "mem coarse" (v ~tree:"coarse" ()));
+  err "mem sagiv-compact" (v ~tree:"sagiv-compact" ());
+  err "disk sagiv-compact" (v ~tree:"sagiv-compact" ~backend:"disk" ());
+  err "disk lehman-yao" (v ~tree:"lehman-yao" ~backend:"disk" ());
+  err "mem mvcc coarse" (v ~tree:"coarse" ~mvcc:true ());
+  err "mem mvcc sharded coarse" (v ~tree:"coarse" ~mvcc:true ~shards:2 ());
+  err "disk mvcc coarse" (v ~tree:"coarse" ~backend:"disk" ~mvcc:true ())
 
 (* ---------- pipelined batches ---------- *)
-
-let check_resps what expected actual =
-  Alcotest.(check (list response)) what expected actual
 
 (* 4 clients pipeline small batches over 8 hot keys; every response
    becomes an event whose window spans its whole batch (conservative:
@@ -847,11 +885,7 @@ let test_wal_pipelined_acked_crash () =
   let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
   let t = Sg.create ~order:4 ~store () in
   Sg.flush t;
-  let handle =
-    Tree_intf.of_ops
-      ~commit:(fun () -> Sg.commit t)
-      ~range:(Sg.range t) ~name:"sagiv-disk" (module Sg) t
-  in
+  let handle = Tree_intf.disk_sub_handle t in
   let n = 50 in
   let image, limage =
     with_server ~workers:2 ~durable_acks:true ~handle @@ fun srv addr ->
@@ -1020,4 +1054,6 @@ let suite =
     ("pipeline_sharded same-key runs and barriers", `Quick,
      test_pipeline_sharded_order);
     ("client pipeline of 100k requests", `Quick, test_huge_pipeline);
+    ("sharded server publishes every shard's log", `Quick,
+     test_sharded_logs_published);
   ]

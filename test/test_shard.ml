@@ -217,10 +217,15 @@ let test_sharded_store_reopen () =
 
 (* ---------- routed handle vs model oracle ---------- *)
 
-let test_sharded_handle_oracle () =
-  let _sst, _trees, h =
-    Tree_intf.sagiv_disk_sharded_raw ~shards:4 ~order:4 ()
+(* [shards] memory-backed partitions, one order-4 Sagiv tree each. *)
+let memory_sharded ~shards =
+  let sst =
+    SS.create_memory ~page_size:(Tree_intf.page_size_for_order 4) ~shards ()
   in
+  snd (Tree_intf.sagiv_disk_sharded_on ~order:4 sst)
+
+let test_sharded_handle_oracle () =
+  let h = memory_sharded ~shards:4 in
   let ctx = Repro_core.Handle.ctx ~slot:0 in
   let model : (int, int) Hashtbl.t = Hashtbl.create 512 in
   let rng = Repro_util.Splitmix.create 1337 in
@@ -278,9 +283,7 @@ let test_sharded_handle_oracle () =
    preserved, Commit as a barrier) answers in caller order, and the
    merged worker stats carry per-shard ack counts. *)
 let test_sharded_server () =
-  let _sst, _trees, handle =
-    Tree_intf.sagiv_disk_sharded_raw ~shards:4 ~order:4 ()
-  in
+  let handle = memory_sharded ~shards:4 in
   let srv =
     Server.start ~workers:2 ~durable_acks:true ~handle
       ~listen:[ Unix.ADDR_INET (Unix.inet_addr_loopback, 0) ]
