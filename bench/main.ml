@@ -809,7 +809,8 @@ let e14 () =
      its responses flush (durable acks). Each connection \
      works one fixed hash stripe of the keyspace (stripe = router hash \
      mod 8), so a batch's mutations land on one shard at every swept \
-     shard count — the affinity the batch router exploits. Each shard \
+     shard count — the affinity the per-batch touched-shard commit \
+     exploits. Each shard \
      has its own commit mutex, group-commit leader and log fsync \
      stream, so a shard's connections absorb into one fsync and \
      independent shards' fsyncs overlap. Group gathering \
@@ -861,7 +862,7 @@ let e14 () =
     let addr = List.hd (Server.addresses srv) in
     let dt =
       drive_clients addr ~conns ~per_conn ~depth
-        ~send:(Cl.pipeline_sharded ~shards)
+        ~send:Cl.pipeline
         (fun d ->
           let rng = Random.State.make [| 91_000 + (1000 * d) |] in
           let keys = stripe_keys.(d mod 8) in

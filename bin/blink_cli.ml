@@ -2,9 +2,10 @@
 
    Subcommands:
      run       multi-domain workload against a chosen tree implementation
+     trace-gen generate an operation trace file
+     trace-run replay a trace on every tree and cross-check
      compress  build / delete / compress cycle with occupancy reporting
      dump      print the structure of a small tree
-     snapshot  save/load roundtrip timing for the page codec
      crash-test  fault-injection battery over the durable store
      serve     pipelined network server over a tree (TCP / Unix socket)
      client    scripted client session against a running server
@@ -23,7 +24,6 @@ module C = Compress.Make (Key.Int)
 module Co = Compactor.Make (Key.Int)
 module V = Validate.Make (Key.Int)
 module D = Dump.Make (Key.Int)
-module Snap = Snapshot.Make (Key.Int)
 
 (* The same operation modules over the disk backend, for --backend disk. *)
 module Co_disk = Compactor.Make_on_store (Key.Int) (Tree_intf.Paged_int)
@@ -250,27 +250,6 @@ let dump_cmd n order =
     ignore (S.insert t c k (k * 10))
   done;
   D.print t
-
-(* -- snapshot -- *)
-
-let snapshot_cmd n order =
-  let t = S.create ~order () in
-  let c = S.ctx ~slot:0 in
-  for k = 1 to n do
-    ignore (S.insert t c k k)
-  done;
-  let t0 = Driver.now () in
-  let bytes = Snap.save t in
-  let t1 = Driver.now () in
-  let t' = Snap.load bytes in
-  let t2 = Driver.now () in
-  Printf.printf "saved %d keys: %s in %.3fs, loaded in %.3fs\n" n
-    (Report.fmt_bytes (Bytes.length bytes))
-    (t1 -. t0) (t2 -. t1);
-  let rep = V.check t' in
-  Printf.printf "loaded tree: %s (keys=%d)\n"
-    (if Validate.ok rep then "valid" else "INVALID")
-    rep.Validate.total_keys
 
 (* -- crash-test: fault-injection battery -- *)
 
@@ -765,8 +744,6 @@ let dump_n_arg = Arg.(value & opt int 50 & info [ "n" ] ~docv:"N" ~doc:"Number o
 let dump_order_arg = Arg.(value & opt int 2 & info [ "order"; "k" ] ~docv:"K" ~doc:"Order.")
 let dump_t = Term.(const dump_cmd $ dump_n_arg $ dump_order_arg)
 
-let snapshot_t = Term.(const snapshot_cmd $ n_arg $ order_arg)
-
 let trace_path_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:"Trace file.")
 
@@ -919,7 +896,6 @@ let cmds =
       trace_run_t;
     Cmd.v (Cmd.info "compress" ~doc:"Build/delete/compress cycle") compress_t;
     Cmd.v (Cmd.info "dump" ~doc:"Print a small tree's structure") dump_t;
-    Cmd.v (Cmd.info "snapshot" ~doc:"Save/load roundtrip") snapshot_t;
     Cmd.v
       (Cmd.info "crash-test"
          ~doc:"Fault-injection battery: crash at every failpoint site, recover, \

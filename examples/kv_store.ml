@@ -1,25 +1,26 @@
 (* A concurrent key-value store built on the tree: the dense index over a
    record heap, with overwrites, deletes, range queries and record-slot
    reclamation — a miniature of the "large file + B*-tree index" system
-   the paper targets.
+   the paper targets. The store is [Mvcc] at string payloads.
 
    Run with:  dune exec examples/kv_store.exe *)
 
-open Repro_core
-module KV = Kv.Make (Repro_storage.Key.Int)
+open Repro_storage
+module KV = Repro_core.Mvcc.Make (Key.Int)
 
 let accounts = 10_000
 
 let () =
-  let store = KV.create ~order:16 () in
+  let store = KV.create ~order:16 ~size:String.length () in
   let c = KV.ctx ~slot:0 in
 
   (* Seed account records. *)
   for id = 0 to accounts - 1 do
-    KV.put store c id (Printf.sprintf "{\"id\":%d,\"balance\":100}" id)
+    KV.upsert store c id (Printf.sprintf "{\"id\":%d,\"balance\":100}" id)
   done;
   Printf.printf "seeded %d accounts (%d bytes of records, index height %d)\n" accounts
-    (KV.bytes_stored store) (KV.height store);
+    (KV.bytes_stored store)
+    (KV.T.height (KV.tree store));
 
   (* Concurrent traffic: two writers update balances, one auditor scans
      ranges, one janitor reclaims retired record slots. *)
@@ -32,7 +33,7 @@ let () =
             let n = ref 0 in
             for i = 1 to 50_000 do
               let id = Repro_util.Splitmix.int rng accounts in
-              KV.put store ctx id
+              KV.upsert store ctx id
                 (Printf.sprintf "{\"id\":%d,\"balance\":%d}" id (100 + i));
               incr n
             done;
@@ -52,12 +53,18 @@ let () =
         done;
         !scans)
   in
+  (* vacuum retires dead pairs and stale versions; reclaim then frees
+     the slots whose grace period has passed *)
+  let reclaim ctx =
+    let removed = KV.vacuum store ctx in
+    removed + KV.reclaim store
+  in
   let janitor =
     Domain.spawn (fun () ->
         let jctx = KV.ctx ~slot:4 in
         let freed = ref 0 in
         while not (Atomic.get stop) do
-          freed := !freed + KV.reclaim store jctx;
+          freed := !freed + reclaim jctx;
           Domain.cpu_relax ()
         done;
         !freed)
@@ -66,11 +73,12 @@ let () =
   Atomic.set stop true;
   let scans = Domain.join auditor in
   let freed = Domain.join janitor in
-  let freed = freed + KV.reclaim store c in
+  let freed = freed + reclaim c in
 
   Printf.printf "applied %d overwrites; auditor completed %d range scans\n" written scans;
   Printf.printf "janitor reclaimed %d retired record slots; %d live records remain\n"
-    freed (KV.live_records store);
+    freed
+    (Record_store.live_count (KV.records store));
 
   (* Spot-check consistency: every account resolves to a record for ITS id. *)
   for id = 0 to accounts - 1 do

@@ -122,57 +122,6 @@ let pipeline t reqs =
   done;
   List.rev !resps
 
-(* The shard a request's key routes to; [None] for keyless requests
-   (Range spans shards; Commit/Stats are global). *)
-let request_shard ~shards (r : P.request) =
-  match r with
-  | P.Insert { key; _ } | P.Delete { key } | P.Search { key } ->
-      Some (Repro_storage.Shard_router.shard_of ~shards key)
-  | P.Range _ | P.Commit | P.Stats -> None
-  (* Subscribe names its shard explicitly — never regrouped by key;
-     Snapshot is connection-session state, a barrier like Commit *)
-  | P.Subscribe _ | P.Snapshot _ -> None
-
-(* Reorder a batch so each shard's requests are contiguous (stable
-   within a shard, so same-key order is preserved — same key, same
-   shard), send via [pipeline], scatter the responses back to caller
-   order. Keyless requests are barriers: buckets flush before them, so
-   nothing moves across a Commit/Range/Stats. The grouping narrows the
-   server batch's touched-shard runs, which is what lets its per-shard
-   ack commit skip the shards a batch never touched. *)
-let pipeline_sharded t ~shards reqs =
-  if shards < 1 then invalid_arg "Client.pipeline_sharded: shards >= 1";
-  let arr = Array.of_list reqs in
-  let n = Array.length arr in
-  let order = Array.make n 0 in
-  let pos = ref 0 in
-  let buckets = Array.make shards [] in
-  let flush_buckets () =
-    Array.iteri
-      (fun s idxs ->
-        List.iter
-          (fun i ->
-            order.(!pos) <- i;
-            incr pos)
-          (List.rev idxs);
-        buckets.(s) <- [])
-      buckets
-  in
-  Array.iteri
-    (fun i r ->
-      match request_shard ~shards r with
-      | Some s -> buckets.(s) <- i :: buckets.(s)
-      | None ->
-          flush_buckets ();
-          order.(!pos) <- i;
-          incr pos)
-    arr;
-  flush_buckets ();
-  let resps = pipeline t (List.init n (fun p -> arr.(order.(p)))) in
-  let out = Array.make n (P.Error "pipeline_sharded: unfilled") in
-  List.iteri (fun p resp -> out.(order.(p)) <- resp) resps;
-  Array.to_list out
-
 let one t req =
   match pipeline t [ req ] with
   | [ P.Error msg ] -> raise (Remote_error msg)

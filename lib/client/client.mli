@@ -24,18 +24,6 @@ val pipeline :
     never has more than that (plus one frame) sent but unanswered, so a
     batch of any size completes. *)
 
-val pipeline_sharded :
-  t ->
-  shards:int ->
-  Repro_server.Protocol.request list ->
-  Repro_server.Protocol.response list
-(** {!pipeline} with the batch reordered so each shard's requests are
-    contiguous (routing by {!Repro_storage.Shard_router}, matching a
-    sharded server handle). Stable within a shard — same-key requests
-    keep their relative order — and keyless requests (Range / Commit /
-    Stats) are barriers nothing crosses. Responses are returned in the
-    {e caller's} order. *)
-
 val insert : t -> key:int -> value:int -> [ `Ok | `Duplicate ]
 val delete : t -> key:int -> bool
 val search : t -> key:int -> int option

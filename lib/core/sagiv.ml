@@ -316,7 +316,7 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
 
   (** [take t ctx k] removes [k]'s pair from its leaf by rewriting the
       leaf (§4) and returns the removed record pointer — for callers that
-      own the records (e.g. {!Kv}). No restructuring happens here; when
+      own the records (e.g. {!Mvcc}). No restructuring happens here; when
       [enqueue_on_delete] is set and the leaf drops below k pairs, it is
       pushed onto the compression queue while its lock is still held
       (§5.4). *)
@@ -439,45 +439,6 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
   (** [range t ctx ~lo ~hi] is the pairs with [lo <= key <= hi], ascending. *)
   let range (t : t) (ctx : ctx) ~lo ~hi =
     List.rev (fold_range t ctx ~lo ~hi ~init:[] (fun acc k p -> (k, p) :: acc))
-
-  (** [fold_all t ctx ~init f] folds over {e every} pair in ascending key
-      order — {!fold_range} without bounds, starting at the leftmost leaf
-      instead of a locate. Same lock-free concurrency contract: each leaf
-      read as one snapshot, strictly ascending emission, pairs present
-      for the whole scan all emitted; concurrent movers may or may not
-      be seen. The online save/validate paths scan with this. *)
-  let fold_all (t : t) (ctx : ctx) ~init f =
-    ctx.stats.Stats.ops <- ctx.stats.Stats.ops + 1;
-    Epoch.with_pin t.epoch ~slot:ctx.slot (fun () ->
-        let rec walk ptr last acc =
-          match
-            (try `Node (S.get t.store ptr) with Page_store.Freed_page _ -> `Gone)
-          with
-          | `Gone -> acc
-          | `Node n -> (
-              match n.Node.state with
-              | Node.Deleted fwd ->
-                  ctx.stats.Stats.fwd_follows <- ctx.stats.Stats.fwd_follows + 1;
-                  if fwd = Node.nil then acc else walk fwd last acc
-              | Node.Live -> (
-                  let last = ref last and acc = ref acc in
-                  for i = 0 to Node.nkeys n - 1 do
-                    let k = n.Node.keys.(i) in
-                    if match !last with None -> true | Some l -> K.compare k l > 0
-                    then begin
-                      acc := f !acc k n.Node.ptrs.(i);
-                      last := Some k
-                    end
-                  done;
-                  match n.Node.link with
-                  | Some p ->
-                      ctx.stats.Stats.link_follows <- ctx.stats.Stats.link_follows + 1;
-                      walk p !last !acc
-                  | None -> !acc))
-        in
-        match Prime_block.leftmost_at (Prime_block.read t.prime) ~level:0 with
-        | Some p -> walk p None init
-        | None -> init)
 
   (** Convenience: number of keys currently stored (walks the leaf chain;
       only meaningful when quiescent). *)

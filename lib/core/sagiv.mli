@@ -55,7 +55,7 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
 
   val take : t -> ctx -> K.t -> Node.ptr option
   (** {!delete} returning the record pointer that was removed (for callers
-      that own the records, e.g. {!Kv}). *)
+      that own the records, e.g. {!Mvcc}). *)
 
   val update : t -> ctx -> K.t -> Node.ptr -> Node.ptr option
   (** Atomically repoint the key's pair at a new record pointer; returns
@@ -69,11 +69,6 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       inserted/deleted/moved may or may not be. Exact when quiescent. *)
 
   val range : t -> ctx -> lo:K.t -> hi:K.t -> (K.t * Node.ptr) list
-
-  val fold_all : t -> ctx -> init:'a -> ('a -> K.t -> Node.ptr -> 'a) -> 'a
-  (** {!fold_range} without bounds: lock-free ordered fold over every
-      pair, starting at the leftmost leaf. Same concurrency contract.
-      The online save/validate paths are built on this. *)
 
   val cardinal : t -> int
   (** Number of stored keys (leaf-chain walk; quiescent only). *)

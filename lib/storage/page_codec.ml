@@ -2,10 +2,8 @@
 
     Each tree node corresponds to "a page or block of secondary storage"
     (paper §2.2). The in-memory store keeps decoded nodes for speed, but
-    this codec defines the durable format: it is exercised by the
-    persistence layer (snapshot save/load, the paged store) and by
-    round-trip tests, so the library could be rebased onto a real pager
-    without touching tree code.
+    this codec defines the durable format: [Paged_store] encodes and
+    decodes every disk-resident node through it.
 
     Every node is framed with its body length and a checksum of the
     body, so a torn or partially-persisted page is {e detected} at

@@ -4,6 +4,8 @@
 open Repro_storage
 module C = Page_codec.Make (Key.Int)
 module CS = Page_codec.Make (Key.Str)
+module KP = Key.Pair (Key.Int) (Key.Str)
+module CP = Page_codec.Make (KP)
 
 let node_eq (a : int Node.t) (b : int Node.t) =
   a.Node.level = b.Node.level
@@ -91,7 +93,26 @@ let test_string_keys () =
   let n' = CS.of_bytes (CS.to_bytes n) in
   Alcotest.(check bool) "string keys roundtrip" true
     (n'.Node.keys = n.Node.keys && n'.Node.ptrs = n.Node.ptrs
-    && Bound.compare String.compare n'.Node.high n.Node.high = 0)
+    && Bound.compare String.compare n'.Node.high n.Node.high = 0);
+  (* composite keys: an (int, string) pair encodes both halves *)
+  let p =
+    {
+      Node.level = 1;
+      keys = [| (7, "buy"); (7, "login"); (25, "") |];
+      ptrs = [| 4; 5; 6; 7 |];
+      low = Bound.Key (3, "click");
+      high = Bound.Key (25, "logout");
+      link = Some 11;
+      is_root = false;
+      state = Node.Live;
+    }
+  in
+  let p' = CP.of_bytes (CP.to_bytes p) in
+  Alcotest.(check bool) "pair keys roundtrip" true
+    (p'.Node.keys = p.Node.keys && p'.Node.ptrs = p.Node.ptrs
+    && p'.Node.level = p.Node.level && p'.Node.link = p.Node.link
+    && Bound.compare KP.compare p'.Node.low p.Node.low = 0
+    && Bound.compare KP.compare p'.Node.high p.Node.high = 0)
 
 let test_multiple_in_buffer () =
   let a = mk [ 1 ] [ 10 ] and b = mk ~level:1 [ 2; 3 ] [ 20; 30; 40 ] in

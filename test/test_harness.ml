@@ -1,5 +1,4 @@
-(* Workload generation, the multi-domain driver, the oracle replay, and
-   snapshot persistence. *)
+(* Workload generation, the multi-domain driver and the oracle replay. *)
 
 open Repro_core
 open Repro_baseline
@@ -125,100 +124,6 @@ let test_oracle_replay_clean () =
   Alcotest.(check int) "model cardinality" (Oracle.IntMap.cardinal model)
     (h.Tree_intf.cardinal ())
 
-(* -- snapshot persistence -- *)
-
-module S = Sagiv.Make (Repro_storage.Key.Int)
-module Snap = Snapshot.Make (Repro_storage.Key.Int)
-module V = Validate.Make (Repro_storage.Key.Int)
-
-let test_snapshot_roundtrip () =
-  let t = S.create ~order:3 () in
-  let c = S.ctx ~slot:0 in
-  for k = 1 to 3_000 do
-    ignore (S.insert t c k (k * 7))
-  done;
-  for k = 1 to 3_000 do
-    if k mod 3 = 0 then ignore (S.delete t c k)
-  done;
-  let bytes = Snap.save t in
-  let t' = Snap.load bytes in
-  let rep = V.check t' in
-  if not (Validate.ok rep) then
-    Alcotest.failf "loaded tree invalid: %s" (String.concat "; " rep.Validate.errors);
-  Alcotest.(check int) "cardinal preserved" (S.cardinal t) (S.cardinal t');
-  Alcotest.(check bool) "contents equal" true (S.to_list t = S.to_list t');
-  (* the loaded tree is fully usable *)
-  let c' = S.ctx ~slot:0 in
-  Alcotest.(check bool) "insert into loaded tree" true (S.insert t' c' 100_001 1 = `Ok);
-  Alcotest.(check (option int)) "search loaded" (Some 14) (S.search t' c' 2)
-
-(* A snapshot is a compaction point: after merges and reclamation the
-   image carries only the live chain, so the loaded tree must still
-   validate with exactly the same contents. *)
-let test_snapshot_compacted_tree () =
-  let module Co = Compactor.Make (Repro_storage.Key.Int) in
-  let t = S.create ~order:4 ~enqueue_on_delete:true () in
-  let c = S.ctx ~slot:0 in
-  for k = 1 to 4_000 do
-    ignore (S.insert t c k k)
-  done;
-  for k = 1 to 4_000 do
-    if k mod 3 <> 0 then ignore (S.delete t c k)
-  done;
-  (match Co.run_until_empty t c with
-  | `Drained -> ()
-  | `Step_limit -> Alcotest.fail "compaction queue did not drain");
-  Alcotest.(check bool) "nodes merged" true
-    (c.Handle.stats.Repro_storage.Stats.merges > 0);
-  Alcotest.(check bool) "tombstones reclaimed" true (S.reclaim t > 0);
-  let t' = Snap.load (Snap.save t) in
-  let rep = V.check t' in
-  if not (Validate.ok rep) then
-    Alcotest.failf "loaded tree invalid: %s" (String.concat "; " rep.Validate.errors);
-  Alcotest.(check bool) "contents equal" true (S.to_list t = S.to_list t')
-
-let test_snapshot_empty_tree () =
-  let t = S.create ~order:2 () in
-  let t' = Snap.load (Snap.save t) in
-  Alcotest.(check int) "empty" 0 (S.cardinal t');
-  let c = S.ctx ~slot:0 in
-  Alcotest.(check bool) "usable" true (S.insert t' c 1 1 = `Ok)
-
-let test_snapshot_corruption () =
-  let t = S.create ~order:2 () in
-  let c = S.ctx ~slot:0 in
-  for k = 1 to 100 do
-    ignore (S.insert t c k k)
-  done;
-  let b = Snap.save t in
-  Bytes.set_uint8 b 0 0xFF;
-  match Snap.load b with
-  | exception Snapshot.Corrupt _ -> ()
-  | _ -> Alcotest.fail "corrupt snapshot accepted"
-
-(* test/fixtures/snapshot-v2.blk: [Snap.save] of an order-3 tree holding
-   k -> 7k for k in 1..60 except multiples of 3, written when the codec
-   framed nodes as v2 (FNV-1a-32). It must still load. *)
-let test_snapshot_v2_loads () =
-  let path =
-    Filename.concat
-      (if Sys.file_exists "fixtures" then "fixtures" else "test/fixtures")
-      "snapshot-v2.blk"
-  in
-  let ic = open_in_bin path in
-  let bytes = Bytes.of_string (really_input_string ic (in_channel_length ic)) in
-  close_in ic;
-  let t = Snap.load bytes in
-  let rep = V.check t in
-  if not (Validate.ok rep) then
-    Alcotest.failf "v2 snapshot invalid: %s" (String.concat "; " rep.Validate.errors);
-  let want =
-    List.filter_map
-      (fun k -> if k mod 3 = 0 then None else Some (k, k * 7))
-      (List.init 60 succ)
-  in
-  Alcotest.(check bool) "v2 snapshot contents" true (S.to_list t = want)
-
 let suite =
   [
     Alcotest.test_case "mix validation" `Quick test_mix_validation;
@@ -230,9 +135,4 @@ let suite =
     Alcotest.test_case "driver with compaction workers" `Quick test_driver_with_compaction;
     Alcotest.test_case "oracle detects divergence" `Quick test_oracle_replay_detects_divergence;
     Alcotest.test_case "oracle replay clean" `Quick test_oracle_replay_clean;
-    Alcotest.test_case "snapshot roundtrip" `Quick test_snapshot_roundtrip;
-    Alcotest.test_case "snapshot of compacted tree" `Quick test_snapshot_compacted_tree;
-    Alcotest.test_case "snapshot of empty tree" `Quick test_snapshot_empty_tree;
-    Alcotest.test_case "snapshot corruption detected" `Quick test_snapshot_corruption;
-    Alcotest.test_case "v2 snapshot file loads" `Quick test_snapshot_v2_loads;
   ]

@@ -1,11 +1,19 @@
-(* The KV layer: record heap + index, sequential and concurrent, with
-   record-slot reclamation. *)
+(* The key-value store: the index over a record heap ([Mvcc] at string
+   payloads), sequential and concurrent, with record-slot reclamation. *)
 
 open Repro_storage
-open Repro_core
-module KV = Kv.Make (Key.Int)
+module KV = Repro_core.Mvcc.Make (Key.Int)
 
 let ctx = KV.ctx
+let create ~order = KV.create ~order ~size:String.length ()
+
+(* Vacuum dead pairs and stale versions, then free what passed its grace
+   period: vacuum first, it retires the slots reclaim then frees. *)
+let reclaim kv c =
+  let removed = KV.vacuum kv c in
+  removed + KV.reclaim kv
+
+let live_records kv = Record_store.live_count (KV.records kv)
 
 let test_record_store_basic () =
   let rs = Record_store.create ~size:String.length () in
@@ -39,21 +47,21 @@ let test_record_store_concurrent () =
     all
 
 let test_kv_basic () =
-  let kv = KV.create ~order:4 () in
+  let kv = create ~order:4 in
   let c = ctx ~slot:0 in
-  KV.put kv c 1 "one";
-  KV.put kv c 2 "two";
+  KV.upsert kv c 1 "one";
+  KV.upsert kv c 2 "two";
   Alcotest.(check (option string)) "get" (Some "one") (KV.get kv c 1);
   Alcotest.(check (option string)) "miss" None (KV.get kv c 3);
-  KV.put kv c 1 "uno";
+  KV.upsert kv c 1 "uno";
   Alcotest.(check (option string)) "overwrite" (Some "uno") (KV.get kv c 1);
-  Alcotest.(check bool) "remove" true (KV.remove kv c 1);
-  Alcotest.(check bool) "remove gone" false (KV.remove kv c 1);
+  Alcotest.(check bool) "remove" true (KV.delete kv c 1);
+  Alcotest.(check bool) "remove gone" false (KV.delete kv c 1);
   Alcotest.(check (option string)) "after remove" None (KV.get kv c 1);
   Alcotest.(check int) "cardinal" 1 (KV.cardinal kv)
 
 let test_kv_oracle () =
-  let kv = KV.create ~order:4 () in
+  let kv = create ~order:4 in
   let c = ctx ~slot:0 in
   let model = Hashtbl.create 97 in
   let rng = Repro_util.Splitmix.create 8 in
@@ -63,28 +71,28 @@ let test_kv_oracle () =
     | 0 ->
         let v = Printf.sprintf "v%d@%d" k i in
         Hashtbl.replace model k v;
-        KV.put kv c k v
+        KV.upsert kv c k v
     | 1 ->
         let expected = Hashtbl.mem model k in
         Hashtbl.remove model k;
-        if KV.remove kv c k <> expected then Alcotest.failf "remove %d diverged" k
+        if KV.delete kv c k <> expected then Alcotest.failf "remove %d diverged" k
     | _ ->
         if KV.get kv c k <> Hashtbl.find_opt model k then
           Alcotest.failf "get %d diverged at op %d" k i
   done;
   Alcotest.(check int) "cardinal" (Hashtbl.length model) (KV.cardinal kv);
   (* periodic reclamation frees overwritten records *)
-  ignore (KV.reclaim kv c);
+  ignore (reclaim kv c);
   Alcotest.(check int) "live records = live keys" (Hashtbl.length model)
-    (KV.live_records kv)
+    (live_records kv)
 
 let test_kv_range () =
-  let kv = KV.create ~order:4 () in
+  let kv = create ~order:4 in
   let c = ctx ~slot:0 in
   for k = 0 to 99 do
-    KV.put kv c k (string_of_int (k * 2))
+    KV.upsert kv c k (string_of_int (k * 2))
   done;
-  let b = KV.bindings kv c ~lo:10 ~hi:14 in
+  let b = KV.range kv c ~lo:10 ~hi:14 in
   Alcotest.(check (list (pair int string)))
     "bindings"
     [ (10, "20"); (11, "22"); (12, "24"); (13, "26"); (14, "28") ]
@@ -96,11 +104,11 @@ let test_kv_concurrent_updates () =
   (* Readers continuously get keys while writers overwrite them; every
      read must return a complete value some writer wrote for that key —
      never a torn/wrong-key value, and never hit a reclaimed slot. *)
-  let kv = KV.create ~order:8 () in
+  let kv = create ~order:8 in
   let c = ctx ~slot:0 in
   let keys = 500 in
   for k = 0 to keys - 1 do
-    KV.put kv c k (Printf.sprintf "%d:init" k)
+    KV.upsert kv c k (Printf.sprintf "%d:init" k)
   done;
   let stop = Atomic.make false in
   let errors = Atomic.make 0 in
@@ -111,8 +119,8 @@ let test_kv_concurrent_updates () =
             let rng = Repro_util.Splitmix.create (w + 40) in
             for i = 1 to 30_000 do
               let k = Repro_util.Splitmix.int rng keys in
-              KV.put kv wc k (Printf.sprintf "%d:w%d.%d" k w i);
-              if i mod 1000 = 0 then ignore (KV.reclaim kv c)
+              KV.upsert kv wc k (Printf.sprintf "%d:w%d.%d" k w i);
+              if i mod 1000 = 0 then ignore (reclaim kv c)
             done))
   in
   let readers =
@@ -138,49 +146,23 @@ let test_kv_concurrent_updates () =
   Atomic.set stop true;
   Array.iter Domain.join readers;
   Alcotest.(check int) "no torn/stale/freed reads" 0 (Atomic.get errors);
-  ignore (KV.reclaim kv c);
-  Alcotest.(check int) "records = keys after reclaim" keys (KV.live_records kv)
+  ignore (reclaim kv c);
+  Alcotest.(check int) "records = keys after reclaim" keys (live_records kv)
 
 let test_kv_reclaim_bounded () =
   (* Overwriting the same key many times must not leak records. *)
-  let kv = KV.create ~order:4 () in
+  let kv = create ~order:4 in
   let c = ctx ~slot:0 in
   for i = 1 to 10_000 do
-    KV.put kv c 7 (string_of_int i);
-    if i mod 100 = 0 then ignore (KV.reclaim kv c)
+    KV.upsert kv c 7 (string_of_int i);
+    if i mod 100 = 0 then ignore (reclaim kv c)
   done;
-  ignore (KV.reclaim kv c);
-  Alcotest.(check int) "single live record" 1 (KV.live_records kv);
+  ignore (reclaim kv c);
+  Alcotest.(check int) "single live record" 1 (live_records kv);
   Alcotest.(check (option string)) "latest wins" (Some "10000") (KV.get kv c 7)
-
-let test_kv_dump_restore () =
-  let kv = KV.create ~order:4 () in
-  let c = ctx ~slot:0 in
-  for k = 0 to 2_999 do
-    KV.put kv c k (Printf.sprintf "value-%d" k)
-  done;
-  for k = 0 to 2_999 do
-    if k mod 3 = 0 then ignore (KV.remove kv c k)
-  done;
-  KV.put kv c 42 "overwritten";
-  let dump = KV.save kv in
-  let kv' = KV.load dump in
-  Alcotest.(check int) "cardinal" (KV.cardinal kv) (KV.cardinal kv');
-  for k = 0 to 2_999 do
-    if KV.get kv' c k <> KV.get kv c k then Alcotest.failf "key %d differs after restore" k
-  done;
-  (* restored store is live *)
-  KV.put kv' c 100_000 "fresh";
-  Alcotest.(check (option string)) "usable" (Some "fresh") (KV.get kv' c 100_000);
-  (* corruption detected *)
-  Bytes.set_uint8 dump 0 0x00;
-  match KV.load dump with
-  | exception KV.Corrupt _ -> ()
-  | _ -> Alcotest.fail "corrupt dump accepted"
 
 let suite =
   [
-    Alcotest.test_case "kv dump/restore" `Quick test_kv_dump_restore;
     Alcotest.test_case "record store basics" `Quick test_record_store_basic;
     Alcotest.test_case "record store concurrent" `Quick test_record_store_concurrent;
     Alcotest.test_case "kv basics" `Quick test_kv_basic;

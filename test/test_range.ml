@@ -117,12 +117,7 @@ let test_string_tree () =
     [ "date"; "fig"; "grape"; "lemon"; "lime" ]
     (List.map fst r);
   let rep = VS.check t in
-  Alcotest.(check (list string)) "valid" [] rep.Validate.errors;
-  (* snapshot through the string codec *)
-  let module SnapS = Snapshot.Make (Key.Str) in
-  let t' = SnapS.load (SnapS.save t) in
-  Alcotest.(check (list string)) "snapshot valid" [] (VS.check t').Validate.errors;
-  Alcotest.(check bool) "snapshot roundtrip" true (SS.to_list t = SS.to_list t')
+  Alcotest.(check (list string)) "valid" [] rep.Validate.errors
 
 let test_string_tree_large () =
   let t = SS.create ~order:4 () in
@@ -143,7 +138,7 @@ module SP = Sagiv.Make (KP)
 
 let test_composite_keys () =
   (* (user_id, event) composite index: lexicographic order, per-user range
-     scans, codec-backed snapshots. *)
+     scans. *)
   let t = SP.create ~order:3 () in
   let c = SP.ctx ~slot:0 in
   let events = [ "login"; "click"; "buy"; "logout" ] in
@@ -157,11 +152,7 @@ let test_composite_keys () =
   List.iter (fun ((u, _), _) -> Alcotest.(check int) "right user" 25 u) user25;
   (* point lookups *)
   Alcotest.(check bool) "hit" true (SP.search t c (7, "buy") <> None);
-  Alcotest.(check (option int)) "miss" None (SP.search t c (7, "refund"));
-  (* snapshot through the composite codec *)
-  let module SnapP = Snapshot.Make (KP) in
-  let t' = SnapP.load (SnapP.save t) in
-  Alcotest.(check bool) "snapshot roundtrip" true (SP.to_list t = SP.to_list t')
+  Alcotest.(check (option int)) "miss" None (SP.search t c (7, "refund"))
 
 let suite =
   [

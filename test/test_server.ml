@@ -4,8 +4,7 @@
    connection-drop robustness; ≥4-client concurrent linearizability
    through real sockets, hot-key pipelined batches included; the WAL
    ack-durability contract — an acked write survives a crash taken
-   right after the ack; pipeline_sharded's ordering guarantees; and a
-   pipeline far past the socket buffers. *)
+   right after the ack; and a pipeline far past the socket buffers. *)
 
 open Repro_storage
 open Repro_baseline
@@ -942,58 +941,6 @@ let test_wal_pipelined_acked_crash () =
     | Some _ -> Alcotest.failf "phantom key %d materialised" (1000 + i)
   done
 
-let test_pipeline_sharded_order () =
-  let shards = 4 in
-  let handle =
-    Tree_intf.sharded ~name:"sagiv-sharded"
-      (Array.init shards (fun _ -> (Tree_intf.sagiv ()).make ~order:4))
-  in
-  with_server ~handle @@ fun _srv addr ->
-  with_client addr @@ fun c ->
-  (* same-key run: insert/delete/insert/search on one key must not be
-     reordered by the regrouping *)
-  check_resps "same-key run keeps order"
-    [ P.Inserted; P.Deleted; P.Inserted; P.Found 2 ]
-    (C.pipeline_sharded c ~shards
-       [
-         P.Insert { key = 5; value = 1 };
-         P.Delete { key = 5 };
-         P.Insert { key = 5; value = 2 };
-         P.Search { key = 5 };
-       ]);
-  (* keyless barrier: the delete after the Commit must see the insert
-     before it, on every shard the keys hash to *)
-  check_resps "keyless barrier not crossed"
-    [
-      P.Inserted; P.Inserted; P.Found 10; P.Committed; P.Duplicate; P.Deleted;
-      P.Absent;
-    ]
-    (C.pipeline_sharded c ~shards
-       [
-         P.Insert { key = 11; value = 10 };
-         P.Insert { key = 12; value = 20 };
-         P.Search { key = 11 };
-         P.Commit;
-         P.Insert { key = 11; value = 99 };
-         P.Delete { key = 12 };
-         P.Search { key = 12 };
-       ]);
-  (* responses come back in caller order even when shard grouping
-     permutes the wire order of distinct keys *)
-  let n = 64 in
-  let reqs = List.init n (fun i -> P.Insert { key = 100 + i; value = i }) in
-  let resps = C.pipeline_sharded c ~shards reqs in
-  Alcotest.(check int) "one response per request" n (List.length resps);
-  Alcotest.(check bool) "all fresh inserts acked" true
-    (List.for_all (( = ) P.Inserted) resps);
-  List.iteri
-    (fun i _ ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "key %d" (100 + i))
-        (Some i)
-        (C.search c ~key:(100 + i)))
-    reqs
-
 (* A pipeline far larger than the socket buffers: the client keeps a
    bounded window of requests unanswered, so neither side blocks
    writing while the other does too. Insert/search pairs make every
@@ -1051,8 +998,6 @@ let suite =
      test_hot_keys_linearizable);
     ("pipelined acks survive crash (wal)", `Quick,
      test_wal_pipelined_acked_crash);
-    ("pipeline_sharded same-key runs and barriers", `Quick,
-     test_pipeline_sharded_order);
     ("client pipeline of 100k requests", `Quick, test_huge_pipeline);
     ("sharded server publishes every shard's log", `Quick,
      test_sharded_logs_published);

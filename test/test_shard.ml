@@ -279,9 +279,9 @@ let test_sharded_handle_oracle () =
 (* ---------- sharded server session ---------- *)
 
 (* A sharded WAL handle behind the server under durable acks: a
-   pipeline_sharded batch (grouped per shard client-side, same-key order
-   preserved, Commit as a barrier) answers in caller order, and the
-   merged worker stats carry per-shard ack counts. *)
+   pipelined batch spanning every shard (a same-key sequence, a Commit
+   between writes and reads) answers in order, and the merged worker
+   stats carry per-shard ack counts. *)
 let test_sharded_server () =
   let handle = memory_sharded ~shards:4 in
   let srv =
@@ -302,7 +302,7 @@ let test_sharded_server () =
             List.concat
               [
                 List.init n (fun i -> P.Insert { key = i; value = i * 11 });
-                (* same-key sequence whose order must survive regrouping *)
+                (* same-key sequence applied in order *)
                 [
                   P.Insert { key = 7777; value = 1 };
                   P.Delete { key = 7777 };
@@ -313,7 +313,7 @@ let test_sharded_server () =
                 List.init n (fun i -> P.Search { key = i });
               ]
           in
-          let resps = C.pipeline_sharded c ~shards:4 reqs in
+          let resps = C.pipeline c reqs in
           Alcotest.(check int)
             "one response per request" (List.length reqs) (List.length resps);
           let resps = Array.of_list resps in
