@@ -2,8 +2,8 @@
    vacuum behind and after pins, group snapshots across shards, the
    scan-consistency oracle under 4 concurrent writer domains (single
    tree and sharded), the documented-weak unversioned range, the online
-   leak-check with writers live, the server's
-   SNAPSHOT session, and the replica's one-horizon-per-scan
+   leak-check with writers live, the server's SNAPSHOT session and the
+   online backup it carries, and the replica's one-horizon-per-scan
    regression. *)
 
 open Repro_storage
@@ -448,6 +448,87 @@ let test_snapshot_frame_roundtrip () =
   resp (P.Snap_reply { epoch = 12345 });
   resp (P.Snap_reply { epoch = -1 })
 
+(* Online backup of a live server: the chunked sweep that [blink_cli
+   backup] makes — SNAPSHOT open, windowed RANGEs, SNAPSHOT close —
+   while two client connections churn. Stable keys 1..400 must land
+   exactly. Each churn writer moves one token around a ring of keys
+   set a window apart (insert the next key, then delete the current
+   one), so at any one cut its ring holds one key or two neighbours; a
+   sweep whose windows were read at different instants sees none, or
+   keys that are not neighbours. *)
+let test_online_backup_under_churn () =
+  with_server ~handle:((Tree_intf.sagiv_mvcc ()).make ~order:4) @@ fun addr ->
+  with_client addr @@ fun c ->
+  for k = 1 to 400 do
+    ignore (C.insert c ~key:k ~value:(k * 3))
+  done;
+  let chunk = 8 and ring = 32 in
+  let base w = 1_000 + (w * chunk * ring) in
+  let ring_key w j = base w + (j * chunk) in
+  for w = 0 to 1 do
+    ignore (C.insert c ~key:(ring_key w 0) ~value:0)
+  done;
+  let stop = Atomic.make false in
+  let doms =
+    List.init 2 (fun w ->
+        Domain.spawn (fun () ->
+            with_client addr @@ fun cw ->
+            let j = ref 0 in
+            while not (Atomic.get stop) do
+              let next = (!j + 1) mod ring in
+              ignore (C.insert cw ~key:(ring_key w next) ~value:next);
+              ignore (C.delete cw ~key:(ring_key w !j) : bool);
+              j := next
+            done))
+  in
+  let sweep ~lo ~hi =
+    ignore (C.snapshot_open c : int);
+    Fun.protect
+      ~finally:(fun () -> C.snapshot_close c)
+      (fun () ->
+        let rec go wlo acc =
+          if wlo > hi then List.rev acc
+          else
+            let whi = min hi (wlo + chunk - 1) in
+            go (whi + 1) (List.rev_append (C.range c ~lo:wlo ~hi:whi) acc)
+        in
+        go lo [])
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      List.iter Domain.join doms)
+    (fun () ->
+      for pass = 1 to 10 do
+        let pairs = sweep ~lo:1 ~hi:(base 2 - 1) in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "pass %d: stable keys exact" pass)
+          (List.init 400 (fun i -> (i + 1, (i + 1) * 3)))
+          (List.filter (fun (k, _) -> k <= 400) pairs);
+        List.iter
+          (fun (k, _) ->
+            if k > 400 && (k < base 0 || (k - base 0) mod chunk <> 0) then
+              Alcotest.failf "pass %d: backup invented key %d" pass k)
+          pairs;
+        for w = 0 to 1 do
+          let held =
+            List.filter_map
+              (fun (k, _) ->
+                if k >= base w && k < base (w + 1) then
+                  Some ((k - base w) / chunk)
+                else None)
+              pairs
+          in
+          match held with
+          | [ _ ] -> ()
+          | [ a; b ] when b = a + 1 || (a = 0 && b = ring - 1) -> ()
+          | _ ->
+              Alcotest.failf "pass %d: writer %d ring holds [%s] at one cut"
+                pass w
+                (String.concat "; " (List.map string_of_int held))
+        done
+      done)
+
 (* ---------- replica scan horizon ---------- *)
 
 module PS = Tree_intf.Paged_int
@@ -816,6 +897,7 @@ let suite =
     ("4-writer scan oracle (sharded cut)", `Quick, test_scan_oracle_sharded);
     ("unversioned range stays weak but well-formed", `Quick, test_weak_range_documented);
     ("oracle rejects infeasible scans", `Quick, test_oracle_rejects);
+    ("online backup under churn", `Quick, test_online_backup_under_churn);
     ("online leak check under churn", `Quick, test_online_leak_check);
     ("fold_all equals range when quiescent", `Quick, test_full_fold_quiescent);
     ("SNAPSHOT frame roundtrip", `Quick, test_snapshot_frame_roundtrip);
