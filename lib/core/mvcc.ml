@@ -563,9 +563,9 @@ struct
 
   (** Drain the candidate stack: prune cold tails everywhere; physically
       remove pairs whose chain is a lone tombstone below every pin, via
-      seal -> take -> retire. Candidates that stay dead but pinned are
-      re-queued for the next pass. Returns the number of pairs removed
-      from the tree. *)
+      seal -> take -> retire. Candidates whose tail a pin still holds,
+      live or dead, are re-queued for the next pass. Returns the number
+      of pairs removed from the tree. *)
   let vacuum t (ctx : ctx) =
     let batch = Atomic.exchange t.gc [] in
     ignore (Atomic.fetch_and_add t.gc_len (-List.length batch));
@@ -584,9 +584,11 @@ struct
           | None -> () (* sealed by another vacuum, or freed: drop *)
           | Some h -> (
               match (h.R.value, h.R.prev) with
-              | Some _, _ -> () (* live again; its next death re-notes it *)
-              | None, Some _ ->
-                  (* dead but the tail is pinned: a later pass collects *)
+              | Some _, None -> () (* live and pruned; its next write re-notes it *)
+              | Some _, Some _ | None, Some _ ->
+                  (* a pin holds the tail: a later pass prunes it (and
+                     collects a dead chain), since no write may come to
+                     re-note the key *)
                   note_gc t k rptr
               | None, None ->
                   if h.R.epoch >= horizon then note_gc t k rptr

@@ -53,18 +53,15 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
      more than one chunk exists — dropping the chunk count when an even
      split would dip below the minimum (e.g. 2k+1 items at fill 0.9). *)
   let chunk_sizes ~min_fill ~cap ~hard_cap total =
-    if total = 0 then []
-    else begin
-      let want = (total + cap - 1) / cap in
-      let most = max 1 (total / min_fill) in
-      let least = (total + hard_cap - 1) / hard_cap in
-      let nchunks = max least (min want most) in
-      let base = total / nchunks and extra = total mod nchunks in
-      List.init nchunks (fun i -> base + if i < extra then 1 else 0)
-      |> List.map (fun s ->
-             assert (s <= hard_cap && (nchunks = 1 || s >= min_fill));
-             s)
-    end
+    let want = (total + cap - 1) / cap in
+    let most = max 1 (total / min_fill) in
+    let least = (total + hard_cap - 1) / hard_cap in
+    let nchunks = max least (min want most) in
+    let base = total / nchunks and extra = total mod nchunks in
+    Array.init nchunks (fun i ->
+        let s = base + if i < extra then 1 else 0 in
+        assert (s <= hard_cap && (nchunks = 1 || s >= min_fill));
+        s)
 
   let check_sorted pairs =
     let rec go = function
@@ -79,110 +76,77 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
   (* Shared bulk-construction core of {!of_sorted} and {!bulk_add}: pack
      the strictly ascending [pairs] bottom-up into [store] at [fill] of
      capacity and return the leftmost pointer of each level (leaf first,
-     root last). Quiescent; the caller publishes the result. *)
+     root last). One pass per level, so linear in the input. Quiescent;
+     the caller publishes the result. *)
   let build_levels ~order ~fill ~store (pairs : (K.t * Node.ptr) list) :
       Node.ptr array =
     (* target chunk size: fill fraction of capacity, at least 2 so every
        level strictly shrinks (a cap of 1 would never converge) *)
     let cap = max 2 (max order (int_of_float (fill *. float_of_int (2 * order)))) in
     let hard_cap = 2 * order in
-    let total = List.length pairs in
-    let split_chunks items =
-      let sizes = chunk_sizes ~min_fill:order ~cap ~hard_cap (List.length items) in
-      let rec go sizes items acc =
-        match sizes with
-        | [] ->
-            assert (items = []);
-            List.rev acc
-        | s :: rest ->
-            let chunk = ref [] and tail = ref items in
-            for _ = 1 to s do
-              match !tail with
-              | x :: xs ->
-                  chunk := x :: !chunk;
-                  tail := xs
-              | [] -> assert false
-            done;
-            go rest !tail (List.rev !chunk :: acc)
-      in
-      go sizes items []
+    (* Lay out one level of [items] entries left to right. Every node's
+       page is reserved before any is written, so page ids ascend in key
+       order along the level and sit above the level below. [chunk off s]
+       yields the keys, ptrs and high of the node over entries
+       [off, off + s); its low is the left neighbour's high. Returns the
+       level's ptrs and highs, the next level's entries. *)
+    let lay_level ~level ~items chunk =
+      let sizes = chunk_sizes ~min_fill:order ~cap ~hard_cap items in
+      let n = Array.length sizes in
+      let ptrs = Array.init n (fun _ -> S.reserve store) in
+      let highs = Array.make n Bound.Pos_inf in
+      let off = ref 0 in
+      for i = 0 to n - 1 do
+        let keys, kids, high = chunk !off sizes.(i) in
+        if i < n - 1 then highs.(i) <- high;
+        S.put store ptrs.(i)
+          {
+            Node.level;
+            keys;
+            ptrs = kids;
+            low = (if i = 0 then Bound.Neg_inf else highs.(i - 1));
+            high = highs.(i);
+            link = (if i = n - 1 then None else Some ptrs.(i + 1));
+            is_root = n = 1;
+            state = Node.Live;
+          };
+        off := !off + sizes.(i)
+      done;
+      (ptrs, highs)
     in
-    (* Leaves. *)
-    let leaf_level =
-      if total = 0 then begin
-        let p = S.alloc store (N.empty_root ()) in
-        [ (p, Bound.Pos_inf) ]
-      end
-      else begin
-        let chunks = split_chunks pairs in
-        let ptrs = List.map (fun _ -> S.reserve store) chunks in
-        let n = List.length chunks in
-        let highs =
-          List.mapi
-            (fun i chunk ->
-              if i = n - 1 then Bound.Pos_inf
-              else Bound.Key (fst (List.nth chunk (List.length chunk - 1))))
-            chunks
+    (* Internal levels: a parent over children [off, off + s) holds their
+       ptrs, the highs of all but the last as keys, and the last's high. *)
+    let rec build_up level (ptrs, highs) leftmosts =
+      let items = Array.length ptrs in
+      if items = 1 then Array.of_list (List.rev leftmosts)
+      else
+        let ((up, _) as parents) =
+          lay_level ~level ~items (fun off s ->
+              ( Array.init (s - 1) (fun j -> Bound.get_key highs.(off + j)),
+                Array.sub ptrs off s,
+                highs.(off + s - 1) ))
         in
-        List.iteri
-          (fun i chunk ->
-            let low = if i = 0 then Bound.Neg_inf else List.nth highs (i - 1) in
-            let node =
-              {
-                Node.level = 0;
-                keys = Array.of_list (List.map fst chunk);
-                ptrs = Array.of_list (List.map snd chunk);
-                low;
-                high = List.nth highs i;
-                link = (if i = n - 1 then None else Some (List.nth ptrs (i + 1)));
-                is_root = n = 1;
-                state = Node.Live;
-              }
-            in
-            S.put store (List.nth ptrs i) node)
-          chunks;
-        List.combine ptrs highs
-      end
+        build_up (level + 1) parents (up.(0) :: leftmosts)
     in
-    (* Internal levels: children are (ptr, high); a parent over a chunk of
-       children has keys = highs of all children but the last. *)
-    let rec build_up level children leftmosts =
-      match children with
-      | [ (root_ptr, _) ] -> (root_ptr, List.rev leftmosts)
-      | _ ->
-          let chunks = split_chunks children in
-          let ptrs = List.map (fun _ -> S.reserve store) chunks in
-          let n = List.length chunks in
-          let highs =
-            List.map (fun chunk -> snd (List.nth chunk (List.length chunk - 1))) chunks
-          in
-          List.iteri
-            (fun i chunk ->
-              let low = if i = 0 then Bound.Neg_inf else List.nth highs (i - 1) in
-              let seps =
-                List.filteri (fun j _ -> j < List.length chunk - 1) chunk
-                |> List.map (fun (_, h) -> Bound.get_key h)
-              in
-              let node =
-                {
-                  Node.level;
-                  keys = Array.of_list seps;
-                  ptrs = Array.of_list (List.map fst chunk);
-                  low;
-                  high = List.nth highs i;
-                  link = (if i = n - 1 then None else Some (List.nth ptrs (i + 1)));
-                  is_root = n = 1;
-                  state = Node.Live;
-                }
-              in
-              S.put store (List.nth ptrs i) node)
-            chunks;
-          build_up (level + 1) (List.combine ptrs highs) (List.hd ptrs :: leftmosts)
-    in
-    let leftmost_leaf = fst (List.hd leaf_level) in
-    let _root_ptr, upper_leftmosts = build_up 1 leaf_level [] in
-    (* [upper_leftmosts] is bottom-up: levels 1..top; the root is last. *)
-    Array.of_list (leftmost_leaf :: upper_leftmosts)
+    match pairs with
+    | [] -> [| S.alloc store (N.empty_root ()) |]
+    | (k0, p0) :: _ ->
+        (* Leaves, filled straight from the input list. *)
+        let rest = ref pairs in
+        let ((leaves, _) as level0) =
+          lay_level ~level:0 ~items:(List.length pairs) (fun _ s ->
+              let keys = Array.make s k0 and ptrs = Array.make s p0 in
+              for j = 0 to s - 1 do
+                match !rest with
+                | (k, p) :: tl ->
+                    keys.(j) <- k;
+                    ptrs.(j) <- p;
+                    rest := tl
+                | [] -> assert false
+              done;
+              (keys, ptrs, Bound.Key keys.(s - 1)))
+        in
+        build_up 1 level0 [ leaves.(0) ]
 
   (** Bulk-load a tree from strictly ascending (key, payload) pairs — a
       quiescent constructor that packs nodes to [fill] (default 0.9 of

@@ -171,6 +171,99 @@ let test_bulk_load_density () =
     (rb.Validate.total_nodes < ri.Validate.total_nodes);
   Alcotest.(check bool) "not taller" true (rb.Validate.height <= ri.Validate.height)
 
+(* The bulk builder's page layout, over the in-memory store and the
+   paged one: each level is a left-to-right chain in key order whose
+   page ids ascend and sit above the level below, and every node but a
+   lone root holds k to 2k entries. *)
+module Layout (St : Page_store.S with type key = int) = struct
+  module T = Sagiv.Make_on_store (Key.Int) (St)
+  module Vs = Validate.Make_on_store (Key.Int) (St)
+
+  let check ~store ~order ~fill n =
+    let msg = Printf.sprintf "order %d fill %.1f n=%d" order fill n in
+    let pairs = List.init n (fun i -> ((i * 2) + 1, i)) in
+    let t = T.of_sorted ~order ~fill ~store:(store ()) pairs in
+    let r = Vs.check t in
+    if not (Validate.ok r) then
+      Alcotest.failf "%s: %s" msg (String.concat "; " r.Validate.errors);
+    Alcotest.(check bool) (msg ^ ": contents") true (T.to_list t = pairs);
+    let snap = Prime_block.read t.Handle.prime in
+    let levels = snap.Prime_block.levels in
+    (* walk each level along its links, leaf first *)
+    let level_nodes level =
+      let rec walk acc p =
+        let node = St.get t.Handle.store p in
+        let acc = (p, node) :: acc in
+        match node.Node.link with None -> List.rev acc | Some q -> walk acc q
+      in
+      walk [] (Option.get (Prime_block.leftmost_at snap ~level))
+    in
+    let below_max = ref (-1) and below_ptrs = ref [] in
+    for level = 0 to levels - 1 do
+      let nodes = level_nodes level in
+      let lone_root = level = levels - 1 && List.length nodes = 1 in
+      let prev_high = ref Bound.Neg_inf and prev_ptr = ref (-1) in
+      List.iter
+        (fun (p, (nd : int Node.t)) ->
+          let here = Printf.sprintf "%s: level %d page %d" msg level p in
+          Alcotest.(check int) (here ^ ": level") level nd.Node.level;
+          Alcotest.(check bool) (here ^ ": low is the left high") true
+            (Bound.compare Int.compare nd.Node.low !prev_high = 0);
+          Alcotest.(check bool) (here ^ ": ids ascend") true (p > !prev_ptr);
+          Alcotest.(check bool) (here ^ ": above the level below") true
+            (p > !below_max);
+          Alcotest.(check bool) (here ^ ": root flag") lone_root nd.Node.is_root;
+          let entries = Array.length nd.Node.ptrs in
+          if not lone_root then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %d entries in [k, 2k]" here entries)
+              true
+              (entries >= order && entries <= 2 * order);
+          prev_high := nd.Node.high;
+          prev_ptr := p)
+        nodes;
+      Alcotest.(check bool) (msg ^ ": level ends at +inf") true
+        (Bound.compare Int.compare !prev_high Bound.Pos_inf = 0);
+      (* the links visit exactly the children the level above names, in
+         order *)
+      if level > 0 then
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: level %d children" msg level)
+          !below_ptrs
+          (List.concat_map (fun (_, nd) -> Array.to_list nd.Node.ptrs) nodes);
+      below_max := !prev_ptr;
+      below_ptrs := List.map fst nodes
+    done;
+    levels
+
+  let run ~store () =
+    List.iter
+      (fun order ->
+        List.iter
+          (fun fill ->
+            List.iter
+              (fun n -> ignore (check ~store ~order ~fill n : int))
+              [ 0; 1; 2 * order; (2 * order) + 1 ];
+            let deep = 4 * (2 * order) * (2 * order) in
+            let levels = check ~store ~order ~fill deep in
+            Alcotest.(check bool)
+              (Printf.sprintf "order %d fill %.1f: %d levels" order fill levels)
+              true (levels >= 3))
+          [ 0.5; 0.9 ])
+      [ 1; 2; 16 ];
+    List.iter
+      (fun bad ->
+        match T.of_sorted ~order:2 ~store:(store ()) bad with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.fail "input not strictly ascending accepted")
+      [ [ (2, 0); (1, 0) ]; [ (1, 0); (1, 1) ]; [ (1, 0); (3, 0); (2, 0) ] ]
+end
+
+module Mem_layout = Layout (Store.For_key (Key.Int))
+
+module Paged = Paged_store.Make (Key.Int)
+module Paged_layout = Layout (Paged)
+
 let suite =
   [
     Alcotest.test_case "bulk load" `Quick test_bulk_load;
@@ -184,4 +277,8 @@ let suite =
     Alcotest.test_case "deletes keep structure valid" `Quick test_delete_leaves_structure;
     Alcotest.test_case "insert/delete hold one lock max" `Quick test_one_lock_at_a_time;
     Alcotest.test_case "large order" `Quick test_large_order;
+    Alcotest.test_case "bulk layout (memory store)" `Quick
+      (Mem_layout.run ~store:(fun () -> Store.create ()));
+    Alcotest.test_case "bulk layout (paged store)" `Quick
+      (Paged_layout.run ~store:(fun () -> Paged.create_memory ~cache_pages:16 ()));
   ]

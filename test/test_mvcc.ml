@@ -93,6 +93,26 @@ let test_version_pruning () =
     io.Stats.mvcc_pruned;
   Alcotest.(check int) "io gauge pins" 0 io.Stats.snap_pins
 
+(* A live chain whose tail a pin held through one vacuum must stay a
+   candidate: no later write may come to re-note the key. *)
+let test_vacuum_requeues_pinned_live_chain () =
+  let st = M.create ~order:4 () in
+  let c = mctx ~slot:0 in
+  M.upsert st c 7 0;
+  let s = M.snapshot st in
+  for i = 1 to 5 do
+    M.upsert st c 7 i
+  done;
+  ignore (M.vacuum st c : int);
+  Alcotest.(check int) "the pin keeps every version" 6 (M.live_versions st);
+  let pruned = M.pruned_versions st in
+  M.release s;
+  ignore (M.vacuum st c : int);
+  ignore (M.reclaim st : int);
+  Alcotest.(check int) "one version left" 1 (M.live_versions st);
+  Alcotest.(check int) "five versions pruned" (pruned + 5) (M.pruned_versions st);
+  Alcotest.(check (option int)) "newest survives" (Some 5) (M.get st c 7)
+
 let test_group_snapshot () =
   let epoch = Epoch.create () in
   let a = M.create ~order:4 ~epoch () in
@@ -913,4 +933,7 @@ let suite =
     ("sharded durable MVCC reopens with one cut", `Quick, test_durable_sharded_reopen);
     ("logical records round-trip every slot state", `Quick, test_logical_roundtrip);
     ("2000 upserts split across page-sized records", `Quick, test_logical_split);
+    ( "vacuum re-queues a live chain a pin held",
+      `Quick,
+      test_vacuum_requeues_pinned_live_chain );
   ]

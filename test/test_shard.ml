@@ -342,6 +342,71 @@ let test_sharded_server () =
           if total < 4 then
             Alcotest.failf "only %d per-shard acks counted" total))
 
+(* ---------- disk bulk load ---------- *)
+
+module Vd = Repro_core.Validate.Make_on_store (Key.Int) (PS)
+
+(* Bulk-load [n] pairs into a fresh file-backed [shards]-way store
+   through the handle [build] returns with its sync (a cache far smaller
+   than the tree, so the load evicts), sync, close and reopen through
+   [reopen], then read every pair back and validate every shard's
+   tree. *)
+let bulk_roundtrip ~tag ~build ~reopen =
+  let path = tmp (tag ^ ".pages") and wal = tmp (tag ^ ".wal") in
+  let shards = 2 and n = 20_000 in
+  let cleanup () =
+    for i = 0 to shards - 1 do
+      rm (SS.shard_path path i);
+      rm (SS.shard_path wal i)
+    done
+  in
+  cleanup ();
+  Fun.protect ~finally:cleanup (fun () ->
+      let pairs = List.init n (fun i -> ((i * 5) - 7, i)) in
+      let sst = SS.create_file ~cache_pages:64 ~wal_path:wal ~shards path in
+      let h, sync = build sst in
+      (match h.Tree_intf.bulk_add with
+      | Some bulk -> Alcotest.(check bool) (tag ^ ": loaded") true (bulk pairs)
+      | None -> Alcotest.fail "no bulk load on a disk handle");
+      sync ();
+      SS.close sst;
+      let sst = SS.open_file ~cache_pages:64 ~wal_path:wal ~shards path in
+      let trees, h = reopen sst in
+      let ctx = Repro_core.Handle.ctx ~slot:0 in
+      List.iter
+        (fun (k, v) ->
+          if h.Tree_intf.search ctx k <> Some v then
+            Alcotest.failf "%s: key %d lost across reopen" tag k)
+        pairs;
+      Alcotest.(check int) (tag ^ ": cardinal") n (h.Tree_intf.cardinal ());
+      Alcotest.(check bool) (tag ^ ": full range is the input") true
+        ((Option.get h.Tree_intf.range) ctx ~lo:min_int ~hi:max_int = pairs);
+      Array.iteri
+        (fun i t ->
+          let r = Vd.check t in
+          if not (Repro_core.Validate.ok r) then
+            Alcotest.failf "%s shard %d: %s" tag i
+              (String.concat "; " r.Repro_core.Validate.errors))
+        trees;
+      SS.close sst)
+
+let test_disk_bulk_load () =
+  bulk_roundtrip ~tag:"bulk"
+    ~build:(fun sst ->
+      let trees, h = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
+      (h, fun () -> Array.iter Tree_intf.Sagiv_disk.flush trees))
+    ~reopen:Tree_intf.sagiv_disk_sharded_open
+
+let test_mvcc_disk_bulk_load () =
+  let module MD = Tree_intf.Mvcc_disk in
+  bulk_roundtrip ~tag:"mvcc-bulk"
+    ~build:(fun sst ->
+      let ts, h = Tree_intf.sagiv_mvcc_disk_on ~order:16 sst in
+      (h, fun () -> Array.iter MD.flush ts))
+    ~reopen:(fun sst ->
+      let ts, h = Tree_intf.sagiv_mvcc_disk_open sst in
+      (Array.map MD.tree ts, h))
+
 let suite =
   [
     ("router golden values", `Quick, test_router_golden);
@@ -353,4 +418,6 @@ let suite =
     ("sharded store parallel reopen", `Quick, test_sharded_store_reopen);
     ("routed handle matches the model", `Quick, test_sharded_handle_oracle);
     ("sharded server session", `Quick, test_sharded_server);
+    ("disk bulk load survives reopen", `Quick, test_disk_bulk_load);
+    ("durable MVCC bulk load survives reopen", `Quick, test_mvcc_disk_bulk_load);
   ]
