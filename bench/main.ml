@@ -813,9 +813,7 @@ let e14 () =
      exploits. Each shard \
      has its own commit mutex, group-commit leader and log fsync \
      stream, so a shard's connections absorb into one fsync and \
-     independent shards' fsyncs overlap. Group gathering \
-     is left at the default (every commit request seals immediately), \
-     so the commit stream itself is the contended resource. Mixed \
+     independent shards' fsyncs overlap. Mixed \
      1/4 insert, 1/4 delete, 1/2 search over a preloaded keyspace.";
   let total_ops = scale 48_000 in
   let key_space = scale 50_000 in
@@ -961,10 +959,7 @@ let e16 () =
   let run followers =
     Gc.compact ();
     let path = Filename.temp_file "e16" ".pages" in
-    let sst =
-      SS.create_file ~cache_pages:4096 ~commit_batch:8 ~commit_interval:5e-4
-        ~shards:1 path
-    in
+    let sst = SS.create_file ~cache_pages:4096 ~shards:1 path in
     let _, handle = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
     let srv =
       Server.start ~workers:(writers + followers) ~durable_acks:true ~handle

@@ -111,13 +111,12 @@ let print_sharded_io ?mvcc sst =
   Printf.printf "io: %s\n" (Stats.io_to_string merged)
 
 let run_cmd tree_name backend mix_name dist_name domains ops key_space preload order
-    seed compactors validate latency commit_every commit_batch shards zipf =
+    seed compactors validate latency commit_every shards zipf =
   if commit_every > 0 && backend <> "disk" then
     failwith "--commit-every requires --backend disk";
   if shards > 1 && backend <> "disk" then
     failwith "--shards requires --backend disk";
   let every = commit_every in
-  let commit_batch = if commit_batch > 1 then Some commit_batch else None in
   let dist =
     match zipf with
     | Some theta -> Repro_util.Distribution.Zipfian theta
@@ -149,8 +148,7 @@ let run_cmd tree_name backend mix_name dist_name domains ops key_space preload o
     if backend = "disk" then begin
       let sst =
         Tree_intf.Sharded_int.create_memory
-          ~page_size:(Tree_intf.page_size_for_order order) ?commit_batch ~shards
-          ()
+          ~page_size:(Tree_intf.page_size_for_order order) ~shards ()
       in
       let trees, h = Tree_intf.sagiv_disk_sharded_on ~enqueue_on_delete ~order sst in
       let h = with_periodic_commit every h in
@@ -317,7 +315,7 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (a, p) ->
       Printf.sprintf "tcp:%s:%d" (Unix.string_of_inet_addr a) p
 
-let serve_cmd tree_name backend order commit_batch workers port unix_path shards
+let serve_cmd tree_name backend order workers port unix_path shards
     mvcc path =
   let cfg =
     match
@@ -327,7 +325,6 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
     | Ok c -> c
     | Error msg -> failwith msg
   in
-  let commit_batch = if commit_batch > 1 then Some commit_batch else None in
   (* File-backed disk serves open-or-create through the partition layer
      (an unsharded store is one partition); a reopen recovers every
      shard — WAL replay included — before the listener comes up. *)
@@ -350,11 +347,11 @@ let serve_cmd tree_name backend order commit_batch workers port unix_path shards
       let sst =
         match path with
         | None ->
-            Tree_intf.Sharded_int.create_memory ~page_size ?commit_batch ~shards ()
+            Tree_intf.Sharded_int.create_memory ~page_size ~shards ()
         | Some p when reopening ->
-            Tree_intf.Sharded_int.open_file ?commit_batch ~shards p
+            Tree_intf.Sharded_int.open_file ~shards p
         | Some p ->
-            Tree_intf.Sharded_int.create_file ~page_size ?commit_batch ~shards p
+            Tree_intf.Sharded_int.create_file ~page_size ~shards p
       in
       if mvcc then
         let trees, h =
@@ -707,12 +704,6 @@ let commit_every_arg =
            ~doc:"Disk backend: durable group commit every N completed \
                  mutations (0 = never).")
 
-let commit_batch_arg =
-  Arg.(value & opt int 1
-       & info [ "commit-batch" ] ~docv:"B"
-           ~doc:"Group-commit batch target: a leader lingers for up to B commit \
-                 requests before the shared log fsync.")
-
 let shards_arg =
   Arg.(value & opt int 1
        & info [ "shards" ] ~docv:"N"
@@ -728,7 +719,7 @@ let run_t =
   Term.(
     const run_cmd $ tree_arg $ backend_arg $ mix_arg $ dist_arg $ domains_arg $ ops_arg
     $ space_arg $ preload_arg $ order_arg $ seed_arg $ compactors_arg $ validate_arg
-    $ latency_arg $ commit_every_arg $ commit_batch_arg $ shards_arg $ zipf_arg)
+    $ latency_arg $ commit_every_arg $ shards_arg $ zipf_arg)
 
 let n_arg = Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Number of keys.")
 
@@ -802,7 +793,7 @@ let serve_path_arg =
 
 let serve_t =
   Term.(
-    const serve_cmd $ tree_arg $ backend_arg $ order_arg $ commit_batch_arg $ workers_arg $ port_arg $ unix_arg $ shards_arg
+    const serve_cmd $ tree_arg $ backend_arg $ order_arg $ workers_arg $ port_arg $ unix_arg $ shards_arg
     $ mvcc_arg $ serve_path_arg)
 
 let host_arg =

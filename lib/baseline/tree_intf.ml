@@ -410,8 +410,8 @@ let sagiv_disk_sharded_on ?(enqueue_on_delete = false) ~order sst =
       (Array.map disk_sub_handle trees) )
 
 (** Rebuild the routed handle over a reopened {!Sharded_int.t} (every
-    shard's tree metadata was {!Sagiv_disk.flush}ed, or recovered from
-    its WAL). *)
+    shard was checkpointed since its tree was built, or its tree
+    metadata is recovered from its WAL). *)
 let sagiv_disk_sharded_open ?(enqueue_on_delete = false) sst =
   let trees =
     Array.map

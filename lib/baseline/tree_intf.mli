@@ -221,7 +221,8 @@ val sagiv_disk_sharded_open :
   Sharded_int.t ->
   (int, Paged_int.t) Handle.t array * handle
 (** Rebuild the routed handle over a reopened {!Sharded_int.t} (every
-    shard's tree metadata was flushed, or recovered from its WAL).
+    shard was checkpointed since its tree was built, or its tree
+    metadata is recovered from its WAL).
     @raise Invalid_argument when a full node of the recorded order does
     not fit the stores' pages. *)
 

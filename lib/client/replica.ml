@@ -32,9 +32,11 @@ exception Stream_error of string
     generation/incarnation, torn record): the feed is not a valid
     continuation and the replica must re-seed. *)
 
+(* Log pages asked for per pull. *)
+let max_pages = 256
+
 type t = {
   shard : int;
-  max_pages : int;
   mu : Mutex.t;  (** view swaps vs. reads *)
   mutable store : PS.t option;  (** created on the first shipped page *)
   mutable view : Sg.t option;  (** rebuilt on meta-carrying batches *)
@@ -54,10 +56,9 @@ type t = {
           current generation's logical records *)
 }
 
-let create ?(shard = 0) ?(max_pages = 256) () =
+let create ?(shard = 0) () =
   {
     shard;
-    max_pages;
     mu = Mutex.create ();
     store = None;
     view = None;
@@ -139,7 +140,7 @@ let poll ?(wait_ms = 500) t client =
   let before = t.batches in
   let pages, next =
     Client.wal_fetch client ~shard:t.shard ~from_lsn:t.next_lsn
-      ~max_pages:t.max_pages ~wait_ms
+      ~max_pages ~wait_ms
   in
   List.iter (feed t) pages;
   t.next_lsn <- next;

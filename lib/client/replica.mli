@@ -14,10 +14,10 @@ exception Stream_error of string
 
 type t
 
-val create : ?shard:int -> ?max_pages:int -> unit -> t
+val create : ?shard:int -> unit -> t
 (** A fresh follower for one primary shard (default 0); its store is
     built from the first shipped page (which fixes the page geometry).
-    [max_pages] bounds each pull (default 256). *)
+    Each pull asks for at most 256 log pages. *)
 
 val poll : ?wait_ms:int -> t -> Client.t -> [ `Applied of int | `Caught_up ]
 (** One pull-and-apply round: fetch from the replica's cursor

@@ -216,10 +216,11 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
       it sparse). Seeds a fresh queue with the node, then compresses it
       and every consequence (sparse merge survivors, sparse parents) until
       the private queue is empty. Runs concurrently with everything else;
-      [max_steps] bounds livelock against a hostile interleaving. Returns
-      the number of merges+redistributions performed. *)
-  let compact_node ?(max_steps = 100_000) (t : (K.t, S.t) Handle.t) (ctx : ctx) ~ptr ~level
-      ~high ~stack =
+      a bound of 100,000 steps stops livelock against a hostile
+      interleaving. Returns the number of merges+redistributions
+      performed. *)
+  let compact_node (t : (K.t, S.t) Handle.t) (ctx : ctx) ~ptr ~level ~high ~stack =
+    let max_steps = 100_000 in
     let queue : K.t Cqueue.t = Cqueue.create () in
     Cqueue.push queue ~update:true ~ptr ~level ~high ~stack ~stamp:0;
     let changes = ref 0 in
@@ -235,8 +236,10 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
     !changes
 
   (** Drain the queue (e.g. after a quiescent delete phase). Requeued
-      entries are retried; [max_steps] bounds pathological schedules. *)
-  let run_until_empty ?(max_steps = 10_000_000) (t : (K.t, S.t) Handle.t) (ctx : ctx) =
+      entries are retried; a bound of 10,000,000 steps stops
+      pathological schedules. *)
+  let run_until_empty (t : (K.t, S.t) Handle.t) (ctx : ctx) =
+    let max_steps = 10_000_000 in
     let rec go n =
       if n >= max_steps then `Step_limit
       else

@@ -21,7 +21,6 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       queue — §5.4 arrangement (2)). *)
 
   val compact_node :
-    ?max_steps:int ->
     (K.t, S.t) Handle.t ->
     Handle.ctx ->
     ptr:Node.ptr ->
@@ -31,11 +30,13 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
     int
   (** §5.4 arrangement (3): a compression process with its own private
       queue, seeded with one node; compresses it and every consequence
-      until the private queue drains. Returns merges+redistributions. *)
+      until the private queue drains (or 100,000 steps pass). Returns
+      merges+redistributions. *)
 
   val run_until_empty :
-    ?max_steps:int -> (K.t, S.t) Handle.t -> Handle.ctx -> [ `Drained | `Step_limit ]
-  (** Drain the shared queue (retrying requeued entries). *)
+    (K.t, S.t) Handle.t -> Handle.ctx -> [ `Drained | `Step_limit ]
+  (** Drain the shared queue (retrying requeued entries); [`Step_limit]
+      after 10,000,000 steps. *)
 
   val run_worker : (K.t, S.t) Handle.t -> Handle.ctx -> stop:bool Atomic.t -> unit
   (** Background worker loop: process entries until [stop], backing off

@@ -183,9 +183,11 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
         done;
         !changes)
 
-  (** Run passes until none makes a change; returns the number of passes
-      that did change something (E7's metric). *)
-  let compress_to_fixpoint ?(max_passes = 1000) (t : (K.t, S.t) Handle.t) (ctx : ctx) =
+  (** Run passes until none makes a change (at most 1000 passes);
+      returns the number of passes that did change something (E7's
+      metric). *)
+  let compress_to_fixpoint (t : (K.t, S.t) Handle.t) (ctx : ctx) =
+    let max_passes = 1000 in
     (* Alternate pairing phases so that, at the fixpoint, every adjacent
        sibling pair has been examined (see [compress_level]'s [phase]).
        Stop after a changeless pass in EACH phase. *)

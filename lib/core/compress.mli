@@ -20,10 +20,10 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
   (** All levels bottom-up, then root-collapse attempts. Returns the
       number of structural changes. *)
 
-  val compress_to_fixpoint :
-    ?max_passes:int -> (K.t, S.t) Handle.t -> Handle.ctx -> int
+  val compress_to_fixpoint : (K.t, S.t) Handle.t -> Handle.ctx -> int
   (** Run alternating-phase passes until one changeless pass in each
-      phase; returns how many passes changed something. Emptying a tree
+      phase (at most 1000 passes); returns how many passes changed
+      something. Emptying a tree
       takes O(log2 n) passes (§5.1, experiment E7). *)
 end
 

@@ -24,6 +24,38 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
 
   let ctx = Handle.ctx
 
+  (* -- durability (quiescent): the tree's geometry and prime-block state
+        live in the store's metadata blob, so a durable store can be
+        closed and reopened without replay -- *)
+
+  let meta_magic = 0x53_47_56_31 (* "SGV1" *)
+
+  exception Corrupt of string
+
+  let encode_meta (t : t) =
+    let prime = Prime_block.read t.prime in
+    let levels = prime.Prime_block.levels in
+    let buf = Buffer.create (12 + (8 * levels)) in
+    Buffer.add_int32_le buf (Int32.of_int meta_magic);
+    Buffer.add_int32_le buf (Int32.of_int t.order);
+    Buffer.add_int32_le buf (Int32.of_int levels);
+    Array.iter
+      (fun p -> Buffer.add_int64_le buf (Int64.of_int p))
+      prime.Prime_block.leftmost;
+    Buffer.to_bytes buf
+
+  (* Every handle is built here. Each checkpoint of the store records
+     the tree's geometry first, however it is reached ({!flush}, a
+     direct [S.sync], or the store's close), so a checkpointed store
+     always reopens. A layered client ({!Mvcc}'s durable mode) replaces
+     the hook with its own, which writes this blob too. *)
+  let make ~store ~prime ~order ~enqueue_on_delete : t =
+    let t =
+      { store; prime; epoch = Epoch.create (); order; queue = Cqueue.create (); enqueue_on_delete }
+    in
+    S.on_checkpoint store (fun () -> S.set_meta store (encode_meta t));
+    t
+
   (** [create ~order ()] builds an empty tree. [order] is the paper's k:
       every non-root node keeps between k and 2k pairs.
       [enqueue_on_delete] controls whether deletions push sparse leaves
@@ -37,14 +69,7 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
     if S.live_count store <> 0 then
       invalid_arg "Sagiv.create: store not empty (use open_existing)";
     let root = S.alloc store (N.empty_root ()) in
-    {
-      store;
-      prime = Prime_block.create ~root_ptr:root;
-      epoch = Epoch.create ();
-      order;
-      queue = Cqueue.create ();
-      enqueue_on_delete;
-    }
+    make ~store ~prime:(Prime_block.create ~root_ptr:root) ~order ~enqueue_on_delete
 
   let order (t : t) = t.order
 
@@ -161,14 +186,9 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
     if S.live_count store <> 0 then
       invalid_arg "Sagiv.of_sorted: store not empty (use open_existing)";
     let leftmost = build_levels ~order ~fill ~store pairs in
-    {
-      store;
-      prime = Prime_block.restore ~levels:(Array.length leftmost) ~leftmost;
-      epoch = Epoch.create ();
-      order;
-      queue = Cqueue.create ();
-      enqueue_on_delete = false;
-    }
+    make ~store
+      ~prime:(Prime_block.restore ~levels:(Array.length leftmost) ~leftmost)
+      ~order ~enqueue_on_delete:false
 
   (** [bulk_add t pairs] packs strictly ascending [pairs] into an
       {e empty} tree in place — {!of_sorted}'s fast path for callers
@@ -442,32 +462,10 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
   (** Release pages whose grace period has passed (§5.3). *)
   let reclaim (t : t) = Epoch.reclaim t.epoch ~release:(S.release t.store)
 
-  (* -- durability (quiescent): the tree's geometry and prime-block state
-        live in the store's metadata blob, so a durable store can be
-        closed and reopened without replay -- *)
-
-  let meta_magic = 0x53_47_56_31 (* "SGV1" *)
-
-  exception Corrupt of string
-
-  let encode_meta (t : t) =
-    let prime = Prime_block.read t.prime in
-    let levels = prime.Prime_block.levels in
-    let buf = Buffer.create (12 + (8 * levels)) in
-    Buffer.add_int32_le buf (Int32.of_int meta_magic);
-    Buffer.add_int32_le buf (Int32.of_int t.order);
-    Buffer.add_int32_le buf (Int32.of_int levels);
-    Array.iter
-      (fun p -> Buffer.add_int64_le buf (Int64.of_int p))
-      prime.Prime_block.leftmost;
-    Buffer.to_bytes buf
-
-  (** Persist the tree's geometry (order, levels, leftmost pointers) into
-      the store's metadata and {!Page_store.S.sync} it. Quiescent only:
-      no operation may be in flight and the queue should be drained. *)
-  let flush (t : t) =
-    S.set_meta t.store (encode_meta t);
-    S.sync t.store
+  (** Checkpoint the store ({!Page_store.S.sync}); the hook {!make}
+      registered records the tree's geometry first. Quiescent only: no
+      operation may be in flight and the queue should be drained. *)
+  let flush (t : t) = S.sync t.store
 
   (** Durably commit every completed operation: refresh the metadata blob
       (so the committed batch carries the geometry it needs — on a
@@ -497,14 +495,8 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
         let leftmost =
           Array.init levels (fun i -> Int64.to_int (Bytes.get_int64_le bytes (12 + (8 * i))))
         in
-        {
-          store;
-          prime = Prime_block.restore ~levels ~leftmost;
-          epoch = Epoch.create ();
-          order;
-          queue = Cqueue.create ();
-          enqueue_on_delete;
-        }
+        make ~store ~prime:(Prime_block.restore ~levels ~leftmost) ~order
+          ~enqueue_on_delete
 end
 
 (** The tree over the in-memory {!Store} — the historical interface; all

@@ -85,17 +85,21 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
   exception Corrupt of string
 
   val encode_meta : t -> Bytes.t
-  (** The metadata blob {!flush}/{!commit} persist (magic, order, levels,
-      leftmost pointers). Exposed so layered stores ({!Repro_core.Mvcc}'s
+  (** The metadata blob checkpoints and {!commit} persist (magic, order,
+      levels, leftmost pointers). Exposed so layered stores ({!Repro_core.Mvcc}'s
       durable mode) can append their own extension after it —
       {!open_existing} tolerates trailing bytes. *)
 
   val flush : t -> unit
-  (** Persist the tree's geometry (order, levels, leftmost pointers) into
-      the store's metadata blob and {!Page_store.S.sync} the store.
-      Quiescent only. On a durable store ({!Paged_store}) the tree then
-      survives close + reopen; on {!Store} it is a harmless no-op beyond
-      recording the metadata. *)
+  (** {!Page_store.S.sync} the store. Every handle registers a
+      {!Page_store.S.on_checkpoint} hook that records the tree's geometry
+      (order, levels, leftmost pointers) in the store's metadata blob, so
+      this — or any other checkpoint of the store, its close included —
+      leaves a store {!open_existing} accepts. Quiescent only. On a
+      durable store ({!Paged_store}) the tree then survives close +
+      reopen; on {!Store} it only records the metadata. A layered client
+      that registers its own hook ({!Repro_core.Mvcc}'s durable mode)
+      must write this blob itself. *)
 
   val commit : t -> unit
   (** Durably commit every {e completed} operation: refresh the metadata
@@ -104,8 +108,8 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       quiescence needed; in memory it is a no-op. *)
 
   val open_existing : ?enqueue_on_delete:bool -> S.t -> t
-  (** Rebuild a handle over a store that was {!flush}ed (and possibly
-      closed and reopened). Never run two handles over one store
+  (** Rebuild a handle over a store that was checkpointed or committed
+      (and possibly closed and reopened). Never run two handles over one store
       concurrently — they would have separate epochs and queues.
       @raise Corrupt when the store holds no (or damaged) tree metadata. *)
 end

@@ -246,14 +246,14 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
   (** Online leak check — {!leak_check} with writers live. A single walk
       over-reports: a page mid-split (allocated but its left sibling's
       link not yet rewritten) or mid-retire is {e transiently}
-      unreachable. So run [passes] (default 3) independent walks and
+      unreachable. So run three independent walks and
       intersect the candidate sets: a transient page is linked in (or
       freed) by the next walk, while a genuinely leaked page is
       unreachable in every one. Every returned page was live and
       unreachable across all passes. *)
-  let leak_check_online ?(passes = 3) (t : (K.t, S.t) Handle.t) : Node.ptr list =
+  let leak_check_online (t : (K.t, S.t) Handle.t) : Node.ptr list =
     let s = ref (unreachable_live t) in
-    for _ = 2 to max 1 passes do
+    for _ = 2 to 3 do
       Domain.cpu_relax ();
       let s' = unreachable_live t in
       let keep = Hashtbl.create (Hashtbl.length !s) in
@@ -263,30 +263,27 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
     List.sort compare (Hashtbl.fold (fun p () acc -> p :: acc) !s [])
 
   (** Assert that every non-root node holds at least k pairs — the
-      postcondition of a complete compression (§5.1), modulo the odd-child
-      caveat which {!strict} toggles. *)
-  let check_occupancy ?(strict = true) (t : (K.t, S.t) Handle.t) : string list =
+      postcondition of a complete compression (§5.1). *)
+  let check_occupancy (t : (K.t, S.t) Handle.t) : string list =
     let r = check t in
     let errs = ref r.errors in
-    if strict then begin
-      let prime = Prime_block.read t.prime in
-      let height = prime.Prime_block.levels in
-      for level = 0 to height - 1 do
-        match Prime_block.leftmost_at prime ~level with
-        | None -> ()
-        | Some p ->
-            let rec go ptr =
-              let n = S.get t.store ptr in
-              if Node.is_sparse ~order:t.order n && not n.Node.is_root then
-                errs :=
-                  Printf.sprintf "page %d (level %d): %d pairs < k=%d" ptr level
-                    (Node.nkeys n) t.order
-                  :: !errs;
-              match n.Node.link with Some q -> go q | None -> ()
-            in
-            go p
-      done
-    end;
+    let prime = Prime_block.read t.prime in
+    let height = prime.Prime_block.levels in
+    for level = 0 to height - 1 do
+      match Prime_block.leftmost_at prime ~level with
+      | None -> ()
+      | Some p ->
+          let rec go ptr =
+            let n = S.get t.store ptr in
+            if Node.is_sparse ~order:t.order n && not n.Node.is_root then
+              errs :=
+                Printf.sprintf "page %d (level %d): %d pairs < k=%d" ptr level
+                  (Node.nkeys n) t.order
+                :: !errs;
+            match n.Node.link with Some q -> go q | None -> ()
+          in
+          go p
+    done;
     List.rev !errs
 end
 

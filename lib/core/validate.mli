@@ -33,16 +33,16 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       reachable from the root nor tombstones awaiting reclamation.
       Empty after compaction + reclaim when §5.3 holds. *)
 
-  val leak_check_online : ?passes:int -> (K.t, S.t) Handle.t -> Node.ptr list
-  (** {!leak_check} with writers live: intersects [passes] (default 3)
+  val leak_check_online : (K.t, S.t) Handle.t -> Node.ptr list
+  (** {!leak_check} with writers live: intersects three
       independent reachability walks, filtering pages that are only
       transiently unreachable (mid-split publish, mid-retire). A
       genuine leak survives every pass and is reported. *)
 
-  val check_occupancy : ?strict:bool -> (K.t, S.t) Handle.t -> string list
-  (** {!check}'s errors plus — when [strict] — one error per non-root node
-      holding fewer than k pairs (the §5.1 postcondition, modulo the
-      odd-child caveat of the scanning process). *)
+  val check_occupancy : (K.t, S.t) Handle.t -> string list
+  (** {!check}'s errors plus one error per non-root node holding fewer
+      than k pairs (the §5.1 postcondition, modulo the odd-child caveat
+      of the scanning process). *)
 end
 
 module Make (K : Key.S) : module type of Make_on_store (K) (Store.For_key (K))

@@ -1114,32 +1114,30 @@ let run_wal_error_paths () =
   if not (matches_model (Sg.to_list tree2) model) then
     fail "wal error paths: retried commits lost data"
 
-(** Multi-domain group-commit durability stress — regression cover for
-    the install/seal ordering in {!Repro_storage.Paged_store}: several
-    domains insert into disjoint key ranges and group-commit
-    concurrently ([commit_batch] = the domain count, a sub-millisecond
-    gather window), so leaders seal the dirty set while other domains
-    are mid-[install]. The crash image taken after the last ack — {e no}
-    final sync — must hold every acknowledged key. A note-before-publish
-    order in [install] loses updates here: a leader sealing between the
-    note and the publish logs the stale image while the swap removes the
-    page from the live dirty set, so the installer's own commit targets
-    a batch that no longer covers it — acking durability the log does
-    not hold. Each run is a fresh store with a {e single} commit round
-    per domain and a crash image taken immediately after — so every
-    install is exposed (no later batch re-dirties its page and papers
-    over the loss). Probabilistic (the window is a few instructions
-    wide), but free of false positives: any run that trips it is a real
-    loss. *)
+(** Multi-domain group-commit durability stress: several domains insert
+    into disjoint key ranges and each commits after every insert, so
+    whichever domain finds no leader running seals the dirty set while
+    the others are mid-[install] or queued for the next group. The crash
+    image taken after the last ack — {e no} final sync — must hold every
+    acknowledged key. Each run is a fresh store with one commit round
+    per domain and a crash image taken immediately after, so no later
+    batch re-dirties a page and papers over a loss. Free of false
+    positives: any run that trips it is a real loss.
+
+    What it does not catch: the install/seal ordering in
+    {!Repro_storage.Paged_store}. A note-before-publish order in
+    [install] loses updates — a leader sealing between the note and the
+    publish logs the stale image while the swap removes the page from
+    the live dirty set — but that window is a few instructions wide, and
+    a copy of the store with the note moved ahead of the publish passed
+    every run of this test. Only a hook inside [install] could hold the
+    window open. *)
 let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
   for run = 1 to runs do
     Failpoint.reset ();
     let pfile = data_device () in
     let lfile = log_device () in
-    let store =
-      PS.create_on ~cache_pages:64 ~commit_interval:5e-4 ~commit_batch:domains
-        ~wal:lfile pfile
-    in
+    let store = PS.create_on ~cache_pages:64 ~wal:lfile pfile in
     let tree = Sg.create ~order:4 ~store () in
     (* a committed checkpoint generation exists before the traffic starts *)
     let c0 = Sg.ctx ~slot:0 in

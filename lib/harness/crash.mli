@@ -117,15 +117,16 @@ val run_wal_replay_crash : unit -> outcome
 val run_wal_commit_race :
   ?domains:int -> ?runs:int -> ?batch:int -> unit -> unit
 (** Multi-domain group-commit durability stress, [runs] times: [domains]
-    writer domains insert disjoint keys into a fresh store and
-    group-commit concurrently ([commit_batch] = domain count), then the
-    crash image taken after the last acknowledgement — with no final
-    sync — is recovered and must hold every acknowledged key. One commit
-    round per store, so every install is exposed rather than papered
-    over by a later batch re-logging its page. Regression cover for the
-    install/seal ordering race (a page noted dirty before its new image
-    is published can be sealed, logged stale, and dropped from the batch
-    its installer's commit targets).
+    writer domains insert disjoint keys into a fresh store and commit
+    after every insert, sharing groups through the leader/follower
+    handoff; then the crash image taken after the last acknowledgement —
+    with no final sync — is recovered and must hold every acknowledged
+    key. One commit round per store, so every install is exposed rather
+    than papered over by a later batch re-logging its page. It does not
+    catch the install/seal ordering race (a page noted dirty before its
+    new image is published can be sealed, logged stale, and dropped from
+    the batch its installer's commit targets): that window is a few
+    instructions wide and no run of this test has tripped it.
     @raise Failure on any lost or torn acknowledged key. *)
 
 val run_wal_pitr : ?ops:int -> ?seed:int -> unit -> outcome

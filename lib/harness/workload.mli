@@ -30,10 +30,9 @@ type spec = {
 val spec :
   ?op_mix:mix -> ?key_space:int -> ?dist:Distribution.kind -> ?preload:int -> unit -> spec
 
-val skewed :
-  ?op_mix:mix -> ?key_space:int -> ?theta:float -> ?preload:int -> unit -> spec
-(** {!spec} over a scrambled Zipfian key stream; [theta] defaults to the
-    YCSB 0.99 — the hot-key stress batch dedup targets. *)
+val skewed : ?op_mix:mix -> ?key_space:int -> ?preload:int -> unit -> spec
+(** {!spec} over a scrambled Zipfian key stream with the YCSB exponent
+    0.99 — a hot-key stress. *)
 
 type sampler
 

@@ -18,7 +18,6 @@ type t = {
   worker_stats : Stats.server array;
   handle : Repro_baseline.Tree_intf.handle;
   durable_acks : bool;
-  max_payload : int;
   mutable domains : unit Domain.t list;
   mutable stopped : bool;
 }
@@ -291,8 +290,7 @@ let serve_conn t ~slot fd =
             let continue = ref true in
             while !continue do
               match
-                P.decode_request ~max_payload:t.max_payload !buf ~pos:!lo
-                  ~len:(!hi - !lo)
+                P.decode_request !buf ~pos:!lo ~len:(!hi - !lo)
               with
               | Need_more -> continue := false
               | Frame { seq; body; consumed } ->
@@ -421,8 +419,7 @@ let accept_loop t =
     | exception Unix.Unix_error (EINTR, _, _) -> ()
   done
 
-let start ?(workers = 4) ?(durable_acks = false)
-    ?(max_payload = P.default_max_payload) ~handle ~listen () =
+let start ?(workers = 4) ?(durable_acks = false) ~handle ~listen () =
   (* a peer that drops mid-reply must cost an EPIPE, not the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
@@ -455,7 +452,6 @@ let start ?(workers = 4) ?(durable_acks = false)
       worker_stats = Array.init workers (fun _ -> Stats.server_create ());
       handle;
       durable_acks;
-      max_payload;
       domains = [];
       stopped = false;
     }

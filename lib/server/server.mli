@@ -24,7 +24,6 @@ type t
 val start :
   ?workers:int ->
   ?durable_acks:bool ->
-  ?max_payload:int ->
   handle:Repro_baseline.Tree_intf.handle ->
   listen:Unix.sockaddr list ->
   unit ->

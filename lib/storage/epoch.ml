@@ -29,20 +29,21 @@ type t = {
 
 let stride = Repro_util.Counters.stride
 
-let create ?(slots = 64) ?(snap_slots = 64) () =
+(* Worker and snapshot pin slots; a worker's slot number wraps modulo. *)
+let nslots = 64
+let n_snap_slots = 64
+
+let create () =
   {
     global = Atomic.make 0;
-    pins = Array.init (slots * stride) (fun _ -> Atomic.make max_int);
-    snap_pins = Array.init (snap_slots * stride) (fun _ -> Atomic.make max_int);
+    pins = Array.init (nslots * stride) (fun _ -> Atomic.make max_int);
+    snap_pins = Array.init (n_snap_slots * stride) (fun _ -> Atomic.make max_int);
     limbo = [];
     limbo_len = Atomic.make 0;
     max_limbo = Atomic.make 0;
     limbo_mutex = Mutex.create ();
     reclaimed = Atomic.make 0;
   }
-
-let nslots t = Array.length t.pins / stride
-let n_snap_slots t = Array.length t.snap_pins / stride
 
 let current t = Atomic.get t.global
 
@@ -86,7 +87,7 @@ let pin_hook : (unit -> unit) option ref = ref None
     we re-publish at the newer epoch and validate again; the loop only
     iterates while retires are landing concurrently. *)
 let pin t ~slot =
-  let a = t.pins.((slot mod nslots t) * stride) in
+  let a = t.pins.((slot mod nslots) * stride) in
   let rec publish e =
     (match !pin_hook with Some f -> f () | None -> ());
     Atomic.set a e;
@@ -95,7 +96,7 @@ let pin t ~slot =
   in
   publish (Atomic.get t.global)
 
-let unpin t ~slot = Atomic.set t.pins.((slot mod nslots t) * stride) max_int
+let unpin t ~slot = Atomic.set t.pins.((slot mod nslots) * stride) max_int
 
 let with_pin t ~slot f =
   let (_ : int) = pin t ~slot in
@@ -108,9 +109,8 @@ let with_pin t ~slot f =
     Returns [(slot, epoch)] for {!release_snapshot}.
     @raise Failure when all snapshot slots are taken. *)
 let pin_snapshot t =
-  let n = n_snap_slots t in
   let rec claim i =
-    if i >= n then failwith "Epoch.pin_snapshot: no free snapshot slot"
+    if i >= n_snap_slots then failwith "Epoch.pin_snapshot: no free snapshot slot"
     else
       let a = t.snap_pins.(i * stride) in
       let e = Atomic.get t.global in
@@ -130,11 +130,11 @@ let pin_snapshot t =
   claim 0
 
 let release_snapshot t slot =
-  Atomic.set t.snap_pins.((slot mod n_snap_slots t) * stride) max_int
+  Atomic.set t.snap_pins.((slot mod n_snap_slots) * stride) max_int
 
 let pinned_snapshots t =
   let c = ref 0 in
-  for i = 0 to n_snap_slots t - 1 do
+  for i = 0 to n_snap_slots - 1 do
     if Atomic.get t.snap_pins.(i * stride) <> max_int then incr c
   done;
   !c
@@ -143,7 +143,7 @@ let pinned_snapshots t =
     of a snapshot cut (other snapshots must not block it). *)
 let min_worker_pinned t =
   let m = ref max_int in
-  for i = 0 to nslots t - 1 do
+  for i = 0 to nslots - 1 do
     let v = Atomic.get t.pins.(i * stride) in
     if v < !m then m := v
   done;
@@ -153,7 +153,7 @@ let min_worker_pinned t =
     the reclamation horizon. *)
 let min_pinned t =
   let m = ref (min_worker_pinned t) in
-  for i = 0 to n_snap_slots t - 1 do
+  for i = 0 to n_snap_slots - 1 do
     let v = Atomic.get t.snap_pins.(i * stride) in
     if v < !m then m := v
   done;

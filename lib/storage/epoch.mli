@@ -14,7 +14,9 @@
 
 type t
 
-val create : ?slots:int -> ?snap_slots:int -> unit -> t
+val create : unit -> t
+(** A clock at 0 with 64 worker pin slots (a worker's slot number wraps
+    modulo 64) and 64 snapshot pin slots. *)
 
 val current : t -> int
 (** The global clock's current value. *)

@@ -141,14 +141,8 @@ let default_page_size = Page_codec.page_size_for ~key_bytes:8 ~order:16
 let default_cache_pages = 4096
 let default_stripes = 8
 
-(* Group-commit knobs. [commit_batch] > 1 makes a
-   leader linger up to [commit_interval] seconds for followers before
-   sealing, so one log fsync absorbs several concurrent commit calls. *)
-let default_commit_batch = 1
-let default_commit_interval = 2e-3
-
-(* Seconds on the monotonic clock, for the gather window and the stall
-   timer: a step of the wall clock stretches neither. *)
+(* Seconds on the monotonic clock, for the stall timer: a step of the
+   wall clock does not stretch it. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* Fault-injection sites (see doc/RECOVERY.md for the catalog). Shared by
@@ -196,8 +190,10 @@ module Make (K : Key.S) = struct
       taken by a leader, [durable] those whose log fsync returned. A
       commit request targets batch [sealed + 1] — the next one to seal,
       which by construction covers every page the caller dirtied — and
-      returns once [durable] reaches it; whoever finds no leader running
-      becomes the leader (leader/follower handoff). The pages changed
+      returns once [durable] reaches it. Whoever finds no leader running
+      becomes the leader and seals at once, without waiting for company;
+      requests that arrive during its fsync join the next group
+      (leader/follower handoff). The pages changed
       since the last seal are kept per stripe ([stripe.dirty]), so a
       write notes its page without taking [w_mu]. *)
   type wal_state = {
@@ -210,12 +206,7 @@ module Make (K : Key.S) = struct
     mutable sealed : int;
     mutable durable : int;
     mutable leader : bool;  (** a leader is currently flushing a batch *)
-    unsealed_reqs : int Atomic.t;
-        (** commit requests awaiting the next seal. Written under [w_mu];
-            atomic so the leader's gather window can poll it without
-            re-acquiring the mutex (stdlib [Condition] has no timed wait). *)
-    commit_interval : float;  (** max gather time when [commit_batch] > 1 *)
-    commit_batch : int;  (** requests that trigger an immediate seal *)
+    mutable unsealed_reqs : int;  (** commit requests awaiting the next seal *)
     mutable commit_reqs : int;
     mutable commit_groups : int;
     mutable max_group : int;
@@ -626,8 +617,7 @@ module Make (K : Key.S) = struct
       max_faulting = Atomic.make 0;
     }
 
-  let mk_wal_state ?(commit_interval = default_commit_interval)
-      ?(commit_batch = default_commit_batch) log =
+  let mk_wal_state log =
     {
       log;
       w_mu = Mutex.create ();
@@ -637,9 +627,7 @@ module Make (K : Key.S) = struct
       sealed = 0;
       durable = 0;
       leader = false;
-      unsealed_reqs = Atomic.make 0;
-      commit_interval;
-      commit_batch = max 1 commit_batch;
+      unsealed_reqs = 0;
       commit_reqs = 0;
       commit_groups = 0;
       max_group = 0;
@@ -651,7 +639,7 @@ module Make (K : Key.S) = struct
      generation 0's header written into slot 0, so the file is
      reopenable from its first sync on. *)
   let create_on ?(shard = (0, 1)) ?(cache_pages = default_cache_pages)
-      ?(stripes = default_stripes) ?commit_interval ?commit_batch ~wal pfile =
+      ?(stripes = default_stripes) ~wal pfile =
     let page_size = Paged_file.page_size pfile in
     if page_size < Page_codec.min_page_size || page_size land (page_size - 1) <> 0
     then
@@ -659,10 +647,7 @@ module Make (K : Key.S) = struct
         (Printf.sprintf
            "Paged_store: page size %d is not a power of two of at least %d"
            page_size Page_codec.min_page_size);
-    let wal =
-      mk_wal_state ?commit_interval ?commit_batch
-        (Wal.create ~data_page_size:page_size wal)
-    in
+    let wal = mk_wal_state (Wal.create ~data_page_size:page_size wal) in
     let t = make ~shard ~page_size ~cache_pages ~stripes ~wal pfile in
     with_file t (fun () ->
         ensure_materialized_flocked t (header_slots - 1);
@@ -670,9 +655,8 @@ module Make (K : Key.S) = struct
     t
 
   let create_memory ?shard ?(page_size = default_page_size)
-      ?(cache_pages = default_cache_pages) ?(stripes = default_stripes)
-      ?commit_interval ?commit_batch () =
-    create_on ?shard ~cache_pages ~stripes ?commit_interval ?commit_batch
+      ?(cache_pages = default_cache_pages) ?(stripes = default_stripes) () =
+    create_on ?shard ~cache_pages ~stripes
       ~wal:
         (Paged_file.create_memory
            ~page_size:(Wal.log_page_size ~data_page_size:page_size)
@@ -681,8 +665,8 @@ module Make (K : Key.S) = struct
 
   let create_file ?shard ?(page_size = default_page_size)
       ?(cache_pages = default_cache_pages) ?(stripes = default_stripes)
-      ?commit_interval ?commit_batch ?wal_path path =
-    create_on ?shard ~cache_pages ~stripes ?commit_interval ?commit_batch
+      ?wal_path path =
+    create_on ?shard ~cache_pages ~stripes
       ~wal:
         (Paged_file.create_file
            ~page_size:(Wal.log_page_size ~data_page_size:page_size)
@@ -1000,44 +984,21 @@ module Make (K : Key.S) = struct
                (Bytes.length b) t.page_size);
         b
 
-  (* Lead batch [target]: optionally linger for followers, seal the
-     dirty set by swapping it out, then — outside [w_mu] — snapshot and
-     log every sealed page, append the COMMIT boundary and fsync once
-     for the whole group. On failure the sealed set is merged back into
+  (* Lead batch [target]: seal the dirty set by swapping it out, then —
+     outside [w_mu] — snapshot and log every sealed page, append the
+     COMMIT boundary and fsync once for the whole group. On failure the sealed set is merged back into
      the live one and [sealed] rolled back, so a retried commit re-seals
      the same pages and an injected IO error never drops an update.
      Enters holding [w_mu]; returns with it released. *)
   let lead_batch t (w : wal_state) ~target =
     w.leader <- true;
-    if w.commit_batch > 1 && Atomic.get w.unsealed_reqs < w.commit_batch
-    then begin
-      (* Gather window: release the mutex — once, for the whole window —
-         so followers can register without contending with the leader;
-         the fill level is polled through the atomic counter. (A timed
-         [Condition] wait would be the natural shape, but the stdlib has
-         none.) A checkpoint cannot intervene (sync is quiescent), so
-         the batch is still ours to seal afterwards. *)
-      Mutex.unlock w.w_mu;
-      let deadline = now () +. w.commit_interval in
-      let rec gather () =
-        if
-          Atomic.get w.unsealed_reqs < w.commit_batch
-          && now () < deadline
-        then begin
-          Unix.sleepf 5e-5;
-          gather ()
-        end
-      in
-      gather ();
-      Mutex.lock w.w_mu
-    end;
     let dirty = take_dirty t in
     let meta_dirty = w.w_meta_dirty in
     let logical = w.w_logical in
-    let group = Atomic.get w.unsealed_reqs in
+    let group = w.unsealed_reqs in
     w.w_meta_dirty <- false;
     w.w_logical <- [];
-    Atomic.set w.unsealed_reqs 0;
+    w.unsealed_reqs <- 0;
     w.sealed <- target;
     Mutex.unlock w.w_mu;
     match
@@ -1226,7 +1187,7 @@ module Make (K : Key.S) = struct
   (* The full path: join (or lead) the next batch to seal. Entered
      holding [w_mu]; returns with it released. *)
   and commit_unsealed t w =
-    Atomic.incr w.unsealed_reqs;
+    w.unsealed_reqs <- w.unsealed_reqs + 1;
     (* The next batch to seal necessarily covers this caller's pages:
        they are in the live dirty set right now. If a running leader
        seals them into {e its} batch first, waiting for [target] only
@@ -1281,7 +1242,7 @@ module Make (K : Key.S) = struct
        hand-out, never wrong tree contents — the page is merely dead
        weight until the store is rebuilt. See doc/RECOVERY.md. *)
   let open_view ?expect_shard ?(cache_pages = default_cache_pages)
-      ?(stripes = default_stripes) ?commit_interval ?commit_batch ~log pfile =
+      ?(stripes = default_stripes) ~log pfile =
     if Paged_file.pages pfile = 0 then raise (Corrupt "empty file");
     let pfile, (gen, header) = header_view pfile in
     let page_size = Paged_file.page_size pfile in
@@ -1314,7 +1275,7 @@ module Make (K : Key.S) = struct
        takes the max of each. *)
     let rep = Wal.replay ~data_page_size:page_size ~gen log_file in
     let wal =
-      mk_wal_state ?commit_interval ?commit_batch
+      mk_wal_state
         (Wal.resume
            ~incarnation:(geti header_wal_inc_off + 1)
            ~lsn:(if legacy then 0 else geti header_wal_lsn_off)
@@ -1411,9 +1372,8 @@ module Make (K : Key.S) = struct
           rep.Wal.committed);
     t
 
-  let open_from ?expect_shard ?cache_pages ?stripes ?commit_interval
-      ?commit_batch ~wal pfile =
-    open_view ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
+  let open_from ?expect_shard ?cache_pages ?stripes ~wal pfile =
+    open_view ?expect_shard ?cache_pages ?stripes
       ~log:(fun data_page_size ->
         Paged_file.retile ~page_size:(Wal.log_page_size ~data_page_size) wal)
       pfile
@@ -1421,12 +1381,11 @@ module Make (K : Key.S) = struct
   (* The file is opened at the minimum page size and re-cut at the size
      its header records; the log is opened only once that size is
      known. *)
-  let open_file ?expect_shard ?cache_pages ?stripes ?commit_interval
-      ?commit_batch ?wal_path path =
+  let open_file ?expect_shard ?cache_pages ?stripes ?wal_path path =
     let pfile =
       Paged_file.open_file ~page_size:Page_codec.min_page_size ~writable:true path
     in
-    open_view ?expect_shard ?cache_pages ?stripes ?commit_interval ?commit_batch
+    open_view ?expect_shard ?cache_pages ?stripes
       ~log:(fun data_page_size ->
         (* A store last checkpointed before it had a log (written in the
            retired sync mode) has no log file: it is created empty, and

@@ -37,7 +37,9 @@
     commit} — the caller's completed operations are logged as physical
     page images through {!Wal} and made durable by a single batched log
     fsync, without quiescence and without writing the data file, so
-    [commit] is safe from any number of domains at once. A commit that
+    [commit] is safe from any number of domains at once. Whoever finds
+    no leader running seals everything queued and fsyncs at once;
+    requests that arrive during that fsync share the next one. A commit that
     finds nothing unsealed (no dirty page, logical record or metadata
     change since the last seal) logs nothing and does not fsync: it
     returns at once, or once the group in flight is durable. Dirty-page
@@ -81,14 +83,6 @@ val default_cache_pages : int
 val default_stripes : int
 (** Default IO stripe count (clamped to a power of two ≤ [cache_pages]). *)
 
-val default_commit_batch : int
-(** Default group-commit batch target: 1 — every commit request seals
-    and fsyncs immediately. *)
-
-val default_commit_interval : float
-(** Default gather window (seconds) a group-commit leader waits for
-    followers when [commit_batch] > 1. *)
-
 module Make (K : Key.S) : sig
   include Page_store.S with type key = K.t
 
@@ -97,8 +91,6 @@ module Make (K : Key.S) : sig
     ?page_size:int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     unit ->
     t
   (** Memory-backed data and log devices: the full pager stack (codec,
@@ -119,8 +111,6 @@ module Make (K : Key.S) : sig
     ?page_size:int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     ?wal_path:string ->
     string ->
     t
@@ -131,24 +121,18 @@ module Make (K : Key.S) : sig
     ?shard:int * int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     wal:Paged_file.t ->
     Paged_file.t ->
     t
   (** Build a fresh store over an already-created (empty) paged file —
       how the crash harness runs the full stack on a
       {!Paged_file.create_shadow} device. [wal] is an empty log device
-      sized {!Wal.log_page_size} (e.g. a second shadow file).
-      [commit_interval] / [commit_batch] tune the group commit (defaults
-      {!default_commit_interval} / {!default_commit_batch}). *)
+      sized {!Wal.log_page_size} (e.g. a second shadow file). *)
 
   val open_file :
     ?expect_shard:int * int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     ?wal_path:string ->
     string ->
     t
@@ -170,8 +154,6 @@ module Make (K : Key.S) : sig
     ?expect_shard:int * int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     wal:Paged_file.t ->
     Paged_file.t ->
     t

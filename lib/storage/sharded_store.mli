@@ -21,20 +21,16 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
     ?page_size:int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     shards:int ->
     unit ->
     t
   (** [shards] memory-backed stores; every per-store knob (cache pages,
-      stripes, group-commit tuning) applies {e per shard}. *)
+      stripes) applies {e per shard}. *)
 
   val create_file :
     ?page_size:int ->
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     ?wal_path:string ->
     shards:int ->
     string ->
@@ -46,8 +42,6 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
   val open_file :
     ?cache_pages:int ->
     ?stripes:int ->
-    ?commit_interval:float ->
-    ?commit_batch:int ->
     ?wal_path:string ->
     shards:int ->
     string ->

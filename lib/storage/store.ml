@@ -24,6 +24,7 @@ type 'k t = {
   freed : int Atomic.t;  (** total pages ever freed *)
   allocated : int Atomic.t;  (** total pages ever allocated *)
   meta : Bytes.t option Atomic.t;  (** opaque client blob (see {!Page_store.S}) *)
+  mutable checkpoint_hook : unit -> unit;  (** run by every [sync] *)
 }
 
 let create () =
@@ -34,6 +35,7 @@ let create () =
     freed = Atomic.make 0;
     allocated = Atomic.make 0;
     meta = Atomic.make None;
+    checkpoint_hook = ignore;
   }
 
 let new_chunk () =
@@ -143,7 +145,8 @@ let iter t f =
 
 let set_meta t bytes = Atomic.set t.meta (Some (Bytes.copy bytes))
 let get_meta t = Atomic.get t.meta
-let sync _t = ()
+let sync t = t.checkpoint_hook ()
+let on_checkpoint t f = t.checkpoint_hook <- f
 let commit _t = ()
 
 (** {!Page_store.S} view of the store at one key type, so the functorized
@@ -178,5 +181,5 @@ struct
      state into pages at [flush]. *)
   let log_logical _ _ = ()
   let replayed_logical _ = []
-  let on_checkpoint _ _ = ()
+  let on_checkpoint = on_checkpoint
 end

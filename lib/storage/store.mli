@@ -53,7 +53,12 @@ val set_meta : 'k t -> Bytes.t -> unit
 val get_meta : 'k t -> Bytes.t option
 
 val sync : 'k t -> unit
-(** No-op: the store is purely in-memory. *)
+(** Runs the {!on_checkpoint} hook and nothing else: the store is purely
+    in-memory. *)
+
+val on_checkpoint : 'k t -> (unit -> unit) -> unit
+(** Register the function {!sync} runs (see
+    {!Page_store.S.on_checkpoint}); a later registration replaces it. *)
 
 val commit : 'k t -> unit
 (** No-op: nothing to make durable (see {!Page_store.S.commit}). *)

@@ -179,7 +179,8 @@ type segment = {
   seg_bytes : Bytes.t;  (** the pass's packed log pages *)
 }
 
-let default_retain = 8
+(* Sealed segments kept: the PITR / catch-up window. *)
+let retain = 8
 
 type t = {
   file : Paged_file.t;
@@ -203,7 +204,6 @@ type t = {
       (** highest LSN covered by a log fsync (or sealed at a checkpoint);
           -1 before the first. The shipping horizon. *)
   mutable segments : segment list;  (** sealed passes, newest first *)
-  retain : int;  (** sealed segments kept (older ones fall off) *)
   (* counters: monotone, read concurrently by stats reporting *)
   appended : int Atomic.t;
   fsyncs : int Atomic.t;
@@ -225,7 +225,7 @@ let check_device ~data_page_size file =
          (log_page_size ~data_page_size)
          data_page_size header_bytes)
 
-let create ?(retain = default_retain) ~data_page_size file =
+let create ~data_page_size file =
   check_device ~data_page_size file;
   let page_size = log_page_size ~data_page_size in
   let run_pages = max 1 (run_bytes / page_size) in
@@ -246,7 +246,6 @@ let create ?(retain = default_retain) ~data_page_size file =
     base_lsn = 0;
     durable_lsn = Atomic.make (-1);
     segments = [];
-    retain = max 0 retain;
     appended = Atomic.make 0;
     fsyncs = Atomic.make 0;
     written = Atomic.make 0;
@@ -507,7 +506,7 @@ let fsync t =
     inside an old pass's leftovers. *)
 let truncate t =
   with_mu t (fun () ->
-      if t.count > 0 && t.retain > 0 then begin
+      if t.count > 0 then begin
         (* The pass's pages: those on the device, plus the group still in
            the run (the checkpoint marker), zero tail included — the
            pass is dead once sealed, so the run need not reach the
@@ -528,7 +527,7 @@ let truncate t =
           | _ when n = 0 -> []
           | s :: rest -> s :: keep (n - 1) rest
         in
-        t.segments <- seg :: keep (t.retain - 1) t.segments
+        t.segments <- seg :: keep (retain - 1) t.segments
       end;
       (* The checkpoint that sealed this pass made its whole tail as
          durable as the data file, checkpoint marker included — advance
@@ -903,7 +902,7 @@ let resume ?(incarnation = 0) ?(lsn = 0) ?(gen = 0) ~data_page_size ~(replay : r
      promoted-from or re-seeded follower can catch up from the
      recovered log. *)
   Atomic.set t.durable_lsn (t.lsn - 1);
-  if lsn > 0 && t.base_lsn = lsn && t.retain > 0 then begin
+  if lsn > 0 && t.base_lsn = lsn then begin
     let seg_bytes = Bytes.make ps '\000' in
     ignore
       (encode_into seg_bytes ~kind:kind_checkpoint ~lsn:(lsn - 1) ~gen:(gen - 1)

@@ -62,9 +62,6 @@ val log_page_size : data_page_size:int -> int
 (** Page size the log's {!Paged_file} must be created with: the largest
     record (a whole data page image) fills exactly one log page. *)
 
-val default_retain : int
-(** Sealed segments kept by default (the PITR / catch-up window). *)
-
 type record =
   | Page of { ptr : int; image : Bytes.t }
       (** Physical image of tree pointer [ptr], at most one data page: a
@@ -87,10 +84,11 @@ type record =
 
 type t
 
-val create : ?retain:int -> data_page_size:int -> Paged_file.t -> t
+val create : data_page_size:int -> Paged_file.t -> t
 (** A fresh log over [file] (cursor at page 0, LSN 0, incarnation 0).
     The device's page size must equal [log_page_size ~data_page_size].
-    [retain] bounds the sealed-segment window ({!default_retain}). *)
+    The newest 8 sealed segments are kept (the PITR / catch-up
+    window). *)
 
 val append : t -> gen:int -> record -> unit
 (** Append one record stamped with store generation [gen] and the log's

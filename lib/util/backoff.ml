@@ -4,11 +4,11 @@
     iterations, capped. Used by processes that must "wait for a while and
     then read again" (paper §3.3 and §5.2 case 1) without blocking. *)
 
-type t = { mutable spins : int; max_spins : int }
+type t = { mutable spins : int }
 
-let default_max = 1 lsl 14
+let max_spins = 1 lsl 14
 
-let create ?(max_spins = default_max) () = { spins = 1; max_spins }
+let create () = { spins = 1 }
 
 let reset t = t.spins <- 1
 
@@ -17,7 +17,7 @@ let once t =
   for _ = 1 to t.spins do
     Domain.cpu_relax ()
   done;
-  if t.spins < t.max_spins then t.spins <- t.spins * 2
+  if t.spins < max_spins then t.spins <- t.spins * 2
 
 (** Current backoff stage, exposed for "give up after N stages" policies. *)
 let stage t =

@@ -3,7 +3,9 @@
 
 type t
 
-val create : ?max_spins:int -> unit -> t
+val create : unit -> t
+(** A fresh backoff: one spin, doubling up to 2{^14}. *)
+
 val reset : t -> unit
 
 val once : t -> unit

@@ -10,23 +10,22 @@ type t = {
   mutable sum : float;
   mutable min_v : float;
   mutable max_v : float;
-  gamma_log : float;
-  floor_v : float;  (** values below this share bucket 0 *)
 }
 
 (* 4096 buckets at 1% precision span ~1e-9 .. ~5e8, enough for latencies
-   in seconds and for plain magnitudes in benches. *)
+   in seconds and for plain magnitudes in benches. Values at or below
+   [floor_v] share bucket 0. *)
 let bucket_count = 4096
+let gamma_log = log 1.01
+let floor_v = 1e-9
 
-let create ?(precision = 0.01) ?(floor_v = 1e-9) () =
+let create () =
   {
     buckets = Array.make bucket_count 0;
     count = 0;
     sum = 0.0;
     min_v = infinity;
     max_v = neg_infinity;
-    gamma_log = log (1.0 +. precision);
-    floor_v;
   }
 
 let clear t =
@@ -36,16 +35,16 @@ let clear t =
   t.min_v <- infinity;
   t.max_v <- neg_infinity
 
-let bucket_of t v =
-  if v <= t.floor_v then 0
+let bucket_of v =
+  if v <= floor_v then 0
   else
-    let b = int_of_float (log (v /. t.floor_v) /. t.gamma_log) in
+    let b = int_of_float (log (v /. floor_v) /. gamma_log) in
     if b < 0 then 0 else if b >= bucket_count then bucket_count - 1 else b
 
-let value_of_bucket t b = t.floor_v *. exp (float_of_int b *. t.gamma_log)
+let value_of_bucket b = floor_v *. exp (float_of_int b *. gamma_log)
 
 let add t v =
-  let b = bucket_of t v in
+  let b = bucket_of v in
   t.buckets.(b) <- t.buckets.(b) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum +. v;
@@ -78,7 +77,7 @@ let percentile t p =
   else begin
     let target = int_of_float (ceil (p /. 100.0 *. float_of_int t.count)) in
     let target = if target < 1 then 1 else target in
-    let upper b = Float.min (value_of_bucket t (b + 1)) t.max_v in
+    let upper b = Float.min (value_of_bucket (b + 1)) t.max_v in
     let rec go b acc =
       if b >= bucket_count then upper (bucket_count - 1)
       else

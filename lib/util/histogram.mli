@@ -4,9 +4,9 @@
 
 type t
 
-val create : ?precision:float -> ?floor_v:float -> unit -> t
-(** [precision] is the relative bucket width (default 0.01); values at or
-    below [floor_v] (default 1e-9) share the lowest bucket. *)
+val create : unit -> t
+(** An empty histogram: buckets 1% wide; values at or below 1e-9 share
+    the lowest bucket. *)
 
 val clear : t -> unit
 val add : t -> float -> unit

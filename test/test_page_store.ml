@@ -618,6 +618,57 @@ let test_failed_group_relogged () =
     (Option.map Bytes.to_string (Paged_int.get_meta s2));
   Failpoint.reset ()
 
+(* Group commit shares fsyncs with no gather window: [domains] writers
+   each insert and commit in a loop on a default store, and requests that
+   arrive while a leader fsyncs join the next group. On one core a group
+   forms only when the scheduler preempts a leader mid-fsync, so the
+   loop is long enough for that to happen. The crash image after the
+   last ack holds every key. *)
+let test_group_commit_shares domains () =
+  let pfile = Paged_file.create_shadow ~page_size:512 () in
+  let lfile =
+    Paged_file.create_shadow ~page_size:(Wal.log_page_size ~data_page_size:512) ()
+  in
+  let store = Paged_int.create_on ~wal:lfile pfile in
+  let t = Sg.create ~order:4 ~store () in
+  (* the header is durable before the traffic starts *)
+  Sg.flush t;
+  let io0 = Paged_int.io_stats store in
+  let per = 4000 in
+  let key d i = (d * 1_000_000) + i in
+  let ds =
+    List.init domains (fun d ->
+        Domain.spawn (fun () ->
+            let c = Sg.ctx ~slot:d in
+            for i = 0 to per - 1 do
+              ignore (Sg.insert t c (key d i) i);
+              Sg.commit t
+            done))
+  in
+  List.iter Domain.join ds;
+  let io = Paged_int.io_stats store in
+  let reqs = io.Stats.commit_reqs - io0.Stats.commit_reqs
+  and groups = io.Stats.commit_groups - io0.Stats.commit_groups in
+  Alcotest.(check int) "every commit counted" (domains * per) reqs;
+  if groups >= reqs then
+    Alcotest.failf "%d requests went out in %d groups: no group was shared"
+      reqs groups;
+  if io.Stats.max_commit_group < 2 then
+    Alcotest.failf "largest group %d, want at least 2" io.Stats.max_commit_group;
+  let t2 =
+    Sg.open_existing
+      (Paged_int.open_from ~wal:(Paged_file.crash_image lfile)
+         (Paged_file.crash_image pfile))
+  in
+  check_valid t2 "recovered";
+  let c = Sg.ctx ~slot:0 in
+  for d = 0 to domains - 1 do
+    for i = 0 to per - 1 do
+      if Sg.search t2 c (key d i) <> Some i then
+        Alcotest.failf "key %d lost in recovery" (key d i)
+    done
+  done
+
 let suite =
   Mem.suite @ Disk.suite
   @ [
@@ -643,4 +694,8 @@ let suite =
         test_empty_commit_free;
       Alcotest.test_case "disk: failed group relogs on retry" `Quick
         test_failed_group_relogged;
+      Alcotest.test_case "disk: 2 committers share groups" `Quick
+        (test_group_commit_shares 2);
+      Alcotest.test_case "disk: 4 committers share groups" `Quick
+        (test_group_commit_shares 4);
     ]

@@ -397,6 +397,15 @@ let test_disk_bulk_load () =
       (h, fun () -> Array.iter Tree_intf.Sagiv_disk.flush trees))
     ~reopen:Tree_intf.sagiv_disk_sharded_open
 
+(* The store checkpointed directly, never through the tree: every
+   checkpoint records the tree's metadata, so the store still reopens. *)
+let test_disk_bulk_load_store_sync () =
+  bulk_roundtrip ~tag:"bulk-sync"
+    ~build:(fun sst ->
+      let _, h = Tree_intf.sagiv_disk_sharded_on ~order:16 sst in
+      (h, fun () -> SS.sync_all sst))
+    ~reopen:Tree_intf.sagiv_disk_sharded_open
+
 let test_mvcc_disk_bulk_load () =
   let module MD = Tree_intf.Mvcc_disk in
   bulk_roundtrip ~tag:"mvcc-bulk"
@@ -419,5 +428,7 @@ let suite =
     ("routed handle matches the model", `Quick, test_sharded_handle_oracle);
     ("sharded server session", `Quick, test_sharded_server);
     ("disk bulk load survives reopen", `Quick, test_disk_bulk_load);
+    ("disk bulk load survives a store checkpoint and reopen", `Quick,
+      test_disk_bulk_load_store_sync);
     ("durable MVCC bulk load survives reopen", `Quick, test_mvcc_disk_bulk_load);
   ]
