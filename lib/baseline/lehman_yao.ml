@@ -190,6 +190,4 @@ module Make (K : Key.S) = struct
       match n.Node.link with Some p -> walk p acc | None -> acc
     in
     match Prime_block.leftmost_at prime ~level:0 with Some p -> walk p 0 | None -> 0
-
-  let live_nodes t = Store.live_count t.store
 end

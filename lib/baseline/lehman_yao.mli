@@ -16,7 +16,4 @@ module Make (K : Key.S) : sig
   val delete : t -> Handle.ctx -> K.t -> bool
   val height : t -> int
   val cardinal : t -> int
-
-  val live_nodes : t -> int
-  (** Pages in use — grows monotonically (no compression, §1's critique). *)
 end

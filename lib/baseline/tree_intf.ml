@@ -111,10 +111,10 @@ end
 (** Close a tree value over its operations: the one place the [handle]
     record is built, so a new backend registers in ~5 lines. [commit]
     defaults to a no-op — in-memory backends have nothing to make
-    durable; [range] defaults to unsupported; [log] is [None] (the disk
-    wrappers below set it). *)
-let of_ops (type a) ?(commit = fun () -> ()) ?range ?sharding ?bulk_add ?mvcc
-    ~name (module M : TREE_OPS with type t = a) (t : a) =
+    durable; [range] defaults to unsupported; [sharding] and [log] are
+    [None] ({!sharded} and the disk wrappers below set them). *)
+let of_ops (type a) ?(commit = fun () -> ()) ?range ?bulk_add ?mvcc ~name
+    (module M : TREE_OPS with type t = a) (t : a) =
   {
     name;
     search = M.search t;
@@ -124,7 +124,7 @@ let of_ops (type a) ?(commit = fun () -> ()) ?range ?sharding ?bulk_add ?mvcc
     height = (fun () -> M.height t);
     commit;
     range;
-    sharding;
+    sharding = None;
     bulk_add;
     mvcc;
     log = None;
@@ -141,8 +141,9 @@ let merge_ranges lists =
     [cardinal] sums, [height] maxes, [commit] commits every shard, and
     [range] k-way merges the per-shard leaf-chain scans; the [sharding]
     field exposes the router and per-shard commit so the server can fold
-    a pipeline batch's acks into only the shards it touched, and [log]
-    concatenates the shards' logs (present iff every shard has one). *)
+    a pipeline batch's acks into only the shards it touched; [bulk_add]
+    partitions the sorted pairs per shard and [log] concatenates the
+    shards' logs (each present iff every shard has one). *)
 let sharded ~name (subs : handle array) =
   let shards = Array.length subs in
   if shards = 0 then invalid_arg "Tree_intf.sharded: no shards";
@@ -333,35 +334,29 @@ module Mvcc_on_disk =
 
 (** The MVCC tree plus its handle, for callers that also scan/vacuum
     through the typed API (benches, tests). *)
-let sagiv_mvcc_raw ?(enqueue_on_delete = false) ~order () =
-  let t = Mvcc_int.create ~order ~enqueue_on_delete () in
+let sagiv_mvcc_raw ~order () =
+  let t = Mvcc_int.create ~order () in
   (t, Mvcc_mem.sub_handle ~name:"sagiv-mvcc" t)
 
-let sagiv_mvcc ?enqueue_on_delete () =
-  {
-    impl_name = "sagiv-mvcc";
-    make = (fun ~order -> snd (sagiv_mvcc_raw ?enqueue_on_delete ~order ()));
-  }
+let sagiv_mvcc () =
+  { impl_name = "sagiv-mvcc"; make = (fun ~order -> snd (sagiv_mvcc_raw ~order ())) }
 
 let mvcc_sharded_name shards = Printf.sprintf "sagiv-mvcc-x%d" shards
 
 (** [shards] MVCC trees sharing ONE epoch clock, composed into a routed
     handle whose [mvcc.snapshot] is a {e group} snapshot. *)
-let sagiv_mvcc_sharded_raw ?(enqueue_on_delete = false) ~shards ~order () =
+let sagiv_mvcc_sharded_raw ~shards ~order () =
   if shards < 1 then invalid_arg "Tree_intf.sagiv_mvcc_sharded: shards >= 1";
   let epoch = Repro_storage.Epoch.create () in
   let ts =
-    Array.init shards (fun _ ->
-        Mvcc_int.create ~order ~enqueue_on_delete ~epoch ())
+    Array.init shards (fun _ -> Mvcc_int.create ~order ~epoch ())
   in
   (ts, Mvcc_mem.compose ~name:(mvcc_sharded_name shards) ts)
 
-let sagiv_mvcc_sharded ?enqueue_on_delete ~shards () =
+let sagiv_mvcc_sharded ~shards () =
   {
     impl_name = mvcc_sharded_name shards;
-    make =
-      (fun ~order ->
-        snd (sagiv_mvcc_sharded_raw ?enqueue_on_delete ~shards ~order ()));
+    make = (fun ~order -> snd (sagiv_mvcc_sharded_raw ~shards ~order ()));
   }
 
 (* Key.Int encodes every key in 8 bytes. *)

@@ -97,42 +97,6 @@ type handle = {
 
 type impl = { impl_name : string; make : order:int -> handle }
 
-(** The common operation shape a backend exposes to be wrapped. *)
-module type TREE_OPS = sig
-  type t
-
-  val search : t -> Handle.ctx -> int -> int option
-  val insert : t -> Handle.ctx -> int -> int -> [ `Ok | `Duplicate ]
-  val delete : t -> Handle.ctx -> int -> bool
-  val cardinal : t -> int
-  val height : t -> int
-end
-
-val of_ops :
-  ?commit:(unit -> unit) ->
-  ?range:(Handle.ctx -> lo:int -> hi:int -> (int * int) list) ->
-  ?sharding:sharding ->
-  ?bulk_add:(?fill:float -> (int * int) list -> bool) ->
-  ?mvcc:mvcc ->
-  name:string ->
-  (module TREE_OPS with type t = 'a) ->
-  'a ->
-  handle
-(** Close a tree value over its operations — the base constructor of
-    {!handle}, so a new backend registers in a few lines. [commit]
-    defaults to a no-op; [range] to unsupported; [sharding],
-    [bulk_add] and [log] to [None]. *)
-
-val sharded : name:string -> handle array -> handle
-(** Compose per-shard handles into one: every keyed operation routes
-    through {!Repro_storage.Shard_router.shard_of} over the array
-    length; [cardinal] sums, [height] maxes, [commit] commits every
-    shard, [range] k-way merges the per-shard ordered scans (present iff
-    every shard supports it). The result's [sharding] field exposes the
-    router and per-shard commit; [bulk_add] partitions the sorted pairs
-    per shard (present iff every shard supports it); [log] concatenates
-    the shards' logs (present iff every shard has one). *)
-
 module Paged_int : module type of Repro_storage.Paged_store.Make (Repro_storage.Key.Int)
 (** The durable int-keyed page store the disk impls run on. *)
 
@@ -159,28 +123,23 @@ module Mvcc_int : module type of Mvcc.Make (Repro_storage.Key.Int)
 (** The MVCC store (version-stamped records under the Sagiv index)
     instantiated at int keys and int payloads. *)
 
-val sagiv_mvcc : ?enqueue_on_delete:bool -> unit -> impl
+val sagiv_mvcc : unit -> impl
 (** The Sagiv tree over version-chained records: same point-op surface,
     plus the [mvcc] snapshot field ([impl_name] ["sagiv-mvcc"]). *)
 
-val sagiv_mvcc_raw :
-  ?enqueue_on_delete:bool -> order:int -> unit -> int Mvcc_int.t * handle
+val sagiv_mvcc_raw : order:int -> unit -> int Mvcc_int.t * handle
 (** {!sagiv_mvcc} handing back the typed store, for callers that also
     scan or vacuum through the {!Mvcc_int} API directly. *)
 
-val sagiv_mvcc_sharded :
-  ?enqueue_on_delete:bool -> shards:int -> unit -> impl
-(** [shards] MVCC trees sharing one epoch clock, routed like {!sharded};
+val sagiv_mvcc_sharded : shards:int -> unit -> impl
+(** [shards] MVCC trees sharing one epoch clock, composed like every
+    sharded handle (keys routed by {!Repro_storage.Shard_router});
     [mvcc.snapshot] is a {e group} snapshot — one pin + tick + wait, and
     the k-way merged [snap_range] is one point-in-time cut across all
     shards ([impl_name] ["sagiv-mvcc-x<shards>"]). *)
 
 val sagiv_mvcc_sharded_raw :
-  ?enqueue_on_delete:bool ->
-  shards:int ->
-  order:int ->
-  unit ->
-  int Mvcc_int.t array * handle
+  shards:int -> order:int -> unit -> int Mvcc_int.t array * handle
 
 val page_size_for_order : int -> int
 (** The data page of an int-keyed tree of this order:
@@ -210,7 +169,7 @@ val sagiv_disk_sharded_on :
   Sharded_int.t ->
   (int, Paged_int.t) Handle.t array * handle
 (** One fresh Sagiv tree per shard of an existing {!Sharded_int.t},
-    each wrapped by {!disk_sub_handle} and composed with {!sharded} —
+    each wrapped by {!disk_sub_handle} and composed into one handle —
     how every disk tree is built: create the store (in memory or on
     files, one shard or many), then wrap.
     @raise Invalid_argument when a full node of [order] does not fit
@@ -260,10 +219,6 @@ val lock_couple : impl
 val lock_couple_optimistic : impl
 (** Bayer–Schkolnick's improved protocol: optimistic writers (shared
     latches down, exclusive leaf, pessimistic retry on splits). *)
-
-val lock_couple_preemptive : impl
-(** Top-down preemptive splitting (Guibas–Sedgewick style): full nodes
-    split on the way down, max two exclusive latches per writer. *)
 
 val coarse : impl
 

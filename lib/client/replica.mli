@@ -27,12 +27,6 @@ val poll : ?wait_ms:int -> t -> Client.t -> [ `Applied of int | `Caught_up ]
     @raise Client.Remote_error (["stale"]) when the cursor predates the
     primary's retention window. *)
 
-val feed : t -> Bytes.t -> unit
-(** Feed one raw log page directly — the transport-free core of
-    {!poll}; a caller holding raw log pages (a retained segment, a
-    crash image) can replay them without a socket.
-    @raise Stream_error as {!poll}. *)
-
 val horizon : t -> int
 (** LSN of the last applied COMMIT (-1 before the first): the replica's
     consistent read horizon. *)

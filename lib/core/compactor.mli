@@ -9,17 +9,6 @@
 open Repro_storage
 
 module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
-  type step =
-    | Empty  (** the queue was empty *)
-    | Compressed  (** merged or redistributed a pair *)
-    | Collapsed  (** reduced the tree height *)
-    | Requeued
-    | Discarded  (** stale entry dropped *)
-
-  val step : ?queue:K.t Cqueue.t -> (K.t, S.t) Handle.t -> Handle.ctx -> step
-  (** Pop and process one entry from [queue] (default: the tree's shared
-      queue — §5.4 arrangement (2)). *)
-
   val compact_node :
     (K.t, S.t) Handle.t ->
     Handle.ctx ->

@@ -41,13 +41,13 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
   (** One pass over level [level] (children), driving from level+1
       (parents). Returns the number of merges + redistributions made.
 
-      [phase] (default 0) staggers the disjoint pairing: phase 1 starts at
+      [phase] (0 or 1) staggers the disjoint pairing: phase 1 starts at
       each parent's second pointer, so the children left unpaired by one
       phase are paired by the other. This is an extension beyond Fig 7 —
       the paper accepts that "if F has an odd number of children, then the
       last one will not be compressed"; alternating phases removes that
       blind spot across passes while changing nothing else. *)
-  let compress_level ?(phase = 0) (t : (K.t, S.t) Handle.t) (ctx : ctx) ~level =
+  let compress_level ~phase (t : (K.t, S.t) Handle.t) (ctx : ctx) ~level =
     let changes = ref 0 in
     let prime = Prime_block.read t.prime in
     match Prime_block.leftmost_at prime ~level:(level + 1) with

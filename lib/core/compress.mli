@@ -6,19 +6,11 @@
 open Repro_storage
 
 module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
-  val compress_level :
-    ?phase:int -> (K.t, S.t) Handle.t -> Handle.ctx -> level:int -> int
-  (** One pass over level [level] (children), driven from level+1
-      (parents). Returns the number of merges + redistributions. Pairs
-      whose right member's pointer is still pending insertion into the
-      parent are waited for (bounded backoff) or skipped for this pass.
-      [phase] = 1 staggers the disjoint pairing by one child — an
-      extension beyond Fig 7 that removes the paper's odd-child blind
-      spot when phases alternate. *)
-
   val compress_pass : ?phase:int -> (K.t, S.t) Handle.t -> Handle.ctx -> int
   (** All levels bottom-up, then root-collapse attempts. Returns the
-      number of structural changes. *)
+      number of structural changes. [phase] = 1 staggers each level's
+      disjoint pairing by one child — an extension beyond Fig 7 that
+      removes the paper's odd-child blind spot when phases alternate. *)
 
   val compress_to_fixpoint : (K.t, S.t) Handle.t -> Handle.ctx -> int
   (** Run alternating-phase passes until one changeless pass in each

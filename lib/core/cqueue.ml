@@ -28,7 +28,6 @@ type 'k t = {
   by_ptr : (Node.ptr, 'k entry) Hashtbl.t;
   buckets : 'k entry Queue.t array;  (** index = tree level *)
   mutable count : int;
-  mutable total_pushed : int;
 }
 
 let create () =
@@ -37,7 +36,6 @@ let create () =
     by_ptr = Hashtbl.create 64;
     buckets = Array.init max_levels (fun _ -> Queue.create ());
     count = 0;
-    total_pushed = 0;
   }
 
 (** [push t ~update ~ptr ~level ~high ~stack ~stamp] enqueues the node.
@@ -68,8 +66,7 @@ let push t ~update ~ptr ~level ~high ~stack ~stamp =
       let e = { ptr; level; high; stack; stamp; live = true } in
       Hashtbl.replace t.by_ptr ptr e;
       Queue.push e t.buckets.(level);
-      t.count <- t.count + 1;
-      t.total_pushed <- t.total_pushed + 1);
+      t.count <- t.count + 1);
   Mutex.unlock t.mutex
 
 (** Pop the entry with the highest level; [None] when empty. *)
@@ -107,13 +104,5 @@ let remove t ptr =
 let length t =
   Mutex.lock t.mutex;
   let n = t.count in
-  Mutex.unlock t.mutex;
-  n
-
-let is_empty t = length t = 0
-
-let total_pushed t =
-  Mutex.lock t.mutex;
-  let n = t.total_pushed in
   Mutex.unlock t.mutex;
   n

@@ -41,5 +41,3 @@ val remove : 'k t -> Node.ptr -> unit
 (** Drop a node deleted by a merge; no-op if absent. *)
 
 val length : 'k t -> int
-val is_empty : 'k t -> bool
-val total_pushed : 'k t -> int

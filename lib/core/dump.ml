@@ -2,8 +2,9 @@
 
 open Repro_storage
 
-module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
+module Make (K : Key.S) = struct
   module N = Node.Make (K)
+  module S = Store.For_key (K)
   open Handle
 
   let pp fmt (t : (K.t, S.t) Handle.t) =
@@ -32,5 +33,3 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
   let to_string t = Format.asprintf "%a" pp t
   let print t = print_string (to_string t)
 end
-
-module Make (K : Key.S) = Make_on_store (K) (Store.For_key (K))

@@ -2,10 +2,7 @@
 
 open Repro_storage
 
-module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
-  val pp : Format.formatter -> (K.t, S.t) Handle.t -> unit
-  val to_string : (K.t, S.t) Handle.t -> string
-  val print : (K.t, S.t) Handle.t -> unit
+module Make (K : Key.S) : sig
+  val to_string : (K.t, K.t Store.t) Handle.t -> string
+  val print : (K.t, K.t Store.t) Handle.t -> unit
 end
-
-module Make (K : Key.S) : module type of Make_on_store (K) (Store.For_key (K))

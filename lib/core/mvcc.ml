@@ -832,12 +832,12 @@ struct
       [enc]/[dec] map payloads to the int stream (identity for int
       payloads). Each vrec page is filled up to the encoded bytes the
       store's page holds. *)
-  let create_durable ?order ?enqueue_on_delete ?epoch ?size ?group_bits
-      ~enc ~dec store =
+  let create_durable ?order ?enqueue_on_delete ?epoch ?group_bits ~enc ~dec
+      store =
     let t =
       {
         tree = T.create ?order ?enqueue_on_delete ~store ();
-        records = R.create ?size ();
+        records = R.create ();
         epoch = (match epoch with Some e -> e | None -> Epoch.create ());
         gc = Atomic.make [];
         gc_len = Atomic.make 0;
@@ -865,8 +865,7 @@ struct
       The groups the records touched are marked for the next fold.
       A store with no MVCC extension (a plain unversioned tree) is
       migrated in place: each payload becomes a one-version chain. *)
-  let open_durable ?enqueue_on_delete ?epoch ?size ?group_bits ~enc ~dec
-      store =
+  let open_durable ?enqueue_on_delete ?epoch ?group_bits ~enc ~dec store =
     let tree = T.open_existing ?enqueue_on_delete store in
     let meta =
       match S.get_meta store with Some b -> b | None -> assert false
@@ -883,7 +882,7 @@ struct
     let t =
       {
         tree;
-        records = R.create ?size ();
+        records = R.create ();
         epoch = (match epoch with Some e -> e | None -> Epoch.create ());
         gc = Atomic.make [];
         gc_len = Atomic.make 0;

@@ -28,28 +28,11 @@ type meta_ext = {
   frontier : int;  (** record-slot bump frontier *)
 }
 
-val encode_meta_ext : meta_ext -> Bytes.t
-
 val decode_meta_ext : Bytes.t -> meta_ext option
 (** Parse the extension from a full metadata blob (tree meta first);
     [None] = plain unversioned store. *)
 
 exception Corrupt_vrec of string
-
-val group_of_stream :
-  dec:(int -> 'v) -> int array -> int * int * 'v Record_store.slot_state array
-(** Decode a group's concatenated page stream:
-    [(group, base_slot, states)]. Recovery and replica snapshot reads.
-    @raise Corrupt_vrec on a malformed stream. *)
-
-val stream_of_group :
-  group:int ->
-  group_bits:int ->
-  enc:('v -> int) ->
-  (int -> 'v Record_store.slot_state) ->
-  int array * int * bool
-(** Serialize a group from a slot-state reader:
-    [(stream, version count, occupied)]. *)
 
 val encode_logical :
   budget:int ->
@@ -115,10 +98,6 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       writers already in flight (writers never wait). Release with
       {!release}. *)
 
-  val snapshot_on : Epoch.t -> snap
-  (** The cut protocol against a bare epoch manager (shared-clock
-      composition outside this module). *)
-
   val snapshot_group : 'v t array -> snap
   (** One cut across stores sharing an epoch (single pin + tick + wait).
       @raise Invalid_argument when they do not share one. *)
@@ -129,18 +108,8 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
   val snap_get : 'v t -> snap -> ctx -> K.t -> 'v option
   (** Point read at the cut. *)
 
-  val snap_fold_range :
-    'v t ->
-    snap ->
-    ctx ->
-    lo:K.t ->
-    hi:K.t ->
-    init:'a ->
-    ('a -> K.t -> 'v -> 'a) ->
-    'a
-  (** Consistent fold at the cut. *)
-
   val snap_range : 'v t -> snap -> ctx -> lo:K.t -> hi:K.t -> (K.t * 'v) list
+  (** Consistent ordered scan at the cut. *)
 
   val vacuum : 'v t -> ctx -> int
   (** Prune cold version tails; physically remove pairs dead below every
@@ -155,7 +124,6 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
     ?order:int ->
     ?enqueue_on_delete:bool ->
     ?epoch:Epoch.t ->
-    ?size:('v -> int) ->
     ?group_bits:int ->
     enc:('v -> int) ->
     dec:(int -> 'v) ->
@@ -171,7 +139,6 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
   val open_durable :
     ?enqueue_on_delete:bool ->
     ?epoch:Epoch.t ->
-    ?size:('v -> int) ->
     ?group_bits:int ->
     enc:('v -> int) ->
     dec:(int -> 'v) ->

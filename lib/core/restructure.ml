@@ -220,5 +220,3 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) = struct
       false
     end
 end
-
-module Make (K : Key.S) = Make_on_store (K) (Store.For_key (K))

@@ -47,5 +47,3 @@ module Make_on_store (K : Key.S) (S : Page_store.S with type key = K.t) : sig
       single-child chain down any number of levels) or two mergeable
       children. [true] when the height changed. *)
 end
-
-module Make (K : Key.S) : module type of Make_on_store (K) (Store.For_key (K))

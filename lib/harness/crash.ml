@@ -1132,8 +1132,9 @@ let run_wal_error_paths () =
     a copy of the store with the note moved ahead of the publish passed
     every run of this test. Only a hook inside [install] could hold the
     window open. *)
-let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
-  for run = 1 to runs do
+let run_wal_commit_race () =
+  let domains = 4 and batch = 4 in
+  for run = 1 to 20 do
     Failpoint.reset ();
     let pfile = data_device () in
     let lfile = log_device () in
@@ -1176,7 +1177,8 @@ let run_wal_commit_race ?(domains = 4) ?(runs = 20) ?(batch = 4) () =
     match that snapshot exactly — acknowledged history is replayable to
     any commit boundary inside the retention window, across seal
     boundaries. *)
-let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
+let run_wal_pitr () =
+  let ops = 210 in
   Failpoint.reset ();
   let pfile = data_device () in
   let lfile = log_device () in
@@ -1186,7 +1188,7 @@ let run_wal_pitr ?(ops = 210) ?(seed = 5042) () =
   let model : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let snapshots = ref [] in
   (* (COMMIT lsn, model) at each ack, newest first *)
-  let rng = Repro_util.Splitmix.create seed in
+  let rng = Repro_util.Splitmix.create 5042 in
   for i = 1 to ops do
     let k = Repro_util.Splitmix.int rng 200 in
     (match Repro_util.Splitmix.int rng 10 with
@@ -1318,7 +1320,7 @@ let battery ?(quick = false) ?(shards = 4) ?(log = fun _ -> ()) () =
       sweep ~ordinals:[ 1 ] [ 8 ] log_sites (mk_scenario ~page_size:large_page_size);
       sweep ~ordinals:[ 1 ] [ 8 ] log_sites
         (mk_scenario ~mvcc:true ~page_size:large_page_size);
-      [ (fun () -> run_wal_pitr ()) ];
+      [ run_wal_pitr ];
     ]
   in
   let outcomes = ref [] in

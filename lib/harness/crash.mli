@@ -79,45 +79,9 @@ val run :
     shards.
     @raise Failure on any violated recovery invariant. *)
 
-val run_torn_header : ?page_size:int -> unit -> outcome
-(** Tear the staged header slot mid-write; recovery must fall back to the
-    committed generation with full contents. At the default 512-byte
-    page the tear hits slot 1; at any other [page_size] it hits slot 0,
-    so the reopen finds the page size from slot 1 alone. *)
-
-val run_torn_chain : unit -> outcome
-(** Tear a free-chain entry (over a page free in the committed
-    generation); recovery keeps the tree and either restores or safely
-    leaks the free list. *)
-
-val run_short_writes : unit -> outcome
-(** Short-write every other page write; the device retry loops must make
-    it invisible. *)
-
-val run_error_paths : unit -> unit
-(** Injected-error battery at the store level: every site raises once,
-    retries succeed, and the final image proves no update was dropped.
-    The eviction stage checks its own victim: every page put up to the
-    failed eviction must hold its new leaf in a crash image taken after
-    the following [sync]. *)
-
-val run_wal_torn_append : unit -> outcome
-(** Tear a log record mid-append (cache sized so the commit writes only
-    log pages); replay must stop at the torn record and recovery must
-    land exactly on the last acknowledged commit. *)
-
-val run_wal_commit_crash : unit -> outcome
-(** Crash at the group-commit fsync (the batch is still volatile);
-    recovery must land deterministically on the previous commit. *)
-
-val run_wal_replay_crash : unit -> outcome
-(** Crash mid-replay during recovery, then recover again: replay is
-    read-only, so the second attempt must land on the same state. *)
-
-val run_wal_commit_race :
-  ?domains:int -> ?runs:int -> ?batch:int -> unit -> unit
-(** Multi-domain group-commit durability stress, [runs] times: [domains]
-    writer domains insert disjoint keys into a fresh store and commit
+val run_wal_commit_race : unit -> unit
+(** Multi-domain group-commit durability stress, 20 times over: 4 writer
+    domains insert 4 disjoint keys each into a fresh store and commit
     after every insert, sharing groups through the leader/follower
     handoff; then the crash image taken after the last acknowledgement —
     with no final sync — is recovered and must hold every acknowledged
@@ -129,22 +93,38 @@ val run_wal_commit_race :
     instructions wide and no run of this test has tripped it.
     @raise Failure on any lost or torn acknowledged key. *)
 
-val run_wal_pitr : ?ops:int -> ?seed:int -> unit -> outcome
-(** Point-in-time recovery: replay the retained log (sealed segments +
-    live pass) from LSN 0 up to a mid-history COMMIT boundary into a
-    fresh store; the rebuilt tree must validate and match the model
-    snapshot taken at that acknowledgement exactly. *)
-
-val run_wal_error_paths : unit -> unit
-(** Injected errors on log append and commit fsync: the error surfaces,
-    the leader's rollback keeps [commit] retryable, and the retried
-    commits lose nothing. *)
-
 val battery :
   ?quick:bool -> ?shards:int -> ?log:(string -> unit) -> unit -> outcome list
 (** One table of {!run} sweeps — each a scenario at every cache size ×
-    site × crash ordinal ([quick] keeps cache 8 and ordinal 1) — plus the
-    targeted runs above. Its sharded rows use [shards] (default 4)
-    partitions; [shards <= 1] skips them. After a battery,
-    {!Repro_storage.Failpoint.unexercised} must be empty.
+    site × crash ordinal ([quick] keeps cache 8 and ordinal 1) — plus
+    targeted runs:
+    - torn header: tear the staged header slot mid-write; recovery must
+      fall back to the committed generation with full contents. At the
+      512-byte page the tear hits slot 1; at 4096 bytes it hits slot 0,
+      so the reopen finds the page size from slot 1 alone;
+    - torn chain: tear a free-chain entry (over a page free in the
+      committed generation); recovery keeps the tree and either restores
+      or safely leaks the free list;
+    - short writes: short-write every other page write; the device retry
+      loops must make it invisible;
+    - WAL torn append: tear a log record mid-append; replay must stop at
+      the torn record and recovery must land exactly on the last
+      acknowledged commit;
+    - WAL commit crash: crash at the group-commit fsync; recovery must
+      land deterministically on the previous commit;
+    - WAL replay crash: crash mid-replay during recovery, then recover
+      again; replay is read-only, so both land on the same state;
+    - point-in-time recovery: replay the retained log from LSN 0 up to a
+      mid-history COMMIT boundary into a fresh store; the rebuilt tree
+      must validate and match the model at that acknowledgement;
+    - store error paths: every store-level site raises once, retries
+      succeed, and the final image proves no update was dropped (the
+      eviction stage checks its own victim after the following sync);
+    - WAL error paths: injected errors on log append and commit fsync
+      surface, the leader's rollback keeps [commit] retryable, and the
+      retried commits lose nothing;
+    - {!run_wal_commit_race}.
+    Its sharded rows use [shards] (default 4) partitions; [shards <= 1]
+    skips them. After a battery, {!Repro_storage.Failpoint.unexercised}
+    must be empty.
     @raise Failure on the first violated invariant. *)

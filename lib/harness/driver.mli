@@ -4,13 +4,6 @@
 open Repro_core
 open Repro_baseline
 
-module Barrier : sig
-  type t
-
-  val create : int -> t
-  val wait : t -> unit
-end
-
 type result = {
   elapsed_s : float;
   total_ops : int;

@@ -14,7 +14,6 @@ type event = {
   res : int;
 }
 
-val kind_to_string : kind -> string
 val pp_event : Format.formatter -> event -> unit
 
 type recorder
@@ -39,11 +38,9 @@ val events : recorder -> event list
 
 exception Too_long of int
 
-val max_history : int
-
 val check_key : ?initial:bool -> event list -> bool
 (** Single-key history linearizable from the given initial presence?
-    @raise Too_long beyond {!max_history} events. *)
+    @raise Too_long beyond 25 events (the bitmask search's bound). *)
 
 type verdict = {
   keys_checked : int;

@@ -1,13 +1,6 @@
-(** Reference model and correctness checkers.
-
-    Sequential: replay an operation sequence against [Map] and against a
-    tree, comparing every return value (data equivalence in the §4 sense
-    for serial schedules).
-
-    Concurrent: the checkers here verify the consequences of Theorems 1–2
-    that are observable from outside: per-key serialisability when each
-    key is owned by one domain, and set-correctness for commuting
-    (disjoint-key) concurrent operations. *)
+(** Reference model: replay an operation sequence against [Map] and
+    against a tree, comparing every return value (data equivalence in the
+    §4 sense for serial schedules). *)
 
 open Repro_core
 open Repro_baseline
@@ -77,27 +70,3 @@ let replay (tree : Tree_intf.handle) (ctx : Handle.ctx) ops :
       end)
     ops;
   (!diverged, !model)
-
-(** Compare a quiescent tree's full contents with a model. *)
-let contents_match ~(to_list : unit -> (int * int) list) (model : int IntMap.t) :
-    string option =
-  let tree_list = to_list () in
-  let model_list = IntMap.bindings model in
-  if tree_list = model_list then None
-  else
-    Some
-      (Printf.sprintf "tree has %d pairs, model has %d (or contents differ)"
-         (List.length tree_list) (List.length model_list))
-
-(** Per-key history for concurrent runs where each domain owns a disjoint
-    key set: the final presence of a key must match the last operation the
-    owner performed on it. *)
-let owned_keys_check (tree : Tree_intf.handle) (ctx : Handle.ctx)
-    ~(final_present : (int, bool) Hashtbl.t) : string list =
-  Hashtbl.fold
-    (fun k should_be acc ->
-      let present = tree.Tree_intf.search ctx k <> None in
-      if present = should_be then acc
-      else
-        Printf.sprintf "key %d: present=%b, expected %b" k present should_be :: acc)
-    final_present []

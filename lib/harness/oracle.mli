@@ -1,6 +1,5 @@
-(** Reference model and correctness checkers: sequential replay against a
-    [Map] (data equivalence for serial schedules, §4), plus concurrent
-    set-consistency checks. *)
+(** Reference model: sequential replay against a [Map] (data equivalence
+    for serial schedules, §4). *)
 
 open Repro_core
 open Repro_baseline
@@ -14,14 +13,3 @@ val replay :
   Tree_intf.handle -> Handle.ctx -> Workload.op list -> divergence option * int IntMap.t
 (** Replay sequentially on the tree and the model; first divergence if
     any, and the final model. *)
-
-val contents_match :
-  to_list:(unit -> (int * int) list) -> int IntMap.t -> string option
-
-val owned_keys_check :
-  Tree_intf.handle ->
-  Handle.ctx ->
-  final_present:(int, bool) Hashtbl.t ->
-  string list
-(** For runs where each key is owned by one domain: the final presence of
-    each key must match its owner's last operation. *)

@@ -40,10 +40,10 @@ let fmt_bytes v =
   else if v >= 1024. then Printf.sprintf "%.1fKiB" (v /. 1024.)
   else Printf.sprintf "%.0fB" v
 
-let heading ?(out = stdout) title =
-  output_string out ("\n== " ^ title ^ " ==\n\n");
-  flush out
+let heading title =
+  print_string ("\n== " ^ title ^ " ==\n\n");
+  flush stdout
 
-let note ?(out = stdout) s =
-  output_string out ("  " ^ s ^ "\n");
-  flush out
+let note s =
+  print_string ("  " ^ s ^ "\n");
+  flush stdout

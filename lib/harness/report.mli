@@ -8,5 +8,5 @@ val fmt_si : float -> string
 (** 1234567. -> "1.23M" *)
 
 val fmt_bytes : int -> string
-val heading : ?out:out_channel -> string -> unit
-val note : ?out:out_channel -> string -> unit
+val heading : string -> unit
+val note : string -> unit

@@ -6,12 +6,9 @@ type error = { line : int; text : string }
 exception Parse_error of error
 
 val save : string -> Workload.op list -> unit
-val to_channel : out_channel -> Workload.op list -> unit
 
 val load : string -> Workload.op list
 (** @raise Parse_error on a malformed line. *)
-
-val of_channel : in_channel -> Workload.op list
 
 val generate : seed:int -> ops:int -> Workload.spec -> Workload.op list
 (** What a single worker of this spec would do. *)

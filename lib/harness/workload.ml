@@ -37,11 +37,6 @@ let spec ?(op_mix = balanced) ?(key_space = 100_000) ?(dist = Distribution.Unifo
     ?(preload = 0) () =
   { op_mix; key_space; dist; preload }
 
-(** Zipf-skewed spec: the same op mix over a scrambled Zipfian key
-    stream with the YCSB exponent 0.99 — a hot-key stress. *)
-let skewed ?(op_mix = balanced) ?(key_space = 100_000) ?(preload = 0) () =
-  { op_mix; key_space; dist = Distribution.Zipfian 0.99; preload }
-
 (** Per-worker sampler. *)
 type sampler = { rng : Splitmix.t; dist : Distribution.t; op_mix : mix }
 

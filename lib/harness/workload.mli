@@ -30,10 +30,6 @@ type spec = {
 val spec :
   ?op_mix:mix -> ?key_space:int -> ?dist:Distribution.kind -> ?preload:int -> unit -> spec
 
-val skewed : ?op_mix:mix -> ?key_space:int -> ?preload:int -> unit -> spec
-(** {!spec} over a scrambled Zipfian key stream with the YCSB exponent
-    0.99 — a hot-key stress. *)
-
 type sampler
 
 val sampler : seed:int -> worker:int -> spec -> sampler

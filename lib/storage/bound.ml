@@ -26,8 +26,6 @@ let to_string key_to_string = function
   | Pos_inf -> "+inf"
   | Key k -> key_to_string k
 
-let map f = function Neg_inf -> Neg_inf | Pos_inf -> Pos_inf | Key k -> Key (f k)
-
 let is_key = function Key _ -> true | Neg_inf | Pos_inf -> false
 
 let get_key = function

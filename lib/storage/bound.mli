@@ -10,7 +10,6 @@ val compare_key : ('k -> 'k -> int) -> 'k -> 'k t -> int
 (** Position of a plain key relative to a bound. *)
 
 val to_string : ('k -> string) -> 'k t -> string
-val map : ('a -> 'b) -> 'a t -> 'b t
 val is_key : 'k t -> bool
 
 val get_key : 'k t -> 'k

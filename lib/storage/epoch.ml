@@ -22,7 +22,6 @@ type t = {
           reclaim horizon ({!min_pinned}) counts both. *)
   mutable limbo : retired list;  (** strictly descending epochs (newest first) *)
   limbo_len : int Atomic.t;  (** length of [limbo]; readable without the mutex *)
-  max_limbo : int Atomic.t;  (** limbo depth high-water mark *)
   limbo_mutex : Mutex.t;
   reclaimed : int Atomic.t;
 }
@@ -40,7 +39,6 @@ let create () =
     snap_pins = Array.init (n_snap_slots * stride) (fun _ -> Atomic.make max_int);
     limbo = [];
     limbo_len = Atomic.make 0;
-    max_limbo = Atomic.make 0;
     limbo_mutex = Mutex.create ();
     reclaimed = Atomic.make 0;
   }
@@ -171,13 +169,8 @@ let retire t ptr =
   Mutex.lock t.limbo_mutex;
   let e = Atomic.fetch_and_add t.global 1 in
   t.limbo <- { epoch = e; ptr } :: t.limbo;
-  let len = 1 + Atomic.fetch_and_add t.limbo_len 1 in
-  Mutex.unlock t.limbo_mutex;
-  let rec bump () =
-    let cur = Atomic.get t.max_limbo in
-    if len > cur && not (Atomic.compare_and_set t.max_limbo cur len) then bump ()
-  in
-  bump ()
+  Atomic.incr t.limbo_len;
+  Mutex.unlock t.limbo_mutex
 
 (** Release every retired page whose grace period has passed, calling
     [release] on each. Returns how many were released.
@@ -208,5 +201,4 @@ let reclaim t ~release =
 
 (* O(1), no mutex: the count is maintained by retire/reclaim. *)
 let pending t = Atomic.get t.limbo_len
-let max_limbo_depth t = Atomic.get t.max_limbo
 let total_reclaimed t = Atomic.get t.reclaimed

@@ -76,8 +76,4 @@ val reclaim : t -> release:(Node.ptr -> unit) -> int
 val pending : t -> int
 (** Pages in limbo. O(1) from a maintained counter — takes no lock. *)
 
-val max_limbo_depth : t -> int
-(** Limbo depth high-water mark since [create] — how far reclamation ever
-    lagged retirement. *)
-
 val total_reclaimed : t -> int

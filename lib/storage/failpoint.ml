@@ -110,7 +110,6 @@ let rand_below n =
   v
 
 let is_crashed () = Atomic.get crashed
-let clear_crashed () = Atomic.set crashed false
 
 let crash (s : site) =
   Atomic.incr s.fired;

@@ -61,8 +61,6 @@ val is_crashed : unit -> bool
     writes and fsyncs while set, so surviving domains cannot commit
     post-mortem work. *)
 
-val clear_crashed : unit -> unit
-
 val reset : unit -> unit
 (** Disarm every site, clear {!is_crashed}, reseed. Exercised counters
     survive (they span a whole battery). *)

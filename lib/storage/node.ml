@@ -45,9 +45,6 @@ let is_leaf n = n.level = 0
 let is_deleted n = match n.state with Deleted _ -> true | Live -> false
 let nkeys n = Array.length n.keys
 
-(** Number of (value, pointer) pairs in the paper's sense: the key count. *)
-let npairs = nkeys
-
 (** A node is safe when an insertion cannot overflow it (fewer than 2k pairs). *)
 let is_safe ~order n = nkeys n < 2 * order
 
@@ -59,9 +56,6 @@ module Make (K : Key.S) = struct
 
   let bcompare = Bound.compare K.compare
   let key_vs_bound k b = Bound.compare_key K.compare k b
-
-  (** low < k <= high *)
-  let in_range n k = key_vs_bound k n.low > 0 && key_vs_bound k n.high <= 0
 
   (** Number of keys strictly smaller than [k] (binary search). *)
   let rank n k =
@@ -160,7 +154,7 @@ module Make (K : Key.S) = struct
   (* -- leaf updates -- *)
 
   (** Insert pair (k, p) into a non-full leaf. Caller must have checked
-      [mem n k = false] and [in_range n k]. *)
+      [mem n k = false] and low < k <= high. *)
   let leaf_insert n k p =
     assert (is_leaf n);
     let r = rank n k in

@@ -42,9 +42,6 @@ val is_leaf : 'k t -> bool
 val is_deleted : 'k t -> bool
 val nkeys : 'k t -> int
 
-val npairs : 'k t -> int
-(** Pair count in the paper's sense (= key count). *)
-
 val is_safe : order:int -> 'k t -> bool
 (** Fewer than 2k pairs: an insertion cannot overflow it. *)
 
@@ -56,9 +53,6 @@ module Make (K : Key.S) : sig
 
   val bcompare : K.t Bound.t -> K.t Bound.t -> int
   val key_vs_bound : K.t -> K.t Bound.t -> int
-
-  val in_range : node -> K.t -> bool
-  (** low < k <= high *)
 
   val rank : node -> K.t -> int
   (** Number of keys strictly smaller than [k]. *)

@@ -348,10 +348,3 @@ let crash_image t =
       }
   | Memory _ | File _ ->
       invalid_arg "Paged_file.crash_image: not a shadow-backed file"
-
-(** Pages written since the last [sync] (shadow backend only) — what a
-    crash right now would lose. *)
-let unsynced_pages t =
-  match t.backend with
-  | Shadow s -> Hashtbl.length s.unsynced
-  | Memory _ | File _ -> 0

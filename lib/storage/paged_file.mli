@@ -79,6 +79,3 @@ val crash_image : t -> t
     after a crash right now would find — every write since the last
     {!sync} discarded, except pages promoted by a torn-write failpoint.
     @raise Invalid_argument on other backends. *)
-
-val unsynced_pages : t -> int
-(** Shadow files only (0 elsewhere): pages a crash right now would lose. *)

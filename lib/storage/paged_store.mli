@@ -80,9 +80,6 @@ val default_page_size : int
 
 val default_cache_pages : int
 
-val default_stripes : int
-(** Default IO stripe count (clamped to a power of two ≤ [cache_pages]). *)
-
 module Make (K : Key.S) : sig
   include Page_store.S with type key = K.t
 
@@ -97,7 +94,7 @@ module Make (K : Key.S) : sig
       node cache, eviction, group commit) without filesystem durability
       — tests and benches. [cache_pages] bounds the decoded-node cache
       (default {!default_cache_pages}); [stripes] the IO stripe count
-      (default {!default_stripes}, rounded down to a power of two and
+      (default 8, rounded down to a power of two and
       clamped to [cache_pages]); [create] is [create_memory ()].
       [shard] (default [(0, 1)]) is the store's partition identity
       [(index, count)], recorded in every header it writes. [page_size]

@@ -89,7 +89,6 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
   (* ---------- durability ---------- *)
 
   let commit_shard t i = P.commit t.stores.(i)
-  let commit_all t = Array.iter P.commit t.stores
 
   (* Quiescent checkpoint of every shard (each [sync] writes back, flips
      the shard's header, truncates its log). *)
@@ -122,6 +121,4 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) = struct
     let acc = Stats.io_create () in
     Array.iter (fun s -> Stats.io_merge ~into:acc (P.io_stats s)) t.stores;
     acc
-
-  let generations t = Array.map P.generation t.stores
 end

@@ -58,8 +58,6 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
       commits run fully in parallel — separate mutexes, leaders, log
       fsyncs). *)
 
-  val commit_all : t -> unit
-
   val sync_all : t -> unit
   (** Quiescent checkpoint of every shard. *)
 
@@ -75,6 +73,4 @@ module Make (K : Key.S) (P : module type of Paged_store.Make (K)) : sig
 
   val io_stats : t -> Stats.io
   (** All shards merged (counters sum, high-water marks max). *)
-
-  val generations : t -> int array
 end

@@ -46,25 +46,6 @@ let create () =
     waits = 0;
   }
 
-let reset t =
-  t.ops <- 0;
-  t.gets <- 0;
-  t.puts <- 0;
-  t.lock_acquisitions <- 0;
-  t.locks_held <- 0;
-  t.max_locks_held <- 0;
-  t.link_follows <- 0;
-  t.restarts <- 0;
-  t.fwd_follows <- 0;
-  t.retries <- 0;
-  t.splits <- 0;
-  t.merges <- 0;
-  t.redistributions <- 0;
-  t.enqueued <- 0;
-  t.requeued <- 0;
-  t.discarded <- 0;
-  t.waits <- 0
-
 (** Record a lock acquisition and track the simultaneous-locks high-water mark. *)
 let on_lock t =
   t.lock_acquisitions <- t.lock_acquisitions + 1;

@@ -24,7 +24,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 
 val on_lock : t -> unit
 (** Count an acquisition and track the simultaneous-locks high-water mark. *)
@@ -34,7 +33,6 @@ val on_unlock : t -> unit
 val merge : into:t -> t -> unit
 (** Sum counters; max the high-water marks. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** {2 Storage-backend IO statistics}
@@ -83,7 +81,6 @@ val io_create : unit -> io
 val io_merge : into:io -> io -> unit
 (** Sum counters; max the high-water marks. *)
 
-val pp_io : Format.formatter -> io -> unit
 val io_to_string : io -> string
 
 (** {2 Network-server statistics}
@@ -126,5 +123,4 @@ val note_shard_ack : server -> int -> unit
 val server_merge : into:server -> server -> unit
 (** Sum counters; max the high-water marks; merge the histograms. *)
 
-val pp_server : Format.formatter -> server -> unit
 val server_to_string : server -> string

@@ -550,13 +550,6 @@ let durable_lsn t = Atomic.get t.durable_lsn
 let next_lsn t = with_mu t (fun () -> t.lsn)
 let segment_count t = with_mu t (fun () -> List.length t.segments)
 
-(** Oldest LSN still fetchable: the tail of the retention window. *)
-let retained_lsn t =
-  with_mu t (fun () ->
-      match List.rev t.segments with
-      | oldest :: _ -> oldest.seg_base_lsn
-      | [] -> t.base_lsn)
-
 (* ---------- shipping: fetch + long-poll ---------- *)
 
 type fetch =

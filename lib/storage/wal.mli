@@ -152,10 +152,6 @@ val durable_lsn : t -> int
     first): the shipping horizon. Records at or below it are fetchable
     and will survive a primary crash. *)
 
-val retained_lsn : t -> int
-(** Oldest LSN still fetchable — the tail of the retention window.
-    Fetching below it yields {!Stale}. *)
-
 val segment_count : t -> int
 (** Sealed segments currently retained. *)
 

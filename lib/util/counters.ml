@@ -14,9 +14,6 @@ let create ?(domains = 16) () =
 
 let incr t ~slot = Atomic.incr t.slots.((slot mod t.n) * stride)
 
-let add t ~slot v =
-  ignore (Atomic.fetch_and_add t.slots.((slot mod t.n) * stride) v)
-
 let read t =
   let total = ref 0 in
   for i = 0 to t.n - 1 do

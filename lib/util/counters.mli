@@ -10,6 +10,5 @@ val stride : int
 
 val create : ?domains:int -> unit -> t
 val incr : t -> slot:int -> unit
-val add : t -> slot:int -> int -> unit
 val read : t -> int
 val clear : t -> unit

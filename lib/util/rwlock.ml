@@ -61,11 +61,3 @@ let try_write_lock t =
   if ok then t.writer <- true;
   Mutex.unlock t.mutex;
   ok
-
-let with_read t f =
-  read_lock t;
-  Fun.protect ~finally:(fun () -> read_unlock t) f
-
-let with_write t f =
-  write_lock t;
-  Fun.protect ~finally:(fun () -> write_unlock t) f

@@ -11,6 +11,3 @@ val write_unlock : t -> unit
 
 val try_write_lock : t -> bool
 (** Non-blocking; [true] on acquisition. *)
-
-val with_read : t -> (unit -> 'a) -> 'a
-val with_write : t -> (unit -> 'a) -> 'a

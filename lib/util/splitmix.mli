@@ -7,17 +7,11 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator. Equal seeds give equal streams. *)
 
-val copy : t -> t
-(** Independent copy at the current state. *)
-
 val split : t -> t
 (** [split t] returns a statistically independent generator; [t] advances. *)
 
 val next_int64 : t -> int64
 (** Next raw 64-bit value. *)
-
-val next_int : t -> int
-(** Uniform non-negative int over the 62-bit positive range. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)] without modulo bias.
@@ -25,9 +19,6 @@ val int : t -> int -> int
 
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val shuffle : t -> 'a array -> unit
-(** Fisher–Yates shuffle in place. *)
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of [0 .. n-1]. *)
