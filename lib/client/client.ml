@@ -10,7 +10,19 @@ type t = {
   mutable lo : int;
   mutable hi : int;
   mutable closed : bool;
+  mutable nonblock : bool;  (** O_NONBLOCK as last set on [fd] *)
+  mutable last_wait : float;  (** seconds the previous read waited *)
 }
+
+(* Waiting for replies: before a read blocks, poll the socket without
+   blocking for up to [spin_window], as the server's workers do. Only
+   when the previous wait ended inside the window, so a long batch (a
+   scan, a commit) or an idle server gets a blocking read at once, and
+   never on a one-core machine, where the spin would hold the core the
+   server needs to answer. *)
+let spin_window = 50e-6
+let spins = Domain.recommended_domain_count () > 1
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let connect addr =
   let fd =
@@ -28,6 +40,8 @@ let connect addr =
     lo = 0;
     hi = 0;
     closed = false;
+    nonblock = false;
+    last_wait = 0.;
   }
 
 let close t =
@@ -36,14 +50,54 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
+(* A poll that found data leaves the fd non-blocking; a read that gives
+   up and a write that would block switch it back. *)
+let set_blocking t =
+  if t.nonblock then begin
+    Unix.clear_nonblock t.fd;
+    t.nonblock <- false
+  end
+
 let flush t =
   let n = P.Writer.length t.out in
   let bytes = P.Writer.bytes t.out in
   P.Writer.reset t.out;
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write t.fd bytes !off (n - !off)
-  done
+  let rec go off =
+    if off < n then
+      match Unix.write t.fd bytes off (n - off) with
+      | w -> go (off + w)
+      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+          set_blocking t;
+          go off
+  in
+  go 0
+
+(* Read what the server sent into [t.buf] after [t.hi]. *)
+let read_more t =
+  let len = Bytes.length t.buf - t.hi in
+  let t0 = now () in
+  let block () =
+    set_blocking t;
+    Unix.read t.fd t.buf t.hi len
+  in
+  let rec poll () =
+    match Unix.read t.fd t.buf t.hi len with
+    | n -> n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        if now () -. t0 < spin_window then poll () else block ()
+  in
+  let n =
+    if spins && t.last_wait <= spin_window then begin
+      if not t.nonblock then begin
+        Unix.set_nonblock t.fd;
+        t.nonblock <- true
+      end;
+      poll ()
+    end
+    else block ()
+  in
+  t.last_wait <- now () -. t0;
+  n
 
 (* Read until one complete response frame is buffered; return it. *)
 let read_response t =
@@ -64,9 +118,7 @@ let read_response t =
           Bytes.blit t.buf 0 b 0 t.hi;
           t.buf <- b
         end;
-        let n =
-          Unix.read t.fd t.buf t.hi (Bytes.length t.buf - t.hi)
-        in
+        let n = read_more t in
         if n = 0 then raise End_of_file;
         t.hi <- t.hi + n;
         go ()

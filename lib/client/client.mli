@@ -22,7 +22,14 @@ val pipeline :
     order. Sequence numbers are checked against the requests'. A batch
     under 64 KB of request frames goes out in one write; a larger one
     never has more than that (plus one frame) sent but unanswered, so a
-    batch of any size completes. *)
+    batch of any size completes.
+
+    Waiting for the replies, the client polls the socket without
+    blocking for up to 50 µs before it blocks in read(2), which saves
+    the sleep and wake-up of a short round trip. It polls only when its
+    previous wait ended inside those 50 µs, so a long batch (a commit, a
+    large range) or an idle server gets a blocking read at once, and
+    never on a one-core machine. *)
 
 val insert : t -> key:int -> value:int -> [ `Ok | `Duplicate ]
 val delete : t -> key:int -> bool

@@ -16,6 +16,8 @@ type t = {
   active : (Unix.file_descr, unit) Hashtbl.t;
   active_mu : Mutex.t;
   worker_stats : Stats.server array;
+  (* workers serving a connection and not parked in a blocking read *)
+  running : int Atomic.t;
   handle : Repro_baseline.Tree_intf.handle;
   durable_acks : bool;
   mutable domains : unit Domain.t list;
@@ -37,11 +39,74 @@ let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* -- connection service -- *)
 
-let write_all fd bytes len =
-  let off = ref 0 in
-  while !off < len do
-    off := !off + Unix.write fd bytes !off (len - !off)
-  done
+(* Waiting for the next batch. A pipelining client usually sends its
+   next batch a few microseconds after it reads the last answers, and a
+   read(2) that blocks costs a sleep and a wake-up on each side. So
+   before a worker blocks it polls the socket without blocking, for up
+   to [spin_window]. It polls only if its previous wait ended inside
+   the window, so an idle or slow peer gets a blocking read at once,
+   and only while fewer workers are running than the machine has cores,
+   so a spinning worker never takes a core another worker could use.
+   The poll is a non-blocking [read], not [select], which fails for fds
+   of 1024 and above. *)
+let spin_window = 50e-6
+let cores = Domain.recommended_domain_count ()
+
+type conn_io = {
+  fd : Unix.file_descr;
+  mutable nonblock : bool;  (** O_NONBLOCK as last set on [fd] *)
+  mutable last_wait : float;  (** seconds the previous read waited *)
+}
+
+(* A poll that found data leaves the fd non-blocking, so a steady stream
+   of batches pays no fcntl; a read that gives up and a write that
+   would block switch it back. *)
+let set_blocking io =
+  if io.nonblock then begin
+    Unix.clear_nonblock io.fd;
+    io.nonblock <- false
+  end
+
+let rec write_all io bytes off len =
+  if off < len then
+    match Unix.write io.fd bytes off (len - off) with
+    | n -> write_all io bytes (off + n) len
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        set_blocking io;
+        write_all io bytes off len
+
+(* [Server.stop]'s shutdown makes either read return 0 at once. *)
+let read_next t io buf off len =
+  let t0 = now () in
+  let park () =
+    set_blocking io;
+    Atomic.decr t.running;
+    match Unix.read io.fd buf off len with
+    | n ->
+        Atomic.incr t.running;
+        n
+    | exception e ->
+        Atomic.incr t.running;
+        raise e
+  in
+  let rec poll () =
+    match Unix.read io.fd buf off len with
+    | n -> n
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+        if now () -. t0 < spin_window then poll () else park ()
+  in
+  let n =
+    if io.last_wait <= spin_window && Atomic.get t.running < cores then begin
+      if not io.nonblock then begin
+        Unix.set_nonblock io.fd;
+        io.nonblock <- true
+      end;
+      poll ()
+    end
+    else park ()
+  in
+  io.last_wait <- now () -. t0;
+  n
 
 let is_mutation = function
   | P.Insert _ | P.Delete _ -> true
@@ -231,12 +296,13 @@ let serve_conn t ~slot fd =
   (* the drained batch, decoded into reused arrays *)
   let seqs = ref (Array.make 64 0) and reqs = ref (Array.make 64 P.Commit) in
   let out = P.Writer.create () in
+  let io = { fd; nonblock = false; last_wait = 0. } in
   let closing = ref false in
   let flush_out () =
     let n = P.Writer.length out in
     if n > 0 then begin
       P.Writer.reset out;
-      write_all fd (P.Writer.bytes out) n;
+      write_all io (P.Writer.bytes out) 0 n;
       sst.bytes_out <- sst.bytes_out + n
     end
   in
@@ -277,7 +343,7 @@ let serve_conn t ~slot fd =
          Bytes.blit !buf 0 b 0 !hi;
          buf := b
        end;
-       let n = Unix.read fd !buf !hi (!cap - !hi) in
+       let n = read_next t io !buf !hi (!cap - !hi) in
        if n = 0 then closing := true
        else begin
          hi := !hi + n;
@@ -393,7 +459,9 @@ let worker_loop t slot =
         Mutex.lock t.active_mu;
         Hashtbl.replace t.active fd ();
         Mutex.unlock t.active_mu;
+        Atomic.incr t.running;
         (try serve_conn t ~slot fd with _ -> ());
+        Atomic.decr t.running;
         Mutex.lock t.active_mu;
         Hashtbl.remove t.active fd;
         Mutex.unlock t.active_mu;
@@ -450,6 +518,7 @@ let start ?(workers = 4) ?(durable_acks = false) ~handle ~listen () =
       active = Hashtbl.create 16;
       active_mu = Mutex.create ();
       worker_stats = Array.init workers (fun _ -> Stats.server_create ());
+      running = Atomic.make 0;
       handle;
       durable_acks;
       domains = [];

@@ -15,6 +15,12 @@
     committed mutation: it survives a crash immediately after the
     response frame is read.
 
+    Waiting for a connection's next batch, a worker polls the socket
+    without blocking for up to 50 µs before it blocks in read(2), but
+    only after a wait that ended inside that window and only while fewer
+    workers are running than the machine has cores (doc/SERVER.md,
+    "Waiting for the next batch").
+
     Error isolation is per connection: a frame that fails to parse gets
     a final [Error] response and closes only that connection, counting
     one protocol error. *)
@@ -52,5 +58,6 @@ val stats : t -> Repro_storage.Stats.server
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, shut down in-flight connections
-    (their workers finish the current batch, flush, then close), join
-    every domain. Idempotent. *)
+    (their workers finish the current batch, flush, then close; a worker
+    polling or blocked for its next batch reads EOF at once), join every
+    domain. Idempotent. *)

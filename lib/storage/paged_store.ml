@@ -223,6 +223,12 @@ module Make (K : Key.S) = struct
     dirty_mu : Mutex.t;  (** guards [dirty]; taken last (the seal holds [w_mu] first) *)
     mutable dirty : (int, unit) Hashtbl.t;
         (** this stripe's pages changed since the last sealed commit batch *)
+    kept : (int, Bytes.t) Hashtbl.t;
+        (** codec frames eviction wrote back for pages in [dirty], so the
+            seal logs them without reading the page back. A kept frame
+            always equals its page on disk: it goes when the page is
+            sealed, written again, written by a checkpoint, shipped or
+            released. Under [s_lock]. *)
   }
 
   type t = {
@@ -317,7 +323,7 @@ module Make (K : Key.S) = struct
      buffer happen outside [file_lock], so concurrent write-backs on
      other stripes only serialise for the write itself. The page is
      overwritten whole — the frame, then a zero tail — so nothing on disk
-     needs reading first. *)
+     needs reading first. Returns the frame written. *)
   let write_node_striped t (st : stripe) ptr n =
     let b = Codec.to_bytes n in
     let len = Bytes.length b in
@@ -332,7 +338,8 @@ module Make (K : Key.S) = struct
         ensure_materialized_flocked t dpage;
         Paged_file.write t.file dpage st.io_buf;
         t.page_writes <- t.page_writes + 1);
-    Atomic.set (slot t ptr).on_disk true
+    Atomic.set (slot t ptr).on_disk true;
+    b
 
   (* Read [ptr]'s disk page into [st.io_buf]. Caller holds [ptr]'s stripe
      lock [st]; only the read itself runs under [file_lock]. *)
@@ -498,15 +505,21 @@ module Make (K : Key.S) = struct
      retries the write. Losing that CAS means a newer [put] owns the
      slot, so this version is obsolete. The failpoint sits inside the
      recovery scope so an injected error takes the same path as a real
-     one. *)
+     one. A page the next seal will log keeps the frame just written. *)
   let write_back_victim t (st : stripe) p s e =
-    (try
-       Failpoint.hit fp_evict;
-       write_node_striped t st p e.node
-     with ex ->
-       if Atomic.compare_and_set s.cached None (Some e) then
-         Atomic.incr st.resident;
-       raise ex);
+    let frame =
+      try
+        Failpoint.hit fp_evict;
+        write_node_striped t st p e.node
+      with ex ->
+        if Atomic.compare_and_set s.cached None (Some e) then
+          Atomic.incr st.resident;
+        raise ex
+    in
+    Mutex.lock st.dirty_mu;
+    let unsealed = Hashtbl.mem st.dirty p in
+    Mutex.unlock st.dirty_mu;
+    if unsealed then Hashtbl.replace st.kept p frame else Hashtbl.remove st.kept p;
     st.inline_wb <- st.inline_wb + 1
 
   (* How many page ids below [frontier] hash to stripe [si]. *)
@@ -600,6 +613,7 @@ module Make (K : Key.S) = struct
               inline_wb = 0;
               dirty_mu = Mutex.create ();
               dirty = Hashtbl.create 16;
+              kept = Hashtbl.create 16;
             });
       stripe_mask = nstripes - 1;
       stripe_cap = max 1 (cache_pages / nstripes);
@@ -870,6 +884,7 @@ module Make (K : Key.S) = struct
     let st = t.stripes.(stripe_index t ptr) in
     with_stripe st (fun () ->
         Atomic.set s.freed true;
+        Hashtbl.remove st.kept ptr;
         (match Atomic.exchange s.cached None with
         | Some _ -> Atomic.decr st.resident
         | None -> ());
@@ -944,20 +959,24 @@ module Make (K : Key.S) = struct
 
   (* Snapshot the bytes a committed page image must hold: the cached
      node if resident, else the on-disk page (trimmed to its codec
-     frame). [None] for pages that were freed (or
-     never materialised) since they were dirtied. Under the page's
-     stripe lock; the encode of a node snapshot happens outside it. *)
+     frame), which is the frame eviction kept if it kept one. [None] for
+     pages that were freed (or never materialised) since they were
+     dirtied. Under the page's stripe lock; the encode of a node
+     snapshot happens outside it. *)
   let commit_image t ptr =
     match slot_opt t ptr with
     | None -> None
     | Some s ->
         let st = t.stripes.(stripe_index t ptr) in
         with_stripe st (fun () ->
+            let kept = Hashtbl.find_opt st.kept ptr in
+            Hashtbl.remove st.kept ptr;
             if Atomic.get s.freed then None
             else
-              match Atomic.get s.cached with
-              | Some e -> Some (`Node e.node)
-              | None ->
+              match (Atomic.get s.cached, kept) with
+              | Some e, _ -> Some (`Node e.node)
+              | None, Some frame -> Some (`Raw frame)
+              | None, None ->
                   if Atomic.get s.on_disk then begin
                     read_page_striped t st ptr;
                     (* past its codec frame the page is the zero tail
@@ -1090,6 +1109,9 @@ module Make (K : Key.S) = struct
     Array.iteri
       (fun si (st : stripe) ->
         with_stripe st (fun () ->
+            (* the checkpoint ends the log's pass, so no seal needs
+               these frames *)
+            Hashtbl.reset st.kept;
             let frontier = Atomic.get t.next in
             let p = ref si in
             while !p < frontier do
@@ -1106,7 +1128,7 @@ module Make (K : Key.S) = struct
                            on failure — this entry is still newer than the
                            disk and a retried sync must re-write it. *)
                         Atomic.set e.e_dirty false;
-                        (try write_node_striped t st !p e.node
+                        (try ignore (write_node_striped t st !p e.node)
                          with ex ->
                            Atomic.set e.e_dirty true;
                            raise ex)
@@ -1472,6 +1494,7 @@ module Make (K : Key.S) = struct
         let s = (ensure_chunk t (p lsr chunk_bits)).(p land (chunk_size - 1)) in
         let st = t.stripes.(stripe_index t p) in
         with_stripe st (fun () ->
+            Hashtbl.remove st.kept p;
             (match Atomic.exchange s.cached None with
             | Some _ -> Atomic.decr st.resident
             | None -> ());

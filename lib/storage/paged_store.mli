@@ -15,7 +15,9 @@
     pushed the stripe over its cap; with [sync] that is the only
     write-back path. A victim whose write-back fails goes back into its
     cache slot, still dirty, before the error surfaces, so the next
-    eviction or [sync] retries it.
+    eviction or [sync] retries it. A victim the next group commit must
+    log keeps the frame it was written as, so that commit reads nothing
+    back from the data file.
 
     Disk pages 0 and 1 are two checksummed header slots ping-ponged by a
     generation counter; tree pointer [p] lives on disk page [p + 2],

@@ -41,7 +41,6 @@ val release : 'k t -> Node.ptr -> unit
     passed (see {!Epoch}). *)
 
 val live_count : 'k t -> int
-val total_allocated : 'k t -> int
 val total_freed : 'k t -> int
 
 val iter : 'k t -> (Node.ptr -> 'k Node.t -> unit) -> unit
@@ -53,12 +52,9 @@ val set_meta : 'k t -> Bytes.t -> unit
 val get_meta : 'k t -> Bytes.t option
 
 val sync : 'k t -> unit
-(** Runs the {!on_checkpoint} hook and nothing else: the store is purely
-    in-memory. *)
-
-val on_checkpoint : 'k t -> (unit -> unit) -> unit
-(** Register the function {!sync} runs (see
-    {!Page_store.S.on_checkpoint}); a later registration replaces it. *)
+(** Runs the hook {!Page_store.S.on_checkpoint} registered (through
+    {!For_key}) and nothing else: the store is purely in-memory. A later
+    registration replaces the hook. *)
 
 val commit : 'k t -> unit
 (** No-op: nothing to make durable (see {!Page_store.S.commit}). *)

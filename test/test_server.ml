@@ -975,6 +975,84 @@ let test_huge_pipeline () =
               (P.response_to_string r) (P.response_to_string expect))
         resps)
 
+(* ---------- waiting for the next batch ---------- *)
+
+let cpu_s () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+(* A worker spins only after a wait that ended inside its window: once
+   the connection goes idle it blocks in read(2), and the process burns
+   no core while the client holds the connection open. *)
+let test_idle_costs_no_cpu () =
+  with_server @@ fun _srv addr ->
+  with_client addr @@ fun c ->
+  ignore (C.insert c ~key:1 ~value:10);
+  let cpu0 = cpu_s () and t0 = Unix.gettimeofday () in
+  Unix.sleepf 0.3;
+  let cpu = cpu_s () -. cpu0 and wall = Unix.gettimeofday () -. t0 in
+  if cpu > wall /. 4. then
+    Alcotest.failf "idle connection: %.0f ms CPU over %.0f ms" (cpu *. 1e3)
+      (wall *. 1e3);
+  Alcotest.(check (option int)) "still served" (Some 10) (C.search c ~key:1)
+
+(* Stop a server whose one connection is still open, right after [warm]
+   ran on it, and fail unless [Server.stop] returns within a second. *)
+let stop_after what warm =
+  let srv =
+    Server.start
+      ~handle:((Tree_intf.sagiv ()).make ~order:4)
+      ~listen:[ loopback ] ()
+  in
+  let c = C.connect (List.hd (Server.addresses srv)) in
+  warm c;
+  let t0 = Unix.gettimeofday () in
+  Server.stop srv;
+  let took = Unix.gettimeofday () -. t0 in
+  C.close c;
+  if took > 1.0 then Alcotest.failf "%s: stop took %.2f s" what took
+
+(* Back-to-back batches keep the worker's waits short, so right after
+   the last answer it is polling for the next batch. *)
+let test_stop_ends_spinning_worker () =
+  stop_after "polling worker" (fun c ->
+      for k = 1 to 200 do
+        ignore
+          (C.pipeline c
+             [ P.Search { key = 1 }; P.Insert { key = k; value = 0 } ])
+      done)
+
+(* Past the window a worker parks in a blocking read; stop's shutdown
+   must wake it. *)
+let test_stop_ends_parked_worker () =
+  stop_after "parked worker" (fun c ->
+      ignore (C.insert c ~key:1 ~value:10);
+      Unix.sleepf 0.02)
+
+(* Each batch arrives 1 ms after the last answer, well past the spin
+   window: the worker gives up polling and blocks, and every answer
+   still comes back right and in order. *)
+let test_batches_after_a_pause () =
+  with_server @@ fun _srv addr ->
+  with_client addr @@ fun c ->
+  for round = 0 to 49 do
+    let k = round * 4 in
+    let resps =
+      C.pipeline c
+        [
+          P.Insert { key = k; value = round };
+          P.Search { key = k };
+          P.Insert { key = k; value = -1 };
+          P.Search { key = k + 1 };
+        ]
+    in
+    Alcotest.(check (list response))
+      (Printf.sprintf "round %d" round)
+      [ P.Inserted; P.Found round; P.Duplicate; P.Absent ]
+      resps;
+    Unix.sleepf 0.001
+  done
+
 let suite =
   [
     ("protocol roundtrip", `Quick, test_roundtrip);
@@ -1001,4 +1079,9 @@ let suite =
     ("client pipeline of 100k requests", `Quick, test_huge_pipeline);
     ("sharded server publishes every shard's log", `Quick,
      test_sharded_logs_published);
+    ("idle connection costs no CPU", `Quick, test_idle_costs_no_cpu);
+    ("stop ends a spinning worker", `Quick, test_stop_ends_spinning_worker);
+    ("stop ends a parked worker", `Quick, test_stop_ends_parked_worker);
+    ("batches after a pause past the spin window", `Quick,
+     test_batches_after_a_pause);
   ]

@@ -1,13 +1,26 @@
 #!/usr/bin/env python3
 """Fail when a name exported from a library interface has no caller.
 
-For every `val`, `module` and `module type` declared in lib/*/*.mli, the
-name must appear in some .ml or .mli file under lib, bin, bench,
-perfbench, test or examples other than the declaring module's own
-.ml/.mli.  Comments, string literals and char literals are stripped
-before searching, so a name mentioned only in prose does not count.  A
-name that another module happens to share counts as used: the check is
-a word search, not a resolver.
+For every `val`, `module` and `module type` declared in lib/*/*.mli, some
+.ml or .mli file under lib, bin, bench, perfbench, test or examples
+other than the declaring module's own .ml/.mli must use the name
+through its module.  A file uses `name` of module `Mod` when
+
+- it writes `Mod.name` (or `Alias.name`, where `Alias` is bound at the
+  top level of a lib/ .ml to a module expression naming `Mod`, such as
+  `module Paged_int = Repro_storage.Paged_store.Make (Key.Int)`), or
+- it opens, includes or aliases `Mod` (`open`, `include`, `Mod.( )`,
+  `module X = ...Mod...`, a functor parameter `(X : Mod.S)`, directly
+  or through such an `Alias`) and the name appears in it as a word.
+
+An interface that writes `include Mod...` exports Mod's names too, so a
+use through it, or through an alias of it, counts for `Mod`.
+
+A value that another module happens to share the name of is therefore
+not a use.  Comments, string literals and char literals are stripped
+before searching, so a name mentioned only in prose does not count.
+This is still a text scan, not a resolver: inside a file that aliases
+`Mod`, any word `name` counts.
 
 Usage: check_exports.py [ROOT]   (ROOT defaults to the current directory)
 
@@ -121,6 +134,60 @@ def source_files(root):
                     yield os.path.join(dirpath, f)
 
 
+MODULE_WORD = re.compile(r"\b[A-Z][A-Za-z0-9_']*")
+# `module X = RHS` (or `let module X = RHS in`): the right-hand side
+# runs to the end of its line, or is the next line when `=` ends one.
+ALIAS = re.compile(r"([ \t]*)(?:let\s+)?module\s+(?:rec\s+)?([A-Z][A-Za-z0-9_']*)\s*=(.*)")
+# the module paths a file opens, includes or takes as a functor parameter
+OPENED = re.compile(
+    r"\b(?:open|include)!?\s+([A-Z][A-Za-z0-9_'.]*)"
+    r"|\b([A-Z][A-Za-z0-9_'.]*)\s*\.\s*\("
+    r"|\(\s*[A-Z][A-Za-z0-9_']*\s*:\s*([A-Z][A-Za-z0-9_'.]*)")
+
+
+def aliases(text):
+    """(indent, name, module words of the right-hand side) per binding."""
+    lines = text.split("\n") + [""]
+    for i, line in enumerate(lines[:-1]):
+        m = ALIAS.match(line)
+        if m:
+            rhs = m.group(3) if m.group(3).strip() else lines[i + 1]
+            words = set(MODULE_WORD.findall(rhs))
+            if not re.match(r"\s*(struct|functor|\()", rhs) and words:
+                yield m.group(1), m.group(2), words
+
+
+def named_modules(text):
+    """Module words this file opens, includes or aliases."""
+    named = set()
+    for m in OPENED.finditer(text):
+        named |= set(MODULE_WORD.findall(next(g for g in m.groups() if g)))
+    for _, _, words in aliases(text):
+        named |= words
+    return named
+
+
+def global_aliases(files, root):
+    """name -> modules it stands for, from top-level lib/ aliases, closed
+    under aliases of aliases."""
+    table = {}
+    lib = os.path.join(root, "lib") + os.sep
+    for path, text in files.items():
+        if path.startswith(lib) and path.endswith(".ml"):
+            for indent, name, words in aliases(text):
+                if not indent:
+                    table.setdefault(name, set()).update(words)
+    changed = True
+    while changed:
+        changed = False
+        for name, words in table.items():
+            extra = set().union(*(table.get(w, set()) for w in words)) - words
+            if extra:
+                words |= extra
+                changed = True
+    return table
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
     files = {}
@@ -128,6 +195,21 @@ def main():
         with open(path, encoding="utf-8") as fh:
             files[path] = strip(fh.read())
     words = {p: set(re.findall(r"[A-Za-z_][A-Za-z0-9_']*", t)) for p, t in files.items()}
+    table = global_aliases(files, root)
+
+    def expand(mods):
+        return mods.union(*(table.get(m, set()) for m in mods))
+
+    named = {p: expand(named_modules(t)) for p, t in files.items()}
+
+    # Page_store -> {Paged_store}: an interface that includes another
+    # exports its names too
+    includers = {}
+    for p, t in files.items():
+        if p.endswith(".mli"):
+            me = os.path.basename(module_of(p)).capitalize()
+            for m in re.finditer(r"\binclude\s+([A-Z][A-Za-z0-9_']*)", t):
+                includers.setdefault(m.group(1), set()).add(me)
 
     interfaces = sorted(
         p for p in files
@@ -137,13 +219,20 @@ def main():
     for mli in interfaces:
         owner = module_of(mli)
         shown = os.path.basename(owner).capitalize()
+        # the module, every interface that includes it, and their aliases
+        via = {shown} | includers.get(shown, set())
+        heads = sorted(via | {a for a, mods in table.items() if mods & via})
         names = exported_names(files[mli])
         total += len(names)
         for name in names:
             qualified = shown + "." + name
             if qualified in ALLOW:
                 continue
-            if not any(name in ws for p, ws in words.items() if module_of(p) != owner):
+            use = re.compile(r"\b(?:%s)\s*\.\s*%s(?![A-Za-z0-9_'])"
+                             % ("|".join(map(re.escape, heads)), re.escape(name)))
+            if not any(
+                    name in ws and (named[p] & via or use.search(files[p]))
+                    for p, ws in words.items() if module_of(p) != owner):
                 missing.append((mli, qualified))
 
     if missing:
