@@ -331,7 +331,7 @@ let e5 () =
       if k mod 4 <> 0 then ignore (S.delete t c k)
     done;
     let queued = Cqueue.length t.Handle.queue in
-    let t0 = Driver.now () in
+    let t0 = Repro_util.Clock.now () in
     let workers =
       Array.init compactors (fun i ->
           Domain.spawn (fun () ->
@@ -340,7 +340,7 @@ let e5 () =
               cc))
     in
     let ctxs = Array.map Domain.join workers in
-    let dt = Driver.now () -. t0 in
+    let dt = Repro_util.Clock.now () -. t0 in
     let merges =
       Array.fold_left (fun acc (c : Handle.ctx) -> acc + c.Handle.stats.Stats.merges) 0 ctxs
     in
@@ -775,7 +775,7 @@ let a4 () =
 let drive_clients ?(send = Repro_client.Client.pipeline) addr ~conns
     ~per_conn ~depth next =
   let module Cl = Repro_client.Client in
-  let t0 = Driver.now () in
+  let t0 = Repro_util.Clock.now () in
   let domains =
     List.init conns (fun d ->
         Domain.spawn (fun () ->
@@ -790,7 +790,7 @@ let drive_clients ?(send = Repro_client.Client.pipeline) addr ~conns
             Cl.close c))
   in
   List.iter Domain.join domains;
-  Driver.now () -. t0
+  Repro_util.Clock.now () -. t0
 
 (* ------------------------------------------------------------------ *)
 (* E14: sharded netbench — shards x connections                      *)
@@ -981,7 +981,7 @@ let e16 () =
                 | `Applied _ -> pull ()
                 | `Caught_up ->
                     if Atomic.get writers_done then
-                      Driver.now () -. !t_done
+                      Repro_util.Clock.now () -. !t_done
                     else pull ()
               in
               let lag = pull () in
@@ -995,7 +995,7 @@ let e16 () =
             let k = Random.State.int rng key_space in
             P.Insert { key = k; value = k })
     in
-    t_done := Driver.now ();
+    t_done := Repro_util.Clock.now ();
     Atomic.set writers_done true;
     let replicas = List.map Domain.join follower_domains in
     let catchup_ms =
@@ -1009,11 +1009,11 @@ let e16 () =
       | (r, _) :: _ ->
           let ctx = Repro_core.Handle.ctx ~slot:0 in
           let rng = Random.State.make [| 170_000 |] in
-          let tr = Driver.now () in
+          let tr = Repro_util.Clock.now () in
           for _ = 1 to reads do
             ignore (R.search r ctx (Random.State.int rng key_space))
           done;
-          float_of_int reads /. (Driver.now () -. tr)
+          float_of_int reads /. (Repro_util.Clock.now () -. tr)
     in
     let primary_card = handle.Tree_intf.cardinal () in
     (match replicas with
@@ -1138,7 +1138,7 @@ let e17 () =
               let scan_time = Atomic.make 0 (* microseconds, summed *) in
               let scanner m ~stop c =
                 while not (Atomic.get stop) do
-                  let t0 = Driver.now () in
+                  let t0 = Repro_util.Clock.now () in
                   let s = m.Tree_intf.snapshot () in
                   let pairs = s.Tree_intf.snap_range c ~lo:0 ~hi:space in
                   (* reclamation rides the scan loop: prune version
@@ -1151,7 +1151,7 @@ let e17 () =
                       : int);
                   ignore
                     (Atomic.fetch_and_add scan_time
-                       (int_of_float (1e6 *. (Driver.now () -. t0)))
+                       (int_of_float (1e6 *. (Repro_util.Clock.now () -. t0)))
                       : int)
                 done
               in
@@ -1250,9 +1250,9 @@ let e17 () =
       ignore (Driver.preload h ~seed:17 spec);
       let c = ctx ~slot:0 in
       let range = Option.get h.Tree_intf.range in
-      let t0 = Driver.now () in
+      let t0 = Repro_util.Clock.now () in
       let n = List.length (range c ~lo:0 ~hi:space) in
-      let dt = Driver.now () -. t0 in
+      let dt = Repro_util.Clock.now () -. t0 in
       ("sagiv leaf-chain (weak)", n, float_of_int n /. dt)
     in
     let snap =
@@ -1261,9 +1261,9 @@ let e17 () =
       let m = Option.get h.Tree_intf.mvcc in
       let c = ctx ~slot:0 in
       let s = m.Tree_intf.snapshot () in
-      let t0 = Driver.now () in
+      let t0 = Repro_util.Clock.now () in
       let n = List.length (s.Tree_intf.snap_range c ~lo:0 ~hi:space) in
-      let dt = Driver.now () -. t0 in
+      let dt = Repro_util.Clock.now () -. t0 in
       s.Tree_intf.snap_release ();
       ("sagiv-mvcc snap_range", n, float_of_int n /. dt)
     in

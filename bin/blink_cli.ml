@@ -292,9 +292,9 @@ let trace_run_cmd path order =
       (fun (impl : Tree_intf.impl) ->
         let h = impl.Tree_intf.make ~order in
         let c = Handle.ctx ~slot:0 in
-        let t0 = Driver.now () in
+        let t0 = Repro_util.Clock.now () in
         let ins, del, found = Trace.replay h c ops in
-        let dt = Driver.now () -. t0 in
+        let dt = Repro_util.Clock.now () -. t0 in
         Printf.printf "  %-14s %.3fs  inserted=%d deleted=%d hits=%d cardinal=%d\n"
           impl.Tree_intf.impl_name dt ins del found
           (h.Tree_intf.cardinal ());

@@ -1,28 +1,15 @@
 module P = Repro_server.Protocol
+module Conn = Repro_server.Conn
 
 exception Remote_error of string
 
 type t = {
   fd : Unix.file_descr;
+  conn : Conn.t;
   mutable seq : int;
   out : P.Writer.t;
-  mutable buf : Bytes.t;
-  mutable lo : int;
-  mutable hi : int;
   mutable closed : bool;
-  mutable nonblock : bool;  (** O_NONBLOCK as last set on [fd] *)
-  mutable last_wait : float;  (** seconds the previous read waited *)
 }
-
-(* Waiting for replies: before a read blocks, poll the socket without
-   blocking for up to [spin_window], as the server's workers do. Only
-   when the previous wait ended inside the window, so a long batch (a
-   scan, a commit) or an idle server gets a blocking read at once, and
-   never on a one-core machine, where the spin would hold the core the
-   server needs to answer. *)
-let spin_window = 50e-6
-let spins = Domain.recommended_domain_count () > 1
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let connect addr =
   let fd =
@@ -32,16 +19,15 @@ let connect addr =
    with e ->
      Unix.close fd;
      raise e);
+  (* The client cannot see the server's running workers, so it counts
+     only itself: it polls for replies only on more than one core, where
+     the spin cannot hold the core the server needs to answer. *)
   {
     fd;
+    conn = Conn.create ~running:(Atomic.make 1) fd;
     seq = 0;
     out = P.Writer.create ();
-    buf = Bytes.create 4096;
-    lo = 0;
-    hi = 0;
     closed = false;
-    nonblock = false;
-    last_wait = 0.;
   }
 
 let close t =
@@ -50,80 +36,13 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* A poll that found data leaves the fd non-blocking; a read that gives
-   up and a write that would block switch it back. *)
-let set_blocking t =
-  if t.nonblock then begin
-    Unix.clear_nonblock t.fd;
-    t.nonblock <- false
-  end
-
-let flush t =
-  let n = P.Writer.length t.out in
-  let bytes = P.Writer.bytes t.out in
-  P.Writer.reset t.out;
-  let rec go off =
-    if off < n then
-      match Unix.write t.fd bytes off (n - off) with
-      | w -> go (off + w)
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          set_blocking t;
-          go off
-  in
-  go 0
-
-(* Read what the server sent into [t.buf] after [t.hi]. *)
-let read_more t =
-  let len = Bytes.length t.buf - t.hi in
-  let t0 = now () in
-  let block () =
-    set_blocking t;
-    Unix.read t.fd t.buf t.hi len
-  in
-  let rec poll () =
-    match Unix.read t.fd t.buf t.hi len with
-    | n -> n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        if now () -. t0 < spin_window then poll () else block ()
-  in
-  let n =
-    if spins && t.last_wait <= spin_window then begin
-      if not t.nonblock then begin
-        Unix.set_nonblock t.fd;
-        t.nonblock <- true
-      end;
-      poll ()
-    end
-    else block ()
-  in
-  t.last_wait <- now () -. t0;
-  n
-
 (* Read until one complete response frame is buffered; return it. *)
-let read_response t =
-  let rec go () =
-    match P.decode_response t.buf ~pos:t.lo ~len:(t.hi - t.lo) with
-    | Frame { seq; body; consumed } ->
-        t.lo <- t.lo + consumed;
-        (seq, body)
-    | Need_more ->
-        if t.lo > 0 then begin
-          Bytes.blit t.buf t.lo t.buf 0 (t.hi - t.lo);
-          t.hi <- t.hi - t.lo;
-          t.lo <- 0
-        end;
-        let cap = Bytes.length t.buf in
-        if cap - t.hi < 512 then begin
-          let b = Bytes.create (cap * 2) in
-          Bytes.blit t.buf 0 b 0 t.hi;
-          t.buf <- b
-        end;
-        let n = read_more t in
-        if n = 0 then raise End_of_file;
-        t.hi <- t.hi + n;
-        go ()
-  in
-  go ()
+let rec read_response t =
+  match Conn.next_response t.conn with
+  | Frame { seq; body; _ } -> (seq, body)
+  | Need_more ->
+      if Conn.fill t.conn = 0 then raise End_of_file;
+      read_response t
 
 (* Request bytes a pipeline keeps sent but unanswered. The server
    answers a drained batch before it reads the next, so once both
@@ -139,10 +58,7 @@ let pipeline t reqs =
   and in_flight = ref 0
   and got = ref 0
   and resps = ref [] in
-  let send () =
-    in_flight := !in_flight + P.Writer.length t.out;
-    flush t
-  in
+  let send () = in_flight := !in_flight + Conn.flush t.conn t.out in
   let receive () =
     let expect = (first + !got) land 0xffffffff in
     let seq, resp = read_response t in

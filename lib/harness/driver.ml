@@ -28,8 +28,6 @@ type result = {
       (** per-operation latency (seconds), merged, when requested *)
 }
 
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 let percentiles_line h =
   Printf.sprintf "p50=%.1fus p95=%.1fus p99=%.1fus max=%.1fus"
     (1e6 *. Repro_util.Histogram.percentile h 50.0)
@@ -50,9 +48,9 @@ let run_parallel ~domains ~(f : int -> Handle.ctx -> unit) : result =
   in
   let workers = Array.init domains spawn in
   Barrier.wait barrier;
-  let t0 = now () in
+  let t0 = Repro_util.Clock.now () in
   Array.iter Domain.join workers;
-  let elapsed = now () -. t0 in
+  let elapsed = Repro_util.Clock.now () -. t0 in
   let merged = Repro_storage.Stats.create () in
   Array.iter (fun c -> Repro_storage.Stats.merge ~into:merged c.Handle.stats) ctxs;
   {
@@ -112,9 +110,9 @@ let run_ops ?(measure_latency = false) (tree : Tree_intf.handle) ~domains ~ops_p
         in
         if measure_latency then
           for _ = 1 to ops_per_domain do
-            let t0 = now () in
+            let t0 = Repro_util.Clock.now () in
             run_op ();
-            Repro_util.Histogram.add h (now () -. t0)
+            Repro_util.Histogram.add h (Repro_util.Clock.now () -. t0)
           done
         else
           for _ = 1 to ops_per_domain do

@@ -17,9 +17,9 @@ let record log ~key ~value ~start ~stop =
   log.ops <- { o_key = key; o_value = value; o_start = start; o_end = stop } :: log.ops
 
 let logged log ~key ~value f =
-  let start = Driver.now () in
+  let start = Repro_util.Clock.now () in
   let r = f () in
-  record log ~key ~value ~start ~stop:(Driver.now ());
+  record log ~key ~value ~start ~stop:(Repro_util.Clock.now ());
   r
 
 (* -- interval sets -- *)

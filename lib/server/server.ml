@@ -32,82 +32,6 @@ let merged_stats t =
 let stats = merged_stats
 let addresses t = t.addrs
 
-(* Seconds on the monotonic clock: nanosecond resolution and no steps,
-   so a service time far below a microsecond still lands in its own
-   histogram bucket. Only differences are meaningful. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
-(* -- connection service -- *)
-
-(* Waiting for the next batch. A pipelining client usually sends its
-   next batch a few microseconds after it reads the last answers, and a
-   read(2) that blocks costs a sleep and a wake-up on each side. So
-   before a worker blocks it polls the socket without blocking, for up
-   to [spin_window]. It polls only if its previous wait ended inside
-   the window, so an idle or slow peer gets a blocking read at once,
-   and only while fewer workers are running than the machine has cores,
-   so a spinning worker never takes a core another worker could use.
-   The poll is a non-blocking [read], not [select], which fails for fds
-   of 1024 and above. *)
-let spin_window = 50e-6
-let cores = Domain.recommended_domain_count ()
-
-type conn_io = {
-  fd : Unix.file_descr;
-  mutable nonblock : bool;  (** O_NONBLOCK as last set on [fd] *)
-  mutable last_wait : float;  (** seconds the previous read waited *)
-}
-
-(* A poll that found data leaves the fd non-blocking, so a steady stream
-   of batches pays no fcntl; a read that gives up and a write that
-   would block switch it back. *)
-let set_blocking io =
-  if io.nonblock then begin
-    Unix.clear_nonblock io.fd;
-    io.nonblock <- false
-  end
-
-let rec write_all io bytes off len =
-  if off < len then
-    match Unix.write io.fd bytes off (len - off) with
-    | n -> write_all io bytes (off + n) len
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        set_blocking io;
-        write_all io bytes off len
-
-(* [Server.stop]'s shutdown makes either read return 0 at once. *)
-let read_next t io buf off len =
-  let t0 = now () in
-  let park () =
-    set_blocking io;
-    Atomic.decr t.running;
-    match Unix.read io.fd buf off len with
-    | n ->
-        Atomic.incr t.running;
-        n
-    | exception e ->
-        Atomic.incr t.running;
-        raise e
-  in
-  let rec poll () =
-    match Unix.read io.fd buf off len with
-    | n -> n
-    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-        if now () -. t0 < spin_window then poll () else park ()
-  in
-  let n =
-    if io.last_wait <= spin_window && Atomic.get t.running < cores then begin
-      if not io.nonblock then begin
-        Unix.set_nonblock io.fd;
-        io.nonblock <- true
-      end;
-      poll ()
-    end
-    else park ()
-  in
-  io.last_wait <- now () -. t0;
-  n
-
 let is_mutation = function
   | P.Insert _ | P.Delete _ -> true
   | P.Search _ | P.Range _ | P.Commit | P.Stats | P.Subscribe _
@@ -157,11 +81,11 @@ let execute_subscribe t ~shard ~from_lsn ~max_pages ~wait_ms : P.response =
           | r -> r
         in
         let deadline =
-          now () +. (float_of_int (min wait_ms 10_000) /. 1000.)
+          Repro_util.Clock.now () +. (float_of_int (min wait_ms 10_000) /. 1000.)
         in
         (* wait in slices so [stop] never stalls on a parked long-poll *)
         let rec park () =
-          let left = deadline -. now () in
+          let left = deadline -. Repro_util.Clock.now () in
           if left > 0. && not (Atomic.get t.stopping) then
             if logs.(shard).wait ~lsn:from_lsn ~timeout:(Float.min left 0.05)
             then ()
@@ -290,22 +214,12 @@ let serve_conn t ~slot fd =
   (* SNAPSHOT session state: one pin, many reads, released on close or
      when the connection ends *)
   let snap : Repro_baseline.Tree_intf.snap option ref = ref None in
-  let cap = ref 4096 in
-  let buf = ref (Bytes.create !cap) in
-  let lo = ref 0 and hi = ref 0 in
   (* the drained batch, decoded into reused arrays *)
   let seqs = ref (Array.make 64 0) and reqs = ref (Array.make 64 P.Commit) in
   let out = P.Writer.create () in
-  let io = { fd; nonblock = false; last_wait = 0. } in
+  let conn = Conn.create ~running:t.running fd in
   let closing = ref false in
-  let flush_out () =
-    let n = P.Writer.length out in
-    if n > 0 then begin
-      P.Writer.reset out;
-      write_all io (P.Writer.bytes out) 0 n;
-      sst.bytes_out <- sst.bytes_out + n
-    end
-  in
+  let flush_out () = sst.bytes_out <- sst.bytes_out + Conn.flush conn out in
   let respond ~seq resp =
     P.Writer.response out ~seq resp;
     sst.frames_out <- sst.frames_out + 1;
@@ -331,22 +245,9 @@ let serve_conn t ~slot fd =
   @@ fun () ->
   try
      while not !closing do
-       (* make room, then read *)
-       if !lo > 0 && (!lo = !hi || !cap - !hi < 512) then begin
-         Bytes.blit !buf !lo !buf 0 (!hi - !lo);
-         hi := !hi - !lo;
-         lo := 0
-       end;
-       if !cap - !hi < 512 then begin
-         cap := !cap * 2;
-         let b = Bytes.create !cap in
-         Bytes.blit !buf 0 b 0 !hi;
-         buf := b
-       end;
-       let n = read_next t io !buf !hi (!cap - !hi) in
+       let n = Conn.fill conn in
        if n = 0 then closing := true
        else begin
-         hi := !hi + n;
          sst.bytes_in <- sst.bytes_in + n;
          (* drain the batch; a bad frame poisons the stream but the
             frames parsed before it still execute and answer *)
@@ -355,12 +256,9 @@ let serve_conn t ~slot fd =
          (try
             let continue = ref true in
             while !continue do
-              match
-                P.decode_request !buf ~pos:!lo ~len:(!hi - !lo)
-              with
+              match Conn.next_request conn with
               | Need_more -> continue := false
-              | Frame { seq; body; consumed } ->
-                  lo := !lo + consumed;
+              | Frame { seq; body; _ } ->
                   sst.frames_in <- sst.frames_in + 1;
                   if !depth = Array.length !reqs then begin
                     let grow a fill =
@@ -389,12 +287,12 @@ let serve_conn t ~slot fd =
                | Some s, Some key -> touched.(s.shard_of_key key) <- true
                | _ -> ()
              end;
-             let t0 = now () in
+             let t0 = Repro_util.Clock.now () in
              let resp =
                try execute t sst ctx ~snap req
                with e -> P.Error (Printexc.to_string e)
              in
-             Repro_util.Histogram.add sst.latency (now () -. t0);
+             Repro_util.Histogram.add sst.latency (Repro_util.Clock.now () -. t0);
              respond ~seq:!seqs.(i) resp
            end
          done;

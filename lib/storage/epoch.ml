@@ -26,7 +26,9 @@ type t = {
   reclaimed : int Atomic.t;
 }
 
-let stride = Repro_util.Counters.stride
+(* Pin slots sit [stride] atomics apart: crude padding against false
+   sharing between domains. *)
+let stride = 8
 
 (* Worker and snapshot pin slots; a worker's slot number wraps modulo. *)
 let nslots = 64

@@ -8,8 +8,8 @@
     - {b Node cache}: each page slot holds the decoded node behind an
       [Atomic.t] plus the page latch, exactly like {!Store} — so [get] on
       a cached page and every [lock]/[unlock] are lock-free/latch-only and
-      the paper's indivisible get/put model is preserved. Slots live in
-      fixed chunks that never move.
+      the paper's indivisible get/put model is preserved. Slots live in a
+      {!Slot_table}, whose chunks never move.
     - {b IO layer}: the decoded-node cache is the only cache; data pages
       move between it and the {!Paged_file} with positional reads and
       writes and no raw-frame pool in between. The pages are hashed
@@ -133,17 +133,9 @@ let header_slots = 2 (* disk pages 0 and 1; tree ptr [p] -> disk page [p + 2] *)
 let chain_magic = 0x53_47_56_43 (* "SGVC" *)
 let chain_cksum_off = 24
 
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
-let max_chunks = 1 lsl 14 (* 64 M pages *)
-
 let default_page_size = Page_codec.page_size_for ~key_bytes:8 ~order:16
 let default_cache_pages = 4096
 let default_stripes = 8
-
-(* Seconds on the monotonic clock, for the stall timer: a step of the
-   wall clock does not stretch it. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* Fault-injection sites (see doc/RECOVERY.md for the catalog). Shared by
    every [Make] instantiation — the registry is keyed by name. *)
@@ -236,14 +228,10 @@ module Make (K : Key.S) = struct
         (** (index, count) partition identity, recorded in every header
             this store writes and validated on reopen — (0, 1) for an
             unsharded store *)
-    chunks : slot array option Atomic.t array;
-    next : int Atomic.t;  (** bump allocator frontier *)
-    free_list : int list Atomic.t;
-    free_len : int Atomic.t;  (** length of [free_list] (header bookkeeping) *)
+    slots : slot Slot_table.t;
+    free_len : int Atomic.t;  (** length of the free list (header bookkeeping) *)
     free_dirty : bool Atomic.t;  (** free list changed since last chain write *)
     generation : int Atomic.t;  (** last generation committed by [sync] *)
-    freed : int Atomic.t;  (** total pages ever freed *)
-    allocated : int Atomic.t;  (** total pages ever allocated *)
     meta : Bytes.t option Atomic.t;
     stripes : stripe array;  (** length is a power of two *)
     stripe_mask : int;
@@ -265,36 +253,8 @@ module Make (K : Key.S) = struct
     max_faulting : int Atomic.t;
   }
 
-  let new_chunk () =
-    Array.init chunk_size (fun _ ->
-        {
-          cached = Atomic.make None;
-          latch = Mutex.create ();
-          referenced = Atomic.make false;
-          freed = Atomic.make false;
-          on_disk = Atomic.make false;
-        })
-
-  let ensure_chunk t ci =
-    if ci >= max_chunks then failwith "Paged_store: out of pages";
-    match Atomic.get t.chunks.(ci) with
-    | Some c -> c
-    | None ->
-        let fresh = new_chunk () in
-        if Atomic.compare_and_set t.chunks.(ci) None (Some fresh) then fresh
-        else (
-          match Atomic.get t.chunks.(ci) with Some c -> c | None -> assert false)
-
-  let slot t ptr =
-    let ci = ptr lsr chunk_bits in
-    match Atomic.get t.chunks.(ci) with
-    | Some c -> c.(ptr land (chunk_size - 1))
-    | None -> invalid_arg (Printf.sprintf "Paged_store: page %d not allocated" ptr)
-
-  let slot_opt t ptr =
-    match Atomic.get t.chunks.(ptr lsr chunk_bits) with
-    | Some c -> Some c.(ptr land (chunk_size - 1))
-    | None -> None
+  let slot t ptr = Slot_table.get t.slots ptr
+  let slot_opt t ptr = Slot_table.find t.slots ptr
 
   let stripe_index t ptr = ptr land t.stripe_mask
 
@@ -362,17 +322,17 @@ module Make (K : Key.S) = struct
      whole-page checksum (computed with its own field zeroed), then the
      metadata blob. *)
   let encode_header t ~gen =
-    let free = Atomic.get t.free_list in
+    let free = Slot_table.free_ids t.slots in
     let page = Bytes.make t.page_size '\000' in
     let seti off v = Bytes.set_int64_le page off (Int64.of_int v) in
     seti 0 magic;
     seti 8 version;
     seti 16 t.page_size;
-    seti 24 (Atomic.get t.next);
+    seti 24 (Slot_table.frontier t.slots);
     seti 32 (match free with [] -> -1 | p :: _ -> p);
     seti 40 (Atomic.get t.free_len);
-    seti 48 (Atomic.get t.allocated);
-    seti 56 (Atomic.get t.freed);
+    seti 48 (Slot_table.allocated t.slots);
+    seti 56 (Slot_table.freed t.slots);
     seti 64 gen;
     let shard_index, shard_count = t.shard in
     seti header_shard_index_off shard_index;
@@ -482,7 +442,7 @@ module Make (K : Key.S) = struct
           Paged_file.write t.file (p + header_slots) t.zero;
           go rest
     in
-    go (Atomic.get t.free_list)
+    go (Slot_table.free_ids t.slots)
 
   (* Decode a free-chain entry; [Some next] if it parses clean. *)
   let read_chain_entry pfile dpage =
@@ -533,7 +493,7 @@ module Make (K : Key.S) = struct
      see the protocol note above. Caller holds [si]'s stripe lock. *)
   let maybe_evict_stripe t si (st : stripe) =
     let nstripes = Array.length t.stripes in
-    let frontier = Atomic.get t.next in
+    let frontier = Slot_table.frontier t.slots in
     let count = stripe_page_count t si frontier in
     if count > 0 then begin
       let budget = ref (2 * count) in
@@ -590,16 +550,25 @@ module Make (K : Key.S) = struct
       let rec pow2 n = if 2 * n <= want then pow2 (2 * n) else n in
       pow2 1
     in
+    let free_len = Atomic.make 0 and free_dirty = Atomic.make false in
     {
       shard;
-      chunks = Array.init max_chunks (fun _ -> Atomic.make None);
-      next = Atomic.make 0;
-      free_list = Atomic.make [];
-      free_len = Atomic.make 0;
-      free_dirty = Atomic.make false;
+      slots =
+        Slot_table.create ~name:"Paged_store"
+          ~on_free_list:(fun d ->
+            ignore (Atomic.fetch_and_add free_len d);
+            Atomic.set free_dirty true)
+          (fun () ->
+            {
+              cached = Atomic.make None;
+              latch = Mutex.create ();
+              referenced = Atomic.make false;
+              freed = Atomic.make false;
+              on_disk = Atomic.make false;
+            });
+      free_len;
+      free_dirty;
       generation = Atomic.make 0;
-      freed = Atomic.make 0;
-      allocated = Atomic.make 0;
       meta = Atomic.make None;
       stripes =
         Array.init nstripes (fun _ ->
@@ -691,34 +660,6 @@ module Make (K : Key.S) = struct
 
   (* ---------- Page_store.S operations ---------- *)
 
-  let pop_free t =
-    let rec go () =
-      match Atomic.get t.free_list with
-      | [] -> None
-      | p :: rest as old ->
-          if Atomic.compare_and_set t.free_list old rest then begin
-            Atomic.decr t.free_len;
-            Atomic.set t.free_dirty true;
-            Some p
-          end
-          else go ()
-    in
-    go ()
-
-  let push_free t p =
-    let rec go () =
-      let old = Atomic.get t.free_list in
-      if not (Atomic.compare_and_set t.free_list old (p :: old)) then go ()
-    in
-    go ();
-    Atomic.incr t.free_len;
-    Atomic.set t.free_dirty true
-
-  let fresh_ptr t =
-    let p = Atomic.fetch_and_add t.next 1 in
-    ignore (ensure_chunk t (p lsr chunk_bits));
-    p
-
   (* Record that [ptr] changed since the last sealed commit batch, so
      the next group commit logs its image. Orthogonal to the entry-level
      [e_dirty] flag, which tracks newer-than-the-data-file and keeps
@@ -779,16 +720,14 @@ module Make (K : Key.S) = struct
     check_evict t si st
 
   let alloc t node =
-    Atomic.incr t.allocated;
-    let p = match pop_free t with Some p -> p | None -> fresh_ptr t in
+    let p = Slot_table.alloc t.slots in
     let s = slot t p in
     Atomic.set s.freed false;
     install t p s node;
     p
 
   let reserve t =
-    Atomic.incr t.allocated;
-    let p = match pop_free t with Some p -> p | None -> fresh_ptr t in
+    let p = Slot_table.alloc t.slots in
     Atomic.set (slot t p).freed false;
     p
 
@@ -841,9 +780,9 @@ module Make (K : Key.S) = struct
     let si = stripe_index t ptr in
     let st = t.stripes.(si) in
     if not (Mutex.try_lock st.s_lock) then begin
-      let t0 = now () in
+      let t0 = Repro_util.Clock.now () in
       Mutex.lock st.s_lock;
-      st.stall_s <- st.stall_s +. (now () -. t0)
+      st.stall_s <- st.stall_s +. (Repro_util.Clock.now () -. t0)
     end;
     match fault_locked t ptr s si st with
     | n ->
@@ -889,19 +828,17 @@ module Make (K : Key.S) = struct
         | Some _ -> Atomic.decr st.resident
         | None -> ());
         Atomic.set s.on_disk false;
-        Atomic.incr t.freed;
-        push_free t ptr)
+        Slot_table.release t.slots ptr)
 
-  let live_count t = Atomic.get t.allocated - Atomic.get t.freed
-  let total_allocated t = Atomic.get t.allocated
-  let total_freed t = Atomic.get t.freed
+  let live_count t = Slot_table.live t.slots
+  let total_allocated t = Slot_table.allocated t.slots
+  let total_freed t = Slot_table.freed t.slots
 
   (* Quiescent only (like {!Store.iter}): uncached pages are read from
      disk without being installed, so iteration does not thrash the
      cache. *)
   let iter t f =
-    let frontier = Atomic.get t.next in
-    for p = 0 to frontier - 1 do
+    for p = 0 to Slot_table.frontier t.slots - 1 do
       match slot_opt t p with
       | None -> ()
       | Some s ->
@@ -1112,7 +1049,7 @@ module Make (K : Key.S) = struct
             (* the checkpoint ends the log's pass, so no seal needs
                these frames *)
             Hashtbl.reset st.kept;
-            let frontier = Atomic.get t.next in
+            let frontier = Slot_table.frontier t.slots in
             let p = ref si in
             while !p < frontier do
               (match slot_opt t !p with
@@ -1306,9 +1243,8 @@ module Make (K : Key.S) = struct
     in
     let t = make ~shard ~page_size ~cache_pages ~stripes ~wal pfile in
     Atomic.set t.generation gen;
-    Atomic.set t.next (geti 24);
-    Atomic.set t.allocated (geti 48);
-    Atomic.set t.freed (geti 56);
+    Slot_table.restore t.slots ~next:(geti 24) ~allocated:(geti 48)
+      ~freed:(geti 56) ~free:[];
     let meta_off = header_fixed_of (geti 8) in
     let meta_len = geti 72 in
     if meta_len < 0 || meta_len > page_size - meta_off then
@@ -1319,19 +1255,10 @@ module Make (K : Key.S) = struct
     t.replayed <- List.rev rep.Wal.committed_logical;
     (* Pages group-committed past the checkpoint's bump frontier: extend
        it (and the allocated counter) so they are live again. *)
-    Hashtbl.iter
-      (fun p _ ->
-        let next = Atomic.get t.next in
-        if p >= next then begin
-          ignore (Atomic.fetch_and_add t.allocated (p + 1 - next));
-          Atomic.set t.next (p + 1)
-        end)
-      rep.Wal.committed;
-    let frontier = Atomic.get t.next in
+    Hashtbl.iter (fun p _ -> Slot_table.extend t.slots p) rep.Wal.committed;
+    let frontier = Slot_table.frontier t.slots in
     for p = 0 to frontier - 1 do
-      let chunk = ensure_chunk t (p lsr chunk_bits) in
-      Atomic.set chunk.(p land (chunk_size - 1)).on_disk
-        (p + header_slots < Paged_file.pages pfile)
+      Atomic.set (slot t p).on_disk (p + header_slots < Paged_file.pages pfile)
     done;
     (* Rebuild the free list by walking the on-disk chain — collect and
        validate the whole chain first, commit to the allocator only if
@@ -1358,8 +1285,9 @@ module Make (K : Key.S) = struct
            the free list and restore them to the allocated count. *)
         let free = List.filter (fun p -> not (replayed p)) free in
         let kept = List.length free in
-        if kept < free_count then
-          ignore (Atomic.fetch_and_add t.allocated (free_count - kept));
+        Slot_table.restore t.slots ~next:frontier
+          ~allocated:(Slot_table.allocated t.slots + free_count - kept)
+          ~freed:(Slot_table.freed t.slots) ~free;
         List.iter
           (fun p ->
             let s = slot t p in
@@ -1369,7 +1297,6 @@ module Make (K : Key.S) = struct
                [put] — the same contract a live store maintains. *)
             Atomic.set s.on_disk false)
           free;
-        Atomic.set t.free_list free;
         Atomic.set t.free_len kept;
         (* The in-memory list matches the on-disk chain unless replay
            filtered recycled pages out of it. *)
@@ -1378,7 +1305,6 @@ module Make (K : Key.S) = struct
         (* Damaged chain: leak the free pages (safe — they are simply
            never reused) instead of refusing to open an intact tree. The
            next sync persists the (empty) list. *)
-        Atomic.set t.free_list [];
         Atomic.set t.free_len 0;
         Atomic.set t.free_dirty true);
     (* Install the replayed images — full physical pages, written
@@ -1486,12 +1412,8 @@ module Make (K : Key.S) = struct
         if p < 0 then invalid_arg "apply_replicated: negative ptr";
         if Bytes.length img <> t.page_size then
           invalid_arg "apply_replicated: image size mismatch";
-        let next = Atomic.get t.next in
-        if p >= next then begin
-          ignore (Atomic.fetch_and_add t.allocated (p + 1 - next));
-          Atomic.set t.next (p + 1)
-        end;
-        let s = (ensure_chunk t (p lsr chunk_bits)).(p land (chunk_size - 1)) in
+        Slot_table.extend t.slots p;
+        let s = slot t p in
         let st = t.stripes.(stripe_index t p) in
         with_stripe st (fun () ->
             Hashtbl.remove st.kept p;

@@ -10,8 +10,9 @@
     a tombstone: the record is logically absent from that epoch on, but
     the chain (and the tree pair pointing at it) survives until vacuum.
 
-    Like {!Store}, slots never move, so readers index without
-    synchronisation; every chain transition is a single CAS on the slot.
+    Slots live in a {!Slot_table}, like {!Store}'s pages: they never move,
+    so readers index without synchronisation; every chain transition is a
+    single CAS on the slot.
 
     Lifecycle of a slot: [Empty] -> [Chain _] (via {!put}) -> ... appends
     ... -> [Sealed] (vacuum proved the chain dead below every pin and
@@ -19,10 +20,6 @@
     {!free}, deferred through an {!Epoch} manager past all pins).
     {!prune} truncates the cold tail of a chain once no pin can reach it;
     versions at or above [horizon] always survive. *)
-
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
-let max_chunks = 1 lsl 14
 
 type 'v version = {
   epoch : int;  (** the writer's pinned epoch when this version landed *)
@@ -38,11 +35,7 @@ type 'v version = {
 type 'v state = Empty | Chain of 'v version | Sealed
 
 type 'v t = {
-  chunks : 'v state Atomic.t array option Atomic.t array;
-  next : int Atomic.t;
-  free_list : int list Atomic.t;
-  allocated : int Atomic.t;
-  freed : int Atomic.t;
+  slots : 'v state Atomic.t Slot_table.t;
   bytes_stored : int Atomic.t;
   versions : int Atomic.t;  (** live version records across all chains *)
   live_values : int Atomic.t;  (** chains whose head is a non-tombstone *)
@@ -52,11 +45,7 @@ type 'v t = {
 
 let create ?(size = fun _ -> 0) () =
   {
-    chunks = Array.init max_chunks (fun _ -> Atomic.make None);
-    next = Atomic.make 0;
-    free_list = Atomic.make [];
-    allocated = Atomic.make 0;
-    freed = Atomic.make 0;
+    slots = Slot_table.create ~name:"Record_store" (fun () -> Atomic.make Empty);
     bytes_stored = Atomic.make 0;
     versions = Atomic.make 0;
     live_values = Atomic.make 0;
@@ -64,38 +53,7 @@ let create ?(size = fun _ -> 0) () =
     size;
   }
 
-let ensure_chunk t ci =
-  if ci >= max_chunks then failwith "Record_store: out of slots";
-  match Atomic.get t.chunks.(ci) with
-  | Some c -> c
-  | None ->
-      let fresh = Array.init chunk_size (fun _ -> Atomic.make Empty) in
-      if Atomic.compare_and_set t.chunks.(ci) None (Some fresh) then fresh
-      else (
-        match Atomic.get t.chunks.(ci) with Some c -> c | None -> assert false)
-
-let slot t ptr =
-  let ci = ptr lsr chunk_bits in
-  match Atomic.get t.chunks.(ci) with
-  | Some c -> c.(ptr land (chunk_size - 1))
-  | None ->
-      invalid_arg (Printf.sprintf "Record_store: record %d not allocated" ptr)
-
-let pop_free t =
-  let rec go () =
-    match Atomic.get t.free_list with
-    | [] -> None
-    | p :: rest as old ->
-        if Atomic.compare_and_set t.free_list old rest then Some p else go ()
-  in
-  go ()
-
-let push_free t p =
-  let rec go () =
-    let old = Atomic.get t.free_list in
-    if not (Atomic.compare_and_set t.free_list old (p :: old)) then go ()
-  in
-  go ()
+let slot t ptr = Slot_table.get t.slots ptr
 
 let vsize t v = match v.value with Some x -> t.size x | None -> 0
 
@@ -112,20 +70,12 @@ exception Freed_record of int
     [{epoch; value; prev = None}]; the pointer is immediately valid in
     all domains. *)
 let put t ~epoch value =
-  Atomic.incr t.allocated;
+  let p = Slot_table.alloc t.slots in
   Atomic.incr t.versions;
   Atomic.incr t.live_values;
   ignore (Atomic.fetch_and_add t.bytes_stored (t.size value));
-  let v = { epoch; value = Some value; prev = None } in
-  match pop_free t with
-  | Some p ->
-      Atomic.set (slot t p) (Chain v);
-      p
-  | None ->
-      let p = Atomic.fetch_and_add t.next 1 in
-      let chunk = ensure_chunk t (p lsr chunk_bits) in
-      Atomic.set chunk.(p land (chunk_size - 1)) (Chain v);
-      p
+  Atomic.set (slot t p) (Chain { epoch; value = Some value; prev = None });
+  p
 
 (** Current value: the chain head's payload. [None] on a tombstoned or
     sealed chain (logically absent). @raise Freed_record on a reclaimed
@@ -309,10 +259,9 @@ let free t ptr =
       | None -> ())
   | Empty | Sealed -> ());
   Atomic.set a Empty;
-  Atomic.incr t.freed;
-  push_free t ptr
+  Slot_table.release t.slots ptr
 
-let live_count t = Atomic.get t.allocated - Atomic.get t.freed
+let live_count t = Slot_table.live t.slots
 let bytes_stored t = Atomic.get t.bytes_stored
 let live_versions t = Atomic.get t.versions
 let live_values t = Atomic.get t.live_values
@@ -333,24 +282,22 @@ type 'v slot_state = Slot_empty | Slot_sealed | Slot_chain of 'v version
     accessors above this never raises: unallocated slots read as
     [Slot_empty], which is exactly what the serializer should persist. *)
 let export t ptr =
-  let ci = ptr lsr chunk_bits in
-  if ci >= max_chunks then Slot_empty
-  else
-    match Atomic.get t.chunks.(ci) with
-    | None -> Slot_empty
-    | Some c -> (
-        match Atomic.get c.(ptr land (chunk_size - 1)) with
-        | Empty -> Slot_empty
-        | Sealed -> Slot_sealed
-        | Chain v -> Slot_chain v)
+  match Slot_table.find t.slots ptr with
+  | None -> Slot_empty
+  | Some a -> (
+      match Atomic.get a with
+      | Empty -> Slot_empty
+      | Sealed -> Slot_sealed
+      | Chain v -> Slot_chain v)
 
 (** Install slot [ptr]'s state exactly as persisted (recovery only),
     replacing whatever an earlier [restore] put there. Gauges move as if
     the chain had been built by normal appends; allocation accounting
-    is settled afterwards by {!finish_restore}. *)
+    is settled afterwards by {!finish_restore}. [extend] makes the slot
+    visible to [export] until then. *)
 let restore t ptr st =
-  let chunk = ensure_chunk t (ptr lsr chunk_bits) in
-  let a = chunk.(ptr land (chunk_size - 1)) in
+  Slot_table.extend t.slots ptr;
+  let a = slot t ptr in
   let count sign = function
     | Empty | Sealed -> ()
     | Chain v ->
@@ -371,16 +318,14 @@ let restore t ptr st =
     tree pairs — it re-frees them explicitly, so they are {e not} put on
     the free list here.) *)
 let finish_restore t ~next =
-  Atomic.set t.next next;
-  let free = ref [] and occupied = ref 0 in
+  let free = ref [] in
   for p = next - 1 downto 0 do
     match export t p with
     | Slot_empty -> free := p :: !free
-    | Slot_sealed | Slot_chain _ -> incr occupied
+    | Slot_sealed | Slot_chain _ -> ()
   done;
-  Atomic.set t.free_list !free;
-  Atomic.set t.allocated next;
-  Atomic.set t.freed (List.length !free)
+  Slot_table.restore t.slots ~next ~allocated:next
+    ~freed:(List.length !free) ~free:!free
 
 (** The bump-allocation frontier: every slot ever allocated is below it. *)
-let frontier t = Atomic.get t.next
+let frontier t = Slot_table.frontier t.slots

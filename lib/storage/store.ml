@@ -6,98 +6,41 @@
     [lock]/[unlock]; a latch never blocks readers — it only serialises
     writers, again per the model.
 
-    Pages live in fixed-size chunks that are allocated on demand and never
-    move, so readers index without synchronisation. Freed pages go to a
-    Treiber-stack free list and are recycled by the allocator; the {!Epoch}
-    manager decides {e when} it is safe to free (§5.3). *)
+    Pages live in a {!Slot_table}: chunks that never move, so readers
+    index without synchronisation, and a free list the allocator recycles
+    from; the {!Epoch} manager decides {e when} it is safe to free
+    (§5.3). *)
 
 type 'k slot = { content : 'k Node.t option Atomic.t; latch : Mutex.t }
 
-let chunk_bits = 12
-let chunk_size = 1 lsl chunk_bits
-let max_chunks = 1 lsl 14 (* 64 M pages *)
-
 type 'k t = {
-  chunks : 'k slot array option Atomic.t array;
-  next : int Atomic.t;  (** bump allocator frontier *)
-  free_list : int list Atomic.t;
-  freed : int Atomic.t;  (** total pages ever freed *)
-  allocated : int Atomic.t;  (** total pages ever allocated *)
+  slots : 'k slot Slot_table.t;
   meta : Bytes.t option Atomic.t;  (** opaque client blob (see {!Page_store.S}) *)
   mutable checkpoint_hook : unit -> unit;  (** run by every [sync] *)
 }
 
 let create () =
   {
-    chunks = Array.init max_chunks (fun _ -> Atomic.make None);
-    next = Atomic.make 0;
-    free_list = Atomic.make [];
-    freed = Atomic.make 0;
-    allocated = Atomic.make 0;
+    slots =
+      Slot_table.create ~name:"Store" (fun () ->
+          { content = Atomic.make None; latch = Mutex.create () });
     meta = Atomic.make None;
     checkpoint_hook = ignore;
   }
 
-let new_chunk () =
-  Array.init chunk_size (fun _ -> { content = Atomic.make None; latch = Mutex.create () })
-
-let ensure_chunk t ci =
-  if ci >= max_chunks then failwith "Store: out of pages";
-  match Atomic.get t.chunks.(ci) with
-  | Some c -> c
-  | None ->
-      let fresh = new_chunk () in
-      if Atomic.compare_and_set t.chunks.(ci) None (Some fresh) then fresh
-      else (
-        match Atomic.get t.chunks.(ci) with Some c -> c | None -> assert false)
-
-let slot t ptr =
-  let ci = ptr lsr chunk_bits in
-  match Atomic.get t.chunks.(ci) with
-  | Some c -> c.(ptr land (chunk_size - 1))
-  | None -> invalid_arg (Printf.sprintf "Store: page %d not allocated" ptr)
-
-let pop_free t =
-  let rec go () =
-    match Atomic.get t.free_list with
-    | [] -> None
-    | p :: rest as old ->
-        if Atomic.compare_and_set t.free_list old rest then Some p else go ()
-  in
-  go ()
-
-let push_free t p =
-  let rec go () =
-    let old = Atomic.get t.free_list in
-    if not (Atomic.compare_and_set t.free_list old (p :: old)) then go ()
-  in
-  go ()
+let slot t ptr = Slot_table.get t.slots ptr
 
 (** Allocate a page initialised to [node]; the id is valid for [get] in all
     domains as soon as this returns. *)
 let alloc t node =
-  Atomic.incr t.allocated;
-  match pop_free t with
-  | Some p ->
-      Atomic.set (slot t p).content (Some node);
-      p
-  | None ->
-      let p = Atomic.fetch_and_add t.next 1 in
-      let chunk = ensure_chunk t (p lsr chunk_bits) in
-      Atomic.set chunk.(p land (chunk_size - 1)).content (Some node);
-      p
+  let p = Slot_table.alloc t.slots in
+  Atomic.set (slot t p).content (Some node);
+  p
 
 (** Reserve a page id without contents; the caller must [put] before the
     id becomes reachable by any other process (e.g. a split writes the new
     right sibling before linking it, Fig 3). *)
-let reserve t =
-  Atomic.incr t.allocated;
-  match pop_free t with
-  | Some p -> p
-  | None ->
-      let p = Atomic.fetch_and_add t.next 1 in
-      ignore (ensure_chunk t (p lsr chunk_bits));
-      p
+let reserve t = Slot_table.alloc t.slots
 
 exception Freed_page = Page_store.Freed_page
 
@@ -122,25 +65,20 @@ let try_lock t ptr = Mutex.try_lock (slot t ptr).latch
     passed (see {!Epoch}); the contents become unreadable immediately. *)
 let release t ptr =
   Atomic.set (slot t ptr).content None;
-  Atomic.incr t.freed;
-  push_free t ptr
+  Slot_table.release t.slots ptr
 
 (** Pages currently holding a node (allocated minus freed). *)
-let live_count t = Atomic.get t.allocated - Atomic.get t.freed
+let live_count t = Slot_table.live t.slots
 
-let total_allocated t = Atomic.get t.allocated
-let total_freed t = Atomic.get t.freed
+let total_allocated t = Slot_table.allocated t.slots
+let total_freed t = Slot_table.freed t.slots
 
 (** Iterate over all live pages. Only meaningful when quiescent. *)
 let iter t f =
-  let frontier = Atomic.get t.next in
-  for p = 0 to frontier - 1 do
-    match Atomic.get t.chunks.(p lsr chunk_bits) with
+  for p = 0 to Slot_table.frontier t.slots - 1 do
+    match Slot_table.find t.slots p with
+    | Some { content; _ } -> Option.iter (f p) (Atomic.get content)
     | None -> ()
-    | Some c -> (
-        match Atomic.get c.(p land (chunk_size - 1)).content with
-        | Some n -> f p n
-        | None -> ())
   done
 
 let set_meta t bytes = Atomic.set t.meta (Some (Bytes.copy bytes))

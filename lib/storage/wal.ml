@@ -151,10 +151,6 @@ let fp_replay = Failpoint.site "wal.replay"
 
 let log_page_size ~data_page_size = data_page_size + header_bytes
 
-(* Seconds on the monotonic clock: a step of the wall clock neither
-   stretches nor cuts a long-poll. Only differences are meaningful. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 let get_u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFFFFFF
 
 type record =
@@ -604,10 +600,10 @@ let fetch_from t ~lsn ~max_pages =
     Polling (the stdlib [Condition] has no timed wait) at a grain far
     below any real fsync latency. *)
 let wait_durable t ~lsn ~timeout =
-  let deadline = now () +. timeout in
+  let deadline = Repro_util.Clock.now () +. timeout in
   let rec poll () =
     if Atomic.get t.durable_lsn >= lsn then true
-    else if now () >= deadline then false
+    else if Repro_util.Clock.now () >= deadline then false
     else begin
       Unix.sleepf 5e-4;
       poll ()

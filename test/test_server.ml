@@ -1053,6 +1053,77 @@ let test_batches_after_a_pause () =
     Unix.sleepf 0.001
   done
 
+(* The read buffer both ends share: a frame split across reads, a batch
+   larger than the buffer's 4 KB start, and a reply that makes the
+   client's buffer grow. The raw writer sends its pipeline in 1- and
+   3-byte slices and pauses past the spin window, so the worker sees
+   partial frames from both its polling and its blocking read. *)
+let test_read_buffer () =
+  with_server @@ fun _srv addr ->
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) SOCK_STREAM 0
+  in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Unix.connect fd addr;
+      let n = 60 in
+      let req i =
+        if i mod 2 = 0 then P.Insert { key = i; value = i * 10 }
+        else P.Search { key = i - 1 }
+      in
+      let b = Buffer.create 4096 in
+      for i = 0 to n - 1 do
+        P.encode_request b ~seq:i (req i)
+      done;
+      let bytes = Buffer.to_bytes b in
+      let off = ref 0 and slices = ref 0 in
+      while !off < Bytes.length bytes do
+        let len = min (if !slices mod 2 = 0 then 1 else 3) (Bytes.length bytes - !off) in
+        ignore (Unix.write fd bytes !off len);
+        off := !off + len;
+        incr slices;
+        if !slices mod 4 = 0 then Unix.sleepf 0.0002
+      done;
+      let buf = Bytes.create 65536 and hi = ref 0 and lo = ref 0 in
+      for i = 0 to n - 1 do
+        let rec next () =
+          match P.decode_response buf ~pos:!lo ~len:(!hi - !lo) with
+          | Frame { seq; body; consumed } ->
+              lo := !lo + consumed;
+              (seq, body)
+          | Need_more ->
+              let got = Unix.read fd buf !hi (Bytes.length buf - !hi) in
+              if got = 0 then Alcotest.failf "EOF before response %d" i;
+              hi := !hi + got;
+              next ()
+        in
+        let seq, body = next () in
+        Alcotest.(check int) "in order" i seq;
+        let expect = if i mod 2 = 0 then P.Inserted else P.Found ((i - 1) * 10) in
+        Alcotest.check response (Printf.sprintf "sliced request %d" i) expect body
+      done);
+  with_client addr @@ fun c ->
+  let keys = List.init 500 (fun j -> 1000 + j) in
+  let batch =
+    List.concat_map
+      (fun k -> [ P.Insert { key = k; value = -k }; P.Search { key = k } ])
+      keys
+  in
+  let w = P.Writer.create () in
+  List.iteri (fun i r -> P.Writer.request w ~seq:i r) batch;
+  Alcotest.(check bool) "the batch is larger than 4 KB" true (P.Writer.length w > 4096);
+  List.iteri
+    (fun j r ->
+      let k = 1000 + (j / 2) in
+      let expect = if j mod 2 = 0 then P.Inserted else P.Found (-k) in
+      Alcotest.check response (Printf.sprintf "batched request %d" j) expect r)
+    (C.pipeline c batch);
+  let w = P.Writer.create () in
+  let pairs = List.map (fun k -> (k, -k)) keys in
+  P.Writer.response w ~seq:0 (P.Pairs pairs);
+  Alcotest.(check bool) "the reply is larger than 4 KB" true (P.Writer.length w > 4096);
+  Alcotest.(check (list (pair int int))) "one large range reply" pairs
+    (C.range c ~lo:1000 ~hi:1499)
+
 let suite =
   [
     ("protocol roundtrip", `Quick, test_roundtrip);
@@ -1084,4 +1155,6 @@ let suite =
     ("stop ends a parked worker", `Quick, test_stop_ends_parked_worker);
     ("batches after a pause past the spin window", `Quick,
      test_batches_after_a_pause);
+    ("read buffer: split frames, batches and replies past 4 KB", `Quick,
+     test_read_buffer);
   ]

@@ -223,6 +223,135 @@ let test_epoch_concurrent_readers_never_see_freed () =
   Alcotest.(check int) "no freed-page reads" 0 (Atomic.get failures);
   Alcotest.(check bool) "reclamation happened" true (Epoch.total_reclaimed e > 1_000)
 
+(* ---------- the slot table under all three stores ---------- *)
+
+(* Slots are ownership flags: an id handed out twice at once shows as a
+   failed claim. *)
+let flag_table () = Slot_table.create ~name:"test" (fun () -> Atomic.make false)
+
+let test_slot_table_concurrent () =
+  let t = flag_table () in
+  let nd = 4 and rounds = 20_000 in
+  let twice = Atomic.make 0 in
+  let domains =
+    Array.init nd (fun d ->
+        Domain.spawn (fun () ->
+            let rng = Random.State.make [| d |] in
+            let held = ref [] in
+            for _ = 1 to rounds do
+              if !held <> [] && Random.State.bool rng then begin
+                let id = List.hd !held in
+                held := List.tl !held;
+                Atomic.set (Slot_table.get t id) false;
+                Slot_table.release t id
+              end
+              else begin
+                let id = Slot_table.alloc t in
+                if not (Atomic.compare_and_set (Slot_table.get t id) false true)
+                then Atomic.incr twice;
+                held := id :: !held
+              end
+            done;
+            !held))
+  in
+  let held = List.concat_map Domain.join (Array.to_list domains) in
+  Alcotest.(check int) "no id held twice" 0 (Atomic.get twice);
+  Alcotest.(check int) "held ids distinct" (List.length held)
+    (List.length (List.sort_uniq compare held));
+  Alcotest.(check int) "live = allocated - freed"
+    (Slot_table.allocated t - Slot_table.freed t)
+    (Slot_table.live t);
+  Alcotest.(check int) "live = ids held" (List.length held) (Slot_table.live t);
+  Alcotest.(check int) "every hand-out counted" (nd * rounds)
+    (Slot_table.allocated t + Slot_table.freed t)
+
+let test_slot_table_order () =
+  let t = flag_table () in
+  let first = List.init 5 (fun _ -> Slot_table.alloc t) in
+  Alcotest.(check (list int)) "bumped in sequence" [ 0; 1; 2; 3; 4 ] first;
+  List.iter (Slot_table.release t) [ 1; 3; 2 ];
+  Alcotest.(check (list int)) "free list, next first" [ 2; 3; 1 ] (Slot_table.free_ids t);
+  let again = List.init 4 (fun _ -> Slot_table.alloc t) in
+  Alcotest.(check (list int)) "freed ids come back LIFO, then the frontier"
+    [ 2; 3; 1; 5 ] again;
+  Alcotest.(check int) "frontier" 6 (Slot_table.frontier t);
+  Alcotest.(check int) "allocated" 9 (Slot_table.allocated t);
+  Alcotest.(check int) "freed" 3 (Slot_table.freed t);
+  Alcotest.(check int) "live" 6 (Slot_table.live t)
+
+let test_slot_table_chunks () =
+  let t = Slot_table.create ~name:"test" (fun () -> ref (-1)) in
+  let n = 4096 + 10 in
+  for i = 0 to n - 1 do
+    let id = Slot_table.alloc t in
+    if id <> i then Alcotest.failf "id %d handed out as %d" i id;
+    Slot_table.get t id := i
+  done;
+  for i = 0 to n - 1 do
+    if !(Slot_table.get t i) <> i then Alcotest.failf "slot %d holds another's value" i
+  done;
+  Alcotest.(check bool) "last id of the first chunk" true
+    (Option.is_some (Slot_table.find t 4095));
+  Alcotest.(check bool) "first id of the second chunk" true
+    (Option.is_some (Slot_table.find t 4096));
+  Slot_table.release t 4096;
+  Slot_table.release t 4095;
+  Alcotest.(check (list int)) "recycled across the boundary" [ 4095; 4096 ]
+    (List.init 2 (fun _ -> Slot_table.alloc t))
+
+let test_slot_table_find () =
+  let t = flag_table () in
+  let none what id =
+    Alcotest.(check bool) what true (Option.is_none (Slot_table.find t id))
+  in
+  none "empty table" 0;
+  ignore (Slot_table.alloc t);
+  Alcotest.(check bool) "handed-out id" true (Option.is_some (Slot_table.find t 0));
+  none "past the frontier, chunk installed" 1;
+  none "past the frontier, no chunk" 5000;
+  none "negative" (-1);
+  none "past capacity" (1 lsl 26);
+  none "max_int" max_int;
+  match Slot_table.get t 5000 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "get on an id whose chunk was never installed must raise"
+
+(* The two recovery shapes: [Paged_store.open_view] restores the header's
+   counters, extends over replayed pages and then installs the free
+   chain with recycled pages counted allocated again;
+   [Record_store.finish_restore] sets the frontier and a free list
+   rebuilt from empty slots. *)
+let test_slot_table_restore () =
+  let t = flag_table () in
+  Slot_table.restore t ~next:5000 ~allocated:5100 ~freed:200 ~free:[];
+  Alcotest.(check int) "frontier" 5000 (Slot_table.frontier t);
+  Alcotest.(check int) "live" 4900 (Slot_table.live t);
+  ignore (Slot_table.get t 4999 : bool Atomic.t);
+  Slot_table.extend t 9000;
+  Alcotest.(check int) "extended frontier" 9001 (Slot_table.frontier t);
+  Alcotest.(check int) "extended ids count as allocated" (5100 + 4001)
+    (Slot_table.allocated t);
+  ignore (Slot_table.get t 9000 : bool Atomic.t);
+  Slot_table.extend t 17;
+  Alcotest.(check int) "extend below the frontier moves nothing" 9001
+    (Slot_table.frontier t);
+  Alcotest.(check int) "nor counts" (5100 + 4001) (Slot_table.allocated t);
+  Slot_table.restore t ~next:9001
+    ~allocated:(Slot_table.allocated t + 1)
+    ~freed:(Slot_table.freed t) ~free:[ 7; 3 ];
+  Alcotest.(check int) "recycled page counted" (5100 + 4002) (Slot_table.allocated t);
+  Alcotest.(check int) "freed kept" 200 (Slot_table.freed t);
+  Alcotest.(check (list int)) "restored free list first, then the frontier"
+    [ 7; 3; 9001 ]
+    (List.init 3 (fun _ -> Slot_table.alloc t));
+  let r = flag_table () in
+  Slot_table.extend r 12;
+  Slot_table.restore r ~next:4 ~allocated:4 ~freed:2 ~free:[ 0; 2 ];
+  Alcotest.(check int) "restore lowers the frontier" 4 (Slot_table.frontier r);
+  Alcotest.(check int) "live" 2 (Slot_table.live r);
+  Alcotest.(check (list int)) "ascending free list, then the frontier" [ 0; 2; 4 ]
+    (List.init 3 (fun _ -> Slot_table.alloc r))
+
 let suite =
   [
     Alcotest.test_case "alloc/get/put" `Quick test_alloc_get_put;
@@ -241,4 +370,12 @@ let suite =
       test_epoch_pin_publish_race;
     Alcotest.test_case "epoch protects concurrent readers" `Quick
       test_epoch_concurrent_readers_never_see_freed;
+    Alcotest.test_case "slot table: 4 domains alloc and free" `Quick
+      test_slot_table_concurrent;
+    Alcotest.test_case "slot table: bump order, LIFO reuse" `Quick
+      test_slot_table_order;
+    Alcotest.test_case "slot table: ids cross a chunk" `Quick test_slot_table_chunks;
+    Alcotest.test_case "slot table: find never raises" `Quick test_slot_table_find;
+    Alcotest.test_case "slot table: restore and extend" `Quick
+      test_slot_table_restore;
   ]

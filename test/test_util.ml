@@ -191,20 +191,6 @@ let test_rwlock_try_write () =
   Alcotest.(check bool) "fails under reader" false (Rwlock.try_write_lock rw);
   Rwlock.read_unlock rw
 
-let test_counters () =
-  let c = Counters.create ~domains:4 () in
-  let domains =
-    Array.init 4 (fun slot ->
-        Domain.spawn (fun () ->
-            for _ = 1 to 1000 do
-              Counters.incr c ~slot
-            done))
-  in
-  Array.iter Domain.join domains;
-  Alcotest.(check int) "sum" 4000 (Counters.read c);
-  Counters.clear c;
-  Alcotest.(check int) "cleared" 0 (Counters.read c)
-
 let test_backoff_grows () =
   let b = Backoff.create () in
   Alcotest.(check int) "initial stage" 0 (Backoff.stage b);
@@ -321,7 +307,6 @@ let suite =
     Alcotest.test_case "rwlock mutual exclusion" `Quick test_rwlock_mutual_exclusion;
     Alcotest.test_case "rwlock parallel readers" `Quick test_rwlock_readers_parallel;
     Alcotest.test_case "rwlock try_write" `Quick test_rwlock_try_write;
-    Alcotest.test_case "striped counters" `Quick test_counters;
     Alcotest.test_case "backoff stages" `Quick test_backoff_grows;
     Alcotest.test_case "fnv32 known answers" `Quick test_fnv32_known_answers;
     Alcotest.test_case "mx32 known answers" `Quick test_mx32_known_answers;
